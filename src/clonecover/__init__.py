@@ -35,7 +35,6 @@ from .analysis import (
 from .decompose import (
     countable_selection,
     hereditary_decompose,
-    strong_decompose,
     verify_decomposition,
 )
 from .synth import (

@@ -8,11 +8,10 @@ and every verdict is packaged with the data needed to re-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     IndexMismatchError,
-    IndexSet,
     MTuple,
     PartialFn,
     Point,
@@ -22,6 +21,28 @@ from .core import (
 
 THRIFTY = "thrifty"
 WASTEFUL = "wasteful"
+
+
+@dataclass
+class Checklist:
+    """Named pass/fail checks in the order they were made: the one verdict
+    list that admissibility, decomposition and pipeline reports carry."""
+
+    checks: list = field(default_factory=list)  # {"name", "passed", "detail"}
+
+    def add(self, name: str, ok, detail: str = "") -> None:
+        self.checks.append(
+            {"name": name, "passed": bool(ok), "detail": str(detail)})
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+    @property
+    def detail(self) -> str:
+        """The failing checks as ``name: detail``, joined by "; "."""
+        return "; ".join(c["name"] + ": " + c["detail"]
+                         for c in self.checks if not c["passed"])
 
 
 @dataclass(frozen=True)
@@ -85,16 +106,12 @@ class ThriftyReport:
     per_value: dict  # value -> (bound k, verdict)
     thrifty_domain: frozenset = frozenset()
     wasteful_domain: frozenset = frozenset()
-    hereditary: Optional[dict] = None  # (S, c) -> ThriftyReport
     failure: Optional[tuple] = None  # (S, c, value) on hereditary failure
 
     @property
     def all_thrifty(self) -> bool:
-        if any(v == WASTEFUL for _, v in self.per_value.values()):
-            return False
-        if self.hereditary is not None:
-            return self.failure is None
-        return True
+        return self.failure is None and all(
+            v == THRIFTY for _, v in self.per_value.values())
 
 
 def classify_preimages(p: PartialFn, theta: int) -> ThriftyReport:
@@ -165,31 +182,29 @@ def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
     verdict is the conjunction, with the first failing (S, c, value) triple
     recorded.
     """
-    m = sorted(q.arity)
-    hereditary: dict = {}
-    failure = None
     root = classify_preimages(q, theta)
-    for s in _subsets(m):
-        for c in fiber_keys(q, s):
-            rep = classify_preimages(fiber(q, s, c), theta)
-            hereditary[(s, c)] = rep
-            if failure is None and not rep.all_thrifty:
-                bad = min(
-                    v for v, (_, verdict) in rep.per_value.items()
-                    if verdict == WASTEFUL
-                )
-                failure = (s, c, bad)
     return ThriftyReport(
         theta=theta,
         per_value=root.per_value,
         thrifty_domain=root.thrifty_domain,
         wasteful_domain=root.wasteful_domain,
-        hereditary=hereditary,
-        failure=failure,
+        failure=_first_wasteful_fiber(q, theta),
     )
 
 
-def _subsets(members: Sequence[int]) -> list:
+def _first_wasteful_fiber(q: PartialFn, theta: int) -> Optional[tuple]:
+    """The first (S, c, least wasteful value) in sweep order, if any."""
+    for s in all_subsets(sorted(q.arity)):
+        for c in fiber_keys(q, s):
+            rep = classify_preimages(fiber(q, s, c), theta)
+            wasteful = [v for v, (_, verdict) in rep.per_value.items()
+                        if verdict == WASTEFUL]
+            if wasteful:
+                return s, c, min(wasteful)
+    return None
+
+
+def all_subsets(members: Sequence[int]) -> list:
     """All subsets, by increasing cardinality then lexicographic."""
     subs = [[]]
     for x in members:
@@ -198,14 +213,10 @@ def _subsets(members: Sequence[int]) -> list:
     return [frozenset(s) for s in subs]
 
 
-all_subsets = _subsets
-
-
 @dataclass
 class IdealVerdict:
     """Outcome of a fragment-level image-width check."""
 
-    kind: str  # "CI-fragment" or "CJ-fragment"
     test_family: tuple
     image_widths: tuple
     bound_claimed: int
@@ -226,7 +237,6 @@ def ci_fragment_check(p: PartialFn, test_sets: Sequence[Iterable[MTuple]],
         image = {p.graph[u] for u in a}
         widths.append(width(image).width)
     return IdealVerdict(
-        kind="CI-fragment",
         test_family=family,
         image_widths=tuple(widths),
         bound_claimed=bound,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import serialize
 from .decompose import hereditary_decompose, verify_decomposition
-from .instances import default_theta, generate_instance
+from .instances import check_admissibility, default_theta, generate_instance
 from .pipeline import run_pipeline, verify_pair
 from .synth import end_to_end_synthesize
 
@@ -63,12 +63,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .instances import check_admissibility
     inst = _load_or_generate(args)
     report = check_admissibility(inst)
-    for c in report["checks"]:
-        print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
-              + (f"  ({c['detail']})" if c["detail"] else ""))
+    _print_checks(report["checks"], sys.stdout)
     return 0 if report["passed"] else 1
 
 
@@ -122,11 +119,14 @@ def cmd_demo(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _print_report(report: dict) -> None:
-    for c in report["checks"]:
+def _print_checks(checks: list, stream) -> None:
+    for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
-              + (f"  ({c['detail']})" if c["detail"] else ""),
-              file=sys.stderr)
+              + (f"  ({c['detail']})" if c["detail"] else ""), file=stream)
+
+
+def _print_report(report: dict) -> None:
+    _print_checks(report["checks"], sys.stderr)
     stats = report.get("term_stats")
     if stats:
         print(f"term: size={stats['size']} depth={stats['depth']} "

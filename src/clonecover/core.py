@@ -6,7 +6,7 @@ as the undefined marker; it is never an error to evaluate outside a domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 

@@ -2,21 +2,21 @@
 inner map certified componentwise to be width-harmless.
 
 The driver is `hereditary_decompose`, which sweeps all subsets S of the
-index set; each sweep is a `strong_decompose` step: split every fiber into
-its thrifty and wasteful parts, re-route the wasteful parts through freshly
-selected representative tuples of a width-1 set A, and shrink the inner map
-back onto dom(g).
+index set; each sweep is a `strong_decompose_stage` step: split every fiber
+into its thrifty and wasteful parts, re-route the wasteful parts through
+freshly selected representative tuples of a width-1 set A, and shrink the
+inner map back onto dom(g).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from .analysis import (
+    Checklist,
     all_subsets,
     classify_preimages,
     is_hereditarily_thrifty,
-    least_bound,
     tuple_set_width,
     width,
 )
@@ -141,17 +141,12 @@ class DecompositionTrace:
     h_composed: PartialFn
 
 
-def strong_decompose(g: PartialFn, s: IndexSet, theta: int):
+def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord:
     """One sweep: make every fiber of g at S thrifty at theta.
 
-    Returns (g', h, certificates) with g' contained in g, g = g' o h exactly,
-    and every fiber of g' at S all-thrifty.
+    The record's g' is contained in g, g = g' o h exactly, and every fiber
+    of g' at S is all-thrifty.
     """
-    stage = strong_decompose_stage(g, s, theta)
-    return stage.g_prime, stage.h, stage.certificates
-
-
-def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> "StageRecord":
     s = frozenset(s)
     if not s <= g.arity:
         raise ValueError(f"S={sorted(s)} not inside arity {sorted(g.arity)}")
@@ -250,38 +245,33 @@ def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
 
 def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
     """Independently re-check every invariant of a decomposition trace."""
-    checks = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-
+    checks = Checklist()
     current = g
     for stage in trace.stages:
         label = f"S={sorted(stage.s)}"
-        check(f"{label}: g' contained in g",
-              stage.g_prime.is_subfunction_of(current))
+        checks.add(f"{label}: g' contained in g",
+                   stage.g_prime.is_subfunction_of(current))
         recomposed = compose(stage.g_prime, stage.h)
-        check(f"{label}: exact recomposition",
-              recomposed == current,
-              "" if recomposed == current else "graphs differ")
+        checks.add(f"{label}: exact recomposition",
+                   recomposed == current,
+                   "" if recomposed == current else "graphs differ")
         for c in fiber_keys(stage.g_prime, stage.s):
             rep = classify_preimages(fiber(stage.g_prime, stage.s, c),
                                      trace.theta)
             if not rep.all_thrifty:
-                check(f"{label}: fiber thrifty", False, f"fiber {c!r}")
+                checks.add(f"{label}: fiber thrifty", False, f"fiber {c!r}")
                 break
         else:
-            check(f"{label}: fibers thrifty", True)
-        check(f"{label}: selection width",
-              tuple_set_width(stage.selection.a_set) <= 1)
-        check(f"{label}: inner-map certificates",
-              all(c.passed for c in stage.certificates))
+            checks.add(f"{label}: fibers thrifty", True)
+        checks.add(f"{label}: selection width",
+                   tuple_set_width(stage.selection.a_set) <= 1)
+        checks.add(f"{label}: inner-map certificates",
+                   all(c.passed for c in stage.certificates))
         current = stage.g_prime
 
-    check("final g' is the last stage's", current == trace.g_prime)
+    checks.add("final g' is the last stage's", current == trace.g_prime)
     final = compose(trace.g_prime, trace.h_composed)
-    check("composed inner map recovers g", final == g)
-    check("final g' hereditarily thrifty",
-          is_hereditarily_thrifty(trace.g_prime, trace.theta).all_thrifty)
-    checks_passed = all(c["passed"] for c in checks)
-    return {"passed": checks_passed, "checks": checks}
+    checks.add("composed inner map recovers g", final == g)
+    checks.add("final g' hereditarily thrifty",
+               is_hereditarily_thrifty(trace.g_prime, trace.theta).all_thrifty)
+    return {"passed": checks.passed, "checks": checks.checks}

@@ -10,9 +10,9 @@ tuples with a configurable surplus.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
+from .analysis import Checklist
 from .core import MTuple, PartialFn, Point, compose, full_index
 from .decompose import AdmissibilityError, hereditary_decompose
 from .synth import normalize_f, oplus, reduce_to_unary
@@ -36,18 +36,6 @@ class Instance:
     f: PartialFn
     candidates: tuple  # unary helpers for the arity reduction; may be empty
     metadata: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            (self.m, self.horizon, self.theta, self.seed, self.ceiling,
-             self.profile, self.g, self.f, tuple(self.candidates),
-             self.metadata)
-            == (other.m, other.horizon, other.theta, other.seed,
-                other.ceiling, other.profile, other.g, other.f,
-                tuple(other.candidates), other.metadata)
-        )
 
 
 class ProfileError(ValueError):
@@ -262,41 +250,40 @@ def _tuple_json(u: MTuple) -> list:
 
 
 def check_admissibility(inst: Instance) -> dict:
-    """Re-verify that every choice step of the pipeline can succeed.
+    """Run the pipeline's choice steps once and report whether each succeeds.
 
-    Structural checks on coordinates, then dry runs of the witness recovery
-    and the hereditary decomposition (the two stages with choice steps).
+    Structural checks on coordinates, then the witness recovery and the
+    hereditary decomposition (the two stages with choice steps), each run
+    independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
+    hands back their products, ``normalized`` and ``trace`` (None where the
+    stage raised), from which `complete_synthesis` finishes the term.
     """
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-
+    checks = Checklist()
     coords_ok = all(
         0 <= p.x < inst.ceiling and 0 <= p.y < inst.ceiling
         for u, v in list(inst.g.graph.items()) + list(inst.f.graph.items())
         for p in list(u.points()) + [v]
     )
-    check("coordinates below ceiling", coords_ok)
-    check("theta below horizon", 1 <= inst.theta <= inst.horizon - 1)
+    checks.add("coordinates below ceiling", coords_ok)
+    checks.add("theta below horizon", 1 <= inst.theta <= inst.horizon - 1)
 
+    normalized = trace = None
     try:
         f_unary = inst.f
         if len(inst.f.arity) > 1:
             f_unary = reduce_to_unary(inst.f, inst.candidates)
-        normalize_f(f_unary, inst.horizon)
-        check("witness recoverable", True)
+        normalized = normalize_f(f_unary, inst.horizon)
+        checks.add("witness recoverable", True)
     except (AdmissibilityError, ValueError) as exc:
-        check("witness recoverable", False, str(exc))
+        checks.add("witness recoverable", False, str(exc))
 
     try:
         trace = hereditary_decompose(inst.g, inst.theta)
-        check("decomposition admissible",
-              compose(trace.g_prime, trace.h_composed) == inst.g)
+        checks.add("decomposition admissible",
+                   compose(trace.g_prime, trace.h_composed) == inst.g)
     except AdmissibilityError as exc:
-        check("decomposition admissible", False, str(exc))
+        checks.add("decomposition admissible", False, str(exc))
 
-    passed = all(c["passed"] for c in checks)
-    detail = "; ".join(c["name"] + ": " + c["detail"]
-                       for c in checks if not c["passed"])
-    return {"passed": passed, "checks": checks, "detail": detail}
+    return {"passed": checks.passed, "checks": checks.checks,
+            "detail": checks.detail, "normalized": normalized,
+            "trace": trace}

@@ -1,6 +1,9 @@
 """Pipeline orchestration: run the full synthesis on an instance and emit a
 self-contained verification report.
 
+The choice stages run once: admissibility is read off their outcome, and
+synthesis is completed from their products.
+
 The report re-checks everything from the produced artifacts alone: exact
 term equality over dom(g), the decomposition contracts, the helper range
 certificates, and the selector width bounds (brute force, with derived
@@ -11,18 +14,17 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
-from .analysis import width
-from .core import MTuple, PartialFn, Point, eval_term, full_index
+from .analysis import Checklist, width
+from .core import PartialFn, Point, eval_term, full_index
 from .decompose import verify_decomposition
 from .instances import Instance, check_admissibility
 from .synth import (
     StageError,
     SynthesisResult,
-    end_to_end_synthesize,
+    complete_synthesis,
     main_lemma_certify,
-    math_factorial,
     pstar,
     verify_Q_in_CI,
     verify_main_lemma,
@@ -72,31 +74,30 @@ def random_width1_factors(q_table: PartialFn, m: int, rng: random.Random,
     return factors
 
 
-def run_pipeline(inst: Instance) -> dict:
-    """Execute the full pipeline on an instance and verify every contract."""
+def run_pipeline(inst: Instance) -> tuple:
+    """Execute the full pipeline on an instance and verify every contract.
+
+    Returns the report and the synthesis result (None when synthesis did
+    not run or failed).
+    """
     t0 = time.perf_counter()
-    checks = []
+    checks = Checklist()
     result: Optional[SynthesisResult] = None
 
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": str(detail)})
-
     adm = check_admissibility(inst)
-    check("admissibility", adm["passed"], adm["detail"])
+    checks.add("admissibility", adm["passed"], adm["detail"])
 
     stage_error = None
     if adm["passed"]:
         try:
-            result = end_to_end_synthesize(
-                inst.g, inst.f, inst.theta, inst.horizon,
-                unary_candidates=inst.candidates,
-            )
+            result = complete_synthesis(inst.g, adm["normalized"],
+                                        adm["trace"])
         except StageError as exc:
             stage_error = exc
-            check(f"stage:{exc.stage}", False, str(exc.cause))
+            checks.add(f"stage:{exc.stage}", False, str(exc.cause))
 
     if result is not None:
-        _verify_synthesis(inst, result, check)
+        _verify_synthesis(inst, result, checks)
 
     report = {
         "seed": inst.seed,
@@ -105,8 +106,8 @@ def run_pipeline(inst: Instance) -> dict:
         "theta": inst.theta,
         "profile": inst.profile,
         "domain_size": len(inst.g),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": checks.checks,
+        "passed": checks.passed,
         "timing": round(time.perf_counter() - t0, 6),
     }
     if result is not None:
@@ -124,28 +125,26 @@ def run_pipeline(inst: Instance) -> dict:
     return report, result
 
 
-def _verify_synthesis(inst: Instance, result: SynthesisResult, check) -> None:
-    g = inst.g
+def _verify_synthesis(inst: Instance, result: SynthesisResult,
+                      checks: Checklist) -> None:
     m = inst.m
 
-    dec = verify_decomposition(g, result.trace)
+    dec = verify_decomposition(inst.g, result.trace)
     bad = [c["name"] for c in dec["checks"] if not c["passed"]]
-    check("decomposition contracts", dec["passed"], ", ".join(bad))
+    checks.add("decomposition contracts", dec["passed"], ", ".join(bad))
 
-    mismatches = [
-        u for u in sorted(g.domain())
-        if eval_term(result.term, u) != g.graph[u]
-    ]
-    check("term equality on dom(g)", not mismatches,
-          f"{len(mismatches)} mismatching tuples" if mismatches else "")
+    pair = verify_pair(inst, result.term)
+    checks.add("term equality on dom(g)", pair["passed"],
+               "" if pair["passed"]
+               else f"{pair['mismatched']} mismatching tuples")
 
     bad_helpers = []
     for (s, j), h in sorted(result.h_family.items()):
         ran = {p for p in h.graph.values()}
         if any(p.x != 0 for p in ran) or width(ran).width > 1:
             bad_helpers.append((sorted(s), j))
-    check("helper range certificates", not bad_helpers,
-          str(bad_helpers) if bad_helpers else "")
+    checks.add("helper range certificates", not bad_helpers,
+               str(bad_helpers) if bad_helpers else "")
 
     rng = derive_factor_rng(inst.seed)
     lemma_ok, uniq_ok = True, True
@@ -166,8 +165,8 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult, check) -> None:
                     uniq_ok = False
                     details.append(f"family {fam} line {n} perm {perm}: "
                                    f"{cert.detail}")
-    check("selector width bound (m!)", lemma_ok, "; ".join(details))
-    check("per-line uniqueness", uniq_ok, "; ".join(details))
+    checks.add("selector width bound (m!)", lemma_ok, "; ".join(details))
+    checks.add("per-line uniqueness", uniq_ok, "; ".join(details))
 
     wide_ok = True
     wide_details = []
@@ -179,8 +178,8 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult, check) -> None:
             wide_ok = False
             wide_details.append(
                 f"family {fam}: widths {verdict.observed} > {verdict.bound}")
-    check("selector width bound (width-2 products)", wide_ok,
-          "; ".join(wide_details))
+    checks.add("selector width bound (width-2 products)", wide_ok,
+               "; ".join(wide_details))
 
 
 def verify_pair(inst: Instance, term) -> dict:
@@ -192,5 +191,6 @@ def verify_pair(inst: Instance, term) -> dict:
     return {
         "passed": not mismatches,
         "checked": len(inst.g),
+        "mismatched": len(mismatches),
         "mismatches": [str(u) for u in mismatches[:5]],
     }

@@ -9,7 +9,6 @@ serialize identically.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .core import (
     App,

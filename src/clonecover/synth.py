@@ -11,17 +11,11 @@ outputs on the helpers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import (
-    IdealVerdict,
-    all_subsets,
-    ci_fragment_check,
-    is_hereditarily_thrifty,
-    k_table,
-    width,
-)
+from .analysis import all_subsets, ci_fragment_check, k_table, width
 from .core import (
     App,
     AtomBinding,
@@ -36,7 +30,6 @@ from .core import (
     Term,
     WITNESS_ATOM,
     bar_extend,
-    eval_term,
     fiber,
     fiber_keys,
     full_index,
@@ -50,13 +43,6 @@ def oplus(n: int, k: int) -> int:
     if not 0 <= k < n:
         raise ValueError(f"oplus requires 0 <= k < n, got n={n}, k={k}")
     return n * n + k
-
-
-def math_factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 # -- unary reduction --------------------------------------------------
@@ -399,7 +385,7 @@ def verify_main_lemma(q_table: PartialFn, factors: Mapping, m: int) -> MainLemma
     for uv, val in q_table.graph.items():
         if _in_product(uv, factors, ps):
             image.add(val)
-    bound = math_factorial(m)
+    bound = math.factorial(m)
     w = width(image).width
     return MainLemmaReport(
         observed_width=w, bound=bound, passed=w <= bound,
@@ -503,7 +489,7 @@ def verify_Q_in_CI(q_table: PartialFn, test_products: Sequence[Mapping],
     """
     ps = pstar(full_index(m))
     factor_count = m + len(ps.pairs)
-    bound = (w ** factor_count) * math_factorial(m)
+    bound = (w ** factor_count) * math.factorial(m)
     observed = []
     for factors in test_products:
         for key, pts in factors.items():
@@ -548,35 +534,40 @@ class SynthesisResult:
     pstar_index: PStarIndex
 
 
+def _run_stage(stage: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - retagged with the stage
+        raise StageError(stage, exc) from exc
+
+
 def end_to_end_synthesize(g: PartialFn, f: PartialFn, theta: int, horizon: int,
                           unary_candidates: Sequence[PartialFn] = (),
                           width_threshold: int = 1) -> SynthesisResult:
-    """Full pipeline: unary reduction, normalization, hereditary
-    decomposition, helper/selector construction, and term assembly.
+    """Full pipeline: the choice stages (unary reduction, normalization,
+    hereditary decomposition), then `complete_synthesis`.
 
     The returned term evaluates to g on every tuple of dom(g).
     """
-    def run(stage, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StageError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - retagged with the stage
-            raise StageError(stage, exc) from exc
-
     if len(f.arity) > 1:
-        f_unary = run("reduce-to-unary", reduce_to_unary, f,
-                      unary_candidates, width_threshold)
-    else:
-        f_unary = f
-    nw = run("normalize", normalize_f, f_unary, horizon)
-    trace = run("decompose", hereditary_decompose, g, theta)
+        f = _run_stage("reduce-to-unary", reduce_to_unary, f,
+                       unary_candidates, width_threshold)
+    nw = _run_stage("normalize", normalize_f, f, horizon)
+    trace = _run_stage("decompose", hereditary_decompose, g, theta)
+    return complete_synthesis(g, nw, trace)
+
+
+def complete_synthesis(g: PartialFn, nw: NormalizedWitness,
+                       trace: DecompositionTrace) -> SynthesisResult:
+    """Helper/selector construction and term assembly from the products of
+    the choice stages: the normalized witness and g's decomposition trace."""
     q = trace.g_prime
     ps = pstar(full_index(len(g.arity)))
-    tables = run("k-tables", fiber_k_tables, q, theta)
-    h_family = run("helpers", build_h_family, q, ps, tables)
-    q_table = run("selector", build_Q, q, h_family, nw, ps)
-    q_term = run("assemble", assemble_term, q, nw, h_family, q_table, ps)
+    tables = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
+    h_family = _run_stage("helpers", build_h_family, q, ps, tables)
+    q_table = _run_stage("selector", build_Q, q, h_family, nw, ps)
+    q_term = _run_stage("assemble", assemble_term,
+                        q, nw, h_family, q_table, ps)
 
     # Pre-compose the decomposition's inner map: replace each projection
     # leaf by the corresponding certified inner-map component.

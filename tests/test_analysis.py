@@ -152,10 +152,13 @@ class TestHereditarilyThrifty:
         assert report.per_value == plain.per_value
 
     def test_covers_every_subset(self):
-        q = PartialFn(idx(1, 2), {tup((0, 0), (1, 1)): pt(2, 2)})
+        # Thrifty at S = {} and at S = {1}; at S = {2} the fiber with key
+        # (0|0) maps (0|5) alone to (9|9), a preimage bound of 6 > theta 3.
+        q = PartialFn(idx(1, 2), {tup((0, 5), (0, 0)): pt(9, 9)})
         report = is_hereditarily_thrifty(q, theta=3)
-        seen = {s for s, _ in report.hereditary}
-        assert seen == set(all_subsets([1, 2]))
+        assert classify_preimages(q, 3).all_thrifty
+        assert not report.all_thrifty
+        assert report.failure == (idx(2), MTuple.of({2: pt(0, 0)}), pt(9, 9))
 
 
 class TestAllSubsets:

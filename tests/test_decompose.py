@@ -10,7 +10,6 @@ from clonecover.decompose import (
     AdmissibilityError,
     countable_selection,
     hereditary_decompose,
-    strong_decompose,
     strong_decompose_stage,
     verify_decomposition,
 )
@@ -81,24 +80,24 @@ class TestCountableSelection:
 class TestStrongDecompose:
     def test_thrifty_input_is_untouched(self):
         g = unary({(0, 0): (9, 9), (1, 1): (8, 8)})
-        g_prime, h, certs = strong_decompose(g, frozenset(), theta=2)
-        assert g_prime == g
-        assert h == PartialFn.identity_on(g.domain(), g.arity)
-        assert all(c.passed for c in certs)
+        stage = strong_decompose_stage(g, frozenset(), theta=2)
+        assert stage.g_prime == g
+        assert stage.h == PartialFn.identity_on(g.domain(), g.arity)
+        assert all(c.passed for c in stage.certificates)
 
     def test_wasteful_value_is_rerouted(self):
         # Value (9|9) has preimage bound 4 > theta 2; one low representative
         # must carry it and the rest of the preimage routes through it.
         g = unary({(0, 0): (9, 9), (0, 3): (9, 9)})
-        g_prime, h, certs = strong_decompose(g, frozenset(), theta=2)
-        assert len(g_prime) == 1
-        assert set(g_prime.domain()) == {tup((0, 0))}
-        assert compose(g_prime, h) == g
+        stage = strong_decompose_stage(g, frozenset(), theta=2)
+        assert len(stage.g_prime) == 1
+        assert set(stage.g_prime.domain()) == {tup((0, 0))}
+        assert compose(stage.g_prime, stage.h) == g
 
     def test_empty_input(self):
         g = PartialFn.empty(idx(1))
-        g_prime, h, certs = strong_decompose(g, frozenset(), theta=2)
-        assert len(g_prime) == 0 and len(h) == 0
+        stage = strong_decompose_stage(g, frozenset(), theta=2)
+        assert len(stage.g_prime) == 0 and len(stage.h) == 0
 
     def test_fibers_become_thrifty(self):
         g = PartialFn(idx(1, 2), {
@@ -114,7 +113,7 @@ class TestStrongDecompose:
     def test_s_outside_arity_rejected(self):
         g = unary({(0, 0): (1, 1)})
         with pytest.raises(ValueError):
-            strong_decompose(g, idx(7), theta=2)
+            strong_decompose_stage(g, idx(7), theta=2)
 
     def test_identity_domain_fixed_pointwise(self):
         g = unary({(0, 0): (9, 9), (0, 3): (9, 9), (4, 1): (7, 7)})

@@ -1,0 +1,146 @@
+"""Byte pins across commits: fixed digests of the canonical instance, term
+and report bytes on a small grid, and the exact reports and check output
+of inadmissible instances.
+
+A refactor that keeps these passing keeps every pinned artifact
+byte-identical; a change that alters the bytes on purpose updates the
+constants and says why.
+"""
+import dataclasses
+import hashlib
+
+import pytest
+
+from clonecover import serialize
+from clonecover.cli import main
+from clonecover.core import MTuple, PartialFn, Point
+from clonecover.instances import check_admissibility, generate_instance
+from clonecover.pipeline import run_pipeline
+from clonecover.synth import end_to_end_synthesize
+
+# (m, seed, profile) -> sha256 over instance, term and report bytes, in order
+GOLDEN = {
+    (1, 0, "mixed"): "447fe0a59ae5b578ee94ab99d989b693712a4a4b985cf1eee9539957c8f9c1a5",
+    (1, 0, "all-thrifty"): "6afac4965a1d7b84f66a569a2fdae5389c9f858e4be59097b64431b883c2c6dd",
+    (1, 0, "mary-witness"): "66aa71645b6187dd306347393c43b63a96071a81961cb4fed0f4f9fbfb39aa35",
+    (1, 1, "mixed"): "babb2aff63dcc66f3e8b9a920205218ff5576fde7a47e070d5e8276b5e9c48b0",
+    (1, 1, "all-thrifty"): "a5422aec02ed11ca0c34fb05d3c350df1da3ef734d5d10a5822ddc4e03cea5cf",
+    (1, 1, "mary-witness"): "d41f40a1353892ecf4c92666f9224090b3c9501d15791ef0fcae6d30c31d0ef0",
+    (2, 0, "mixed"): "62620c80522a6a52483819f61b8c2d0797d7aef57b687fe21010a6d9296738d8",
+    (2, 0, "all-thrifty"): "8ab0cec3d82883d93df23ae60c7f3a2c09536fb851824718b91d99e30c0089e8",
+    (2, 0, "mary-witness"): "b23d1e51cc3b37c9ed6779c6b811506d6c56c81ba72583be3233110ea2989b4b",
+    (2, 1, "mixed"): "9f115b2ce9a2d1fffd28503ccab3aa8c30ec2f2847ba74d87e89ba3fc5872d03",
+    (2, 1, "all-thrifty"): "2b961f7cbef924684909a2f948ed0d760daf203e359ae771b1dde5da7035a91e",
+    (2, 1, "mary-witness"): "741dadfc72aefdc14969770b592a74a400cf38945726f02cf872cacb74fb2a3c",
+    (3, 0, "mixed"): "95d7a5e05ecc48a18fc4cc14af17c435479937493593cec6d429179a747ae8c4",
+    (3, 0, "all-thrifty"): "d997c42488c20082cfa8fad33c7df6def914bce13b92de789af0efe503bd7864",
+    (3, 0, "mary-witness"): "531a0e103f6adcf612441074c08e5a85d65990895a3acf5966dae77ef59aaee8",
+    (3, 1, "mixed"): "5da096beec2fcab1fe8789c47579bae9d213bcdf3f4cf17c8301210c6a7bd36e",
+    (3, 1, "all-thrifty"): "ccff02a3c70c234a39511d45ac9372254068d2d4b267ef97b30a5792354e1c87",
+    (3, 1, "mary-witness"): "c8a08f678cad8d088510dbcdc716cd933736c8583d1af3671fe2b70599e51558",
+}
+
+
+@pytest.mark.parametrize("m, seed, profile", sorted(GOLDEN))
+def test_golden_bytes(m, seed, profile):
+    inst = generate_instance(m, 8, 4, seed, profile)
+    result = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                   unary_candidates=inst.candidates)
+    report, pipeline_result = run_pipeline(inst)
+    term_bytes = serialize.term_dumps(result.term)
+    assert report["passed"]
+    assert serialize.term_dumps(pipeline_result.term) == term_bytes
+    digest = hashlib.sha256()
+    for data in (serialize.instance_dumps(inst), term_bytes,
+                 serialize.report_dumps(report)):
+        digest.update(data)
+    assert digest.hexdigest() == GOLDEN[(m, seed, profile)]
+
+
+# -- inadmissible instances -------------------------------------------
+
+WITNESS_DETAIL = "no unused image line with at least 11 points"
+DECOMPOSITION_DETAIL = ("no fresh low tuple left for fiber key <>, "
+                        "value (42|31)")
+
+
+def _lift_candidates(inst):
+    """Move every planted candidate tuple's free components to y >= theta,
+    so the wasteful values they were planted for have no low tuple left."""
+    graph = dict(inst.g.graph)
+    for feature in inst.metadata["features"]:
+        free = set(inst.g.arity) - set(feature["subset"])
+        for entries in feature["candidates"]:
+            u = MTuple.of({i: Point(*p) for i, p in entries})
+            lifted = MTuple.of({
+                i: Point(p.x, p.y + inst.theta) if i in free else p
+                for i, p in u.items()
+            })
+            graph[lifted] = graph.pop(u)
+    assert len(graph) == len(inst.g)
+    return dataclasses.replace(inst, g=PartialFn(inst.g.arity, graph))
+
+
+def _failing_instance(kind):
+    inst = generate_instance(2, 8, 4, 0)
+    if kind in ("decomposition", "both"):
+        inst = _lift_candidates(inst)
+    if kind in ("witness", "both"):
+        inst = dataclasses.replace(inst, horizon=12)
+    return inst
+
+
+FAILURES = {
+    "witness": [("witness recoverable", WITNESS_DETAIL)],
+    "decomposition": [("decomposition admissible", DECOMPOSITION_DETAIL)],
+    "both": [("witness recoverable", WITNESS_DETAIL),
+             ("decomposition admissible", DECOMPOSITION_DETAIL)],
+}
+
+
+def _report_bytes(kind):
+    failed = FAILURES[kind]
+    detail = "; ".join(f"{name}: {text}" for name, text in failed)
+    horizon = 8 if kind == "decomposition" else 12
+    return (
+        '{"checks":[{"detail":"' + detail + '","name":"admissibility",'
+        '"passed":false}],"domain_size":21,"horizon":' + str(horizon)
+        + ',"kind":"report","m":2,"passed":false,"profile":"mixed",'
+        '"seed":0,"theta":4,"version":1}\n'
+    ).encode()
+
+
+def _check_lines(kind):
+    failed = dict(FAILURES[kind])
+    lines = []
+    for name in ("coordinates below ceiling", "theta below horizon",
+                 "witness recoverable", "decomposition admissible"):
+        if name in failed:
+            lines.append(f"FAIL  {name}  ({failed[name]})")
+        else:
+            lines.append(f"PASS  {name}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+class TestFailurePaths:
+    def test_check_admissibility(self, kind):
+        adm = check_admissibility(_failing_instance(kind))
+        assert not adm["passed"]
+        failed = [(c["name"], c["detail"]) for c in adm["checks"]
+                  if not c["passed"]]
+        assert failed == FAILURES[kind]
+        assert adm["detail"] == "; ".join(
+            f"{name}: {text}" for name, text in FAILURES[kind])
+
+    def test_run_pipeline(self, kind):
+        report, result = run_pipeline(_failing_instance(kind))
+        assert result is None
+        assert "stage_error" not in report and "term_stats" not in report
+        assert serialize.report_dumps(report) == _report_bytes(kind)
+
+    def test_cli_check_exits_one(self, kind, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.instance_dumps(_failing_instance(kind)))
+        assert main(["check", "--instance", str(path)]) == 1
+        assert capsys.readouterr().out == _check_lines(kind)

@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+import clonecover
 from clonecover import serialize
 from clonecover.cli import main
 from clonecover.core import PartialFn, Point, eval_term, idx
@@ -117,6 +119,27 @@ class TestPipeline:
         a, _ = run_pipeline(generate_instance(1, 6, 3, seed=5))
         b, _ = run_pipeline(generate_instance(1, 6, 3, seed=5))
         assert serialize.report_dumps(a) == serialize.report_dumps(b)
+
+    def test_choice_stages_run_once(self, monkeypatch):
+        inst = generate_instance(2, 8, 4, seed=9, profile="mary-witness")
+        calls = {"reduce_to_unary": 0, "normalize_f": 0,
+                 "hereditary_decompose": 0}
+        modules = [m for m in vars(clonecover).values()
+                   if inspect.ismodule(m)]
+        for name in calls:
+            original = getattr(clonecover, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        report, _ = run_pipeline(inst)
+        assert report["passed"]
+        assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
+                         "hereditary_decompose": 1}
 
     def test_verify_pair_detects_tampering(self):
         inst = generate_instance(1, 6, 3, seed=7)
