@@ -17,6 +17,7 @@ from .core import (
     eval_partial,
     eval_term,
     fiber,
+    fibers,
     full_index,
     hash_fn,
     shrink_inner,

@@ -15,8 +15,7 @@ from .core import (
     MTuple,
     PartialFn,
     Point,
-    fiber,
-    fiber_keys,
+    fibers,
 )
 
 THRIFTY = "thrifty"
@@ -195,8 +194,8 @@ def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
 def _first_wasteful_fiber(q: PartialFn, theta: int) -> Optional[tuple]:
     """The first (S, c, least wasteful value) in sweep order, if any."""
     for s in all_subsets(sorted(q.arity)):
-        for c in fiber_keys(q, s):
-            rep = classify_preimages(fiber(q, s, c), theta)
+        for c, q_c in fibers(q, s).items():
+            rep = classify_preimages(q_c, theta)
             wasteful = [v for v, (_, verdict) in rep.per_value.items()
                         if verdict == WASTEFUL]
             if wasteful:

@@ -1,7 +1,8 @@
 """Command-line workbench: generate instances, check admissibility, run the
 decomposition or the full synthesis, and verify serialized artifacts.
 
-Exit status is 0 exactly when the requested check or report passes.
+Exit status is 0 exactly when the requested check or report passes, and 2
+when an input document is malformed.
 """
 from __future__ import annotations
 
@@ -160,7 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except serialize.ParseError as exc:
+        print(f"clonecover: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

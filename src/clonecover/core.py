@@ -323,27 +323,37 @@ def hash_fn(c: MTuple, g: PartialFn) -> PartialFn:
     return PartialFn(m, graph, m)
 
 
-def fiber(g: PartialFn, s: IndexSet, c: MTuple) -> PartialFn:
-    """Fix the S-indexed arguments of g to c; a function of the rest."""
+def fibers(g: PartialFn, s: IndexSet) -> dict:
+    """Every fiber of g at S in one pass, keyed by c in canonical order.
+
+    Each fiber keeps g's graph order; the keys are the S-projections
+    occurring in dom(g).
+    """
     s = frozenset(s)
     if not s <= g.arity:
         raise IndexMismatchError(
             f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
         )
-    if c.indices != s:
-        raise IndexMismatchError("c must be indexed exactly by S")
-    t = g.arity - s
-    graph = {}
+    groups: dict = {}
     for u, v in g.graph.items():
-        if u.restrict(s) == c:
-            graph[u.without(s)] = v
-    return PartialFn(t, graph, g.codomain)
+        groups.setdefault(u.restrict(s), {})[u.without(s)] = v
+    t = g.arity - s
+    return {c: PartialFn(t, groups[c], g.codomain) for c in sorted(groups)}
+
+
+def fiber(g: PartialFn, s: IndexSet, c: MTuple) -> PartialFn:
+    """Fix the S-indexed arguments of g to c; a function of the rest."""
+    found = fibers(g, s)
+    if c.indices != frozenset(s):
+        raise IndexMismatchError("c must be indexed exactly by S")
+    if c in found:
+        return found[c]
+    return PartialFn.empty(g.arity - frozenset(s), g.codomain)
 
 
 def fiber_keys(g: PartialFn, s: IndexSet) -> list:
     """The S-projections occurring in dom(g), in canonical order."""
-    s = frozenset(s)
-    return sorted({u.restrict(s) for u in g.graph})
+    return list(fibers(g, s))
 
 
 # -- terms ------------------------------------------------------------

@@ -26,8 +26,7 @@ from .core import (
     PartialFn,
     compose,
     disjoint_union,
-    fiber,
-    fiber_keys,
+    fibers,
     hash_fn,
     shrink_inner,
     star_fn,
@@ -158,8 +157,7 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
 
     wasteful_family: dict = {}
     thrifty_parts: dict = {}
-    for c in fiber_keys(g, s):
-        g_c = fiber(g, s, c)
+    for c, g_c in fibers(g, s).items():
         report = classify_preimages(g_c, theta)
         thrifty_parts[c] = g_c.restrict(report.thrifty_domain)
         if report.wasteful_domain:
@@ -171,8 +169,7 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     h_parts = []
     identity_domain: set = set()
     t = g.arity - s
-    for c in fiber_keys(g, s):
-        t_c = thrifty_parts[c]
+    for c, t_c in thrifty_parts.items():
         i_c = PartialFn.identity_on(t_c.domain(), t)
         fiber_g = [t_c]
         fiber_h = [i_c]
@@ -255,9 +252,8 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
         checks.add(f"{label}: exact recomposition",
                    recomposed == current,
                    "" if recomposed == current else "graphs differ")
-        for c in fiber_keys(stage.g_prime, stage.s):
-            rep = classify_preimages(fiber(stage.g_prime, stage.s, c),
-                                     trace.theta)
+        for c, g_c in fibers(stage.g_prime, stage.s).items():
+            rep = classify_preimages(g_c, trace.theta)
             if not rep.all_thrifty:
                 checks.add(f"{label}: fiber thrifty", False, f"fiber {c!r}")
                 break

@@ -9,6 +9,7 @@ serialize identically.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .core import (
     App,
@@ -38,6 +39,19 @@ def _check_version(doc: dict, what: str) -> None:
         )
 
 
+@contextmanager
+def _parsing(what: str):
+    """Report the lookup, type and value errors of a malformed document as
+    a ParseError about ``what``."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{what}: {detail}") from exc
+
+
 def dumps(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
@@ -45,7 +59,7 @@ def dumps(doc: dict) -> bytes:
 def loads(data: bytes, what: str = "document") -> dict:
     try:
         doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
     _check_version(doc, what)
     return doc
@@ -61,7 +75,10 @@ def point_json(p: Point) -> list:
 def point_parse(obj) -> Point:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ParseError(f"bad point {obj!r}")
-    return Point(int(obj[0]), int(obj[1]))
+    try:
+        return Point(int(obj[0]), int(obj[1]))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad point {obj!r}: {exc}") from exc
 
 
 def mtuple_json(u: MTuple) -> dict:
@@ -71,7 +88,10 @@ def mtuple_json(u: MTuple) -> dict:
 def mtuple_parse(obj) -> MTuple:
     if not isinstance(obj, dict):
         raise ParseError(f"bad tuple {obj!r}")
-    return MTuple.of({int(i): point_parse(p) for i, p in obj.items()})
+    try:
+        return MTuple.of({int(i): point_parse(p) for i, p in obj.items()})
+    except ValueError as exc:
+        raise ParseError(f"bad tuple {obj!r}: {exc}") from exc
 
 
 def pfn_json(p: PartialFn) -> dict:
@@ -86,14 +106,15 @@ def pfn_json(p: PartialFn) -> dict:
 def pfn_parse(obj) -> PartialFn:
     if not isinstance(obj, dict) or "graph" not in obj:
         raise ParseError(f"bad partial function {obj!r}")
-    codomain = obj.get("codomain")
-    value_parse = point_parse if codomain is None else mtuple_parse
-    graph = {mtuple_parse(u): value_parse(v) for u, v in obj["graph"]}
-    return PartialFn(
-        frozenset(obj["arity"]),
-        graph,
-        None if codomain is None else frozenset(codomain),
-    )
+    with _parsing("partial function"):
+        codomain = obj.get("codomain")
+        value_parse = point_parse if codomain is None else mtuple_parse
+        graph = {mtuple_parse(u): value_parse(v) for u, v in obj["graph"]}
+        return PartialFn(
+            frozenset(obj["arity"]),
+            graph,
+            None if codomain is None else frozenset(codomain),
+        )
 
 
 # -- terms ------------------------------------------------------------
@@ -112,10 +133,12 @@ def _node_json(node) -> dict:
 def _node_parse(obj):
     if not isinstance(obj, dict) or "t" not in obj:
         raise ParseError(f"bad term node {obj!r}")
-    if obj["t"] == "proj":
-        return Proj(int(obj["k"]))
-    if obj["t"] == "app":
-        return App(obj["name"], tuple(_node_parse(ch) for ch in obj["children"]))
+    with _parsing("term node"):
+        if obj["t"] == "proj":
+            return Proj(int(obj["k"]))
+        if obj["t"] == "app":
+            return App(obj["name"],
+                       tuple(_node_parse(ch) for ch in obj["children"]))
     raise ParseError(f"unknown term node tag {obj['t']!r}")
 
 
@@ -134,15 +157,16 @@ def term_json(t: Term) -> dict:
 
 def term_parse(doc: dict) -> Term:
     _check_version(doc, "term")
-    env = {
-        name: AtomBinding(pfn_parse(b["fn"]), b["kind"])
-        for name, b in doc["env"].items()
-    }
-    return Term(
-        root=_node_parse(doc["root"]),
-        env=env,
-        arity=frozenset(doc["arity"]),
-    )
+    with _parsing("term"):
+        env = {
+            name: AtomBinding(pfn_parse(b["fn"]), b["kind"])
+            for name, b in doc["env"].items()
+        }
+        return Term(
+            root=_node_parse(doc["root"]),
+            env=env,
+            arity=frozenset(doc["arity"]),
+        )
 
 
 def term_dumps(t: Term) -> bytes:
@@ -175,7 +199,7 @@ def instance_json(inst: Instance) -> dict:
 
 def instance_parse(doc: dict) -> Instance:
     _check_version(doc, "instance")
-    try:
+    with _parsing("instance"):
         return Instance(
             m=int(doc["m"]),
             horizon=int(doc["horizon"]),
@@ -188,8 +212,6 @@ def instance_parse(doc: dict) -> Instance:
             candidates=tuple(pfn_parse(c) for c in doc["candidates"]),
             metadata=doc["metadata"],
         )
-    except KeyError as exc:
-        raise ParseError(f"instance: missing field {exc}") from exc
 
 
 def instance_dumps(inst: Instance) -> bytes:

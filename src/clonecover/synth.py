@@ -30,8 +30,7 @@ from .core import (
     Term,
     WITNESS_ATOM,
     bar_extend,
-    fiber,
-    fiber_keys,
+    fibers,
     full_index,
     substitute,
 )
@@ -245,8 +244,8 @@ def fiber_k_tables(q: PartialFn, theta: int) -> dict:
     """K-tables for every fiber of q, keyed by (S, fiber key)."""
     tables = {}
     for s in all_subsets(sorted(q.arity)):
-        for c in fiber_keys(q, s):
-            tables[(s, c)] = k_table(fiber(q, s, c), theta)
+        for c, q_c in fibers(q, s).items():
+            tables[(s, c)] = k_table(q_c, theta)
     return tables
 
 

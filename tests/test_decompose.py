@@ -5,7 +5,15 @@ from clonecover.analysis import (
     is_hereditarily_thrifty,
     tuple_set_width,
 )
-from clonecover.core import MTuple, PartialFn, compose, fiber, fiber_keys, idx
+from clonecover.core import (
+    MTuple,
+    PartialFn,
+    compose,
+    fiber,
+    fiber_keys,
+    full_index,
+    idx,
+)
 from clonecover.decompose import (
     AdmissibilityError,
     countable_selection,
@@ -14,6 +22,7 @@ from clonecover.decompose import (
     verify_decomposition,
 )
 from clonecover.instances import generate_instance
+from clonecover.synth import fiber_k_tables
 
 from conftest import pt, tup, unary
 
@@ -164,3 +173,34 @@ class TestHereditaryDecompose:
             inst = generate_instance(m=2, horizon=8, theta=4, seed=seed)
             trace = hereditary_decompose(inst.g, inst.theta)
             assert verify_decomposition(inst.g, trace)["passed"]
+
+
+class TestLinearFiberScans:
+    @staticmethod
+    def restrict_calls(monkeypatch, n):
+        """MTuple.restrict calls made while decomposing an m = 3 function of
+        n entries, all thrifty, with distinct keys at every nonempty S, and
+        building its K-tables."""
+        theta = 8
+        g = PartialFn(full_index(3), {
+            tup((k, k % theta), (2 * k, (k + 1) % theta), (3 * k, 0)):
+                pt(0, k % theta)
+            for k in range(n)
+        })
+        calls = [0]
+        original = MTuple.restrict
+
+        def counting(self, s):
+            calls[0] += 1
+            return original(self, s)
+
+        monkeypatch.setattr(MTuple, "restrict", counting)
+        trace = hereditary_decompose(g, theta)
+        fiber_k_tables(trace.g_prime, theta)
+        monkeypatch.setattr(MTuple, "restrict", original)
+        return calls[0]
+
+    def test_restrict_calls_grow_linearly(self, monkeypatch):
+        small = self.restrict_calls(monkeypatch, 150)
+        large = self.restrict_calls(monkeypatch, 300)
+        assert large <= 2.2 * small

@@ -6,6 +6,7 @@ failure is always reproducible.
 """
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonecover.analysis import (
@@ -14,6 +15,7 @@ from clonecover.analysis import (
     width,
 )
 from clonecover.core import (
+    IndexMismatchError,
     MTuple,
     ORIGIN,
     PartialFn,
@@ -23,6 +25,7 @@ from clonecover.core import (
     disjoint_union,
     fiber,
     fiber_keys,
+    fibers,
     hash_fn,
     shrink_inner,
     star_fn,
@@ -73,6 +76,79 @@ class TestStarHashFiberLaws:
             assert rebuilt == g
             for c, p in parts.items():
                 assert fiber(rebuilt, S, c) == p
+
+
+small_points = st.builds(Point, st.integers(0, 2), st.integers(0, 2))
+
+
+def tuples_over(index):
+    """Tuples over the index set with small coordinates, so keys collide."""
+    return st.lists(small_points, min_size=len(index),
+                    max_size=len(index)).map(
+        lambda ps: MTuple.of(dict(zip(sorted(index), ps))))
+
+
+@st.composite
+def fns_and_subsets(draw):
+    """A point- or tuple-valued function over a subset of {1, 2, 3} and a
+    subset S of its arity."""
+    arity = frozenset(draw(st.sets(st.integers(1, 3))))
+    codomain = draw(st.one_of(st.none(), st.sets(st.integers(1, 2))))
+    values = small_points if codomain is None else tuples_over(codomain)
+    entries = draw(st.lists(st.tuples(tuples_over(arity), values),
+                            max_size=12))
+    s = frozenset(draw(st.sets(st.sampled_from(sorted(arity))))
+                  if arity else ())
+    return PartialFn(arity, dict(entries), codomain), s
+
+
+def naive_fibers(g, s):
+    """One full scan of g per occurring key, splitting entries by hand."""
+    def part(u, inside):
+        return MTuple(tuple(e for e in u.entries if (e[0] in s) == inside))
+
+    out = {}
+    for c in sorted({part(u, True) for u in g.graph}):
+        graph = {part(u, False): v for u, v in g.graph.items()
+                 if part(u, True) == c}
+        out[c] = PartialFn(g.arity - s, graph, g.codomain)
+    return out
+
+
+class TestFibers:
+    @settings(max_examples=300, derandomize=True)
+    @given(case=fns_and_subsets())
+    def test_matches_per_key_scan(self, case):
+        g, s = case
+        got, want = fibers(g, s), naive_fibers(g, s)
+        assert list(got) == list(want)
+        assert got == want
+        for c in want:
+            assert list(got[c].graph) == list(want[c].graph)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(case=fns_and_subsets())
+    def test_domains_partition_dom_g(self, case):
+        g, s = case
+        parts = [{c.union(z) for z in p.graph} for c, p in fibers(g, s).items()]
+        assert sum(len(d) for d in parts) == len(g)
+        assert set().union(*parts) == g.domain()
+
+    @settings(max_examples=300, derandomize=True)
+    @given(case=fns_and_subsets())
+    def test_empty_s_gives_g_itself(self, case):
+        g, _ = case
+        got = fibers(g, frozenset())
+        assert got == ({MTuple.empty(): g} if g.graph else {})
+        if g.graph:
+            assert list(got[MTuple.empty()].graph) == list(g.graph)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(case=fns_and_subsets())
+    def test_s_outside_arity_rejected(self, case):
+        g, s = case
+        with pytest.raises(IndexMismatchError):
+            fibers(g, s | {4})
 
 
 class TestUnionAndSubLaws:

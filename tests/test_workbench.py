@@ -6,7 +6,16 @@ import pytest
 import clonecover
 from clonecover import serialize
 from clonecover.cli import main
-from clonecover.core import PartialFn, Point, eval_term, idx
+from clonecover.core import (
+    App,
+    AtomBinding,
+    PartialFn,
+    Point,
+    Proj,
+    Term,
+    eval_term,
+    idx,
+)
 from clonecover.instances import (
     Instance,
     ProfileError,
@@ -91,6 +100,48 @@ class TestSerialization:
     def test_malformed_bytes_rejected(self):
         with pytest.raises(serialize.ParseError):
             serialize.loads(b"not json")
+
+    def test_deeply_nested_document_rejected(self):
+        with pytest.raises(serialize.ParseError):
+            serialize.loads(b"[" * 100000)
+
+    def test_non_integer_tuple_index_rejected(self):
+        with pytest.raises(serialize.ParseError, match="bad tuple"):
+            serialize.mtuple_parse({"x": [0, 0]})
+
+    @staticmethod
+    def small_term_doc():
+        term = Term(root=App("a", (Proj(1),)),
+                    env={"a": AtomBinding(unary({(0, 1): (2, 3)}), "ci")},
+                    arity=idx(1))
+        data = serialize.term_dumps(term)
+        assert serialize.term_dumps(serialize.term_loads(data)) == data
+        return json.loads(data.decode())
+
+    def test_term_without_env_rejected(self):
+        doc = self.small_term_doc()
+        del doc["env"]
+        with pytest.raises(serialize.ParseError, match="env"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_graph_entry_not_a_pair_rejected(self):
+        doc = self.small_term_doc()
+        entry = doc["env"]["a"]["fn"]["graph"][0]
+        doc["env"]["a"]["fn"]["graph"][0] = entry[:1]
+        with pytest.raises(serialize.ParseError, match="partial function"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_app_without_children_rejected(self):
+        doc = self.small_term_doc()
+        del doc["root"]["children"]
+        with pytest.raises(serialize.ParseError, match="children"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_non_integer_projection_rejected(self):
+        doc = self.small_term_doc()
+        doc["root"]["children"][0]["k"] = "x"
+        with pytest.raises(serialize.ParseError, match="term node"):
+            serialize.term_loads(serialize.dumps(doc))
 
     def test_canonical_bytes(self):
         inst = generate_instance(1, 6, 3, seed=0)
@@ -182,6 +233,15 @@ class TestCli:
     def test_decompose_exit_zero(self, tmp_path):
         assert main(["decompose", "--m", "2", "--horizon", "8",
                      "--theta", "4", "--seed", "2"]) == 0
+
+    def test_truncated_instance_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        data = serialize.instance_dumps(generate_instance(1, 6, 3, seed=4))
+        path.write_bytes(data[:len(data) // 2])
+        assert main(["verify", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clonecover: instance: ")
+        assert err.count("\n") == 1
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out_a = tmp_path / "a.json"
