@@ -39,6 +39,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .synth import (
+    LineFactor,
     assemble_term,
     build_Q,
     build_h,

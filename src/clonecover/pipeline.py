@@ -11,16 +11,18 @@ deterministic factor families).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from typing import Optional
 
 from .analysis import Checklist, width
-from .core import PartialFn, Point, eval_term, full_index
+from .core import PartialFn, eval_term, full_index
 from .decompose import verify_decomposition
 from .instances import Instance, check_admissibility
 from .synth import (
+    LineFactor,
     StageError,
     SynthesisResult,
     complete_synthesis,
@@ -41,37 +43,39 @@ def derive_factor_rng(seed: int) -> random.Random:
 
 def random_width1_factors(q_table: PartialFn, m: int, rng: random.Random,
                           ceiling: int, target_width: int = 1) -> dict:
-    """A line-complete factor family biased toward the selector's own points.
+    """A factor family biased toward the selector's own points, sampled on
+    first read.
 
-    One factor per input index and per (S, j) pair; each holds exactly
-    ``target_width`` points per line below the ceiling, preferring columns
-    that actually occur in the selector's domain so the width checks are not
-    all vacuous.
+    One `LineFactor` per input index and per (S, j) pair.  A line in
+    [0, ceiling) is sampled the first time it is read and holds 1 to
+    ``target_width`` columns, each drawn with probability 0.7 from the
+    columns occurring on that line in the selector's domain (so the width
+    checks are not all vacuous) and otherwise uniformly below the ceiling;
+    other lines hold none.  The draws follow the order of first reads.
     """
-    ps = pstar(full_index(m))
-    keys = sorted(ps.index_set) + list(ps.pairs)
-    occurring: dict = {key: {} for key in keys}
-    for uv in q_table.graph:
-        for i in sorted(ps.index_set):
-            occurring[i].setdefault(uv[i].y, set()).add(uv[i].x)
-        for s, j in ps.pairs:
-            p = uv[ps.slot(s, j)]
-            occurring[(s, j)].setdefault(p.y, set()).add(p.x)
     factors = {}
-    for key in keys:
-        pts = set()
-        for n in range(ceiling):
-            cols = sorted(occurring[key].get(n, ()))
-            chosen: set = set()
-            for _ in range(target_width):
-                if cols and rng.random() < 0.7:
-                    chosen.add(rng.choice(cols))
-                else:
-                    chosen.add(rng.randrange(ceiling))
-            for x in sorted(chosen):
-                pts.add(Point(x, n))
-        factors[key] = frozenset(pts)
+    for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1):
+        occurring: dict = {}
+        for uv in q_table.graph:
+            p = uv[slot]
+            occurring.setdefault(p.y, set()).add(p.x)
+        factors[key] = LineFactor(sample=functools.partial(
+            _sample_line, occurring, rng, ceiling, target_width))
     return factors
+
+
+def _sample_line(occurring: dict, rng: random.Random, ceiling: int,
+                 target_width: int, n: int) -> frozenset:
+    if not 0 <= n < ceiling:
+        return frozenset()
+    cols = sorted(occurring.get(n, ()))
+    chosen: set = set()
+    for _ in range(target_width):
+        if cols and rng.random() < 0.7:
+            chosen.add(rng.choice(cols))
+        else:
+            chosen.add(rng.randrange(ceiling))
+    return frozenset(chosen)
 
 
 def run_pipeline(inst: Instance) -> tuple:
@@ -147,6 +151,7 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
                str(bad_helpers) if bad_helpers else "")
 
     rng = derive_factor_rng(inst.seed)
+    lines = sorted({v.y for v in result.q_table.graph.values()})
     lemma_ok, uniq_ok = True, True
     details = []
     for fam in range(FACTOR_FAMILY_COUNT):
@@ -156,7 +161,6 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
             lemma_ok = False
             details.append(f"family {fam}: width {rep.observed_width} "
                            f"> {rep.bound}")
-        lines = sorted({v.y for v in result.q_table.graph.values()})
         for n in lines:
             for perm in itertools.permutations(range(1, m + 1)):
                 cert = main_lemma_certify(

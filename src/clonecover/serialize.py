@@ -14,13 +14,15 @@ from contextlib import contextmanager
 from .core import (
     App,
     AtomBinding,
+    CI_ATOM,
     MTuple,
     PartialFn,
     Point,
     Proj,
     Term,
+    WITNESS_ATOM,
 )
-from .instances import Instance
+from .instances import PROFILES, Instance
 
 FORMAT_VERSION = 1
 
@@ -162,11 +164,37 @@ def term_parse(doc: dict) -> Term:
             name: AtomBinding(pfn_parse(b["fn"]), b["kind"])
             for name, b in doc["env"].items()
         }
-        return Term(
+        term = Term(
             root=_node_parse(doc["root"]),
             env=env,
             arity=frozenset(doc["arity"]),
         )
+        _check_well_formed(term)
+    return term
+
+
+def _check_well_formed(t: Term) -> None:
+    """Reject what evaluation would trip over: an atom of unknown kind, a
+    projection outside the arity, an unbound atom, or an atom applied to a
+    child count other than its arity."""
+    for name, b in t.env.items():
+        if b.kind not in (CI_ATOM, WITNESS_ATOM):
+            raise ParseError(f"term: atom {name!r} has unknown kind {b.kind!r}")
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Proj):
+            if node.k not in t.arity:
+                raise ParseError(f"term: projection {node.k} outside arity "
+                                 f"{sorted(t.arity)}")
+            continue
+        if node.name not in t.env:
+            raise ParseError(f"term: unbound atom {node.name!r}")
+        arity = len(t.env[node.name].fn.arity)
+        if len(node.children) != arity:
+            raise ParseError(f"term: atom {node.name!r} has arity {arity}, "
+                             f"applied to {len(node.children)} children")
+        stack.extend(node.children)
 
 
 def term_dumps(t: Term) -> bytes:
@@ -200,7 +228,7 @@ def instance_json(inst: Instance) -> dict:
 def instance_parse(doc: dict) -> Instance:
     _check_version(doc, "instance")
     with _parsing("instance"):
-        return Instance(
+        inst = Instance(
             m=int(doc["m"]),
             horizon=int(doc["horizon"]),
             theta=int(doc["theta"]),
@@ -212,6 +240,15 @@ def instance_parse(doc: dict) -> Instance:
             candidates=tuple(pfn_parse(c) for c in doc["candidates"]),
             metadata=doc["metadata"],
         )
+    if inst.m != len(inst.g.arity):
+        raise ParseError(f"instance: m = {inst.m} but g has arity "
+                         f"{sorted(inst.g.arity)}")
+    if not 1 <= inst.theta <= inst.horizon - 1:
+        raise ParseError(f"instance: theta {inst.theta} outside "
+                         f"[1, {inst.horizon - 1}]")
+    if inst.profile not in PROFILES:
+        raise ParseError(f"instance: unknown profile {inst.profile!r}")
+    return inst
 
 
 def instance_dumps(inst: Instance) -> bytes:

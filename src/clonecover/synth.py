@@ -228,6 +228,11 @@ class PStarIndex:
     def combined_arity(self) -> IndexSet:
         return frozenset(range(1, self.m + len(self.pairs) + 1))
 
+    @property
+    def factor_keys(self) -> tuple:
+        """The selector's factor keys in slot order: 1..m, then the pairs."""
+        return tuple(sorted(self.index_set)) + self.pairs
+
 
 def pstar(index_set: IndexSet) -> PStarIndex:
     index_set = frozenset(index_set)
@@ -350,14 +355,59 @@ def complete_width1(points: Iterable[Point], lines_needed: Iterable[int]) -> fro
     return points | extra
 
 
-def _selector_point(points: frozenset, n: int) -> int:
-    """The unique column k with (k|n) in a line-complete width-1 set."""
-    hits = [p.x for p in points if p.y == n]
-    if not hits:
+class LineFactor(dict):
+    """A factor of a selector product, read by line: ``factor[n]`` is the
+    set of columns x with (x|n) in the factor.
+
+    A line not stored yet is filled by ``sample(n)`` on its first read and
+    kept, so every later read sees the same columns; without ``sample`` it
+    reads as empty.
+    """
+
+    def __init__(self, lines=(), sample=None):
+        super().__init__(lines)
+        self.sample = sample
+
+    def __missing__(self, n: int):
+        if self.sample is None:
+            return frozenset()
+        cols = self[n] = self.sample(n)
+        return cols
+
+
+def _by_line(factors: Mapping, keys: Sequence, w: int) -> dict:
+    """The factors of ``keys`` as `LineFactor`s.  Line-indexed factors pass
+    through; a plain point set is grouped by line, and all of its lines are
+    width-checked."""
+    grouped = {}
+    for key in keys:
+        factor = factors[key]
+        if not isinstance(factor, LineFactor):
+            factor = LineFactor()
+            for x, y in factors[key]:
+                factor.setdefault(y, set()).add(x)
+            if any(len(cols) > w for cols in factor.values()):
+                raise ValueError(f"factor {key!r} has width above {w}")
+        grouped[key] = factor
+    return grouped
+
+
+def _columns(factors: Mapping, key, n: int, w: int):
+    """The columns of factor ``key`` on line n, checked to number at most w."""
+    cols = factors[key][n]
+    if len(cols) > w:
+        raise ValueError(f"factor {key!r} has width above {w} on line {n}")
+    return cols
+
+
+def _selector_point(factors: Mapping, key, n: int) -> int:
+    """The unique column k with (k|n) in a width-1 factor meeting line n."""
+    cols = _columns(factors, key, n, 1)
+    if not cols:
         raise ValueError(
-            f"factor does not meet line {n}; run complete_width1 first"
+            f"factor {key!r} does not meet line {n}; run complete_width1 first"
         )
-    return hits[0]
+    return next(iter(cols))
 
 
 @dataclass
@@ -374,16 +424,13 @@ def verify_main_lemma(q_table: PartialFn, factors: Mapping, m: int) -> MainLemma
     """Image width of the selector over a product of width-1 factors.
 
     ``factors`` maps each input index i and each (S, j) pair to a width-1
-    point set; the product is intersected with the table's finite domain.
+    point set or `LineFactor`; the product is intersected with the table's
+    finite domain.
     """
-    ps = pstar(full_index(m))
-    for key, pts in factors.items():
-        if width(pts).width > 1:
-            raise ValueError(f"factor {key!r} has width above 1")
-    image = set()
-    for uv, val in q_table.graph.items():
-        if _in_product(uv, factors, ps):
-            image.add(val)
+    keys = pstar(full_index(m)).factor_keys
+    factors = _by_line(factors, keys, 1)
+    image = {val for uv, val in q_table.graph.items()
+             if _in_product(uv, factors, keys, 1)}
     bound = math.factorial(m)
     w = width(image).width
     return MainLemmaReport(
@@ -392,12 +439,11 @@ def verify_main_lemma(q_table: PartialFn, factors: Mapping, m: int) -> MainLemma
     )
 
 
-def _in_product(uv: MTuple, factors: Mapping, ps: PStarIndex) -> bool:
-    for i in sorted(ps.index_set):
-        if uv[i] not in factors[i]:
-            return False
-    for s, j in ps.pairs:
-        if uv[ps.slot(s, j)] not in factors[(s, j)]:
+def _in_product(uv: MTuple, factors: Mapping, keys: Sequence, w: int) -> bool:
+    """Whether each slot of uv lies in its factor; ``keys`` in slot order."""
+    for slot, key in enumerate(keys, 1):
+        p = uv[slot]
+        if p.x not in _columns(factors, key, p.y, w):
             return False
     return True
 
@@ -423,7 +469,8 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     far gives a bound k_j at line n; the (S,j)-factor selects the line b_j
     at k_j, and the j-th input factor selects the column a_j at b_j.
     """
-    ps = pstar(full_index(m))
+    keys = pstar(full_index(m)).factor_keys
+    factors = _by_line(factors, keys, 1)
     perm = tuple(perm)
     candidate: dict = {}
     prefix = MTuple.empty()
@@ -436,18 +483,19 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
             complete = False
             break
         kj = table[n]
-        bj = _selector_point(frozenset(factors[(s, j)]), kj)
-        aj = _selector_point(frozenset(factors[j]), bj)
+        bj = _selector_point(factors, (s, j), kj)
+        aj = _selector_point(factors, j, bj)
         candidate[j] = Point(aj, bj)
         prefix = prefix.union(MTuple.of({j: Point(aj, bj)}))
 
     qualifying = []
-    for uv, val in sorted(q_table.graph.items()):
-        if val.y != n or not _in_product(uv, factors, ps):
+    for uv, val in q_table.graph.items():
+        if val.y != n or not _in_product(uv, factors, keys, 1):
             continue
         ys = [uv[perm[t]].y for t in range(m)]
         if ys == sorted(ys):
             qualifying.append(uv)
+    qualifying.sort()
 
     if not complete:
         passed = not qualifying
@@ -486,17 +534,15 @@ def verify_Q_in_CI(q_table: PartialFn, test_products: Sequence[Mapping],
     maps to a set of width at most m!, so the union bound is
     w^(number of factors) * m!.
     """
-    ps = pstar(full_index(m))
-    factor_count = m + len(ps.pairs)
+    keys = pstar(full_index(m)).factor_keys
+    factor_count = len(keys)
     bound = (w ** factor_count) * math.factorial(m)
     observed = []
     for factors in test_products:
-        for key, pts in factors.items():
-            if width(pts).width > w:
-                raise ValueError(f"factor {key!r} has width above {w}")
+        factors = _by_line(factors, keys, w)
         image = {
             val for uv, val in q_table.graph.items()
-            if _in_product(uv, factors, ps)
+            if _in_product(uv, factors, keys, w)
         }
         observed.append(width(image).width)
     return SelectorWidthVerdict(

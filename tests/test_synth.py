@@ -15,6 +15,7 @@ from clonecover.core import (
 from clonecover.decompose import AdmissibilityError
 from clonecover.instances import generate_instance
 from clonecover.synth import (
+    LineFactor,
     StageError,
     build_Q,
     build_h,
@@ -300,6 +301,40 @@ class TestSelectorCertificates:
             verify_main_lemma(
                 q_table, {1: {pt(0, 0), pt(1, 0)},
                           (frozenset(), 1): {pt(0, 0)}}, 1)
+
+    def test_wide_factors_rejected_by_both_verifiers(self):
+        q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
+        narrow = {(frozenset(), 1): {pt(0, 0)}}
+        wide_factors = (
+            {pt(0, 0), pt(1, 0)},  # plain, wide on the line the table reads
+            {pt(0, 0), pt(3, 7), pt(4, 7)},  # plain, wide on an unread line
+            LineFactor({0: frozenset({0, 1})}),  # line-indexed, wide on 0
+        )
+        for wide in wide_factors:
+            factors = {1: wide, **narrow}
+            with pytest.raises(ValueError, match="width above 1"):
+                verify_main_lemma(q_table, factors, 1)
+            with pytest.raises(ValueError, match="width above 1"):
+                verify_Q_in_CI(q_table, [factors], 1, 1)
+
+    def test_certificate_rejects_wide_selector_line(self):
+        # the K-chain reads line 1 of the (S, j) factor, which is wide
+        q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
+        k_tables = {(frozenset(), MTuple.empty()): {0: 1}}
+        factors = {1: LineFactor({0: frozenset({0})}),
+                   (frozenset(), 1): LineFactor({0: frozenset({0}),
+                                                 1: frozenset({0, 2})})}
+        with pytest.raises(ValueError, match="width above 1 on line 1"):
+            main_lemma_certify(q_table, k_tables, factors, 1, 0, (1,))
+
+    def test_qualifying_entries_in_canonical_order(self):
+        first, second = tup((0, 0), (0, 0)), tup((0, 1), (0, 1))
+        q_table = PartialFn(idx(1, 2), {second: pt(1, 0), first: pt(0, 0)})
+        line_factor = {pt(0, 0), pt(0, 1)}
+        factors = {1: line_factor, (frozenset(), 1): line_factor}
+        cert = main_lemma_certify(q_table, {}, factors, 1, 0, (1,))
+        assert cert.qualifying == (first, second)
+        assert not cert.passed
 
     def test_verify_Q_in_CI_bound_formula(self):
         inst = generate_instance(m=1, horizon=6, theta=3, seed=2)

@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import random
 
 import pytest
 
@@ -23,7 +25,14 @@ from clonecover.instances import (
     default_theta,
     generate_instance,
 )
-from clonecover.pipeline import run_pipeline, verify_pair
+from clonecover import pipeline
+from clonecover.pipeline import (
+    FACTOR_FAMILY_COUNT,
+    WIDE_PRODUCT_COUNT,
+    random_width1_factors,
+    run_pipeline,
+    verify_pair,
+)
 from clonecover.synth import end_to_end_synthesize
 
 from conftest import pt, tup, unary
@@ -143,6 +152,49 @@ class TestSerialization:
         with pytest.raises(serialize.ParseError, match="term node"):
             serialize.term_loads(serialize.dumps(doc))
 
+    def test_projection_outside_arity_rejected(self):
+        # Proj(2) in a unary term used to load and fail evaluation with a
+        # KeyError
+        doc = self.small_term_doc()
+        doc["root"]["children"][0]["k"] = 2
+        with pytest.raises(serialize.ParseError,
+                           match="projection 2 outside arity"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_child_count_other_than_atom_arity_rejected(self):
+        doc = self.small_term_doc()
+        doc["root"]["children"].append({"t": "proj", "k": 1})
+        with pytest.raises(serialize.ParseError,
+                           match="arity 1, applied to 2 children"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_unbound_atom_rejected(self):
+        doc = self.small_term_doc()
+        doc["root"]["name"] = "b"
+        with pytest.raises(serialize.ParseError, match="unbound atom 'b'"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_unknown_atom_kind_rejected(self):
+        doc = self.small_term_doc()
+        doc["env"]["a"]["kind"] = "oracle"
+        with pytest.raises(serialize.ParseError, match="unknown kind"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_inconsistent_instance_rejected(self):
+        doc = serialize.instance_json(generate_instance(2, 8, 4, seed=3))
+        faults = [
+            # m = 3 and theta = 99 on a binary g used to load silently
+            ({"m": 3, "theta": 99}, "m = 3 but g has arity"),
+            ({"m": 1}, "m = 1 but g has arity"),
+            ({"theta": 99}, "theta 99 outside"),
+            ({"theta": 0}, "theta 0 outside"),
+            ({"theta": 8}, "theta 8 outside"),
+            ({"profile": "bogus"}, "unknown profile"),
+        ]
+        for fields, message in faults:
+            with pytest.raises(serialize.ParseError, match=message):
+                serialize.instance_loads(serialize.dumps({**doc, **fields}))
+
     def test_canonical_bytes(self):
         inst = generate_instance(1, 6, 3, seed=0)
         data = serialize.instance_dumps(inst)
@@ -192,6 +244,12 @@ class TestPipeline:
         assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
                          "hereditary_decompose": 1}
 
+    def test_factor_families_per_instance(self, monkeypatch):
+        families = _record_factor_families(monkeypatch)
+        report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        assert report["passed"]
+        assert len(families) == FACTOR_FAMILY_COUNT + WIDE_PRODUCT_COUNT
+
     def test_verify_pair_detects_tampering(self):
         inst = generate_instance(1, 6, 3, seed=7)
         _, result = run_pipeline(inst)
@@ -199,6 +257,75 @@ class TestPipeline:
         u = sorted(inst.g.domain())[0]
         inst.g.graph[u] = Point(inst.g.graph[u].x + 1, inst.g.graph[u].y)
         assert not verify_pair(inst, result.term)["passed"]
+
+
+def _record_factor_families(monkeypatch) -> list:
+    """Keep every factor family that `run_pipeline` draws."""
+    families = []
+
+    def recording(*args, **kwargs):
+        families.append(random_width1_factors(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(pipeline, "random_width1_factors", recording)
+    return families
+
+
+class TestLazyFactors:
+    @staticmethod
+    def family(target_width, seed=0):
+        inst = generate_instance(2, 8, 4, seed=9)
+        _, result = run_pipeline(inst)
+        factors = random_width1_factors(result.q_table, 2,
+                                        random.Random(seed), inst.ceiling,
+                                        target_width)
+        return inst.ceiling, factors
+
+    def test_reading_a_line_twice_gives_the_same_columns(self):
+        ceiling, factors = self.family(1)
+        for factor in factors.values():
+            first = [factor[n] for n in range(ceiling)]
+            assert [factor[n] for n in range(ceiling)] == first
+
+    def test_same_rng_and_read_order_give_the_same_family(self):
+        contents = []
+        for _ in range(2):
+            ceiling, factors = self.family(2, seed=4)
+            contents.append({key: [factor[n] for n in range(ceiling)]
+                             for key, factor in factors.items()})
+        assert contents[0] == contents[1]
+
+    def test_lines_hold_up_to_target_width_below_the_ceiling(self):
+        for target_width in (1, 2):
+            ceiling, factors = self.family(target_width)
+            assert len(factors) == 2 + 4  # m = 2: two indices, four pairs
+            for factor in factors.values():
+                assert len(factor) == 0  # nothing sampled before a read
+                for n in range(ceiling):
+                    assert 1 <= len(factor[n]) <= target_width
+                    assert all(0 <= x < ceiling for x in factor[n])
+                for n in (-1, ceiling, ceiling + 7):
+                    assert not factor[n]
+
+    @pytest.mark.parametrize("horizon", [16, 64])
+    def test_sampled_lines_do_not_grow_with_the_ceiling(self, monkeypatch,
+                                                        horizon):
+        for seed in range(3):
+            families = _record_factor_families(monkeypatch)
+            inst = generate_instance(3, horizon, horizon // 2, seed=seed)
+            report, result = run_pipeline(inst)
+            assert report["passed"]
+            q = result.q_table
+            # each factor is read once per Q entry, and at most once per
+            # (value line, permutation) along the K-chain
+            value_lines = len({v.y for v in q.graph.values()})
+            bound = len(q) + value_lines * math.factorial(3)
+            assert bound < inst.ceiling
+            assert len(families) == FACTOR_FAMILY_COUNT + WIDE_PRODUCT_COUNT
+            for factors in families:
+                assert len(factors) == 3 + 12  # m = 3: 3 indices, 12 pairs
+                for factor in factors.values():
+                    assert len(factor) <= bound
 
 
 class TestCli:
@@ -242,6 +369,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("clonecover: instance: ")
         assert err.count("\n") == 1
+
+    def test_semantic_faults_are_one_line_errors(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        term_path = tmp_path / "term.json"
+        inst = generate_instance(1, 6, 3, seed=4)
+        res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon)
+        term = json.loads(serialize.term_dumps(res.term).decode())
+        term["root"]["children"][0] = {"t": "proj", "k": 5}
+        inst_path.write_bytes(serialize.instance_dumps(inst))
+        term_path.write_bytes(serialize.dumps(term))
+        assert main(["verify", "--instance", str(inst_path),
+                     "--term", str(term_path)]) == 2
+        doc = serialize.instance_json(inst)
+        inst_path.write_bytes(serialize.dumps({**doc, "theta": 99}))
+        assert main(["check", "--instance", str(inst_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("clonecover: term: projection 5")
+        assert err[1].startswith("clonecover: instance: theta 99")
+        assert len(err) == 2
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out_a = tmp_path / "a.json"
