@@ -6,7 +6,7 @@ as the undefined marker; it is never an error to evaluate outside a domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
@@ -45,15 +45,20 @@ def full_index(m: int) -> IndexSet:
     return frozenset(range(1, m + 1))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MTuple:
     """A total map from a finite index set to points, stored canonically.
 
     Entries are kept sorted by index so tuples are hashable and totally
     ordered; the ordering is only used for deterministic iteration.
+    Equality, ordering and hashing look at ``entries`` only.  The index set
+    is computed on first read and shared: tuples over the same indices hold
+    the same frozenset.
     """
 
     entries: tuple  # tuple of (index, Point), sorted by index
+    _indices: Optional[IndexSet] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of(mapping: Mapping[int, Point]) -> "MTuple":
@@ -65,7 +70,12 @@ class MTuple:
 
     @property
     def indices(self) -> IndexSet:
-        return frozenset(i for i, _ in self.entries)
+        found = self._indices
+        if found is None:
+            found = frozenset(i for i, _ in self.entries)
+            found = _INDEX_SETS.setdefault(found, found)
+            object.__setattr__(self, "_indices", found)
+        return found
 
     def __getitem__(self, i: int) -> Point:
         for j, p in self.entries:
@@ -108,6 +118,8 @@ class MTuple:
 
 
 _EMPTY_TUPLE = MTuple(())
+# One frozenset per distinct index set, shared by every tuple over it.
+_INDEX_SETS: dict = {}
 
 Value = Union[Point, MTuple]
 
@@ -118,6 +130,15 @@ class PartialFn:
     ``codomain`` is ``None`` for point-valued functions, or the index set of
     the output tuples for tuple-valued ones.  The graph is a plain dict; by
     convention it is never mutated after construction.
+
+    ``PartialFn(...)`` copies the graph and checks every entry against the
+    arity and codomain.  ``compose``, ``disjoint_union``, ``restrict``,
+    ``component``, ``star_fn``, ``hash_fn`` and ``fibers`` build their
+    results with ``_trusted`` instead, which does neither: each takes its
+    entries from already checked functions, keeps or relabels them only in
+    ways that preserve the index sets, and so cannot produce an invalid
+    entry.  Parsers, generators and other builders from outside data go
+    through the checked constructor.
     """
 
     __slots__ = ("arity", "codomain", "graph")
@@ -143,6 +164,15 @@ class PartialFn:
         self.graph = g
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, arity: IndexSet, graph: dict,
+                 codomain: Optional[IndexSet]) -> "PartialFn":
+        """Wrap a graph that is valid by construction, without a copy or a
+        check; ``arity`` and ``codomain`` must already be frozensets."""
+        fn = object.__new__(cls)
+        fn.arity, fn.codomain, fn.graph = arity, codomain, graph
+        return fn
 
     @staticmethod
     def point_valued(arity: IndexSet, graph: Mapping[MTuple, Point]) -> "PartialFn":
@@ -186,11 +216,12 @@ class PartialFn:
         """The i-th point-valued component of a tuple-valued function."""
         if self.codomain is None or i not in self.codomain:
             raise IndexMismatchError(f"no component {i}")
-        return PartialFn(self.arity, {u: v[i] for u, v in self.graph.items()})
+        return PartialFn._trusted(
+            self.arity, {u: v[i] for u, v in self.graph.items()}, None)
 
     def restrict(self, keys: Iterable[MTuple]) -> "PartialFn":
         ks = set(keys)
-        return PartialFn(
+        return PartialFn._trusted(
             self.arity,
             {u: v for u, v in self.graph.items() if u in ks},
             self.codomain,
@@ -243,7 +274,7 @@ def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
     for u, mid in inner.graph.items():
         if mid in outer.graph:
             graph[u] = outer.graph[mid]
-    return PartialFn(inner.arity, graph, outer.codomain)
+    return PartialFn._trusted(inner.arity, graph, outer.codomain)
 
 
 def disjoint_union(parts: Sequence[PartialFn]) -> PartialFn:
@@ -263,7 +294,7 @@ def disjoint_union(parts: Sequence[PartialFn]) -> PartialFn:
                     raise OverlapError(f"domains overlap at {u!r}")
                 raise OverlapError(f"domains overlap at {u!r} with clashing values")
             graph[u] = v
-    return PartialFn(arity, graph, codomain)
+    return PartialFn._trusted(arity, graph, codomain)
 
 
 def shrink_inner(g: PartialFn, g_prime: PartialFn, h_prime: PartialFn) -> PartialFn:
@@ -309,7 +340,7 @@ def star_fn(c: MTuple, g: PartialFn) -> PartialFn:
     if c.indices & g.arity:
         raise OverlapError("c's index set must be disjoint from g's arity")
     graph = {c.union(z): v for z, v in g.graph.items()}
-    return PartialFn(c.indices | g.arity, graph, g.codomain)
+    return PartialFn._trusted(c.indices | g.arity, graph, g.codomain)
 
 
 def hash_fn(c: MTuple, g: PartialFn) -> PartialFn:
@@ -320,7 +351,7 @@ def hash_fn(c: MTuple, g: PartialFn) -> PartialFn:
         raise OverlapError("c's index set must be disjoint from g's arity")
     graph = {c.union(z): c.union(w) for z, w in g.graph.items()}
     m = c.indices | g.arity
-    return PartialFn(m, graph, m)
+    return PartialFn._trusted(m, graph, m)
 
 
 def fibers(g: PartialFn, s: IndexSet) -> dict:
@@ -338,7 +369,8 @@ def fibers(g: PartialFn, s: IndexSet) -> dict:
     for u, v in g.graph.items():
         groups.setdefault(u.restrict(s), {})[u.without(s)] = v
     t = g.arity - s
-    return {c: PartialFn(t, groups[c], g.codomain) for c in sorted(groups)}
+    return {c: PartialFn._trusted(t, groups[c], g.codomain)
+            for c in sorted(groups)}
 
 
 def fiber(g: PartialFn, s: IndexSet, c: MTuple) -> PartialFn:
@@ -466,8 +498,7 @@ def _eval_node(node: TermNode, u: MTuple, env: Mapping[str, AtomBinding]):
         if v is None:
             return None
         vals.append(v)
-    arg = MTuple.of(dict(zip(order, vals)))
-    return fn.graph.get(arg)
+    return fn.graph.get(MTuple(tuple(zip(order, vals))))
 
 
 def substitute(node: TermNode, replacements: Mapping[int, TermNode]) -> TermNode:

@@ -78,9 +78,12 @@ def point_parse(obj) -> Point:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ParseError(f"bad point {obj!r}")
     try:
-        return Point(int(obj[0]), int(obj[1]))
+        x, y = int(obj[0]), int(obj[1])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad point {obj!r}: {exc}") from exc
+    if x < 0 or y < 0:
+        raise ParseError(f"bad point {obj!r}: negative coordinate")
+    return Point(x, y)
 
 
 def mtuple_json(u: MTuple) -> dict:

@@ -10,6 +10,7 @@ outputs on the helpers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -234,7 +235,9 @@ class PStarIndex:
         return tuple(sorted(self.index_set)) + self.pairs
 
 
+@functools.cache
 def pstar(index_set: IndexSet) -> PStarIndex:
+    """The (S, j) index of {1, ..., m}; one shared, frozen value per m."""
     index_set = frozenset(index_set)
     if index_set != full_index(len(index_set)):
         raise ValueError("index set must be the canonical {1, ..., m}")

@@ -89,17 +89,28 @@ def tuples_over(index):
 
 
 @st.composite
-def fns_and_subsets(draw):
-    """A point- or tuple-valued function over a subset of {1, 2, 3} and a
-    subset S of its arity."""
-    arity = frozenset(draw(st.sets(st.integers(1, 3))))
-    codomain = draw(st.one_of(st.none(), st.sets(st.integers(1, 2))))
+def partial_fns(draw, arity, codomain):
+    """A function from tuples over ``arity`` to points (codomain None) or
+    to tuples over ``codomain``."""
     values = small_points if codomain is None else tuples_over(codomain)
     entries = draw(st.lists(st.tuples(tuples_over(arity), values),
                             max_size=12))
+    return PartialFn(arity, dict(entries), codomain)
+
+
+index_sets = st.sets(st.integers(1, 3)).map(frozenset)
+codomains = st.one_of(st.none(), st.sets(st.integers(1, 2)).map(frozenset))
+
+
+@st.composite
+def fns_and_subsets(draw):
+    """A point- or tuple-valued function over a subset of {1, 2, 3} and a
+    subset S of its arity."""
+    arity = draw(index_sets)
+    g = draw(partial_fns(arity, draw(codomains)))
     s = frozenset(draw(st.sets(st.sampled_from(sorted(arity))))
                   if arity else ())
-    return PartialFn(arity, dict(entries), codomain), s
+    return g, s
 
 
 def naive_fibers(g, s):
@@ -268,3 +279,81 @@ class TestPointLevelLaws:
         k = least_bound(a).k
         assert all(u.min_y() < k for u in a)
         assert not all(u.min_y() < k - 1 for u in a)
+
+
+def assert_valid(out):
+    """A result built without checks passes the checked constructor."""
+    assert isinstance(out.arity, frozenset)
+    assert out.codomain is None or isinstance(out.codomain, frozenset)
+    assert out == PartialFn(out.arity, out.graph, out.codomain)
+
+
+class TestTrustedResults:
+    """The algebra's results skip the constructor's checks; they must be
+    exactly what the checks accept."""
+
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), arity=index_sets, mid=index_sets,
+           codomain=codomains)
+    def test_compose(self, data, arity, mid, codomain):
+        outer = data.draw(partial_fns(mid, codomain))
+        inner = data.draw(partial_fns(arity, mid))
+        assert_valid(compose(outer, inner))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), case=fns_and_subsets())
+    def test_disjoint_union_and_restrict(self, data, case):
+        g, _ = case
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=len(g),
+                                   max_size=len(g)))
+        parts = [g.restrict(u for u, k in zip(g.graph, picks) if k == part)
+                 for part in range(3)]
+        for part in parts:
+            assert_valid(part)
+        assert_valid(disjoint_union(parts))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), arity=index_sets,
+           codomain=st.sets(st.integers(1, 2), min_size=1).map(frozenset))
+    def test_component(self, data, arity, codomain):
+        g = data.draw(partial_fns(arity, codomain))
+        for i in codomain:
+            assert_valid(g.component(i))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), case=fns_and_subsets(),
+           c_indices=st.sets(st.integers(4, 5)).map(frozenset))
+    def test_star_and_hash(self, data, case, c_indices):
+        g, _ = case
+        c = data.draw(tuples_over(c_indices))
+        assert_valid(star_fn(c, g))
+        square = data.draw(partial_fns(g.arity, g.arity))
+        assert_valid(hash_fn(c, square))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(case=fns_and_subsets())
+    def test_every_fiber(self, case):
+        g, s = case
+        for part in fibers(g, s).values():
+            assert_valid(part)
+
+
+class TestSharedIndexSets:
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), arity=index_sets)
+    def test_indices_are_the_entry_indices(self, data, arity):
+        u = data.draw(tuples_over(arity))
+        assert u.indices == frozenset(i for i, _ in u.entries)
+        assert u.indices is u.indices
+
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), arity=index_sets)
+    def test_equal_index_sets_are_one_object(self, data, arity):
+        u = data.draw(tuples_over(arity))
+        w = MTuple(tuple((i, Point(p.y, p.x)) for i, p in u.entries))
+        assert u.indices is w.indices
+
+    def test_tuples_have_no_instance_dict(self):
+        u = MTuple.of({1: Point(0, 1), 2: Point(2, 3)})
+        assert not hasattr(u, "__dict__")
+        assert not hasattr(MTuple.empty(), "__dict__")

@@ -11,12 +11,18 @@ from clonecover.cli import main
 from clonecover.core import (
     App,
     AtomBinding,
+    MTuple,
     PartialFn,
     Point,
     Proj,
     Term,
+    compose,
+    disjoint_union,
     eval_term,
+    fibers,
+    hash_fn,
     idx,
+    star_fn,
 )
 from clonecover.instances import (
     Instance,
@@ -195,6 +201,46 @@ class TestSerialization:
             with pytest.raises(serialize.ParseError, match=message):
                 serialize.instance_loads(serialize.dumps({**doc, **fields}))
 
+    @staticmethod
+    def off_arity_g(doc):
+        """The instance document with g's first domain tuple over one index
+        too many."""
+        g = json.loads(json.dumps(doc["g"]))
+        g["graph"][0][0]["9"] = [0, 0]
+        return {**doc, "g": g}
+
+    @staticmethod
+    def tuple_valued_off_codomain(fn_doc):
+        """A function document made tuple-valued over {1, 2}, with values
+        over {1} only."""
+        return {**fn_doc, "codomain": [1, 2],
+                "graph": [[u, {"1": v}] for u, v in fn_doc["graph"]]}
+
+    def test_domain_tuple_off_arity_rejected(self):
+        doc = serialize.instance_json(generate_instance(2, 8, 4, seed=3))
+        with pytest.raises(serialize.ParseError,
+                           match="partial function: domain tuple .* does not "
+                                 r"match arity \[1, 2\]"):
+            serialize.instance_loads(serialize.dumps(self.off_arity_g(doc)))
+
+    def test_value_off_codomain_rejected(self):
+        doc = self.small_term_doc()
+        fn = doc["env"]["a"]["fn"]
+        doc["env"]["a"]["fn"] = self.tuple_valued_off_codomain(fn)
+        with pytest.raises(serialize.ParseError,
+                           match=r"partial function: value .* does not match "
+                                 r"codomain \[1, 2\]"):
+            serialize.term_loads(serialize.dumps(doc))
+
+    def test_negative_coordinate_rejected(self):
+        for bad in ([-1, 0], [0, -3]):
+            with pytest.raises(serialize.ParseError, match="negative"):
+                serialize.point_parse(bad)
+        doc = self.small_term_doc()
+        doc["env"]["a"]["fn"]["graph"][0][1] = [2, -1]
+        with pytest.raises(serialize.ParseError, match="negative"):
+            serialize.term_loads(serialize.dumps(doc))
+
     def test_canonical_bytes(self):
         inst = generate_instance(1, 6, 3, seed=0)
         data = serialize.instance_dumps(inst)
@@ -328,6 +374,51 @@ class TestLazyFactors:
                     assert len(factor) <= bound
 
 
+class TestValidatedConstructions:
+    """The algebra builds its results without the constructor's per-entry
+    checks; counting ``PartialFn.__init__`` calls catches a silent loss of
+    that fast path without timing anything."""
+
+    @staticmethod
+    def count_inits(monkeypatch, work):
+        calls = [0]
+        original = PartialFn.__init__
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PartialFn, "__init__", counting)
+        result = work()
+        monkeypatch.setattr(PartialFn, "__init__", original)
+        return calls[0], result
+
+    def test_algebra_results_are_not_revalidated(self, monkeypatch):
+        two = idx(1, 2)
+        g = PartialFn(two, {tup((0, 0), (1, 1)): pt(2, 0),
+                            tup((0, 0), (2, 1)): pt(3, 0),
+                            tup((1, 0), (1, 1)): pt(2, 0)})
+        h = PartialFn(two, {u: u for u in g.graph}, two)
+        c = MTuple.of({3: pt(4, 4)})
+
+        def work():
+            return [compose(g, h), disjoint_union([g, g.restrict([])]),
+                    g.restrict(list(g.graph)[:2]), h.component(1),
+                    star_fn(c, g), hash_fn(c, h), *fibers(g, idx(1)).values()]
+
+        count, results = self.count_inits(monkeypatch, work)
+        assert count == 0
+        assert [len(r) for r in results] == [3, 3, 2, 3, 3, 3, 2, 1]
+
+    def test_pipeline_run_stays_under_budget(self, monkeypatch):
+        # 2025 validated constructions when every algebra result was checked
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        count, (report, _) = self.count_inits(monkeypatch,
+                                              lambda: run_pipeline(inst))
+        assert report["passed"]
+        assert count <= 500
+
+
 class TestCli:
     def test_gen_writes_canonical_instance(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -387,6 +478,30 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: term: projection 5")
         assert err[1].startswith("clonecover: instance: theta 99")
+        assert len(err) == 2
+
+    def test_index_faults_are_one_line_errors(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        term_path = tmp_path / "term.json"
+        inst = generate_instance(1, 6, 3, seed=4)
+        res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon)
+        term = json.loads(serialize.term_dumps(res.term).decode())
+        name = sorted(term["env"])[0]
+        term["env"][name]["fn"] = TestSerialization.tuple_valued_off_codomain(
+            term["env"][name]["fn"])
+        inst_path.write_bytes(serialize.instance_dumps(inst))
+        term_path.write_bytes(serialize.dumps(term))
+        assert main(["verify", "--instance", str(inst_path),
+                     "--term", str(term_path)]) == 2
+        doc = serialize.instance_json(inst)
+        inst_path.write_bytes(
+            serialize.dumps(TestSerialization.off_arity_g(doc)))
+        assert main(["verify", "--instance", str(inst_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("clonecover: partial function: value ")
+        assert "does not match codomain [1, 2]" in err[0]
+        assert err[1].startswith("clonecover: partial function: domain tuple ")
+        assert "does not match arity [1]" in err[1]
         assert len(err) == 2
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
