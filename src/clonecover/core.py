@@ -175,10 +175,6 @@ class PartialFn:
         return fn
 
     @staticmethod
-    def point_valued(arity: IndexSet, graph: Mapping[MTuple, Point]) -> "PartialFn":
-        return PartialFn(arity, graph, None)
-
-    @staticmethod
     def tuple_valued(arity: IndexSet, codomain: IndexSet,
                      graph: Mapping[MTuple, MTuple]) -> "PartialFn":
         return PartialFn(arity, graph, codomain)
@@ -418,7 +414,6 @@ class AtomBinding:
 
     fn: PartialFn
     kind: str  # WITNESS_ATOM or CI_ATOM
-    certificate: object = None
 
 
 class UnresolvedAtomError(KeyError):

@@ -265,20 +265,19 @@ def instance_loads(data: bytes) -> Instance:
 # -- reports ----------------------------------------------------------
 
 
-def report_json(report: dict, include_timing: bool = False) -> dict:
+def report_json(report: dict) -> dict:
     """Canonical form of a pipeline report.
 
-    Timing is excluded by default so repeated runs serialize identically.
+    Timing is excluded so repeated runs serialize identically.
     """
-    doc = {k: v for k, v in report.items()
-           if include_timing or k != "timing"}
+    doc = {k: v for k, v in report.items() if k != "timing"}
     doc["version"] = FORMAT_VERSION
     doc["kind"] = "report"
     return doc
 
 
-def report_dumps(report: dict, include_timing: bool = False) -> bytes:
-    return dumps(report_json(report, include_timing))
+def report_dumps(report: dict) -> bytes:
+    return dumps(report_json(report))
 
 
 def report_loads(data: bytes) -> dict:

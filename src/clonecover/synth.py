@@ -60,14 +60,13 @@ def width1_slices(points: Iterable[Point]) -> list:
     ]
 
 
-def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn],
-                    width_threshold: int = 1) -> PartialFn:
+def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
     """Search for a unary composite of f with the candidates that visibly
     blows up width.
 
     Candidate tuples are tried in lexicographic order; the first composite
-    mapping some width-1 slice of its domain to an image of width above the
-    threshold is returned.  Exhaustion is an error (the candidate set simply
+    mapping some width-1 slice of its domain to an image of width above 1
+    is returned.  Exhaustion is an error (the candidate set simply
     contained no witness), not a refutation.
     """
     arity = sorted(f.arity)
@@ -76,7 +75,7 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn],
             raise IndexMismatchError("candidates must be unary point-valued")
     if len(arity) == 1:
         # identity candidate first: the witness may already qualify as is
-        if _has_width_blowup(f, width_threshold):
+        if _has_width_blowup(f):
             return f
     for combo in itertools.product(candidates, repeat=len(arity)):
         graph = {}
@@ -88,17 +87,17 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn],
             if args in f.graph:
                 graph[d] = f.graph[args]
         composite = PartialFn(full_index(1), graph)
-        if _has_width_blowup(composite, width_threshold):
+        if _has_width_blowup(composite):
             return composite
     raise AdmissibilityError("no unary witness in candidate set")
 
 
-def _has_width_blowup(p: PartialFn, width_threshold: int) -> bool:
-    """Some width-1 slice of dom(p) maps to an image wider than the bound."""
+def _has_width_blowup(p: PartialFn) -> bool:
+    """Some width-1 slice of dom(p) maps to an image of width above 1."""
     dom_points = {u.points()[0] for u in p.domain()}
     for sl in width1_slices(dom_points):
         test = [MTuple.of({1: pt}) for pt in sl]
-        verdict = ci_fragment_check(p, [test], width_threshold)
+        verdict = ci_fragment_check(p, [test], 1)
         if not verdict.passed:
             return True
     return False
@@ -590,16 +589,15 @@ def _run_stage(stage: str, fn, *args):
 
 
 def end_to_end_synthesize(g: PartialFn, f: PartialFn, theta: int, horizon: int,
-                          unary_candidates: Sequence[PartialFn] = (),
-                          width_threshold: int = 1) -> SynthesisResult:
+                          unary_candidates: Sequence[PartialFn] = ()
+                          ) -> SynthesisResult:
     """Full pipeline: the choice stages (unary reduction, normalization,
     hereditary decomposition), then `complete_synthesis`.
 
     The returned term evaluates to g on every tuple of dom(g).
     """
     if len(f.arity) > 1:
-        f = _run_stage("reduce-to-unary", reduce_to_unary, f,
-                       unary_candidates, width_threshold)
+        f = _run_stage("reduce-to-unary", reduce_to_unary, f, unary_candidates)
     nw = _run_stage("normalize", normalize_f, f, horizon)
     trace = _run_stage("decompose", hereditary_decompose, g, theta)
     return complete_synthesis(g, nw, trace)

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from clonecover import serialize
+from clonecover import instances, serialize
 from clonecover.cli import main
 from clonecover.core import MTuple, PartialFn, Point
 from clonecover.instances import check_admissibility, generate_instance
@@ -55,6 +55,31 @@ def test_golden_bytes(m, seed, profile):
                  serialize.report_dumps(report)):
         digest.update(data)
     assert digest.hexdigest() == GOLDEN[(m, seed, profile)]
+
+
+# (m, horizon, theta, seed, profile) -> sha256 of the instance bytes, for
+# seeds whose first build collides in the target graph and is redrawn
+RETRY_GOLDEN = {
+    (1, 3, 2, 25, "mixed"): "617ff4f5581b083b4a44b4ad7251f96ea8cceb338df04496a7334264e4a78e7b",
+    (1, 4, 2, 125, "mary-witness"): "af8388bbeb984ec98101d7797e1cd6e3b088b449a1b750404813f42034b20219",
+    (1, 3, 1, 187, "all-thrifty"): "fa97243ab395e59e8862a27885c17c5e9b53296589f02038730a4ca5d9ee7ea6",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RETRY_GOLDEN))
+def test_retry_seed_bytes(key, monkeypatch):
+    builds = []
+    original = instances._build
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(instances, "_build", counting)
+    inst = generate_instance(*key)
+    assert len(builds) == 2
+    digest = hashlib.sha256(serialize.instance_dumps(inst)).hexdigest()
+    assert digest == RETRY_GOLDEN[key]
 
 
 # -- inadmissible instances -------------------------------------------

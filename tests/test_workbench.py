@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import clonecover
 from clonecover import serialize
@@ -25,6 +26,7 @@ from clonecover.core import (
     star_fn,
 )
 from clonecover.instances import (
+    PROFILES,
     Instance,
     ProfileError,
     check_admissibility,
@@ -44,11 +46,53 @@ from clonecover.synth import end_to_end_synthesize
 from conftest import pt, tup, unary
 
 
+def _count_calls(monkeypatch, names) -> dict:
+    """Count calls to each named `clonecover` function, in every module
+    that binds it."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for m in vars(clonecover).values() if inspect.ismodule(m)]
+    for name in names:
+        original = getattr(clonecover, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@st.composite
+def generation_params(draw):
+    horizon = draw(st.sampled_from((3, 4, 5, 6, 8, 12, 16)))
+    return (draw(st.integers(1, 3)), horizon,
+            draw(st.integers(1, horizon - 1)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(PROFILES)))
+
+
 class TestInstanceGeneration:
-    def test_generated_instances_are_admissible(self):
-        for m in (1, 2, 3):
-            inst = generate_instance(m, horizon=8, theta=4, seed=0)
-            assert check_admissibility(inst)["passed"]
+    @settings(derandomize=True, deadline=None)
+    @given(params=generation_params())
+    @example(params=(1, 8, 4, 0, "mixed"))
+    @example(params=(2, 8, 4, 0, "mixed"))
+    @example(params=(3, 8, 4, 0, "mixed"))
+    def test_generated_instances_are_admissible(self, params):
+        try:
+            inst = generate_instance(*params)
+        except ProfileError:
+            assume(False)
+        report = check_admissibility(inst)
+        assert report["passed"], report["detail"]
+
+    def test_generation_runs_no_choice_stage(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ("check_admissibility",
+                                           "hereditary_decompose",
+                                           "normalize_f"))
+        generate_instance(2, 8, 4, seed=9, profile="mary-witness")
+        assert calls == {"check_admissibility": 0, "hereditary_decompose": 0,
+                         "normalize_f": 0}
 
     def test_profiles(self):
         mixed = generate_instance(2, 8, 4, 0, "mixed")
@@ -271,20 +315,8 @@ class TestPipeline:
 
     def test_choice_stages_run_once(self, monkeypatch):
         inst = generate_instance(2, 8, 4, seed=9, profile="mary-witness")
-        calls = {"reduce_to_unary": 0, "normalize_f": 0,
-                 "hereditary_decompose": 0}
-        modules = [m for m in vars(clonecover).values()
-                   if inspect.ismodule(m)]
-        for name in calls:
-            original = getattr(clonecover, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in modules:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting)
+        calls = _count_calls(monkeypatch, ("reduce_to_unary", "normalize_f",
+                                           "hereditary_decompose"))
         report, _ = run_pipeline(inst)
         assert report["passed"]
         assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
