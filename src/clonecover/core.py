@@ -133,12 +133,13 @@ class PartialFn:
 
     ``PartialFn(...)`` copies the graph and checks every entry against the
     arity and codomain.  ``compose``, ``disjoint_union``, ``restrict``,
-    ``component``, ``star_fn``, ``hash_fn`` and ``fibers`` build their
-    results with ``_trusted`` instead, which does neither: each takes its
-    entries from already checked functions, keeps or relabels them only in
-    ways that preserve the index sets, and so cannot produce an invalid
-    entry.  Parsers, generators and other builders from outside data go
-    through the checked constructor.
+    ``component``, ``star_fn``, ``hash_fn``, ``fibers`` and
+    ``decompose.strong_decompose_stage`` build their results with
+    ``_trusted`` instead, which does neither: each takes its entries from
+    already checked functions, keeps or relabels them only in ways that
+    preserve the index sets, and so cannot produce an invalid entry.
+    Parsers, generators and other builders from outside data go through
+    the checked constructor.
     """
 
     __slots__ = ("arity", "codomain", "graph")
@@ -173,11 +174,6 @@ class PartialFn:
         fn = object.__new__(cls)
         fn.arity, fn.codomain, fn.graph = arity, codomain, graph
         return fn
-
-    @staticmethod
-    def tuple_valued(arity: IndexSet, codomain: IndexSet,
-                     graph: Mapping[MTuple, MTuple]) -> "PartialFn":
-        return PartialFn(arity, graph, codomain)
 
     @staticmethod
     def identity_on(tuples: Iterable[MTuple], arity: IndexSet) -> "PartialFn":
@@ -377,11 +373,6 @@ def fiber(g: PartialFn, s: IndexSet, c: MTuple) -> PartialFn:
     if c in found:
         return found[c]
     return PartialFn.empty(g.arity - frozenset(s), g.codomain)
-
-
-def fiber_keys(g: PartialFn, s: IndexSet) -> list:
-    """The S-projections occurring in dom(g), in canonical order."""
-    return list(fibers(g, s))
 
 
 # -- terms ------------------------------------------------------------

@@ -4,8 +4,8 @@ inner map certified componentwise to be width-harmless.
 The driver is `hereditary_decompose`, which sweeps all subsets S of the
 index set; each sweep is a `strong_decompose_stage` step: split every fiber
 into its thrifty and wasteful parts, re-route the wasteful parts through
-freshly selected representative tuples of a width-1 set A, and shrink the
-inner map back onto dom(g).
+freshly selected representative tuples of a width-1 set A, and write the
+graphs of g' and of the inner map h straight from the fibers.
 """
 from __future__ import annotations
 
@@ -20,17 +20,7 @@ from .analysis import (
     tuple_set_width,
     width,
 )
-from .core import (
-    IndexSet,
-    MTuple,
-    PartialFn,
-    compose,
-    disjoint_union,
-    fibers,
-    hash_fn,
-    shrink_inner,
-    star_fn,
-)
+from .core import IndexSet, MTuple, PartialFn, compose, fibers
 
 
 class AdmissibilityError(RuntimeError):
@@ -57,15 +47,13 @@ class ComponentCertificate:
 class SelectionResult:
     """Outcome of the representative-tuple selection over a wasteful family.
 
-    Chosen tuples are pairwise y-disjoint, so their union A has width <= 1;
-    each g' part is the (injective) restriction of its input to its chosen
-    tuples, and each h part re-routes the input's whole domain onto them.
+    Chosen tuples are pairwise y-disjoint, so their union A has width <= 1.
+    A stage keeps only the chosen tuple of each wasteful value in g' and
+    re-routes the value's whole preimage onto it.
     """
 
     a_set: frozenset  # the width-1 set A
     chosen: dict  # (fiber key c, value d) -> chosen tuple
-    g_primes: dict  # c -> injective PartialFn (restriction of the input)
-    h_parts: dict  # c -> tuple-valued PartialFn with range inside A
 
 
 def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
@@ -80,15 +68,12 @@ def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
     """
     used_ys: set = set()
     chosen: dict = {}
-    g_primes: dict = {}
-    h_parts: dict = {}
     a_set: set = set()
     for c in sorted(wasteful_family):
         w_c = wasteful_family[c]
         preimages: dict = {}
         for u, v in w_c.graph.items():
             preimages.setdefault(v, []).append(u)
-        picked_for_c: dict = {}
         for d in sorted(preimages, key=lambda p: (p.y, p.x)):
             candidates = [
                 u for u in preimages[d]
@@ -102,20 +87,8 @@ def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
             pick = max(candidates, key=lambda u: (u.min_y(), u.entries))
             used_ys.update(p.y for p in pick.points())
             chosen[(c, d)] = pick
-            picked_for_c[d] = pick
             a_set.add(pick)
-        g_primes[c] = w_c.restrict(picked_for_c.values())
-        h_parts[c] = PartialFn.tuple_valued(
-            w_c.arity,
-            w_c.arity,
-            {u: picked_for_c[v] for u, v in w_c.graph.items()},
-        )
-    return SelectionResult(
-        a_set=frozenset(a_set),
-        chosen=chosen,
-        g_primes=g_primes,
-        h_parts=h_parts,
-    )
+    return SelectionResult(a_set=frozenset(a_set), chosen=chosen)
 
 
 @dataclass
@@ -144,53 +117,51 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     """One sweep: make every fiber of g at S thrifty at theta.
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
-    of g' at S is all-thrifty.
+    of g' at S is all-thrifty.  One walk over the fibers writes both
+    graphs: a thrifty entry z of fiber c keeps c∪z in g' and fixes it in
+    h; a wasteful entry sends c∪z to c∪pick in h, and only the pick keeps
+    its g' entry.  g' lists the keys in order and, within a fiber, its
+    thrifty entries before its picks.  Both are wrapped unchecked: their
+    entries come from the checked g, and h only routes into dom(g).
     """
     s = frozenset(s)
     if not s <= g.arity:
         raise ValueError(f"S={sorted(s)} not inside arity {sorted(g.arity)}")
-    empty_selection = SelectionResult(frozenset(), {}, {}, {})
-    if not g.graph:
-        ident = PartialFn.identity_on([], g.arity)
-        return StageRecord(s=s, g_prime=g, h=ident, selection=empty_selection,
-                           identity_domain=frozenset(), certificates=[])
+    split = {c: (g_c, classify_preimages(g_c, theta))
+             for c, g_c in fibers(g, s).items()}
+    selection = countable_selection(
+        {c: g_c.restrict(rep.wasteful_domain)
+         for c, (g_c, rep) in split.items() if rep.wasteful_domain},
+        theta)
 
-    wasteful_family: dict = {}
-    thrifty_parts: dict = {}
-    for c, g_c in fibers(g, s).items():
-        report = classify_preimages(g_c, theta)
-        thrifty_parts[c] = g_c.restrict(report.thrifty_domain)
-        if report.wasteful_domain:
-            wasteful_family[c] = g_c.restrict(report.wasteful_domain)
+    g_graph: dict = {}
+    h_graph: dict = {}
+    identity: list = []
+    for c, (g_c, rep) in split.items():
+        picks = []
+        for z, v in g_c.graph.items():
+            u = c.union(z)
+            if z in rep.thrifty_domain:
+                g_graph[u] = v
+                h_graph[u] = u
+                identity.append(u)
+            else:
+                pick = selection.chosen[(c, v)]
+                h_graph[u] = c.union(pick)
+                if z == pick:
+                    picks.append((u, v))
+        g_graph.update(picks)
 
-    selection = countable_selection(wasteful_family, theta)
-
-    g_parts = []
-    h_parts = []
-    identity_domain: set = set()
-    t = g.arity - s
-    for c, t_c in thrifty_parts.items():
-        i_c = PartialFn.identity_on(t_c.domain(), t)
-        fiber_g = [t_c]
-        fiber_h = [i_c]
-        if c in wasteful_family:
-            fiber_g.append(selection.g_primes[c])
-            fiber_h.append(selection.h_parts[c])
-        g_parts.append(star_fn(c, disjoint_union(fiber_g)))
-        h_parts.append(hash_fn(c, disjoint_union(fiber_h)))
-        identity_domain.update(c.union(z) for z in t_c.domain())
-
-    g_prime = disjoint_union(g_parts)
-    h_prime = disjoint_union(h_parts)
-    h = shrink_inner(g, g_prime, h_prime)
-    ident = frozenset(identity_domain) & h.domain()
-    certs = _certify_inner_map(h, ident, selection, s)
+    g_prime = PartialFn._trusted(g.arity, g_graph, g.codomain)
+    h = PartialFn._trusted(g.arity, h_graph, g.arity)
+    ident = frozenset(identity)
     return StageRecord(s=s, g_prime=g_prime, h=h, selection=selection,
-                       identity_domain=ident, certificates=certs)
+                       identity_domain=ident,
+                       certificates=_certify_inner_map(h, ident, s))
 
 
 def _certify_inner_map(h: PartialFn, identity_domain: frozenset,
-                       selection: SelectionResult, s: IndexSet) -> list:
+                       s: IndexSet) -> list:
     """Componentwise certificates for one stage's inner map.
 
     Identity-part components and S-indexed components are projections; the

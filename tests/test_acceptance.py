@@ -22,7 +22,7 @@ from clonecover.core import (
     disjoint_union,
     eval_term,
     fiber,
-    fiber_keys,
+    fibers,
     hash_fn,
     idx,
     shrink_inner,
@@ -189,7 +189,7 @@ def test_criterion_5_algebra_laws(capsys):
     for _ in range(250):
         q = random_point_fn(rng, idx(1, 2), size=rng.randint(1, 12))
         # reconstruction from fibers
-        parts = [star_fn(c, fiber(q, s, c)) for c in fiber_keys(q, s)]
+        parts = [star_fn(c, fiber(q, s, c)) for c in fibers(q, s)]
         law(disjoint_union(parts) == q)
 
     for _ in range(250):

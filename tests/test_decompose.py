@@ -10,7 +10,7 @@ from clonecover.core import (
     PartialFn,
     compose,
     fiber,
-    fiber_keys,
+    fibers,
     full_index,
     idx,
 )
@@ -79,11 +79,21 @@ class TestCountableSelection:
             countable_selection(fam, theta=3)
 
     def test_rerouting_covers_whole_wasteful_domain(self):
-        fam = wasteful_unary({(0, 0): (9, 9), (0, 1): (9, 9)})
-        sel = countable_selection(fam, theta=3)
-        h = sel.h_parts[MTuple.empty()]
-        assert h.domain() == fam[MTuple.empty()].domain()
-        assert set(h.graph.values()) <= sel.a_set
+        # In fiber c the value (9|9) has preimage bound 6 > theta 3; the
+        # stage routes that whole preimage into c ∪ A.
+        c = MTuple.of({1: pt(5, 5)})
+        g = PartialFn(idx(1, 2), {
+            c.union(MTuple.of({2: pt(0, y)})): pt(9, 9) for y in (0, 1, 5)
+        })
+        stage = strong_decompose_stage(g, idx(1), theta=3)
+        wasteful = {
+            c.union(z)
+            for z in classify_preimages(fiber(g, idx(1), c), 3).wasteful_domain
+        }
+        assert wasteful == set(g.domain())
+        assert wasteful <= stage.h.domain()
+        assert {stage.h.graph[u] for u in wasteful} <= {
+            c.union(a) for a in stage.selection.a_set}
 
 
 class TestStrongDecompose:
@@ -115,7 +125,7 @@ class TestStrongDecompose:
             tup((5, 5), (0, 1)): pt(7, 7),
         })
         stage = strong_decompose_stage(g, idx(1), theta=3)
-        for c in fiber_keys(stage.g_prime, idx(1)):
+        for c in fibers(stage.g_prime, idx(1)):
             rep = classify_preimages(fiber(stage.g_prime, idx(1), c), 3)
             assert rep.all_thrifty
 

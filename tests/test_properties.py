@@ -7,7 +7,7 @@ failure is always reproducible.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 from clonecover.analysis import (
     classify_preimages,
@@ -24,7 +24,6 @@ from clonecover.core import (
     compose,
     disjoint_union,
     fiber,
-    fiber_keys,
     fibers,
     hash_fn,
     shrink_inner,
@@ -32,8 +31,20 @@ from clonecover.core import (
     star_set,
     idx,
 )
+from clonecover.decompose import (
+    AdmissibilityError,
+    _certify_inner_map,
+    countable_selection,
+    strong_decompose_stage,
+)
 
-from conftest import random_point, random_point_fn, random_tuple, random_tuple_fn
+from conftest import (
+    random_point,
+    random_point_fn,
+    random_tuple,
+    random_tuple_fn,
+    unary,
+)
 
 points = st.builds(Point, st.integers(0, 30), st.integers(0, 30))
 S = idx(1)
@@ -68,7 +79,7 @@ class TestStarHashFiberLaws:
         for _ in range(300):
             g = random_point_fn(rng, idx(1, 2), size=rng.randint(1, 12))
             parts = {
-                c: fiber(g, S, c) for c in fiber_keys(g, S)
+                c: fiber(g, S, c) for c in fibers(g, S)
             }
             rebuilt = disjoint_union(
                 [star_fn(c, p) for c, p in sorted(parts.items())]
@@ -160,6 +171,73 @@ class TestFibers:
         g, s = case
         with pytest.raises(IndexMismatchError):
             fibers(g, s | {4})
+
+
+def algebra_stage(g, s, theta):
+    """One decomposition sweep built through the operator algebra: star and
+    hash each fiber's thrifty part and its selection, take the unions, and
+    shrink the inner map back onto dom(g)."""
+    thrifty_parts, wasteful_family = {}, {}
+    for c, g_c in fibers(g, s).items():
+        rep = classify_preimages(g_c, theta)
+        thrifty_parts[c] = g_c.restrict(rep.thrifty_domain)
+        if rep.wasteful_domain:
+            wasteful_family[c] = g_c.restrict(rep.wasteful_domain)
+    selection = countable_selection(wasteful_family, theta)
+    t = g.arity - s
+    g_parts = [PartialFn.empty(g.arity, g.codomain)]
+    h_parts = [PartialFn.identity_on([], g.arity)]
+    identity = set()
+    for c, t_c in thrifty_parts.items():
+        fiber_g = [t_c]
+        fiber_h = [PartialFn.identity_on(t_c.domain(), t)]
+        if c in wasteful_family:
+            w_c = wasteful_family[c]
+            pick = {d: selection.chosen[(c, d)] for d in w_c.values()}
+            fiber_g.append(w_c.restrict(pick.values()))
+            fiber_h.append(PartialFn(
+                t, {z: pick[v] for z, v in w_c.graph.items()}, t))
+        g_parts.append(star_fn(c, disjoint_union(fiber_g)))
+        h_parts.append(hash_fn(c, disjoint_union(fiber_h)))
+        identity.update(c.union(z) for z in t_c.domain())
+    g_prime = disjoint_union(g_parts)
+    h = shrink_inner(g, g_prime, disjoint_union(h_parts))
+    return g_prime, h, frozenset(identity) & h.domain(), selection
+
+
+@st.composite
+def stage_cases(draw):
+    """A point-valued g over a non-empty subset of {1, 2, 3}, a subset S of
+    its arity and a theta low enough that small coordinates are wasteful."""
+    arity = draw(st.sets(st.integers(1, 3), min_size=1).map(frozenset))
+    g = draw(partial_fns(arity, None))
+    s = frozenset(draw(st.sets(st.sampled_from(sorted(arity)))))
+    return g, s, draw(st.integers(1, 3))
+
+
+class TestStageMatchesAlgebra:
+    @settings(max_examples=300, derandomize=True)
+    @given(case=stage_cases())
+    @example(case=(unary({(0, 0): (1, 1), (0, 2): (1, 1), (1, 0): (2, 2)}),
+                   frozenset(), 1))
+    def test_direct_stage_equals_operator_construction(self, case):
+        g, s, theta = case
+        try:
+            want = algebra_stage(g, s, theta)
+        except AdmissibilityError:
+            with pytest.raises(AdmissibilityError):
+                strong_decompose_stage(g, s, theta)
+            return
+        g_prime, h, identity, selection = want
+        # Most small draws reroute nothing; steer towards ones that do.
+        target(float(len(h) - len(identity)))
+        stage = strong_decompose_stage(g, s, theta)
+        assert stage.g_prime == g_prime
+        assert list(stage.g_prime.graph) == list(g_prime.graph)
+        assert stage.h == h
+        assert stage.identity_domain == identity
+        assert stage.certificates == _certify_inner_map(h, identity, s)
+        assert stage.selection == selection
 
 
 class TestUnionAndSubLaws:

@@ -25,6 +25,7 @@ from clonecover.core import (
     idx,
     star_fn,
 )
+from clonecover.decompose import hereditary_decompose
 from clonecover.instances import (
     PROFILES,
     Instance,
@@ -449,6 +450,15 @@ class TestValidatedConstructions:
                                               lambda: run_pipeline(inst))
         assert report["passed"]
         assert count <= 500
+
+    def test_decomposition_builds_its_stages_unchecked(self, monkeypatch):
+        # The one call is the identity start of the composed inner map;
+        # building each sweep through the operator algebra made 196.
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        count, trace = self.count_inits(
+            monkeypatch, lambda: hereditary_decompose(inst.g, inst.theta))
+        assert len(trace.stages) == 8
+        assert count <= 1
 
 
 class TestCli:
