@@ -51,7 +51,6 @@ from .synth import (
     pstar,
     reduce_to_unary,
     verify_Q_in_CI,
-    verify_main_lemma,
 )
 from .instances import Instance, check_admissibility, generate_instance
 from .pipeline import run_pipeline

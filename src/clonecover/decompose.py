@@ -20,7 +20,14 @@ from .analysis import (
     tuple_set_width,
     width,
 )
-from .core import IndexSet, MTuple, PartialFn, compose, fibers
+from .core import (
+    IndexMismatchError,
+    IndexSet,
+    MTuple,
+    PartialFn,
+    compose,
+    fibers,
+)
 
 
 class AdmissibilityError(RuntimeError):
@@ -127,6 +134,8 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     s = frozenset(s)
     if not s <= g.arity:
         raise ValueError(f"S={sorted(s)} not inside arity {sorted(g.arity)}")
+    if not g.is_point_valued():
+        raise IndexMismatchError("decomposition applies to point-valued functions")
     split = {c: (g_c, classify_preimages(g_c, theta))
              for c, g_c in fibers(g, s).items()}
     selection = countable_selection(

@@ -347,16 +347,6 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
 # -- width certificates for the selector ------------------------------
 
 
-def complete_width1(points: Iterable[Point], lines_needed: Iterable[int]) -> frozenset:
-    """Extend a width-1 set so it meets every needed line (default x = 0)."""
-    points = frozenset(Point(*p) for p in points)
-    if width(points).width > 1:
-        raise ValueError("factor has width above 1")
-    present = {p.y for p in points}
-    extra = {Point(0, n) for n in lines_needed if n not in present}
-    return points | extra
-
-
 class LineFactor(dict):
     """A factor of a selector product, read by line: ``factor[n]`` is the
     set of columns x with (x|n) in the factor.
@@ -377,21 +367,17 @@ class LineFactor(dict):
         return cols
 
 
-def _by_line(factors: Mapping, keys: Sequence, w: int) -> dict:
-    """The factors of ``keys`` as `LineFactor`s.  Line-indexed factors pass
-    through; a plain point set is grouped by line, and all of its lines are
-    width-checked."""
-    grouped = {}
-    for key in keys:
-        factor = factors[key]
-        if not isinstance(factor, LineFactor):
-            factor = LineFactor()
-            for x, y in factors[key]:
-                factor.setdefault(y, set()).add(x)
-            if any(len(cols) > w for cols in factor.values()):
-                raise ValueError(f"factor {key!r} has width above {w}")
-        grouped[key] = factor
-    return grouped
+def complete_width1(points: Iterable[Point],
+                    lines_needed: Iterable[int]) -> LineFactor:
+    """A width-1 point set as a `LineFactor`, extended so it meets every
+    needed line (default x = 0)."""
+    column: dict = {}
+    for x, y in points:
+        if column.setdefault(y, x) != x:
+            raise ValueError("factor has width above 1")
+    for n in lines_needed:
+        column.setdefault(n, 0)
+    return LineFactor({n: frozenset({x}) for n, x in column.items()})
 
 
 def _columns(factors: Mapping, key, n: int, w: int):
@@ -412,35 +398,6 @@ def _selector_point(factors: Mapping, key, n: int) -> int:
     return next(iter(cols))
 
 
-@dataclass
-class MainLemmaReport:
-    """Brute-force width of the selector's image over a width-1 product."""
-
-    observed_width: int
-    bound: int
-    passed: bool
-    image: frozenset
-
-
-def verify_main_lemma(q_table: PartialFn, factors: Mapping, m: int) -> MainLemmaReport:
-    """Image width of the selector over a product of width-1 factors.
-
-    ``factors`` maps each input index i and each (S, j) pair to a width-1
-    point set or `LineFactor`; the product is intersected with the table's
-    finite domain.
-    """
-    keys = pstar(full_index(m)).factor_keys
-    factors = _by_line(factors, keys, 1)
-    image = {val for uv, val in q_table.graph.items()
-             if _in_product(uv, factors, keys, 1)}
-    bound = math.factorial(m)
-    w = width(image).width
-    return MainLemmaReport(
-        observed_width=w, bound=bound, passed=w <= bound,
-        image=frozenset(image),
-    )
-
-
 def _in_product(uv: MTuple, factors: Mapping, keys: Sequence, w: int) -> bool:
     """Whether each slot of uv lies in its factor; ``keys`` in slot order."""
     for slot, key in enumerate(keys, 1):
@@ -448,6 +405,40 @@ def _in_product(uv: MTuple, factors: Mapping, keys: Sequence, w: int) -> bool:
         if p.x not in _columns(factors, key, p.y, w):
             return False
     return True
+
+
+@dataclass
+class SelectorWidthVerdict:
+    """Observed image width of the selector on a width-w product vs the
+    slice-union bound."""
+
+    w: int
+    factor_count: int
+    bound: int
+    observed: int
+    passed: bool
+
+
+def verify_Q_in_CI(q_table: PartialFn, factors: Mapping, w: int,
+                   m: int) -> SelectorWidthVerdict:
+    """Check the selector's image width over one product of width-w factors.
+
+    ``factors`` maps each input index i and each (S, j) pair to a
+    `LineFactor`; the product is intersected with the table's finite
+    domain, read in table order.  Each factor splits into at most w width-1
+    slices, and each slice product maps to a set of width at most m! (the
+    main lemma, which is the case w = 1), so the union bound is
+    w^(number of factors) * m!.
+    """
+    keys = pstar(full_index(m)).factor_keys
+    bound = (w ** len(keys)) * math.factorial(m)
+    image = {val for uv, val in q_table.graph.items()
+             if _in_product(uv, factors, keys, w)}
+    observed = width(image).width
+    return SelectorWidthVerdict(
+        w=w, factor_count=len(keys), bound=bound, observed=observed,
+        passed=observed <= bound,
+    )
 
 
 @dataclass
@@ -463,42 +454,53 @@ class UniquenessReport:
 
 
 def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
-                       m: int, n: int, perm: Sequence[int]) -> UniquenessReport:
-    """Compute the unique candidate input for a target line and check, by
-    enumeration over the table's domain, that every qualifying entry is it.
+                       m: int) -> list:
+    """Uniqueness certificates over one product of width-1 factors: for
+    each value line n of the table, ascending, one per reindexing perm of
+    1..m.
+
+    The table is scanned once and its entries in the product are grouped
+    by value line; each (n, perm) then checks that every grouped entry
+    whose lines rise along perm is the unique candidate.
+    """
+    keys = pstar(full_index(m)).factor_keys
+    in_product: dict = {}  # value line -> table entries in the product
+    for uv, val in q_table.graph.items():
+        entries = in_product.setdefault(val.y, [])
+        if _in_product(uv, factors, keys, 1):
+            entries.append(uv)
+    return [
+        _certify_line(k_tables, factors, n, perm, entries)
+        for n, entries in sorted(in_product.items())
+        for perm in itertools.permutations(range(1, m + 1))
+    ]
+
+
+def _certify_line(k_tables: Mapping, factors: Mapping, n: int, perm: tuple,
+                  entries: Sequence) -> UniquenessReport:
+    """Compute the unique candidate input for line n under perm and check
+    that every qualifying entry is it.
 
     The recursion, under the reindexing perm: at step j the fiber fixed so
     far gives a bound k_j at line n; the (S,j)-factor selects the line b_j
     at k_j, and the j-th input factor selects the column a_j at b_j.
     """
-    keys = pstar(full_index(m)).factor_keys
-    factors = _by_line(factors, keys, 1)
-    perm = tuple(perm)
     candidate: dict = {}
     prefix = MTuple.empty()
     complete = True
-    for step in range(1, m + 1):
-        s = frozenset(perm[:step - 1])
-        j = perm[step - 1]
+    for step, j in enumerate(perm):
+        s = frozenset(perm[:step])
         table = k_tables.get((s, prefix))
         if table is None or n not in table:
             complete = False
             break
-        kj = table[n]
-        bj = _selector_point(factors, (s, j), kj)
-        aj = _selector_point(factors, j, bj)
-        candidate[j] = Point(aj, bj)
-        prefix = prefix.union(MTuple.of({j: Point(aj, bj)}))
+        bj = _selector_point(factors, (s, j), table[n])
+        candidate[j] = Point(_selector_point(factors, j, bj), bj)
+        prefix = prefix.union(MTuple.of({j: candidate[j]}))
 
-    qualifying = []
-    for uv, val in q_table.graph.items():
-        if val.y != n or not _in_product(uv, factors, keys, 1):
-            continue
-        ys = [uv[perm[t]].y for t in range(m)]
-        if ys == sorted(ys):
-            qualifying.append(uv)
-    qualifying.sort()
-
+    qualifying = sorted(
+        uv for uv in entries
+        if all(uv[a].y <= uv[b].y for a, b in zip(perm, perm[1:])))
     if not complete:
         passed = not qualifying
         detail = "" if passed else "qualifying entry despite missing K chain"
@@ -513,44 +515,6 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     return UniquenessReport(
         line=n, perm=perm, candidate=candidate,
         qualifying=tuple(qualifying), passed=passed, detail=detail,
-    )
-
-
-@dataclass
-class SelectorWidthVerdict:
-    """Observed image width of the selector on a width-w product vs the
-    slice-union bound."""
-
-    w: int
-    factor_count: int
-    bound: int
-    observed: tuple  # per test product
-    passed: bool
-
-
-def verify_Q_in_CI(q_table: PartialFn, test_products: Sequence[Mapping],
-                   w: int, m: int) -> SelectorWidthVerdict:
-    """Check the selector's image width over width-w factor products.
-
-    Each factor splits into at most w width-1 slices, and each slice product
-    maps to a set of width at most m!, so the union bound is
-    w^(number of factors) * m!.
-    """
-    keys = pstar(full_index(m)).factor_keys
-    factor_count = len(keys)
-    bound = (w ** factor_count) * math.factorial(m)
-    observed = []
-    for factors in test_products:
-        factors = _by_line(factors, keys, w)
-        image = {
-            val for uv, val in q_table.graph.items()
-            if _in_product(uv, factors, keys, w)
-        }
-        observed.append(width(image).width)
-    return SelectorWidthVerdict(
-        w=w, factor_count=factor_count, bound=bound,
-        observed=tuple(observed),
-        passed=all(o <= bound for o in observed),
     )
 
 

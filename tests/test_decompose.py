@@ -6,6 +6,7 @@ from clonecover.analysis import (
     tuple_set_width,
 )
 from clonecover.core import (
+    IndexMismatchError,
     MTuple,
     PartialFn,
     compose,
@@ -133,6 +134,17 @@ class TestStrongDecompose:
         g = unary({(0, 0): (1, 1)})
         with pytest.raises(ValueError):
             strong_decompose_stage(g, idx(7), theta=2)
+
+    def test_tuple_valued_g_rejected_up_front(self):
+        # a wasteful tuple value used to reach countable_selection, which
+        # orders values by (y, x) and died with an AttributeError
+        value = MTuple.of({1: pt(9, 9)})
+        g = PartialFn(idx(1), {tup((0, 0)): value, tup((0, 5)): value},
+                      idx(1))
+        with pytest.raises(IndexMismatchError):
+            hereditary_decompose(g, 3)
+        with pytest.raises(IndexMismatchError):
+            strong_decompose_stage(g, frozenset(), theta=3)
 
     def test_identity_domain_fixed_pointwise(self):
         g = unary({(0, 0): (9, 9), (0, 3): (9, 9), (4, 1): (7, 7)})

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -30,7 +31,6 @@ from clonecover.synth import (
     pstar,
     reduce_to_unary,
     verify_Q_in_CI,
-    verify_main_lemma,
     width1_slices,
     witness_point,
 )
@@ -249,10 +249,19 @@ class TestBuildQ:
         assert hit
 
 
+def line_factor(points) -> LineFactor:
+    """A point set as a `LineFactor`: each line's columns."""
+    factor = LineFactor()
+    for x, y in points:
+        factor[y] = factor.get(y, frozenset()) | {x}
+    return factor
+
+
 class TestCompleteWidth1:
     def test_fills_missing_lines_on_x0(self):
-        pts = complete_width1({pt(4, 1)}, [0, 1, 2])
-        assert pts == {pt(4, 1), pt(0, 0), pt(0, 2)}
+        factor = complete_width1({pt(4, 1)}, [0, 1, 2])
+        assert isinstance(factor, LineFactor)
+        assert factor == {0: {0}, 1: {4}, 2: {0}}
 
     def test_rejects_wide_input(self):
         with pytest.raises(ValueError):
@@ -287,35 +296,41 @@ class TestSelectorCertificates:
                 pts.add(p)
             sl = next(iter(width1_slices(pts)), frozenset())
             factors[key] = complete_width1(sl, needed)
-        rep = verify_main_lemma(res.q_table, factors, m)
-        assert rep.passed
-        for n in sorted({v.y for v in res.q_table.graph.values()}):
-            for perm in itertools.permutations(range(1, m + 1)):
-                cert = main_lemma_certify(
-                    res.q_table, res.k_tables, factors, m, n, perm)
-                assert cert.passed, cert.detail
+        verdict = verify_Q_in_CI(res.q_table, factors, 1, m)
+        assert verdict.bound == math.factorial(m)
+        assert verdict.passed
+        certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
+        lines = sorted({v.y for v in res.q_table.graph.values()})
+        perms = list(itertools.permutations(range(1, m + 1)))
+        assert [(c.line, c.perm) for c in certs] == list(
+            itertools.product(lines, perms))
+        for cert in certs:
+            assert cert.passed, cert.detail
 
-    def test_verify_main_lemma_rejects_wide_factor(self):
+    def test_width_verifier_rejects_lines_wider_than_w(self):
         q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        with pytest.raises(ValueError):
-            verify_main_lemma(
-                q_table, {1: {pt(0, 0), pt(1, 0)},
-                          (frozenset(), 1): {pt(0, 0)}}, 1)
+        factors = {1: LineFactor({0: frozenset({0, 1})}),
+                   (frozenset(), 1): LineFactor({0: frozenset({0})})}
+        assert verify_Q_in_CI(q_table, factors, 2, 1).passed
+        with pytest.raises(ValueError, match="width above 1 on line 0"):
+            verify_Q_in_CI(q_table, factors, 1, 1)
 
     def test_wide_factors_rejected_by_both_verifiers(self):
         q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        narrow = {(frozenset(), 1): {pt(0, 0)}}
+        narrow = {(frozenset(), 1): LineFactor({0: frozenset({0})})}
         wide_factors = (
-            {pt(0, 0), pt(1, 0)},  # plain, wide on the line the table reads
-            {pt(0, 0), pt(3, 7), pt(4, 7)},  # plain, wide on an unread line
-            LineFactor({0: frozenset({0, 1})}),  # line-indexed, wide on 0
+            LineFactor({0: frozenset({0, 1})}),  # stored wide on line 0
+            LineFactor(sample=lambda n: frozenset({0, 1})),  # sampled wide
         )
         for wide in wide_factors:
             factors = {1: wide, **narrow}
             with pytest.raises(ValueError, match="width above 1"):
-                verify_main_lemma(q_table, factors, 1)
+                verify_Q_in_CI(q_table, factors, 1, 1)
             with pytest.raises(ValueError, match="width above 1"):
-                verify_Q_in_CI(q_table, [factors], 1, 1)
+                main_lemma_certify(q_table, {}, factors, 1)
+        # a point set wide on a line no verifier reads cannot become a factor
+        with pytest.raises(ValueError, match="width above 1"):
+            complete_width1({pt(0, 0), pt(3, 7), pt(4, 7)}, [0])
 
     def test_certificate_rejects_wide_selector_line(self):
         # the K-chain reads line 1 of the (S, j) factor, which is wide
@@ -325,14 +340,14 @@ class TestSelectorCertificates:
                    (frozenset(), 1): LineFactor({0: frozenset({0}),
                                                  1: frozenset({0, 2})})}
         with pytest.raises(ValueError, match="width above 1 on line 1"):
-            main_lemma_certify(q_table, k_tables, factors, 1, 0, (1,))
+            main_lemma_certify(q_table, k_tables, factors, 1)
 
     def test_qualifying_entries_in_canonical_order(self):
         first, second = tup((0, 0), (0, 0)), tup((0, 1), (0, 1))
         q_table = PartialFn(idx(1, 2), {second: pt(1, 0), first: pt(0, 0)})
-        line_factor = {pt(0, 0), pt(0, 1)}
-        factors = {1: line_factor, (frozenset(), 1): line_factor}
-        cert = main_lemma_certify(q_table, {}, factors, 1, 0, (1,))
+        factor = line_factor({pt(0, 0), pt(0, 1)})
+        factors = {1: factor, (frozenset(), 1): factor}
+        [cert] = main_lemma_certify(q_table, {}, factors, 1)
         assert cert.qualifying == (first, second)
         assert not cert.passed
 
@@ -341,18 +356,20 @@ class TestSelectorCertificates:
         res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                     unary_candidates=inst.candidates)
         everything = {
-            key: frozenset(
+            key: line_factor(
                 uv[key] if isinstance(key, int)
                 else uv[res.pstar_index.slot(*key)]
                 for uv in res.q_table.graph
             )
             for key in [1, (frozenset(), 1)]
         }
-        w = max(width(pts).width for pts in everything.values())
-        verdict = verify_Q_in_CI(res.q_table, [everything], w, 1)
+        w = max(len(cols) for factor in everything.values()
+                for cols in factor.values())
+        verdict = verify_Q_in_CI(res.q_table, everything, w, 1)
         # two factors for m = 1: the input and the single (S, j) pair
         assert verdict.factor_count == 2
         assert verdict.bound == w ** 2
+        assert verdict.observed == width(res.q_table.graph.values()).width
         assert verdict.passed
 
 

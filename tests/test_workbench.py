@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -34,7 +35,7 @@ from clonecover.instances import (
     default_theta,
     generate_instance,
 )
-from clonecover import pipeline
+from clonecover import pipeline, synth
 from clonecover.pipeline import (
     FACTOR_FAMILY_COUNT,
     WIDE_PRODUCT_COUNT,
@@ -328,6 +329,50 @@ class TestPipeline:
         report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
         assert report["passed"]
         assert len(families) == FACTOR_FAMILY_COUNT + WIDE_PRODUCT_COUNT
+
+    def test_selector_certificates_scan_q_once_per_family(self,
+                                                          monkeypatch):
+        # |Q| = 28 over 21 value lines.  Certifying each (line, perm) pair
+        # on its own made 378 certification calls and 644 = 23 |Q|
+        # product-membership evaluations; one scan per family needs 8 |Q|.
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        calls = _count_calls(monkeypatch, ("main_lemma_certify",))
+        members = [0]
+        original = synth._in_product
+
+        def counting(*args):
+            members[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(synth, "_in_product", counting)
+        report, result = run_pipeline(inst)
+        assert report["passed"]
+        assert len(result.q_table) == 28
+        assert calls["main_lemma_certify"] == FACTOR_FAMILY_COUNT
+        assert members[0] <= 8 * len(result.q_table)
+
+    def test_width_failure_stays_in_its_own_check(self, monkeypatch):
+        original = pipeline.verify_Q_in_CI
+        failed = []
+
+        def failing_once(q_table, factors, w, m):
+            verdict = original(q_table, factors, w, m)
+            if w == 1 and not failed:
+                verdict = dataclasses.replace(
+                    verdict, observed=verdict.bound + 1, passed=False)
+                failed.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(pipeline, "verify_Q_in_CI", failing_once)
+        report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not report["passed"]
+        assert checks["selector width bound (m!)"] == {
+            "name": "selector width bound (m!)", "passed": False,
+            "detail": "family 0: width 3 > 2"}
+        assert checks["per-line uniqueness"]["passed"]
+        assert checks["per-line uniqueness"]["detail"] == ""
+        assert checks["selector width bound (width-2 products)"]["passed"]
 
     def test_verify_pair_detects_tampering(self):
         inst = generate_instance(1, 6, 3, seed=7)
