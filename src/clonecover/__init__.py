@@ -25,7 +25,6 @@ from .core import (
     star_set,
 )
 from .analysis import (
-    ci_fragment_check,
     classify_preimages,
     is_hereditarily_thrifty,
     k_table,

@@ -1,9 +1,9 @@
 """Width, bound, and thriftiness analysis of finite fragments.
 
 The paper-facing notions "unbounded" and "ideal membership" have no finite
-witnesses; everything here is parameterized by a threshold theta (for the
-thrifty/wasteful cut) or by an explicit claimed bound (for the ideal checks),
-and every verdict is packaged with the data needed to re-check it.
+witnesses; everything here is parameterized by a threshold theta for the
+thrifty/wasteful cut.  Widths and least bounds are plain ints; callers
+compare them against their own bounds.
 """
 from __future__ import annotations
 
@@ -44,24 +44,12 @@ class Checklist:
                          for c in self.checks if not c["passed"])
 
 
-@dataclass(frozen=True)
-class WidthCertificate:
-    """Maximal per-line point count of a finite point set."""
-
-    width: int
-    witness_line: Optional[int]  # a line attaining the width; None when empty
-    per_line_counts: tuple  # sorted (line, count) pairs
-
-
-def width(points: Iterable[Point]) -> WidthCertificate:
+def width(points: Iterable[Point]) -> int:
+    """Maximal per-line point count of a finite point set (0 when empty)."""
     counts: dict = {}
     for p in {Point(*p) for p in points}:
         counts[p.y] = counts.get(p.y, 0) + 1
-    if not counts:
-        return WidthCertificate(0, None, ())
-    w = max(counts.values())
-    witness = min(n for n, c in counts.items() if c == w)
-    return WidthCertificate(w, witness, tuple(sorted(counts.items())))
+    return max(counts.values(), default=0)
 
 
 def tuple_set_width(tuples: Iterable[MTuple]) -> int:
@@ -73,35 +61,28 @@ def tuple_set_width(tuples: Iterable[MTuple]) -> int:
     for u in tuples:
         if u.indices != arity:
             raise IndexMismatchError("mixed index sets in tuple set")
-    return max(width({u[i] for u in tuples}).width for i in sorted(arity))
+    return max(width({u[i] for u in tuples}) for i in sorted(arity))
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+def least_bound(tuples: Iterable[MTuple]) -> int:
     """Least k such that every tuple has some component with y < k."""
-
-    k: int
-
-
-def least_bound(tuples: Iterable[MTuple]) -> BoundCertificate:
     tuples = list(tuples)
     if not tuples:
-        return BoundCertificate(0)
+        return 0
     arity = tuples[0].indices
     for u in tuples:
         if u.indices != arity:
             raise IndexMismatchError("mixed index sets in tuple set")
     if not arity:
         # 0-ary tuples carry no coordinates; treat them as trivially bounded.
-        return BoundCertificate(0)
-    return BoundCertificate(1 + max(u.min_y() for u in tuples))
+        return 0
+    return 1 + max(u.min_y() for u in tuples)
 
 
 @dataclass
 class ThriftyReport:
     """Per-value preimage bounds of a partial function against a threshold."""
 
-    theta: int
     per_value: dict  # value -> (bound k, verdict)
     thrifty_domain: frozenset = frozenset()
     wasteful_domain: frozenset = frozenset()
@@ -128,7 +109,7 @@ def classify_preimages(p: PartialFn, theta: int) -> ThriftyReport:
     thrifty_dom: set = set()
     wasteful_dom: set = set()
     for v, us in preimages.items():
-        k = least_bound(us).k
+        k = least_bound(us)
         if k <= theta:
             per_value[v] = (k, THRIFTY)
             thrifty_dom.update(us)
@@ -136,7 +117,6 @@ def classify_preimages(p: PartialFn, theta: int) -> ThriftyReport:
             per_value[v] = (k, WASTEFUL)
             wasteful_dom.update(us)
     return ThriftyReport(
-        theta=theta,
         per_value=per_value,
         thrifty_domain=frozenset(thrifty_dom),
         wasteful_domain=frozenset(wasteful_dom),
@@ -171,7 +151,7 @@ def k_table(t: PartialFn, theta: int) -> dict:
     by_line: dict = {}
     for u, v in t.graph.items():
         by_line.setdefault(v.y, []).append(u)
-    return {n: least_bound(us).k for n, us in sorted(by_line.items())}
+    return {n: least_bound(us) for n, us in sorted(by_line.items())}
 
 
 def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
@@ -183,7 +163,6 @@ def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
     """
     root = classify_preimages(q, theta)
     return ThriftyReport(
-        theta=theta,
         per_value=root.per_value,
         thrifty_domain=root.thrifty_domain,
         wasteful_domain=root.wasteful_domain,
@@ -211,33 +190,3 @@ def all_subsets(members: Sequence[int]) -> list:
     subs.sort(key=lambda s: (len(s), s))
     return [frozenset(s) for s in subs]
 
-
-@dataclass
-class IdealVerdict:
-    """Outcome of a fragment-level image-width check."""
-
-    test_family: tuple
-    image_widths: tuple
-    bound_claimed: int
-    passed: bool
-
-
-def ci_fragment_check(p: PartialFn, test_sets: Sequence[Iterable[MTuple]],
-                      bound: int) -> IdealVerdict:
-    """Check that p maps each test set to a set of width <= bound."""
-    family = tuple(frozenset(a) for a in test_sets)
-    widths = []
-    for a in family:
-        outside = a - p.domain()
-        if outside:
-            raise ValueError(
-                f"test set leaves dom(p), e.g. {sorted(outside)[0]!r}"
-            )
-        image = {p.graph[u] for u in a}
-        widths.append(width(image).width)
-    return IdealVerdict(
-        test_family=family,
-        image_widths=tuple(widths),
-        bound_claimed=bound,
-        passed=all(w <= bound for w in widths),
-    )

@@ -486,9 +486,3 @@ def _eval_node(node: TermNode, u: MTuple, env: Mapping[str, AtomBinding]):
         vals.append(v)
     return fn.graph.get(MTuple(tuple(zip(order, vals))))
 
-
-def substitute(node: TermNode, replacements: Mapping[int, TermNode]) -> TermNode:
-    """Replace projection leaves by the given subterms."""
-    if isinstance(node, Proj):
-        return replacements.get(node.k, node)
-    return App(node.name, tuple(substitute(ch, replacements) for ch in node.children))

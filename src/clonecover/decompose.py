@@ -1,16 +1,18 @@
-"""Rewriting a function as (hereditarily thrifty part) composed with an
-inner map certified componentwise to be width-harmless.
+"""Rewriting a function as (hereditarily thrifty part) composed with a
+width-harmless inner map.
 
 The driver is `hereditary_decompose`, which sweeps all subsets S of the
 index set; each sweep is a `strong_decompose_stage` step: split every fiber
 into its thrifty and wasteful parts, re-route the wasteful parts through
 freshly selected representative tuples of a width-1 set A, and write the
 graphs of g' and of the inner map h straight from the fibers.
+`verify_decomposition` re-checks a trace from its graphs alone, the
+width-harmlessness of every inner map included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .analysis import (
     Checklist,
@@ -32,22 +34,6 @@ from .core import (
 
 class AdmissibilityError(RuntimeError):
     """A choice step of the construction ran out of suitable tuples."""
-
-
-@dataclass
-class ComponentCertificate:
-    """Evidence that one component of one part of an inner map is harmless.
-
-    kind "projection": the component returns the input's own component on
-    the certified sub-domain.  kind "width1-range": the component's range on
-    the certified sub-domain has width at most 1.
-    """
-
-    component: int
-    kind: str  # "projection" | "width1-range"
-    part: str  # "identity-part" | "selection-part"
-    observed_width: Optional[int]
-    passed: bool
 
 
 @dataclass
@@ -107,7 +93,6 @@ class StageRecord:
     h: PartialFn
     selection: SelectionResult
     identity_domain: frozenset  # tuples routed through unchanged
-    certificates: list  # ComponentCertificate per component and part
 
 
 @dataclass
@@ -163,42 +148,28 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
 
     g_prime = PartialFn._trusted(g.arity, g_graph, g.codomain)
     h = PartialFn._trusted(g.arity, h_graph, g.arity)
-    ident = frozenset(identity)
     return StageRecord(s=s, g_prime=g_prime, h=h, selection=selection,
-                       identity_domain=ident,
-                       certificates=_certify_inner_map(h, ident, s))
+                       identity_domain=frozenset(identity))
 
 
-def _certify_inner_map(h: PartialFn, identity_domain: frozenset,
-                       s: IndexSet) -> list:
-    """Componentwise certificates for one stage's inner map.
+def _inner_map_failure(stage: StageRecord) -> str:
+    """Why one stage's inner map is not width-harmless; "" when it is.
 
-    Identity-part components and S-indexed components are projections; the
-    remaining components of the selection part land in a projection of the
-    width-1 set A.
+    The identity part is fixed pointwise; on the rest, every S-indexed
+    component is a projection and every other component's range has width
+    at most 1.
     """
-    certs = []
-    selection_domain = h.domain() - identity_domain
-    for i in sorted(h.arity):
-        ok = all(h.graph[u][i] == u[i] for u in identity_domain)
-        certs.append(ComponentCertificate(
-            component=i, kind="projection", part="identity-part",
-            observed_width=None, passed=ok,
-        ))
-        if i in s:
-            ok = all(h.graph[u][i] == u[i] for u in selection_domain)
-            certs.append(ComponentCertificate(
-                component=i, kind="projection", part="selection-part",
-                observed_width=None, passed=ok,
-            ))
-        else:
-            ran = {h.graph[u][i] for u in selection_domain}
-            w = width(ran).width
-            certs.append(ComponentCertificate(
-                component=i, kind="width1-range", part="selection-part",
-                observed_width=w, passed=w <= 1,
-            ))
-    return certs
+    h = stage.h.graph
+    if any(h.get(u) != u for u in stage.identity_domain):
+        return "identity part not fixed pointwise"
+    rest = [(u, v) for u, v in h.items() if u not in stage.identity_domain]
+    if any(v.restrict(stage.s) != u.restrict(stage.s) for u, v in rest):
+        return "S-component not a projection"
+    for i in sorted(stage.h.arity - stage.s):
+        w = width({v[i] for _, v in rest})
+        if w > 1:
+            return f"component {i} has range width {w}"
+    return ""
 
 
 def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
@@ -221,9 +192,12 @@ def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
 
 
 def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
-    """Independently re-check every invariant of a decomposition trace."""
+    """Independently re-check every invariant of a decomposition trace,
+    including that each stage's inner map is width-harmless and that the
+    composed inner map is the composition of the stages' maps."""
     checks = Checklist()
     current = g
+    h_total = PartialFn.identity_on(g.domain(), g.arity)
     for stage in trace.stages:
         label = f"S={sorted(stage.s)}"
         checks.add(f"{label}: g' contained in g",
@@ -241,11 +215,14 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
             checks.add(f"{label}: fibers thrifty", True)
         checks.add(f"{label}: selection width",
                    tuple_set_width(stage.selection.a_set) <= 1)
-        checks.add(f"{label}: inner-map certificates",
-                   all(c.passed for c in stage.certificates))
+        failure = _inner_map_failure(stage)
+        checks.add(f"{label}: inner-map certificates", not failure, failure)
+        h_total = compose(stage.h, h_total)
         current = stage.g_prime
 
     checks.add("final g' is the last stage's", current == trace.g_prime)
+    checks.add("composed inner map is the stages' composition",
+               h_total == trace.h_composed)
     final = compose(trace.g_prime, trace.h_composed)
     checks.add("composed inner map recovers g", final == g)
     checks.add("final g' hereditarily thrifty",

@@ -143,7 +143,7 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     bad_helpers = []
     for (s, j), h in sorted(result.h_family.items()):
         ran = {p for p in h.graph.values()}
-        if any(p.x != 0 for p in ran) or width(ran).width > 1:
+        if any(p.x != 0 for p in ran) or width(ran) > 1:
             bad_helpers.append((sorted(s), j))
     checks.add("helper range certificates", not bad_helpers,
                str(bad_helpers) if bad_helpers else "")

@@ -243,6 +243,11 @@ def instance_parse(doc: dict) -> Instance:
             candidates=tuple(pfn_parse(c) for c in doc["candidates"]),
             metadata=doc["metadata"],
         )
+    for name in ("g", "f"):
+        codomain = getattr(inst, name).codomain
+        if codomain is not None:
+            raise ParseError(f"instance: {name} must be point-valued, got "
+                             f"codomain {sorted(codomain)}")
     if inst.m != len(inst.g.arity):
         raise ParseError(f"instance: m = {inst.m} but g has arity "
                          f"{sorted(inst.g.arity)}")

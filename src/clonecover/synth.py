@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import all_subsets, ci_fragment_check, k_table, width
+from .analysis import all_subsets, k_table, width
 from .core import (
     App,
     AtomBinding,
@@ -33,7 +33,6 @@ from .core import (
     bar_extend,
     fibers,
     full_index,
-    substitute,
 )
 from .decompose import AdmissibilityError, DecompositionTrace, hereditary_decompose
 
@@ -95,12 +94,9 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
 def _has_width_blowup(p: PartialFn) -> bool:
     """Some width-1 slice of dom(p) maps to an image of width above 1."""
     dom_points = {u.points()[0] for u in p.domain()}
-    for sl in width1_slices(dom_points):
-        test = [MTuple.of({1: pt}) for pt in sl]
-        verdict = ci_fragment_check(p, [test], 1)
-        if not verdict.passed:
-            return True
-    return False
+    return any(
+        width(p.graph[MTuple.of({1: pt})] for pt in sl) > 1
+        for sl in width1_slices(dom_points))
 
 
 # -- normalization ----------------------------------------------------
@@ -325,21 +321,25 @@ def helper_name(s: IndexSet, j: int) -> str:
 
 
 def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
-                  q_table: PartialFn, ps: PStarIndex) -> Term:
-    """The synthesized term for q: the selector applied to the raw arguments
-    and the witness's outputs on the bar-extended helpers."""
-    m = len(q.arity)
+                  q_table: PartialFn, ps: PStarIndex,
+                  inner: PartialFn) -> Term:
+    """The synthesized term for g = q o inner: the selector applied to the
+    inner-map components and the witness's outputs on the bar-extended
+    helpers at those components."""
     env = {
         SELECTOR_ATOM: AtomBinding(q_table, CI_ATOM),
         WITNESS_NAME: AtomBinding(nw.f_star, WITNESS_ATOM),
     }
     projections = tuple(Proj(i) for i in sorted(q.arity))
-    children = list(projections)
+    for i in sorted(q.arity):
+        env[f"inner[{i}]"] = AtomBinding(inner.component(i), CI_ATOM)
+    args = tuple(App(f"inner[{i}]", projections) for i in sorted(q.arity))
+    children = list(args)
     for s, j in ps.pairs:
         name = helper_name(s, j)
         env[name] = AtomBinding(
             bar_extend(h_family[(s, j)], q.domain()), CI_ATOM)
-        children.append(App(WITNESS_NAME, (App(name, projections),)))
+        children.append(App(WITNESS_NAME, (App(name, args),)))
     root = App(SELECTOR_ATOM, tuple(children))
     return Term(root=root, env=env, arity=q.arity)
 
@@ -412,7 +412,6 @@ class SelectorWidthVerdict:
     """Observed image width of the selector on a width-w product vs the
     slice-union bound."""
 
-    w: int
     factor_count: int
     bound: int
     observed: int
@@ -434,9 +433,9 @@ def verify_Q_in_CI(q_table: PartialFn, factors: Mapping, w: int,
     bound = (w ** len(keys)) * math.factorial(m)
     image = {val for uv, val in q_table.graph.items()
              if _in_product(uv, factors, keys, w)}
-    observed = width(image).width
+    observed = width(image)
     return SelectorWidthVerdict(
-        w=w, factor_count=len(keys), bound=bound, observed=observed,
+        factor_count=len(keys), bound=bound, observed=observed,
         passed=observed <= bound,
     )
 
@@ -540,7 +539,6 @@ class SynthesisResult:
     k_tables: dict
     h_family: dict
     q_table: PartialFn
-    q_term: Term
     term: Term
     pstar_index: PStarIndex
 
@@ -576,21 +574,9 @@ def complete_synthesis(g: PartialFn, nw: NormalizedWitness,
     tables = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
     h_family = _run_stage("helpers", build_h_family, q, ps, tables)
     q_table = _run_stage("selector", build_Q, q, h_family, nw, ps)
-    q_term = _run_stage("assemble", assemble_term,
-                        q, nw, h_family, q_table, ps)
-
-    # Pre-compose the decomposition's inner map: replace each projection
-    # leaf by the corresponding certified inner-map component.
-    env = dict(q_term.env)
-    replacements = {}
-    for i in sorted(g.arity):
-        name = f"inner[{i}]"
-        env[name] = AtomBinding(trace.h_composed.component(i), CI_ATOM)
-        replacements[i] = App(name, tuple(Proj(j) for j in sorted(g.arity)))
-    root = substitute(q_term.root, replacements)
-    term = Term(root=root, env=env, arity=g.arity)
+    term = _run_stage("assemble", assemble_term,
+                      q, nw, h_family, q_table, ps, trace.h_composed)
     return SynthesisResult(
         normalized=nw, trace=trace, q=q, k_tables=tables,
-        h_family=h_family, q_table=q_table, q_term=q_term, term=term,
-        pstar_index=ps,
+        h_family=h_family, q_table=q_table, term=term, pstar_index=ps,
     )

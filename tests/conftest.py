@@ -3,6 +3,7 @@ import random
 import pytest
 
 from clonecover.core import MTuple, PartialFn, Point, full_index
+from clonecover.decompose import DecompositionTrace, verify_decomposition
 
 
 def pt(x, y):
@@ -19,6 +20,15 @@ def unary(mapping):
     return PartialFn(full_index(1), {
         MTuple.of({1: Point(*u)}): Point(*v) for u, v in mapping.items()
     })
+
+
+def stage_check(g, stage, theta, what):
+    """The verifier's check ``S=[...]: what`` on the one-stage trace of g."""
+    trace = DecompositionTrace(theta, [stage], stage.g_prime, stage.h)
+    name = f"S={sorted(stage.s)}: {what}"
+    (check,) = [c for c in verify_decomposition(g, trace)["checks"]
+                if c["name"] == name]
+    return check
 
 
 def random_point(rng, span=20):

@@ -9,7 +9,6 @@ from clonecover.core import (
     ORIGIN,
     OverlapError,
     PartialFn,
-    Point,
     Proj,
     Term,
     bar_extend,

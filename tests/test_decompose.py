@@ -25,7 +25,7 @@ from clonecover.decompose import (
 from clonecover.instances import generate_instance
 from clonecover.synth import fiber_k_tables
 
-from conftest import pt, tup, unary
+from conftest import pt, stage_check, tup, unary
 
 
 def wasteful_unary(mapping):
@@ -103,7 +103,7 @@ class TestStrongDecompose:
         stage = strong_decompose_stage(g, frozenset(), theta=2)
         assert stage.g_prime == g
         assert stage.h == PartialFn.identity_on(g.domain(), g.arity)
-        assert all(c.passed for c in stage.certificates)
+        assert stage_check(g, stage, 2, "inner-map certificates")["passed"]
 
     def test_wasteful_value_is_rerouted(self):
         # Value (9|9) has preimage bound 4 > theta 2; one low representative
@@ -189,6 +189,36 @@ class TestHereditaryDecompose:
         tampered.graph[tup((7, 7))] = pt(0, 0)
         trace.g_prime = tampered
         assert not verify_decomposition(g, trace)["passed"]
+
+    @staticmethod
+    def failing_checks(g, trace):
+        return [c["name"] for c in verify_decomposition(g, trace)["checks"]
+                if not c["passed"]]
+
+    @staticmethod
+    def merge_onto_origin(g):
+        """The inner map sending both tuples of g's one preimage to (0|0):
+        g' o h stays exact, but (1|0) no longer maps to itself."""
+        return PartialFn(g.arity, {u: tup((0, 0)) for u in g.graph}, g.arity)
+
+    def test_verifier_rechecks_each_stage_inner_map(self):
+        # Both tuples are thrifty at S = [], so stage 0 must fix them.
+        g = unary({(0, 0): (9, 9), (1, 0): (9, 9)})
+        trace = hereditary_decompose(g, theta=3)
+        assert trace.stages[0].identity_domain == g.domain()
+        trace.stages[0].h = self.merge_onto_origin(g)
+        trace.h_composed = self.merge_onto_origin(g)
+        assert compose(trace.stages[0].g_prime, trace.stages[0].h) == g
+        assert self.failing_checks(g, trace) == [
+            "S=[]: inner-map certificates"]
+
+    def test_verifier_rechecks_the_composed_inner_map(self):
+        g = unary({(0, 0): (9, 9), (1, 0): (9, 9)})
+        trace = hereditary_decompose(g, theta=3)
+        trace.h_composed = self.merge_onto_origin(g)
+        assert compose(trace.g_prime, trace.h_composed) == g
+        assert self.failing_checks(g, trace) == [
+            "composed inner map is the stages' composition"]
 
     def test_generated_instances_decompose(self):
         for seed in range(5):

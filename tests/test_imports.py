@@ -1,13 +1,15 @@
-"""Every import in the package's modules is used (``__init__`` re-exports,
-so it is exempt).  Standard library only: the AST names each import and each
-name the module reads."""
+"""Every import in the package's modules and in the test modules is used
+(``__init__`` re-exports, so it is exempt).  Standard library only: the AST
+names each import and each name the module reads."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "clonecover"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "clonecover"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -30,6 +32,7 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["Sequence"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -8,7 +8,6 @@ from clonecover.core import (
     MTuple,
     ORIGIN,
     PartialFn,
-    Point,
     eval_term,
     full_index,
     idx,
@@ -18,9 +17,7 @@ from clonecover.instances import generate_instance
 from clonecover.synth import (
     LineFactor,
     StageError,
-    build_Q,
     build_h,
-    build_h_family,
     complete_width1,
     end_to_end_synthesize,
     fiber_k_tables,
@@ -63,7 +60,7 @@ class TestWidth1Slices:
     def test_each_slice_has_width_one(self):
         points = [pt(x, y) for x in range(3) for y in range(2)]
         for sl in width1_slices(points):
-            assert width(sl).width <= 1
+            assert width(sl) <= 1
 
     def test_slices_partition_the_set(self):
         points = {pt(0, 0), pt(1, 0), pt(0, 3)}
@@ -201,7 +198,7 @@ class TestBuildH:
         for h in res.h_family.values():
             ran = set(h.graph.values())
             assert all(p.x == 0 for p in ran)
-            assert width(ran).width <= 1
+            assert width(ran) <= 1
 
     def test_j_inside_s_rejected(self):
         q = unary({(0, 2): (4, 7)})
@@ -369,7 +366,7 @@ class TestSelectorCertificates:
         # two factors for m = 1: the input and the single (S, j) pair
         assert verdict.factor_count == 2
         assert verdict.bound == w ** 2
-        assert verdict.observed == width(res.q_table.graph.values()).width
+        assert verdict.observed == width(res.q_table.graph.values())
         assert verdict.passed
 
 

@@ -29,7 +29,6 @@ from clonecover.core import (
 from clonecover.decompose import hereditary_decompose
 from clonecover.instances import (
     PROFILES,
-    Instance,
     ProfileError,
     check_admissibility,
     default_theta,
@@ -562,10 +561,16 @@ class TestCli:
         doc = serialize.instance_json(inst)
         inst_path.write_bytes(serialize.dumps({**doc, "theta": 99}))
         assert main(["check", "--instance", str(inst_path)]) == 2
+        tuple_valued = {**doc["g"], "codomain": [1],
+                        "graph": [[u, {"1": v}] for u, v in doc["g"]["graph"]]}
+        inst_path.write_bytes(serialize.dumps({**doc, "g": tuple_valued}))
+        assert main(["check", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: term: projection 5")
         assert err[1].startswith("clonecover: instance: theta 99")
-        assert len(err) == 2
+        assert err[2] == ("clonecover: instance: g must be point-valued, "
+                          "got codomain [1]")
+        assert len(err) == 3
 
     def test_index_faults_are_one_line_errors(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
