@@ -26,6 +26,7 @@ from .core import (
 )
 from .analysis import (
     classify_preimages,
+    fiber_bounds,
     is_hereditarily_thrifty,
     k_table,
     least_bound,

@@ -3,19 +3,22 @@
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and least bounds are plain ints; callers
-compare them against their own bounds.
+compare them against their own bounds.  `fiber_bounds` reads the least
+bound of every value in every fiber at one S in a single pass over the
+graph; thrifty/wasteful classification, hereditary thriftiness and the
+K-tables are all read off it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     IndexMismatchError,
+    IndexSet,
     MTuple,
     PartialFn,
     Point,
-    fibers,
 )
 
 THRIFTY = "thrifty"
@@ -79,6 +82,33 @@ def least_bound(tuples: Iterable[MTuple]) -> int:
     return 1 + max(u.min_y() for u in tuples)
 
 
+def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
+    """Least preimage bound of every value in every fiber of g at S.
+
+    One pass over g's graph gives ``{c: {value: k}}``: the keys c are the
+    S-projections occurring in dom(g), in canonical order, and each fiber's
+    values in order of first occurrence.  A value's k is the least bound
+    (`least_bound`) of its preimage in the fiber: the largest 1 + least y
+    over the non-S components of a tuple mapped to it, and 0 when S is the
+    whole arity, whose fibers are 0-ary.  No fiber function is built.
+    """
+    s = frozenset(s)
+    if not s <= g.arity:
+        raise IndexMismatchError(
+            f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
+        )
+    zero_ary = s == g.arity
+    bounds: dict = {}
+    for u, v in g.graph.items():
+        c = u.restrict(s)
+        k = 0 if zero_ary else 1 + min(p.y for i, p in u.entries
+                                       if i not in s)
+        per_value = bounds.setdefault(c, {})
+        if per_value.get(v, -1) < k:
+            per_value[v] = k
+    return {c: bounds[c] for c in sorted(bounds)}
+
+
 @dataclass
 class ThriftyReport:
     """Per-value preimage bounds of a partial function against a threshold."""
@@ -98,28 +128,20 @@ def classify_preimages(p: PartialFn, theta: int) -> ThriftyReport:
     """Split dom(p) into the thrifty and wasteful value-preimages.
 
     A value is wasteful at theta when its preimage's least bound exceeds
-    theta; the two domain parts partition dom(p).
+    theta; the two domain parts partition dom(p).  The bounds are
+    `fiber_bounds` at S = {}.
     """
     if theta < 1:
         raise ValueError("theta must be at least 1")
-    preimages: dict = {}
-    for u, v in p.graph.items():
-        preimages.setdefault(v, []).append(u)
-    per_value = {}
-    thrifty_dom: set = set()
-    wasteful_dom: set = set()
-    for v, us in preimages.items():
-        k = least_bound(us)
-        if k <= theta:
-            per_value[v] = (k, THRIFTY)
-            thrifty_dom.update(us)
-        else:
-            per_value[v] = (k, WASTEFUL)
-            wasteful_dom.update(us)
+    bounds = fiber_bounds(p, frozenset()).get(MTuple.empty(), {})
+    per_value = {v: (k, THRIFTY if k <= theta else WASTEFUL)
+                 for v, k in bounds.items()}
+    thrifty_dom = frozenset(u for u, v in p.graph.items()
+                            if bounds[v] <= theta)
     return ThriftyReport(
         per_value=per_value,
-        thrifty_domain=frozenset(thrifty_dom),
-        wasteful_domain=frozenset(wasteful_dom),
+        thrifty_domain=thrifty_dom,
+        wasteful_domain=p.domain() - thrifty_dom,
     )
 
 
@@ -136,6 +158,28 @@ class NotThriftyError(ValueError):
         )
 
 
+def line_bounds(value_bounds: Mapping, theta: int) -> dict:
+    """The K-table of one fiber from its per-value bounds (one entry of
+    `fiber_bounds`): for each line met by the values, in line order, the
+    largest bound of a value on it, which is the least bound of the line's
+    preimage.
+
+    Requires every value thrifty at theta; otherwise NotThriftyError names
+    the least wasteful value.
+    """
+    if theta < 1:
+        raise ValueError("theta must be at least 1")
+    wasteful = [v for v, k in value_bounds.items() if k > theta]
+    if wasteful:
+        v = min(wasteful)
+        raise NotThriftyError(v, value_bounds[v], theta)
+    by_line: dict = {}
+    for v, k in value_bounds.items():
+        if by_line.get(v.y, -1) < k:
+            by_line[v.y] = k
+    return dict(sorted(by_line.items()))
+
+
 def k_table(t: PartialFn, theta: int) -> dict:
     """Least bound of t's preimage of each line met by ran(t).
 
@@ -144,14 +188,8 @@ def k_table(t: PartialFn, theta: int) -> dict:
     """
     if not t.is_point_valued():
         raise IndexMismatchError("k_table applies to point-valued functions")
-    report = classify_preimages(t, theta)
-    for v, (k, verdict) in sorted(report.per_value.items()):
-        if verdict == WASTEFUL:
-            raise NotThriftyError(v, k, theta)
-    by_line: dict = {}
-    for u, v in t.graph.items():
-        by_line.setdefault(v.y, []).append(u)
-    return {n: least_bound(us) for n, us in sorted(by_line.items())}
+    return line_bounds(
+        fiber_bounds(t, frozenset()).get(MTuple.empty(), {}), theta)
 
 
 def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
@@ -173,10 +211,8 @@ def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
 def _first_wasteful_fiber(q: PartialFn, theta: int) -> Optional[tuple]:
     """The first (S, c, least wasteful value) in sweep order, if any."""
     for s in all_subsets(sorted(q.arity)):
-        for c, q_c in fibers(q, s).items():
-            rep = classify_preimages(q_c, theta)
-            wasteful = [v for v, (_, verdict) in rep.per_value.items()
-                        if verdict == WASTEFUL]
+        for c, bounds in fiber_bounds(q, s).items():
+            wasteful = [v for v, k in bounds.items() if k > theta]
             if wasteful:
                 return s, c, min(wasteful)
     return None

@@ -12,7 +12,11 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .decompose import hereditary_decompose, verify_decomposition
+from .decompose import (
+    AdmissibilityError,
+    hereditary_decompose,
+    verify_decomposition,
+)
 from .instances import check_admissibility, default_theta, generate_instance
 from .pipeline import run_pipeline, verify_pair
 from .synth import end_to_end_synthesize
@@ -72,7 +76,11 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     inst = _load_or_generate(args)
-    trace = hereditary_decompose(inst.g, inst.theta)
+    try:
+        trace = hereditary_decompose(inst.g, inst.theta)
+    except AdmissibilityError as exc:
+        print(f"decomposition FAIL: {exc}")
+        return 1
     report = verify_decomposition(inst.g, trace)
     for stage in trace.stages:
         rerouted = len(stage.h.domain()) - len(stage.identity_domain)

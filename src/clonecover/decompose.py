@@ -17,7 +17,7 @@ from typing import Mapping
 from .analysis import (
     Checklist,
     all_subsets,
-    classify_preimages,
+    fiber_bounds,
     is_hereditarily_thrifty,
     tuple_set_width,
     width,
@@ -28,7 +28,6 @@ from .core import (
     MTuple,
     PartialFn,
     compose,
-    fibers,
 )
 
 
@@ -109,40 +108,51 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     """One sweep: make every fiber of g at S thrifty at theta.
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
-    of g' at S is all-thrifty.  One walk over the fibers writes both
-    graphs: a thrifty entry z of fiber c keeps c∪z in g' and fixes it in
-    h; a wasteful entry sends c∪z to c∪pick in h, and only the pick keeps
-    its g' entry.  g' lists the keys in order and, within a fiber, its
-    thrifty entries before its picks.  Both are wrapped unchecked: their
-    entries come from the checked g, and h only routes into dom(g).
+    of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`;
+    the pass that groups g's entries by fiber key classifies them against
+    those bounds, and only the wasteful parts become fiber functions, for
+    `countable_selection`.  One walk over the groups writes both graphs: a
+    thrifty entry u of fiber c keeps u in g' and fixes it in h; a wasteful
+    entry sends u to c∪pick in h, and only the pick keeps its g' entry.
+    g' lists the keys in order and, within a fiber, its thrifty entries
+    before its picks.  Both are wrapped unchecked: their entries come from
+    the checked g, and h only routes into dom(g).
     """
     s = frozenset(s)
     if not s <= g.arity:
         raise ValueError(f"S={sorted(s)} not inside arity {sorted(g.arity)}")
     if not g.is_point_valued():
         raise IndexMismatchError("decomposition applies to point-valued functions")
-    split = {c: (g_c, classify_preimages(g_c, theta))
-             for c, g_c in fibers(g, s).items()}
+    if theta < 1:
+        raise ValueError("theta must be at least 1")
+    bounds = fiber_bounds(g, s)
+    walk: dict = {c: [] for c in bounds}
+    wasteful: dict = {}
+    for u, v in g.graph.items():
+        c = u.restrict(s)
+        walk[c].append((u, v))
+        if bounds[c][v] > theta:
+            wasteful.setdefault(c, {})[u.without(s)] = v
+    t = g.arity - s
     selection = countable_selection(
-        {c: g_c.restrict(rep.wasteful_domain)
-         for c, (g_c, rep) in split.items() if rep.wasteful_domain},
+        {c: PartialFn._trusted(t, w_c, None) for c, w_c in wasteful.items()},
         theta)
 
     g_graph: dict = {}
     h_graph: dict = {}
     identity: list = []
-    for c, (g_c, rep) in split.items():
+    for c, entries in walk.items():
+        value_bounds = bounds[c]
         picks = []
-        for z, v in g_c.graph.items():
-            u = c.union(z)
-            if z in rep.thrifty_domain:
+        for u, v in entries:
+            if value_bounds[v] <= theta:
                 g_graph[u] = v
                 h_graph[u] = u
                 identity.append(u)
             else:
-                pick = selection.chosen[(c, v)]
-                h_graph[u] = c.union(pick)
-                if z == pick:
+                target = c.union(selection.chosen[(c, v)])
+                h_graph[u] = target
+                if u == target:
                     picks.append((u, v))
         g_graph.update(picks)
 
@@ -206,13 +216,11 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
         checks.add(f"{label}: exact recomposition",
                    recomposed == current,
                    "" if recomposed == current else "graphs differ")
-        for c, g_c in fibers(stage.g_prime, stage.s).items():
-            rep = classify_preimages(g_c, trace.theta)
-            if not rep.all_thrifty:
-                checks.add(f"{label}: fiber thrifty", False, f"fiber {c!r}")
-                break
-        else:
-            checks.add(f"{label}: fibers thrifty", True)
+        wasteful = [c for c, bounds in
+                    fiber_bounds(stage.g_prime, stage.s).items()
+                    if max(bounds.values()) > trace.theta]
+        checks.add(f"{label}: fibers thrifty", not wasteful,
+                   f"fiber {wasteful[0]!r}" if wasteful else "")
         checks.add(f"{label}: selection width",
                    tuple_set_width(stage.selection.a_set) <= 1)
         failure = _inner_map_failure(stage)

@@ -248,6 +248,12 @@ def instance_parse(doc: dict) -> Instance:
         if codomain is not None:
             raise ParseError(f"instance: {name} must be point-valued, got "
                              f"codomain {sorted(codomain)}")
+    for i, c in enumerate(inst.candidates):
+        if sorted(c.arity) != [1] or c.codomain is not None:
+            raise ParseError(
+                f"instance: candidate {i} must be unary point-valued, got "
+                f"arity {sorted(c.arity)} and codomain "
+                f"{None if c.codomain is None else sorted(c.codomain)}")
     if inst.m != len(inst.g.arity):
         raise ParseError(f"instance: m = {inst.m} but g has arity "
                          f"{sorted(inst.g.arity)}")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import all_subsets, k_table, width
+from .analysis import all_subsets, fiber_bounds, line_bounds, width
 from .core import (
     App,
     AtomBinding,
@@ -31,7 +31,6 @@ from .core import (
     Term,
     WITNESS_ATOM,
     bar_extend,
-    fibers,
     full_index,
 )
 from .decompose import AdmissibilityError, DecompositionTrace, hereditary_decompose
@@ -244,12 +243,14 @@ def pstar(index_set: IndexSet) -> PStarIndex:
 
 
 def fiber_k_tables(q: PartialFn, theta: int) -> dict:
-    """K-tables for every fiber of q, keyed by (S, fiber key)."""
-    tables = {}
-    for s in all_subsets(sorted(q.arity)):
-        for c, q_c in fibers(q, s).items():
-            tables[(s, c)] = k_table(q_c, theta)
-    return tables
+    """K-tables for every fiber of q, keyed by (S, fiber key) in sweep and
+    key order: the line maxima of each fiber's `fiber_bounds`, equal to
+    ``k_table`` of the fiber."""
+    if not q.is_point_valued():
+        raise IndexMismatchError("k-tables apply to point-valued functions")
+    return {(s, c): line_bounds(bounds, theta)
+            for s in all_subsets(sorted(q.arity))
+            for c, bounds in fiber_bounds(q, s).items()}
 
 
 def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:

@@ -17,6 +17,8 @@ from clonecover.core import (
 )
 from clonecover.decompose import (
     AdmissibilityError,
+    SelectionResult,
+    StageRecord,
     countable_selection,
     hereditary_decompose,
     strong_decompose_stage,
@@ -211,6 +213,19 @@ class TestHereditaryDecompose:
         assert compose(trace.stages[0].g_prime, trace.stages[0].h) == g
         assert self.failing_checks(g, trace) == [
             "S=[]: inner-map certificates"]
+
+    def test_verifier_rechecks_fiber_thriftiness(self):
+        # (9|9)'s preimage has bound 1 + 4 = 5 > theta = 3; a stage that
+        # keeps it whole is exact but leaves the fiber at S = [] wasteful.
+        g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
+        stage = StageRecord(
+            s=frozenset(), g_prime=g,
+            h=PartialFn.identity_on(g.domain(), g.arity),
+            selection=SelectionResult(a_set=frozenset(), chosen={}),
+            identity_domain=g.domain())
+        check = stage_check(g, stage, 3, "fibers thrifty")
+        assert (check["passed"], check["detail"]) == (False, "fiber <>")
+        assert stage_check(g, stage, 5, "fibers thrifty")["passed"]
 
     def test_verifier_rechecks_the_composed_inner_map(self):
         g = unary({(0, 0): (9, 9), (1, 0): (9, 9)})

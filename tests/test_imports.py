@@ -1,6 +1,8 @@
 """Every import in the package's modules and in the test modules is used
-(``__init__`` re-exports, so it is exempt).  Standard library only: the AST
-names each import and each name the module reads."""
+(``__init__`` re-exports, so it is exempt), and no package module imports
+an underscore-prefixed name from a sibling: what modules share is public
+and documented.  Standard library only: the AST names each import and each
+name the module reads."""
 import ast
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "clonecover"
+PACKAGE = SRC.name
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -36,3 +39,32 @@ def test_detector_flags_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_sibling_imports(source: str) -> list:
+    """Underscore-prefixed names a module imports from its own package, in
+    line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0
+                or (node.module or "").split(".")[0] == PACKAGE):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.startswith("_")]
+    return [name for _, name in sorted(found)]
+
+
+def test_detector_flags_a_private_sibling_import():
+    source = ("from __future__ import annotations\n"
+              "from .core import PartialFn, _EMPTY_TUPLE\n"
+              f"from {PACKAGE}.analysis import _first_wasteful_fiber\n"
+              "from . import _hidden\n"
+              "from os import _exit\n")
+    assert private_sibling_imports(source) == [
+        "_EMPTY_TUPLE", "_first_wasteful_fiber", "_hidden"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    assert private_sibling_imports(path.read_text()) == []

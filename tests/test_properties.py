@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
 from clonecover.analysis import (
+    NotThriftyError,
+    all_subsets,
     classify_preimages,
+    fiber_bounds,
+    k_table,
     least_bound,
     width,
 )
@@ -34,6 +38,7 @@ from clonecover.decompose import (
     countable_selection,
     strong_decompose_stage,
 )
+from clonecover.synth import fiber_k_tables
 
 from conftest import (
     random_point,
@@ -169,6 +174,72 @@ class TestFibers:
         g, s = case
         with pytest.raises(IndexMismatchError):
             fibers(g, s | {4})
+
+
+def naive_fiber_bounds(g, s):
+    """One full scan of g per occurring key, then `least_bound` over each
+    value's preimage, as tuples over the non-S indices."""
+    out = {}
+    for c in sorted({u.restrict(s) for u in g.graph}):
+        preimages = {}
+        for u, v in g.graph.items():
+            if u.restrict(s) == c:
+                preimages.setdefault(v, []).append(u.without(s))
+        out[c] = {v: least_bound(us) for v, us in preimages.items()}
+    return out
+
+
+any_fns = index_sets.flatmap(lambda arity: codomains.flatmap(
+    lambda codomain: partial_fns(arity, codomain)))
+point_fns = index_sets.flatmap(lambda arity: partial_fns(arity, None))
+
+
+class TestFiberBounds:
+    @settings(max_examples=300, derandomize=True)
+    @given(g=any_fns)
+    def test_matches_least_bound_per_fiber(self, g):
+        for s in all_subsets(sorted(g.arity)):
+            got, want = fiber_bounds(g, s), naive_fiber_bounds(g, s)
+            assert got == want
+            assert list(got) == list(want)
+            for c in want:
+                assert list(got[c]) == list(want[c])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(q=point_fns, theta=st.integers(0, 3))
+    # An empty q has no fiber to check theta on: {} at any theta.
+    @example(q=PartialFn(idx(1, 2), {}), theta=0)
+    @example(q=PartialFn(idx(1, 2), {}), theta=-1)
+    def test_k_tables_match_per_fiber_k_table(self, q, theta):
+        subsets = all_subsets(sorted(q.arity))
+        try:
+            want = {(s, c): k_table(fiber(q, s, c), theta)
+                    for s in subsets for c in fibers(q, s)}
+        except NotThriftyError as exc:
+            with pytest.raises(NotThriftyError) as raised:
+                fiber_k_tables(q, theta)
+            assert (raised.value.value, raised.value.bound) == (exc.value,
+                                                                exc.bound)
+            # the least wasteful value of the first wasteful fiber
+            wasteful = next(
+                {v: k for v, k in bounds.items() if k > theta}
+                for s in subsets
+                for bounds in naive_fiber_bounds(q, s).values()
+                if max(bounds.values()) > theta)
+            v = min(wasteful)
+            assert (exc.value, exc.bound) == (v, wasteful[v])
+            return
+        except ValueError:
+            assert theta < 1
+            with pytest.raises(ValueError) as raised:
+                fiber_k_tables(q, theta)
+            assert not isinstance(raised.value, NotThriftyError)
+            return
+        got = fiber_k_tables(q, theta)
+        assert got == want
+        assert list(got) == list(want)
+        for key in want:
+            assert list(got[key]) == list(want[key])
 
 
 def algebra_stage(g, s, theta):

@@ -26,7 +26,7 @@ from clonecover.core import (
     idx,
     star_fn,
 )
-from clonecover.decompose import hereditary_decompose
+from clonecover.decompose import hereditary_decompose, verify_decomposition
 from clonecover.instances import (
     PROFILES,
     ProfileError,
@@ -323,6 +323,22 @@ class TestPipeline:
         assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
                          "hereditary_decompose": 1}
 
+    def test_fiber_bounds_are_read_in_one_pass_per_sweep(self,
+                                                         monkeypatch):
+        # Every sweep reads its fibers' bounds from one pass: no per-fiber
+        # classification, least bound or K-table anywhere.
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        calls = _count_calls(monkeypatch, ("k_table", "least_bound",
+                                           "classify_preimages"))
+        none = dict.fromkeys(calls, 0)
+        trace = hereditary_decompose(inst.g, inst.theta)
+        assert calls == none
+        assert synth.fiber_k_tables(trace.g_prime, trace.theta)
+        assert calls == none
+        assert verify_decomposition(inst.g, trace)["passed"]
+        # the root report of the final hereditary-thriftiness check
+        assert calls == {**none, "classify_preimages": 1}
+
     def test_factor_families_per_instance(self, monkeypatch):
         families = _record_factor_families(monkeypatch)
         report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
@@ -538,6 +554,19 @@ class TestCli:
         assert main(["decompose", "--m", "2", "--horizon", "8",
                      "--theta", "4", "--seed", "2"]) == 0
 
+    def test_decompose_failure_is_one_fail_line(self, tmp_path, capsys):
+        # The lone value's only tuple lies above theta, so the selection
+        # finds no fresh low tuple to re-route it through.
+        inst = dataclasses.replace(generate_instance(1, 6, 3, seed=4),
+                                   g=unary({(0, 5): (1, 1)}))
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.instance_dumps(inst))
+        assert main(["decompose", "--instance", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ("decomposition FAIL: no fresh low tuple left for "
+                           "fiber key <>, value (1|1)\n")
+        assert out.err == ""
+
     def test_truncated_instance_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         data = serialize.instance_dumps(generate_instance(1, 6, 3, seed=4))
@@ -565,12 +594,22 @@ class TestCli:
                         "graph": [[u, {"1": v}] for u, v in doc["g"]["graph"]]}
         inst_path.write_bytes(serialize.dumps({**doc, "g": tuple_valued}))
         assert main(["check", "--instance", str(inst_path)]) == 2
+        mary = serialize.instance_json(generate_instance(2, 8, 4, 0,
+                                                         "mary-witness"))
+        first, *rest = mary["candidates"]
+        tuple_valued = {**first, "codomain": [1],
+                        "graph": [[u, {"1": v}] for u, v in first["graph"]]}
+        inst_path.write_bytes(serialize.dumps(
+            {**mary, "candidates": [tuple_valued, *rest]}))
+        assert main(["check", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: term: projection 5")
         assert err[1].startswith("clonecover: instance: theta 99")
         assert err[2] == ("clonecover: instance: g must be point-valued, "
                           "got codomain [1]")
-        assert len(err) == 3
+        assert err[3] == ("clonecover: instance: candidate 0 must be unary "
+                          "point-valued, got arity [1] and codomain [1]")
+        assert len(err) == 4
 
     def test_index_faults_are_one_line_errors(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
