@@ -39,7 +39,6 @@ from .decompose import (
     verify_decomposition,
 )
 from .synth import (
-    LineFactor,
     assemble_term,
     build_Q,
     build_h,
@@ -50,6 +49,7 @@ from .synth import (
     oplus,
     pstar,
     reduce_to_unary,
+    spanned_family,
     verify_Q_in_CI,
 )
 from .instances import Instance, check_admissibility, generate_instance

@@ -27,7 +27,7 @@ ENV_SEED = "CLONECOVER_SEED"
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"instance seed (default: ${ENV_SEED} or 0)")
-    p.add_argument("--m", type=int, default=2, help="arity of g (1..3)")
+    p.add_argument("--m", type=int, default=2, help="arity of g (at least 1)")
     p.add_argument("--horizon", type=int, default=16,
                    help="normalization horizon N")
     p.add_argument("--theta", type=int, default=None,

@@ -57,10 +57,11 @@ def generate_instance(m: int, horizon: int, theta: int, seed: int,
 
     A collision while drawing g redraws the instance from the same rng.
     Raises ProfileError when the parameters cannot support the profile
-    (e.g. too few low y-coordinates for the planted wasteful features).
+    (e.g. too few low y-coordinates for the planted wasteful features): that
+    budget, not a list of arities, decides which m >= 1 work.
     """
-    if m not in (1, 2, 3):
-        raise ProfileError(f"unsupported arity {m}; profiles exist for 1..3")
+    if m < 1:
+        raise ProfileError(f"arity must be at least 1, got {m}")
     if horizon < 3:
         raise ProfileError("horizon must be at least 3")
     if not 1 <= theta <= horizon - 1:
@@ -161,8 +162,9 @@ def _feature_plan(m: int, theta: int, profile: str) -> list:
             budget -= cost
     if not plan:
         raise ProfileError(
-            f"theta={theta} leaves no room for wasteful features at m={m}"
-        )
+            f"theta={theta} leaves no room for wasteful features at m={m}; "
+            f"the least theta that does is "
+            f"{min(CANDIDATE_SURPLUS * (m - len(s)) for s in options)}")
     return plan
 
 

@@ -6,74 +6,28 @@ synthesis is completed from their products.
 
 The report re-checks everything from the produced artifacts alone: exact
 term equality over dom(g), the decomposition contracts, the helper range
-certificates, and the selector width bounds (brute force, with derived
-deterministic factor families).
+certificates, and the selector width bounds: the exact worst image width
+over every width-1 and every width-2 factor product, and the uniqueness
+certificates on the width-1 family that reaches the worst case.
 """
 from __future__ import annotations
 
-import functools
-import random
 import time
 from typing import Optional
 
 from .analysis import Checklist, width
-from .core import PartialFn, eval_term, full_index
+from .core import eval_term
 from .decompose import verify_decomposition
 from .instances import Instance, check_admissibility
 from .synth import (
-    LineFactor,
+    SelectorWidthVerdict,
     StageError,
     SynthesisResult,
     complete_synthesis,
     main_lemma_certify,
-    pstar,
+    spanned_family,
     verify_Q_in_CI,
 )
-
-FACTOR_FAMILY_COUNT = 3
-WIDE_PRODUCT_COUNT = 2
-_FACTOR_SALT = 0x51C10  # decorrelates factor sampling from instance rng
-
-
-def derive_factor_rng(seed: int) -> random.Random:
-    return random.Random(seed ^ _FACTOR_SALT)
-
-
-def random_width1_factors(q_table: PartialFn, m: int, rng: random.Random,
-                          ceiling: int, target_width: int = 1) -> dict:
-    """A factor family biased toward the selector's own points, sampled on
-    first read.
-
-    One `LineFactor` per input index and per (S, j) pair.  A line in
-    [0, ceiling) is sampled the first time it is read and holds 1 to
-    ``target_width`` columns, each drawn with probability 0.7 from the
-    columns occurring on that line in the selector's domain (so the width
-    checks are not all vacuous) and otherwise uniformly below the ceiling;
-    other lines hold none.  The draws follow the order of first reads.
-    """
-    factors = {}
-    for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1):
-        occurring: dict = {}
-        for uv in q_table.graph:
-            p = uv[slot]
-            occurring.setdefault(p.y, set()).add(p.x)
-        factors[key] = LineFactor(sample=functools.partial(
-            _sample_line, occurring, rng, ceiling, target_width))
-    return factors
-
-
-def _sample_line(occurring: dict, rng: random.Random, ceiling: int,
-                 target_width: int, n: int) -> frozenset:
-    if not 0 <= n < ceiling:
-        return frozenset()
-    cols = sorted(occurring.get(n, ()))
-    chosen: set = set()
-    for _ in range(target_width):
-        if cols and rng.random() < 0.7:
-            chosen.add(rng.choice(cols))
-        else:
-            chosen.add(rng.randrange(ceiling))
-    return frozenset(chosen)
 
 
 def run_pipeline(inst: Instance) -> tuple:
@@ -148,37 +102,28 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     checks.add("helper range certificates", not bad_helpers,
                str(bad_helpers) if bad_helpers else "")
 
-    # Factor lines are drawn on first read: each family's width check
-    # reads the product in table order, and its certificates then draw
-    # only their K-chain lines.
-    rng = derive_factor_rng(inst.seed)
-    width_details, uniq_details = [], []
-    for fam in range(FACTOR_FAMILY_COUNT):
-        factors = random_width1_factors(result.q_table, m, rng, inst.ceiling)
-        verdict = verify_Q_in_CI(result.q_table, factors, 1, m)
-        if not verdict.passed:
-            width_details.append(f"family {fam}: width {verdict.observed} "
-                                 f"> {verdict.bound}")
+    # Exact worst cases over every width-1 and width-2 product; the
+    # certificates read the width-1 family the worst entries span.
+    narrow = verify_Q_in_CI(result.q_table, 1, m)
+    checks.add("selector width bound (m!)", narrow.passed,
+               _width_detail(narrow))
+    factors = spanned_family(narrow.entries, result.k_tables, m)
+    uniq_details = [
+        f"line {cert.line} perm {cert.perm}: {cert.detail}"
         for cert in main_lemma_certify(result.q_table, result.k_tables,
-                                       factors, m):
-            if not cert.passed:
-                uniq_details.append(f"family {fam} line {cert.line} "
-                                    f"perm {cert.perm}: {cert.detail}")
-    checks.add("selector width bound (m!)", not width_details,
-               "; ".join(width_details))
+                                       factors, m)
+        if not cert.passed]
     checks.add("per-line uniqueness", not uniq_details,
                "; ".join(uniq_details))
+    wide = verify_Q_in_CI(result.q_table, 2, m)
+    checks.add("selector width bound (width-2 products)", wide.passed,
+               _width_detail(wide))
 
-    wide_details = []
-    for fam in range(WIDE_PRODUCT_COUNT):
-        factors = random_width1_factors(
-            result.q_table, m, rng, inst.ceiling, target_width=2)
-        verdict = verify_Q_in_CI(result.q_table, factors, 2, m)
-        if not verdict.passed:
-            wide_details.append(f"family {fam}: width {verdict.observed} "
-                                f"> {verdict.bound}")
-    checks.add("selector width bound (width-2 products)", not wide_details,
-               "; ".join(wide_details))
+
+def _width_detail(verdict: SelectorWidthVerdict) -> str:
+    if verdict.passed:
+        return ""
+    return f"line {verdict.line}: width {verdict.observed} > {verdict.bound}"
 
 
 def verify_pair(inst: Instance, term) -> dict:

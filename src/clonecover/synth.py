@@ -348,50 +348,31 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
 # -- width certificates for the selector ------------------------------
 
 
-class LineFactor(dict):
-    """A factor of a selector product, read by line: ``factor[n]`` is the
-    set of columns x with (x|n) in the factor.
-
-    A line not stored yet is filled by ``sample(n)`` on its first read and
-    kept, so every later read sees the same columns; without ``sample`` it
-    reads as empty.
-    """
-
-    def __init__(self, lines=(), sample=None):
-        super().__init__(lines)
-        self.sample = sample
-
-    def __missing__(self, n: int):
-        if self.sample is None:
-            return frozenset()
-        cols = self[n] = self.sample(n)
-        return cols
-
-
 def complete_width1(points: Iterable[Point],
-                    lines_needed: Iterable[int]) -> LineFactor:
-    """A width-1 point set as a `LineFactor`, extended so it meets every
-    needed line (default x = 0)."""
+                    lines_needed: Iterable[int]) -> dict:
+    """A width-1 point set as a factor read by line, ``factor[n]`` the set
+    of columns x with (x|n) in it, extended so it meets every needed line
+    (default x = 0)."""
     column: dict = {}
     for x, y in points:
         if column.setdefault(y, x) != x:
             raise ValueError("factor has width above 1")
     for n in lines_needed:
         column.setdefault(n, 0)
-    return LineFactor({n: frozenset({x}) for n, x in column.items()})
+    return {n: frozenset({x}) for n, x in column.items()}
 
 
-def _columns(factors: Mapping, key, n: int, w: int):
-    """The columns of factor ``key`` on line n, checked to number at most w."""
-    cols = factors[key][n]
-    if len(cols) > w:
-        raise ValueError(f"factor {key!r} has width above {w} on line {n}")
+def _columns(factors: Mapping, key, n: int):
+    """The columns of width-1 factor ``key`` on line n, checked to be one."""
+    cols = factors[key].get(n, frozenset())
+    if len(cols) > 1:
+        raise ValueError(f"factor {key!r} has width above 1 on line {n}")
     return cols
 
 
 def _selector_point(factors: Mapping, key, n: int) -> int:
     """The unique column k with (k|n) in a width-1 factor meeting line n."""
-    cols = _columns(factors, key, n, 1)
+    cols = _columns(factors, key, n)
     if not cols:
         raise ValueError(
             f"factor {key!r} does not meet line {n}; run complete_width1 first"
@@ -399,46 +380,103 @@ def _selector_point(factors: Mapping, key, n: int) -> int:
     return next(iter(cols))
 
 
-def _in_product(uv: MTuple, factors: Mapping, keys: Sequence, w: int) -> bool:
+def _in_product(uv: MTuple, factors: Mapping, keys: Sequence) -> bool:
     """Whether each slot of uv lies in its factor; ``keys`` in slot order."""
     for slot, key in enumerate(keys, 1):
         p = uv[slot]
-        if p.x not in _columns(factors, key, p.y, w):
+        if p.x not in _columns(factors, key, p.y):
             return False
     return True
 
 
 @dataclass
 class SelectorWidthVerdict:
-    """Observed image width of the selector on a width-w product vs the
-    slice-union bound."""
+    """The selector's exact worst image width over width-w products, the
+    slice-union bound, and a value line with one table entry per column
+    that reach the worst width in one product."""
 
-    factor_count: int
     bound: int
     observed: int
+    line: Optional[int]  # None for an empty table
+    entries: tuple
     passed: bool
 
 
-def verify_Q_in_CI(q_table: PartialFn, factors: Mapping, w: int,
+def verify_Q_in_CI(q_table: PartialFn, w: int,
                    m: int) -> SelectorWidthVerdict:
-    """Check the selector's image width over one product of width-w factors.
+    """The selector's exact worst image width over every product of width-w
+    factors, one per input index and per (S, j) pair.
 
-    ``factors`` maps each input index i and each (S, j) pair to a
-    `LineFactor`; the product is intersected with the table's finite
-    domain, read in table order.  Each factor splits into at most w width-1
-    slices, and each slice product maps to a set of width at most m! (the
-    main lemma, which is the case w = 1), so the union bound is
-    w^(number of factors) * m!.
+    An entry uv lies in a product exactly when each uv[slot] lies in its
+    factor, so a set of entries lies in one product exactly when it puts at
+    most w columns on each (slot, line); the worst width is the most value
+    columns on one line such a set reaches.  Lines with the most columns
+    are searched first, while they can beat the best found.
+
+    Each factor splits into at most w width-1 slices, and each slice
+    product maps to width at most m! (the main lemma, the case w = 1), so
+    the bound is w^(number of factors) * m!.  For w = 2 that is 6 * 2^15 at
+    m = 3, while the selectors built here reach single-digit widths: as
+    specified, the width-2 check can barely fail.
     """
-    keys = pstar(full_index(m)).factor_keys
-    bound = (w ** len(keys)) * math.factorial(m)
-    image = {val for uv, val in q_table.graph.items()
-             if _in_product(uv, factors, keys, w)}
-    observed = width(image)
-    return SelectorWidthVerdict(
-        factor_count=len(keys), bound=bound, observed=observed,
-        passed=observed <= bound,
-    )
+    bound = w ** len(pstar(full_index(m)).factor_keys) * math.factorial(m)
+    by_line: dict = {}  # value line -> value column -> entries, sorted
+    for uv in sorted(q_table.graph):
+        val = q_table.graph[uv]
+        by_line.setdefault(val.y, {}).setdefault(val.x, []).append(uv)
+    line, best = None, ()
+    for n, columns in sorted(by_line.items(),
+                             key=lambda item: (-len(item[1]), item[0])):
+        if len(columns) <= len(best):
+            break
+        found = _widest_fit([columns[x] for x in sorted(columns)], w, {},
+                            (), len(best))
+        if found:
+            line, best = n, found
+    return SelectorWidthVerdict(bound=bound, observed=len(best), line=line,
+                                entries=best, passed=len(best) <= bound)
+
+
+def _widest_fit(candidates: list, w: int, used: dict, taken: tuple,
+                floor: int) -> tuple:
+    """The most entries, ``taken`` and at most one from each later entry
+    list, that put at most w columns on each (slot, line), whose columns so
+    far ``used`` holds; () unless that beats ``floor``.
+
+    Taking an entry only fills (slot, line)s, so each branch keeps just the
+    later lists' fitting entries, and it is cut when the entries taken plus
+    the lists left cannot beat the best found.
+    """
+    best = taken if len(taken) > floor else ()
+    for at, entries in enumerate(candidates):
+        if len(taken) + len(candidates) - at <= max(floor, len(best)):
+            break
+        for uv in entries:
+            grown = dict(used)
+            for i, p in uv.items():
+                grown[i, p.y] = grown.get((i, p.y), frozenset()) | {p.x}
+            rest = [kept for kept in (
+                [e for e in later if all(
+                    p.x in grown.get((i, p.y), ())
+                    or len(grown.get((i, p.y), ())) < w
+                    for i, p in e.items())]
+                for later in candidates[at + 1:]) if kept]
+            best = _widest_fit(rest, w, grown, taken + (uv,),
+                               max(floor, len(best))) or best
+    return best
+
+
+def spanned_family(entries: Sequence[MTuple], k_tables: Mapping,
+                   m: int) -> dict:
+    """The width-1 factor family that agreeing selector entries span, each
+    factor completed (`complete_width1`) over the lines `_certify_line`
+    reads: the K-table values, the columns the entries put on the (S, j)
+    slots, and 0."""
+    lines = {k for table in k_tables.values() for k in table.values()}
+    lines |= {p.x for uv in entries for i, p in uv.items() if i > m}
+    lines.add(0)
+    return {key: complete_width1({uv[slot] for uv in entries}, lines)
+            for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1)}
 
 
 @dataclass
@@ -467,7 +505,7 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     in_product: dict = {}  # value line -> table entries in the product
     for uv, val in q_table.graph.items():
         entries = in_product.setdefault(val.y, [])
-        if _in_product(uv, factors, keys, 1):
+        if _in_product(uv, factors, keys):
             entries.append(uv)
     return [
         _certify_line(k_tables, factors, n, perm, entries)

@@ -1,9 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from clonecover.core import MTuple, PartialFn, Point, full_index
-from clonecover.decompose import DecompositionTrace, verify_decomposition
+from clonecover.core import MTuple, PartialFn, Point, compose, full_index
+from clonecover.decompose import (
+    DecompositionTrace,
+    strong_decompose_stage,
+    verify_decomposition,
+)
 
 
 def pt(x, y):
@@ -29,6 +34,46 @@ def stage_check(g, stage, theta, what):
     (check,) = [c for c in verify_decomposition(g, trace)["checks"]
                 if c["name"] == name]
     return check
+
+
+def trace_over(g, subsets, theta, stage_thetas=None):
+    """A decomposition trace of g at theta whose strong stages sweep
+    ``subsets`` in the given order, each at its own threshold (default
+    theta)."""
+    current = g
+    h_total = PartialFn.identity_on(g.domain(), g.arity)
+    stages = []
+    for s, stage_theta in zip(subsets, stage_thetas or [theta] * len(subsets)):
+        stage = strong_decompose_stage(current, s, stage_theta)
+        stages.append(stage)
+        h_total = compose(stage.h, h_total)
+        current = stage.g_prime
+    return DecompositionTrace(theta, stages, current, h_total)
+
+
+def maximal_products(q_table, w):
+    """Every factor product of width w that is maximal on the points the
+    table's entries use, as {(slot, line): columns}: for each (slot, line),
+    each choice of min(w, n) of the n columns the entries put there.  Any
+    width-w product meets the table inside one of these, so together they
+    reach every image a width-w product has."""
+    columns: dict = {}
+    for uv in q_table.graph:
+        for i, p in uv.items():
+            columns.setdefault((i, p.y), set()).add(p.x)
+    places = sorted(columns)
+    choices = [itertools.combinations(sorted(columns[place]),
+                                      min(w, len(columns[place])))
+               for place in places]
+    for pick in itertools.product(*choices):
+        yield dict(zip(places, map(frozenset, pick)))
+
+
+def product_image(q_table, product):
+    """The table's values on the entries whose every slot lies in the
+    product, given as {(slot, line): columns}."""
+    return {val for uv, val in q_table.graph.items()
+            if all(p.x in product.get((i, p.y), ()) for i, p in uv.items())}
 
 
 def random_point(rng, span=20):

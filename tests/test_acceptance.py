@@ -23,6 +23,7 @@ from clonecover.core import (
     eval_term,
     fiber,
     fibers,
+    full_index,
     hash_fn,
     idx,
     shrink_inner,
@@ -30,19 +31,24 @@ from clonecover.core import (
 )
 from clonecover.decompose import verify_decomposition
 from clonecover.instances import PROFILES, generate_instance
-from clonecover.pipeline import derive_factor_rng, random_width1_factors
 from clonecover.serialize import instance_dumps, report_dumps, term_dumps
 from clonecover.synth import (
     end_to_end_synthesize,
     main_lemma_certify,
     normalize_f,
     oplus,
+    pstar,
     verify_Q_in_CI,
     witness_point,
 )
 from clonecover.pipeline import run_pipeline
 
-from conftest import random_point_fn, random_tuple, random_tuple_fn
+from conftest import (
+    product_image,
+    random_point_fn,
+    random_tuple,
+    random_tuple_fn,
+)
 
 INSTANCES_PER_M = 100
 
@@ -97,29 +103,68 @@ def test_criterion_1_end_to_end_synthesis(corpus, capsys):
             f"{mismatches} mismatches, synthesis in {elapsed:.1f}s")
 
 
+def sampled_width1_family(q_table, m, rng, ceiling):
+    """A random width-1 factor family biased toward the selector's points.
+
+    One factor per input index and per (S, j) pair, keyed as the
+    certificates read them.  Each line below the ceiling holds one column:
+    with probability 0.7 one of the columns the selector puts on that
+    (slot, line), otherwise a uniform one below the ceiling.
+    """
+    keys = pstar(full_index(m)).factor_keys
+    occurring = {key: {} for key in keys}
+    for uv in q_table.graph:
+        for (_, p), key in zip(uv.items(), keys):
+            occurring[key].setdefault(p.y, set()).add(p.x)
+    family = {}
+    for key in keys:
+        factor = family[key] = {}
+        for n in range(ceiling):
+            cols = sorted(occurring[key].get(n, ()))
+            if cols and rng.random() < 0.7:
+                factor[n] = frozenset({rng.choice(cols)})
+            else:
+                factor[n] = frozenset({rng.randrange(ceiling)})
+    return family
+
+
+def product_image_width(q_table, family, m):
+    """Width of the selector's image of the product of a factor family, by
+    brute force over the table."""
+    keys = pstar(full_index(m)).factor_keys
+    return width(product_image(q_table, {
+        (slot, n): cols for slot, key in enumerate(keys, 1)
+        for n, cols in family[key].items()}))
+
+
 def test_criterion_2_selector_width_bound(corpus, capsys):
     families_per_m = 50
     violations = 0
+    above_exact = 0
     uniq_failures = 0
     families = 0
     for m in (1, 2, 3):
         inst, result = corpus[m][0]
-        rng = derive_factor_rng(inst.seed + 1)
+        exact = verify_Q_in_CI(result.q_table, 1, m).observed
+        rng = random.Random(inst.seed + 1)
         for _ in range(families_per_m):
-            factors = random_width1_factors(
+            factors = sampled_width1_family(
                 result.q_table, m, rng, inst.ceiling)
             families += 1
-            verdict = verify_Q_in_CI(result.q_table, factors, 1, m)
-            if verdict.observed > math.factorial(m):
+            observed = product_image_width(result.q_table, factors, m)
+            if observed > math.factorial(m):
                 violations += 1
+            if observed > exact:
+                above_exact += 1
             for cert in main_lemma_certify(
                     result.q_table, result.k_tables, factors, m):
                 if not cert.passed:
                     uniq_failures += 1
-    passed = violations == 0 and uniq_failures == 0
+    passed = violations == 0 and uniq_failures == 0 and above_exact == 0
     _report(capsys, 2, passed,
             f"{families} width-1 families, {violations} width violations, "
-            f"{uniq_failures} uniqueness failures")
+            f"{uniq_failures} uniqueness failures, {above_exact} above the "
+            f"exact worst case")
 
 
 def test_criterion_3_normalization(capsys):

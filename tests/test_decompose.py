@@ -27,7 +27,7 @@ from clonecover.decompose import (
 from clonecover.instances import generate_instance
 from clonecover.synth import fiber_k_tables
 
-from conftest import pt, stage_check, tup, unary
+from conftest import pt, stage_check, trace_over, tup, unary
 
 
 def wasteful_unary(mapping):
@@ -234,6 +234,26 @@ class TestHereditaryDecompose:
         assert compose(trace.g_prime, trace.h_composed) == g
         assert self.failing_checks(g, trace) == [
             "composed inner map is the stages' composition"]
+
+    def test_final_check_needs_every_subset_once_in_order(self):
+        # (0|9) and (1|1) share the fiber (0|0) at S = [2], where (5|5)'s
+        # preimage has bound 1 + 9 = 10 > theta = 3; at S = [] and [1] every
+        # bound is 1.  Skipping S = [2] leaves that fiber wasteful, yet each
+        # remaining stage checks out; only the coverage check catches it.
+        g = PartialFn(idx(1, 2), {tup((0, 9), (0, 0)): pt(5, 5),
+                                  tup((1, 1), (0, 0)): pt(5, 5)})
+        empty, one, two, both = (frozenset(), frozenset({1}),
+                                 frozenset({2}), frozenset({1, 2}))
+        skipped = trace_over(g, [empty, one, both], 3)
+        assert not is_hereditarily_thrifty(skipped.g_prime, 3).all_thrifty
+        assert self.failing_checks(g, skipped) == [
+            "final g' hereditarily thrifty"]
+        for subsets in ([empty, one, one, two, both],
+                        [empty, two, one, both]):
+            assert self.failing_checks(g, trace_over(g, subsets, 3)) == [
+                "final g' hereditarily thrifty"]
+        assert not self.failing_checks(
+            g, trace_over(g, [empty, one, two, both], 3))
 
     def test_generated_instances_decompose(self):
         for seed in range(5):

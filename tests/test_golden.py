@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from clonecover import instances, pipeline, serialize
+from clonecover import instances, serialize
 from clonecover.cli import main
 from clonecover.core import MTuple, PartialFn, Point
 from clonecover.instances import check_admissibility, generate_instance
@@ -55,58 +55,6 @@ def test_golden_bytes(m, seed, profile):
                  serialize.report_dumps(report)):
         digest.update(data)
     assert digest.hexdigest() == GOLDEN[(m, seed, profile)]
-
-
-# (m, seed, profile) -> sha256 over the five selector factor families one
-# `run_pipeline` samples: per family, each key's sampled lines and columns
-# in read order.  Lines are drawn from one shared rng on first read, so
-# this pins the order in which the verifier reads factor lines.
-FAMILY_GOLDEN = {
-    (1, 0, "mixed"): "0e0de8962c210b55944ae8e5e0f8e92b1c80f5d37366302556d13437b737f62d",
-    (1, 0, "all-thrifty"): "2d944b1e7925f6e0ab85829282248e49efa9deef21852b0fe870df4f92ecf199",
-    (1, 0, "mary-witness"): "0e0de8962c210b55944ae8e5e0f8e92b1c80f5d37366302556d13437b737f62d",
-    (1, 1, "mixed"): "0e4887549fa238acaa5e5b2d67be40217acd560f9896512d6fad85ee094aec3e",
-    (1, 1, "all-thrifty"): "a5bd4671a2b26d8604d34e92ce79069b5be42070dfb30957ddb2665d7deae22c",
-    (1, 1, "mary-witness"): "0e4887549fa238acaa5e5b2d67be40217acd560f9896512d6fad85ee094aec3e",
-    (2, 0, "mixed"): "c04c7b721d098b2735deabdc8ebe469516b6f03922116c88e5332dbf0642fbcd",
-    (2, 0, "all-thrifty"): "8722e32e5f2f41fba34e25b23fd711a17bebe08f6e6548cf3136c016f0f778b4",
-    (2, 0, "mary-witness"): "c04c7b721d098b2735deabdc8ebe469516b6f03922116c88e5332dbf0642fbcd",
-    (2, 1, "mixed"): "e3c3d99805e19fe385fdf1810c09b5051fc2d00dd76d050c85784b9c8d4e1915",
-    (2, 1, "all-thrifty"): "8fec86dbcee7380489e0b681b560c45d4f977057cf85b285c5a14f34091e62a3",
-    (2, 1, "mary-witness"): "e3c3d99805e19fe385fdf1810c09b5051fc2d00dd76d050c85784b9c8d4e1915",
-    (3, 0, "mixed"): "3fbc1fe398fcb99d094b5484626010e89e6f9281f76566bb83c70c665c26a1ce",
-    (3, 0, "all-thrifty"): "cd97be690e9aeb06ec6669138bde2cd9a930c7079fc895d0939be01c0ba3291e",
-    (3, 0, "mary-witness"): "3fbc1fe398fcb99d094b5484626010e89e6f9281f76566bb83c70c665c26a1ce",
-    (3, 1, "mixed"): "848b9591970dc451fab5123041a76b2cb109388f262924a01ac3dc126cc74520",
-    (3, 1, "all-thrifty"): "9447638856c8704c505cbbd0a687d12fc21539b08b5f950271052d1af262bfe5",
-    (3, 1, "mary-witness"): "848b9591970dc451fab5123041a76b2cb109388f262924a01ac3dc126cc74520",
-}
-
-
-def _family_digest(families) -> str:
-    digest = hashlib.sha256()
-    for factors in families:
-        for key, factor in factors.items():
-            key = key if isinstance(key, int) else (sorted(key[0]), key[1])
-            lines = [(n, sorted(cols)) for n, cols in factor.items()]
-            digest.update(repr((key, lines)).encode())
-    return digest.hexdigest()
-
-
-@pytest.mark.parametrize("m, seed, profile", sorted(FAMILY_GOLDEN))
-def test_golden_factor_families(m, seed, profile, monkeypatch):
-    families = []
-
-    def recording(*args, **kwargs):
-        families.append(original(*args, **kwargs))
-        return families[-1]
-
-    original = pipeline.random_width1_factors
-    monkeypatch.setattr(pipeline, "random_width1_factors", recording)
-    report, _ = run_pipeline(generate_instance(m, 8, 4, seed, profile))
-    assert report["passed"]
-    assert len(families) == 5
-    assert _family_digest(families) == FAMILY_GOLDEN[(m, seed, profile)]
 
 
 # (m, horizon, theta, seed, profile) -> sha256 of the instance bytes, for

@@ -1,8 +1,9 @@
 """Every import in the package's modules and in the test modules is used
-(``__init__`` re-exports, so it is exempt), and no package module imports
+(``__init__`` re-exports, so it is exempt), no package module imports
 an underscore-prefixed name from a sibling: what modules share is public
-and documented.  Standard library only: the AST names each import and each
-name the module reads."""
+and documented, and only the instance generator imports ``random``: every
+verdict is a deterministic function of its inputs.  Standard library only:
+the AST names each import and each name the module reads."""
 import ast
 from pathlib import Path
 
@@ -68,3 +69,30 @@ def test_detector_flags_a_private_sibling_import():
                          ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def imports_random(source: str) -> bool:
+    """Whether a module imports ``random`` or anything from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "random" for a in node.names):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "random"):
+            return True
+    return False
+
+
+def test_detector_flags_a_random_import():
+    assert imports_random("import os, random\n")
+    assert imports_random("import random as rnd\n")
+    assert imports_random("def f():\n    from random import Random\n")
+    assert not imports_random("from .instances import generate_instance\n"
+                              "from . import random_things\n"
+                              "import randomness\n")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_generator_imports_random(path):
+    assert imports_random(path.read_text()) == (path.name == "instances.py")

@@ -4,6 +4,8 @@ Every law here is an exact graph identity or inclusion; the generators are
 deterministic (seeded rng or hypothesis with derandomized profiles), so a
 failure is always reproducible.
 """
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
@@ -12,6 +14,7 @@ from clonecover.analysis import (
     all_subsets,
     classify_preimages,
     fiber_bounds,
+    is_hereditarily_thrifty,
     k_table,
     least_bound,
     width,
@@ -31,21 +34,26 @@ from clonecover.core import (
     shrink_inner,
     star_fn,
     star_set,
+    full_index,
     idx,
 )
 from clonecover.decompose import (
     AdmissibilityError,
     countable_selection,
     strong_decompose_stage,
+    verify_decomposition,
 )
-from clonecover.synth import fiber_k_tables
+from clonecover.synth import fiber_k_tables, pstar, verify_Q_in_CI
 
 from conftest import (
+    maximal_products,
+    product_image,
     random_point,
     random_point_fn,
     random_tuple,
     random_tuple_fn,
     stage_check,
+    trace_over,
     unary,
 )
 
@@ -502,3 +510,84 @@ class TestSharedIndexSets:
         u = MTuple.of({1: Point(0, 1), 2: Point(2, 3)})
         assert not hasattr(u, "__dict__")
         assert not hasattr(MTuple.empty(), "__dict__")
+
+
+@st.composite
+def swept_traces(draw):
+    """A point-valued g over {1}, {1, 2} or {1, 2, 3} and a trace of strong
+    stages over all subsets in sweep order, or (one draw in four) over
+    drawn subsets; each
+    stage at a threshold near the trace's.  None when a stage runs out of
+    fresh low tuples."""
+    arity = draw(st.sampled_from([idx(1), idx(1, 2), idx(1, 2, 3)]))
+    g = draw(partial_fns(arity, None))
+    theta = draw(st.integers(2, 3))
+    subsets = all_subsets(sorted(arity))
+    if draw(st.integers(0, 3)) == 3:
+        subsets = draw(st.lists(st.sampled_from(subsets),
+                                max_size=len(subsets) + 1))
+    stage_thetas = [max(1, theta + draw(st.integers(-1, 1)))
+                    for _ in subsets]
+    try:
+        return g, trace_over(g, subsets, theta, stage_thetas)
+    except AdmissibilityError:
+        return g, None
+
+
+class TestDecompositionCoverage:
+    @settings(max_examples=300, derandomize=True)
+    @given(case=swept_traces())
+    def test_per_stage_checks_and_coverage_imply_hereditary_thrift(self,
+                                                                    case):
+        g, trace = case
+        if trace is None:
+            return
+        verdict = verify_decomposition(g, trace)
+        (final,) = [c for c in verdict["checks"]
+                    if c["name"] == "final g' hereditarily thrifty"]
+        covered = [stage.s for stage in trace.stages] == all_subsets(
+            sorted(g.arity))
+        assert final["passed"] == covered
+        target(float(verdict["passed"]))
+        if verdict["passed"]:
+            assert is_hereditarily_thrifty(trace.g_prime,
+                                           trace.theta).all_thrifty
+
+
+@st.composite
+def selector_tables(draw):
+    """A tiny selector table for m = 1 (two slots) or m = 2 (six slots),
+    with few columns per line so that entries clash, and values on two
+    lines so that columns compete."""
+    m = draw(st.sampled_from([1, 2]))
+    arity = pstar(full_index(m)).combined_arity()
+    slot_points = st.builds(Point, st.integers(0, 3 - m), st.integers(0, 2))
+    entries = st.lists(slot_points, min_size=len(arity),
+                       max_size=len(arity)).map(
+        lambda ps: MTuple.of(dict(zip(sorted(arity), ps))))
+    values = st.builds(Point, st.integers(0, 3), st.integers(0, 1))
+    graph = draw(st.dictionaries(entries, values, max_size=7 - m))
+    return PartialFn(arity, graph), m
+
+
+class TestExactSelectorWidth:
+    @settings(max_examples=200, derandomize=True)
+    @given(case=selector_tables(), w=st.sampled_from([1, 2]))
+    def test_matches_brute_force_over_every_family(self, case, w):
+        q_table, m = case
+        verdict = verify_Q_in_CI(q_table, w, m)
+        assert verdict.observed == max(
+            (width(product_image(q_table, product))
+             for product in maximal_products(q_table, w)), default=0)
+        assert verdict.bound == math.factorial(m) * w ** len(q_table.arity)
+        # the entries reaching it: one per column of the line, all in one
+        # width-w product
+        entries = verdict.entries
+        assert len(entries) == verdict.observed
+        assert {q_table.graph[uv].y for uv in entries} <= {verdict.line}
+        assert len({q_table.graph[uv].x for uv in entries}) == len(entries)
+        used: dict = {}
+        for uv in entries:
+            for i, p in uv.items():
+                used.setdefault((i, p.y), set()).add(p.x)
+        assert all(len(cols) <= w for cols in used.values())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -13,9 +14,8 @@ from clonecover.core import (
     idx,
 )
 from clonecover.decompose import AdmissibilityError
-from clonecover.instances import generate_instance
+from clonecover.instances import PROFILES, generate_instance
 from clonecover.synth import (
-    LineFactor,
     StageError,
     build_h,
     complete_width1,
@@ -27,12 +27,14 @@ from clonecover.synth import (
     oplus,
     pstar,
     reduce_to_unary,
+    spanned_family,
     verify_Q_in_CI,
     width1_slices,
     witness_point,
 )
 
-from conftest import pt, tup, unary
+from conftest import maximal_products, product_image, pt, tup, unary
+from test_acceptance import product_image_width, sampled_width1_family
 
 
 class TestOplus:
@@ -246,9 +248,9 @@ class TestBuildQ:
         assert hit
 
 
-def line_factor(points) -> LineFactor:
-    """A point set as a `LineFactor`: each line's columns."""
-    factor = LineFactor()
+def line_factor(points) -> dict:
+    """A point set as a factor read by line: each line's columns."""
+    factor: dict = {}
     for x, y in points:
         factor[y] = factor.get(y, frozenset()) | {x}
     return factor
@@ -257,7 +259,6 @@ def line_factor(points) -> LineFactor:
 class TestCompleteWidth1:
     def test_fills_missing_lines_on_x0(self):
         factor = complete_width1({pt(4, 1)}, [0, 1, 2])
-        assert isinstance(factor, LineFactor)
         assert factor == {0: {0}, 1: {4}, 2: {0}}
 
     def test_rejects_wide_input(self):
@@ -293,9 +294,13 @@ class TestSelectorCertificates:
                 pts.add(p)
             sl = next(iter(width1_slices(pts)), frozenset())
             factors[key] = complete_width1(sl, needed)
-        verdict = verify_Q_in_CI(res.q_table, factors, 1, m)
+        verdict = verify_Q_in_CI(res.q_table, 1, m)
         assert verdict.bound == math.factorial(m)
         assert verdict.passed
+        image = {val for uv, val in res.q_table.graph.items()
+                 if all(uv[slot].x in factors[key][uv[slot].y]
+                        for slot, key in enumerate(ps.factor_keys, 1))}
+        assert width(image) <= verdict.observed
         certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
         lines = sorted({v.y for v in res.q_table.graph.values()})
         perms = list(itertools.permutations(range(1, m + 1)))
@@ -305,26 +310,27 @@ class TestSelectorCertificates:
             assert cert.passed, cert.detail
 
     def test_width_verifier_rejects_lines_wider_than_w(self):
-        q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        factors = {1: LineFactor({0: frozenset({0, 1})}),
-                   (frozenset(), 1): LineFactor({0: frozenset({0})})}
-        assert verify_Q_in_CI(q_table, factors, 2, 1).passed
-        with pytest.raises(ValueError, match="width above 1 on line 0"):
-            verify_Q_in_CI(q_table, factors, 1, 1)
+        # The two entries put columns 0 and 1 on line 0 of slot 1: one
+        # width-2 product holds both, no width-1 product does.
+        first, second = tup((0, 0), (0, 0)), tup((1, 0), (0, 0))
+        q_table = PartialFn(idx(1, 2), {first: pt(0, 5), second: pt(1, 5)})
+        wide = verify_Q_in_CI(q_table, 2, 1)
+        assert (wide.observed, wide.line, wide.entries) == (
+            2, 5, (first, second))
+        narrow = verify_Q_in_CI(q_table, 1, 1)
+        assert (narrow.observed, narrow.line, narrow.entries) == (
+            1, 5, (first,))
+        assert wide.passed and narrow.passed
 
     def test_wide_factors_rejected_by_both_verifiers(self):
         q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        narrow = {(frozenset(), 1): LineFactor({0: frozenset({0})})}
-        wide_factors = (
-            LineFactor({0: frozenset({0, 1})}),  # stored wide on line 0
-            LineFactor(sample=lambda n: frozenset({0, 1})),  # sampled wide
-        )
-        for wide in wide_factors:
-            factors = {1: wide, **narrow}
-            with pytest.raises(ValueError, match="width above 1"):
-                verify_Q_in_CI(q_table, factors, 1, 1)
-            with pytest.raises(ValueError, match="width above 1"):
-                main_lemma_certify(q_table, {}, factors, 1)
+        factors = {1: {0: frozenset({0, 1})},
+                   (frozenset(), 1): {0: frozenset({0})}}
+        with pytest.raises(ValueError, match="width above 1"):
+            main_lemma_certify(q_table, {}, factors, 1)
+        # the family the certificates read spans agreeing entries only
+        with pytest.raises(ValueError, match="width above 1"):
+            spanned_family([tup((0, 0), (0, 0)), tup((1, 0), (0, 0))], {}, 1)
         # a point set wide on a line no verifier reads cannot become a factor
         with pytest.raises(ValueError, match="width above 1"):
             complete_width1({pt(0, 0), pt(3, 7), pt(4, 7)}, [0])
@@ -333,9 +339,9 @@ class TestSelectorCertificates:
         # the K-chain reads line 1 of the (S, j) factor, which is wide
         q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
         k_tables = {(frozenset(), MTuple.empty()): {0: 1}}
-        factors = {1: LineFactor({0: frozenset({0})}),
-                   (frozenset(), 1): LineFactor({0: frozenset({0}),
-                                                 1: frozenset({0, 2})})}
+        factors = {1: {0: frozenset({0})},
+                   (frozenset(), 1): {0: frozenset({0}),
+                                      1: frozenset({0, 2})}}
         with pytest.raises(ValueError, match="width above 1 on line 1"):
             main_lemma_certify(q_table, k_tables, factors, 1)
 
@@ -352,6 +358,8 @@ class TestSelectorCertificates:
         inst = generate_instance(m=1, horizon=6, theta=3, seed=2)
         res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                     unary_candidates=inst.candidates)
+        # at the table's own widest (slot, line), the whole table lies in
+        # one width-w product
         everything = {
             key: line_factor(
                 uv[key] if isinstance(key, int)
@@ -362,12 +370,76 @@ class TestSelectorCertificates:
         }
         w = max(len(cols) for factor in everything.values()
                 for cols in factor.values())
-        verdict = verify_Q_in_CI(res.q_table, everything, w, 1)
+        verdict = verify_Q_in_CI(res.q_table, w, 1)
         # two factors for m = 1: the input and the single (S, j) pair
-        assert verdict.factor_count == 2
         assert verdict.bound == w ** 2
         assert verdict.observed == width(res.q_table.graph.values())
         assert verdict.passed
+
+
+def crafted_selector(decoys: int) -> PartialFn:
+    """An m = 1 selector whose width-1 worst case is 2 = 1! + 1, on value
+    line 9.  Only the product holding column 0 on lines 1 and 2 of slot 1
+    and on lines 3 and 4 of slot 2 reaches it; each of those (slot, line)s
+    holds ``decoys`` more columns, through entries with values of their
+    own lines."""
+    graph = {tup((0, 1), (0, 3)): pt(0, 9), tup((0, 2), (0, 4)): pt(1, 9)}
+    for c in range(1, decoys + 1):
+        graph[tup((c, 1), (c, 3))] = pt(0, 100 + c)
+        graph[tup((c, 2), (c, 4))] = pt(0, 200 + c)
+    return PartialFn(idx(1, 2), graph)
+
+
+class TestExactSelectorWidth:
+    def test_one_family_above_the_bound_fails_the_check(self):
+        q_table = crafted_selector(decoys=5)
+        verdict = verify_Q_in_CI(q_table, 1, 1)
+        assert not verdict.passed
+        assert (verdict.observed, verdict.bound, verdict.line) == (2, 1, 9)
+        assert verdict.entries == (tup((0, 1), (0, 3)), tup((0, 2), (0, 4)))
+        reaching = [product for product in maximal_products(q_table, 1)
+                    if width(product_image(q_table, product)) == 2]
+        assert len(reaching) == 1
+        # Random width-1 families, three per seed, all miss it.
+        for seed in range(10):
+            rng = random.Random(seed)
+            for _ in range(3):
+                family = sampled_width1_family(q_table, 1, rng, ceiling=72)
+                assert product_image_width(q_table, family, 1) <= 1
+
+    def test_spanned_family_meets_every_line_the_certificates_read(self):
+        # Line 9's K-chain reads the (S, j) factor at K = 2, where the entry
+        # puts column 7, then the input factor at line 7; line 4's reads it
+        # at K = 3, completed at column 0, then the input factor at line 0.
+        # A selector built by build_Q puts the input's line there, not 7, so
+        # this table fails line 9's certificate; it must not raise.
+        worst, other = tup((3, 5), (7, 2)), tup((1, 1), (0, 0))
+        q_table = PartialFn(idx(1, 2), {worst: pt(0, 9), other: pt(0, 4)})
+        k_tables = {(frozenset(), MTuple.empty()): {4: 3, 9: 2}}
+        verdict = verify_Q_in_CI(q_table, 1, 1)
+        assert verdict.entries in ((worst,), (other,))
+        family = spanned_family((worst,), k_tables, 1)
+        completed = {n: frozenset({0}) for n in (0, 2, 3, 7)}
+        assert family == {1: {**completed, 5: {3}},
+                          (frozenset(), 1): {**completed, 2: {7}}}
+        certs = main_lemma_certify(q_table, k_tables, family, 1)
+        assert [(c.line, c.candidate, c.passed) for c in certs] == [
+            (4, {1: pt(0, 0)}, True), (9, {1: pt(0, 7)}, False)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_certificates_read_the_worst_case_family(self, m, profile):
+        inst = generate_instance(m, 8, 4, 5, profile)
+        res = end_to_end_synthesize(
+            inst.g, inst.f, inst.theta, inst.horizon,
+            unary_candidates=inst.candidates)
+        verdict = verify_Q_in_CI(res.q_table, 1, m)
+        family = spanned_family(verdict.entries, res.k_tables, m)
+        # completing the family adds no width beyond the worst case
+        assert product_image_width(res.q_table, family, m) == (
+            verdict.observed)
+        certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
+        assert certs and all(cert.passed for cert in certs)
 
 
 class TestEndToEnd:

@@ -1,8 +1,6 @@
 import dataclasses
 import inspect
 import json
-import math
-import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,13 +33,7 @@ from clonecover.instances import (
     generate_instance,
 )
 from clonecover import pipeline, synth
-from clonecover.pipeline import (
-    FACTOR_FAMILY_COUNT,
-    WIDE_PRODUCT_COUNT,
-    random_width1_factors,
-    run_pipeline,
-    verify_pair,
-)
+from clonecover.pipeline import run_pipeline, verify_pair
 from clonecover.synth import end_to_end_synthesize
 
 from conftest import pt, tup, unary
@@ -116,12 +108,25 @@ class TestInstanceGeneration:
     def test_parameter_validation(self):
         with pytest.raises(ProfileError):
             generate_instance(4, 8, 4, 0)
+        # the low-y budget, not a list of arities, decides: at m = 4 the
+        # cheapest feature needs theta = 2 * 3
+        with pytest.raises(ProfileError, match="the least theta that does "
+                                               "is 6"):
+            generate_instance(4, 8, 5, 0)
+        with pytest.raises(ProfileError):
+            generate_instance(0, 8, 4, 0)
         with pytest.raises(ProfileError):
             generate_instance(2, 2, 1, 0)
         with pytest.raises(ProfileError):
             generate_instance(2, 8, 8, 0)
         with pytest.raises(ProfileError):
             generate_instance(2, 8, 4, 0, "no-such-profile")
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_arity_four_runs_end_to_end(self, seed, profile):
+        report, _ = run_pipeline(generate_instance(4, 12, 6, seed, profile))
+        assert report["passed"]
 
     def test_default_theta(self):
         assert default_theta(16) == 8
@@ -336,20 +341,32 @@ class TestPipeline:
         assert synth.fiber_k_tables(trace.g_prime, trace.theta)
         assert calls == none
         assert verify_decomposition(inst.g, trace)["passed"]
-        # the root report of the final hereditary-thriftiness check
-        assert calls == {**none, "classify_preimages": 1}
+        assert calls == none
 
     def test_factor_families_per_instance(self, monkeypatch):
-        families = _record_factor_families(monkeypatch)
+        # One certification pass per run, on the width-1 family the exact
+        # worst case spans; one exact width search per factor width.
+        calls = _count_calls(monkeypatch, ("main_lemma_certify",
+                                           "spanned_family"))
+        widths = []
+        original = pipeline.verify_Q_in_CI
+
+        def recording(q_table, w, m):
+            widths.append(w)
+            return original(q_table, w, m)
+
+        monkeypatch.setattr(pipeline, "verify_Q_in_CI", recording)
         report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
         assert report["passed"]
-        assert len(families) == FACTOR_FAMILY_COUNT + WIDE_PRODUCT_COUNT
+        assert calls == {"main_lemma_certify": 1, "spanned_family": 1}
+        assert widths == [1, 2]
 
     def test_selector_certificates_scan_q_once_per_family(self,
                                                           monkeypatch):
         # |Q| = 28 over 21 value lines.  Certifying each (line, perm) pair
         # on its own made 378 certification calls and 644 = 23 |Q|
-        # product-membership evaluations; one scan per family needs 8 |Q|.
+        # product-membership evaluations; the one family is read in one
+        # scan of Q.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
         calls = _count_calls(monkeypatch, ("main_lemma_certify",))
         members = [0]
@@ -363,28 +380,27 @@ class TestPipeline:
         report, result = run_pipeline(inst)
         assert report["passed"]
         assert len(result.q_table) == 28
-        assert calls["main_lemma_certify"] == FACTOR_FAMILY_COUNT
-        assert members[0] <= 8 * len(result.q_table)
+        assert calls["main_lemma_certify"] == 1
+        assert members[0] == len(result.q_table)
 
     def test_width_failure_stays_in_its_own_check(self, monkeypatch):
         original = pipeline.verify_Q_in_CI
-        failed = []
 
-        def failing_once(q_table, factors, w, m):
-            verdict = original(q_table, factors, w, m)
-            if w == 1 and not failed:
+        def failing_narrow(q_table, w, m):
+            verdict = original(q_table, w, m)
+            if w == 1:
                 verdict = dataclasses.replace(
                     verdict, observed=verdict.bound + 1, passed=False)
-                failed.append(verdict)
             return verdict
 
-        monkeypatch.setattr(pipeline, "verify_Q_in_CI", failing_once)
-        report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        monkeypatch.setattr(pipeline, "verify_Q_in_CI", failing_narrow)
+        report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        line = original(result.q_table, 1, 2).line
         checks = {c["name"]: c for c in report["checks"]}
         assert not report["passed"]
         assert checks["selector width bound (m!)"] == {
             "name": "selector width bound (m!)", "passed": False,
-            "detail": "family 0: width 3 > 2"}
+            "detail": f"line {line}: width 3 > 2"}
         assert checks["per-line uniqueness"]["passed"]
         assert checks["per-line uniqueness"]["detail"] == ""
         assert checks["selector width bound (width-2 products)"]["passed"]
@@ -396,75 +412,6 @@ class TestPipeline:
         u = sorted(inst.g.domain())[0]
         inst.g.graph[u] = Point(inst.g.graph[u].x + 1, inst.g.graph[u].y)
         assert not verify_pair(inst, result.term)["passed"]
-
-
-def _record_factor_families(monkeypatch) -> list:
-    """Keep every factor family that `run_pipeline` draws."""
-    families = []
-
-    def recording(*args, **kwargs):
-        families.append(random_width1_factors(*args, **kwargs))
-        return families[-1]
-
-    monkeypatch.setattr(pipeline, "random_width1_factors", recording)
-    return families
-
-
-class TestLazyFactors:
-    @staticmethod
-    def family(target_width, seed=0):
-        inst = generate_instance(2, 8, 4, seed=9)
-        _, result = run_pipeline(inst)
-        factors = random_width1_factors(result.q_table, 2,
-                                        random.Random(seed), inst.ceiling,
-                                        target_width)
-        return inst.ceiling, factors
-
-    def test_reading_a_line_twice_gives_the_same_columns(self):
-        ceiling, factors = self.family(1)
-        for factor in factors.values():
-            first = [factor[n] for n in range(ceiling)]
-            assert [factor[n] for n in range(ceiling)] == first
-
-    def test_same_rng_and_read_order_give_the_same_family(self):
-        contents = []
-        for _ in range(2):
-            ceiling, factors = self.family(2, seed=4)
-            contents.append({key: [factor[n] for n in range(ceiling)]
-                             for key, factor in factors.items()})
-        assert contents[0] == contents[1]
-
-    def test_lines_hold_up_to_target_width_below_the_ceiling(self):
-        for target_width in (1, 2):
-            ceiling, factors = self.family(target_width)
-            assert len(factors) == 2 + 4  # m = 2: two indices, four pairs
-            for factor in factors.values():
-                assert len(factor) == 0  # nothing sampled before a read
-                for n in range(ceiling):
-                    assert 1 <= len(factor[n]) <= target_width
-                    assert all(0 <= x < ceiling for x in factor[n])
-                for n in (-1, ceiling, ceiling + 7):
-                    assert not factor[n]
-
-    @pytest.mark.parametrize("horizon", [16, 64])
-    def test_sampled_lines_do_not_grow_with_the_ceiling(self, monkeypatch,
-                                                        horizon):
-        for seed in range(3):
-            families = _record_factor_families(monkeypatch)
-            inst = generate_instance(3, horizon, horizon // 2, seed=seed)
-            report, result = run_pipeline(inst)
-            assert report["passed"]
-            q = result.q_table
-            # each factor is read once per Q entry, and at most once per
-            # (value line, permutation) along the K-chain
-            value_lines = len({v.y for v in q.graph.values()})
-            bound = len(q) + value_lines * math.factorial(3)
-            assert bound < inst.ceiling
-            assert len(families) == FACTOR_FAMILY_COUNT + WIDE_PRODUCT_COUNT
-            for factors in families:
-                assert len(factors) == 3 + 12  # m = 3: 3 indices, 12 pairs
-                for factor in factors.values():
-                    assert len(factor) <= bound
 
 
 class TestValidatedConstructions:
