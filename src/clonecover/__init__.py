@@ -12,6 +12,7 @@ from .core import (
     Proj,
     Term,
     bar_extend,
+    compile_term,
     compose,
     disjoint_union,
     eval_partial,

@@ -109,6 +109,10 @@ def cmd_verify(args) -> int:
     inst = _load_or_generate(args)
     if args.term is not None:
         term = serialize.term_loads(args.term.read_bytes())
+        if term.arity != inst.g.arity:
+            raise serialize.ParseError(
+                f"term: arity {sorted(term.arity)} does not match the "
+                f"instance's arity {sorted(inst.g.arity)}")
         pair = verify_pair(inst, term)
         print(f"equality on dom(g): {'PASS' if pair['passed'] else 'FAIL'} "
               f"({pair['checked']} tuples)")

@@ -7,7 +7,8 @@ as the undefined marker; it is never an error to evaluate outside a domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 
 class Point(NamedTuple):
@@ -457,32 +458,72 @@ def _count_atoms(node: TermNode, counts: dict) -> None:
 
 
 def eval_term(t: Term, u: MTuple) -> Optional[Point]:
-    """Recursive evaluation; undefined propagates as None."""
-    if u.indices != t.arity:
-        raise IndexMismatchError(
-            f"tuple over {sorted(u.indices)} fed to term of arity "
-            f"{sorted(t.arity)}"
-        )
-    return _eval_node(t.root, u, t.env)
+    """The term's value at u; undefined propagates as None.  The one-tuple
+    case of ``compile_term``."""
+    return compile_term(t)(u)
 
 
-def _eval_node(node: TermNode, u: MTuple, env: Mapping[str, AtomBinding]):
-    if isinstance(node, Proj):
-        return u[node.k]
-    if node.name not in env:
-        raise UnresolvedAtomError(node.name)
-    fn = env[node.name].fn
-    order = sorted(fn.arity)
-    if len(node.children) != len(order):
-        raise IndexMismatchError(
-            f"atom {node.name} has arity {len(order)}, got "
-            f"{len(node.children)} children"
-        )
-    vals = []
-    for ch in node.children:
-        v = _eval_node(ch, u, env)
-        if v is None:
-            return None
-        vals.append(v)
-    return fn.graph.get(MTuple(tuple(zip(order, vals))))
+def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
+    """Lower t once into a straight-line program over its distinct
+    subterms and return the evaluator that runs it on one tuple.
+
+    The program is a list of slots in evaluation order: a projection slot
+    holds its index k; an atom slot holds the atom's graph as it is, its
+    sorted arity and the slots of its children.  Slots are shared by
+    ``(name, child slots)``, so each distinct subterm is evaluated once per
+    tuple.  An atom slot is None when any of its children is.
+
+    The atom checks run here, once, over the whole term: an unbound atom
+    raises ``UnresolvedAtomError`` and a wrong child count
+    ``IndexMismatchError``, also behind an undefined sibling, where a walk
+    that stops at the first undefined child would never look.  (Parsed
+    terms have neither: ``serialize.term_loads`` rejects both.)  The
+    evaluator raises ``IndexMismatchError`` on a tuple not over the term's
+    arity.
+    """
+    program: list = []
+    slots: dict = {}
+
+    def lower(node: TermNode) -> int:
+        if isinstance(node, Proj):
+            key = entry = node.k
+        else:
+            if node.name not in t.env:
+                raise UnresolvedAtomError(node.name)
+            fn = t.env[node.name].fn
+            if len(node.children) != len(fn.arity):
+                raise IndexMismatchError(
+                    f"atom {node.name} has arity {len(fn.arity)}, got "
+                    f"{len(node.children)} children"
+                )
+            children = tuple(lower(ch) for ch in node.children)
+            key = (node.name, children)
+            entry = (fn.graph, tuple(sorted(fn.arity)), children)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(program)
+            program.append(entry)
+        return slot
+
+    root = lower(t.root)
+    arity = t.arity
+
+    def evaluate(u: MTuple) -> Optional[Point]:
+        if u.indices != arity:
+            raise IndexMismatchError(
+                f"tuple over {sorted(u.indices)} fed to term of arity "
+                f"{sorted(arity)}"
+            )
+        vals: list = []
+        for slot in program:
+            if slot.__class__ is int:
+                vals.append(u[slot])
+                continue
+            graph, order, children = slot
+            args = [vals[i] for i in children]
+            vals.append(None if None in args
+                        else graph.get(MTuple(tuple(zip(order, args)))))
+        return vals[root]
+
+    return evaluate
 

@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from .analysis import Checklist, width
-from .core import eval_term
+from .core import compile_term
 from .decompose import verify_decomposition
 from .instances import Instance, check_admissibility
 from .synth import (
@@ -127,11 +127,10 @@ def _width_detail(verdict: SelectorWidthVerdict) -> str:
 
 
 def verify_pair(inst: Instance, term) -> dict:
-    """Re-verify a serialized (instance, term) pair without the trace."""
-    mismatches = [
-        u for u in sorted(inst.g.domain())
-        if eval_term(term, u) != inst.g.graph[u]
-    ]
+    """Re-verify a serialized (instance, term) pair without the trace: the
+    term, compiled once, must give g's value at every tuple of dom(g)."""
+    evaluate = compile_term(term)
+    mismatches = [u for u, v in inst.g.sorted_items() if evaluate(u) != v]
     return {
         "passed": not mismatches,
         "checked": len(inst.g),

@@ -11,7 +11,9 @@ from clonecover.core import (
     PartialFn,
     Proj,
     Term,
+    UnresolvedAtomError,
     bar_extend,
+    compile_term,
     compose,
     disjoint_union,
     eval_partial,
@@ -255,10 +257,41 @@ class TestTerms:
                 assert eval_term(t, u) == composed.graph.get(u)
 
     def test_unresolved_atom(self):
-        from clonecover.core import UnresolvedAtomError
         t = Term(App("ghost", (Proj(1),)), {}, idx(1))
         with pytest.raises(UnresolvedAtomError):
             eval_term(t, tup((0, 0)))
+
+    def test_unresolved_atom_behind_an_undefined_sibling(self):
+        # p is undefined at every tuple, so a walk that stops at the first
+        # undefined child never meets ghost; compilation checks every atom.
+        t = Term(App("q", (App("p", (Proj(1),)), App("ghost", (Proj(1),)))),
+                 {"p": AtomBinding(unary({}), CI_ATOM),
+                  "q": AtomBinding(PartialFn(idx(1, 2), {}), CI_ATOM)},
+                 idx(1))
+        with pytest.raises(UnresolvedAtomError):
+            compile_term(t)
+        with pytest.raises(UnresolvedAtomError):
+            eval_term(t, tup((0, 0)))
+
+    def test_wrong_child_count(self):
+        p = unary({(0, 0): (7, 7)})
+        t = Term(App("p", (Proj(1), Proj(1))), {"p": AtomBinding(p, CI_ATOM)},
+                 idx(1))
+        with pytest.raises(IndexMismatchError):
+            compile_term(t)
+        with pytest.raises(IndexMismatchError):
+            eval_term(t, tup((0, 0)))
+
+    def test_tuple_over_other_indices(self):
+        p = unary({(0, 0): (7, 7)})
+        t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
+        evaluate = compile_term(t)
+        assert evaluate(tup((0, 0))) == pt(7, 7)
+        for u in (tup((0, 0), (1, 1)), MTuple.of({2: pt(0, 0)})):
+            with pytest.raises(IndexMismatchError):
+                evaluate(u)
+            with pytest.raises(IndexMismatchError):
+                eval_term(t, u)
 
     def test_term_statistics(self):
         p = unary({(0, 0): (7, 7)})

@@ -41,9 +41,30 @@ GOLDEN = {
 }
 
 
+# profile -> the same digest for m = 4 at horizon 12, theta 6, seed 0: the
+# 725-node term and its report
+GOLDEN_M4 = {
+    "mixed": "3d4af12da8d830531a3eeb32712dd9bd50a794e674e55f31cdbf890572f8eac7",
+    "all-thrifty": "7d6d1027e6819bb7bef3f4094533027a770c269d55c74ce0237c56db52c6a513",
+    "mary-witness": "2e295f992a2210b688d92cde396d0e6338c89d141c2cab6dda78b358bcbd6fd3",
+}
+
+
 @pytest.mark.parametrize("m, seed, profile", sorted(GOLDEN))
 def test_golden_bytes(m, seed, profile):
-    inst = generate_instance(m, 8, 4, seed, profile)
+    assert _digest(generate_instance(m, 8, 4, seed, profile)) == GOLDEN[
+        (m, seed, profile)]
+
+
+@pytest.mark.parametrize("profile", sorted(GOLDEN_M4))
+def test_golden_bytes_arity_four(profile):
+    assert _digest(generate_instance(4, 12, 6, 0, profile)) == GOLDEN_M4[
+        profile]
+
+
+def _digest(inst):
+    """sha256 over the instance, term and report bytes, after checking
+    that the report passes and the pipeline's term is the synthesized one."""
     result = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                    unary_candidates=inst.candidates)
     report, pipeline_result = run_pipeline(inst)
@@ -54,7 +75,7 @@ def test_golden_bytes(m, seed, profile):
     for data in (serialize.instance_dumps(inst), term_bytes,
                  serialize.report_dumps(report)):
         digest.update(data)
-    assert digest.hexdigest() == GOLDEN[(m, seed, profile)]
+    return digest.hexdigest()
 
 
 # (m, horizon, theta, seed, profile) -> sha256 of the instance bytes, for

@@ -4,6 +4,7 @@ Every law here is an exact graph identity or inclusion; the generators are
 deterministic (seeded rng or hypothesis with derandomized profiles), so a
 failure is always reproducible.
 """
+import itertools
 import math
 
 import pytest
@@ -20,14 +21,21 @@ from clonecover.analysis import (
     width,
 )
 from clonecover.core import (
+    App,
+    AtomBinding,
+    CI_ATOM,
     IndexMismatchError,
     MTuple,
     ORIGIN,
     PartialFn,
     Point,
+    Proj,
+    Term,
     bar_extend,
+    compile_term,
     compose,
     disjoint_union,
+    eval_term,
     fiber,
     fibers,
     hash_fn,
@@ -591,3 +599,59 @@ class TestExactSelectorWidth:
             for i, p in uv.items():
                 used.setdefault((i, p.y), set()).add(p.x)
         assert all(len(cols) <= w for cols in used.values())
+
+
+def walk(node, u, env):
+    """The reference evaluator: a naive tree walk that evaluates every node
+    at every visit and stops at the first undefined child."""
+    if isinstance(node, Proj):
+        return u[node.k]
+    fn = env[node.name].fn
+    order = sorted(fn.arity)
+    assert len(node.children) == len(order)
+    vals = []
+    for ch in node.children:
+        v = walk(ch, u, env)
+        if v is None:
+            return None
+        vals.append(v)
+    return fn.graph.get(MTuple(tuple(zip(order, vals))))
+
+
+@st.composite
+def shared_terms(draw):
+    """A term over {1} or {1, 2} built bottom-up from a pool that starts
+    with the projections: each new App takes its children from the pool,
+    so subterms are shared, and its atom is a small partial function on
+    the 3 x 3 grid, so some children are undefined.  Atom arities are
+    drawn up to 9, where a frozenset's order can differ from the sorted
+    order the children follow.  The root is one of the last Apps built."""
+    arity = draw(st.sampled_from([idx(1), idx(1, 2)]))
+    atom_arities = draw(st.lists(
+        st.sets(st.integers(1, 9), min_size=1, max_size=2).map(frozenset),
+        min_size=1, max_size=3))
+    env = {f"a{i}": AtomBinding(draw(partial_fns(a, None)), CI_ATOM)
+           for i, a in enumerate(atom_arities)}
+    pool = [Proj(k) for k in sorted(arity)]
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(sorted(env)))
+        children = draw(st.lists(st.sampled_from(pool),
+                                 min_size=len(env[name].fn.arity),
+                                 max_size=len(env[name].fn.arity)))
+        pool.append(App(name, tuple(children)))
+    return Term(draw(st.sampled_from(pool[len(arity):][-3:])), env, arity)
+
+
+class TestCompiledEvaluation:
+    @settings(max_examples=200, derandomize=True)
+    @given(t=shared_terms())
+    def test_matches_the_tree_walk(self, t):
+        evaluate = compile_term(t)
+        # the 3 x 3 grid the atoms live on, plus a point off it
+        grid = [Point(x, y) for x in range(3) for y in range(3)]
+        grid.append(Point(3, 3))
+        for ps in itertools.product(grid, repeat=len(t.arity)):
+            u = MTuple.of(dict(zip(sorted(t.arity), ps)))
+            want = walk(t.root, u, t.env)
+            assert evaluate(u) == want
+            assert eval_term(t, u) == want

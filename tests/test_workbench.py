@@ -413,6 +413,36 @@ class TestPipeline:
         inst.g.graph[u] = Point(inst.g.graph[u].x + 1, inst.g.graph[u].y)
         assert not verify_pair(inst, result.term)["passed"]
 
+    def test_verify_pair_looks_up_each_distinct_subterm_once(self):
+        # A tree walk makes one atom-graph lookup per App node and tuple;
+        # the compiled term makes at most one per distinct App subterm.
+        inst = generate_instance(3, 8, 4, 0)
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
+        assert term.size() == 181
+        lookups = []
+
+        class CountingGraph(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        env = {}
+        for name, binding in term.env.items():
+            fn = PartialFn(binding.fn.arity, {}, binding.fn.codomain)
+            fn.graph = CountingGraph(binding.fn.graph)
+            env[name] = dataclasses.replace(binding, fn=fn)
+        assert verify_pair(inst, Term(term.root, env, term.arity))["passed"]
+        app_nodes, stack = [], [term.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, App):
+                app_nodes.append(node)
+                stack.extend(node.children)
+        distinct = len(set(app_nodes))
+        assert distinct < len(app_nodes)
+        assert 0 < len(lookups) <= distinct * len(inst.g)
+
 
 class TestValidatedConstructions:
     """The algebra builds its results without the constructor's per-entry
@@ -581,6 +611,17 @@ class TestCli:
         assert err[1].startswith("clonecover: partial function: domain tuple ")
         assert "does not match arity [1]" in err[1]
         assert len(err) == 2
+
+    def test_term_of_other_arity_is_one_line_error(self, tmp_path, capsys):
+        term_path = tmp_path / "term.json"
+        assert main(["synth", "--m", "1", "--seed", "3",
+                     "--out", str(term_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--m", "2", "--seed", "3",
+                     "--term", str(term_path)]) == 2
+        assert capsys.readouterr().err == (
+            "clonecover: term: arity [1] does not match the instance's "
+            "arity [1, 2]\n")
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out_a = tmp_path / "a.json"
