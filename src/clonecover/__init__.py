@@ -26,9 +26,7 @@ from .core import (
     star_set,
 )
 from .analysis import (
-    classify_preimages,
     fiber_bounds,
-    is_hereditarily_thrifty,
     k_table,
     least_bound,
     tuple_set_width,

@@ -1,17 +1,17 @@
-"""Width, bound, and thriftiness analysis of finite fragments.
+"""Widths, least bounds and K-tables of finite fragments.
 
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and least bounds are plain ints; callers
 compare them against their own bounds.  `fiber_bounds` reads the least
 bound of every value in every fiber at one S in a single pass over the
-graph; thrifty/wasteful classification, hereditary thriftiness and the
-K-tables are all read off it.
+graph; the decomposition, its verifier and the K-tables all read it and
+compare its bounds with theta themselves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     IndexMismatchError,
@@ -20,9 +20,6 @@ from .core import (
     PartialFn,
     Point,
 )
-
-THRIFTY = "thrifty"
-WASTEFUL = "wasteful"
 
 
 @dataclass
@@ -109,42 +106,6 @@ def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
     return {c: bounds[c] for c in sorted(bounds)}
 
 
-@dataclass
-class ThriftyReport:
-    """Per-value preimage bounds of a partial function against a threshold."""
-
-    per_value: dict  # value -> (bound k, verdict)
-    thrifty_domain: frozenset = frozenset()
-    wasteful_domain: frozenset = frozenset()
-    failure: Optional[tuple] = None  # (S, c, value) on hereditary failure
-
-    @property
-    def all_thrifty(self) -> bool:
-        return self.failure is None and all(
-            v == THRIFTY for _, v in self.per_value.values())
-
-
-def classify_preimages(p: PartialFn, theta: int) -> ThriftyReport:
-    """Split dom(p) into the thrifty and wasteful value-preimages.
-
-    A value is wasteful at theta when its preimage's least bound exceeds
-    theta; the two domain parts partition dom(p).  The bounds are
-    `fiber_bounds` at S = {}.
-    """
-    if theta < 1:
-        raise ValueError("theta must be at least 1")
-    bounds = fiber_bounds(p, frozenset()).get(MTuple.empty(), {})
-    per_value = {v: (k, THRIFTY if k <= theta else WASTEFUL)
-                 for v, k in bounds.items()}
-    thrifty_dom = frozenset(u for u, v in p.graph.items()
-                            if bounds[v] <= theta)
-    return ThriftyReport(
-        per_value=per_value,
-        thrifty_domain=thrifty_dom,
-        wasteful_domain=p.domain() - thrifty_dom,
-    )
-
-
 class NotThriftyError(ValueError):
     """Raised when an operation requires a thrifty function but got none."""
 
@@ -190,32 +151,6 @@ def k_table(t: PartialFn, theta: int) -> dict:
         raise IndexMismatchError("k_table applies to point-valued functions")
     return line_bounds(
         fiber_bounds(t, frozenset()).get(MTuple.empty(), {}), theta)
-
-
-def is_hereditarily_thrifty(q: PartialFn, theta: int) -> ThriftyReport:
-    """Check thriftiness of every fiber of q, over all S and occurring c.
-
-    The S = empty-set clause is plain thriftiness of q itself; the overall
-    verdict is the conjunction, with the first failing (S, c, value) triple
-    recorded.
-    """
-    root = classify_preimages(q, theta)
-    return ThriftyReport(
-        per_value=root.per_value,
-        thrifty_domain=root.thrifty_domain,
-        wasteful_domain=root.wasteful_domain,
-        failure=_first_wasteful_fiber(q, theta),
-    )
-
-
-def _first_wasteful_fiber(q: PartialFn, theta: int) -> Optional[tuple]:
-    """The first (S, c, least wasteful value) in sweep order, if any."""
-    for s in all_subsets(sorted(q.arity)):
-        for c, bounds in fiber_bounds(q, s).items():
-            wasteful = [v for v, k in bounds.items() if k > theta]
-            if wasteful:
-                return s, c, min(wasteful)
-    return None
 
 
 def all_subsets(members: Sequence[int]) -> list:

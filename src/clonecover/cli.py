@@ -19,7 +19,7 @@ from .decompose import (
 )
 from .instances import check_admissibility, default_theta, generate_instance
 from .pipeline import run_pipeline, verify_pair
-from .synth import end_to_end_synthesize
+from .synth import StageError, end_to_end_synthesize
 
 ENV_SEED = "CLONECOVER_SEED"
 
@@ -92,10 +92,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_synth(args) -> int:
     inst = _load_or_generate(args)
-    result = end_to_end_synthesize(
-        inst.g, inst.f, inst.theta, inst.horizon,
-        unary_candidates=inst.candidates,
-    )
+    try:
+        result = end_to_end_synthesize(
+            inst.g, inst.f, inst.theta, inst.horizon,
+            unary_candidates=inst.candidates,
+        )
+    except StageError as exc:
+        print(f"synthesis FAIL: {exc}")
+        return 1
     _emit(serialize.term_dumps(result.term), args.out)
     pair = verify_pair(inst, result.term)
     print(f"term size={result.term.size()} depth={result.term.depth()} "

@@ -473,19 +473,22 @@ def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
     ``(name, child slots)``, so each distinct subterm is evaluated once per
     tuple.  An atom slot is None when any of its children is.
 
-    The atom checks run here, once, over the whole term: an unbound atom
-    raises ``UnresolvedAtomError`` and a wrong child count
-    ``IndexMismatchError``, also behind an undefined sibling, where a walk
-    that stops at the first undefined child would never look.  (Parsed
-    terms have neither: ``serialize.term_loads`` rejects both.)  The
-    evaluator raises ``IndexMismatchError`` on a tuple not over the term's
-    arity.
+    The node checks run here, once, over the whole term: an unbound atom
+    raises ``UnresolvedAtomError``, and a projection outside the term's
+    arity or a wrong child count ``IndexMismatchError``, also behind an
+    undefined sibling, where a walk that stops at the first undefined child
+    would never look.  (Parsed terms have none of these:
+    ``serialize.term_loads`` rejects them.)  The evaluator raises
+    ``IndexMismatchError`` on a tuple not over the term's arity.
     """
     program: list = []
     slots: dict = {}
 
     def lower(node: TermNode) -> int:
         if isinstance(node, Proj):
+            if node.k not in t.arity:
+                raise IndexMismatchError(
+                    f"projection {node.k} outside arity {sorted(t.arity)}")
             key = entry = node.k
         else:
             if node.name not in t.env:

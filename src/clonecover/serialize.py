@@ -21,6 +21,7 @@ from .core import (
     Proj,
     Term,
     WITNESS_ATOM,
+    full_index,
 )
 from .instances import PROFILES, Instance
 
@@ -254,7 +255,9 @@ def instance_parse(doc: dict) -> Instance:
                 f"instance: candidate {i} must be unary point-valued, got "
                 f"arity {sorted(c.arity)} and codomain "
                 f"{None if c.codomain is None else sorted(c.codomain)}")
-    if inst.m != len(inst.g.arity):
+    if inst.m < 1:
+        raise ParseError(f"instance: m = {inst.m} is below 1")
+    if inst.g.arity != full_index(inst.m):
         raise ParseError(f"instance: m = {inst.m} but g has arity "
                          f"{sorted(inst.g.arity)}")
     if not 1 <= inst.theta <= inst.horizon - 1:

@@ -301,12 +301,12 @@ def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
             ps: PStarIndex) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
     the witness's output on the corresponding helper at u; value q(u)."""
+    slots = list(enumerate(ps.pairs, ps.m + 1))
     graph = {}
     for u, val in q.graph.items():
         entries = dict(u.items())
-        for s, j in ps.pairs:
-            entries[ps.slot(s, j)] = helper_slot_value(
-                h_family[(s, j)], nw, u)
+        for slot, pair in slots:
+            entries[slot] = helper_slot_value(h_family[pair], nw, u)
         graph[MTuple.of(entries)] = val
     return PartialFn(ps.combined_arity(), graph)
 

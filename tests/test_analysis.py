@@ -2,11 +2,8 @@ import pytest
 
 from clonecover.analysis import (
     NotThriftyError,
-    THRIFTY,
-    WASTEFUL,
     all_subsets,
-    classify_preimages,
-    is_hereditarily_thrifty,
+    fiber_bounds,
     k_table,
     least_bound,
     tuple_set_width,
@@ -14,6 +11,7 @@ from clonecover.analysis import (
 )
 from clonecover.core import MTuple, PartialFn, idx
 
+import oracle
 from conftest import pt, tup, unary
 
 
@@ -68,35 +66,42 @@ class TestLeastBound:
 
 
 class TestClassifyPreimages:
+    """Per-value bounds at S = {} from `fiber_bounds`, and the oracle's
+    thrifty/wasteful split at theta."""
+
     def test_frozen_wasteful_example(self):
         # The sole preimage tuple has min y = 5, bound 6 > theta = 3.
         p = unary({(0, 5): (1, 1)})
-        report = classify_preimages(p, theta=3)
-        assert report.per_value[pt(1, 1)] == (6, WASTEFUL)
-        assert not report.all_thrifty
-        assert report.wasteful_domain == frozenset({tup((0, 5))})
+        assert fiber_bounds(p, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 6}}
+        assert oracle.split(p, 3) == (frozenset(), frozenset({tup((0, 5))}))
 
     def test_thrifty_at_exact_threshold(self):
         p = unary({(0, 2): (1, 1)})
-        report = classify_preimages(p, theta=3)
-        assert report.per_value[pt(1, 1)] == (3, THRIFTY)
-        assert report.all_thrifty
+        assert fiber_bounds(p, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 3}}
+        assert oracle.split(p, 3) == (p.domain(), frozenset())
 
     def test_domains_partition(self):
         p = unary({(0, 5): (1, 1), (0, 0): (2, 2), (4, 9): (1, 1)})
-        report = classify_preimages(p, theta=3)
-        assert report.thrifty_domain | report.wasteful_domain == p.domain()
-        assert not (report.thrifty_domain & report.wasteful_domain)
+        assert fiber_bounds(p, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 10, pt(2, 2): 1}}
+        thrifty, wasteful = oracle.split(p, 3)
+        assert thrifty == frozenset({tup((0, 0))})
+        assert thrifty | wasteful == p.domain()
+        assert not (thrifty & wasteful)
 
     def test_bound_taken_over_whole_preimage(self):
         # One low tuple does not rescue the value: the bound is a max.
         p = unary({(0, 0): (1, 1), (0, 9): (1, 1)})
-        report = classify_preimages(p, theta=3)
-        assert report.per_value[pt(1, 1)] == (10, WASTEFUL)
+        assert fiber_bounds(p, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 10}}
+        assert oracle.split(p, 3) == (frozenset(), p.domain())
 
     def test_invalid_theta(self):
+        # theta is checked before any bound is read, even with no values
         with pytest.raises(ValueError):
-            classify_preimages(unary({}), 0)
+            k_table(unary({}), 0)
 
 
 class TestKTable:
@@ -122,36 +127,46 @@ class TestKTable:
 
 
 class TestHereditarilyThrifty:
+    """Bounds from `fiber_bounds` at the failing S, and the oracle's first
+    wasteful (S, c, value) over every S and c."""
+
     def test_frozen_counterexample(self):
         # The tuple ((x|0),(x|5)) is plain-thrifty (min y = 0) but its fiber
         # over S = {1} is the map (x|5) -> value, bound 6 > theta = 2.
         q = PartialFn(idx(1, 2), {tup((3, 0), (3, 5)): pt(1, 1)})
-        report = is_hereditarily_thrifty(q, theta=2)
-        assert report.all_thrifty is False
-        s, c, value = report.failure
-        assert s == idx(1) and c == MTuple.of({1: pt(3, 0)})
-        assert value == pt(1, 1)
+        c = MTuple.of({1: pt(3, 0)})
+        assert fiber_bounds(q, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 1}}
+        assert fiber_bounds(q, idx(1)) == {c: {pt(1, 1): 6}}
+        assert oracle.first_wasteful(q, 2) == (idx(1), c, pt(1, 1))
 
     def test_all_low_is_hereditarily_thrifty(self):
         q = PartialFn(idx(1, 2), {
             tup((i, 0), (i, 1)): pt(i, 0) for i in range(4)
         })
-        assert is_hereditarily_thrifty(q, theta=2).all_thrifty
+        assert all(k <= 2 for s in all_subsets([1, 2])
+                   for bounds in fiber_bounds(q, s).values()
+                   for k in bounds.values())
+        assert oracle.first_wasteful(q, 2) is None
 
     def test_empty_subset_clause_is_plain_thriftiness(self):
         q = unary({(0, 5): (1, 1)})
-        report = is_hereditarily_thrifty(q, theta=3)
-        plain = classify_preimages(q, theta=3)
-        assert report.per_value == plain.per_value
+        assert fiber_bounds(q, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 6}}
+        assert oracle.first_wasteful(q, 3) == (
+            frozenset(), MTuple.empty(), pt(1, 1))
+        assert oracle.split(q, 3)[1] == q.domain()
 
     def test_covers_every_subset(self):
         # Thrifty at S = {} and at S = {1}; at S = {2} the fiber with key
         # (0|0) maps (0|5) alone to (9|9), a preimage bound of 6 > theta 3.
         q = PartialFn(idx(1, 2), {tup((0, 5), (0, 0)): pt(9, 9)})
-        report = is_hereditarily_thrifty(q, theta=3)
-        assert classify_preimages(q, 3).all_thrifty
-        assert not report.all_thrifty
-        assert report.failure == (idx(2), MTuple.of({2: pt(0, 0)}), pt(9, 9))
+        c = MTuple.of({2: pt(0, 0)})
+        assert oracle.split(q, 3)[1] == frozenset()
+        assert fiber_bounds(q, idx(1)) == {
+            MTuple.of({1: pt(0, 5)}): {pt(9, 9): 1}}
+        assert fiber_bounds(q, idx(2)) == {c: {pt(9, 9): 6}}
+        assert oracle.first_wasteful(q, 3) == (idx(2), c, pt(9, 9))
 
 
 class TestAllSubsets:

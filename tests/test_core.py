@@ -282,6 +282,15 @@ class TestTerms:
         with pytest.raises(IndexMismatchError):
             eval_term(t, tup((0, 0)))
 
+    def test_projection_outside_arity(self):
+        # evaluation used to raise a bare KeyError(3) on every tuple
+        t = Term(Proj(3), {}, full_index(2))
+        with pytest.raises(IndexMismatchError,
+                           match=r"projection 3 outside arity \[1, 2\]"):
+            compile_term(t)
+        with pytest.raises(IndexMismatchError):
+            eval_term(t, tup((0, 0), (1, 1)))
+
     def test_tuple_over_other_indices(self):
         p = unary({(0, 0): (7, 7)})
         t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))

@@ -1,10 +1,6 @@
 import pytest
 
-from clonecover.analysis import (
-    classify_preimages,
-    is_hereditarily_thrifty,
-    tuple_set_width,
-)
+from clonecover.analysis import tuple_set_width
 from clonecover.core import (
     IndexMismatchError,
     MTuple,
@@ -27,6 +23,7 @@ from clonecover.decompose import (
 from clonecover.instances import generate_instance
 from clonecover.synth import fiber_k_tables
 
+import oracle
 from conftest import pt, stage_check, trace_over, tup, unary
 
 
@@ -90,8 +87,7 @@ class TestCountableSelection:
         })
         stage = strong_decompose_stage(g, idx(1), theta=3)
         wasteful = {
-            c.union(z)
-            for z in classify_preimages(fiber(g, idx(1), c), 3).wasteful_domain
+            c.union(z) for z in oracle.split(fiber(g, idx(1), c), 3)[1]
         }
         assert wasteful == set(g.domain())
         assert wasteful <= stage.h.domain()
@@ -129,8 +125,7 @@ class TestStrongDecompose:
         })
         stage = strong_decompose_stage(g, idx(1), theta=3)
         for c in fibers(stage.g_prime, idx(1)):
-            rep = classify_preimages(fiber(stage.g_prime, idx(1), c), 3)
-            assert rep.all_thrifty
+            assert not oracle.split(fiber(stage.g_prime, idx(1), c), 3)[1]
 
     def test_s_outside_arity_rejected(self):
         g = unary({(0, 0): (1, 1)})
@@ -175,7 +170,7 @@ class TestHereditaryDecompose:
             tup((3, 2), (0, 0)): pt(6, 6),
         })
         trace = hereditary_decompose(g, theta=4)
-        assert is_hereditarily_thrifty(trace.g_prime, 4).all_thrifty
+        assert oracle.first_wasteful(trace.g_prime, 4) is None
 
     def test_verifier_accepts_honest_trace(self):
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
@@ -245,7 +240,8 @@ class TestHereditaryDecompose:
         empty, one, two, both = (frozenset(), frozenset({1}),
                                  frozenset({2}), frozenset({1, 2}))
         skipped = trace_over(g, [empty, one, both], 3)
-        assert not is_hereditarily_thrifty(skipped.g_prime, 3).all_thrifty
+        assert oracle.first_wasteful(skipped.g_prime, 3) == (
+            two, MTuple.of({2: pt(0, 0)}), pt(5, 5))
         assert self.failing_checks(g, skipped) == [
             "final g' hereditarily thrifty"]
         for subsets in ([empty, one, one, two, both],

@@ -58,11 +58,11 @@ def private_sibling_imports(source: str) -> list:
 def test_detector_flags_a_private_sibling_import():
     source = ("from __future__ import annotations\n"
               "from .core import PartialFn, _EMPTY_TUPLE\n"
-              f"from {PACKAGE}.analysis import _first_wasteful_fiber\n"
+              f"from {PACKAGE}.decompose import _inner_map_failure\n"
               "from . import _hidden\n"
               "from os import _exit\n")
     assert private_sibling_imports(source) == [
-        "_EMPTY_TUPLE", "_first_wasteful_fiber", "_hidden"]
+        "_EMPTY_TUPLE", "_inner_map_failure", "_hidden"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

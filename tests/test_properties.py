@@ -13,9 +13,7 @@ from hypothesis import example, given, settings, strategies as st, target
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
-    classify_preimages,
     fiber_bounds,
-    is_hereditarily_thrifty,
     k_table,
     least_bound,
     width,
@@ -53,6 +51,7 @@ from clonecover.decompose import (
 )
 from clonecover.synth import fiber_k_tables, pstar, verify_Q_in_CI
 
+import oracle
 from conftest import (
     maximal_products,
     product_image,
@@ -143,25 +142,12 @@ def fns_and_subsets(draw):
     return g, s
 
 
-def naive_fibers(g, s):
-    """One full scan of g per occurring key, splitting entries by hand."""
-    def part(u, inside):
-        return MTuple(tuple(e for e in u.entries if (e[0] in s) == inside))
-
-    out = {}
-    for c in sorted({part(u, True) for u in g.graph}):
-        graph = {part(u, False): v for u, v in g.graph.items()
-                 if part(u, True) == c}
-        out[c] = PartialFn(g.arity - s, graph, g.codomain)
-    return out
-
-
 class TestFibers:
     @settings(max_examples=300, derandomize=True)
     @given(case=fns_and_subsets())
     def test_matches_per_key_scan(self, case):
         g, s = case
-        got, want = fibers(g, s), naive_fibers(g, s)
+        got, want = fibers(g, s), oracle.fibers(g, s)
         assert list(got) == list(want)
         assert got == want
         for c in want:
@@ -192,19 +178,6 @@ class TestFibers:
             fibers(g, s | {4})
 
 
-def naive_fiber_bounds(g, s):
-    """One full scan of g per occurring key, then `least_bound` over each
-    value's preimage, as tuples over the non-S indices."""
-    out = {}
-    for c in sorted({u.restrict(s) for u in g.graph}):
-        preimages = {}
-        for u, v in g.graph.items():
-            if u.restrict(s) == c:
-                preimages.setdefault(v, []).append(u.without(s))
-        out[c] = {v: least_bound(us) for v, us in preimages.items()}
-    return out
-
-
 any_fns = index_sets.flatmap(lambda arity: codomains.flatmap(
     lambda codomain: partial_fns(arity, codomain)))
 point_fns = index_sets.flatmap(lambda arity: partial_fns(arity, None))
@@ -214,12 +187,36 @@ class TestFiberBounds:
     @settings(max_examples=300, derandomize=True)
     @given(g=any_fns)
     def test_matches_least_bound_per_fiber(self, g):
+        # the oracle reads every fiber by hand and counts each bound up
         for s in all_subsets(sorted(g.arity)):
-            got, want = fiber_bounds(g, s), naive_fiber_bounds(g, s)
+            got, want = fiber_bounds(g, s), oracle.fiber_bounds(g, s)
             assert got == want
             assert list(got) == list(want)
             for c in want:
                 assert list(got[c]) == list(want[c])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(q=point_fns, theta=st.integers(1, 3))
+    def test_verdicts_match_the_oracle(self, q, theta):
+        # the wasteful values of every fiber, and the first wasteful fiber
+        # in sweep order, read off fiber_bounds as the program reads them
+        first = None
+        for s in all_subsets(sorted(q.arity)):
+            by_hand = oracle.fibers(q, s)
+            for c, bounds in fiber_bounds(q, s).items():
+                wasteful = {v for v, k in bounds.items() if k > theta}
+                p = by_hand[c]
+                assert wasteful == {p.graph[z]
+                                    for z in oracle.split(p, theta)[1]}
+                if wasteful and first is None:
+                    first = (s, c, min(wasteful))
+        assert first == oracle.first_wasteful(q, theta)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(tuples=index_sets.flatmap(
+        lambda arity: st.sets(tuples_over(arity), max_size=8)))
+    def test_least_bound_matches_the_oracle(self, tuples):
+        assert least_bound(tuples) == oracle.least_bound(tuples)
 
     @settings(max_examples=300, derandomize=True)
     @given(q=point_fns, theta=st.integers(0, 3))
@@ -237,13 +234,9 @@ class TestFiberBounds:
             assert (raised.value.value, raised.value.bound) == (exc.value,
                                                                 exc.bound)
             # the least wasteful value of the first wasteful fiber
-            wasteful = next(
-                {v: k for v, k in bounds.items() if k > theta}
-                for s in subsets
-                for bounds in naive_fiber_bounds(q, s).values()
-                if max(bounds.values()) > theta)
-            v = min(wasteful)
-            assert (exc.value, exc.bound) == (v, wasteful[v])
+            s, c, v = oracle.first_wasteful(q, theta)
+            assert (exc.value, exc.bound) == (
+                v, oracle.fiber_bounds(q, s)[c][v])
             return
         except ValueError:
             assert theta < 1
@@ -264,10 +257,10 @@ def algebra_stage(g, s, theta):
     shrink the inner map back onto dom(g)."""
     thrifty_parts, wasteful_family = {}, {}
     for c, g_c in fibers(g, s).items():
-        rep = classify_preimages(g_c, theta)
-        thrifty_parts[c] = g_c.restrict(rep.thrifty_domain)
-        if rep.wasteful_domain:
-            wasteful_family[c] = g_c.restrict(rep.wasteful_domain)
+        thrifty, wasteful = oracle.split(g_c, theta)
+        thrifty_parts[c] = g_c.restrict(thrifty)
+        if wasteful:
+            wasteful_family[c] = g_c.restrict(wasteful)
     selection = countable_selection(wasteful_family, theta)
     t = g.arity - s
     g_parts = [PartialFn.empty(g.arity, g.codomain)]
@@ -359,6 +352,12 @@ class TestUnionAndSubLaws:
             assert compose(g_prime, h) == g
 
 
+def thrifty(p, theta):
+    """Whether every value of p has a preimage bound at most theta."""
+    return all(k <= theta for bounds in fiber_bounds(p, frozenset()).values()
+               for k in bounds.values())
+
+
 class TestBoundLaws:
     def test_least_bound_of_disjoint_union(self, rng):
         # least_bound(A u B) = max of the two bounds
@@ -377,10 +376,8 @@ class TestBoundLaws:
             })
             if not p2.graph:
                 continue
-            both = (classify_preimages(p1, theta).all_thrifty
-                    and classify_preimages(p2, theta).all_thrifty)
-            union_verdict = classify_preimages(
-                disjoint_union([p1, p2]), theta).all_thrifty
+            both = thrifty(p1, theta) and thrifty(p2, theta)
+            union_verdict = thrifty(disjoint_union([p1, p2]), theta)
             # The law needs value-disjointness too; a value shared between
             # the parts can merge two thrifty preimages into a wasteful one,
             # so only the forward direction is unconditional.
@@ -391,17 +388,16 @@ class TestBoundLaws:
                 assert union_verdict == both
 
     def test_restriction_never_raises_bounds(self, rng):
-        theta = 8
+        # at every S: the lemma behind verify_decomposition's coverage check
         for _ in range(200):
             q = random_point_fn(rng, T, size=rng.randint(1, 10))
             keep = [u for u in sorted(q.domain()) if rng.random() < 0.5]
             sub = q.restrict(keep)
-            full_rep = classify_preimages(q, theta)
-            sub_rep = classify_preimages(sub, theta)
-            for v, (k, _) in sub_rep.per_value.items():
-                assert k <= full_rep.per_value[v][0]
-            if full_rep.all_thrifty:
-                assert sub_rep.all_thrifty
+            for s in all_subsets(sorted(T)):
+                full = fiber_bounds(q, s)
+                for c, bounds in fiber_bounds(sub, s).items():
+                    for v, k in bounds.items():
+                        assert k <= full[c][v]
 
 
 class TestExtensionLaws:
@@ -558,8 +554,23 @@ class TestDecompositionCoverage:
         assert final["passed"] == covered
         target(float(verdict["passed"]))
         if verdict["passed"]:
-            assert is_hereditarily_thrifty(trace.g_prime,
-                                           trace.theta).all_thrifty
+            assert oracle.first_wasteful(trace.g_prime, trace.theta) is None
+
+    @settings(max_examples=200, derandomize=True)
+    @given(case=swept_traces())
+    def test_fibers_thrifty_check_matches_the_oracle(self, case):
+        # stages at thresholds other than the trace's leave some fibers
+        # wasteful at it; the check must flag exactly those stages
+        g, trace = case
+        if trace is None:
+            return
+        checks = [c for c in verify_decomposition(g, trace)["checks"]
+                  if c["name"].endswith(": fibers thrifty")]
+        want = [all(not oracle.split(p, trace.theta)[1]
+                    for p in oracle.fibers(stage.g_prime, stage.s).values())
+                for stage in trace.stages]
+        target(float(want.count(False)))
+        assert [c["passed"] for c in checks] == want
 
 
 @st.composite

@@ -238,10 +238,17 @@ class TestSerialization:
 
     def test_inconsistent_instance_rejected(self):
         doc = serialize.instance_json(generate_instance(2, 8, 4, seed=3))
+        shifted = {**doc["g"], "arity": [2, 3], "graph": [
+            [{str(int(i) + 1): p for i, p in u.items()}, v]
+            for u, v in doc["g"]["graph"]]}
         faults = [
             # m = 3 and theta = 99 on a binary g used to load silently
             ({"m": 3, "theta": 99}, "m = 3 but g has arity"),
             ({"m": 1}, "m = 1 but g has arity"),
+            # a binary g over {2, 3}, and m = 0 with an empty g, loaded too
+            ({"g": shifted}, r"m = 2 but g has arity \[2, 3\]"),
+            ({"m": 0, "g": {**doc["g"], "arity": [], "graph": []}},
+             "m = 0 is below 1"),
             ({"theta": 99}, "theta 99 outside"),
             ({"theta": 0}, "theta 0 outside"),
             ({"theta": 8}, "theta 8 outside"),
@@ -331,10 +338,9 @@ class TestPipeline:
     def test_fiber_bounds_are_read_in_one_pass_per_sweep(self,
                                                          monkeypatch):
         # Every sweep reads its fibers' bounds from one pass: no per-fiber
-        # classification, least bound or K-table anywhere.
+        # least bound or K-table anywhere.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("k_table", "least_bound",
-                                           "classify_preimages"))
+        calls = _count_calls(monkeypatch, ("k_table", "least_bound"))
         none = dict.fromkeys(calls, 0)
         trace = hereditary_decompose(inst.g, inst.theta)
         assert calls == none
@@ -542,6 +548,21 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ("decomposition FAIL: no fresh low tuple left for "
                            "fiber key <>, value (1|1)\n")
+        assert out.err == ""
+
+    def test_synth_failure_is_one_fail_line(self, tmp_path, capsys):
+        # A witness with one image point leaves normalization no line to
+        # spread g's values over.
+        inst = dataclasses.replace(generate_instance(2, 8, 4, 0),
+                                   f=unary({(0, 1): (5, 7)}))
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.instance_dumps(inst))
+        assert main(["check", "--instance", str(path)]) == 1
+        capsys.readouterr()
+        assert main(["synth", "--instance", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ("synthesis FAIL: [normalize] no unused image line "
+                           "with at least 7 points\n")
         assert out.err == ""
 
     def test_truncated_instance_is_one_line_error(self, tmp_path, capsys):
