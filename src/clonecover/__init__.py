@@ -41,7 +41,6 @@ from .synth import (
     assemble_term,
     build_Q,
     build_h,
-    complete_width1,
     end_to_end_synthesize,
     main_lemma_certify,
     normalize_f,

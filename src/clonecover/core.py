@@ -429,11 +429,6 @@ class Term:
     def depth(self) -> int:
         return _node_depth(self.root)
 
-    def atom_counts(self) -> dict:
-        counts: dict = {}
-        _count_atoms(self.root, counts)
-        return counts
-
     def witness_atoms(self) -> list:
         return sorted(n for n, b in self.env.items() if b.kind == WITNESS_ATOM)
 
@@ -448,13 +443,6 @@ def _node_depth(node: TermNode) -> int:
     if isinstance(node, Proj):
         return 1
     return 1 + max((_node_depth(ch) for ch in node.children), default=0)
-
-
-def _count_atoms(node: TermNode, counts: dict) -> None:
-    if isinstance(node, App):
-        counts[node.name] = counts.get(node.name, 0) + 1
-        for ch in node.children:
-            _count_atoms(ch, counts)
 
 
 def eval_term(t: Term, u: MTuple) -> Optional[Point]:

@@ -107,7 +107,7 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     narrow = verify_Q_in_CI(result.q_table, 1, m)
     checks.add("selector width bound (m!)", narrow.passed,
                _width_detail(narrow))
-    factors = spanned_family(narrow.entries, result.k_tables, m)
+    factors = spanned_family(narrow.entries, m)
     uniq_details = [
         f"line {cert.line} perm {cert.perm}: {cert.detail}"
         for cert in main_lemma_certify(result.q_table, result.k_tables,

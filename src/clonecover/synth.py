@@ -348,43 +348,13 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
 # -- width certificates for the selector ------------------------------
 
 
-def complete_width1(points: Iterable[Point],
-                    lines_needed: Iterable[int]) -> dict:
-    """A width-1 point set as a factor read by line, ``factor[n]`` the set
-    of columns x with (x|n) in it, extended so it meets every needed line
-    (default x = 0)."""
-    column: dict = {}
-    for x, y in points:
-        if column.setdefault(y, x) != x:
-            raise ValueError("factor has width above 1")
-    for n in lines_needed:
-        column.setdefault(n, 0)
-    return {n: frozenset({x}) for n, x in column.items()}
-
-
-def _columns(factors: Mapping, key, n: int):
-    """The columns of width-1 factor ``key`` on line n, checked to be one."""
-    cols = factors[key].get(n, frozenset())
-    if len(cols) > 1:
-        raise ValueError(f"factor {key!r} has width above 1 on line {n}")
-    return cols
-
-
-def _selector_point(factors: Mapping, key, n: int) -> int:
-    """The unique column k with (k|n) in a width-1 factor meeting line n."""
-    cols = _columns(factors, key, n)
-    if not cols:
-        raise ValueError(
-            f"factor {key!r} does not meet line {n}; run complete_width1 first"
-        )
-    return next(iter(cols))
-
-
 def _in_product(uv: MTuple, factors: Mapping, keys: Sequence) -> bool:
-    """Whether each slot of uv lies in its factor; ``keys`` in slot order."""
+    """Whether each slot of uv lies in its width-1 factor, a line -> column
+    map read as column 0 on a line it does not list; ``keys`` in slot
+    order."""
     for slot, key in enumerate(keys, 1):
-        p = uv[slot]
-        if p.x not in _columns(factors, key, p.y):
+        x, y = uv[slot]
+        if factors[key].get(y, 0) != x:
             return False
     return True
 
@@ -466,17 +436,19 @@ def _widest_fit(candidates: list, w: int, used: dict, taken: tuple,
     return best
 
 
-def spanned_family(entries: Sequence[MTuple], k_tables: Mapping,
-                   m: int) -> dict:
-    """The width-1 factor family that agreeing selector entries span, each
-    factor completed (`complete_width1`) over the lines `_certify_line`
-    reads: the K-table values, the columns the entries put on the (S, j)
-    slots, and 0."""
-    lines = {k for table in k_tables.values() for k in table.values()}
-    lines |= {p.x for uv in entries for i, p in uv.items() if i > m}
-    lines.add(0)
-    return {key: complete_width1({uv[slot] for uv in entries}, lines)
-            for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1)}
+def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
+    """The width-1 factor family that agreeing selector entries span: for
+    each factor key, the line -> column map of the entries' points in its
+    slot (lines it does not list read as column 0)."""
+    family = {}
+    for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1):
+        factor = family[key] = {}
+        for uv in entries:
+            x, y = uv[slot]
+            if factor.setdefault(y, x) != x:
+                raise ValueError(
+                    f"factor {key!r} has width above 1 on line {y}")
+    return family
 
 
 @dataclass
@@ -532,9 +504,9 @@ def _certify_line(k_tables: Mapping, factors: Mapping, n: int, perm: tuple,
         if table is None or n not in table:
             complete = False
             break
-        bj = _selector_point(factors, (s, j), table[n])
-        candidate[j] = Point(_selector_point(factors, j, bj), bj)
-        prefix = prefix.union(MTuple.of({j: candidate[j]}))
+        bj = factors[(s, j)].get(table[n], 0)
+        candidate[j] = Point(factors[j].get(bj, 0), bj)
+        prefix = MTuple.of(candidate)
 
     qualifying = sorted(
         uv for uv in entries

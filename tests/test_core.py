@@ -306,7 +306,6 @@ class TestTerms:
         p = unary({(0, 0): (7, 7)})
         t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
         assert t.size() == 2 and t.depth() == 2
-        assert t.atom_counts() == {"p": 1}
 
 
 class TestMTuple:

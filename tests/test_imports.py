@@ -1,10 +1,13 @@
 """Every import in the package's modules and in the test modules is used
 (``__init__`` re-exports, so it is exempt), no package module imports
 an underscore-prefixed name from a sibling: what modules share is public
-and documented, and only the instance generator imports ``random``: every
+and documented, every underscore-prefixed name a package module binds at
+its top level is read in that module, so no helper outlives its last
+caller, and only the instance generator imports ``random``: every
 verdict is a deterministic function of its inputs.  Standard library only:
 the AST names each import and each name the module reads."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,47 @@ def test_detector_flags_a_private_sibling_import():
                          ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def loaded_names(node) -> Counter:
+    return Counter(n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def unread_private_names(source: str) -> list:
+    """Underscore-prefixed (not dunder) names a module binds at its top
+    level, by ``def``, ``class`` or assignment, and never reads outside
+    their own body, in line order."""
+    tree = ast.parse(source)
+    read = loaded_names(tree)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+            read[node.name] -= loaded_names(node)[node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [name for _, name in sorted(bound)
+            if name.startswith("_") and not name.startswith("__")
+            and read[name] <= 0]
+
+
+def test_detector_flags_an_unread_private_name():
+    source = ("__all__ = []\n_CACHE: dict = {}\n_A, _B = 1, 2\n"
+              "def _used():\n    return _CACHE, _A\n"
+              "def _stale(x):\n    return _stale(x - 1)\n"
+              "class _Gone:\n    _field = 0\n"
+              "def public():\n    _local = _used()\n    return _local\n")
+    assert unread_private_names(source) == ["_B", "_stale", "_Gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_name_is_read_in_its_module(path):
+    assert unread_private_names(path.read_text()) == []
 
 
 def imports_random(source: str) -> bool:

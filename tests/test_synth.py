@@ -18,7 +18,6 @@ from clonecover.instances import PROFILES, generate_instance
 from clonecover.synth import (
     StageError,
     build_h,
-    complete_width1,
     end_to_end_synthesize,
     fiber_k_tables,
     helper_slot_value,
@@ -248,24 +247,6 @@ class TestBuildQ:
         assert hit
 
 
-def line_factor(points) -> dict:
-    """A point set as a factor read by line: each line's columns."""
-    factor: dict = {}
-    for x, y in points:
-        factor[y] = factor.get(y, frozenset()) | {x}
-    return factor
-
-
-class TestCompleteWidth1:
-    def test_fills_missing_lines_on_x0(self):
-        factor = complete_width1({pt(4, 1)}, [0, 1, 2])
-        assert factor == {0: {0}, 1: {4}, 2: {0}}
-
-    def test_rejects_wide_input(self):
-        with pytest.raises(ValueError):
-            complete_width1({pt(0, 0), pt(1, 0)}, [0])
-
-
 class TestSelectorCertificates:
     def test_end_to_end_term_equality(self):
         for m in (1, 2):
@@ -283,9 +264,6 @@ class TestSelectorCertificates:
                                     unary_candidates=inst.candidates)
         ps = res.pstar_index
         m = inst.m
-        all_lines = {p.y for uv in res.q_table.graph for p in uv.points()}
-        all_lines |= {k for t in res.k_tables.values() for k in t.values()}
-        needed = range(max(all_lines) + 1)
         factors = {}
         for key in list(sorted(ps.index_set)) + list(ps.pairs):
             pts = set()
@@ -293,12 +271,12 @@ class TestSelectorCertificates:
                 p = uv[key] if isinstance(key, int) else uv[ps.slot(*key)]
                 pts.add(p)
             sl = next(iter(width1_slices(pts)), frozenset())
-            factors[key] = complete_width1(sl, needed)
+            factors[key] = {p.y: p.x for p in sl}
         verdict = verify_Q_in_CI(res.q_table, 1, m)
         assert verdict.bound == math.factorial(m)
         assert verdict.passed
         image = {val for uv, val in res.q_table.graph.items()
-                 if all(uv[slot].x in factors[key][uv[slot].y]
+                 if all(uv[slot].x == factors[key].get(uv[slot].y, 0)
                         for slot, key in enumerate(ps.factor_keys, 1))}
         assert width(image) <= verdict.observed
         certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
@@ -322,33 +300,30 @@ class TestSelectorCertificates:
             1, 5, (first,))
         assert wide.passed and narrow.passed
 
-    def test_wide_factors_rejected_by_both_verifiers(self):
-        q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        factors = {1: {0: frozenset({0, 1})},
-                   (frozenset(), 1): {0: frozenset({0})}}
-        with pytest.raises(ValueError, match="width above 1"):
-            main_lemma_certify(q_table, {}, factors, 1)
+    def test_spanned_family_rejects_entries_that_disagree(self):
         # the family the certificates read spans agreeing entries only
-        with pytest.raises(ValueError, match="width above 1"):
-            spanned_family([tup((0, 0), (0, 0)), tup((1, 0), (0, 0))], {}, 1)
-        # a point set wide on a line no verifier reads cannot become a factor
-        with pytest.raises(ValueError, match="width above 1"):
-            complete_width1({pt(0, 0), pt(3, 7), pt(4, 7)}, [0])
+        with pytest.raises(ValueError, match="width above 1 on line 0"):
+            spanned_family([tup((0, 0), (0, 0)), tup((1, 0), (0, 0))], 1)
 
-    def test_certificate_rejects_wide_selector_line(self):
-        # the K-chain reads line 1 of the (S, j) factor, which is wide
-        q_table = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        k_tables = {(frozenset(), MTuple.empty()): {0: 1}}
-        factors = {1: {0: frozenset({0})},
-                   (frozenset(), 1): {0: frozenset({0}),
-                                      1: frozenset({0, 2})}}
-        with pytest.raises(ValueError, match="width above 1 on line 1"):
-            main_lemma_certify(q_table, k_tables, factors, 1)
+    def test_unlisted_lines_read_column_0(self):
+        # The input factor lists line 1 only; the entries on lines 0 and 2
+        # lie in the product at column 0, and so does the K-chain's read.
+        on_0, on_1, on_2 = (tup((0, 0), (0, 0)), tup((4, 1), (0, 0)),
+                            tup((0, 2), (0, 0)))
+        off = tup((3, 2), (0, 0))
+        q_table = PartialFn(idx(1, 2), {
+            on_0: pt(0, 5), on_1: pt(1, 5), on_2: pt(2, 5), off: pt(3, 5)})
+        k_tables = {(frozenset(), MTuple.empty()): {5: 3}}
+        factors = {1: {1: 4}, (frozenset(), 1): {}}
+        [cert] = main_lemma_certify(q_table, k_tables, factors, 1)
+        assert cert.qualifying == (on_0, on_2, on_1)
+        assert cert.candidate == {1: pt(0, 0)}
+        assert product_image_width(q_table, factors, 1) == 3
 
     def test_qualifying_entries_in_canonical_order(self):
         first, second = tup((0, 0), (0, 0)), tup((0, 1), (0, 1))
         q_table = PartialFn(idx(1, 2), {second: pt(1, 0), first: pt(0, 0)})
-        factor = line_factor({pt(0, 0), pt(0, 1)})
+        factor = {0: 0, 1: 0}
         factors = {1: factor, (frozenset(), 1): factor}
         [cert] = main_lemma_certify(q_table, {}, factors, 1)
         assert cert.qualifying == (first, second)
@@ -360,16 +335,11 @@ class TestSelectorCertificates:
                                     unary_candidates=inst.candidates)
         # at the table's own widest (slot, line), the whole table lies in
         # one width-w product
-        everything = {
-            key: line_factor(
-                uv[key] if isinstance(key, int)
-                else uv[res.pstar_index.slot(*key)]
-                for uv in res.q_table.graph
-            )
-            for key in [1, (frozenset(), 1)]
-        }
-        w = max(len(cols) for factor in everything.values()
-                for cols in factor.values())
+        columns: dict = {}
+        for uv in res.q_table.graph:
+            for i, p in uv.items():
+                columns.setdefault((i, p.y), set()).add(p.x)
+        w = max(map(len, columns.values()))
         verdict = verify_Q_in_CI(res.q_table, w, 1)
         # two factors for m = 1: the input and the single (S, j) pair
         assert verdict.bound == w ** 2
@@ -410,7 +380,8 @@ class TestExactSelectorWidth:
     def test_spanned_family_meets_every_line_the_certificates_read(self):
         # Line 9's K-chain reads the (S, j) factor at K = 2, where the entry
         # puts column 7, then the input factor at line 7; line 4's reads it
-        # at K = 3, completed at column 0, then the input factor at line 0.
+        # at K = 3, which it does not list (column 0), then the input factor
+        # at line 0.
         # A selector built by build_Q puts the input's line there, not 7, so
         # this table fails line 9's certificate; it must not raise.
         worst, other = tup((3, 5), (7, 2)), tup((1, 1), (0, 0))
@@ -418,10 +389,8 @@ class TestExactSelectorWidth:
         k_tables = {(frozenset(), MTuple.empty()): {4: 3, 9: 2}}
         verdict = verify_Q_in_CI(q_table, 1, 1)
         assert verdict.entries in ((worst,), (other,))
-        family = spanned_family((worst,), k_tables, 1)
-        completed = {n: frozenset({0}) for n in (0, 2, 3, 7)}
-        assert family == {1: {**completed, 5: {3}},
-                          (frozenset(), 1): {**completed, 2: {7}}}
+        family = spanned_family((worst,), 1)
+        assert family == {1: {5: 3}, (frozenset(), 1): {2: 7}}
         certs = main_lemma_certify(q_table, k_tables, family, 1)
         assert [(c.line, c.candidate, c.passed) for c in certs] == [
             (4, {1: pt(0, 0)}, True), (9, {1: pt(0, 7)}, False)]
@@ -434,12 +403,16 @@ class TestExactSelectorWidth:
             inst.g, inst.f, inst.theta, inst.horizon,
             unary_candidates=inst.candidates)
         verdict = verify_Q_in_CI(res.q_table, 1, m)
-        family = spanned_family(verdict.entries, res.k_tables, m)
-        # completing the family adds no width beyond the worst case
+        family = spanned_family(verdict.entries, m)
+        # reading unlisted lines as column 0 adds no width beyond the
+        # worst case
         assert product_image_width(res.q_table, family, m) == (
             verdict.observed)
         certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
         assert certs and all(cert.passed for cert in certs)
+        # every worst-case entry is checked by some certificate
+        qualifying = {uv for cert in certs for uv in cert.qualifying}
+        assert set(verdict.entries) <= qualifying
 
 
 class TestEndToEnd:
