@@ -98,8 +98,7 @@ def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
     bounds: dict = {}
     for u, v in g.graph.items():
         c = u.restrict(s)
-        k = 0 if zero_ary else 1 + min(p.y for i, p in u.entries
-                                       if i not in s)
+        k = 0 if zero_ary else 1 + min(p.y for i, p in u if i not in s)
         per_value = bounds.setdefault(c, {})
         if per_value.get(v, -1) < k:
             per_value[v] = k

@@ -6,7 +6,8 @@ as the undefined marker; it is never an error to evaluate outside a domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -46,24 +47,24 @@ def full_index(m: int) -> IndexSet:
     return frozenset(range(1, m + 1))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MTuple:
+class MTuple(tuple):
     """A total map from a finite index set to points, stored canonically.
 
-    Entries are kept sorted by index so tuples are hashable and totally
-    ordered; the ordering is only used for deterministic iteration.
-    Equality, ordering and hashing look at ``entries`` only.  The index set
-    is computed on first read and shared: tuples over the same indices hold
-    the same frozenset.
+    An M-tuple is its own entry tuple: the ``(index, Point)`` pairs sorted
+    by index.  Hashing, equality and ordering are ``tuple``'s own C
+    methods, so an M-tuple equals and hashes like the plain tuple of its
+    entries; the ordering is only used for deterministic iteration.
+    Iteration, ``len`` and truth are the entries'; ``u[i]`` and ``i in u``
+    read index i.  The index set is computed on read and shared: tuples
+    over the same indices give the same frozenset.
     """
 
-    entries: tuple  # tuple of (index, Point), sorted by index
-    _indices: Optional[IndexSet] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ()
 
     @staticmethod
     def of(mapping: Mapping[int, Point]) -> "MTuple":
-        return MTuple(tuple(sorted((i, Point(*p)) for i, p in mapping.items())))
+        return MTuple(sorted((i, p if isinstance(p, Point) else Point(*p))
+                             for i, p in mapping.items()))
 
     @staticmethod
     def empty() -> "MTuple":
@@ -71,33 +72,30 @@ class MTuple:
 
     @property
     def indices(self) -> IndexSet:
-        found = self._indices
-        if found is None:
-            found = frozenset(i for i, _ in self.entries)
-            found = _INDEX_SETS.setdefault(found, found)
-            object.__setattr__(self, "_indices", found)
-        return found
+        found = frozenset(map(itemgetter(0), self))
+        return _INDEX_SETS.setdefault(found, found)
 
     def __getitem__(self, i: int) -> Point:
-        for j, p in self.entries:
+        for j, p in self:
             if j == i:
                 return p
         raise KeyError(i)
 
     def __contains__(self, i: int) -> bool:
-        return any(j == i for j, _ in self.entries)
+        return any(j == i for j, _ in self)
 
     def points(self) -> tuple:
-        return tuple(p for _, p in self.entries)
+        return tuple(p for _, p in self)
 
-    def items(self):
-        return self.entries
+    def items(self) -> "MTuple":
+        """The entries, as a mapping lists its items."""
+        return self
 
     def restrict(self, s: IndexSet) -> "MTuple":
-        return MTuple(tuple((i, p) for i, p in self.entries if i in s))
+        return MTuple([e for e in self if e[0] in s])
 
     def without(self, s: IndexSet) -> "MTuple":
-        return MTuple(tuple((i, p) for i, p in self.entries if i not in s))
+        return MTuple([e for e in self if e[0] not in s])
 
     def union(self, other: "MTuple") -> "MTuple":
         """Union of an S-tuple with a T-tuple over disjoint index sets."""
@@ -105,20 +103,20 @@ class MTuple:
             raise OverlapError(
                 f"index sets overlap: {sorted(self.indices & other.indices)}"
             )
-        return MTuple(tuple(sorted(self.entries + other.entries)))
+        return MTuple(sorted(self + other))
 
     def min_y(self) -> Optional[int]:
         """Least y-coordinate among components; None for the empty tuple."""
-        if not self.entries:
+        if not self:
             return None
-        return min(p.y for _, p in self.entries)
+        return min(p.y for _, p in self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i}:{p!r}" for i, p in self.entries)
+        inner = ", ".join(f"{i}:{p!r}" for i, p in self)
         return f"<{inner}>"
 
 
-_EMPTY_TUPLE = MTuple(())
+_EMPTY_TUPLE = MTuple()
 # One frozenset per distinct index set, shared by every tuple over it.
 _INDEX_SETS: dict = {}
 
@@ -513,7 +511,7 @@ def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
             graph, order, children = slot
             args = [vals[i] for i in children]
             vals.append(None if None in args
-                        else graph.get(MTuple(tuple(zip(order, args)))))
+                        else graph.get(MTuple(zip(order, args))))
         return vals[root]
 
     return evaluate

@@ -75,7 +75,7 @@ def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
                 raise AdmissibilityError(
                     f"no fresh low tuple left for fiber key {c!r}, value {d!r}"
                 )
-            pick = max(candidates, key=lambda u: (u.min_y(), u.entries))
+            pick = max(candidates, key=lambda u: (u.min_y(), u))
             used_ys.update(p.y for p in pick.points())
             chosen[(c, d)] = pick
             a_set.add(pick)

@@ -250,7 +250,7 @@ def _build_target(m, horizon, theta, ceiling, profile, rng):
 
 
 def _tuple_json(u: MTuple) -> list:
-    return [[i, [p.x, p.y]] for i, p in u.items()]
+    return [[i, [p.x, p.y]] for i, p in u]
 
 
 def check_admissibility(inst: Instance) -> dict:

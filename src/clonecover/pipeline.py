@@ -108,11 +108,14 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     checks.add("selector width bound (m!)", narrow.passed,
                _width_detail(narrow))
     factors = spanned_family(narrow.entries, m)
-    uniq_details = [
-        f"line {cert.line} perm {cert.perm}: {cert.detail}"
-        for cert in main_lemma_certify(result.q_table, result.k_tables,
-                                       factors, m)
-        if not cert.passed]
+    certs = main_lemma_certify(result.q_table, result.k_tables, factors, m)
+    uniq_details = [f"line {cert.line} perm {cert.perm}: {cert.detail}"
+                    for cert in certs if not cert.passed]
+    # The worst-case entries lie in the family they span, so each must
+    # qualify somewhere; otherwise every certificate may be vacuous.
+    qualified = {uv for cert in certs for uv in cert.qualifying}
+    uniq_details += [f"worst-case entry {uv!r} qualifies in no certificate"
+                     for uv in narrow.entries if uv not in qualified]
     checks.add("per-line uniqueness", not uniq_details,
                "; ".join(uniq_details))
     wide = verify_Q_in_CI(result.q_table, 2, m)

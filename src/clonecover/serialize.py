@@ -88,7 +88,7 @@ def point_parse(obj) -> Point:
 
 
 def mtuple_json(u: MTuple) -> dict:
-    return {str(i): point_json(p) for i, p in u.items()}
+    return {str(i): point_json(p) for i, p in u}
 
 
 def mtuple_parse(obj) -> MTuple:

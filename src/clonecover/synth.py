@@ -304,7 +304,7 @@ def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
     slots = list(enumerate(ps.pairs, ps.m + 1))
     graph = {}
     for u, val in q.graph.items():
-        entries = dict(u.items())
+        entries = dict(u)
         for slot, pair in slots:
             entries[slot] = helper_slot_value(h_family[pair], nw, u)
         graph[MTuple.of(entries)] = val
@@ -423,13 +423,13 @@ def _widest_fit(candidates: list, w: int, used: dict, taken: tuple,
             break
         for uv in entries:
             grown = dict(used)
-            for i, p in uv.items():
+            for i, p in uv:
                 grown[i, p.y] = grown.get((i, p.y), frozenset()) | {p.x}
             rest = [kept for kept in (
                 [e for e in later if all(
                     p.x in grown.get((i, p.y), ())
                     or len(grown.get((i, p.y), ())) < w
-                    for i, p in e.items())]
+                    for i, p in e)]
                 for later in candidates[at + 1:]) if kept]
             best = _widest_fit(rest, w, grown, taken + (uv,),
                                max(floor, len(best))) or best

@@ -17,10 +17,10 @@ def least_bound(tuples):
     reading the program takes for the fibers at S = the whole arity.
     """
     tuples = list(tuples)
-    if any(not u.entries for u in tuples):
+    if any(not u for u in tuples):
         return 0
     k = 0
-    while not all(any(p.y < k for _, p in u.entries) for u in tuples):
+    while not all(any(p.y < k for _, p in u) for u in tuples):
         k += 1
     return k
 
@@ -44,7 +44,7 @@ def fibers(g, s):
     """{c: the fiber of g at c}, over the S-parts c occurring in dom(g) in
     sorted order; each fiber maps the rest of a tuple to g's value."""
     def part(u, inside):
-        return MTuple(tuple(e for e in u.entries if (e[0] in s) == inside))
+        return MTuple(tuple(e for e in u if (e[0] in s) == inside))
 
     return {c: PartialFn(g.arity - s, {part(u, False): v
                                        for u, v in g.graph.items()

@@ -9,6 +9,7 @@ from clonecover.core import (
     ORIGIN,
     OverlapError,
     PartialFn,
+    Point,
     Proj,
     Term,
     UnresolvedAtomError,
@@ -323,3 +324,28 @@ class TestMTuple:
         u = tup((0, 0), (1, 1), (2, 2))
         s = idx(1, 3)
         assert u.restrict(s).union(u.without(s)) == u
+
+    def test_hash_equality_and_order_are_tuples_own(self):
+        # No Python frame runs on a dict lookup or a sort comparison.
+        for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__",
+                     "__gt__", "__ge__"):
+            assert getattr(MTuple, name) is getattr(tuple, name)
+        u = tup((0, 1), (2, 3))
+        assert isinstance(u, tuple) and u == ((1, pt(0, 1)), (2, pt(2, 3)))
+        assert hash(u) == hash(((1, pt(0, 1)), (2, pt(2, 3))))
+
+    def test_subscript_reads_an_index(self):
+        u = MTuple.of({2: pt(0, 1), 5: pt(2, 3)})
+        assert (u[2], u[5]) == (pt(0, 1), pt(2, 3))
+        assert 5 in u and 0 not in u
+        for i in (0, 1, 3):
+            with pytest.raises(KeyError):
+                u[i]
+
+    def test_of_wraps_plain_pairs_as_points(self):
+        p = MTuple.of({1: [2, 3]})[1]
+        assert p.__class__ is Point and p == pt(2, 3)
+
+    def test_empty_tuple(self):
+        assert len(MTuple.empty()) == 0 and not MTuple.empty()
+        assert MTuple.empty().indices == frozenset()

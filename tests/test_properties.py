@@ -500,19 +500,28 @@ class TestSharedIndexSets:
     @given(data=st.data(), arity=index_sets)
     def test_indices_are_the_entry_indices(self, data, arity):
         u = data.draw(tuples_over(arity))
-        assert u.indices == frozenset(i for i, _ in u.entries)
+        assert u.indices == frozenset(i for i, _ in u)
         assert u.indices is u.indices
 
     @settings(max_examples=100, derandomize=True)
     @given(data=st.data(), arity=index_sets)
     def test_equal_index_sets_are_one_object(self, data, arity):
         u = data.draw(tuples_over(arity))
-        w = MTuple(tuple((i, Point(p.y, p.x)) for i, p in u.entries))
+        w = MTuple(tuple((i, Point(p.y, p.x)) for i, p in u))
         assert u.indices is w.indices
 
     def test_tuples_have_no_instance_dict(self):
         u = MTuple.of({1: Point(0, 1), 2: Point(2, 3)})
         assert not hasattr(u, "__dict__")
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data(), arity=index_sets)
+    def test_sorting_tuples_sorts_their_entries(self, data, arity):
+        # The old canonical order compared the sorted entry tuples.
+        us = data.draw(st.lists(tuples_over(arity), max_size=8))
+        assert [tuple(u) for u in sorted(us)] == sorted(map(tuple, us))
         assert not hasattr(MTuple.empty(), "__dict__")
 
 

@@ -411,6 +411,21 @@ class TestPipeline:
         assert checks["per-line uniqueness"]["detail"] == ""
         assert checks["selector width bound (width-2 products)"]["passed"]
 
+    def test_vacuous_certificates_fail_uniqueness(self, monkeypatch):
+        # A certifier that admits no entry makes every certificate vacuous;
+        # the worst-case entries the family was spanned from must qualify.
+        monkeypatch.setattr(synth, "_in_product", lambda *args: False)
+        report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        entries = pipeline.verify_Q_in_CI(result.q_table, 1, 2).entries
+        checks = {c["name"]: c for c in report["checks"]}
+        assert entries and not report["passed"]
+        assert checks["per-line uniqueness"] == {
+            "name": "per-line uniqueness", "passed": False,
+            "detail": "; ".join(
+                f"worst-case entry {uv!r} qualifies in no certificate"
+                for uv in entries)}
+        assert checks["selector width bound (m!)"]["passed"]
+
     def test_verify_pair_detects_tampering(self):
         inst = generate_instance(1, 6, 3, seed=7)
         _, result = run_pipeline(inst)
