@@ -72,7 +72,7 @@ class MTuple(tuple):
 
     @property
     def indices(self) -> IndexSet:
-        found = frozenset(map(itemgetter(0), self))
+        found = frozenset(map(_index_of, self))
         return _INDEX_SETS.setdefault(found, found)
 
     def __getitem__(self, i: int) -> Point:
@@ -117,6 +117,7 @@ class MTuple(tuple):
 
 
 _EMPTY_TUPLE = MTuple()
+_index_of = itemgetter(0)
 # One frozenset per distinct index set, shared by every tuple over it.
 _INDEX_SETS: dict = {}
 
@@ -147,20 +148,24 @@ class PartialFn:
                  codomain: Optional[IndexSet] = None):
         self.arity = frozenset(arity)
         self.codomain = None if codomain is None else frozenset(codomain)
+        # A canonical tuple lists its indices in sorted order, so comparing
+        # that list builds no index set per entry.
+        order = sorted(self.arity)
+        values = None if self.codomain is None else sorted(self.codomain)
         g = dict(graph)
         for u, v in g.items():
-            if u.indices != self.arity:
+            if list(map(_index_of, u)) != order:
                 raise IndexMismatchError(
-                    f"domain tuple {u!r} does not match arity {sorted(self.arity)}"
+                    f"domain tuple {u!r} does not match arity {order}"
                 )
-            if self.codomain is None:
+            if values is None:
                 if not isinstance(v, Point):
                     raise IndexMismatchError(f"expected point value, got {v!r}")
-            else:
-                if not isinstance(v, MTuple) or v.indices != self.codomain:
-                    raise IndexMismatchError(
-                        f"value {v!r} does not match codomain {sorted(self.codomain)}"
-                    )
+            elif (not isinstance(v, MTuple)
+                  or list(map(_index_of, v)) != values):
+                raise IndexMismatchError(
+                    f"value {v!r} does not match codomain {values}"
+                )
         self.graph = g
 
     # -- constructors -------------------------------------------------

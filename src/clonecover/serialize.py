@@ -5,6 +5,11 @@ partial functions as entry lists sorted by domain tuple, terms as nested
 tagged objects.  Every top-level document carries a version tag, and the
 byte form is canonical (sorted keys, fixed separators), so equal values
 serialize identically.
+
+Graphs are most of a document's bytes, and the functions of one document
+share most of their points and tuples.  So each distinct point and tuple
+is written once per document as a text fragment the graphs join, and
+read back once as one shared object.
 """
 from __future__ import annotations
 
@@ -50,19 +55,50 @@ def _parsing(what: str):
         yield
     except ParseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ParseError(f"{what}: {detail}") from exc
 
 
 def dumps(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """Canonical bytes of doc: sorted keys, no spaces, a final newline.
+
+    A ``PartialFn`` in doc is written as its arity, codomain and graph.
+    ``json.dumps`` writes each graph as a hole string, and one ``_Writer``
+    per call splices the graph texts in at the holes.  A string of doc
+    could equal the hole and give an extra cut; the hole then grows until
+    none does.
+    """
+    hole = "\0"
+    while True:
+        fns = []
+
+        def skeleton(obj):
+            if not isinstance(obj, PartialFn):
+                raise TypeError(f"Object of type {type(obj).__name__} "
+                                "is not JSON serializable")
+            fns.append(obj)
+            return {"arity": sorted(obj.arity), "graph": hole,
+                    "codomain": (None if obj.codomain is None
+                                 else sorted(obj.codomain))}
+
+        parts = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                           default=skeleton).split(json.dumps(hole))
+        if len(parts) == len(fns) + 1:
+            break
+        hole += "\0"
+    graph = _Writer().graph
+    texts = [graph(fn) for fn in fns] + ["\n"]
+    return "".join(part + text for part, text in zip(parts, texts)).encode()
 
 
 def loads(data: bytes, what: str = "document") -> dict:
     try:
         doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, bad JSON and integer
+        # literals over the interpreter's digit limit
         raise ParseError(f"{what}: {exc}") from exc
     _check_version(doc, what)
     return doc
@@ -71,56 +107,108 @@ def loads(data: bytes, what: str = "document") -> dict:
 # -- value forms ------------------------------------------------------
 
 
-def point_json(p: Point) -> list:
-    return [p.x, p.y]
+def _index(key, obj) -> int:
+    """The index a tuple key names: only the canonical decimal form of a
+    positive int names one, so no two keys name the same index."""
+    try:
+        i = int(key)
+    except (TypeError, ValueError):
+        i = 0
+    if i < 1 or str(i) != key:
+        raise ParseError(f"bad tuple {obj!r}: index key {key!r} is not "
+                         f"a positive decimal")
+    return i
+
+
+class _Writer:
+    """Writes graphs as JSON text, building the text of each distinct point
+    and tuple once."""
+
+    def __init__(self):
+        self.texts: dict = {}
+
+    def value(self, v) -> str:
+        text = self.texts.get(v)
+        if text is None:
+            if isinstance(v, Point):
+                text = f"[{v.x},{v.y}]"
+            else:
+                # JSON's key order: "10" sorts before "2"
+                text = "{" + ",".join(
+                    f'"{i}":{self.value(p)}'
+                    for i, p in sorted(v, key=lambda e: str(e[0]))) + "}"
+            self.texts[v] = text
+        return text
+
+    def graph(self, p: PartialFn) -> str:
+        value = self.value
+        return "[" + ",".join(f"[{value(u)},{value(v)}]"
+                              for u, v in p.sorted_items()) + "]"
+
+
+class _Reader:
+    """Reads the values of one document: each distinct point and tuple is
+    one object, and each distinct list of tuple index keys is checked once.
+
+    A point is looked up only once both coordinates are known to be plain
+    ints, so a hit returns exactly what the full parse would; a malformed
+    value raises before anything is stored.
+    """
+
+    def __init__(self):
+        self.points: dict = {}   # (x, y) -> Point
+        self.indices: dict = {}  # index keys, in document order -> ints
+        self.tuples: dict = {}   # MTuple -> itself
+
+    def point(self, obj) -> Point:
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise ParseError(f"bad point {obj!r}")
+        x, y = obj
+        # JSON integers only: no bool, float, infinity or string
+        if type(x) is not int or type(y) is not int:
+            raise ParseError(f"bad point {obj!r}: coordinates must be "
+                             f"JSON integers")
+        p = self.points.get((x, y))
+        if p is None:
+            if x < 0 or y < 0:
+                raise ParseError(f"bad point {obj!r}: negative coordinate")
+            p = self.points[x, y] = Point(x, y)
+        return p
+
+    def mtuple(self, obj) -> MTuple:
+        if not isinstance(obj, dict):
+            raise ParseError(f"bad tuple {obj!r}")
+        keys = tuple(obj)
+        indices = self.indices.get(keys)
+        if indices is None:
+            indices = self.indices[keys] = tuple(_index(k, obj) for k in keys)
+        t = MTuple(sorted(zip(indices, map(self.point, obj.values()))))
+        return self.tuples.setdefault(t, t)
+
+    def pfn(self, obj) -> PartialFn:
+        if not isinstance(obj, dict) or "graph" not in obj:
+            raise ParseError(f"bad partial function {obj!r}")
+        with _parsing("partial function"):
+            codomain = obj.get("codomain")
+            value = self.point if codomain is None else self.mtuple
+            graph = {self.mtuple(u): value(v) for u, v in obj["graph"]}
+            return PartialFn(
+                frozenset(obj["arity"]),
+                graph,
+                None if codomain is None else frozenset(codomain),
+            )
 
 
 def point_parse(obj) -> Point:
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise ParseError(f"bad point {obj!r}")
-    try:
-        x, y = int(obj[0]), int(obj[1])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad point {obj!r}: {exc}") from exc
-    if x < 0 or y < 0:
-        raise ParseError(f"bad point {obj!r}: negative coordinate")
-    return Point(x, y)
-
-
-def mtuple_json(u: MTuple) -> dict:
-    return {str(i): point_json(p) for i, p in u}
+    return _Reader().point(obj)
 
 
 def mtuple_parse(obj) -> MTuple:
-    if not isinstance(obj, dict):
-        raise ParseError(f"bad tuple {obj!r}")
-    try:
-        return MTuple.of({int(i): point_parse(p) for i, p in obj.items()})
-    except ValueError as exc:
-        raise ParseError(f"bad tuple {obj!r}: {exc}") from exc
-
-
-def pfn_json(p: PartialFn) -> dict:
-    value_json = point_json if p.is_point_valued() else mtuple_json
-    return {
-        "arity": sorted(p.arity),
-        "codomain": None if p.codomain is None else sorted(p.codomain),
-        "graph": [[mtuple_json(u), value_json(v)] for u, v in p.sorted_items()],
-    }
+    return _Reader().mtuple(obj)
 
 
 def pfn_parse(obj) -> PartialFn:
-    if not isinstance(obj, dict) or "graph" not in obj:
-        raise ParseError(f"bad partial function {obj!r}")
-    with _parsing("partial function"):
-        codomain = obj.get("codomain")
-        value_parse = point_parse if codomain is None else mtuple_parse
-        graph = {mtuple_parse(u): value_parse(v) for u, v in obj["graph"]}
-        return PartialFn(
-            frozenset(obj["arity"]),
-            graph,
-            None if codomain is None else frozenset(codomain),
-        )
+    return _Reader().pfn(obj)
 
 
 # -- terms ------------------------------------------------------------
@@ -148,24 +236,12 @@ def _node_parse(obj):
     raise ParseError(f"unknown term node tag {obj['t']!r}")
 
 
-def term_json(t: Term) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "term",
-        "arity": sorted(t.arity),
-        "root": _node_json(t.root),
-        "env": {
-            name: {"kind": b.kind, "fn": pfn_json(b.fn)}
-            for name, b in sorted(t.env.items())
-        },
-    }
-
-
 def term_parse(doc: dict) -> Term:
     _check_version(doc, "term")
+    reader = _Reader()
     with _parsing("term"):
         env = {
-            name: AtomBinding(pfn_parse(b["fn"]), b["kind"])
+            name: AtomBinding(reader.pfn(b["fn"]), b["kind"])
             for name, b in doc["env"].items()
         }
         term = Term(
@@ -202,7 +278,14 @@ def _check_well_formed(t: Term) -> None:
 
 
 def term_dumps(t: Term) -> bytes:
-    return dumps(term_json(t))
+    return dumps({
+        "version": FORMAT_VERSION,
+        "kind": "term",
+        "arity": sorted(t.arity),
+        "root": _node_json(t.root),
+        "env": {name: {"kind": b.kind, "fn": b.fn}
+                for name, b in t.env.items()},
+    })
 
 
 def term_loads(data: bytes) -> Term:
@@ -212,25 +295,9 @@ def term_loads(data: bytes) -> Term:
 # -- instances --------------------------------------------------------
 
 
-def instance_json(inst: Instance) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "instance",
-        "m": inst.m,
-        "horizon": inst.horizon,
-        "theta": inst.theta,
-        "seed": inst.seed,
-        "ceiling": inst.ceiling,
-        "profile": inst.profile,
-        "g": pfn_json(inst.g),
-        "f": pfn_json(inst.f),
-        "candidates": [pfn_json(c) for c in inst.candidates],
-        "metadata": inst.metadata,
-    }
-
-
 def instance_parse(doc: dict) -> Instance:
     _check_version(doc, "instance")
+    reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
             m=int(doc["m"]),
@@ -239,9 +306,9 @@ def instance_parse(doc: dict) -> Instance:
             seed=int(doc["seed"]),
             ceiling=int(doc["ceiling"]),
             profile=doc["profile"],
-            g=pfn_parse(doc["g"]),
-            f=pfn_parse(doc["f"]),
-            candidates=tuple(pfn_parse(c) for c in doc["candidates"]),
+            g=reader.pfn(doc["g"]),
+            f=reader.pfn(doc["f"]),
+            candidates=tuple(reader.pfn(c) for c in doc["candidates"]),
             metadata=doc["metadata"],
         )
     for name in ("g", "f"):
@@ -269,7 +336,20 @@ def instance_parse(doc: dict) -> Instance:
 
 
 def instance_dumps(inst: Instance) -> bytes:
-    return dumps(instance_json(inst))
+    return dumps({
+        "version": FORMAT_VERSION,
+        "kind": "instance",
+        "m": inst.m,
+        "horizon": inst.horizon,
+        "theta": inst.theta,
+        "seed": inst.seed,
+        "ceiling": inst.ceiling,
+        "profile": inst.profile,
+        "g": inst.g,
+        "f": inst.f,
+        "candidates": inst.candidates,
+        "metadata": inst.metadata,
+    })
 
 
 def instance_loads(data: bytes) -> Instance:

@@ -5,11 +5,13 @@ deterministic (seeded rng or hypothesis with derandomized profiles), so a
 failure is always reproducible.
 """
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
+from clonecover import serialize
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
@@ -675,3 +677,47 @@ class TestCompiledEvaluation:
             want = walk(t.root, u, t.env)
             assert evaluate(u) == want
             assert eval_term(t, u) == want
+
+
+@st.composite
+def documents(draw):
+    """A term holding a point-valued and a tuple-valued atom over index sets
+    that reach past 9, where JSON's key order ("10" before "2") is not the
+    numeric one.  Small coordinates make points and tuples repeat.  Atom
+    names may be NULs, the string ``serialize.dumps`` first splices at."""
+    wide = st.sets(st.sampled_from([1, 2, 3, 9, 10, 11, 12]),
+                   max_size=4).map(frozenset)
+    arity = draw(wide)
+    p, t = draw(st.lists(st.text("p\0", min_size=1, max_size=2),
+                         min_size=2, max_size=2, unique=True))
+    env = {p: AtomBinding(draw(partial_fns(arity, None)), CI_ATOM),
+           t: AtomBinding(draw(partial_fns(arity, draw(wide))), CI_ATOM)}
+    return Term(App(p, tuple(Proj(k) for k in sorted(arity))), env, arity)
+
+
+class TestCanonicalBytes:
+    @settings(max_examples=100, derandomize=True)
+    @given(t=documents())
+    def test_spliced_graphs_are_the_json_canonical_form(self, t):
+        data = serialize.term_dumps(t)
+        assert serialize.dumps(json.loads(data)) == data
+
+    @settings(max_examples=100, derandomize=True)
+    @given(t=documents())
+    def test_bytes_round_trip(self, t):
+        data = serialize.term_dumps(t)
+        back = serialize.term_loads(data)
+        assert back.env == t.env
+        assert serialize.term_dumps(back) == data
+
+    @settings(max_examples=100, derandomize=True)
+    @given(t=documents())
+    def test_equal_values_of_one_document_are_one_object(self, t):
+        back = serialize.term_loads(serialize.term_dumps(t))
+        seen: dict = {}
+        for b in back.env.values():
+            for u, v in b.fn.graph.items():
+                values = [u, v, *u.points()]
+                values += v.points() if isinstance(v, MTuple) else ()
+                for value in values:
+                    assert seen.setdefault(value, value) is value

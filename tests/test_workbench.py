@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -151,11 +152,14 @@ class TestSerialization:
 
     def test_tuple_valued_pfn_round_trip(self):
         p = PartialFn(idx(1), {tup((0, 0)): tup((1, 2))}, idx(1))
-        assert serialize.pfn_parse(serialize.pfn_json(p)) == p
+        term = Term(root=App("a", (Proj(1),)),
+                    env={"a": AtomBinding(p, "ci")}, arity=idx(1))
+        doc = json.loads(serialize.term_dumps(term))
+        assert serialize.pfn_parse(doc["env"]["a"]["fn"]) == p
 
     def test_unknown_version_rejected(self):
         inst = generate_instance(1, 6, 3, seed=0)
-        doc = serialize.instance_json(inst)
+        doc = json.loads(serialize.instance_dumps(inst))
         doc["version"] = 99
         with pytest.raises(serialize.ParseError, match="version"):
             serialize.instance_parse(doc)
@@ -173,6 +177,17 @@ class TestSerialization:
     def test_non_integer_tuple_index_rejected(self):
         with pytest.raises(serialize.ParseError, match="bad tuple"):
             serialize.mtuple_parse({"x": [0, 0]})
+
+    @pytest.mark.parametrize("tuple_doc", [
+        {"1": [0, 0], "01": [5, 5]},  # used to load as <1:(5|5)>
+        {" 1": [0, 0]},
+        {"1_0": [0, 0]},  # used to load as index 10
+        {"0": [0, 0]},
+    ])
+    def test_non_canonical_tuple_index_rejected(self, tuple_doc):
+        with pytest.raises(serialize.ParseError,
+                           match="is not a positive decimal"):
+            serialize.mtuple_parse(tuple_doc)
 
     @staticmethod
     def small_term_doc():
@@ -237,7 +252,8 @@ class TestSerialization:
             serialize.term_loads(serialize.dumps(doc))
 
     def test_inconsistent_instance_rejected(self):
-        doc = serialize.instance_json(generate_instance(2, 8, 4, seed=3))
+        doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
         shifted = {**doc["g"], "arity": [2, 3], "graph": [
             [{str(int(i) + 1): p for i, p in u.items()}, v]
             for u, v in doc["g"]["graph"]]}
@@ -274,7 +290,8 @@ class TestSerialization:
                 "graph": [[u, {"1": v}] for u, v in fn_doc["graph"]]}
 
     def test_domain_tuple_off_arity_rejected(self):
-        doc = serialize.instance_json(generate_instance(2, 8, 4, seed=3))
+        doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
         with pytest.raises(serialize.ParseError,
                            match="partial function: domain tuple .* does not "
                                  r"match arity \[1, 2\]"):
@@ -288,6 +305,36 @@ class TestSerialization:
                            match=r"partial function: value .* does not match "
                                  r"codomain \[1, 2\]"):
             serialize.term_loads(serialize.dumps(doc))
+
+    @pytest.mark.parametrize("coordinate",
+                             ["1e400", "Infinity", "2.7", '"3"', "true"])
+    def test_non_integer_coordinate_rejected(self, coordinate):
+        # 1e400 and Infinity used to escape as OverflowError; the others
+        # loaded as integers
+        with pytest.raises(serialize.ParseError, match="JSON integers"):
+            serialize.point_parse([json.loads(coordinate), 0])
+        inst = generate_instance(1, 6, 3, seed=0)
+        for data, load in (
+                (serialize.dumps(self.small_term_doc()), serialize.term_loads),
+                (serialize.instance_dumps(inst), serialize.instance_loads)):
+            bad = re.sub(rb'"1":\[\d+,', b'"1":[%s,' % coordinate.encode(),
+                         data, count=1)
+            assert bad != data
+            with pytest.raises(serialize.ParseError, match="JSON integers"):
+                load(bad)
+
+    def test_out_of_range_numbers_rejected(self):
+        # each used to escape as a ValueError or an OverflowError
+        term = serialize.dumps(self.small_term_doc())
+        with pytest.raises(serialize.ParseError, match="digits"):
+            serialize.term_loads(term.replace(b"[2,3]",
+                                              b"[%s,3]" % (b"1" * 5000)))
+        with pytest.raises(serialize.ParseError, match="term node"):
+            serialize.term_loads(term.replace(b'"k":1', b'"k":1e400'))
+        inst = json.loads(serialize.instance_dumps(
+            generate_instance(1, 6, 3, seed=0)))
+        with pytest.raises(serialize.ParseError, match="instance"):
+            serialize.instance_loads(serialize.dumps({**inst, "m": 1e400}))
 
     def test_negative_coordinate_rejected(self):
         for bad in ([-1, 0], [0, -3]):
@@ -600,15 +647,15 @@ class TestCli:
         term_path.write_bytes(serialize.dumps(term))
         assert main(["verify", "--instance", str(inst_path),
                      "--term", str(term_path)]) == 2
-        doc = serialize.instance_json(inst)
+        doc = json.loads(serialize.instance_dumps(inst))
         inst_path.write_bytes(serialize.dumps({**doc, "theta": 99}))
         assert main(["check", "--instance", str(inst_path)]) == 2
         tuple_valued = {**doc["g"], "codomain": [1],
                         "graph": [[u, {"1": v}] for u, v in doc["g"]["graph"]]}
         inst_path.write_bytes(serialize.dumps({**doc, "g": tuple_valued}))
         assert main(["check", "--instance", str(inst_path)]) == 2
-        mary = serialize.instance_json(generate_instance(2, 8, 4, 0,
-                                                         "mary-witness"))
+        mary = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, 0, "mary-witness")))
         first, *rest = mary["candidates"]
         tuple_valued = {**first, "codomain": [1],
                         "graph": [[u, {"1": v}] for u, v in first["graph"]]}
@@ -637,7 +684,7 @@ class TestCli:
         term_path.write_bytes(serialize.dumps(term))
         assert main(["verify", "--instance", str(inst_path),
                      "--term", str(term_path)]) == 2
-        doc = serialize.instance_json(inst)
+        doc = json.loads(serialize.instance_dumps(inst))
         inst_path.write_bytes(
             serialize.dumps(TestSerialization.off_arity_g(doc)))
         assert main(["verify", "--instance", str(inst_path)]) == 2
