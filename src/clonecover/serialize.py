@@ -107,6 +107,17 @@ def loads(data: bytes, what: str = "document") -> dict:
 # -- value forms ------------------------------------------------------
 
 
+def _int(v, what: str) -> int:
+    """v if it is a JSON integer: no bool, float, infinity or string."""
+    if type(v) is not int:
+        raise ParseError(f"{what} {v!r} is not a JSON integer")
+    return v
+
+
+def _index_set(members, what: str) -> frozenset:
+    return frozenset(_int(i, f"{what} member") for i in members)
+
+
 def _index(key, obj) -> int:
     """The index a tuple key names: only the canonical decimal form of a
     positive int names one, so no two keys name the same index."""
@@ -191,11 +202,16 @@ class _Reader:
         with _parsing("partial function"):
             codomain = obj.get("codomain")
             value = self.point if codomain is None else self.mtuple
-            graph = {self.mtuple(u): value(v) for u, v in obj["graph"]}
+            entries = obj["graph"]
+            graph = {self.mtuple(u): value(v) for u, v in entries}
+            if len(graph) != len(entries):
+                raise ParseError("partial function: two graph entries have "
+                                 "equal domain tuples")
             return PartialFn(
-                frozenset(obj["arity"]),
+                _index_set(obj["arity"], "partial function: arity"),
                 graph,
-                None if codomain is None else frozenset(codomain),
+                None if codomain is None
+                else _index_set(codomain, "partial function: codomain"),
             )
 
 
@@ -229,7 +245,7 @@ def _node_parse(obj):
         raise ParseError(f"bad term node {obj!r}")
     with _parsing("term node"):
         if obj["t"] == "proj":
-            return Proj(int(obj["k"]))
+            return Proj(_int(obj["k"], "term node: projection"))
         if obj["t"] == "app":
             return App(obj["name"],
                        tuple(_node_parse(ch) for ch in obj["children"]))
@@ -247,7 +263,7 @@ def term_parse(doc: dict) -> Term:
         term = Term(
             root=_node_parse(doc["root"]),
             env=env,
-            arity=frozenset(doc["arity"]),
+            arity=_index_set(doc["arity"], "term: arity"),
         )
         _check_well_formed(term)
     return term
@@ -300,11 +316,8 @@ def instance_parse(doc: dict) -> Instance:
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
-            m=int(doc["m"]),
-            horizon=int(doc["horizon"]),
-            theta=int(doc["theta"]),
-            seed=int(doc["seed"]),
-            ceiling=int(doc["ceiling"]),
+            **{k: _int(doc[k], f"instance: {k}")
+               for k in ("m", "horizon", "theta", "seed", "ceiling")},
             profile=doc["profile"],
             g=reader.pfn(doc["g"]),
             f=reader.pfn(doc["f"]),

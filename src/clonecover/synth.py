@@ -361,8 +361,8 @@ def _in_product(uv: MTuple, factors: Mapping, keys: Sequence) -> bool:
 
 @dataclass
 class SelectorWidthVerdict:
-    """The selector's exact worst image width over width-w products, the
-    slice-union bound, and a value line with one table entry per column
+    """The selector's exact worst image width over width-1 products, the
+    main lemma's bound m!, and a value line with one table entry per column
     that reach the worst width in one product."""
 
     bound: int
@@ -372,24 +372,24 @@ class SelectorWidthVerdict:
     passed: bool
 
 
-def verify_Q_in_CI(q_table: PartialFn, w: int,
-                   m: int) -> SelectorWidthVerdict:
-    """The selector's exact worst image width over every product of width-w
-    factors, one per input index and per (S, j) pair.
+def verify_Q_in_CI(q_table: PartialFn, m: int) -> SelectorWidthVerdict:
+    """The selector's exact worst image width over every product of width-1
+    factors, one per input index and per (S, j) pair, against the main
+    lemma's bound m!.
 
     An entry uv lies in a product exactly when each uv[slot] lies in its
     factor, so a set of entries lies in one product exactly when it puts at
-    most w columns on each (slot, line); the worst width is the most value
+    most one column on each (slot, line); the worst width is the most value
     columns on one line such a set reaches.  Lines with the most columns
     are searched first, while they can beat the best found.
 
-    Each factor splits into at most w width-1 slices, and each slice
-    product maps to width at most m! (the main lemma, the case w = 1), so
-    the bound is w^(number of factors) * m!.  For w = 2 that is 6 * 2^15 at
-    m = 3, while the selectors built here reach single-digit widths: as
-    specified, the width-2 check can barely fail.
+    Width 2 follows without a search: a width-2 factor is the union of two
+    width-1 slices, so a product of K width-2 factors is the union of the
+    2^K products of their slices.  Image width is subadditive under union,
+    so when this check passes every width-2 product maps to width at most
+    2^K * m!, the width-2 bound.
     """
-    bound = w ** len(pstar(full_index(m)).factor_keys) * math.factorial(m)
+    bound = math.factorial(m)
     by_line: dict = {}  # value line -> value column -> entries, sorted
     for uv in sorted(q_table.graph):
         val = q_table.graph[uv]
@@ -399,19 +399,19 @@ def verify_Q_in_CI(q_table: PartialFn, w: int,
                              key=lambda item: (-len(item[1]), item[0])):
         if len(columns) <= len(best):
             break
-        found = _widest_fit([columns[x] for x in sorted(columns)], w, {},
-                            (), len(best))
+        found = _widest_fit([columns[x] for x in sorted(columns)], {}, (),
+                            len(best))
         if found:
             line, best = n, found
     return SelectorWidthVerdict(bound=bound, observed=len(best), line=line,
                                 entries=best, passed=len(best) <= bound)
 
 
-def _widest_fit(candidates: list, w: int, used: dict, taken: tuple,
+def _widest_fit(candidates: list, used: dict, taken: tuple,
                 floor: int) -> tuple:
     """The most entries, ``taken`` and at most one from each later entry
-    list, that put at most w columns on each (slot, line), whose columns so
-    far ``used`` holds; () unless that beats ``floor``.
+    list, that put at most one column on each (slot, line), whose column so
+    far ``used`` maps it to; () unless that beats ``floor``.
 
     Taking an entry only fills (slot, line)s, so each branch keeps just the
     later lists' fitting entries, and it is cut when the entries taken plus
@@ -424,14 +424,12 @@ def _widest_fit(candidates: list, w: int, used: dict, taken: tuple,
         for uv in entries:
             grown = dict(used)
             for i, p in uv:
-                grown[i, p.y] = grown.get((i, p.y), frozenset()) | {p.x}
+                grown[i, p.y] = p.x
             rest = [kept for kept in (
-                [e for e in later if all(
-                    p.x in grown.get((i, p.y), ())
-                    or len(grown.get((i, p.y), ())) < w
-                    for i, p in e)]
+                [e for e in later
+                 if all(grown.get((i, p.y), p.x) == p.x for i, p in e)]
                 for later in candidates[at + 1:]) if kept]
-            best = _widest_fit(rest, w, grown, taken + (uv,),
+            best = _widest_fit(rest, grown, taken + (uv,),
                                max(floor, len(best))) or best
     return best
 

@@ -153,7 +153,7 @@ def test_criterion_2_selector_width_bound(corpus, capsys):
     qualified = {}
     for m in (1, 2, 3):
         inst, result = corpus[m][0]
-        exact = verify_Q_in_CI(result.q_table, 1, m).observed
+        exact = verify_Q_in_CI(result.q_table, m).observed
         rng = random.Random(inst.seed + 1)
         families = [sampled_width1_family(result.q_table, m, rng,
                                           inst.ceiling)

@@ -602,16 +602,16 @@ def selector_tables(draw):
 
 class TestExactSelectorWidth:
     @settings(max_examples=200, derandomize=True)
-    @given(case=selector_tables(), w=st.sampled_from([1, 2]))
-    def test_matches_brute_force_over_every_family(self, case, w):
+    @given(case=selector_tables())
+    def test_matches_brute_force_over_every_family(self, case):
         q_table, m = case
-        verdict = verify_Q_in_CI(q_table, w, m)
+        verdict = verify_Q_in_CI(q_table, m)
         assert verdict.observed == max(
             (width(product_image(q_table, product))
-             for product in maximal_products(q_table, w)), default=0)
-        assert verdict.bound == math.factorial(m) * w ** len(q_table.arity)
+             for product in maximal_products(q_table, 1)), default=0)
+        assert verdict.bound == math.factorial(m)
         # the entries reaching it: one per column of the line, all in one
-        # width-w product
+        # width-1 product
         entries = verdict.entries
         assert len(entries) == verdict.observed
         assert {q_table.graph[uv].y for uv in entries} <= {verdict.line}
@@ -620,7 +620,19 @@ class TestExactSelectorWidth:
         for uv in entries:
             for i, p in uv.items():
                 used.setdefault((i, p.y), set()).add(p.x)
-        assert all(len(cols) <= w for cols in used.values())
+        assert all(len(cols) <= 1 for cols in used.values())
+
+    @settings(max_examples=200, derandomize=True)
+    @given(case=selector_tables())
+    def test_width_2_products_within_the_slice_union_bound(self, case):
+        # A product of K width-2 factors is the union of the 2^K products
+        # of their width-1 slices, so its image is at most 2^K times as
+        # wide as the width-1 worst case: the width-2 check follows.
+        q_table, m = case
+        assert max((width(product_image(q_table, product))
+                    for product in maximal_products(q_table, 2)),
+                   default=0) <= (2 ** len(q_table.arity)
+                                  * verify_Q_in_CI(q_table, m).observed)
 
 
 def walk(node, u, env):

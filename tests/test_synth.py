@@ -272,7 +272,7 @@ class TestSelectorCertificates:
                 pts.add(p)
             sl = next(iter(width1_slices(pts)), frozenset())
             factors[key] = {p.y: p.x for p in sl}
-        verdict = verify_Q_in_CI(res.q_table, 1, m)
+        verdict = verify_Q_in_CI(res.q_table, m)
         assert verdict.bound == math.factorial(m)
         assert verdict.passed
         image = {val for uv, val in res.q_table.graph.items()
@@ -292,13 +292,12 @@ class TestSelectorCertificates:
         # width-2 product holds both, no width-1 product does.
         first, second = tup((0, 0), (0, 0)), tup((1, 0), (0, 0))
         q_table = PartialFn(idx(1, 2), {first: pt(0, 5), second: pt(1, 5)})
-        wide = verify_Q_in_CI(q_table, 2, 1)
-        assert (wide.observed, wide.line, wide.entries) == (
-            2, 5, (first, second))
-        narrow = verify_Q_in_CI(q_table, 1, 1)
+        assert max(width(product_image(q_table, product))
+                   for product in maximal_products(q_table, 2)) == 2
+        narrow = verify_Q_in_CI(q_table, 1)
         assert (narrow.observed, narrow.line, narrow.entries) == (
             1, 5, (first,))
-        assert wide.passed and narrow.passed
+        assert narrow.passed
 
     def test_spanned_family_rejects_entries_that_disagree(self):
         # the family the certificates read spans agreeing entries only
@@ -330,21 +329,23 @@ class TestSelectorCertificates:
         assert not cert.passed
 
     def test_verify_Q_in_CI_bound_formula(self):
-        inst = generate_instance(m=1, horizon=6, theta=3, seed=2)
-        res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
-                                    unary_candidates=inst.candidates)
-        # at the table's own widest (slot, line), the whole table lies in
-        # one width-w product
-        columns: dict = {}
-        for uv in res.q_table.graph:
-            for i, p in uv.items():
-                columns.setdefault((i, p.y), set()).add(p.x)
-        w = max(map(len, columns.values()))
-        verdict = verify_Q_in_CI(res.q_table, w, 1)
-        # two factors for m = 1: the input and the single (S, j) pair
-        assert verdict.bound == w ** 2
-        assert verdict.observed == width(res.q_table.graph.values())
-        assert verdict.passed
+        for m in (1, 2, 3):
+            inst = generate_instance(m, horizon=8, theta=4, seed=2)
+            res = end_to_end_synthesize(
+                inst.g, inst.f, inst.theta, inst.horizon,
+                unary_candidates=inst.candidates)
+            verdict = verify_Q_in_CI(res.q_table, m)
+            assert verdict.bound == math.factorial(m)
+            assert verdict.passed
+            # At the table's own widest (slot, line), the whole table lies
+            # in one width-w product, the union of w^K width-1 products.
+            columns: dict = {}
+            for uv in res.q_table.graph:
+                for i, p in uv.items():
+                    columns.setdefault((i, p.y), set()).add(p.x)
+            w = max(map(len, columns.values()))
+            assert width(res.q_table.graph.values()) <= (
+                w ** len(res.q_table.arity) * verdict.observed)
 
 
 def crafted_selector(decoys: int) -> PartialFn:
@@ -363,7 +364,7 @@ def crafted_selector(decoys: int) -> PartialFn:
 class TestExactSelectorWidth:
     def test_one_family_above_the_bound_fails_the_check(self):
         q_table = crafted_selector(decoys=5)
-        verdict = verify_Q_in_CI(q_table, 1, 1)
+        verdict = verify_Q_in_CI(q_table, 1)
         assert not verdict.passed
         assert (verdict.observed, verdict.bound, verdict.line) == (2, 1, 9)
         assert verdict.entries == (tup((0, 1), (0, 3)), tup((0, 2), (0, 4)))
@@ -387,7 +388,7 @@ class TestExactSelectorWidth:
         worst, other = tup((3, 5), (7, 2)), tup((1, 1), (0, 0))
         q_table = PartialFn(idx(1, 2), {worst: pt(0, 9), other: pt(0, 4)})
         k_tables = {(frozenset(), MTuple.empty()): {4: 3, 9: 2}}
-        verdict = verify_Q_in_CI(q_table, 1, 1)
+        verdict = verify_Q_in_CI(q_table, 1)
         assert verdict.entries in ((worst,), (other,))
         family = spanned_family((worst,), 1)
         assert family == {1: {5: 3}, (frozenset(), 1): {2: 7}}
@@ -402,7 +403,7 @@ class TestExactSelectorWidth:
         res = end_to_end_synthesize(
             inst.g, inst.f, inst.theta, inst.horizon,
             unary_candidates=inst.candidates)
-        verdict = verify_Q_in_CI(res.q_table, 1, m)
+        verdict = verify_Q_in_CI(res.q_table, m)
         family = spanned_family(verdict.entries, m)
         # reading unlisted lines as column 0 adds no width beyond the
         # worst case

@@ -322,6 +322,53 @@ class TestSerialization:
             assert bad != data
             with pytest.raises(serialize.ParseError, match="JSON integers"):
                 load(bad)
+        # the scalars follow the coordinate rule: "m": 1.9, "theta": "4"
+        # and "arity": [true] used to load as 1, 4 and {True}
+        value = json.loads(coordinate)
+        inst_doc = json.loads(serialize.instance_dumps(inst))
+        for key in ("m", "horizon", "theta", "seed", "ceiling"):
+            with pytest.raises(serialize.ParseError,
+                               match=f"instance: {key} .* is not a JSON "
+                                     "integer"):
+                serialize.instance_loads(
+                    serialize.dumps({**inst_doc, key: value}))
+        doc = self.small_term_doc()
+        fn = doc["env"]["a"]["fn"]
+        tuple_valued = self.tuple_valued_off_codomain(fn)
+        faults = [
+            ({**doc, "root": {**doc["root"],
+                              "children": [{"t": "proj", "k": value}]}},
+             "term node: projection"),
+            ({**doc, "arity": [value]}, "term: arity member"),
+            ({**doc, "env": {"a": {**doc["env"]["a"],
+                                   "fn": {**fn, "arity": [value]}}}},
+             "partial function: arity member"),
+            ({**doc, "env": {"a": {**doc["env"]["a"], "fn": {
+                **tuple_valued, "codomain": [1, value]}}}},
+             "partial function: codomain member"),
+        ]
+        for bad, where in faults:
+            with pytest.raises(serialize.ParseError,
+                               match=f"{where} .* is not a JSON integer"):
+                serialize.term_loads(serialize.dumps(bad))
+
+    def test_duplicate_domain_tuple_rejected(self):
+        # the second entry used to overwrite the first: the atom loaded as
+        # {<1:(0|1)>: (5|5)}
+        doc = self.small_term_doc()
+        doc["env"]["a"]["fn"]["graph"] = [[{"1": [0, 1]}, [2, 3]],
+                                          [{"1": [0, 1]}, [5, 5]]]
+        with pytest.raises(serialize.ParseError,
+                           match="partial function: two graph entries"):
+            serialize.term_loads(serialize.dumps(doc))
+        inst_doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
+        g = inst_doc["g"]
+        doubled = {**g, "graph": g["graph"] + g["graph"][:1]}
+        with pytest.raises(serialize.ParseError,
+                           match="partial function: two graph entries"):
+            serialize.instance_loads(
+                serialize.dumps({**inst_doc, "g": doubled}))
 
     def test_out_of_range_numbers_rejected(self):
         # each used to escape as a ValueError or an OverflowError
@@ -398,21 +445,15 @@ class TestPipeline:
 
     def test_factor_families_per_instance(self, monkeypatch):
         # One certification pass per run, on the width-1 family the exact
-        # worst case spans; one exact width search per factor width.
+        # worst case spans; one exact width search, whose verdict the
+        # width-2 check reads.
         calls = _count_calls(monkeypatch, ("main_lemma_certify",
-                                           "spanned_family"))
-        widths = []
-        original = pipeline.verify_Q_in_CI
-
-        def recording(q_table, w, m):
-            widths.append(w)
-            return original(q_table, w, m)
-
-        monkeypatch.setattr(pipeline, "verify_Q_in_CI", recording)
+                                           "spanned_family",
+                                           "verify_Q_in_CI"))
         report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
         assert report["passed"]
-        assert calls == {"main_lemma_certify": 1, "spanned_family": 1}
-        assert widths == [1, 2]
+        assert calls == {"main_lemma_certify": 1, "spanned_family": 1,
+                         "verify_Q_in_CI": 1}
 
     def test_selector_certificates_scan_q_once_per_family(self,
                                                           monkeypatch):
@@ -439,16 +480,14 @@ class TestPipeline:
     def test_width_failure_stays_in_its_own_check(self, monkeypatch):
         original = pipeline.verify_Q_in_CI
 
-        def failing_narrow(q_table, w, m):
-            verdict = original(q_table, w, m)
-            if w == 1:
-                verdict = dataclasses.replace(
-                    verdict, observed=verdict.bound + 1, passed=False)
-            return verdict
+        def failing_narrow(q_table, m):
+            verdict = original(q_table, m)
+            return dataclasses.replace(
+                verdict, observed=verdict.bound + 1, passed=False)
 
         monkeypatch.setattr(pipeline, "verify_Q_in_CI", failing_narrow)
         report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
-        line = original(result.q_table, 1, 2).line
+        line = original(result.q_table, 2).line
         checks = {c["name"]: c for c in report["checks"]}
         assert not report["passed"]
         assert checks["selector width bound (m!)"] == {
@@ -456,14 +495,17 @@ class TestPipeline:
             "detail": f"line {line}: width 3 > 2"}
         assert checks["per-line uniqueness"]["passed"]
         assert checks["per-line uniqueness"]["detail"] == ""
-        assert checks["selector width bound (width-2 products)"]["passed"]
+        # with width 1 failed, the lemma proves nothing about width 2
+        assert checks["selector width bound (width-2 products)"] == {
+            "name": "selector width bound (width-2 products)",
+            "passed": False, "detail": "not derived: width-1 bound failed"}
 
     def test_vacuous_certificates_fail_uniqueness(self, monkeypatch):
         # A certifier that admits no entry makes every certificate vacuous;
         # the worst-case entries the family was spanned from must qualify.
         monkeypatch.setattr(synth, "_in_product", lambda *args: False)
         report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
-        entries = pipeline.verify_Q_in_CI(result.q_table, 1, 2).entries
+        entries = pipeline.verify_Q_in_CI(result.q_table, 2).entries
         checks = {c["name"]: c for c in report["checks"]}
         assert entries and not report["passed"]
         assert checks["per-line uniqueness"] == {
