@@ -14,21 +14,10 @@ from .core import (
     bar_extend,
     compile_term,
     compose,
-    disjoint_union,
-    eval_partial,
-    eval_term,
-    fiber,
-    fibers,
     full_index,
-    hash_fn,
-    shrink_inner,
-    star_fn,
-    star_set,
 )
 from .analysis import (
     fiber_bounds,
-    k_table,
-    least_bound,
     tuple_set_width,
     width,
 )

@@ -1,12 +1,13 @@
-"""Widths, least bounds and K-tables of finite fragments.
+"""Widths, fiber bounds and K-tables of finite fragments.
 
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
-thrifty/wasteful cut.  Widths and least bounds are plain ints; callers
-compare them against their own bounds.  `fiber_bounds` reads the least
-bound of every value in every fiber at one S in a single pass over the
-graph; the decomposition, its verifier and the K-tables all read it and
-compare its bounds with theta themselves.
+thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
+them against their own bounds.  `fiber_bounds` reads the least bound of
+every value in every fiber at one S in a single pass over the graph, and
+`line_bounds` turns one fiber's bounds into its K-table; the
+decomposition, its verifier and the K-tables read them and compare the
+bounds with theta themselves.
 """
 from __future__ import annotations
 
@@ -64,30 +65,16 @@ def tuple_set_width(tuples: Iterable[MTuple]) -> int:
     return max(width({u[i] for u in tuples}) for i in sorted(arity))
 
 
-def least_bound(tuples: Iterable[MTuple]) -> int:
-    """Least k such that every tuple has some component with y < k."""
-    tuples = list(tuples)
-    if not tuples:
-        return 0
-    arity = tuples[0].indices
-    for u in tuples:
-        if u.indices != arity:
-            raise IndexMismatchError("mixed index sets in tuple set")
-    if not arity:
-        # 0-ary tuples carry no coordinates; treat them as trivially bounded.
-        return 0
-    return 1 + max(u.min_y() for u in tuples)
-
-
 def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
     """Least preimage bound of every value in every fiber of g at S.
 
     One pass over g's graph gives ``{c: {value: k}}``: the keys c are the
     S-projections occurring in dom(g), in canonical order, and each fiber's
     values in order of first occurrence.  A value's k is the least bound
-    (`least_bound`) of its preimage in the fiber: the largest 1 + least y
-    over the non-S components of a tuple mapped to it, and 0 when S is the
-    whole arity, whose fibers are 0-ary.  No fiber function is built.
+    of its preimage in the fiber, the least k such that each of its tuples
+    has a component below line k: the largest 1 + least y over the non-S
+    components of a tuple mapped to it, and 0 when S is the whole arity,
+    whose fibers are 0-ary.  No fiber function is built.
     """
     s = frozenset(s)
     if not s <= g.arity:
@@ -138,18 +125,6 @@ def line_bounds(value_bounds: Mapping, theta: int) -> dict:
         if by_line.get(v.y, -1) < k:
             by_line[v.y] = k
     return dict(sorted(by_line.items()))
-
-
-def k_table(t: PartialFn, theta: int) -> dict:
-    """Least bound of t's preimage of each line met by ran(t).
-
-    Requires t thrifty at theta.  Per-line bounds may still exceed theta
-    since a line unions several value-preimages; the exact value is reported.
-    """
-    if not t.is_point_valued():
-        raise IndexMismatchError("k_table applies to point-valued functions")
-    return line_bounds(
-        fiber_bounds(t, frozenset()).get(MTuple.empty(), {}), theta)
 
 
 def all_subsets(members: Sequence[int]) -> list:

@@ -1,8 +1,10 @@
 """Command-line workbench: generate instances, check admissibility, run the
 decomposition or the full synthesis, and verify serialized artifacts.
 
-Exit status is 0 exactly when the requested check or report passes, and 2
-when an input document is malformed.
+Exit status is 0 exactly when the requested check or report passes, 1 when
+it fails, and 2 on a usage error: a malformed input document, an input file
+that cannot be read, generation parameters no profile supports, or a
+non-integer $CLONECOVER_SEED.  A usage error prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -17,11 +19,20 @@ from .decompose import (
     hereditary_decompose,
     verify_decomposition,
 )
-from .instances import check_admissibility, default_theta, generate_instance
+from .instances import (
+    ProfileError,
+    check_admissibility,
+    default_theta,
+    generate_instance,
+)
 from .pipeline import run_pipeline, verify_pair
 from .synth import StageError, end_to_end_synthesize
 
 ENV_SEED = "CLONECOVER_SEED"
+
+
+class UsageError(Exception):
+    """A command-line or environment value the program cannot use."""
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -43,7 +54,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(ENV_SEED, "0"))
+    raw = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"${ENV_SEED} is not an integer: {raw!r}") from None
 
 
 def _load_or_generate(args):
@@ -179,7 +194,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except serialize.ParseError as exc:
+    except (serialize.ParseError, ProfileError, OSError,
+            UsageError) as exc:
         print(f"clonecover: {exc}", file=sys.stderr)
         return 2
 

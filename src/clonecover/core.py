@@ -1,15 +1,15 @@
 """Grid points, finite index tuples, finitely supported partial functions,
 and the term AST the whole pipeline evaluates.
 
-Everything here is immutable and pure.  Partial application returns ``None``
-as the undefined marker; it is never an error to evaluate outside a domain.
+Everything here is immutable and pure.  Term evaluation returns ``None`` as
+the undefined marker; it is never an error to evaluate outside a domain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence, Union)
+                    Union)
 
 
 class Point(NamedTuple):
@@ -36,10 +36,6 @@ class IndexMismatchError(ValueError):
 
 class OverlapError(ValueError):
     """Domains or index sets overlap where disjointness is required."""
-
-
-def idx(*members: int) -> IndexSet:
-    return frozenset(members)
 
 
 def full_index(m: int) -> IndexSet:
@@ -132,8 +128,7 @@ class PartialFn:
     convention it is never mutated after construction.
 
     ``PartialFn(...)`` copies the graph and checks every entry against the
-    arity and codomain.  ``compose``, ``disjoint_union``, ``restrict``,
-    ``component``, ``star_fn``, ``hash_fn``, ``fibers`` and
+    arity and codomain.  ``compose``, ``restrict``, ``component`` and
     ``decompose.strong_decompose_stage`` build their results with
     ``_trusted`` instead, which does neither: each takes its entries from
     already checked functions, keeps or relabels them only in ways that
@@ -183,20 +178,10 @@ class PartialFn:
     def identity_on(tuples: Iterable[MTuple], arity: IndexSet) -> "PartialFn":
         return PartialFn(arity, {u: u for u in tuples}, arity)
 
-    @staticmethod
-    def empty(arity: IndexSet, codomain: Optional[IndexSet] = None) -> "PartialFn":
-        return PartialFn(arity, {}, codomain)
-
     # -- basic queries ------------------------------------------------
-
-    def __call__(self, u: MTuple) -> Optional[Value]:
-        return eval_partial(self, u)
 
     def domain(self) -> frozenset:
         return frozenset(self.graph)
-
-    def values(self) -> frozenset:
-        return frozenset(self.graph.values())
 
     def is_point_valued(self) -> bool:
         return self.codomain is None
@@ -247,17 +232,7 @@ class PartialFn:
         )
 
 
-# -- the composition / star / hash / fiber algebra --------------------
-
-
-def eval_partial(p: PartialFn, u: MTuple) -> Optional[Value]:
-    """Graph lookup; None outside the domain."""
-    if u.indices != p.arity:
-        raise IndexMismatchError(
-            f"tuple over {sorted(u.indices)} fed to function of arity "
-            f"{sorted(p.arity)}"
-        )
-    return p.graph.get(u)
+# -- composition and extension ----------------------------------------
 
 
 def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
@@ -271,42 +246,6 @@ def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
         if mid in outer.graph:
             graph[u] = outer.graph[mid]
     return PartialFn._trusted(inner.arity, graph, outer.codomain)
-
-
-def disjoint_union(parts: Sequence[PartialFn]) -> PartialFn:
-    """Union of functions with pairwise disjoint domains."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("disjoint_union of an empty family needs an arity; "
-                         "pass at least one (possibly empty) function")
-    arity, codomain = parts[0].arity, parts[0].codomain
-    graph = {}
-    for p in parts:
-        if p.arity != arity or p.codomain != codomain:
-            raise IndexMismatchError("union parts must share arity and codomain")
-        for u, v in p.graph.items():
-            if u in graph:
-                if graph[u] == v:
-                    raise OverlapError(f"domains overlap at {u!r}")
-                raise OverlapError(f"domains overlap at {u!r} with clashing values")
-            graph[u] = v
-    return PartialFn._trusted(arity, graph, codomain)
-
-
-def shrink_inner(g: PartialFn, g_prime: PartialFn, h_prime: PartialFn) -> PartialFn:
-    """Restrict h' to dom(g) so that g = g' o h exactly.
-
-    Requires g to be a subfunction of g' o h' (checked; the first tuple of
-    disagreement is reported otherwise).
-    """
-    recomposed = compose(g_prime, h_prime)
-    for u, v in sorted(g.graph.items()):
-        if recomposed.graph.get(u) != v:
-            raise ValueError(
-                f"g is not contained in g' o h': disagreement at {u!r} "
-                f"(g gives {v!r}, composition gives {recomposed.graph.get(u)!r})"
-            )
-    return h_prime.restrict(g.domain())
 
 
 def bar_extend(p: PartialFn, universe: Iterable[MTuple]) -> PartialFn:
@@ -324,59 +263,6 @@ def bar_extend(p: PartialFn, universe: Iterable[MTuple]) -> PartialFn:
         if u not in graph:
             graph[u] = ORIGIN
     return PartialFn(p.arity, graph)
-
-
-def star_set(c: MTuple, tuples: Iterable[MTuple]) -> frozenset:
-    """Prefix every T-tuple in the set with the fixed S-tuple c."""
-    return frozenset(c.union(z) for z in tuples)
-
-
-def star_fn(c: MTuple, g: PartialFn) -> PartialFn:
-    """Relabel g's domain tuples by gluing the fixed block c onto them."""
-    if c.indices & g.arity:
-        raise OverlapError("c's index set must be disjoint from g's arity")
-    graph = {c.union(z): v for z, v in g.graph.items()}
-    return PartialFn._trusted(c.indices | g.arity, graph, g.codomain)
-
-
-def hash_fn(c: MTuple, g: PartialFn) -> PartialFn:
-    """The full-arity version of star: keep the c-block fixed on both sides."""
-    if g.codomain is None or g.codomain != g.arity:
-        raise IndexMismatchError("hash requires a T-to-T tuple-valued function")
-    if c.indices & g.arity:
-        raise OverlapError("c's index set must be disjoint from g's arity")
-    graph = {c.union(z): c.union(w) for z, w in g.graph.items()}
-    m = c.indices | g.arity
-    return PartialFn._trusted(m, graph, m)
-
-
-def fibers(g: PartialFn, s: IndexSet) -> dict:
-    """Every fiber of g at S in one pass, keyed by c in canonical order.
-
-    Each fiber keeps g's graph order; the keys are the S-projections
-    occurring in dom(g).
-    """
-    s = frozenset(s)
-    if not s <= g.arity:
-        raise IndexMismatchError(
-            f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
-        )
-    groups: dict = {}
-    for u, v in g.graph.items():
-        groups.setdefault(u.restrict(s), {})[u.without(s)] = v
-    t = g.arity - s
-    return {c: PartialFn._trusted(t, groups[c], g.codomain)
-            for c in sorted(groups)}
-
-
-def fiber(g: PartialFn, s: IndexSet, c: MTuple) -> PartialFn:
-    """Fix the S-indexed arguments of g to c; a function of the rest."""
-    found = fibers(g, s)
-    if c.indices != frozenset(s):
-        raise IndexMismatchError("c must be indexed exactly by S")
-    if c in found:
-        return found[c]
-    return PartialFn.empty(g.arity - frozenset(s), g.codomain)
 
 
 # -- terms ------------------------------------------------------------
@@ -411,7 +297,7 @@ class AtomBinding:
     kind: str  # WITNESS_ATOM or CI_ATOM
 
 
-class UnresolvedAtomError(KeyError):
+class UnresolvedAtomError(ValueError):
     """A term references an atom name missing from its environment."""
 
 
@@ -448,12 +334,6 @@ def _node_depth(node: TermNode) -> int:
     return 1 + max((_node_depth(ch) for ch in node.children), default=0)
 
 
-def eval_term(t: Term, u: MTuple) -> Optional[Point]:
-    """The term's value at u; undefined propagates as None.  The one-tuple
-    case of ``compile_term``."""
-    return compile_term(t)(u)
-
-
 def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
     """Lower t once into a straight-line program over its distinct
     subterms and return the evaluator that runs it on one tuple.
@@ -468,8 +348,8 @@ def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
     raises ``UnresolvedAtomError``, and a projection outside the term's
     arity or a wrong child count ``IndexMismatchError``, also behind an
     undefined sibling, where a walk that stops at the first undefined child
-    would never look.  (Parsed terms have none of these:
-    ``serialize.term_loads`` rejects them.)  The evaluator raises
+    would never look.  ``serialize.term_loads`` lowers every term it reads,
+    so a parsed term has none of these faults.  The evaluator raises
     ``IndexMismatchError`` on a tuple not over the term's arity.
     """
     program: list = []
@@ -483,12 +363,12 @@ def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
             key = entry = node.k
         else:
             if node.name not in t.env:
-                raise UnresolvedAtomError(node.name)
+                raise UnresolvedAtomError(f"unbound atom {node.name!r}")
             fn = t.env[node.name].fn
             if len(node.children) != len(fn.arity):
                 raise IndexMismatchError(
-                    f"atom {node.name} has arity {len(fn.arity)}, got "
-                    f"{len(node.children)} children"
+                    f"atom {node.name!r} has arity {len(fn.arity)}, "
+                    f"applied to {len(node.children)} children"
                 )
             children = tuple(lower(ch) for ch in node.children)
             key = (node.name, children)

@@ -26,6 +26,7 @@ from .core import (
     Proj,
     Term,
     WITNESS_ATOM,
+    compile_term,
     full_index,
 )
 from .instances import PROFILES, Instance
@@ -253,6 +254,10 @@ def _node_parse(obj):
 
 
 def term_parse(doc: dict) -> Term:
+    """The term of doc.  Beyond its form, an atom of unknown kind is
+    rejected, and so is whatever `compile_term` rejects: a projection
+    outside the arity, an unbound atom, or an atom applied to a child
+    count other than its arity."""
     _check_version(doc, "term")
     reader = _Reader()
     with _parsing("term"):
@@ -260,37 +265,17 @@ def term_parse(doc: dict) -> Term:
             name: AtomBinding(reader.pfn(b["fn"]), b["kind"])
             for name, b in doc["env"].items()
         }
+        for name, b in env.items():
+            if b.kind not in (CI_ATOM, WITNESS_ATOM):
+                raise ParseError(
+                    f"term: atom {name!r} has unknown kind {b.kind!r}")
         term = Term(
             root=_node_parse(doc["root"]),
             env=env,
             arity=_index_set(doc["arity"], "term: arity"),
         )
-        _check_well_formed(term)
+        compile_term(term)
     return term
-
-
-def _check_well_formed(t: Term) -> None:
-    """Reject what evaluation would trip over: an atom of unknown kind, a
-    projection outside the arity, an unbound atom, or an atom applied to a
-    child count other than its arity."""
-    for name, b in t.env.items():
-        if b.kind not in (CI_ATOM, WITNESS_ATOM):
-            raise ParseError(f"term: atom {name!r} has unknown kind {b.kind!r}")
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Proj):
-            if node.k not in t.arity:
-                raise ParseError(f"term: projection {node.k} outside arity "
-                                 f"{sorted(t.arity)}")
-            continue
-        if node.name not in t.env:
-            raise ParseError(f"term: unbound atom {node.name!r}")
-        arity = len(t.env[node.name].fn.arity)
-        if len(node.children) != arity:
-            raise ParseError(f"term: atom {node.name!r} has arity {arity}, "
-                             f"applied to {len(node.children)} children")
-        stack.extend(node.children)
 
 
 def term_dumps(t: Term) -> bytes:
@@ -386,6 +371,3 @@ def report_json(report: dict) -> dict:
 def report_dumps(report: dict) -> bytes:
     return dumps(report_json(report))
 
-
-def report_loads(data: bytes) -> dict:
-    return loads(data, "report")

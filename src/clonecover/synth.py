@@ -217,9 +217,6 @@ class PStarIndex:
     def m(self) -> int:
         return len(self.index_set)
 
-    def slot(self, s: IndexSet, j: int) -> int:
-        return self.m + 1 + self.pairs.index((frozenset(s), j))
-
     def combined_arity(self) -> IndexSet:
         return frozenset(range(1, self.m + len(self.pairs) + 1))
 
@@ -244,8 +241,8 @@ def pstar(index_set: IndexSet) -> PStarIndex:
 
 def fiber_k_tables(q: PartialFn, theta: int) -> dict:
     """K-tables for every fiber of q, keyed by (S, fiber key) in sweep and
-    key order: the line maxima of each fiber's `fiber_bounds`, equal to
-    ``k_table`` of the fiber."""
+    key order: the line maxima (`line_bounds`) of each fiber's
+    `fiber_bounds`."""
     if not q.is_point_valued():
         raise IndexMismatchError("k-tables apply to point-valued functions")
     return {(s, c): line_bounds(bounds, theta)

@@ -3,12 +3,42 @@ import random
 
 import pytest
 
-from clonecover.core import MTuple, PartialFn, Point, compose, full_index
+from clonecover.analysis import fiber_bounds, line_bounds
+from clonecover.core import (
+    ORIGIN,
+    MTuple,
+    PartialFn,
+    Point,
+    compose,
+    full_index,
+)
 from clonecover.decompose import (
     DecompositionTrace,
     strong_decompose_stage,
     verify_decomposition,
 )
+
+
+def idx(*members):
+    """The index set of the given members."""
+    return frozenset(members)
+
+
+def bound_of(tuples):
+    """The program's least bound of a tuple set: the `fiber_bounds` entry
+    at S = {} of a function sending every tuple to one value, 0 when the
+    set is empty."""
+    graph = dict.fromkeys(tuples, ORIGIN)
+    arity = next(iter(graph)).indices if graph else frozenset()
+    bounds = fiber_bounds(PartialFn(arity, graph), frozenset())
+    return bounds.get(MTuple.empty(), {}).get(ORIGIN, 0)
+
+
+def k_table_of(t, theta):
+    """The program's K-table of a point-valued t: the `line_bounds` of its
+    `fiber_bounds` at S = {}."""
+    return line_bounds(
+        fiber_bounds(t, frozenset()).get(MTuple.empty(), {}), theta)
 
 
 def pt(x, y):

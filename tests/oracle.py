@@ -1,13 +1,19 @@
-"""A naive reference reading of least bound and thriftiness.
+"""A naive reference reading of least bound and thriftiness, and the
+paper's prefix operators.
 
 Tests check the program's verdicts against this module, so it shares no
-code with `clonecover.analysis`: it imports only `core`'s data types,
+code with `clonecover.analysis`: it imports only `core`'s types,
 splits fibers by hand, finds a least bound by counting up from 0 and
 orders the subsets S itself.  Everything here is deliberately slow.
+
+The operators (star, hash, fiber, disjoint union, shrinking an inner map)
+build every result with the checked `PartialFn` constructor.  The
+program's decomposition stage builds its maps directly; the algebra-law
+criterion and `TestStageMatchesAlgebra` rebuild them through these.
 """
 import itertools
 
-from clonecover.core import MTuple, PartialFn
+from clonecover.core import MTuple, OverlapError, PartialFn
 
 
 def least_bound(tuples):
@@ -75,3 +81,49 @@ def first_wasteful(q, theta):
             if wasteful:
                 return s, c, min(p.graph[z] for z in wasteful)
     return None
+
+
+def fiber(g, s, c):
+    """The fiber of g at the S-part c: the function of the rest of a tuple
+    whose S-part is c; empty when no tuple of dom(g) has S-part c."""
+    return fibers(g, s).get(c, PartialFn(g.arity - s, {}, g.codomain))
+
+
+def star_set(c, tuples):
+    """Prefix every tuple of the set with the fixed S-tuple c."""
+    return frozenset(c.union(z) for z in tuples)
+
+
+def star_fn(c, g):
+    """c*g: g with the fixed block c glued onto each domain tuple."""
+    return PartialFn(c.indices | g.arity,
+                     {c.union(z): v for z, v in g.graph.items()}, g.codomain)
+
+
+def hash_fn(c, g):
+    """c#g, for g from T-tuples to T-tuples: the block c glued onto both
+    sides of every entry."""
+    arity = c.indices | g.arity
+    return PartialFn(arity, {c.union(z): c.union(w)
+                             for z, w in g.graph.items()}, arity)
+
+
+def disjoint_union(parts):
+    """The union of functions with pairwise disjoint domains, over the
+    first part's arity and codomain."""
+    graph = {}
+    for p in parts:
+        for u, v in p.graph.items():
+            if u in graph:
+                raise OverlapError(f"domains overlap at {u!r}")
+            graph[u] = v
+    return PartialFn(parts[0].arity, graph, parts[0].codomain)
+
+
+def shrink_inner(g, g_prime, h_prime):
+    """h' restricted to dom(g), so that g = g' o h exactly; g must be a
+    subfunction of g' o h'."""
+    for u, v in g.graph.items():
+        if g_prime.graph.get(h_prime.graph.get(u)) != v:
+            raise ValueError(f"g is not contained in g' o h' at {u!r}")
+    return h_prime.restrict(g.graph)

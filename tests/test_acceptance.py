@@ -13,21 +13,14 @@ from collections import Counter
 
 import pytest
 
-from clonecover.analysis import least_bound, width
+from clonecover.analysis import width
 from clonecover.core import (
     MTuple,
     PartialFn,
     Point,
+    compile_term,
     compose,
-    disjoint_union,
-    eval_term,
-    fiber,
-    fibers,
     full_index,
-    hash_fn,
-    idx,
-    shrink_inner,
-    star_fn,
 )
 from clonecover.decompose import verify_decomposition
 from clonecover.instances import PROFILES, generate_instance
@@ -44,7 +37,11 @@ from clonecover.synth import (
 )
 from clonecover.pipeline import run_pipeline
 
+import oracle
 from conftest import (
+    bound_of,
+    idx,
+    k_table_of,
     product_image,
     random_point_fn,
     random_tuple,
@@ -93,9 +90,10 @@ def test_criterion_1_end_to_end_synthesis(corpus, capsys):
         for inst, result in corpus[m]:
             if len(inst.g) > 300:
                 oversized += 1
+            evaluate = compile_term(result.term)
             for u in inst.g.domain():
                 checked += 1
-                if eval_term(result.term, u) != inst.g.graph[u]:
+                if evaluate(u) != inst.g.graph[u]:
                     mismatches += 1
     elapsed = corpus["elapsed"]
     passed = mismatches == 0 and oversized == 0 and elapsed < 60.0
@@ -240,16 +238,16 @@ def test_criterion_5_algebra_laws(capsys):
         g = random_tuple_fn(rng, t, t)
         f = random_point_fn(rng, t)
         # composition through the prefix operators
-        law(star_fn(c, compose(f, g))
-            == compose(star_fn(c, f), hash_fn(c, g)))
+        law(oracle.star_fn(c, compose(f, g))
+            == compose(oracle.star_fn(c, f), oracle.hash_fn(c, g)))
         # fibering a prefixed function recovers it
-        law(fiber(star_fn(c, f), s, c) == f)
+        law(oracle.fiber(oracle.star_fn(c, f), s, c) == f)
 
     for _ in range(250):
         q = random_point_fn(rng, idx(1, 2), size=rng.randint(1, 12))
         # reconstruction from fibers
-        parts = [star_fn(c, fiber(q, s, c)) for c in fibers(q, s)]
-        law(disjoint_union(parts) == q)
+        parts = [oracle.star_fn(c, p) for c, p in oracle.fibers(q, s).items()]
+        law(oracle.disjoint_union(parts) == q)
 
     for _ in range(250):
         inner = random_tuple_fn(rng, t, t, size=rng.randint(1, 10))
@@ -263,7 +261,8 @@ def test_criterion_5_algebra_laws(capsys):
         gs = [PartialFn(t, gr, t) for gr in pieces_in]
         fs = [PartialFn(t, gr) for gr in pieces_out]
         # union of pieced compositions sits inside the composed unions
-        left = disjoint_union([compose(fo, gi) for fo, gi in zip(fs, gs)])
+        left = oracle.disjoint_union(
+            [compose(fo, gi) for fo, gi in zip(fs, gs)])
         law(left.is_subfunction_of(compose(outer, inner)))
 
     for _ in range(250):
@@ -272,14 +271,15 @@ def test_criterion_5_algebra_laws(capsys):
         full = compose(g_prime, h_prime)
         sub = full.restrict(
             [u for u in sorted(full.domain()) if rng.random() < 0.6])
-        h = shrink_inner(sub, g_prime, h_prime)
+        h = oracle.shrink_inner(sub, g_prime, h_prime)
         law(h.is_subfunction_of(h_prime) and compose(g_prime, h) == sub)
 
     for _ in range(250):
         a = {random_tuple(rng, t) for _ in range(rng.randint(0, 8))}
         b = {random_tuple(rng, t) for _ in range(rng.randint(0, 8))} - a
-        # bound of a disjoint union is the max of the bounds
-        law(least_bound(a | b) == max(least_bound(a), least_bound(b)))
+        # bound of a disjoint union is the max of the bounds, read off
+        # fiber_bounds at S = {}
+        law(bound_of(a | b) == max(bound_of(a), bound_of(b)))
 
     passed = failures == 0 and cases >= 1000
     _report(capsys, 5, passed, f"{cases} law cases, {failures} failures")
@@ -310,8 +310,6 @@ def _naive_k_table(t):
 
 
 def test_criterion_6_oracle_equivalence(capsys):
-    from clonecover.analysis import k_table
-
     rng = random.Random(0x0AC1E)
     disagreements = 0
     sets_checked = 0
@@ -326,11 +324,11 @@ def test_criterion_6_oracle_equivalence(capsys):
         arity = idx(*range(1, rng.randint(1, 3) + 1))
         tuples = [random_tuple(rng, arity, span)
                   for _ in range(min(size, 40))]
-        if least_bound(tuples) != _naive_least_bound(tuples):
+        if bound_of(tuples) != _naive_least_bound(tuples):
             disagreements += 1
         fn = random_point_fn(rng, idx(1), size=rng.randint(1, 20), span=8)
         theta = 8  # every y is below 8, so fn is thrifty by construction
-        if k_table(fn, theta) != _naive_k_table(fn):
+        if k_table_of(fn, theta) != _naive_k_table(fn):
             disagreements += 1
     _report(capsys, 6, disagreements == 0,
             f"{sets_checked} random sets, {disagreements} disagreements")

@@ -4,15 +4,13 @@ from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
     fiber_bounds,
-    k_table,
-    least_bound,
     tuple_set_width,
     width,
 )
-from clonecover.core import MTuple, PartialFn, idx
+from clonecover.core import MTuple, PartialFn
 
 import oracle
-from conftest import pt, tup, unary
+from conftest import bound_of, idx, k_table_of, pt, tup, unary
 
 
 class TestWidth:
@@ -39,26 +37,28 @@ class TestWidth:
 
 
 class TestLeastBound:
+    """The least bound of a tuple set, read through `fiber_bounds`."""
+
     def test_empty_set(self):
-        assert least_bound([]) == 0
+        assert bound_of([]) == 0
 
     def test_zero_ary_tuples(self):
-        assert least_bound([MTuple.empty()]) == 0
+        assert bound_of([MTuple.empty()]) == 0
 
     def test_frozen_single_tuple(self):
         # min component y of ((5|1),(7|9)) is 1, so the least bound is 2.
-        assert least_bound([tup((5, 1), (7, 9))]) == 2
+        assert bound_of([tup((5, 1), (7, 9))]) == 2
 
     def test_frozen_origin_tuple(self):
-        assert least_bound([tup((0, 0), (9, 9))]) == 1
+        assert bound_of([tup((0, 0), (9, 9))]) == 1
 
     def test_max_over_tuples(self):
         a = [tup((0, 0), (9, 9)), tup((5, 1), (7, 9)), tup((1, 4), (2, 3))]
-        assert least_bound(a) == 4
+        assert bound_of(a) == 4
 
     def test_certificate_is_least(self):
         a = [tup((5, 1), (7, 9))]
-        k = least_bound(a)
+        k = bound_of(a)
         # Every tuple has a component below k, and some tuple has none below
         # k - 1; that is exactly what "least bound" means.
         assert all(u.min_y() < k for u in a)
@@ -101,29 +101,29 @@ class TestClassifyPreimages:
     def test_invalid_theta(self):
         # theta is checked before any bound is read, even with no values
         with pytest.raises(ValueError):
-            k_table(unary({}), 0)
+            k_table_of(unary({}), 0)
 
 
 class TestKTable:
     def test_frozen_example(self):
         # Preimage of line 7 is {(0|0), (0|2)}; bound 1 + max(0, 2) = 3.
         t = unary({(0, 0): (5, 7), (0, 2): (6, 7)})
-        assert k_table(t, theta=4) == {7: 3}
+        assert k_table_of(t, theta=4) == {7: 3}
 
     def test_one_entry_per_occurring_line(self):
         t = unary({(0, 0): (5, 7), (0, 1): (6, 8)})
-        assert set(k_table(t, theta=4)) == {7, 8}
+        assert set(k_table_of(t, theta=4)) == {7, 8}
 
     def test_wasteful_input_rejected(self):
         t = unary({(0, 9): (5, 7)})
         with pytest.raises(NotThriftyError):
-            k_table(t, theta=3)
+            k_table_of(t, theta=3)
 
     def test_line_bound_may_exceed_theta(self):
         # Two values on the same line, each thrifty, can push the line bound
         # past theta; the table must still report the exact value.
         t = unary({(0, 3): (5, 7), (1, 3): (6, 7)})
-        assert k_table(t, theta=4) == {7: 4}
+        assert k_table_of(t, theta=4) == {7: 4}
 
 
 class TestHereditarilyThrifty:

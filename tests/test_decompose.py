@@ -6,10 +6,7 @@ from clonecover.core import (
     MTuple,
     PartialFn,
     compose,
-    fiber,
-    fibers,
     full_index,
-    idx,
 )
 from clonecover.decompose import (
     AdmissibilityError,
@@ -24,7 +21,7 @@ from clonecover.instances import generate_instance
 from clonecover.synth import fiber_k_tables
 
 import oracle
-from conftest import pt, stage_check, trace_over, tup, unary
+from conftest import idx, pt, stage_check, trace_over, tup, unary
 
 
 def wasteful_unary(mapping):
@@ -87,7 +84,7 @@ class TestCountableSelection:
         })
         stage = strong_decompose_stage(g, idx(1), theta=3)
         wasteful = {
-            c.union(z) for z in oracle.split(fiber(g, idx(1), c), 3)[1]
+            c.union(z) for z in oracle.split(oracle.fiber(g, idx(1), c), 3)[1]
         }
         assert wasteful == set(g.domain())
         assert wasteful <= stage.h.domain()
@@ -113,7 +110,7 @@ class TestStrongDecompose:
         assert compose(stage.g_prime, stage.h) == g
 
     def test_empty_input(self):
-        g = PartialFn.empty(idx(1))
+        g = PartialFn(idx(1), {})
         stage = strong_decompose_stage(g, frozenset(), theta=2)
         assert len(stage.g_prime) == 0 and len(stage.h) == 0
 
@@ -124,8 +121,8 @@ class TestStrongDecompose:
             tup((5, 5), (0, 1)): pt(7, 7),
         })
         stage = strong_decompose_stage(g, idx(1), theta=3)
-        for c in fibers(stage.g_prime, idx(1)):
-            assert not oracle.split(fiber(stage.g_prime, idx(1), c), 3)[1]
+        for p in oracle.fibers(stage.g_prime, idx(1)).values():
+            assert not oracle.split(p, 3)[1]
 
     def test_s_outside_arity_rejected(self):
         g = unary({(0, 0): (1, 1)})

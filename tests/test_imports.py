@@ -2,10 +2,12 @@
 (``__init__`` re-exports, so it is exempt), no package module imports
 an underscore-prefixed name from a sibling: what modules share is public
 and documented, every underscore-prefixed name a package module binds at
-its top level is read in that module, so no helper outlives its last
-caller, and only the instance generator imports ``random``: every
-verdict is a deterministic function of its inputs.  Standard library only:
-the AST names each import and each name the module reads."""
+its top level is read in that module, every public one is read by some
+package module other than ``__init__`` or is in ``UNREAD_PUBLIC_NAMES``,
+so no helper outlives its last caller, and only the instance generator
+imports ``random``: every verdict is a deterministic function of its
+inputs.  Standard library only: the AST names each import and each name
+the module reads."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -74,17 +76,20 @@ def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
 
 
-def loaded_names(node) -> Counter:
-    return Counter(n.id for n in ast.walk(node)
-                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+def loaded_names(node, modules=()) -> Counter:
+    """The names node reads: bare names, and the attributes it reads off
+    one of ``modules`` by the module's name (``serialize.term_loads``)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in modules)
 
 
-def unread_private_names(source: str) -> list:
-    """Underscore-prefixed (not dunder) names a module binds at its top
-    level, by ``def``, ``class`` or assignment, and never reads outside
-    their own body, in line order."""
-    tree = ast.parse(source)
-    read = loaded_names(tree)
+def top_level_names(tree, read: Counter) -> list:
+    """The names a module binds at its top level, by ``def``, ``class`` or
+    assignment, in line order.  A def's or class's reads of its own name
+    inside its body are taken off ``read``."""
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -95,7 +100,15 @@ def unread_private_names(source: str) -> list:
             targets = getattr(node, "targets", None) or [node.target]
             bound += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)]
-    return [name for _, name in sorted(bound)
+    return [name for _, name in sorted(bound)]
+
+
+def unread_private_names(source: str) -> list:
+    """Underscore-prefixed (not dunder) names a module binds at its top
+    level and never reads outside their own body, in line order."""
+    tree = ast.parse(source)
+    read = loaded_names(tree)
+    return [name for name in top_level_names(tree, read)
             if name.startswith("_") and not name.startswith("__")
             and read[name] <= 0]
 
@@ -113,6 +126,45 @@ def test_detector_flags_an_unread_private_name():
                          ids=lambda p: p.name)
 def test_every_private_name_is_read_in_its_module(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def unread_public_names(sources: dict) -> list:
+    """``(module, name)`` for each public name a module of ``sources``
+    (module name -> source) binds at its top level that no module reads
+    outside the name's own body, in module and line order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = Counter()
+    for tree in trees.values():
+        read.update(loaded_names(tree, trees))
+    bound = [(module, name) for module, tree in trees.items()
+             for name in top_level_names(tree, read)]
+    return [(module, name) for module, name in bound
+            if not name.startswith("_") and read[name] <= 0]
+
+
+def test_detector_flags_an_unread_public_name():
+    sources = {
+        "core": ("LIMIT = 3\nWIDTH, SPARE = 1, 2\n"
+                 "def used():\n    return LIMIT\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Gone:\n    pass\n"
+                 "def _private():\n    pass\n"),
+        "cli": ("from . import core\nfrom .core import Gone, used\n"
+                "def main():\n    return used(), core.WIDTH\n"
+                "if __name__ == '__main__':\n    main()\n"),
+    }
+    assert unread_public_names(sources) == [
+        ("core", "SPARE"), ("core", "recursive"), ("core", "Gone")]
+
+
+# Public names no package module reads, kept on purpose: the strict readers
+# of one point, tuple or function document that the parse tests pin.
+UNREAD_PUBLIC_NAMES = {"point_parse", "mtuple_parse", "pfn_parse"}
+
+
+def test_every_public_name_is_read_or_listed():
+    unread = unread_public_names({p.stem: p.read_text() for p in MODULES})
+    assert sorted(name for _, name in unread) == sorted(UNREAD_PUBLIC_NAMES)
 
 
 def imports_random(source: str) -> bool:

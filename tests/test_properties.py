@@ -16,15 +16,13 @@ from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
     fiber_bounds,
-    k_table,
-    least_bound,
+    line_bounds,
     width,
 )
 from clonecover.core import (
     App,
     AtomBinding,
     CI_ATOM,
-    IndexMismatchError,
     MTuple,
     ORIGIN,
     PartialFn,
@@ -34,16 +32,7 @@ from clonecover.core import (
     bar_extend,
     compile_term,
     compose,
-    disjoint_union,
-    eval_term,
-    fiber,
-    fibers,
-    hash_fn,
-    shrink_inner,
-    star_fn,
-    star_set,
     full_index,
-    idx,
 )
 from clonecover.decompose import (
     AdmissibilityError,
@@ -55,6 +44,8 @@ from clonecover.synth import fiber_k_tables, pstar, verify_Q_in_CI
 
 import oracle
 from conftest import (
+    bound_of,
+    idx,
     maximal_products,
     product_image,
     random_point,
@@ -82,8 +73,8 @@ class TestStarHashFiberLaws:
             c = random_prefix(rng)
             g = random_tuple_fn(rng, T, T)
             f = random_point_fn(rng, T)
-            left = star_fn(c, compose(f, g))
-            right = compose(star_fn(c, f), hash_fn(c, g))
+            left = oracle.star_fn(c, compose(f, g))
+            right = compose(oracle.star_fn(c, f), oracle.hash_fn(c, g))
             assert left == right
 
     def test_fiber_of_star_recovers(self, rng):
@@ -91,7 +82,7 @@ class TestStarHashFiberLaws:
         for _ in range(300):
             c = random_prefix(rng)
             g = random_point_fn(rng, T)
-            assert fiber(star_fn(c, g), S, c) == g
+            assert oracle.fiber(oracle.star_fn(c, g), S, c) == g
 
     def test_reconstruction_and_uniqueness(self, rng):
         # g = union over occurring c of c*(fiber of g at c), and the fiber
@@ -99,14 +90,14 @@ class TestStarHashFiberLaws:
         for _ in range(300):
             g = random_point_fn(rng, idx(1, 2), size=rng.randint(1, 12))
             parts = {
-                c: fiber(g, S, c) for c in fibers(g, S)
+                c: oracle.fiber(g, S, c) for c in oracle.fibers(g, S)
             }
-            rebuilt = disjoint_union(
-                [star_fn(c, p) for c, p in sorted(parts.items())]
+            rebuilt = oracle.disjoint_union(
+                [oracle.star_fn(c, p) for c, p in sorted(parts.items())]
             )
             assert rebuilt == g
             for c, p in parts.items():
-                assert fiber(rebuilt, S, c) == p
+                assert oracle.fiber(rebuilt, S, c) == p
 
 
 small_points = st.builds(Point, st.integers(0, 2), st.integers(0, 2))
@@ -142,42 +133,6 @@ def fns_and_subsets(draw):
     s = frozenset(draw(st.sets(st.sampled_from(sorted(arity))))
                   if arity else ())
     return g, s
-
-
-class TestFibers:
-    @settings(max_examples=300, derandomize=True)
-    @given(case=fns_and_subsets())
-    def test_matches_per_key_scan(self, case):
-        g, s = case
-        got, want = fibers(g, s), oracle.fibers(g, s)
-        assert list(got) == list(want)
-        assert got == want
-        for c in want:
-            assert list(got[c].graph) == list(want[c].graph)
-
-    @settings(max_examples=300, derandomize=True)
-    @given(case=fns_and_subsets())
-    def test_domains_partition_dom_g(self, case):
-        g, s = case
-        parts = [{c.union(z) for z in p.graph} for c, p in fibers(g, s).items()]
-        assert sum(len(d) for d in parts) == len(g)
-        assert set().union(*parts) == g.domain()
-
-    @settings(max_examples=300, derandomize=True)
-    @given(case=fns_and_subsets())
-    def test_empty_s_gives_g_itself(self, case):
-        g, _ = case
-        got = fibers(g, frozenset())
-        assert got == ({MTuple.empty(): g} if g.graph else {})
-        if g.graph:
-            assert list(got[MTuple.empty()].graph) == list(g.graph)
-
-    @settings(max_examples=100, derandomize=True)
-    @given(case=fns_and_subsets())
-    def test_s_outside_arity_rejected(self, case):
-        g, s = case
-        with pytest.raises(IndexMismatchError):
-            fibers(g, s | {4})
 
 
 any_fns = index_sets.flatmap(lambda arity: codomains.flatmap(
@@ -218,7 +173,7 @@ class TestFiberBounds:
     @given(tuples=index_sets.flatmap(
         lambda arity: st.sets(tuples_over(arity), max_size=8)))
     def test_least_bound_matches_the_oracle(self, tuples):
-        assert least_bound(tuples) == oracle.least_bound(tuples)
+        assert bound_of(tuples) == oracle.least_bound(tuples)
 
     @settings(max_examples=300, derandomize=True)
     @given(q=point_fns, theta=st.integers(0, 3))
@@ -228,8 +183,8 @@ class TestFiberBounds:
     def test_k_tables_match_per_fiber_k_table(self, q, theta):
         subsets = all_subsets(sorted(q.arity))
         try:
-            want = {(s, c): k_table(fiber(q, s, c), theta)
-                    for s in subsets for c in fibers(q, s)}
+            want = {(s, c): line_bounds(bounds, theta) for s in subsets
+                    for c, bounds in oracle.fiber_bounds(q, s).items()}
         except NotThriftyError as exc:
             with pytest.raises(NotThriftyError) as raised:
                 fiber_k_tables(q, theta)
@@ -258,14 +213,14 @@ def algebra_stage(g, s, theta):
     hash each fiber's thrifty part and its selection, take the unions, and
     shrink the inner map back onto dom(g)."""
     thrifty_parts, wasteful_family = {}, {}
-    for c, g_c in fibers(g, s).items():
+    for c, g_c in oracle.fibers(g, s).items():
         thrifty, wasteful = oracle.split(g_c, theta)
         thrifty_parts[c] = g_c.restrict(thrifty)
         if wasteful:
             wasteful_family[c] = g_c.restrict(wasteful)
     selection = countable_selection(wasteful_family, theta)
     t = g.arity - s
-    g_parts = [PartialFn.empty(g.arity, g.codomain)]
+    g_parts = [PartialFn(g.arity, {}, g.codomain)]
     h_parts = [PartialFn.identity_on([], g.arity)]
     identity = set()
     for c, t_c in thrifty_parts.items():
@@ -273,15 +228,15 @@ def algebra_stage(g, s, theta):
         fiber_h = [PartialFn.identity_on(t_c.domain(), t)]
         if c in wasteful_family:
             w_c = wasteful_family[c]
-            pick = {d: selection.chosen[(c, d)] for d in w_c.values()}
+            pick = {d: selection.chosen[(c, d)] for d in w_c.graph.values()}
             fiber_g.append(w_c.restrict(pick.values()))
             fiber_h.append(PartialFn(
                 t, {z: pick[v] for z, v in w_c.graph.items()}, t))
-        g_parts.append(star_fn(c, disjoint_union(fiber_g)))
-        h_parts.append(hash_fn(c, disjoint_union(fiber_h)))
+        g_parts.append(oracle.star_fn(c, oracle.disjoint_union(fiber_g)))
+        h_parts.append(oracle.hash_fn(c, oracle.disjoint_union(fiber_h)))
         identity.update(c.union(z) for z in t_c.domain())
-    g_prime = disjoint_union(g_parts)
-    h = shrink_inner(g, g_prime, disjoint_union(h_parts))
+    g_prime = oracle.disjoint_union(g_parts)
+    h = oracle.shrink_inner(g, g_prime, oracle.disjoint_union(h_parts))
     return g_prime, h, frozenset(identity) & h.domain(), selection
 
 
@@ -336,8 +291,10 @@ class TestUnionAndSubLaws:
             outer = random_point_fn(rng, T, size=rng.randint(1, 10))
             gs = self.split_into_disjoint(rng, inner)
             fs = self.split_into_disjoint(rng, outer)
-            left = disjoint_union([compose(f, g) for f, g in zip(fs, gs)])
-            right = compose(disjoint_union(fs), disjoint_union(gs))
+            left = oracle.disjoint_union(
+                [compose(f, g) for f, g in zip(fs, gs)])
+            right = compose(oracle.disjoint_union(fs),
+                            oracle.disjoint_union(gs))
             assert left.is_subfunction_of(right)
 
     def test_shrink_inner_on_random_subfunctions(self, rng):
@@ -349,7 +306,7 @@ class TestUnionAndSubLaws:
                 continue
             keep = [u for u in sorted(full.domain()) if rng.random() < 0.6]
             g = full.restrict(keep)
-            h = shrink_inner(g, g_prime, h_prime)
+            h = oracle.shrink_inner(g, g_prime, h_prime)
             assert h.is_subfunction_of(h_prime)
             assert compose(g_prime, h) == g
 
@@ -362,11 +319,11 @@ def thrifty(p, theta):
 
 class TestBoundLaws:
     def test_least_bound_of_disjoint_union(self, rng):
-        # least_bound(A u B) = max of the two bounds
+        # the least bound of A u B is the max of the two bounds
         for _ in range(300):
             a = {random_tuple(rng, T) for _ in range(rng.randint(0, 8))}
             b = {random_tuple(rng, T) for _ in range(rng.randint(0, 8))} - a
-            assert least_bound(a | b) == max(least_bound(a), least_bound(b))
+            assert bound_of(a | b) == max(bound_of(a), bound_of(b))
 
     def test_disjoint_union_thrifty_iff_both(self, rng):
         theta = 8
@@ -379,7 +336,7 @@ class TestBoundLaws:
             if not p2.graph:
                 continue
             both = thrifty(p1, theta) and thrifty(p2, theta)
-            union_verdict = thrifty(disjoint_union([p1, p2]), theta)
+            union_verdict = thrifty(oracle.disjoint_union([p1, p2]), theta)
             # The law needs value-disjointness too; a value shared between
             # the parts can merge two thrifty preimages into a wasteful one,
             # so only the forward direction is unconditional.
@@ -421,7 +378,7 @@ class TestPointLevelLaws:
     def test_star_set_cardinality(self, c, zs):
         prefix = MTuple.of({1: c})
         a = {MTuple.of({2: z}) for z in zs}
-        assert len(star_set(prefix, a)) == len(a)
+        assert len(oracle.star_set(prefix, a)) == len(a)
 
     @settings(max_examples=200, derandomize=True)
     @given(ps=st.sets(points, max_size=20))
@@ -435,7 +392,7 @@ class TestPointLevelLaws:
     @given(ps=st.sets(points, min_size=1, max_size=8))
     def test_least_bound_is_least(self, ps):
         a = [MTuple.of({1: p}) for p in ps]
-        k = least_bound(a)
+        k = bound_of(a)
         assert all(u.min_y() < k for u in a)
         assert not all(u.min_y() < k - 1 for u in a)
 
@@ -469,7 +426,7 @@ class TestTrustedResults:
                  for part in range(3)]
         for part in parts:
             assert_valid(part)
-        assert_valid(disjoint_union(parts))
+        assert oracle.disjoint_union(parts) == g
 
     @settings(max_examples=100, derandomize=True)
     @given(data=st.data(), arity=index_sets,
@@ -478,23 +435,6 @@ class TestTrustedResults:
         g = data.draw(partial_fns(arity, codomain))
         for i in codomain:
             assert_valid(g.component(i))
-
-    @settings(max_examples=100, derandomize=True)
-    @given(data=st.data(), case=fns_and_subsets(),
-           c_indices=st.sets(st.integers(4, 5)).map(frozenset))
-    def test_star_and_hash(self, data, case, c_indices):
-        g, _ = case
-        c = data.draw(tuples_over(c_indices))
-        assert_valid(star_fn(c, g))
-        square = data.draw(partial_fns(g.arity, g.arity))
-        assert_valid(hash_fn(c, square))
-
-    @settings(max_examples=100, derandomize=True)
-    @given(case=fns_and_subsets())
-    def test_every_fiber(self, case):
-        g, s = case
-        for part in fibers(g, s).values():
-            assert_valid(part)
 
 
 class TestSharedIndexSets:
@@ -688,7 +628,6 @@ class TestCompiledEvaluation:
             u = MTuple.of(dict(zip(sorted(t.arity), ps)))
             want = walk(t.root, u, t.env)
             assert evaluate(u) == want
-            assert eval_term(t, u) == want
 
 
 @st.composite

@@ -9,9 +9,8 @@ from clonecover.core import (
     MTuple,
     ORIGIN,
     PartialFn,
-    eval_term,
+    compile_term,
     full_index,
-    idx,
 )
 from clonecover.decompose import AdmissibilityError
 from clonecover.instances import PROFILES, generate_instance
@@ -32,7 +31,7 @@ from clonecover.synth import (
     witness_point,
 )
 
-from conftest import maximal_products, product_image, pt, tup, unary
+from conftest import idx, maximal_products, product_image, pt, tup, unary
 from test_acceptance import product_image_width, sampled_width1_family
 
 
@@ -162,8 +161,8 @@ class TestPStar:
 
     def test_slots_follow_the_inputs(self):
         ps = pstar(idx(1, 2))
-        assert ps.slot(frozenset(), 1) == 3
-        assert ps.slot(idx(2), 1) == 6
+        assert ps.factor_keys == (1, 2, (frozenset(), 1), (frozenset(), 2),
+                                  (idx(1), 2), (idx(2), 1))
         assert sorted(ps.combined_arity()) == [1, 2, 3, 4, 5, 6]
 
     def test_non_canonical_index_set_rejected(self):
@@ -228,10 +227,10 @@ class TestBuildQ:
         ps = res.pstar_index
         for uv in res.q_table.graph:
             u = uv.restrict(ps.index_set)
-            for s, j in ps.pairs:
+            for slot, pair in enumerate(ps.pairs, ps.m + 1):
                 expected = helper_slot_value(
-                    res.h_family[(s, j)], res.normalized, u)
-                assert uv[ps.slot(s, j)] == expected
+                    res.h_family[pair], res.normalized, u)
+                assert uv[slot] == expected
 
     def test_undefined_helper_slot_is_witness_at_origin(self):
         inst, res = self.setup_result()
@@ -240,9 +239,9 @@ class TestBuildQ:
         hit = False
         for uv in res.q_table.graph:
             u = uv.restrict(ps.index_set)
-            for s, j in ps.pairs:
-                if u not in res.h_family[(s, j)].graph:
-                    assert uv[ps.slot(s, j)] == anchor
+            for slot, pair in enumerate(ps.pairs, ps.m + 1):
+                if u not in res.h_family[pair].graph:
+                    assert uv[slot] == anchor
                     hit = True
         assert hit
 
@@ -254,8 +253,9 @@ class TestSelectorCertificates:
             res = end_to_end_synthesize(
                 inst.g, inst.f, inst.theta, inst.horizon,
                 unary_candidates=inst.candidates)
+            evaluate = compile_term(res.term)
             for u in inst.g.domain():
-                assert eval_term(res.term, u) == inst.g.graph[u]
+                assert evaluate(u) == inst.g.graph[u]
 
     def test_main_lemma_on_full_factors(self):
         # Width-1 factors covering every occurring point of the selector.
@@ -265,11 +265,8 @@ class TestSelectorCertificates:
         ps = res.pstar_index
         m = inst.m
         factors = {}
-        for key in list(sorted(ps.index_set)) + list(ps.pairs):
-            pts = set()
-            for uv in res.q_table.graph:
-                p = uv[key] if isinstance(key, int) else uv[ps.slot(*key)]
-                pts.add(p)
+        for slot, key in enumerate(ps.factor_keys, 1):
+            pts = {uv[slot] for uv in res.q_table.graph}
             sl = next(iter(width1_slices(pts)), frozenset())
             factors[key] = {p.y: p.x for p in sl}
         verdict = verify_Q_in_CI(res.q_table, m)
