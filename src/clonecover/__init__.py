@@ -31,10 +31,10 @@ from .synth import (
     build_Q,
     build_h,
     end_to_end_synthesize,
+    factor_keys,
     main_lemma_certify,
     normalize_f,
     oplus,
-    pstar,
     reduce_to_unary,
     spanned_family,
     verify_Q_in_CI,

@@ -273,10 +273,8 @@ def check_admissibility(inst: Instance) -> dict:
 
     normalized = trace = None
     try:
-        f_unary = inst.f
-        if len(inst.f.arity) > 1:
-            f_unary = reduce_to_unary(inst.f, inst.candidates)
-        normalized = normalize_f(f_unary, inst.horizon)
+        normalized = normalize_f(reduce_to_unary(inst.f, inst.candidates),
+                                 inst.horizon)
         checks.add("witness recoverable", True)
     except (AdmissibilityError, ValueError) as exc:
         checks.add("witness recoverable", False, str(exc))

@@ -71,7 +71,7 @@ def run_pipeline(inst: Instance) -> tuple:
             "depth": result.term.depth(),
             "atoms": len(result.term.env),
             "witness_atoms": len(result.term.witness_atoms()),
-            "q_domain": len(result.q),
+            "q_domain": len(result.trace.g_prime),
         }
     if stage_error is not None:
         report["stage_error"] = {
@@ -127,10 +127,9 @@ def verify_pair(inst: Instance, term) -> dict:
     """Re-verify a serialized (instance, term) pair without the trace: the
     term, compiled once, must give g's value at every tuple of dom(g)."""
     evaluate = compile_term(term)
-    mismatches = [u for u, v in inst.g.sorted_items() if evaluate(u) != v]
+    mismatched = sum(evaluate(u) != v for u, v in inst.g.sorted_items())
     return {
-        "passed": not mismatches,
+        "passed": not mismatched,
         "checked": len(inst.g),
-        "mismatched": len(mismatches),
-        "mismatches": [str(u) for u in mismatches[:5]],
+        "mismatched": mismatched,
     }

@@ -38,16 +38,6 @@ class ParseError(ValueError):
     """Malformed or wrongly versioned serialized input."""
 
 
-def _check_version(doc: dict, what: str) -> None:
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise ParseError(f"{what}: missing version tag")
-    if doc["version"] != FORMAT_VERSION:
-        raise ParseError(
-            f"{what}: unknown version {doc['version']!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-
-
 @contextmanager
 def _parsing(what: str):
     """Report the lookup, type and value errors of a malformed document as
@@ -101,7 +91,13 @@ def loads(data: bytes, what: str = "document") -> dict:
         # ValueError covers undecodable bytes, bad JSON and integer
         # literals over the interpreter's digit limit
         raise ParseError(f"{what}: {exc}") from exc
-    _check_version(doc, what)
+    if not isinstance(doc, dict) or "version" not in doc:
+        raise ParseError(f"{what}: missing version tag")
+    if doc["version"] != FORMAT_VERSION:
+        raise ParseError(
+            f"{what}: unknown version {doc['version']!r} "
+            f"(expected {FORMAT_VERSION})"
+        )
     return doc
 
 
@@ -216,18 +212,6 @@ class _Reader:
             )
 
 
-def point_parse(obj) -> Point:
-    return _Reader().point(obj)
-
-
-def mtuple_parse(obj) -> MTuple:
-    return _Reader().mtuple(obj)
-
-
-def pfn_parse(obj) -> PartialFn:
-    return _Reader().pfn(obj)
-
-
 # -- terms ------------------------------------------------------------
 
 
@@ -253,12 +237,23 @@ def _node_parse(obj):
     raise ParseError(f"unknown term node tag {obj['t']!r}")
 
 
-def term_parse(doc: dict) -> Term:
-    """The term of doc.  Beyond its form, an atom of unknown kind is
+def term_dumps(t: Term) -> bytes:
+    return dumps({
+        "version": FORMAT_VERSION,
+        "kind": "term",
+        "arity": sorted(t.arity),
+        "root": _node_json(t.root),
+        "env": {name: {"kind": b.kind, "fn": b.fn}
+                for name, b in t.env.items()},
+    })
+
+
+def term_loads(data: bytes) -> Term:
+    """The term of data.  Beyond its form, an atom of unknown kind is
     rejected, and so is whatever `compile_term` rejects: a projection
     outside the arity, an unbound atom, or an atom applied to a child
     count other than its arity."""
-    _check_version(doc, "term")
+    doc = loads(data, "term")
     reader = _Reader()
     with _parsing("term"):
         env = {
@@ -278,26 +273,28 @@ def term_parse(doc: dict) -> Term:
     return term
 
 
-def term_dumps(t: Term) -> bytes:
-    return dumps({
-        "version": FORMAT_VERSION,
-        "kind": "term",
-        "arity": sorted(t.arity),
-        "root": _node_json(t.root),
-        "env": {name: {"kind": b.kind, "fn": b.fn}
-                for name, b in t.env.items()},
-    })
-
-
-def term_loads(data: bytes) -> Term:
-    return term_parse(loads(data, "term"))
-
-
 # -- instances --------------------------------------------------------
 
 
-def instance_parse(doc: dict) -> Instance:
-    _check_version(doc, "instance")
+def instance_dumps(inst: Instance) -> bytes:
+    return dumps({
+        "version": FORMAT_VERSION,
+        "kind": "instance",
+        "m": inst.m,
+        "horizon": inst.horizon,
+        "theta": inst.theta,
+        "seed": inst.seed,
+        "ceiling": inst.ceiling,
+        "profile": inst.profile,
+        "g": inst.g,
+        "f": inst.f,
+        "candidates": inst.candidates,
+        "metadata": inst.metadata,
+    })
+
+
+def instance_loads(data: bytes) -> Instance:
+    doc = loads(data, "instance")
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
@@ -333,41 +330,14 @@ def instance_parse(doc: dict) -> Instance:
     return inst
 
 
-def instance_dumps(inst: Instance) -> bytes:
-    return dumps({
-        "version": FORMAT_VERSION,
-        "kind": "instance",
-        "m": inst.m,
-        "horizon": inst.horizon,
-        "theta": inst.theta,
-        "seed": inst.seed,
-        "ceiling": inst.ceiling,
-        "profile": inst.profile,
-        "g": inst.g,
-        "f": inst.f,
-        "candidates": inst.candidates,
-        "metadata": inst.metadata,
-    })
-
-
-def instance_loads(data: bytes) -> Instance:
-    return instance_parse(loads(data, "instance"))
-
-
 # -- reports ----------------------------------------------------------
 
 
-def report_json(report: dict) -> dict:
-    """Canonical form of a pipeline report.
+def report_dumps(report: dict) -> bytes:
+    """Canonical bytes of a pipeline report.
 
     Timing is excluded so repeated runs serialize identically.
     """
     doc = {k: v for k, v in report.items() if k != "timing"}
-    doc["version"] = FORMAT_VERSION
-    doc["kind"] = "report"
-    return doc
-
-
-def report_dumps(report: dict) -> bytes:
-    return dumps(report_json(report))
+    return dumps({**doc, "version": FORMAT_VERSION, "kind": "report"})
 

@@ -62,19 +62,18 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
     """Search for a unary composite of f with the candidates that visibly
     blows up width.
 
-    Candidate tuples are tried in lexicographic order; the first composite
-    mapping some width-1 slice of its domain to an image of width above 1
-    is returned.  Exhaustion is an error (the candidate set simply
+    An f of arity below 2 is returned as is; normalization judges it.
+    Otherwise candidate tuples are tried in lexicographic order; the first
+    composite mapping some width-1 slice of its domain to an image of width
+    above 1 is returned.  Exhaustion is an error (the candidate set simply
     contained no witness), not a refutation.
     """
+    if len(f.arity) < 2:
+        return f
     arity = sorted(f.arity)
     for c in candidates:
         if sorted(c.arity) != [1] or not c.is_point_valued():
             raise IndexMismatchError("candidates must be unary point-valued")
-    if len(arity) == 1:
-        # identity candidate first: the witness may already qualify as is
-        if _has_width_blowup(f):
-            return f
     for combo in itertools.product(candidates, repeat=len(arity)):
         graph = {}
         common = set.intersection(*(set(c.domain()) for c in combo))
@@ -202,41 +201,14 @@ def witness_point(nw: NormalizedWitness, p: Point) -> Optional[Point]:
 # -- the (S, j) index and helper family -------------------------------
 
 
-@dataclass(frozen=True)
-class PStarIndex:
-    """Deterministic enumeration of the pairs (S, j) with j outside S.
-
-    Within the selector table's combined arity, the input occupies indices
-    1..m and the pair at position t occupies slot m + 1 + t.
-    """
-
-    index_set: IndexSet
-    pairs: tuple  # ordered (frozenset S, j) pairs
-
-    @property
-    def m(self) -> int:
-        return len(self.index_set)
-
-    def combined_arity(self) -> IndexSet:
-        return frozenset(range(1, self.m + len(self.pairs) + 1))
-
-    @property
-    def factor_keys(self) -> tuple:
-        """The selector's factor keys in slot order: 1..m, then the pairs."""
-        return tuple(sorted(self.index_set)) + self.pairs
-
-
 @functools.cache
-def pstar(index_set: IndexSet) -> PStarIndex:
-    """The (S, j) index of {1, ..., m}; one shared, frozen value per m."""
-    index_set = frozenset(index_set)
-    if index_set != full_index(len(index_set)):
-        raise ValueError("index set must be the canonical {1, ..., m}")
-    pairs = []
-    for s in all_subsets(sorted(index_set)):
-        for j in sorted(index_set - s):
-            pairs.append((s, j))
-    return PStarIndex(index_set=index_set, pairs=tuple(pairs))
+def factor_keys(m: int) -> tuple:
+    """The selector's inputs in slot order: the indices 1..m, then the
+    pairs (frozenset S, j) with j outside S, S in `all_subsets` order and
+    j ascending.  The key at position t occupies slot t + 1."""
+    indices = range(1, m + 1)
+    return tuple(indices) + tuple(
+        (s, j) for s in all_subsets(indices) for j in indices if j not in s)
 
 
 def fiber_k_tables(q: PartialFn, theta: int) -> dict:
@@ -276,9 +248,9 @@ def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:
     return PartialFn(q.arity, graph)
 
 
-def build_h_family(q: PartialFn, ps: PStarIndex, k_tables: Mapping) -> dict:
+def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     return {
-        (s, j): build_h(q, s, j, k_tables) for s, j in ps.pairs
+        (s, j): build_h(q, s, j, k_tables) for s, j in keys[len(q.arity):]
     }
 
 
@@ -295,17 +267,18 @@ def helper_slot_value(h: PartialFn, nw: NormalizedWitness, u: MTuple) -> Point:
 
 
 def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
-            ps: PStarIndex) -> PartialFn:
+            keys: tuple) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
     the witness's output on the corresponding helper at u; value q(u)."""
-    slots = list(enumerate(ps.pairs, ps.m + 1))
+    m = len(q.arity)
+    slots = list(enumerate(keys[m:], m + 1))
     graph = {}
     for u, val in q.graph.items():
         entries = dict(u)
         for slot, pair in slots:
             entries[slot] = helper_slot_value(h_family[pair], nw, u)
         graph[MTuple.of(entries)] = val
-    return PartialFn(ps.combined_arity(), graph)
+    return PartialFn(full_index(len(keys)), graph)
 
 
 # -- term assembly ----------------------------------------------------
@@ -319,7 +292,7 @@ def helper_name(s: IndexSet, j: int) -> str:
 
 
 def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
-                  q_table: PartialFn, ps: PStarIndex,
+                  q_table: PartialFn, keys: tuple,
                   inner: PartialFn) -> Term:
     """The synthesized term for g = q o inner: the selector applied to the
     inner-map components and the witness's outputs on the bar-extended
@@ -333,7 +306,7 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
         env[f"inner[{i}]"] = AtomBinding(inner.component(i), CI_ATOM)
     args = tuple(App(f"inner[{i}]", projections) for i in sorted(q.arity))
     children = list(args)
-    for s, j in ps.pairs:
+    for s, j in keys[len(q.arity):]:
         name = helper_name(s, j)
         env[name] = AtomBinding(
             bar_extend(h_family[(s, j)], q.domain()), CI_ATOM)
@@ -436,7 +409,7 @@ def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
     each factor key, the line -> column map of the entries' points in its
     slot (lines it does not list read as column 0)."""
     family = {}
-    for slot, key in enumerate(pstar(full_index(m)).factor_keys, 1):
+    for slot, key in enumerate(factor_keys(m), 1):
         factor = family[key] = {}
         for uv in entries:
             x, y = uv[slot]
@@ -468,7 +441,7 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     by value line; each (n, perm) then checks that every grouped entry
     whose lines rise along perm is the unique candidate.
     """
-    keys = pstar(full_index(m)).factor_keys
+    keys = factor_keys(m)
     in_product: dict = {}  # value line -> table entries in the product
     for uv, val in q_table.graph.items():
         entries = in_product.setdefault(val.y, [])
@@ -541,12 +514,10 @@ class SynthesisResult:
 
     normalized: NormalizedWitness
     trace: DecompositionTrace
-    q: PartialFn
     k_tables: dict
     h_family: dict
     q_table: PartialFn
     term: Term
-    pstar_index: PStarIndex
 
 
 def _run_stage(stage: str, fn, *args):
@@ -564,8 +535,7 @@ def end_to_end_synthesize(g: PartialFn, f: PartialFn, theta: int, horizon: int,
 
     The returned term evaluates to g on every tuple of dom(g).
     """
-    if len(f.arity) > 1:
-        f = _run_stage("reduce-to-unary", reduce_to_unary, f, unary_candidates)
+    f = _run_stage("reduce-to-unary", reduce_to_unary, f, unary_candidates)
     nw = _run_stage("normalize", normalize_f, f, horizon)
     trace = _run_stage("decompose", hereditary_decompose, g, theta)
     return complete_synthesis(g, nw, trace)
@@ -576,13 +546,13 @@ def complete_synthesis(g: PartialFn, nw: NormalizedWitness,
     """Helper/selector construction and term assembly from the products of
     the choice stages: the normalized witness and g's decomposition trace."""
     q = trace.g_prime
-    ps = pstar(full_index(len(g.arity)))
+    keys = factor_keys(len(g.arity))
     tables = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
-    h_family = _run_stage("helpers", build_h_family, q, ps, tables)
-    q_table = _run_stage("selector", build_Q, q, h_family, nw, ps)
+    h_family = _run_stage("helpers", build_h_family, q, keys, tables)
+    q_table = _run_stage("selector", build_Q, q, h_family, nw, keys)
     term = _run_stage("assemble", assemble_term,
-                      q, nw, h_family, q_table, ps, trace.h_composed)
+                      q, nw, h_family, q_table, keys, trace.h_composed)
     return SynthesisResult(
-        normalized=nw, trace=trace, q=q, k_tables=tables,
-        h_family=h_family, q_table=q_table, term=term, pstar_index=ps,
+        normalized=nw, trace=trace, k_tables=tables,
+        h_family=h_family, q_table=q_table, term=term,
     )

@@ -20,17 +20,16 @@ from clonecover.core import (
     Point,
     compile_term,
     compose,
-    full_index,
 )
 from clonecover.decompose import verify_decomposition
 from clonecover.instances import PROFILES, generate_instance
 from clonecover.serialize import instance_dumps, report_dumps, term_dumps
 from clonecover.synth import (
     end_to_end_synthesize,
+    factor_keys,
     main_lemma_certify,
     normalize_f,
     oplus,
-    pstar,
     spanned_family,
     verify_Q_in_CI,
     witness_point,
@@ -111,7 +110,7 @@ def sampled_width1_family(q_table, m, rng, ceiling):
     selector puts on that (slot, line), otherwise a uniform one below the
     ceiling.
     """
-    keys = pstar(full_index(m)).factor_keys
+    keys = factor_keys(m)
     occurring = {key: {} for key in keys}
     for uv in q_table.graph:
         for (_, p), key in zip(uv.items(), keys):
@@ -132,7 +131,7 @@ def product_image_width(q_table, family, m):
     """Width of the selector's image of the product of a width-1 factor
     family, by brute force over the table; a line a factor does not list
     holds column 0."""
-    keys = pstar(full_index(m)).factor_keys
+    keys = factor_keys(m)
     return width(product_image(q_table, {
         (slot, p.y): {family[key].get(p.y, 0)}
         for uv in q_table.graph

@@ -50,6 +50,20 @@ GOLDEN_M4 = {
 }
 
 
+# profile -> the same digest for m = 5 at horizon 16, theta 12, seed 0: the
+# 2591-node term, whose selector has 80 (S, j) slots
+GOLDEN_M5 = {
+    "mixed": "38b8616e9a9522fe31fe307a42e82dcd2c0b34b796e7ea82c8c3029c869dbeac",
+    "all-thrifty": "c598256a1552f777f6ce7340005c9967ac2fd8fab6f84c2326f0a1b6f9f359c4",
+    "mary-witness": "a291a9a4b1637dd6eb78b82d52078f60127f2db7fcf9b0116420cebfa68feafe",
+}
+
+# the same digest for one m = 6 instance: the 8491-node term, whose
+# selector has 192 (S, j) slots
+GOLDEN_M6 = ((6, 24, 16, 0, "mixed"),
+             "a71e49ce2d059349d6b9341c79f7b529d2ccf2b41e14212999a183758a23326c")
+
+
 @pytest.mark.parametrize("m, seed, profile", sorted(GOLDEN))
 def test_golden_bytes(m, seed, profile):
     assert _digest(generate_instance(m, 8, 4, seed, profile)) == GOLDEN[
@@ -60,6 +74,17 @@ def test_golden_bytes(m, seed, profile):
 def test_golden_bytes_arity_four(profile):
     assert _digest(generate_instance(4, 12, 6, 0, profile)) == GOLDEN_M4[
         profile]
+
+
+@pytest.mark.parametrize("profile", sorted(GOLDEN_M5))
+def test_golden_bytes_arity_five(profile):
+    assert _digest(generate_instance(5, 16, 12, 0, profile)) == GOLDEN_M5[
+        profile]
+
+
+def test_golden_bytes_arity_six():
+    args, digest = GOLDEN_M6
+    assert _digest(generate_instance(*args)) == digest
 
 
 def _digest(inst):

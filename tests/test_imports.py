@@ -3,11 +3,10 @@
 an underscore-prefixed name from a sibling: what modules share is public
 and documented, every underscore-prefixed name a package module binds at
 its top level is read in that module, every public one is read by some
-package module other than ``__init__`` or is in ``UNREAD_PUBLIC_NAMES``,
-so no helper outlives its last caller, and only the instance generator
-imports ``random``: every verdict is a deterministic function of its
-inputs.  Standard library only: the AST names each import and each name
-the module reads."""
+package module other than ``__init__``, so no helper outlives its last
+caller, and only the instance generator imports ``random``: every verdict
+is a deterministic function of its inputs.  Standard library only: the
+AST names each import and each name the module reads."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -157,14 +156,9 @@ def test_detector_flags_an_unread_public_name():
         ("core", "SPARE"), ("core", "recursive"), ("core", "Gone")]
 
 
-# Public names no package module reads, kept on purpose: the strict readers
-# of one point, tuple or function document that the parse tests pin.
-UNREAD_PUBLIC_NAMES = {"point_parse", "mtuple_parse", "pfn_parse"}
-
-
-def test_every_public_name_is_read_or_listed():
-    unread = unread_public_names({p.stem: p.read_text() for p in MODULES})
-    assert sorted(name for _, name in unread) == sorted(UNREAD_PUBLIC_NAMES)
+def test_every_public_name_is_read():
+    assert unread_public_names(
+        {p.stem: p.read_text() for p in MODULES}) == []
 
 
 def imports_random(source: str) -> bool:

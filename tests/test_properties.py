@@ -40,7 +40,7 @@ from clonecover.decompose import (
     strong_decompose_stage,
     verify_decomposition,
 )
-from clonecover.synth import fiber_k_tables, pstar, verify_Q_in_CI
+from clonecover.synth import factor_keys, fiber_k_tables, verify_Q_in_CI
 
 import oracle
 from conftest import (
@@ -530,7 +530,7 @@ def selector_tables(draw):
     with few columns per line so that entries clash, and values on two
     lines so that columns compete."""
     m = draw(st.sampled_from([1, 2]))
-    arity = pstar(full_index(m)).combined_arity()
+    arity = full_index(len(factor_keys(m)))
     slot_points = st.builds(Point, st.integers(0, 3 - m), st.integers(0, 2))
     entries = st.lists(slot_points, min_size=len(arity),
                        max_size=len(arity)).map(

@@ -18,12 +18,12 @@ from clonecover.synth import (
     StageError,
     build_h,
     end_to_end_synthesize,
+    factor_keys,
     fiber_k_tables,
     helper_slot_value,
     main_lemma_certify,
     normalize_f,
     oplus,
-    pstar,
     reduce_to_unary,
     spanned_family,
     verify_Q_in_CI,
@@ -93,9 +93,11 @@ class TestReduceToUnary:
         }
 
     def test_exhaustion_is_an_error(self):
-        f = unary({(0, 0): (0, 5)})  # injective: no blowup anywhere
+        # one tuple, one value: no composite blows up width
+        f = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 5)})
+        ident = unary({(0, 0): (0, 0)})
         with pytest.raises(AdmissibilityError):
-            reduce_to_unary(f, [f])
+            reduce_to_unary(f, [ident])
 
 
 class TestNormalizeF:
@@ -148,26 +150,15 @@ class TestNormalizeF:
 
 
 class TestPStar:
-    def test_frozen_enumeration_m2(self):
-        ps = pstar(idx(1, 2))
-        assert [(sorted(s), j) for s, j in ps.pairs] == [
-            ([], 1), ([], 2), ([1], 2), ([2], 1),
-        ]
-
     def test_pair_count(self):
-        # m * 2^(m-1) pairs for m = 1, 2, 3
-        for m, expected in ((1, 1), (2, 4), (3, 12)):
-            assert len(pstar(full_index(m)).pairs) == expected
+        # m * 2^(m-1) pairs (S, j) after the m inputs, for m = 1..6
+        for m, expected in ((1, 1), (2, 4), (3, 12), (4, 32), (5, 80),
+                            (6, 192)):
+            assert len(factor_keys(m)) == m + expected
 
     def test_slots_follow_the_inputs(self):
-        ps = pstar(idx(1, 2))
-        assert ps.factor_keys == (1, 2, (frozenset(), 1), (frozenset(), 2),
+        assert factor_keys(2) == (1, 2, (frozenset(), 1), (frozenset(), 2),
                                   (idx(1), 2), (idx(2), 1))
-        assert sorted(ps.combined_arity()) == [1, 2, 3, 4, 5, 6]
-
-    def test_non_canonical_index_set_rejected(self):
-        with pytest.raises(ValueError):
-            pstar(idx(2, 3))
 
 
 class TestBuildH:
@@ -217,29 +208,31 @@ class TestBuildQ:
     def test_table_values_match_the_core(self):
         inst, res = self.setup_result()
         m = inst.m
-        assert len(res.q_table) == len(res.q)
+        q = res.trace.g_prime
+        assert res.q_table.arity == full_index(len(factor_keys(m)))
+        assert len(res.q_table) == len(q)
         for uv, val in res.q_table.graph.items():
             u = uv.restrict(full_index(m))
-            assert res.q.graph[u] == val
+            assert q.graph[u] == val
 
     def test_slots_hold_witness_outputs(self):
         inst, res = self.setup_result()
-        ps = res.pstar_index
+        keys = factor_keys(inst.m)
         for uv in res.q_table.graph:
-            u = uv.restrict(ps.index_set)
-            for slot, pair in enumerate(ps.pairs, ps.m + 1):
+            u = uv.restrict(inst.g.arity)
+            for slot, pair in enumerate(keys[inst.m:], inst.m + 1):
                 expected = helper_slot_value(
                     res.h_family[pair], res.normalized, u)
                 assert uv[slot] == expected
 
     def test_undefined_helper_slot_is_witness_at_origin(self):
         inst, res = self.setup_result()
-        ps = res.pstar_index
+        keys = factor_keys(inst.m)
         anchor = witness_point(res.normalized, ORIGIN)
         hit = False
         for uv in res.q_table.graph:
-            u = uv.restrict(ps.index_set)
-            for slot, pair in enumerate(ps.pairs, ps.m + 1):
+            u = uv.restrict(inst.g.arity)
+            for slot, pair in enumerate(keys[inst.m:], inst.m + 1):
                 if u not in res.h_family[pair].graph:
                     assert uv[slot] == anchor
                     hit = True
@@ -262,10 +255,10 @@ class TestSelectorCertificates:
         inst = generate_instance(m=2, horizon=8, theta=4, seed=5)
         res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                     unary_candidates=inst.candidates)
-        ps = res.pstar_index
         m = inst.m
+        keys = factor_keys(m)
         factors = {}
-        for slot, key in enumerate(ps.factor_keys, 1):
+        for slot, key in enumerate(keys, 1):
             pts = {uv[slot] for uv in res.q_table.graph}
             sl = next(iter(width1_slices(pts)), frozenset())
             factors[key] = {p.y: p.x for p in sl}
@@ -274,7 +267,7 @@ class TestSelectorCertificates:
         assert verdict.passed
         image = {val for uv, val in res.q_table.graph.items()
                  if all(uv[slot].x == factors[key].get(uv[slot].y, 0)
-                        for slot, key in enumerate(ps.factor_keys, 1))}
+                        for slot, key in enumerate(keys, 1))}
         assert width(image) <= verdict.observed
         certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
         lines = sorted({v.y for v in res.q_table.graph.values()})
@@ -425,6 +418,5 @@ class TestEndToEnd:
         inst = generate_instance(m=1, horizon=6, theta=3, seed=1)
         res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                     unary_candidates=inst.candidates)
-        assert res.q == res.trace.g_prime
         assert res.term.arity == inst.g.arity
-        assert set(res.h_family) == set(res.pstar_index.pairs)
+        assert set(res.h_family) == set(factor_keys(inst.m)[inst.m:])

@@ -149,15 +149,15 @@ class TestSerialization:
         p = PartialFn(idx(1), {tup((0, 0)): tup((1, 2))}, idx(1))
         term = Term(root=App("a", (Proj(1),)),
                     env={"a": AtomBinding(p, "ci")}, arity=idx(1))
-        doc = json.loads(serialize.term_dumps(term))
-        assert serialize.pfn_parse(doc["env"]["a"]["fn"]) == p
+        assert serialize.term_loads(
+            serialize.term_dumps(term)).env["a"].fn == p
 
     def test_unknown_version_rejected(self):
         inst = generate_instance(1, 6, 3, seed=0)
         doc = json.loads(serialize.instance_dumps(inst))
         doc["version"] = 99
         with pytest.raises(serialize.ParseError, match="version"):
-            serialize.instance_parse(doc)
+            serialize.instance_loads(serialize.dumps(doc))
         with pytest.raises(serialize.ParseError):
             serialize.loads(b'{"no": "tag"}\n')
 
@@ -169,9 +169,16 @@ class TestSerialization:
         with pytest.raises(serialize.ParseError):
             serialize.loads(b"[" * 100000)
 
+    @staticmethod
+    def with_first_tuple(doc, tuple_doc):
+        """The term document with its atom's first domain tuple replaced."""
+        doc["env"]["a"]["fn"]["graph"][0][0] = tuple_doc
+        return serialize.dumps(doc)
+
     def test_non_integer_tuple_index_rejected(self):
         with pytest.raises(serialize.ParseError, match="bad tuple"):
-            serialize.mtuple_parse({"x": [0, 0]})
+            serialize.term_loads(self.with_first_tuple(
+                self.small_term_doc(), {"x": [0, 0]}))
 
     @pytest.mark.parametrize("tuple_doc", [
         {"1": [0, 0], "01": [5, 5]},  # used to load as <1:(5|5)>
@@ -182,7 +189,8 @@ class TestSerialization:
     def test_non_canonical_tuple_index_rejected(self, tuple_doc):
         with pytest.raises(serialize.ParseError,
                            match="is not a positive decimal"):
-            serialize.mtuple_parse(tuple_doc)
+            serialize.term_loads(self.with_first_tuple(
+                self.small_term_doc(), tuple_doc))
 
     @staticmethod
     def small_term_doc():
@@ -306,8 +314,6 @@ class TestSerialization:
     def test_non_integer_coordinate_rejected(self, coordinate):
         # 1e400 and Infinity used to escape as OverflowError; the others
         # loaded as integers
-        with pytest.raises(serialize.ParseError, match="JSON integers"):
-            serialize.point_parse([json.loads(coordinate), 0])
         inst = generate_instance(1, 6, 3, seed=0)
         for data, load in (
                 (serialize.dumps(self.small_term_doc()), serialize.term_loads),
@@ -379,13 +385,11 @@ class TestSerialization:
             serialize.instance_loads(serialize.dumps({**inst, "m": 1e400}))
 
     def test_negative_coordinate_rejected(self):
-        for bad in ([-1, 0], [0, -3]):
+        for bad in ([-1, 3], [2, -1]):
+            doc = self.small_term_doc()
+            doc["env"]["a"]["fn"]["graph"][0][1] = bad
             with pytest.raises(serialize.ParseError, match="negative"):
-                serialize.point_parse(bad)
-        doc = self.small_term_doc()
-        doc["env"]["a"]["fn"]["graph"][0][1] = [2, -1]
-        with pytest.raises(serialize.ParseError, match="negative"):
-            serialize.term_loads(serialize.dumps(doc))
+                serialize.term_loads(serialize.dumps(doc))
 
     def test_canonical_bytes(self):
         inst = generate_instance(1, 6, 3, seed=0)
@@ -660,6 +664,26 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ("synthesis FAIL: [normalize] no unused image line "
                            "with at least 7 points\n")
+        assert out.err == ""
+
+    def test_nullary_witness_fails_cleanly(self, tmp_path, capsys):
+        # A witness of arity 0 is below the unary rule: it must fail witness
+        # recovery, not escape as an error of the unary reduction.
+        doc = json.loads(serialize.instance_dumps(generate_instance(2, 8, 4, 0)))
+        doc["f"] = {"arity": [], "codomain": None, "graph": [[{}, [1, 1]]]}
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.dumps(doc))
+        assert main(["check", "--instance", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "PASS  coordinates below ceiling\n"
+            "PASS  theta below horizon\n"
+            "FAIL  witness recoverable  (witness must be unary and "
+            "point-valued)\n"
+            "PASS  decomposition admissible\n")
+        assert main(["synth", "--instance", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ("synthesis FAIL: [normalize] witness must be unary "
+                           "and point-valued\n")
         assert out.err == ""
 
     def test_truncated_instance_is_one_line_error(self, tmp_path, capsys):
