@@ -48,8 +48,8 @@ class Checklist:
 def width(points: Iterable[Point]) -> int:
     """Maximal per-line point count of a finite point set (0 when empty)."""
     counts: dict = {}
-    for p in {Point(*p) for p in points}:
-        counts[p.y] = counts.get(p.y, 0) + 1
+    for _, y in set(map(tuple, points)):
+        counts[y] = counts.get(y, 0) + 1
     return max(counts.values(), default=0)
 
 

@@ -109,7 +109,7 @@ def _build_witness(m, horizon, ceiling, profile, rng):
     graph = {}
     for n in range(1, horizon):
         for k in range(n):
-            u = MTuple.of({1: Point(0, domain_label[oplus(n, k)])})
+            u = MTuple(((1, Point(0, domain_label[oplus(n, k)])),))
             graph[u] = Point(rows[k], lines[n - 1])
     unary = PartialFn(full_index(1), graph)
 
@@ -127,15 +127,13 @@ def _build_witness(m, horizon, ceiling, profile, rng):
     anchor_pt = anchor.points()[0]
     two = full_index(2)
     binary = PartialFn(two, {
-        MTuple.of({1: u.points()[0], 2: anchor_pt}): v
-        for u, v in unary.graph.items()
+        MTuple(((1, d), (2, anchor_pt))): v
+        for ((_, d),), v in unary.graph.items()
     })
-    support = sorted({u.points()[0] for u in unary.domain()} | {anchor_pt})
-    ident = PartialFn(full_index(1), {
-        MTuple.of({1: p}): p for p in support
-    })
+    support = sorted({d for ((_, d),) in unary.graph} | {anchor_pt})
+    ident = PartialFn(full_index(1), {MTuple(((1, p),)): p for p in support})
     const = PartialFn(full_index(1), {
-        MTuple.of({1: p}): anchor_pt for p in support
+        MTuple(((1, p),)): anchor_pt for p in support
     })
     meta["arity"] = 2
     meta["anchor"] = [anchor_pt.x, anchor_pt.y]

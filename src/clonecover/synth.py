@@ -76,13 +76,11 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
             raise IndexMismatchError("candidates must be unary point-valued")
     for combo in itertools.product(candidates, repeat=len(arity)):
         graph = {}
-        common = set.intersection(*(set(c.domain()) for c in combo))
+        common = set(combo[0].graph).intersection(*(c.graph for c in combo))
         for d in sorted(common):
-            args = MTuple.of({
-                i: combo[pos].graph[d] for pos, i in enumerate(arity)
-            })
-            if args in f.graph:
-                graph[d] = f.graph[args]
+            v = f.graph.get(MTuple(zip(arity, [c.graph[d] for c in combo])))
+            if v is not None:
+                graph[d] = v
         composite = PartialFn(full_index(1), graph)
         if _has_width_blowup(composite):
             return composite
@@ -91,10 +89,9 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
 
 def _has_width_blowup(p: PartialFn) -> bool:
     """Some width-1 slice of dom(p) maps to an image of width above 1."""
-    dom_points = {u.points()[0] for u in p.domain()}
-    return any(
-        width(p.graph[MTuple.of({1: pt})] for pt in sl) > 1
-        for sl in width1_slices(dom_points))
+    value_at = {d: v for ((_, d),), v in p.graph.items()}
+    return any(width(value_at[d] for d in sl) > 1
+               for sl in width1_slices(value_at))
 
 
 # -- normalization ----------------------------------------------------
@@ -117,73 +114,73 @@ class NormalizedWitness:
     row_map: dict  # original row index -> normalized row index
 
 
+def normal_witness(horizon: int) -> PartialFn:
+    """The normalized witness f*: (0 | n (+) k) |-> (k | n) for k < n <
+    horizon, after the harmless (0|0) |-> (0|0) entry."""
+    graph = {MTuple(((1, ORIGIN),)): ORIGIN}
+    for n in range(1, horizon):
+        for k in range(n):
+            graph[MTuple(((1, Point(0, oplus(n, k))),))] = Point(k, n)
+    return PartialFn(full_index(1), graph)
+
+
 def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     """Permute lines, rows, and domain labels so the witness satisfies the
     normalized shape for all k < n < horizon.
 
-    Deterministic choices: target lines are filled from the largest demand
-    down, each taking the smallest-label unused image line with enough
-    points; points within a line are ordered by x, preimages by y.
+    f* itself depends on the horizon only (`normal_witness`); the witness
+    decides the relabelings and whether they exist.  Deterministic choices:
+    target lines are filled from the largest demand down, each taking the
+    smallest-label unused image line with enough points; points within a
+    line are ordered by x, and each point's preimage is its least-y one.
     """
     if sorted(f_unary.arity) != [1] or not f_unary.is_point_valued():
         raise IndexMismatchError("witness must be unary and point-valued")
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
 
-    # image line -> list of (point, preimage), points ordered by x, each
-    # image point represented by its least-y preimage
-    by_line: dict = {}
+    # image point -> its least-y preimage, the first in graph order on a tie
     pre_of: dict = {}
-    for u, v in sorted(f_unary.graph.items(), key=lambda it: it[0].points()[0].y):
-        d = u.points()[0]
-        if v not in pre_of:
+    for ((_, d),), v in f_unary.graph.items():
+        if v not in pre_of or d.y < pre_of[v].y:
             pre_of[v] = d
-    for v, d in pre_of.items():
-        by_line.setdefault(v.y, []).append((v, d))
-    for line in by_line:
-        by_line[line].sort(key=lambda vd: vd[0].x)
+    # image line -> list of (point, preimage), points ordered by x
+    by_line: dict = {}
+    for vd in pre_of.items():
+        by_line.setdefault(vd[0].y, []).append(vd)
+    for pts in by_line.values():
+        pts.sort()
 
+    free_lines = sorted(by_line)
     chosen_line: dict = {}
-    used_lines: set = set()
     for n in range(horizon - 1, 0, -1):
-        options = [
-            line for line, pts in sorted(by_line.items())
-            if line not in used_lines and len(pts) >= n
-        ]
-        if not options:
+        line = next((l for l in free_lines if len(by_line[l]) >= n), None)
+        if line is None:
             raise AdmissibilityError(
                 f"no unused image line with at least {n} points"
             )
-        chosen_line[n] = options[0]
-        used_lines.add(options[0])
+        free_lines.remove(line)
+        chosen_line[n] = line
 
-    line_map: dict = {}
+    f_star = normal_witness(horizon)
+    line_map = {chosen_line[n]: n for n in range(1, horizon)}
     row_map: dict = {}
     relabel_domain: dict = {}
-    graph = {ORIGIN: ORIGIN}  # harmless value for undefined helper slots
-    for n in range(1, horizon):
-        line = chosen_line[n]
-        line_map[line] = n
-        for k in range(n):
-            v, d = by_line[line][k]
-            if d.x != 0:
-                raise AdmissibilityError(
-                    f"witness preimage {d!r} is off the x=0 column"
-                )
-            if v.x in row_map and row_map[v.x] != k:
-                raise AdmissibilityError(
-                    f"row {v.x} cannot be relabeled consistently"
-                )
-            row_map[v.x] = k
-            code = Point(0, oplus(n, k))
-            if code in relabel_domain and relabel_domain[code] != d:
-                raise AdmissibilityError("clashing domain relabels")
-            relabel_domain[code] = d
-            graph[code] = Point(k, n)
+    # f*'s entries after (0|0) |-> (0|0) are (0 | n (+) k) |-> (k | n), in
+    # the order the checks run: n ascending, then k.
+    entries = itertools.islice(f_star.graph.items(), 1, None)
+    for ((_, code),), (k, n) in entries:
+        v, d = by_line[chosen_line[n]][k]
+        if d.x != 0:
+            raise AdmissibilityError(
+                f"witness preimage {d!r} is off the x=0 column"
+            )
+        if row_map.setdefault(v.x, k) != k:
+            raise AdmissibilityError(
+                f"row {v.x} cannot be relabeled consistently"
+            )
+        relabel_domain[code] = d
 
-    f_star = PartialFn(full_index(1), {
-        MTuple.of({1: p}): v for p, v in graph.items()
-    })
     return NormalizedWitness(
         f_star=f_star,
         horizon=horizon,
@@ -195,7 +192,7 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
 
 def witness_point(nw: NormalizedWitness, p: Point) -> Optional[Point]:
     """Evaluate the normalized witness at a bare point."""
-    return nw.f_star.graph.get(MTuple.of({1: p}))
+    return nw.f_star.graph.get(MTuple(((1, p),)))
 
 
 # -- the (S, j) index and helper family -------------------------------

@@ -1,5 +1,6 @@
-"""A naive reference reading of least bound and thriftiness, and the
-paper's prefix operators.
+"""A naive reference reading of least bound and thriftiness, of the
+witness's unary reduction and normalization, and the paper's prefix
+operators.
 
 Tests check the program's verdicts against this module, so it shares no
 code with `clonecover.analysis`: it imports only `core`'s types,
@@ -10,10 +11,15 @@ The operators (star, hash, fiber, disjoint union, shrinking an inner map)
 build every result with the checked `PartialFn` constructor.  The
 program's decomposition stage builds its maps directly; the algebra-law
 criterion and `TestStageMatchesAlgebra` rebuild them through these.
+
+`reduce_to_unary` and `normalize` read the witness the slow way, rebuilding
+every tuple and the whole normalized graph from the witness, where
+`clonecover.synth` builds f* from the horizon alone.
 """
 import itertools
 
-from clonecover.core import MTuple, OverlapError, PartialFn
+from clonecover.core import (IndexMismatchError, MTuple, OverlapError,
+                             PartialFn, Point)
 
 
 def least_bound(tuples):
@@ -127,3 +133,113 @@ def shrink_inner(g, g_prime, h_prime):
         if g_prime.graph.get(h_prime.graph.get(u)) != v:
             raise ValueError(f"g is not contained in g' o h' at {u!r}")
     return h_prime.restrict(g.graph)
+
+
+# -- witness reduction and normalization ------------------------------
+
+
+class AdmissibilityError(RuntimeError):
+    """The reference readings' refusal; tests compare it with the
+    program's `AdmissibilityError` by class name and message."""
+
+
+def _code(n, k):
+    return n * n + k
+
+
+def _width(points):
+    lines = [p.y for p in set(points)]
+    return max((lines.count(y) for y in lines), default=0)
+
+
+def _slices(points):
+    by_line = {}
+    for p in sorted(points):
+        by_line.setdefault(p.y, []).append(p)
+    depth = max((len(ps) for ps in by_line.values()), default=0)
+    return [frozenset(ps[t] for ps in by_line.values() if len(ps) > t)
+            for t in range(depth)]
+
+
+def _blows_up(p):
+    dom_points = {u.points()[0] for u in p.domain()}
+    return any(_width(p.graph[MTuple.of({1: d})] for d in sl) > 1
+               for sl in _slices(dom_points))
+
+
+def reduce_to_unary(f, candidates):
+    """The first composite of f with a candidate tuple, in lexicographic
+    order, that maps some width-1 slice of its domain to width above 1;
+    an f of arity below 2 as is."""
+    if len(f.arity) < 2:
+        return f
+    arity = sorted(f.arity)
+    for c in candidates:
+        if sorted(c.arity) != [1] or not c.is_point_valued():
+            raise IndexMismatchError("candidates must be unary point-valued")
+    for combo in itertools.product(candidates, repeat=len(arity)):
+        graph = {}
+        common = set.intersection(*(set(c.domain()) for c in combo))
+        for d in sorted(common):
+            args = MTuple.of({
+                i: combo[pos].graph[d] for pos, i in enumerate(arity)
+            })
+            if args in f.graph:
+                graph[d] = f.graph[args]
+        composite = PartialFn(frozenset({1}), graph)
+        if _blows_up(composite):
+            return composite
+    raise AdmissibilityError("no unary witness in candidate set")
+
+
+def normalize(f_unary, horizon):
+    """(f*, relabel_domain, line_map, row_map) of a unary witness: target
+    lines n = horizon-1 .. 1 each take the smallest-label unused image line
+    with at least n points, its points by x and each point's least-y
+    preimage, and f* sends (0 | n^2+k) to (k | n)."""
+    if sorted(f_unary.arity) != [1] or not f_unary.is_point_valued():
+        raise IndexMismatchError("witness must be unary and point-valued")
+    if horizon < 2:
+        raise ValueError("horizon must be at least 2")
+    by_line = {}
+    pre_of = {}
+    for u, v in sorted(f_unary.graph.items(),
+                       key=lambda it: it[0].points()[0].y):
+        if v not in pre_of:
+            pre_of[v] = u.points()[0]
+    for v, d in pre_of.items():
+        by_line.setdefault(v.y, []).append((v, d))
+    for line in by_line:
+        by_line[line].sort(key=lambda vd: vd[0].x)
+
+    chosen_line = {}
+    used_lines = set()
+    for n in range(horizon - 1, 0, -1):
+        options = [line for line, pts in sorted(by_line.items())
+                   if line not in used_lines and len(pts) >= n]
+        if not options:
+            raise AdmissibilityError(
+                f"no unused image line with at least {n} points")
+        chosen_line[n] = options[0]
+        used_lines.add(options[0])
+
+    line_map, row_map, relabel_domain = {}, {}, {}
+    graph = {Point(0, 0): Point(0, 0)}
+    for n in range(1, horizon):
+        line = chosen_line[n]
+        line_map[line] = n
+        for k in range(n):
+            v, d = by_line[line][k]
+            if d.x != 0:
+                raise AdmissibilityError(
+                    f"witness preimage {d!r} is off the x=0 column")
+            if v.x in row_map and row_map[v.x] != k:
+                raise AdmissibilityError(
+                    f"row {v.x} cannot be relabeled consistently")
+            row_map[v.x] = k
+            code = Point(0, _code(n, k))
+            relabel_domain[code] = d
+            graph[code] = Point(k, n)
+    f_star = PartialFn(frozenset({1}), {
+        MTuple.of({1: p}): v for p, v in graph.items()})
+    return f_star, relabel_domain, line_map, row_map

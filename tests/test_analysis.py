@@ -27,6 +27,13 @@ class TestWidth:
     def test_duplicates_do_not_inflate(self):
         assert width([pt(0, 0), pt(0, 0), pt(0, 0)]) == 1
 
+    def test_plain_pairs_count_as_points(self):
+        # A list, a tuple and a Point on one spot count once, from a list
+        # or a generator alike.
+        mixed = [[0, 0], (1, 0), pt(1, 0)]
+        assert width(mixed) == 2
+        assert width(p for p in mixed) == 2
+
     def test_tuple_set_width_frozen_example(self):
         # Component 1 has width 2 on line 0; component 2 has width 1.
         a = {tup((0, 0), (0, 5)), tup((1, 0), (0, 6))}

@@ -40,7 +40,13 @@ from clonecover.decompose import (
     strong_decompose_stage,
     verify_decomposition,
 )
-from clonecover.synth import factor_keys, fiber_k_tables, verify_Q_in_CI
+from clonecover.synth import (
+    factor_keys,
+    fiber_k_tables,
+    normalize_f,
+    reduce_to_unary,
+    verify_Q_in_CI,
+)
 
 import oracle
 from conftest import (
@@ -54,6 +60,7 @@ from conftest import (
     random_tuple_fn,
     stage_check,
     trace_over,
+    tup,
     unary,
 )
 
@@ -395,6 +402,107 @@ class TestPointLevelLaws:
         k = bound_of(a)
         assert all(u.min_y() < k for u in a)
         assert not all(u.min_y() < k - 1 for u in a)
+
+
+@st.composite
+def scrambled_witnesses(draw):
+    """(horizon, unary witness) for horizons 3..8: image lines of sizes
+    1..horizon-1 and a few more, over shared rows, some points with two
+    preimages.  Each of unsorted rows, a missing or shrunk line and a
+    preimage off x = 0, moved there or tied on y with another, may make
+    normalization refuse it."""
+    rng = draw(st.randoms(use_true_random=False))
+    horizon = rng.randint(3, 8)
+    ceiling = horizon * horizon + horizon
+    rows = rng.sample(range(ceiling), horizon)
+    if rng.random() < 0.85:
+        rows.sort()
+    sizes = list(range(1, horizon))
+    sizes += [rng.randint(1, horizon) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(sizes)
+    if rng.random() > 0.85:
+        sizes.pop()
+    if rng.random() > 0.85:
+        sizes[0] -= 1
+    lines = rng.sample(range(ceiling), len(sizes))
+    labels = iter(rng.sample(range(1000), 2 * horizon * len(lines)))
+    graph = {}
+    for line, size in zip(lines, sizes):
+        for x in rows[:size]:
+            for _ in range(rng.choice((1, 1, 1, 2))):
+                graph[tup((0, next(labels)))] = Point(x, line)
+    if graph and rng.random() > 0.85:
+        (_, (_, y)), = rng.choice(sorted(graph))
+        graph[tup((rng.randint(1, 3), y))] = graph.pop(tup((0, y)))
+    if graph and rng.random() > 0.85:
+        # a second preimage tied on y, off x = 0: the first in graph order
+        # wins the tie
+        u = rng.choice(sorted(graph))
+        (_, (_, y)), = u
+        tie = {tup((rng.randint(1, 3), y)): graph[u]}
+        graph = {**tie, **graph} if rng.random() > 0.5 else {**graph, **tie}
+    return horizon, PartialFn(full_index(1), graph)
+
+
+def outcome(fn, *args):
+    """fn's result, or its refusal as (class name, message)."""
+    try:
+        return fn(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def items(*maps):
+    """Each map's entries in order, so the comparison covers order too."""
+    return [list(m.items()) for m in maps]
+
+
+class TestWitnessMatchesOracle:
+    """The witness path against its slow reference reading in `oracle`:
+    the same f*, relabelings and composite, or the same refusal."""
+
+    @settings(max_examples=30, derandomize=True)
+    @given(case=scrambled_witnesses())
+    def test_normalize(self, case):
+        horizon, f = case
+
+        def program():
+            nw = normalize_f(f, horizon)
+            return items(nw.f_star.graph, nw.relabel_domain, nw.line_map,
+                         nw.row_map)
+
+        def reference():
+            f_star, *maps = oracle.normalize(f, horizon)
+            return items(f_star.graph, *maps)
+
+        assert outcome(program) == outcome(reference)
+
+    @settings(max_examples=20, derandomize=True)
+    @given(case=scrambled_witnesses(), rng=st.randoms(use_true_random=False))
+    def test_reduce_to_unary(self, case, rng):
+        # f(u, anchor) = witness(u), recovered through (ident, const); a
+        # decoy sends half the support into it or off it.  The candidates
+        # come in a drawn order, and without ident the search may exhaust
+        # them.
+        _, f = case
+        support = sorted(u.points()[0] for u in f.graph)
+        anchor = rng.choice(support)
+        binary = PartialFn(idx(1, 2), {tup(u.points()[0], anchor): v
+                                       for u, v in f.graph.items()})
+        ident = unary({p: p for p in support})
+        const = unary({p: anchor for p in support})
+        decoy = unary({p: rng.choice((rng.choice(support), (p.x + 1, p.y)))
+                       for p in rng.sample(support, len(support) // 2)})
+        candidates = [const, decoy]
+        if rng.random() < 0.75:
+            candidates.append(ident)
+        rng.shuffle(candidates)
+
+        def run(reduce):
+            return items(reduce(binary, candidates).graph)
+
+        assert (outcome(run, reduce_to_unary)
+                == outcome(run, oracle.reduce_to_unary))
 
 
 def assert_valid(out):

@@ -22,6 +22,7 @@ from clonecover.synth import (
     fiber_k_tables,
     helper_slot_value,
     main_lemma_certify,
+    normal_witness,
     normalize_f,
     oplus,
     reduce_to_unary,
@@ -31,6 +32,7 @@ from clonecover.synth import (
     witness_point,
 )
 
+import oracle
 from conftest import idx, maximal_products, product_image, pt, tup, unary
 from test_acceptance import product_image_width, sampled_width1_family
 
@@ -147,6 +149,27 @@ class TestNormalizeF:
         f = unary({(3, 0): (5, 7), (3, 1): (6, 8), (3, 2): (6, 9)})
         with pytest.raises(AdmissibilityError):
             normalize_f(f, 3)
+
+    def test_inconsistent_row_is_an_error(self):
+        # Row 7 is the first point of line 20 but the second of line 10.
+        f = unary({(0, 0): (5, 10), (0, 1): (7, 10), (0, 2): (7, 20)})
+        with pytest.raises(AdmissibilityError,
+                           match="^row 7 cannot be relabeled consistently$"):
+            normalize_f(f, 3)
+
+    def test_line_tie_goes_to_the_smaller_label(self):
+        f = unary({(0, 0): (0, 4), (0, 1): (1, 4),
+                   (0, 2): (0, 10), (0, 3): (1, 10)})
+        assert normalize_f(f, 3).line_map == {10: 1, 4: 2}
+
+    def test_f_star_depends_on_the_horizon_only(self):
+        # Generated witnesses, scrambled differently per profile, all
+        # normalize to the horizon's own f*, in the reference reading too.
+        for horizon, profile in zip((8, 12, 16), PROFILES):
+            inst = generate_instance(1, horizon, 4, horizon, profile)
+            f = reduce_to_unary(inst.f, inst.candidates)
+            assert normalize_f(f, horizon).f_star == normal_witness(horizon)
+            assert oracle.normalize(f, horizon)[0] == normal_witness(horizon)
 
 
 class TestPStar:
