@@ -11,7 +11,6 @@ from .core import (
     Point,
     Proj,
     Term,
-    bar_extend,
     compile_term,
     compose,
     full_index,

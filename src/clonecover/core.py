@@ -232,7 +232,7 @@ class PartialFn:
         )
 
 
-# -- composition and extension ----------------------------------------
+# -- composition ------------------------------------------------------
 
 
 def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
@@ -246,23 +246,6 @@ def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
         if mid in outer.graph:
             graph[u] = outer.graph[mid]
     return PartialFn._trusted(inner.arity, graph, outer.codomain)
-
-
-def bar_extend(p: PartialFn, universe: Iterable[MTuple]) -> PartialFn:
-    """Totalize a point-valued function over a finite universe with (0|0)."""
-    if p.codomain is not None:
-        raise IndexMismatchError("bar extension applies to point-valued functions")
-    universe = set(universe)
-    missing_dom = p.domain() - universe
-    if missing_dom:
-        raise ValueError(
-            f"dom(p) is not inside the universe, e.g. {sorted(missing_dom)[0]!r}"
-        )
-    graph = dict(p.graph)
-    for u in universe:
-        if u not in graph:
-            graph[u] = ORIGIN
-    return PartialFn(p.arity, graph)
 
 
 # -- terms ------------------------------------------------------------

@@ -254,18 +254,19 @@ def _tuple_json(u: MTuple) -> list:
 def check_admissibility(inst: Instance) -> dict:
     """Run the pipeline's choice steps once and report whether each succeeds.
 
-    Structural checks on coordinates, then the witness recovery and the
-    hereditary decomposition (the two stages with choice steps), each run
+    Structural checks on coordinates, over every distinct point of g, f
+    and the candidates, then the witness recovery and the hereditary
+    decomposition (the two stages with choice steps), each run
     independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
     hands back their products, ``normalized`` and ``trace`` (None where the
     stage raised), from which `complete_synthesis` finishes the term.
     """
     checks = Checklist()
-    coords_ok = all(
-        0 <= p.x < inst.ceiling and 0 <= p.y < inst.ceiling
-        for u, v in list(inst.g.graph.items()) + list(inst.f.graph.items())
-        for p in list(u.points()) + [v]
-    )
+    fns = (inst.g, inst.f, *inst.candidates)
+    points = {p for fn in fns for u in fn.graph for _, p in u}
+    points.update(v for fn in fns for v in fn.graph.values())
+    coords_ok = all(0 <= x < inst.ceiling and 0 <= y < inst.ceiling
+                    for x, y in points)
     checks.add("coordinates below ceiling", coords_ok)
     checks.add("theta below horizon", 1 <= inst.theta <= inst.horizon - 1)
 

@@ -226,14 +226,16 @@ def _node_json(node) -> dict:
 
 
 def _node_parse(obj):
+    """The term node obj describes.  Its lookup, type and value errors are
+    left to the one guard `term_loads` puts around the root, which reports
+    them as a ParseError about a term node."""
     if not isinstance(obj, dict) or "t" not in obj:
         raise ParseError(f"bad term node {obj!r}")
-    with _parsing("term node"):
-        if obj["t"] == "proj":
-            return Proj(_int(obj["k"], "term node: projection"))
-        if obj["t"] == "app":
-            return App(obj["name"],
-                       tuple(_node_parse(ch) for ch in obj["children"]))
+    if obj["t"] == "proj":
+        return Proj(_int(obj["k"], "term node: projection"))
+    if obj["t"] == "app":
+        return App(obj["name"],
+                   tuple(_node_parse(ch) for ch in obj["children"]))
     raise ParseError(f"unknown term node tag {obj['t']!r}")
 
 
@@ -264,8 +266,11 @@ def term_loads(data: bytes) -> Term:
             if b.kind not in (CI_ATOM, WITNESS_ATOM):
                 raise ParseError(
                     f"term: atom {name!r} has unknown kind {b.kind!r}")
+        node = doc["root"]
+        with _parsing("term node"):
+            root = _node_parse(node)
         term = Term(
-            root=_node_parse(doc["root"]),
+            root=root,
             env=env,
             arity=_index_set(doc["arity"], "term: arity"),
         )

@@ -30,7 +30,6 @@ from .core import (
     Proj,
     Term,
     WITNESS_ATOM,
-    bar_extend,
     full_index,
 )
 from .decompose import AdmissibilityError, DecompositionTrace, hereditary_decompose
@@ -74,13 +73,17 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
     for c in candidates:
         if sorted(c.arity) != [1] or not c.is_point_valued():
             raise IndexMismatchError("candidates must be unary point-valued")
-    for combo in itertools.product(candidates, repeat=len(arity)):
+    # Each candidate's domain is sorted once; a combo walks its first
+    # candidate's, keeping the points every other candidate also maps.
+    sorted_graphs = [(sorted(c.graph), c.graph) for c in candidates]
+    for combo in itertools.product(sorted_graphs, repeat=len(arity)):
         graph = {}
-        common = set(combo[0].graph).intersection(*(c.graph for c in combo))
-        for d in sorted(common):
-            v = f.graph.get(MTuple(zip(arity, [c.graph[d] for c in combo])))
-            if v is not None:
-                graph[d] = v
+        for d in combo[0][0]:
+            args = [cg.get(d) for _, cg in combo]
+            if None not in args:
+                v = f.graph.get(MTuple(zip(arity, args)))
+                if v is not None:
+                    graph[d] = v
         composite = PartialFn(full_index(1), graph)
         if _has_width_blowup(composite):
             return composite
@@ -190,11 +193,6 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     )
 
 
-def witness_point(nw: NormalizedWitness, p: Point) -> Optional[Point]:
-    """Evaluate the normalized witness at a bare point."""
-    return nw.f_star.graph.get(MTuple(((1, p),)))
-
-
 # -- the (S, j) index and helper family -------------------------------
 
 
@@ -220,11 +218,13 @@ def fiber_k_tables(q: PartialFn, theta: int) -> dict:
 
 
 def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:
-    """The helper map for one (S, j) pair.
+    """The helper map for one (S, j) pair, total over dom(q).
 
-    For u = c (union) z in dom(q): defined exactly when z_j's line index lies
-    below the fiber's bound K at q(u)'s line, in which case it returns
-    (0 | K (+) z_j^y).  The range sits in the x = 0 row, hence has width 1.
+    For u = c (union) z in dom(q): (0 | K (+) z_j^y) when z_j's line index
+    lies below the fiber's bound K at q(u)'s line, and (0|0) otherwise: the
+    paper's bar extension, stated only here, for the selector and the term
+    to read.  The range sits in the x = 0 row, hence has width 1: a code
+    K (+) z is at least 1, so (0|0) is alone on line 0.
     """
     s = frozenset(s)
     if j in s or j not in q.arity:
@@ -240,8 +240,7 @@ def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:
             )
         big_k = table[v.y]
         zy = u[j].y
-        if zy < big_k:
-            graph[u] = Point(0, oplus(big_k, zy))
+        graph[u] = Point(0, oplus(big_k, zy)) if zy < big_k else ORIGIN
     return PartialFn(q.arity, graph)
 
 
@@ -251,30 +250,28 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     }
 
 
-def helper_slot_value(h: PartialFn, nw: NormalizedWitness, u: MTuple) -> Point:
-    """The witness's output on a helper, with the bar-extension convention:
-    an undefined helper feeds (0|0) through the witness."""
-    hv = h.graph.get(u, ORIGIN)
-    out = witness_point(nw, hv)
-    if out is None:
-        raise AdmissibilityError(
-            f"witness not defined at helper output {hv!r}; horizon too small"
-        )
-    return out
-
-
 def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
             keys: tuple) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
-    the witness's output on the corresponding helper at u; value q(u)."""
+    the witness's output on the corresponding helper at u; value q(u).  The
+    helpers are total over dom(q) (`build_h`), so every slot is read."""
     m = len(q.arity)
-    slots = list(enumerate(keys[m:], m + 1))
+    witness = {d: v for ((_, d),), v in nw.f_star.graph.items()}
+    slots = [(slot, h_family[pair].graph)
+             for slot, pair in enumerate(keys[m:], m + 1)]
     graph = {}
     for u, val in q.graph.items():
-        entries = dict(u)
-        for slot, pair in slots:
-            entries[slot] = helper_slot_value(h_family[pair], nw, u)
-        graph[MTuple.of(entries)] = val
+        entries = list(u)  # indices 1..m, then the slots in ascending order
+        for slot, helper in slots:
+            hv = helper[u]
+            out = witness.get(hv)
+            if out is None:
+                raise AdmissibilityError(
+                    f"witness not defined at helper output {hv!r}; "
+                    "horizon too small"
+                )
+            entries.append((slot, out))
+        graph[MTuple(entries)] = val
     return PartialFn(full_index(len(keys)), graph)
 
 
@@ -292,8 +289,9 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
                   q_table: PartialFn, keys: tuple,
                   inner: PartialFn) -> Term:
     """The synthesized term for g = q o inner: the selector applied to the
-    inner-map components and the witness's outputs on the bar-extended
-    helpers at those components."""
+    inner-map components and the witness's outputs on the helpers at those
+    components.  The helpers are bound as built: `build_h` already gives
+    them the (0|0) value off their bound, over all of dom(q)."""
     env = {
         SELECTOR_ATOM: AtomBinding(q_table, CI_ATOM),
         WITNESS_NAME: AtomBinding(nw.f_star, WITNESS_ATOM),
@@ -305,8 +303,7 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
     children = list(args)
     for s, j in keys[len(q.arity):]:
         name = helper_name(s, j)
-        env[name] = AtomBinding(
-            bar_extend(h_family[(s, j)], q.domain()), CI_ATOM)
+        env[name] = AtomBinding(h_family[(s, j)], CI_ATOM)
         children.append(App(WITNESS_NAME, (App(name, args),)))
     root = App(SELECTOR_ATOM, tuple(children))
     return Term(root=root, env=env, arity=q.arity)
@@ -404,7 +401,8 @@ def _widest_fit(candidates: list, used: dict, taken: tuple,
 def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
     """The width-1 factor family that agreeing selector entries span: for
     each factor key, the line -> column map of the entries' points in its
-    slot (lines it does not list read as column 0)."""
+    slot.  Lines it does not list read as column 0, the (0|0) convention
+    that `build_h` applies to the helpers."""
     family = {}
     for slot, key in enumerate(factor_keys(m), 1):
         factor = family[key] = {}

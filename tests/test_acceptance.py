@@ -32,7 +32,6 @@ from clonecover.synth import (
     oplus,
     spanned_family,
     verify_Q_in_CI,
-    witness_point,
 )
 from clonecover.pipeline import run_pipeline
 
@@ -189,7 +188,8 @@ def test_criterion_3_normalization(capsys):
         inst = generate_instance(1, horizon, horizon // 2, seed)
         nw = normalize_f(inst.f, horizon)
         ok = all(
-            witness_point(nw, Point(0, oplus(n, k))) == Point(k, n)
+            nw.f_star.graph.get(MTuple.of({1: Point(0, oplus(n, k))}))
+            == Point(k, n)
             for n in range(1, horizon) for k in range(n)
         )
         if not ok:

@@ -7,14 +7,12 @@ from clonecover.core import (
     CI_ATOM,
     IndexMismatchError,
     MTuple,
-    ORIGIN,
     OverlapError,
     PartialFn,
     Point,
     Proj,
     Term,
     UnresolvedAtomError,
-    bar_extend,
     compile_term,
     compose,
     full_index,
@@ -96,28 +94,6 @@ class TestShrinkInner:
         g = PartialFn(full_index(1), {u: pt(9, 9)})
         with pytest.raises(ValueError, match="not contained"):
             shrink_inner(g, g_prime, h_prime)
-
-
-class TestBarExtend:
-    def test_empty_function_gets_origin(self):
-        p = PartialFn(full_index(1), {})
-        u = tup((3, 4))
-        assert bar_extend(p, [u]).graph == {u: ORIGIN}
-
-    def test_total_function_unchanged(self):
-        p = unary({(1, 2): (3, 4)})
-        assert bar_extend(p, p.domain()) == p
-
-    def test_one_missing_tuple(self):
-        p = unary({(1, 2): (3, 4)})
-        extended = bar_extend(p, [tup((1, 2)), tup((5, 6))])
-        assert len(extended) == 2
-        assert extended.graph[tup((5, 6))] == ORIGIN
-
-    def test_domain_outside_universe(self):
-        p = unary({(1, 2): (3, 4)})
-        with pytest.raises(ValueError):
-            bar_extend(p, [tup((9, 9))])
 
 
 class TestStarOperators:

@@ -29,7 +29,6 @@ from clonecover.core import (
     Point,
     Proj,
     Term,
-    bar_extend,
     compile_term,
     compose,
     full_index,
@@ -41,6 +40,7 @@ from clonecover.decompose import (
     verify_decomposition,
 )
 from clonecover.synth import (
+    build_h,
     factor_keys,
     fiber_k_tables,
     normalize_f,
@@ -367,16 +367,20 @@ class TestBoundLaws:
 
 
 class TestExtensionLaws:
-    def test_bar_extend_fills_exactly_the_gap(self, rng):
-        for _ in range(200):
-            p = random_point_fn(rng, T, size=rng.randint(1, 8))
-            universe = set(p.domain()) | {
-                random_tuple(rng, T) for _ in range(rng.randint(0, 8))
-            }
-            extended = bar_extend(p, universe)
-            added = extended.domain() - p.domain()
-            assert added == frozenset(universe) - p.domain()
-            assert all(extended.graph[u] == ORIGIN for u in added)
+    # Small coordinates bound every fiber's bounds by 3, so theta = 3 makes
+    # every q hereditarily thrifty and z_j^y falls on both sides of K.
+    @settings(max_examples=200, derandomize=True)
+    @given(q=st.sets(st.integers(1, 3), min_size=1).map(frozenset).flatmap(
+        lambda arity: partial_fns(arity, None)))
+    def test_helpers_are_total_with_origin_off_the_bound(self, q):
+        tables = fiber_k_tables(q, 3)
+        for s in all_subsets(sorted(q.arity)):
+            for j in sorted(q.arity - s):
+                h = build_h(q, s, j, tables)
+                assert h.domain() == q.domain()
+                for u, v in q.graph.items():
+                    big_k = tables[s, u.restrict(s)][v.y]
+                    assert (h.graph[u] == ORIGIN) == (u[j].y >= big_k)
 
 
 class TestPointLevelLaws:

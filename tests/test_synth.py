@@ -20,7 +20,7 @@ from clonecover.synth import (
     end_to_end_synthesize,
     factor_keys,
     fiber_k_tables,
-    helper_slot_value,
+    helper_name,
     main_lemma_certify,
     normal_witness,
     normalize_f,
@@ -29,7 +29,6 @@ from clonecover.synth import (
     spanned_family,
     verify_Q_in_CI,
     width1_slices,
-    witness_point,
 )
 
 import oracle
@@ -121,11 +120,11 @@ class TestNormalizeF:
             nw = normalize_f(self.make_planted(horizon), horizon)
             for n in range(1, horizon):
                 for k in range(n):
-                    assert witness_point(nw, pt(0, oplus(n, k))) == pt(k, n)
+                    assert nw.f_star.graph[tup((0, oplus(n, k)))] == pt(k, n)
 
     def test_origin_convention(self):
         nw = normalize_f(self.make_planted(4), 4)
-        assert witness_point(nw, ORIGIN) == ORIGIN
+        assert nw.f_star.graph[tup((0, 0))] == ORIGIN
 
     def test_relabel_maps_are_injective(self):
         nw = normalize_f(self.make_planted(6), 6)
@@ -137,7 +136,7 @@ class TestNormalizeF:
         nw = normalize_f(f, 4)
         for code, original in nw.relabel_domain.items():
             v = f.graph[MTuple.of({1: original})]
-            got = witness_point(nw, code)
+            got = nw.f_star.graph[MTuple.of({1: code})]
             assert got == pt(nw.row_map[v.x], nw.line_map[v.y])
 
     def test_too_few_lines_is_an_error(self):
@@ -194,16 +193,14 @@ class TestBuildH:
         assert h.graph == {tup((0, 2)): pt(0, 11)}
 
     def test_undefined_above_the_bound(self):
-        q = unary({(0, 2): (4, 7), (0, 3): (5, 8)})
-        tables = fiber_k_tables(q, theta=4)
-        h = build_h(q, frozenset(), 1, tables)
-        # line 8 has bound 4 and z^y = 3 < 4, line 7 has bound 3 and
-        # z^y = 2 < 3: both defined here; now force an undefined case.
-        q2 = unary({(0, 2): (4, 7), (9, 3): (4, 7)})
-        tables2 = fiber_k_tables(q2, theta=4)
-        h2 = build_h(q2, frozenset(), 1, tables2)
-        # bound at line 7 is 1 + min-y max = 4; both z^y below it
-        assert set(h2.domain()) <= set(q2.domain())
+        # K at line 7 for S = {} is 1: z_2^y = 0 lies below it, giving
+        # (0 | 1 (+) 0) = (0|1); z_1^y = 5 does not, so that helper reads
+        # (0|0) there.
+        u = tup((0, 5), (0, 0))
+        q = PartialFn(idx(1, 2), {u: pt(4, 7)})
+        tables = fiber_k_tables(q, theta=6)
+        assert build_h(q, frozenset(), 2, tables).graph == {u: pt(0, 1)}
+        assert build_h(q, frozenset(), 1, tables).graph == {u: ORIGIN}
 
     def test_range_is_x0_and_width1(self):
         inst = generate_instance(m=2, horizon=8, theta=4, seed=3)
@@ -241,25 +238,32 @@ class TestBuildQ:
     def test_slots_hold_witness_outputs(self):
         inst, res = self.setup_result()
         keys = factor_keys(inst.m)
+        f_star = res.normalized.f_star.graph
         for uv in res.q_table.graph:
             u = uv.restrict(inst.g.arity)
             for slot, pair in enumerate(keys[inst.m:], inst.m + 1):
-                expected = helper_slot_value(
-                    res.h_family[pair], res.normalized, u)
-                assert uv[slot] == expected
+                helper_value = res.h_family[pair].graph[u]
+                assert uv[slot] == f_star[MTuple.of({1: helper_value})]
 
     def test_undefined_helper_slot_is_witness_at_origin(self):
+        # Off its bound a helper reads (0|0), where f* is (0|0) too.
         inst, res = self.setup_result()
         keys = factor_keys(inst.m)
-        anchor = witness_point(res.normalized, ORIGIN)
+        anchor = res.normalized.f_star.graph[tup((0, 0))]
         hit = False
         for uv in res.q_table.graph:
             u = uv.restrict(inst.g.arity)
             for slot, pair in enumerate(keys[inst.m:], inst.m + 1):
-                if u not in res.h_family[pair].graph:
+                if res.h_family[pair].graph[u] == ORIGIN:
                     assert uv[slot] == anchor
                     hit = True
         assert hit
+
+    def test_term_binds_the_helpers_as_built(self):
+        # The helper range certificates and the term read one object.
+        inst, res = self.setup_result()
+        for s, j in factor_keys(inst.m)[inst.m:]:
+            assert res.term.env[helper_name(s, j)].fn is res.h_family[s, j]
 
 
 class TestSelectorCertificates:
@@ -436,6 +440,17 @@ class TestEndToEnd:
         with pytest.raises(StageError) as exc:
             end_to_end_synthesize(g, bad_f, theta=2, horizon=4)
         assert exc.value.stage == "normalize"
+
+    def test_helper_code_beyond_the_horizon_fails_the_selector(self):
+        # The lone tuple's line 10 gives K = 11, so the helper's code
+        # 11 (+) 10 = 131 lies beyond f*'s codes below horizon 8.
+        f = generate_instance(1, 8, 4, 0).f
+        g = unary({(0, 10): (1, 1)})
+        with pytest.raises(StageError) as exc:
+            end_to_end_synthesize(g, f, theta=20, horizon=8)
+        assert exc.value.stage == "selector"
+        assert str(exc.value) == ("[selector] witness not defined at helper "
+                                  "output (0|131); horizon too small")
 
     def test_result_carries_all_artifacts(self):
         inst = generate_instance(m=1, horizon=6, theta=3, seed=1)

@@ -12,6 +12,7 @@ from clonecover.cli import main
 from clonecover.core import (
     App,
     AtomBinding,
+    MTuple,
     PartialFn,
     Point,
     Proj,
@@ -219,6 +220,23 @@ class TestSerialization:
         del doc["root"]["children"]
         with pytest.raises(serialize.ParseError, match="children"):
             serialize.term_loads(serialize.dumps(doc))
+
+    @pytest.mark.parametrize("children, message", [
+        (None, "term node: missing field 'children'"),
+        (5, "term node: 'int' object is not iterable"),
+    ])
+    def test_faults_below_the_root_are_term_node_errors(self, children,
+                                                        message):
+        # One guard at the root reports a fault at any depth as about a
+        # term node.
+        doc = self.small_term_doc()
+        inner = {"t": "app", "name": "a", "children": children}
+        if children is None:
+            del inner["children"]
+        doc["root"]["children"][0] = inner
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == message
 
     def test_non_integer_projection_rejected(self):
         doc = self.small_term_doc()
@@ -665,6 +683,26 @@ class TestCli:
         assert out.out == ("synthesis FAIL: [normalize] no unused image line "
                            "with at least 7 points\n")
         assert out.err == ""
+
+    def test_candidate_above_ceiling_fails_the_coordinate_check(
+            self, tmp_path, capsys):
+        # The point lies in no other candidate's domain, so the reduction
+        # never reads it: only the coordinate check can see it.
+        inst = generate_instance(2, 8, 4, 5, "mary-witness")
+        ident, const = inst.candidates
+        far = Point(0, inst.ceiling + 7)
+        ident = PartialFn(ident.arity,
+                          {**ident.graph, MTuple(((1, far),)): far})
+        inst = dataclasses.replace(inst, candidates=(ident, const))
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.instance_dumps(inst))
+        assert not check_admissibility(inst)["passed"]
+        assert main(["check", "--instance", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL  coordinates below ceiling\n"
+            "PASS  theta below horizon\n"
+            "PASS  witness recoverable\n"
+            "PASS  decomposition admissible\n")
 
     def test_nullary_witness_fails_cleanly(self, tmp_path, capsys):
         # A witness of arity 0 is below the unary rule: it must fail witness
