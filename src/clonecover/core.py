@@ -317,15 +317,25 @@ def _node_depth(node: TermNode) -> int:
     return 1 + max((_node_depth(ch) for ch in node.children), default=0)
 
 
-def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
+def compile_term(t: Term) -> Callable[[list], list]:
     """Lower t once into a straight-line program over its distinct
-    subterms and return the evaluator that runs it on one tuple.
+    subterms and return the evaluator that runs it over a list of tuples.
 
-    The program is a list of slots in evaluation order: a projection slot
-    holds its index k; an atom slot holds the atom's graph as it is, its
-    sorted arity and the slots of its children.  Slots are shared by
-    ``(name, child slots)``, so each distinct subterm is evaluated once per
-    tuple.  An atom slot is None when any of its children is.
+    The program is a list of slots in evaluation order, of three kinds: a
+    projection slot holds its index's position in the sorted arity; an
+    argument slot, shared by (the atom's sorted arity, the child slots),
+    builds the tuples an atom is looked up at; a lookup slot, shared by
+    (atom name, child slots), which fix its argument slot, holds the
+    atom's graph as it is.
+
+    The evaluator fills one column per slot, one entry per input tuple.  A
+    lookup column maps ``graph.get`` over its argument column: None, the
+    undefined marker, is never a graph key, so it passes through.  An
+    argument column builds one `MTuple` per distinct row of its children's
+    columns, None where any child is None; a unary slot maps its child's
+    distinct values instead, and a slot that applies the term's
+    projections in index order under the term's own arity is the input
+    tuples themselves.  It returns the term's values in input order.
 
     The node checks run here, once, over the whole term: an unbound atom
     raises ``UnresolvedAtomError``, and a projection outside the term's
@@ -333,54 +343,81 @@ def compile_term(t: Term) -> Callable[[MTuple], Optional[Point]]:
     undefined sibling, where a walk that stops at the first undefined child
     would never look.  ``serialize.term_loads`` lowers every term it reads,
     so a parsed term has none of these faults.  The evaluator raises
-    ``IndexMismatchError`` on a tuple not over the term's arity.
+    ``IndexMismatchError``, before any lookup, if a tuple is not over the
+    term's arity.
     """
+    order = tuple(sorted(t.arity))
     program: list = []
     slots: dict = {}
+
+    def slot(key, entry) -> int:
+        found = slots.get(key)
+        if found is None:
+            found = slots[key] = len(program)
+            program.append(entry)
+        return found
 
     def lower(node: TermNode) -> int:
         if isinstance(node, Proj):
             if node.k not in t.arity:
                 raise IndexMismatchError(
-                    f"projection {node.k} outside arity {sorted(t.arity)}")
-            key = entry = node.k
+                    f"projection {node.k} outside arity {list(order)}")
+            return slot(node.k, (_PROJECT, order.index(node.k), None))
+        if node.name not in t.env:
+            raise UnresolvedAtomError(f"unbound atom {node.name!r}")
+        fn = t.env[node.name].fn
+        if len(node.children) != len(fn.arity):
+            raise IndexMismatchError(
+                f"atom {node.name!r} has arity {len(fn.arity)}, "
+                f"applied to {len(node.children)} children"
+            )
+        key = (node.name, tuple(lower(ch) for ch in node.children))
+        if key in slots:
+            return slots[key]
+        arity, children = tuple(sorted(fn.arity)), key[1]
+        if arity == order and children == tuple(map(slots.get, order)):
+            entry = (_INPUT, None, None)
+        elif len(children) == 1:
+            entry = (_UNARY, arity[0], children[0])
         else:
-            if node.name not in t.env:
-                raise UnresolvedAtomError(f"unbound atom {node.name!r}")
-            fn = t.env[node.name].fn
-            if len(node.children) != len(fn.arity):
-                raise IndexMismatchError(
-                    f"atom {node.name!r} has arity {len(fn.arity)}, "
-                    f"applied to {len(node.children)} children"
-                )
-            children = tuple(lower(ch) for ch in node.children)
-            key = (node.name, children)
-            entry = (fn.graph, tuple(sorted(fn.arity)), children)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(program)
-            program.append(entry)
-        return slot
+            entry = (_ROWS, arity, children)
+        return slot(key, (_LOOKUP, fn.graph, slot((arity, children), entry)))
 
     root = lower(t.root)
-    arity = t.arity
 
-    def evaluate(u: MTuple) -> Optional[Point]:
-        if u.indices != arity:
-            raise IndexMismatchError(
-                f"tuple over {sorted(u.indices)} fed to term of arity "
-                f"{sorted(arity)}"
-            )
-        vals: list = []
-        for slot in program:
-            if slot.__class__ is int:
-                vals.append(u[slot])
-                continue
-            graph, order, children = slot
-            args = [vals[i] for i in children]
-            vals.append(None if None in args
-                        else graph.get(MTuple(zip(order, args))))
-        return vals[root]
+    def evaluate(tuples: list) -> list:
+        for u in tuples:
+            if u.indices != t.arity:
+                raise IndexMismatchError(
+                    f"tuple over {sorted(u.indices)} fed to term of arity "
+                    f"{list(order)}"
+                )
+        if not tuples:
+            return []
+        by_position = list(zip(*tuples))  # the (index, point) entries
+        cols: list = []
+        for kind, a, b in program:
+            if kind is _LOOKUP:  # a: the atom's graph, b: its argument slot
+                col = list(map(a.get, cols[b]))
+            elif kind is _PROJECT:  # a: the position
+                col = [p for _, p in by_position[a]]
+            elif kind is _INPUT:
+                col = tuples
+            elif kind is _UNARY:  # a: the index, b: the child slot
+                keys = {p: MTuple(((a, p),)) for p in set(cols[b])
+                        if p is not None}
+                col = list(map(keys.get, cols[b]))
+            else:  # a: the sorted arity, b: the child slots
+                rows = (list(zip(*[cols[c] for c in b])) if b
+                        else [()] * len(tuples))
+                keys = {row: MTuple(zip(a, row)) for row in set(rows)
+                        if None not in row}
+                col = list(map(keys.get, rows))
+            cols.append(col)
+        return cols[root]
 
     return evaluate
 
+
+_PROJECT, _INPUT, _UNARY, _ROWS, _LOOKUP = (
+    "project", "input", "unary", "rows", "lookup")

@@ -255,9 +255,10 @@ def check_admissibility(inst: Instance) -> dict:
     """Run the pipeline's choice steps once and report whether each succeeds.
 
     Structural checks on coordinates, over every distinct point of g, f
-    and the candidates, then the witness recovery and the hereditary
-    decomposition (the two stages with choice steps), each run
-    independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
+    and the candidates, against the true ceiling horizon² + horizon, not
+    the document's own ``ceiling`` field; then the witness recovery and
+    the hereditary decomposition (the two stages with choice steps), each
+    run independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
     hands back their products, ``normalized`` and ``trace`` (None where the
     stage raised), from which `complete_synthesis` finishes the term.
     """
@@ -265,8 +266,8 @@ def check_admissibility(inst: Instance) -> dict:
     fns = (inst.g, inst.f, *inst.candidates)
     points = {p for fn in fns for u in fn.graph for _, p in u}
     points.update(v for fn in fns for v in fn.graph.values())
-    coords_ok = all(0 <= x < inst.ceiling and 0 <= y < inst.ceiling
-                    for x, y in points)
+    ceiling = inst.horizon * inst.horizon + inst.horizon
+    coords_ok = all(0 <= x < ceiling and 0 <= y < ceiling for x, y in points)
     checks.add("coordinates below ceiling", coords_ok)
     checks.add("theta below horizon", 1 <= inst.theta <= inst.horizon - 1)
 

@@ -88,11 +88,10 @@ def test_criterion_1_end_to_end_synthesis(corpus, capsys):
         for inst, result in corpus[m]:
             if len(inst.g) > 300:
                 oversized += 1
-            evaluate = compile_term(result.term)
-            for u in inst.g.domain():
-                checked += 1
-                if evaluate(u) != inst.g.graph[u]:
-                    mismatches += 1
+            us = list(inst.g.graph)
+            values = compile_term(result.term)(us)
+            checked += len(us)
+            mismatches += sum(v != inst.g.graph[u] for u, v in zip(us, values))
     elapsed = corpus["elapsed"]
     passed = mismatches == 0 and oversized == 0 and elapsed < 60.0
     _report(capsys, 1, passed,

@@ -192,14 +192,30 @@ class TestFiber:
 class TestTerms:
     def test_projection_law(self):
         t = Term(Proj(1), {}, idx(1, 2))
-        assert compile_term(t)(tup((3, 4), (5, 6))) == pt(3, 4)
+        assert compile_term(t)([tup((3, 4), (5, 6)),
+                                tup((1, 2), (3, 4))]) == [pt(3, 4), pt(1, 2)]
 
     def test_atom_evaluation(self):
         p = unary({(0, 0): (7, 7)})
         t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
-        evaluate = compile_term(t)
-        assert evaluate(tup((0, 0))) == pt(7, 7)
-        assert evaluate(tup((1, 1))) is None
+        assert compile_term(t)([tup((0, 0)), tup((1, 1))]) == [pt(7, 7), None]
+
+    def test_empty_list(self):
+        p = unary({(0, 0): (7, 7)})
+        t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
+        assert compile_term(t)([]) == []
+
+    def test_undefined_inner_atom_is_none_exactly_there(self):
+        # inner is undefined at (1|1) only; outer is applied to inner's
+        # value and to the argument itself, a two-child row with a None.
+        inner = unary({(0, 0): (2, 2), (3, 3): (3, 3)})
+        outer = PartialFn(idx(1, 2), {tup((2, 2), (0, 0)): pt(5, 5),
+                                      tup((3, 3), (3, 3)): pt(6, 6)})
+        t = Term(App("outer", (App("inner", (Proj(1),)), Proj(1))),
+                 {"inner": AtomBinding(inner, CI_ATOM),
+                  "outer": AtomBinding(outer, CI_ATOM)}, idx(1))
+        us = [tup((1, 1)), tup((0, 0)), tup((1, 1)), tup((3, 3))]
+        assert compile_term(t)(us) == [None, pt(5, 5), None, pt(6, 6)]
 
     def test_compose_agrees_with_partial_composition(self, rng):
         from conftest import random_point_fn, random_tuple_fn, random_tuple
@@ -213,8 +229,8 @@ class TestTerms:
                  "inner": AtomBinding(inner.component(1), CI_ATOM)},
                 idx(1),
             )
-            for u in inner.domain() | {random_tuple(rng, idx(1))}:
-                assert compile_term(t)(u) == composed.graph.get(u)
+            us = sorted(inner.domain() | {random_tuple(rng, idx(1))})
+            assert compile_term(t)(us) == [composed.graph.get(u) for u in us]
 
     def test_unresolved_atom(self):
         t = Term(App("ghost", (Proj(1),)), {}, idx(1))
@@ -247,14 +263,39 @@ class TestTerms:
                            match=r"projection 3 outside arity \[1, 2\]"):
             compile_term(t)
 
+    def test_nullary_atom_gives_one_value_per_tuple(self):
+        c = PartialFn(frozenset(), {MTuple.empty(): pt(4, 4)})
+        p = PartialFn(idx(1, 2), {tup((0, 0), (4, 4)): pt(7, 7)})
+        t = Term(App("p", (Proj(1), App("c", ()))),
+                 {"c": AtomBinding(c, CI_ATOM), "p": AtomBinding(p, CI_ATOM)},
+                 idx(1))
+        assert compile_term(t)([tup((0, 0)), tup((1, 1))]) == [pt(7, 7), None]
+
     def test_tuple_over_other_indices(self):
         p = unary({(0, 0): (7, 7)})
         t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
         evaluate = compile_term(t)
-        assert evaluate(tup((0, 0))) == pt(7, 7)
+        assert evaluate([tup((0, 0))]) == [pt(7, 7)]
         for u in (tup((0, 0), (1, 1)), MTuple.of({2: pt(0, 0)})):
             with pytest.raises(IndexMismatchError):
-                evaluate(u)
+                evaluate([u])
+
+    def test_one_off_arity_tuple_fails_before_any_lookup(self):
+        lookups = []
+
+        class CountingGraph(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        p = unary({(0, 0): (7, 7)})
+        p.graph = CountingGraph(p.graph)
+        t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
+        with pytest.raises(IndexMismatchError,
+                           match=r"tuple over \[1, 2\] fed to term of arity "
+                                 r"\[1\]"):
+            compile_term(t)([tup((0, 0)), tup((0, 0), (1, 1)), tup((1, 1))])
+        assert lookups == []
 
     def test_term_statistics(self):
         p = unary({(0, 0): (7, 7)})

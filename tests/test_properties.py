@@ -7,6 +7,7 @@ failure is always reproducible.
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
@@ -736,10 +737,13 @@ class TestCompiledEvaluation:
         # the 3 x 3 grid the atoms live on, plus a point off it
         grid = [Point(x, y) for x in range(3) for y in range(3)]
         grid.append(Point(3, 3))
-        for ps in itertools.product(grid, repeat=len(t.arity)):
-            u = MTuple.of(dict(zip(sorted(t.arity), ps)))
-            want = walk(t.root, u, t.env)
-            assert evaluate(u) == want
+        us = [MTuple.of(dict(zip(sorted(t.arity), ps)))
+              for ps in itertools.product(grid, repeat=len(t.arity))]
+        # the whole grid in one call, then a shuffled copy with duplicates
+        mixed = us + us[::3]
+        random.Random(len(mixed)).shuffle(mixed)
+        for batch in (us, mixed):
+            assert evaluate(batch) == [walk(t.root, u, t.env) for u in batch]
 
 
 @st.composite

@@ -33,6 +33,7 @@ from clonecover.pipeline import run_pipeline, verify_pair
 from clonecover.synth import end_to_end_synthesize
 
 from conftest import idx, pt, tup, unary
+from test_properties import walk
 
 
 def _count_calls(monkeypatch, names) -> dict:
@@ -141,9 +142,8 @@ class TestSerialization:
                                     unary_candidates=inst.candidates)
         data = serialize.term_dumps(res.term)
         back = serialize.term_loads(data)
-        evaluate = compile_term(back)
-        for u in inst.g.domain():
-            assert evaluate(u) == inst.g.graph[u]
+        us = sorted(inst.g.domain())
+        assert compile_term(back)(us) == [inst.g.graph[u] for u in us]
         assert serialize.term_dumps(back) == data
 
     def test_tuple_valued_pfn_round_trip(self):
@@ -540,6 +540,56 @@ class TestPipeline:
         inst.g.graph[u] = Point(inst.g.graph[u].x + 1, inst.g.graph[u].y)
         assert not verify_pair(inst, result.term)["passed"]
 
+    def test_mismatch_count_reaches_the_report_and_the_cli(
+            self, tmp_path, monkeypatch, capsys):
+        # One selector entry that a tuple of dom(g) reaches gets another
+        # value; every tuple that reaches it must be counted, by the
+        # verifier, in the report and at the command line.
+        inst = generate_instance(2, 8, 4, seed=5)
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
+
+        def tamper(term):
+            q = term.env[synth.SELECTOR_ATOM].fn
+            u = inst.g.sorted_items()[0][0]
+            key = MTuple(zip(sorted(q.arity),
+                             (walk(ch, u, term.env)
+                              for ch in term.root.children)))
+            v = q.graph[key]
+            q = PartialFn(q.arity, {**q.graph, key: Point(v.x + 1, v.y)})
+            binding = dataclasses.replace(term.env[synth.SELECTOR_ATOM], fn=q)
+            return Term(term.root, {**term.env, synth.SELECTOR_ATOM: binding},
+                        term.arity)
+
+        bad = tamper(term)
+        want = sum(walk(bad.root, u, bad.env) != v
+                   for u, v in inst.g.graph.items())
+        assert want >= 1
+        assert verify_pair(inst, bad) == {
+            "passed": False, "checked": len(inst.g), "mismatched": want}
+
+        complete = pipeline.complete_synthesis
+
+        def tampered_synthesis(*args):
+            result = complete(*args)
+            return dataclasses.replace(result, term=tamper(result.term))
+
+        monkeypatch.setattr(pipeline, "complete_synthesis", tampered_synthesis)
+        report, _ = run_pipeline(inst)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not report["passed"]
+        assert checks["term equality on dom(g)"] == {
+            "name": "term equality on dom(g)", "passed": False,
+            "detail": f"{want} mismatching tuples"}
+
+        inst_path, term_path = tmp_path / "inst.json", tmp_path / "term.json"
+        inst_path.write_bytes(serialize.instance_dumps(inst))
+        term_path.write_bytes(serialize.term_dumps(bad))
+        assert main(["verify", "--instance", str(inst_path),
+                     "--term", str(term_path)]) == 1
+        assert capsys.readouterr().out == (
+            f"equality on dom(g): FAIL ({len(inst.g)} tuples)\n")
+
     def test_verify_pair_looks_up_each_distinct_subterm_once(self):
         # A tree walk makes one atom-graph lookup per App node and tuple;
         # the compiled term makes at most one per distinct App subterm.
@@ -703,6 +753,24 @@ class TestCli:
             "PASS  theta below horizon\n"
             "PASS  witness recoverable\n"
             "PASS  decomposition admissible\n")
+
+    def test_coordinates_are_checked_against_the_true_ceiling(
+            self, tmp_path, capsys):
+        # The document's own ceiling field claims 10**6; the true ceiling
+        # at horizon 8 is 72, so (0|5000) is out of range.
+        inst = generate_instance(2, 8, 4, 5)
+        far = MTuple.of({1: Point(0, 1), 2: Point(1, 0)})
+        assert far not in inst.g.graph
+        g = PartialFn(inst.g.arity, {**inst.g.graph, far: Point(0, 5000)})
+        inst = dataclasses.replace(inst, g=g, ceiling=10**6)
+        path = tmp_path / "inst.json"
+        path.write_bytes(serialize.instance_dumps(inst))
+        report = check_admissibility(serialize.instance_loads(path.read_bytes()))
+        assert report["checks"][0] == {
+            "name": "coordinates below ceiling", "passed": False, "detail": ""}
+        assert main(["check", "--instance", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL  coordinates below ceiling\n")
 
     def test_nullary_witness_fails_cleanly(self, tmp_path, capsys):
         # A witness of arity 0 is below the unary rule: it must fail witness
