@@ -128,11 +128,12 @@ class PartialFn:
     convention it is never mutated after construction.
 
     ``PartialFn(...)`` copies the graph and checks every entry against the
-    arity and codomain.  ``compose``, ``restrict``, ``component`` and
-    ``decompose.strong_decompose_stage`` build their results with
-    ``_trusted`` instead, which does neither: each takes its entries from
-    already checked functions, keeps or relabels them only in ways that
-    preserve the index sets, and so cannot produce an invalid entry.
+    arity and codomain, its tuples holding points only.  ``compose``,
+    ``restrict``, ``component`` and ``decompose.strong_decompose_stage``
+    build their results with ``_trusted`` instead, which does neither: each
+    takes its entries from already checked functions, keeps or relabels
+    them only in ways that preserve the index sets, and so cannot produce
+    an invalid entry.
     Parsers, generators and other builders from outside data go through
     the checked constructor.
     """
@@ -161,6 +162,10 @@ class PartialFn:
                 raise IndexMismatchError(
                     f"value {v!r} does not match codomain {values}"
                 )
+            for _, p in u if values is None else u + v:
+                if not isinstance(p, Point):
+                    raise IndexMismatchError(
+                        f"entry at {u!r} holds a non-point {p!r}")
         self.graph = g
 
     # -- constructors -------------------------------------------------

@@ -114,7 +114,8 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     uniq_details = [f"line {cert.line} perm {cert.perm}: {cert.detail}"
                     for cert in certs if not cert.passed]
     # The worst-case entries lie in the family they span, so each must
-    # qualify somewhere; otherwise every certificate may be vacuous.
+    # qualify in some certificate; a certifier that admits no entry makes
+    # no certificate, and no failing one.
     qualified = {uv for cert in certs for uv in cert.qualifying}
     uniq_details += [f"worst-case entry {uv!r} qualifies in no certificate"
                      for uv in narrow.entries if uv not in qualified]

@@ -416,78 +416,66 @@ def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
 
 @dataclass
 class UniquenessReport:
-    """Per-(line, permutation) candidate tuple and the enumeration check."""
+    """Per-(line, permutation) candidate tuple and the enumeration check,
+    for a pair some table entry in the product qualifies under."""
 
     line: int
     perm: tuple
     candidate: dict  # index -> Point (may be partial when a K is missing)
-    qualifying: tuple  # the (u, v) tuples found by brute force
+    qualifying: tuple  # the (u, v) tuples found by brute force, never empty
     passed: bool
     detail: str = ""
 
 
 def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
                        m: int) -> list:
-    """Uniqueness certificates over one product of width-1 factors: for
-    each value line n of the table, ascending, one per reindexing perm of
-    1..m.
+    """Uniqueness certificates over one product of width-1 factors, one
+    per (value line n, reindexing perm of 1..m) pair, ascending, that some
+    table entry in the product qualifies under: its lines rise along perm.
+    Every other pair could only pass vacuously.
 
-    The table is scanned once and its entries in the product are grouped
-    by value line; each (n, perm) then checks that every grouped entry
-    whose lines rise along perm is the unique candidate.
+    The table is scanned once; each entry in the product joins the group
+    of every perm it qualifies under on its value line.
     """
     keys = factor_keys(m)
-    in_product: dict = {}  # value line -> table entries in the product
+    perms = list(itertools.permutations(range(1, m + 1)))
+    groups: dict = {}  # (value line, perm) -> qualifying entries
     for uv, val in q_table.graph.items():
-        entries = in_product.setdefault(val.y, [])
         if _in_product(uv, factors, keys):
-            entries.append(uv)
-    return [
-        _certify_line(k_tables, factors, n, perm, entries)
-        for n, entries in sorted(in_product.items())
-        for perm in itertools.permutations(range(1, m + 1))
-    ]
+            for perm in perms:
+                if all(uv[a].y <= uv[b].y for a, b in zip(perm, perm[1:])):
+                    groups.setdefault((val.y, perm), []).append(uv)
+    return [_certify_line(k_tables, factors, n, perm, sorted(qualifying))
+            for (n, perm), qualifying in sorted(groups.items())]
 
 
 def _certify_line(k_tables: Mapping, factors: Mapping, n: int, perm: tuple,
-                  entries: Sequence) -> UniquenessReport:
+                  qualifying: list) -> UniquenessReport:
     """Compute the unique candidate input for line n under perm and check
-    that every qualifying entry is it.
+    that the qualifying entries, sorted and at least one, are just it.
 
     The recursion, under the reindexing perm: at step j the fiber fixed so
     far gives a bound k_j at line n; the (S,j)-factor selects the line b_j
     at k_j, and the j-th input factor selects the column a_j at b_j.
     """
-    candidate: dict = {}
-    prefix = MTuple.empty()
-    complete = True
+    candidate: dict = {}  # also the fiber's key, the S-part fixed so far
+    detail = ""
     for step, j in enumerate(perm):
         s = frozenset(perm[:step])
-        table = k_tables.get((s, prefix))
+        table = k_tables.get((s, MTuple.of(candidate)))
         if table is None or n not in table:
-            complete = False
+            detail = "qualifying entry despite missing K chain"
             break
         bj = factors[(s, j)].get(table[n], 0)
         candidate[j] = Point(factors[j].get(bj, 0), bj)
-        prefix = MTuple.of(candidate)
-
-    qualifying = sorted(
-        uv for uv in entries
-        if all(uv[a].y <= uv[b].y for a, b in zip(perm, perm[1:])))
-    if not complete:
-        passed = not qualifying
-        detail = "" if passed else "qualifying entry despite missing K chain"
-    elif len(qualifying) > 1:
-        passed, detail = False, "more than one qualifying entry"
-    elif qualifying:
-        u = qualifying[0]
-        passed = all(u[j] == candidate[j] for j in candidate)
-        detail = "" if passed else "qualifying entry differs from candidate"
     else:
-        passed, detail = True, "vacuous"
+        if len(qualifying) > 1:
+            detail = "more than one qualifying entry"
+        elif any(qualifying[0][j] != candidate[j] for j in candidate):
+            detail = "qualifying entry differs from candidate"
     return UniquenessReport(
         line=n, perm=perm, candidate=candidate,
-        qualifying=tuple(qualifying), passed=passed, detail=detail,
+        qualifying=tuple(qualifying), passed=not detail, detail=detail,
     )
 
 

@@ -15,6 +15,10 @@ criterion and `TestStageMatchesAlgebra` rebuild them through these.
 `reduce_to_unary` and `normalize` read the witness the slow way, rebuilding
 every tuple and the whole normalized graph from the witness, where
 `clonecover.synth` builds f* from the horizon alone.
+
+`certify_every_pair` is the main lemma's certification the slow way: a
+certificate for every value line and every permutation, where
+`clonecover.synth` certifies only the pairs some entry qualifies under.
 """
 import itertools
 
@@ -243,3 +247,54 @@ def normalize(f_unary, horizon):
     f_star = PartialFn(frozenset({1}), {
         MTuple.of({1: p}): v for p, v in graph.items()})
     return f_star, relabel_domain, line_map, row_map
+
+
+# -- the main lemma's certificates, every pair ------------------------
+
+
+def certify_every_pair(q_table, k_tables, factors, m):
+    """A uniqueness certificate for every (value line of the table, perm of
+    1..m) pair, lines ascending and perms in lexicographic order, as
+    (line, perm, candidate, qualifying, passed, detail) tuples.
+
+    An entry qualifies when it lies in the product of the width-1 factors
+    (a line a factor does not list holds column 0) and its lines rise
+    along perm.  The candidate follows the K chain: the fiber fixed so far
+    gives a bound at the line, the (S, j) factor a line there and the j-th
+    input factor a column on it.  A pair no entry qualifies under passes:
+    "vacuous" when its chain is complete, with no detail when it is not.
+    """
+    indices = list(range(1, m + 1))
+    keys = indices + [(s, j) for s in subsets(indices) for j in indices
+                      if j not in s]
+    in_product = [uv for uv in sorted(q_table.graph)
+                  if all(factors[key].get(uv[slot].y, 0) == uv[slot].x
+                         for slot, key in enumerate(keys, 1))]
+    certs = []
+    for n in sorted({v.y for v in q_table.graph.values()}):
+        for perm in itertools.permutations(indices):
+            qualifying = tuple(
+                uv for uv in in_product if q_table.graph[uv].y == n
+                and all(uv[a].y <= uv[b].y for a, b in zip(perm, perm[1:])))
+            candidate = {}
+            for step, j in enumerate(perm):
+                s = frozenset(perm[:step])
+                table = k_tables.get((s, MTuple.of(candidate)), {})
+                if n not in table:
+                    break
+                line = factors[(s, j)].get(table[n], 0)
+                candidate[j] = Point(factors[j].get(line, 0), line)
+            if len(candidate) < m:
+                detail = ("qualifying entry despite missing K chain"
+                          if qualifying else "")
+            elif not qualifying:
+                detail = "vacuous"
+            elif len(qualifying) > 1:
+                detail = "more than one qualifying entry"
+            elif any(qualifying[0][j] != candidate[j] for j in indices):
+                detail = "qualifying entry differs from candidate"
+            else:
+                detail = ""
+            passed = detail in ("", "vacuous")
+            certs.append((n, perm, candidate, qualifying, passed, detail))
+    return certs

@@ -29,6 +29,17 @@ from oracle import (
 )
 
 
+class TestCheckedConstructor:
+    @pytest.mark.parametrize("entry", [None, "x", (1, 1), 5])
+    def test_non_point_tuple_entries_rejected(self, entry):
+        bad = MTuple(((1, entry),))
+        with pytest.raises(IndexMismatchError, match="holds a non-point"):
+            PartialFn(idx(1), {bad: pt(1, 1)})
+        with pytest.raises(IndexMismatchError, match="holds a non-point"):
+            PartialFn(idx(1), {tup((0, 0)): bad}, idx(1))
+        assert PartialFn(idx(1), {tup((0, 0)): tup((1, 1))}, idx(1))
+
+
 class TestCompose:
     def test_single_link_chain(self):
         u, v, w = tup((1, 1)), tup((2, 2)), pt(3, 3)

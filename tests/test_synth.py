@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -266,6 +265,12 @@ class TestBuildQ:
             assert res.term.env[helper_name(s, j)].fn is res.h_family[s, j]
 
 
+def certificate_rows(certs):
+    """The certificates as `oracle.certify_every_pair` lists its own."""
+    return [(c.line, c.perm, c.candidate, c.qualifying, c.passed, c.detail)
+            for c in certs]
+
+
 class TestSelectorCertificates:
     def test_end_to_end_term_equality(self):
         for m in (1, 2):
@@ -296,12 +301,42 @@ class TestSelectorCertificates:
                         for slot, key in enumerate(keys, 1))}
         assert width(image) <= verdict.observed
         certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
-        lines = sorted({v.y for v in res.q_table.graph.values()})
-        perms = list(itertools.permutations(range(1, m + 1)))
-        assert [(c.line, c.perm) for c in certs] == list(
-            itertools.product(lines, perms))
-        for cert in certs:
-            assert cert.passed, cert.detail
+        reference = oracle.certify_every_pair(
+            res.q_table, res.k_tables, factors, m)
+        assert certificate_rows(certs) == [
+            row for row in reference if row[3]]
+        assert all(row[4] for row in reference)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_certificates_are_the_reference_pairs_with_an_entry(self, m,
+                                                                profile):
+        # On the worst-case family, on each entry's spanned family and on
+        # sampled families, which hold entries on several value lines, the
+        # certificates are exactly the every-pair reference's with a
+        # qualifying entry, and each reference pair without one passes.
+        horizon, theta = (12, 6) if m == 4 else (8, 4)
+        inst = generate_instance(m, horizon, theta, 5, profile)
+        res = end_to_end_synthesize(
+            inst.g, inst.f, inst.theta, inst.horizon,
+            unary_candidates=inst.candidates)
+        entries = verify_Q_in_CI(res.q_table, m).entries
+        rng = random.Random(m)
+        families = [spanned_family(entries, m)] + [
+            spanned_family((uv,), m) for uv in sorted(res.q_table.graph)] + [
+            sampled_width1_family(res.q_table, m, rng, inst.ceiling)
+            for _ in range(5)]
+        with_entries = 0
+        for family in families:
+            certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
+            reference = oracle.certify_every_pair(
+                res.q_table, res.k_tables, family, m)
+            assert certificate_rows(certs) == [
+                row for row in reference if row[3]]
+            assert all(row[4] for row in reference if not row[3])
+            with_entries += bool(certs)
+        # at least the worst-case and spanned families hold an entry each
+        assert with_entries >= 1 + len(res.q_table)
 
     def test_width_verifier_rejects_lines_wider_than_w(self):
         # The two entries put columns 0 and 1 on line 0 of slot 1: one
@@ -396,11 +431,11 @@ class TestExactSelectorWidth:
 
     def test_spanned_family_meets_every_line_the_certificates_read(self):
         # Line 9's K-chain reads the (S, j) factor at K = 2, where the entry
-        # puts column 7, then the input factor at line 7; line 4's reads it
-        # at K = 3, which it does not list (column 0), then the input factor
-        # at line 0.
+        # puts column 7, then the input factor at line 7, which it does not
+        # list (column 0).
         # A selector built by build_Q puts the input's line there, not 7, so
-        # this table fails line 9's certificate; it must not raise.
+        # this table fails line 9's certificate; it must not raise.  Line
+        # 4's entry lies off the product, so line 4 gets no certificate.
         worst, other = tup((3, 5), (7, 2)), tup((1, 1), (0, 0))
         q_table = PartialFn(idx(1, 2), {worst: pt(0, 9), other: pt(0, 4)})
         k_tables = {(frozenset(), MTuple.empty()): {4: 3, 9: 2}}
@@ -410,7 +445,7 @@ class TestExactSelectorWidth:
         assert family == {1: {5: 3}, (frozenset(), 1): {2: 7}}
         certs = main_lemma_certify(q_table, k_tables, family, 1)
         assert [(c.line, c.candidate, c.passed) for c in certs] == [
-            (4, {1: pt(0, 0)}, True), (9, {1: pt(0, 7)}, False)]
+            (9, {1: pt(0, 7)}, False)]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("profile", PROFILES)
