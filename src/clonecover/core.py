@@ -133,7 +133,8 @@ class PartialFn:
     build their results with ``_trusted`` instead, which does neither: each
     takes its entries from already checked functions, keeps or relabels
     them only in ways that preserve the index sets, and so cannot produce
-    an invalid entry.
+    an invalid entry.  ``synth.normal_witness`` wraps f* the same way: it
+    is built from the horizon alone, so it is valid by construction.
     Parsers, generators and other builders from outside data go through
     the checked constructor.
     """

@@ -5,7 +5,7 @@ The driver is `hereditary_decompose`, which sweeps all subsets S of the
 index set; each sweep is a `strong_decompose_stage` step: split every fiber
 into its thrifty and wasteful parts, re-route the wasteful parts through
 freshly selected representative tuples of a width-1 set A, and write the
-graphs of g' and of the inner map h straight from the fibers.
+graphs of g' and of the inner map h in one pass over g.
 `verify_decomposition` re-checks a trace from its graphs alone, the
 width-harmlessness of every inner map included.
 """
@@ -26,6 +26,7 @@ from .core import (
     IndexSet,
     MTuple,
     PartialFn,
+    Point,
     compose,
 )
 
@@ -47,10 +48,12 @@ class SelectionResult:
     chosen: dict  # (fiber key c, value d) -> chosen tuple
 
 
-def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
+def countable_selection(wasteful: Mapping[MTuple, Mapping[Point, list]],
                         theta: int) -> SelectionResult:
     """Pick one representative tuple per (fiber key, value) pair.
 
+    `wasteful` maps each fiber key c to its wasteful values, and each value
+    to the non-S parts of its preimage in that fiber: {c: {v: [z, ...]}}.
     Deterministic greedy: fiber keys in canonical order, values by (line,
     column); within a preimage only tuples whose every component y-coordinate
     is below theta and unused so far are eligible, and among those the one
@@ -60,11 +63,8 @@ def countable_selection(wasteful_family: Mapping[MTuple, PartialFn],
     used_ys: set = set()
     chosen: dict = {}
     a_set: set = set()
-    for c in sorted(wasteful_family):
-        w_c = wasteful_family[c]
-        preimages: dict = {}
-        for u, v in w_c.graph.items():
-            preimages.setdefault(v, []).append(u)
+    for c in sorted(wasteful):
+        preimages = wasteful[c]
         for d in sorted(preimages, key=lambda p: (p.y, p.x)):
             candidates = [
                 u for u in preimages[d]
@@ -107,15 +107,14 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     """One sweep: make every fiber of g at S thrifty at theta.
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
-    of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`;
-    the pass that groups g's entries by fiber key classifies them against
-    those bounds, and only the wasteful parts become fiber functions, for
-    `countable_selection`.  One walk over the groups writes both graphs: a
-    thrifty entry u of fiber c keeps u in g' and fixes it in h; a wasteful
-    entry sends u to c∪pick in h, and only the pick keeps its g' entry.
-    g' lists the keys in order and, within a fiber, its thrifty entries
-    before its picks.  Both are wrapped unchecked: their entries come from
-    the checked g, and h only routes into dom(g).
+    of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`,
+    and one pass over g classifies each entry u -> v of fiber c against
+    them: a thrifty entry keeps u in g' and fixes it in h; a wasteful one
+    adds its non-S part to the `countable_selection` input and, once the
+    pick for (c, v) is known, sends u to c∪pick in h, only the pick keeping
+    its g' entry.  g' lists g's thrifty entries in g's order, then the picks
+    in g's order.  Both are wrapped unchecked: their entries come from the
+    checked g, and h only routes into dom(g).
     """
     s = frozenset(s)
     if not s <= g.arity:
@@ -125,35 +124,26 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     if theta < 1:
         raise ValueError("theta must be at least 1")
     bounds = fiber_bounds(g, s)
-    walk: dict = {c: [] for c in bounds}
-    wasteful: dict = {}
-    for u, v in g.graph.items():
-        c = u.restrict(s)
-        walk[c].append((u, v))
-        if bounds[c][v] > theta:
-            wasteful.setdefault(c, {})[u.without(s)] = v
-    t = g.arity - s
-    selection = countable_selection(
-        {c: PartialFn._trusted(t, w_c, None) for c, w_c in wasteful.items()},
-        theta)
-
     g_graph: dict = {}
     h_graph: dict = {}
     identity: list = []
-    for c, entries in walk.items():
-        value_bounds = bounds[c]
-        picks = []
-        for u, v in entries:
-            if value_bounds[v] <= theta:
-                g_graph[u] = v
-                h_graph[u] = u
-                identity.append(u)
-            else:
-                target = c.union(selection.chosen[(c, v)])
-                h_graph[u] = target
-                if u == target:
-                    picks.append((u, v))
-        g_graph.update(picks)
+    wasteful: dict = {}
+    rerouted: list = []
+    for u, v in g.graph.items():
+        c = u.restrict(s)
+        if bounds[c][v] <= theta:
+            g_graph[u] = v
+            h_graph[u] = u
+            identity.append(u)
+        else:
+            wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
+            rerouted.append((u, v, c))
+    selection = countable_selection(wasteful, theta)
+    for u, v, c in rerouted:
+        target = c.union(selection.chosen[(c, v)])
+        h_graph[u] = target
+        if u == target:
+            g_graph[u] = v
 
     g_prime = PartialFn._trusted(g.arity, g_graph, g.codomain)
     h = PartialFn._trusted(g.arity, h_graph, g.arity)

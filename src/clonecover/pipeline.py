@@ -95,7 +95,7 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
                else f"{pair['mismatched']} mismatching tuples")
 
     bad_helpers = []
-    for (s, j), h in sorted(result.h_family.items()):
+    for (s, j), h in result.h_family.items():
         ran = {p for p in h.graph.values()}
         if any(p.x != 0 for p in ran) or width(ran) > 1:
             bad_helpers.append((sorted(s), j))

@@ -124,7 +124,7 @@ def normal_witness(horizon: int) -> PartialFn:
     for n in range(1, horizon):
         for k in range(n):
             graph[MTuple(((1, Point(0, oplus(n, k))),))] = Point(k, n)
-    return PartialFn(full_index(1), graph)
+    return PartialFn._trusted(full_index(1), graph, None)
 
 
 def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:

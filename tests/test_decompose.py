@@ -25,8 +25,12 @@ from conftest import idx, pt, stage_check, trace_over, tup, unary
 
 
 def wasteful_unary(mapping):
-    """A one-key wasteful family over the empty fiber key."""
-    return {MTuple.empty(): unary(mapping)}
+    """A one-key selection input over the empty fiber key: each value of
+    the {point: point} dict to its preimage."""
+    preimages = {}
+    for u, v in mapping.items():
+        preimages.setdefault(pt(*v), []).append(tup(u))
+    return {MTuple.empty(): preimages}
 
 
 class TestCountableSelection:
@@ -62,10 +66,9 @@ class TestCountableSelection:
 
     def test_width_of_a_is_at_most_one(self):
         fam = {
-            MTuple.of({1: pt(0, 0)}): PartialFn(
-                idx(2),
-                {MTuple.of({2: pt(i, i)}): pt(9, 9) for i in range(3)},
-            ),
+            MTuple.of({1: pt(0, 0)}): {
+                pt(9, 9): [MTuple.of({2: pt(i, i)}) for i in range(3)],
+            },
         }
         sel = countable_selection(fam, theta=4)
         assert tuple_set_width(sel.a_set) <= 1

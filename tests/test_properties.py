@@ -226,7 +226,11 @@ def algebra_stage(g, s, theta):
         thrifty_parts[c] = g_c.restrict(thrifty)
         if wasteful:
             wasteful_family[c] = g_c.restrict(wasteful)
-    selection = countable_selection(wasteful_family, theta)
+    selection = countable_selection(
+        {c: {v: [z for z, d in w_c.graph.items() if d == v]
+             for v in w_c.graph.values()}
+         for c, w_c in wasteful_family.items()},
+        theta)
     t = g.arity - s
     g_parts = [PartialFn(g.arity, {}, g.codomain)]
     h_parts = [PartialFn.identity_on([], g.arity)]
@@ -276,7 +280,11 @@ class TestStageMatchesAlgebra:
         target(float(len(h) - len(identity)))
         stage = strong_decompose_stage(g, s, theta)
         assert stage.g_prime == g_prime
-        assert list(stage.g_prime.graph) == list(g_prime.graph)
+        # g' lists g's thrifty entries, then the picks, each in g's order
+        picks = {c.union(a) for (c, _), a in selection.chosen.items()}
+        assert list(stage.g_prime.graph) == (
+            [u for u in g.graph if u in identity]
+            + [u for u in g.graph if u in picks])
         assert stage.h == h
         assert stage.identity_domain == identity
         assert stage_check(g, stage, theta, "inner-map certificates")[

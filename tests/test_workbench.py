@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import random
 import re
 
 import pytest
@@ -52,6 +53,41 @@ def _count_calls(monkeypatch, names) -> dict:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _grown(inst, size):
+    """inst with dom(g) grown to ``size`` by tuples below theta, each sent
+    to a fresh value or, three times in ten, to one an added tuple uses."""
+    rng = random.Random(inst.seed)
+    graph = dict(inst.g.graph)
+    used, added = set(graph.values()), []
+    while len(graph) < size:
+        u = MTuple.of({i: Point(rng.randrange(inst.ceiling),
+                                rng.randrange(inst.theta))
+                       for i in sorted(inst.g.arity)})
+        if u in graph:
+            continue
+        if added and rng.random() < 0.3:
+            v = rng.choice(added)
+        else:
+            v = Point(rng.randrange(inst.ceiling), rng.randrange(inst.ceiling))
+            if v in used:
+                continue
+            used.add(v)
+            added.append(v)
+        graph[u] = v
+    return dataclasses.replace(inst, g=PartialFn(inst.g.arity, graph))
+
+
+def _artifact_bytes(inst):
+    """The instance bytes, the synthesized and the pipeline's term bytes,
+    and the report bytes of a passing run."""
+    term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                 unary_candidates=inst.candidates).term
+    report, result = run_pipeline(inst)
+    assert report["passed"]
+    return (serialize.instance_dumps(inst), serialize.term_dumps(term),
+            serialize.term_dumps(result.term), serialize.report_dumps(report))
 
 
 @st.composite
@@ -517,8 +553,56 @@ class TestPipeline:
             "name": "selector width bound (width-2 products)",
             "passed": False, "detail": "not derived: width-1 bound failed"}
 
+    def test_helper_off_the_x0_row_fails_its_range_check(self, monkeypatch):
+        # One entry of the ({1}, 2) helper leaves the x = 0 row after
+        # synthesis; the check must fail and name that pair alone.  A
+        # helper built off the row stops the selector stage instead, as
+        # f* is defined on x = 0 only.
+        complete = pipeline.complete_synthesis
+
+        def shifted_helper(*args):
+            result = complete(*args)
+            family = dict(result.h_family)
+            h = family[(idx(1), 2)]
+            u, v = next(iter(h.graph.items()))
+            family[(idx(1), 2)] = PartialFn(h.arity,
+                                            {**h.graph, u: Point(1, v.y)})
+            return dataclasses.replace(result, h_family=family)
+
+        monkeypatch.setattr(pipeline, "complete_synthesis", shifted_helper)
+        report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not report["passed"]
+        assert checks["helper range certificates"] == {
+            "name": "helper range certificates", "passed": False,
+            "detail": "[([1], 2)]"}
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+            "helper range certificates"]
+
+    @pytest.mark.parametrize("m, profile, size", [
+        *((m, profile, 0) for m in (1, 2, 3) for profile in PROFILES),
+        (3, "mary-witness", 200),
+    ])
+    def test_artifacts_do_not_depend_on_the_order_of_g(self, m, profile,
+                                                       size):
+        # A sweep lists g' in an order of its own; the writer sorts every
+        # graph, so no byte may follow the insertion order of g.
+        inst = generate_instance(m, 8, 4, 0, profile)
+        if size:
+            inst = _grown(inst, size)
+            assert check_admissibility(inst)["passed"]
+        want = _artifact_bytes(inst)
+        rng = random.Random(size + m)
+        for _ in range(2):
+            items = list(inst.g.graph.items())
+            rng.shuffle(items)
+            assert [u for u, _ in items] != list(inst.g.graph)
+            shuffled = dataclasses.replace(
+                inst, g=PartialFn(inst.g.arity, dict(items)))
+            assert _artifact_bytes(shuffled) == want
+
     def test_vacuous_certificates_fail_uniqueness(self, monkeypatch):
-        # A certifier that admits no entry makes every certificate vacuous;
+        # A certifier that admits no entry makes no certificate at all;
         # the worst-case entries the family was spanned from must qualify.
         monkeypatch.setattr(synth, "_in_product", lambda *args: False)
         report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
