@@ -98,9 +98,8 @@ def cmd_decompose(args) -> int:
         return 1
     report = verify_decomposition(inst.g, trace)
     for stage in trace.stages:
-        rerouted = len(stage.h.domain()) - len(stage.identity_domain)
         print(f"S={sorted(stage.s)}: |g'|={len(stage.g_prime)} "
-              f"rerouted={rerouted}")
+              f"rerouted={len(stage.moved)}")
     print(f"decomposition {'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1
 

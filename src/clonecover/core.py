@@ -134,7 +134,9 @@ class PartialFn:
     takes its entries from already checked functions, keeps or relabels
     them only in ways that preserve the index sets, and so cannot produce
     an invalid entry.  ``synth.normal_witness`` wraps f* the same way: it
-    is built from the horizon alone, so it is valid by construction.
+    is built from the horizon alone, so it is valid by construction; so
+    does ``synth.build_h``, whose keys are dom(q)'s and whose values are
+    points it makes itself.
     Parsers, generators and other builders from outside data go through
     the checked constructor.
     """
@@ -179,10 +181,6 @@ class PartialFn:
         fn = object.__new__(cls)
         fn.arity, fn.codomain, fn.graph = arity, codomain, graph
         return fn
-
-    @staticmethod
-    def identity_on(tuples: Iterable[MTuple], arity: IndexSet) -> "PartialFn":
-        return PartialFn(arity, {u: u for u in tuples}, arity)
 
     # -- basic queries ------------------------------------------------
 

@@ -4,14 +4,16 @@ width-harmless inner map.
 The driver is `hereditary_decompose`, which sweeps all subsets S of the
 index set; each sweep is a `strong_decompose_stage` step: split every fiber
 into its thrifty and wasteful parts, re-route the wasteful parts through
-freshly selected representative tuples of a width-1 set A, and write the
-graphs of g' and of the inner map h in one pass over g.
+freshly selected representative tuples of a width-1 set A, and write g' and
+the moved tuples of the inner map h in one pass over g.  h fixes every
+other tuple, so a stage records only what it moves.
 `verify_decomposition` re-checks a trace from its graphs alone, the
 width-harmlessness of every inner map included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 from .analysis import (
@@ -84,13 +86,13 @@ def countable_selection(wasteful: Mapping[MTuple, Mapping[Point, list]],
 
 @dataclass
 class StageRecord:
-    """One strong-decomposition sweep for a fixed argument subset S."""
+    """One strong-decomposition sweep for a fixed argument subset S; its
+    inner map h sends u to ``moved.get(u, u)``, fixing every other tuple."""
 
     s: IndexSet
     g_prime: PartialFn
-    h: PartialFn
+    moved: dict  # each re-routed u = c ∪ z, picks included -> c ∪ pick
     selection: SelectionResult
-    identity_domain: frozenset  # tuples routed through unchanged
 
 
 @dataclass
@@ -109,12 +111,11 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     The record's g' is contained in g, g = g' o h exactly, and every fiber
     of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`,
     and one pass over g classifies each entry u -> v of fiber c against
-    them: a thrifty entry keeps u in g' and fixes it in h; a wasteful one
-    adds its non-S part to the `countable_selection` input and, once the
-    pick for (c, v) is known, sends u to c∪pick in h, only the pick keeping
-    its g' entry.  g' lists g's thrifty entries in g's order, then the picks
-    in g's order.  Both are wrapped unchecked: their entries come from the
-    checked g, and h only routes into dom(g).
+    them: a thrifty entry keeps u in g' and h fixes it; a wasteful one adds
+    its non-S part to the `countable_selection` input and, once the pick
+    for (c, v) is known, moves to c∪pick, only the pick keeping its g'
+    entry.  g' lists g's thrifty entries in g's order, then the picks in
+    g's order; it is wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
     if not s <= g.arity:
@@ -125,50 +126,49 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
         raise ValueError("theta must be at least 1")
     bounds = fiber_bounds(g, s)
     g_graph: dict = {}
-    h_graph: dict = {}
-    identity: list = []
     wasteful: dict = {}
     rerouted: list = []
     for u, v in g.graph.items():
         c = u.restrict(s)
         if bounds[c][v] <= theta:
             g_graph[u] = v
-            h_graph[u] = u
-            identity.append(u)
         else:
             wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
             rerouted.append((u, v, c))
     selection = countable_selection(wasteful, theta)
+    moved: dict = {}
     for u, v, c in rerouted:
-        target = c.union(selection.chosen[(c, v)])
-        h_graph[u] = target
+        target = moved[u] = c.union(selection.chosen[(c, v)])
         if u == target:
             g_graph[u] = v
 
     g_prime = PartialFn._trusted(g.arity, g_graph, g.codomain)
-    h = PartialFn._trusted(g.arity, h_graph, g.arity)
-    return StageRecord(s=s, g_prime=g_prime, h=h, selection=selection,
-                       identity_domain=frozenset(identity))
+    return StageRecord(s=s, g_prime=g_prime, moved=moved, selection=selection)
 
 
 def _inner_map_failure(stage: StageRecord) -> str:
     """Why one stage's inner map is not width-harmless; "" when it is.
 
-    The identity part is fixed pointwise; on the rest, every S-indexed
-    component is a projection and every other component's range has width
-    at most 1.
+    h fixes every tuple outside ``moved``; on the moved ones, every
+    S-indexed component is a projection and every other component's range
+    has width at most 1.
     """
-    h = stage.h.graph
-    if any(h.get(u) != u for u in stage.identity_domain):
-        return "identity part not fixed pointwise"
-    rest = [(u, v) for u, v in h.items() if u not in stage.identity_domain]
-    if any(v.restrict(stage.s) != u.restrict(stage.s) for u, v in rest):
+    moved = stage.moved.items()
+    if any(v.restrict(stage.s) != u.restrict(stage.s) for u, v in moved):
         return "S-component not a projection"
-    for i in sorted(stage.h.arity - stage.s):
-        w = width({v[i] for _, v in rest})
+    for i in sorted(stage.g_prime.arity - stage.s):
+        w = width({v[i] for _, v in moved})
         if w > 1:
             return f"component {i} has range width {w}"
     return ""
+
+
+def _compose_moves(g: PartialFn, stages: list) -> PartialFn:
+    """The stages' inner maps composed in sweep order over dom(g): each
+    tuple followed through every stage's ``moved``."""
+    graph = {u: reduce(lambda v, stage: stage.moved.get(v, v), stages, u)
+             for u in g.graph}
+    return PartialFn._trusted(g.arity, graph, g.arity)
 
 
 def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
@@ -178,15 +178,14 @@ def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
     composed inner map h.
     """
     current = g
-    h_total = PartialFn.identity_on(g.domain(), g.arity)
     stages = []
     for s in all_subsets(sorted(g.arity)):
         stage = strong_decompose_stage(current, s, theta)
         stages.append(stage)
-        h_total = compose(stage.h, h_total)
         current = stage.g_prime
     return DecompositionTrace(
-        theta=theta, stages=stages, g_prime=current, h_composed=h_total,
+        theta=theta, stages=stages, g_prime=current,
+        h_composed=_compose_moves(g, stages),
     )
 
 
@@ -203,15 +202,16 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
     """
     checks = Checklist()
     current = g
-    h_total = PartialFn.identity_on(g.domain(), g.arity)
     for stage in trace.stages:
         label = f"S={sorted(stage.s)}"
         checks.add(f"{label}: g' contained in g",
                    stage.g_prime.is_subfunction_of(current))
-        recomposed = compose(stage.g_prime, stage.h)
-        checks.add(f"{label}: exact recomposition",
-                   recomposed == current,
-                   "" if recomposed == current else "graphs differ")
+        moved, g_prime = stage.moved, stage.g_prime.graph
+        exact = moved.keys() <= current.graph.keys() and all(
+            g_prime.get(moved.get(u, u)) == v
+            for u, v in current.graph.items())
+        checks.add(f"{label}: exact recomposition", exact,
+                   "" if exact else "graphs differ")
         wasteful = [c for c, bounds in
                     fiber_bounds(stage.g_prime, stage.s).items()
                     if max(bounds.values()) > trace.theta]
@@ -221,12 +221,11 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
                    tuple_set_width(stage.selection.a_set) <= 1)
         failure = _inner_map_failure(stage)
         checks.add(f"{label}: inner-map certificates", not failure, failure)
-        h_total = compose(stage.h, h_total)
         current = stage.g_prime
 
     checks.add("final g' is the last stage's", current == trace.g_prime)
     checks.add("composed inner map is the stages' composition",
-               h_total == trace.h_composed)
+               _compose_moves(g, trace.stages) == trace.h_composed)
     final = compose(trace.g_prime, trace.h_composed)
     checks.add("composed inner map recovers g", final == g)
     checks.add("final g' hereditarily thrifty",

@@ -241,7 +241,7 @@ def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:
         big_k = table[v.y]
         zy = u[j].y
         graph[u] = Point(0, oplus(big_k, zy)) if zy < big_k else ORIGIN
-    return PartialFn(q.arity, graph)
+    return PartialFn._trusted(q.arity, graph, None)
 
 
 def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:

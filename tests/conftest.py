@@ -57,9 +57,17 @@ def unary(mapping):
     })
 
 
+def inner_map(g, stage):
+    """A stage's inner map over the g it swept, as a full map: each tuple
+    to its ``moved`` target, every other tuple to itself."""
+    return PartialFn(g.arity, {u: stage.moved.get(u, u) for u in g.graph},
+                     g.arity)
+
+
 def stage_check(g, stage, theta, what):
     """The verifier's check ``S=[...]: what`` on the one-stage trace of g."""
-    trace = DecompositionTrace(theta, [stage], stage.g_prime, stage.h)
+    trace = DecompositionTrace(theta, [stage], stage.g_prime,
+                               inner_map(g, stage))
     name = f"S={sorted(stage.s)}: {what}"
     (check,) = [c for c in verify_decomposition(g, trace)["checks"]
                 if c["name"] == name]
@@ -69,14 +77,15 @@ def stage_check(g, stage, theta, what):
 def trace_over(g, subsets, theta, stage_thetas=None):
     """A decomposition trace of g at theta whose strong stages sweep
     ``subsets`` in the given order, each at its own threshold (default
-    theta)."""
+    theta).  Its composed inner map is the reference reading: the left fold
+    of `compose` over the stages' inner maps, each expanded to a full map."""
     current = g
-    h_total = PartialFn.identity_on(g.domain(), g.arity)
+    h_total = PartialFn(g.arity, {u: u for u in g.graph}, g.arity)
     stages = []
     for s, stage_theta in zip(subsets, stage_thetas or [theta] * len(subsets)):
         stage = strong_decompose_stage(current, s, stage_theta)
         stages.append(stage)
-        h_total = compose(stage.h, h_total)
+        h_total = compose(inner_map(current, stage), h_total)
         current = stage.g_prime
     return DecompositionTrace(theta, stages, current, h_total)
 

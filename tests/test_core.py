@@ -55,7 +55,7 @@ class TestCompose:
 
     def test_identity_case(self):
         p = unary({(0, 1): (2, 3), (4, 5): (6, 7)})
-        ident = PartialFn.identity_on(p.domain(), p.arity)
+        ident = PartialFn(p.arity, {u: u for u in p.graph}, p.arity)
         assert compose(p, ident) == p
 
     def test_point_valued_inner_rejected(self):
@@ -150,9 +150,10 @@ class TestHashFn:
     def test_identity_maps_to_identity(self):
         c = MTuple.of({1: pt(0, 5)})
         a = {MTuple.of({2: pt(i, i)}) for i in range(3)}
-        g = PartialFn.identity_on(a, idx(2))
+        g = PartialFn(idx(2), {u: u for u in a}, idx(2))
         hashed = hash_fn(c, g)
-        assert hashed == PartialFn.identity_on(star_set(c, a), idx(1, 2))
+        assert hashed == PartialFn(
+            idx(1, 2), {u: u for u in star_set(c, a)}, idx(1, 2))
 
     def test_fixed_block_preserved(self):
         c = MTuple.of({1: pt(9, 9)})

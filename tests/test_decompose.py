@@ -1,6 +1,6 @@
 import pytest
 
-from clonecover.analysis import tuple_set_width
+from clonecover.analysis import all_subsets, tuple_set_width
 from clonecover.core import (
     IndexMismatchError,
     MTuple,
@@ -21,7 +21,7 @@ from clonecover.instances import generate_instance
 from clonecover.synth import fiber_k_tables
 
 import oracle
-from conftest import idx, pt, stage_check, trace_over, tup, unary
+from conftest import idx, inner_map, pt, stage_check, trace_over, tup, unary
 
 
 def wasteful_unary(mapping):
@@ -89,9 +89,8 @@ class TestCountableSelection:
         wasteful = {
             c.union(z) for z in oracle.split(oracle.fiber(g, idx(1), c), 3)[1]
         }
-        assert wasteful == set(g.domain())
-        assert wasteful <= stage.h.domain()
-        assert {stage.h.graph[u] for u in wasteful} <= {
+        assert wasteful == set(g.domain()) == stage.moved.keys()
+        assert set(stage.moved.values()) <= {
             c.union(a) for a in stage.selection.a_set}
 
 
@@ -100,7 +99,7 @@ class TestStrongDecompose:
         g = unary({(0, 0): (9, 9), (1, 1): (8, 8)})
         stage = strong_decompose_stage(g, frozenset(), theta=2)
         assert stage.g_prime == g
-        assert stage.h == PartialFn.identity_on(g.domain(), g.arity)
+        assert stage.moved == {}
         assert stage_check(g, stage, 2, "inner-map certificates")["passed"]
 
     def test_wasteful_value_is_rerouted(self):
@@ -110,12 +109,12 @@ class TestStrongDecompose:
         stage = strong_decompose_stage(g, frozenset(), theta=2)
         assert len(stage.g_prime) == 1
         assert set(stage.g_prime.domain()) == {tup((0, 0))}
-        assert compose(stage.g_prime, stage.h) == g
+        assert compose(stage.g_prime, inner_map(g, stage)) == g
 
     def test_empty_input(self):
         g = PartialFn(idx(1), {})
         stage = strong_decompose_stage(g, frozenset(), theta=2)
-        assert len(stage.g_prime) == 0 and len(stage.h) == 0
+        assert len(stage.g_prime) == 0 and stage.moved == {}
 
     def test_fibers_become_thrifty(self):
         g = PartialFn(idx(1, 2), {
@@ -143,11 +142,14 @@ class TestStrongDecompose:
         with pytest.raises(IndexMismatchError):
             strong_decompose_stage(g, frozenset(), theta=3)
 
-    def test_identity_domain_fixed_pointwise(self):
+    def test_only_wasteful_tuples_move(self):
+        # (9|9)'s preimage is wasteful at theta 2 and moves whole onto its
+        # pick (0|0), whose own entry is recorded too; the thrifty (4|1) is
+        # fixed, so it is not recorded.
         g = unary({(0, 0): (9, 9), (0, 3): (9, 9), (4, 1): (7, 7)})
         stage = strong_decompose_stage(g, frozenset(), theta=2)
-        for u in stage.identity_domain:
-            assert stage.h.graph[u] == u
+        assert stage.moved == {tup((0, 0)): tup((0, 0)),
+                               tup((0, 3)): tup((0, 0))}
 
 
 class TestHereditaryDecompose:
@@ -198,26 +200,50 @@ class TestHereditaryDecompose:
         g' o h stays exact, but (1|0) no longer maps to itself."""
         return PartialFn(g.arity, {u: tup((0, 0)) for u in g.graph}, g.arity)
 
-    def test_verifier_rechecks_each_stage_inner_map(self):
-        # Both tuples are thrifty at S = [], so stage 0 must fix them.
-        g = unary({(0, 0): (9, 9), (1, 0): (9, 9)})
+    @pytest.mark.parametrize("stage_index, moved, failure", [
+        # at S = [1], (1|0)(0|0) moved onto (0|0)(0|0): the same value, but
+        # the S-component changes
+        (1, {tup((1, 0), (0, 0)): tup((0, 0), (0, 0))},
+         "S-component not a projection"),
+        # at S = [], both tuples moved onto themselves: exact, but the
+        # targets' first components, (0|0) and (1|0), have width 2
+        (0, {tup((0, 0), (0, 0)): tup((0, 0), (0, 0)),
+             tup((1, 0), (0, 0)): tup((1, 0), (0, 0))},
+         "component 1 has range width 2"),
+    ])
+    def test_verifier_rechecks_each_stage_inner_map(self, stage_index, moved,
+                                                    failure):
+        # Both tuples are thrifty at every S, so no stage moves them; a
+        # tampered record stays exact, only its inner map is not
+        # width-harmless.
+        g = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(9, 9),
+                                  tup((1, 0), (0, 0)): pt(9, 9)})
         trace = hereditary_decompose(g, theta=3)
-        assert trace.stages[0].identity_domain == g.domain()
-        trace.stages[0].h = self.merge_onto_origin(g)
-        trace.h_composed = self.merge_onto_origin(g)
-        assert compose(trace.stages[0].g_prime, trace.stages[0].h) == g
-        assert self.failing_checks(g, trace) == [
-            "S=[]: inner-map certificates"]
+        assert all(stage.moved == {} for stage in trace.stages)
+        stage = trace.stages[stage_index]
+        stage.moved = moved
+        trace.h_composed = inner_map(g, stage)
+        assert compose(trace.g_prime, trace.h_composed) == g
+        label = f"S={sorted(stage.s)}: inner-map certificates"
+        assert self.failing_checks(g, trace) == [label]
+        assert stage_check(g, stage, 3, "inner-map certificates")[
+            "detail"] == failure
+
+    def test_verifier_rejects_moves_from_outside_the_domain(self):
+        # g' o h still agrees with g on dom(g), but h is recorded as moving
+        # a tuple g never had
+        g = unary({(0, 0): (9, 9)})
+        trace = hereditary_decompose(g, theta=3)
+        trace.stages[0].moved = {tup((5, 5)): tup((0, 0))}
+        assert self.failing_checks(g, trace) == ["S=[]: exact recomposition"]
 
     def test_verifier_rechecks_fiber_thriftiness(self):
         # (9|9)'s preimage has bound 1 + 4 = 5 > theta = 3; a stage that
         # keeps it whole is exact but leaves the fiber at S = [] wasteful.
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
         stage = StageRecord(
-            s=frozenset(), g_prime=g,
-            h=PartialFn.identity_on(g.domain(), g.arity),
-            selection=SelectionResult(a_set=frozenset(), chosen={}),
-            identity_domain=g.domain())
+            s=frozenset(), g_prime=g, moved={},
+            selection=SelectionResult(a_set=frozenset(), chosen={}))
         check = stage_check(g, stage, 3, "fibers thrifty")
         assert (check["passed"], check["detail"]) == (False, "fiber <>")
         assert stage_check(g, stage, 5, "fibers thrifty")["passed"]
@@ -250,6 +276,18 @@ class TestHereditaryDecompose:
                 "final g' hereditarily thrifty"]
         assert not self.failing_checks(
             g, trace_over(g, [empty, one, two, both], 3))
+
+    def test_composed_inner_map_is_the_fold_of_the_stages(self):
+        # m = 3 "mary-witness" seed 5 moves four tuples at S = [1], one of
+        # them its pick; the trace composes once what trace_over folds
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        trace = hereditary_decompose(inst.g, inst.theta)
+        assert [len(stage.moved) for stage in trace.stages] == [
+            0, 4, 0, 0, 0, 0, 0, 0]
+        reference = trace_over(inst.g, all_subsets([1, 2, 3]), inst.theta)
+        assert trace.h_composed == reference.h_composed
+        assert trace.h_composed != PartialFn(
+            inst.g.arity, {u: u for u in inst.g.graph}, inst.g.arity)
 
     def test_generated_instances_decompose(self):
         for seed in range(5):

@@ -53,6 +53,7 @@ import oracle
 from conftest import (
     bound_of,
     idx,
+    inner_map,
     maximal_products,
     product_image,
     random_point,
@@ -233,11 +234,11 @@ def algebra_stage(g, s, theta):
         theta)
     t = g.arity - s
     g_parts = [PartialFn(g.arity, {}, g.codomain)]
-    h_parts = [PartialFn.identity_on([], g.arity)]
+    h_parts = [PartialFn(g.arity, {}, g.arity)]
     identity = set()
     for c, t_c in thrifty_parts.items():
         fiber_g = [t_c]
-        fiber_h = [PartialFn.identity_on(t_c.domain(), t)]
+        fiber_h = [PartialFn(t, {z: z for z in t_c.graph}, t)]
         if c in wasteful_family:
             w_c = wasteful_family[c]
             pick = {d: selection.chosen[(c, d)] for d in w_c.graph.values()}
@@ -285,8 +286,8 @@ class TestStageMatchesAlgebra:
         assert list(stage.g_prime.graph) == (
             [u for u in g.graph if u in identity]
             + [u for u in g.graph if u in picks])
-        assert stage.h == h
-        assert stage.identity_domain == identity
+        assert inner_map(g, stage) == h
+        assert g.domain() - stage.moved.keys() == identity
         assert stage_check(g, stage, theta, "inner-map certificates")[
             "passed"]
         assert stage.selection == selection
@@ -619,11 +620,13 @@ class TestDecompositionCoverage:
         if trace is None:
             return
         verdict = verify_decomposition(g, trace)
-        (final,) = [c for c in verdict["checks"]
-                    if c["name"] == "final g' hereditarily thrifty"]
+        passed = {c["name"]: c["passed"] for c in verdict["checks"]}
         covered = [stage.s for stage in trace.stages] == all_subsets(
             sorted(g.arity))
-        assert final["passed"] == covered
+        assert passed["final g' hereditarily thrifty"] == covered
+        # the program's composition of the stages' moves is the reference
+        # fold that trace_over stored
+        assert passed["composed inner map is the stages' composition"]
         target(float(verdict["passed"]))
         if verdict["passed"]:
             assert oracle.first_wasteful(trace.g_prime, trace.theta) is None

@@ -790,6 +790,33 @@ class TestCli:
         assert main(["decompose", "--m", "2", "--horizon", "8",
                      "--theta", "4", "--seed", "2"]) == 0
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--m", "2", "--seed", "2", "--profile", "mixed"],
+         "S=[]: |g'|=20 rerouted=4\n"
+         "S=[1]: |g'|=20 rerouted=0\n"
+         "S=[2]: |g'|=20 rerouted=0\n"
+         "S=[1, 2]: |g'|=20 rerouted=0\n"
+         "decomposition PASS\n"),
+        (["--m", "3", "--seed", "5", "--profile", "mary-witness"],
+         "S=[]: |g'|=31 rerouted=0\n"
+         "S=[1]: |g'|=28 rerouted=4\n"
+         "S=[2]: |g'|=28 rerouted=0\n"
+         "S=[3]: |g'|=28 rerouted=0\n"
+         "S=[1, 2]: |g'|=28 rerouted=0\n"
+         "S=[1, 3]: |g'|=28 rerouted=0\n"
+         "S=[2, 3]: |g'|=28 rerouted=0\n"
+         "S=[1, 2, 3]: |g'|=28 rerouted=0\n"
+         "decomposition PASS\n"),
+    ])
+    def test_decompose_prints_each_stage(self, argv, want, capsys):
+        # rerouted counts every tuple a stage moves, each pick's own
+        # entry included: at S = [1] four tuples move onto one pick, so
+        # |g'| falls by three
+        assert main(["decompose", "--horizon", "8", "--theta", "4",
+                     *argv]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (want, "")
+
     def test_decompose_failure_is_one_fail_line(self, tmp_path, capsys):
         # The lone value's only tuple lies above theta, so the selection
         # finds no fresh low tuple to re-route it through.
