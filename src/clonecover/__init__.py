@@ -17,6 +17,7 @@ from .core import (
 )
 from .analysis import (
     fiber_bounds,
+    fiber_columns,
     tuple_set_width,
     width,
 )
@@ -28,7 +29,7 @@ from .decompose import (
 from .synth import (
     assemble_term,
     build_Q,
-    build_h,
+    build_h_family,
     end_to_end_synthesize,
     factor_keys,
     main_lemma_certify,

@@ -3,11 +3,13 @@
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
-them against their own bounds.  `fiber_bounds` reads the least bound of
-every value in every fiber at one S in a single pass over the graph, and
-`line_bounds` turns one fiber's bounds into its K-table; the
-decomposition, its verifier and the K-tables read them and compare the
-bounds with theta themselves.
+them against their own bounds.  `fiber_columns` restricts all of dom(g)
+to one S in a single pass over g's positional columns: the fiber key of
+every tuple, in graph order, and the columns outside S.  `fiber_bounds`
+reads the least bound of every value in every fiber at S off those
+columns, and `line_bounds` turns one fiber's bounds into its K-table; the
+decomposition, its verifier, the K-tables and the helpers read them and
+compare the bounds with theta themselves.
 """
 from __future__ import annotations
 
@@ -65,27 +67,51 @@ def tuple_set_width(tuples: Iterable[MTuple]) -> int:
     return max(width({u[i] for u in tuples}) for i in sorted(arity))
 
 
-def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
-    """Least preimage bound of every value in every fiber of g at S.
+def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
+    """dom(g) restricted to S in one pass, in graph order: ``(keys,
+    outside)``, where ``keys`` lists the S-part of every tuple (its fiber
+    key) and ``outside`` maps each index outside S to the column of the
+    tuples' ``(index, point)`` entries there.
 
-    One pass over g's graph gives ``{c: {value: k}}``: the keys c are the
-    S-projections occurring in dom(g), in canonical order, and each fiber's
-    values in order of first occurrence.  A value's k is the least bound
-    of its preimage in the fiber, the least k such that each of its tuples
-    has a component below line k: the largest 1 + least y over the non-S
-    components of a tuple mapped to it, and 0 when S is the whole arity,
-    whose fibers are 0-ary.  No fiber function is built.
+    The columns are positional, ``zip(*g.graph)``: this relies on
+    `PartialFn`'s contract that every tuple lists exactly the function's
+    arity, sorted by index.  An empty g gives empty columns, and S = {}
+    the empty key for every tuple.
     """
     s = frozenset(s)
     if not s <= g.arity:
         raise IndexMismatchError(
             f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
         )
-    zero_ary = s == g.arity
+    inside, outside = [], {}
+    columns = list(zip(*g.graph)) or [()] * len(g.arity)
+    for i, column in zip(sorted(g.arity), columns):
+        if i in s:
+            inside.append(column)
+        else:
+            outside[i] = column
+    if not inside:
+        return [MTuple.empty()] * len(g.graph), outside
+    return list(map(MTuple, zip(*inside))), outside
+
+
+def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
+    """Least preimage bound of every value in every fiber of g at S.
+
+    One pass over `fiber_columns` gives ``{c: {value: k}}``: the keys c
+    are the S-projections occurring in dom(g), in canonical order, and
+    each fiber's values in order of first occurrence.  A value's k is the
+    least bound of its preimage in the fiber, the least k such that each
+    of its tuples has a component below line k: the largest 1 + least y
+    over the non-S components of a tuple mapped to it, and 0 when S is the
+    whole arity, whose fibers are 0-ary.  No fiber function is built.
+    """
+    keys, outside = fiber_columns(g, s)
+    lows = [[p.y + 1 for _, p in column] for column in outside.values()]
+    bound_of = (map(min, *lows) if len(lows) > 1
+                else lows[0] if lows else [0] * len(keys))
     bounds: dict = {}
-    for u, v in g.graph.items():
-        c = u.restrict(s)
-        k = 0 if zero_ary else 1 + min(p.y for i, p in u if i not in s)
+    for c, v, k in zip(keys, g.graph.values(), bound_of):
         per_value = bounds.setdefault(c, {})
         if per_value.get(v, -1) < k:
             per_value[v] = k

@@ -135,8 +135,8 @@ class PartialFn:
     them only in ways that preserve the index sets, and so cannot produce
     an invalid entry.  ``synth.normal_witness`` wraps f* the same way: it
     is built from the horizon alone, so it is valid by construction; so
-    does ``synth.build_h``, whose keys are dom(q)'s and whose values are
-    points it makes itself.
+    does ``synth.build_h_family`` for each helper, whose keys are dom(q)'s
+    and whose values are points it makes itself.
     Parsers, generators and other builders from outside data go through
     the checked constructor.
     """
@@ -300,25 +300,31 @@ class Term:
         self.arity = frozenset(self.arity)
 
     def size(self) -> int:
-        return _node_size(self.root)
+        """Node count of the term as a tree, shared subterms counted at
+        every occurrence."""
+        return _fold_nodes(self.root, sum)
 
     def depth(self) -> int:
-        return _node_depth(self.root)
+        return _fold_nodes(self.root, lambda found: max(found, default=0))
 
     def witness_atoms(self) -> list:
         return sorted(n for n, b in self.env.items() if b.kind == WITNESS_ATOM)
 
 
-def _node_size(node: TermNode) -> int:
-    if isinstance(node, Proj):
-        return 1
-    return 1 + sum(_node_size(ch) for ch in node.children)
+def _fold_nodes(root: TermNode, combine: Callable[[list], int]) -> int:
+    """1 at a projection, 1 + ``combine`` of the children's values at an
+    application: one visit per distinct node object, however often the
+    tree shares it."""
+    done: dict = {}  # id(node) -> its value; root keeps every node alive
 
+    def visit(node: TermNode) -> int:
+        found = done.get(id(node))
+        if found is None:
+            found = done[id(node)] = 1 if isinstance(node, Proj) else (
+                1 + combine([visit(ch) for ch in node.children]))
+        return found
 
-def _node_depth(node: TermNode) -> int:
-    if isinstance(node, Proj):
-        return 1
-    return 1 + max((_node_depth(ch) for ch in node.children), default=0)
+    return visit(root)
 
 
 def compile_term(t: Term) -> Callable[[list], list]:
@@ -345,7 +351,8 @@ def compile_term(t: Term) -> Callable[[list], list]:
     raises ``UnresolvedAtomError``, and a projection outside the term's
     arity or a wrong child count ``IndexMismatchError``, also behind an
     undefined sibling, where a walk that stops at the first undefined child
-    would never look.  ``serialize.term_loads`` lowers every term it reads,
+    would never look.  A node object the tree shares is lowered once, however
+    often it occurs.  ``serialize.term_loads`` lowers every term it reads,
     so a parsed term has none of these faults.  The evaluator raises
     ``IndexMismatchError``, before any lookup, if a tuple is not over the
     term's arity.
@@ -361,7 +368,15 @@ def compile_term(t: Term) -> Callable[[list], list]:
             program.append(entry)
         return found
 
+    lowered: dict = {}  # id(node) -> its slot; t.root keeps nodes alive
+
     def lower(node: TermNode) -> int:
+        found = lowered.get(id(node))
+        if found is None:
+            found = lowered[id(node)] = lower_new(node)
+        return found
+
+    def lower_new(node: TermNode) -> int:
         if isinstance(node, Proj):
             if node.k not in t.arity:
                 raise IndexMismatchError(

@@ -13,13 +13,13 @@ width-harmlessness of every inner map included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping
 
 from .analysis import (
     Checklist,
     all_subsets,
     fiber_bounds,
+    fiber_columns,
     tuple_set_width,
     width,
 )
@@ -110,12 +110,13 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
     of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`,
-    and one pass over g classifies each entry u -> v of fiber c against
-    them: a thrifty entry keeps u in g' and h fixes it; a wasteful one adds
-    its non-S part to the `countable_selection` input and, once the pick
-    for (c, v) is known, moves to c∪pick, only the pick keeping its g'
-    entry.  g' lists g's thrifty entries in g's order, then the picks in
-    g's order; it is wrapped unchecked, as its entries come from g.
+    and one pass over g and its fiber keys (`fiber_columns`) classifies
+    each entry u -> v of fiber c against them: a thrifty entry keeps u in
+    g' and h fixes it; a wasteful one adds its non-S part to the
+    `countable_selection` input and, once the pick for (c, v) is known,
+    moves to c∪pick, only the pick keeping its g' entry.  g' lists g's
+    thrifty entries in g's order, then the picks in g's order; it is
+    wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
     if not s <= g.arity:
@@ -128,8 +129,7 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     g_graph: dict = {}
     wasteful: dict = {}
     rerouted: list = []
-    for u, v in g.graph.items():
-        c = u.restrict(s)
+    for u, v, c in zip(g.graph, g.graph.values(), fiber_columns(g, s)[0]):
         if bounds[c][v] <= theta:
             g_graph[u] = v
         else:
@@ -165,9 +165,23 @@ def _inner_map_failure(stage: StageRecord) -> str:
 
 def _compose_moves(g: PartialFn, stages: list) -> PartialFn:
     """The stages' inner maps composed in sweep order over dom(g): each
-    tuple followed through every stage's ``moved``."""
-    graph = {u: reduce(lambda v, stage: stage.moved.get(v, v), stages, u)
-             for u in g.graph}
+    tuple followed through every stage's ``moved``.
+
+    Only moved tuples are followed.  A stage moves tuples of the g it
+    sweeps: each is a tuple of dom(g) that no stage moved before, or an
+    image so far, a pick, which its stage recorded as moved onto itself.
+    So each stage advances the images it moves, then starts the tuples it
+    moves for the first time.
+    """
+    image: dict = {}
+    for stage in stages:
+        moved = stage.moved
+        for u, v in image.items():
+            if v in moved:
+                image[u] = moved[v]
+        for u, target in moved.items():
+            image.setdefault(u, target)
+    graph = {u: image.get(u, u) for u in g.graph}
     return PartialFn._trusted(g.arity, graph, g.arity)
 
 

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import all_subsets, fiber_bounds, line_bounds, width
+from .analysis import (all_subsets, fiber_bounds, fiber_columns, line_bounds,
+                       width)
 from .core import (
     App,
     AtomBinding,
@@ -217,44 +218,47 @@ def fiber_k_tables(q: PartialFn, theta: int) -> dict:
             for c, bounds in fiber_bounds(q, s).items()}
 
 
-def build_h(q: PartialFn, s: IndexSet, j: int, k_tables: Mapping) -> PartialFn:
-    """The helper map for one (S, j) pair, total over dom(q).
+def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
+    """The helper maps h^{S,j}, one per (S, j) pair of ``keys`` past the
+    inputs, in key order, each total over dom(q).
 
     For u = c (union) z in dom(q): (0 | K (+) z_j^y) when z_j's line index
     lies below the fiber's bound K at q(u)'s line, and (0|0) otherwise: the
     paper's bar extension, stated only here, for the selector and the term
     to read.  The range sits in the x = 0 row, hence has width 1: a code
     K (+) z is at least 1, so (0|0) is alone on line 0.
+
+    One S at a time: its fiber keys (`fiber_columns`), one K per entry,
+    then one pass over the y-column of each j outside S.  A missing K
+    entry raises AdmissibilityError, the first in sweep and graph order.
     """
-    s = frozenset(s)
-    if j in s or j not in q.arity:
-        raise ValueError(f"j={j} must lie outside S and inside the arity")
-    graph = {}
-    for u, v in q.graph.items():
-        c = u.restrict(s)
-        table = k_tables.get((s, c))
-        if table is None or v.y not in table:
-            raise AdmissibilityError(
-                f"missing K entry for fiber ({sorted(s)}, {c!r}) at line {v.y}; "
-                "q was not certified hereditarily thrifty"
-            )
-        big_k = table[v.y]
-        zy = u[j].y
-        graph[u] = Point(0, oplus(big_k, zy)) if zy < big_k else ORIGIN
-    return PartialFn._trusted(q.arity, graph, None)
-
-
-def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
-    return {
-        (s, j): build_h(q, s, j, k_tables) for s, j in keys[len(q.arity):]
-    }
+    family = {}
+    for s, pairs in itertools.groupby(keys[len(q.arity):],
+                                      key=lambda pair: pair[0]):
+        fiber_keys, outside = fiber_columns(q, s)
+        bounds = []
+        for c, v in zip(fiber_keys, q.graph.values()):
+            table = k_tables.get((s, c))
+            if table is None or v.y not in table:
+                raise AdmissibilityError(
+                    f"missing K entry for fiber ({sorted(s)}, {c!r}) at line "
+                    f"{v.y}; q was not certified hereditarily thrifty"
+                )
+            bounds.append(table[v.y])
+        for _, j in pairs:
+            family[s, j] = PartialFn._trusted(q.arity, {
+                u: Point(0, oplus(big_k, p.y)) if p.y < big_k else ORIGIN
+                for u, big_k, (_, p) in zip(q.graph, bounds, outside[j])
+            }, None)
+    return family
 
 
 def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
             keys: tuple) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
     the witness's output on the corresponding helper at u; value q(u).  The
-    helpers are total over dom(q) (`build_h`), so every slot is read."""
+    helpers are total over dom(q) (`build_h_family`), so every slot is
+    read."""
     m = len(q.arity)
     witness = {d: v for ((_, d),), v in nw.f_star.graph.items()}
     slots = [(slot, h_family[pair].graph)
@@ -290,8 +294,8 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
                   inner: PartialFn) -> Term:
     """The synthesized term for g = q o inner: the selector applied to the
     inner-map components and the witness's outputs on the helpers at those
-    components.  The helpers are bound as built: `build_h` already gives
-    them the (0|0) value off their bound, over all of dom(q)."""
+    components.  The helpers are bound as built: `build_h_family` already
+    gives them the (0|0) value off their bound, over all of dom(q)."""
     env = {
         SELECTOR_ATOM: AtomBinding(q_table, CI_ATOM),
         WITNESS_NAME: AtomBinding(nw.f_star, WITNESS_ATOM),
@@ -402,7 +406,7 @@ def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
     """The width-1 factor family that agreeing selector entries span: for
     each factor key, the line -> column map of the entries' points in its
     slot.  Lines it does not list read as column 0, the (0|0) convention
-    that `build_h` applies to the helpers."""
+    that `build_h_family` applies to the helpers."""
     family = {}
     for slot, key in enumerate(factor_keys(m), 1):
         factor = family[key] = {}
@@ -435,16 +439,22 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     Every other pair could only pass vacuously.
 
     The table is scanned once; each entry in the product joins the group
-    of every perm it qualifies under on its value line.
+    of every perm it qualifies under on its value line.  Those perms sort
+    its input lines: the concatenations, in line order, of a permutation
+    of each group of indices on one line, so they are generated, not
+    searched for among all m!.
     """
     keys = factor_keys(m)
-    perms = list(itertools.permutations(range(1, m + 1)))
     groups: dict = {}  # (value line, perm) -> qualifying entries
     for uv, val in q_table.graph.items():
         if _in_product(uv, factors, keys):
-            for perm in perms:
-                if all(uv[a].y <= uv[b].y for a, b in zip(perm, perm[1:])):
-                    groups.setdefault((val.y, perm), []).append(uv)
+            line_of = {i: p.y for i, p in uv if i <= m}
+            tied = [tuple(group) for _, group in itertools.groupby(
+                sorted(line_of, key=line_of.get), key=line_of.get)]
+            for parts in itertools.product(
+                    *map(itertools.permutations, tied)):
+                perm = tuple(itertools.chain.from_iterable(parts))
+                groups.setdefault((val.y, perm), []).append(uv)
     return [_certify_line(k_tables, factors, n, perm, sorted(qualifying))
             for (n, perm), qualifying in sorted(groups.items())]
 

@@ -4,10 +4,11 @@ from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
     fiber_bounds,
+    fiber_columns,
     tuple_set_width,
     width,
 )
-from clonecover.core import MTuple, PartialFn
+from clonecover.core import IndexMismatchError, MTuple, PartialFn
 
 import oracle
 from conftest import bound_of, idx, k_table_of, pt, tup, unary
@@ -174,6 +175,66 @@ class TestHereditarilyThrifty:
             MTuple.of({1: pt(0, 5)}): {pt(9, 9): 1}}
         assert fiber_bounds(q, idx(2)) == {c: {pt(9, 9): 6}}
         assert oracle.first_wasteful(q, 3) == (idx(2), c, pt(9, 9))
+
+
+class TestFiberColumns:
+    """`fiber_columns` and the `fiber_bounds` read off them, at the edges:
+    an empty g, S = {}, S = the arity, and indices whose positional order
+    (2 before 10) is not their JSON key order ("10" before "2")."""
+
+    def test_empty_graph_at_every_subset(self):
+        g = PartialFn(idx(1, 2, 3), {})
+        for s in all_subsets([1, 2, 3]):
+            assert fiber_columns(g, s) == (
+                [], {j: () for j in sorted(idx(1, 2, 3) - s)})
+            assert fiber_bounds(g, s) == {}
+
+    def test_empty_subset_gives_the_empty_key(self):
+        u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
+        g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(2, 2)})
+        keys, outside = fiber_columns(g, frozenset())
+        assert keys == [MTuple.empty(), MTuple.empty()]
+        assert outside == {1: ((1, pt(0, 4)), (1, pt(3, 0))),
+                           2: ((2, pt(1, 2)), (2, pt(5, 6)))}
+        assert fiber_bounds(g, frozenset()) == {
+            MTuple.empty(): {pt(1, 1): 3, pt(2, 2): 1}}
+
+    def test_whole_arity_gives_the_tuples_and_bound_zero(self):
+        u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
+        g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(1, 1)})
+        assert fiber_columns(g, idx(1, 2)) == ([u, w], {})
+        assert fiber_bounds(g, idx(1, 2)) == {u: {pt(1, 1): 0},
+                                              w: {pt(1, 1): 0}}
+        assert fiber_bounds(unary({(0, 9): (1, 1)}), idx(1)) == {
+            MTuple.of({1: pt(0, 9)}): {pt(1, 1): 0}}
+
+    def test_positional_order_is_index_order(self):
+        # graph order w, u; fiber keys in canonical order, values in order
+        # of first occurrence
+        u = MTuple.of({2: pt(0, 7), 10: pt(1, 3)})
+        w = MTuple.of({10: pt(4, 5), 2: pt(0, 1)})
+        g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8)})
+        keys, outside = fiber_columns(g, idx(10))
+        assert keys == [MTuple.of({10: pt(4, 5)}), MTuple.of({10: pt(1, 3)})]
+        assert outside == {2: ((2, pt(0, 1)), (2, pt(0, 7)))}
+        assert fiber_bounds(g, idx(10)) == {
+            MTuple.of({10: pt(1, 3)}): {pt(8, 8): 8},
+            MTuple.of({10: pt(4, 5)}): {pt(9, 9): 2}}
+        assert fiber_bounds(g, idx(2)) == {
+            MTuple.of({2: pt(0, 1)}): {pt(9, 9): 6},
+            MTuple.of({2: pt(0, 7)}): {pt(8, 8): 4}}
+        g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8),
+                                   MTuple.of({2: pt(5, 0), 10: pt(4, 5)}):
+                                   pt(9, 9)})
+        assert fiber_bounds(g, frozenset()) == {
+            MTuple.empty(): {pt(9, 9): 2, pt(8, 8): 4}}
+        for s in all_subsets([2, 10]):
+            assert fiber_bounds(g, s) == oracle.fiber_bounds(g, s)
+
+    def test_subset_outside_the_arity_rejected(self):
+        g = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
+        with pytest.raises(IndexMismatchError, match=r"S=\[3\]"):
+            fiber_columns(g, idx(3))
 
 
 class TestAllSubsets:

@@ -314,6 +314,18 @@ class TestTerms:
         t = Term(App("p", (Proj(1),)), {"p": AtomBinding(p, CI_ATOM)}, idx(1))
         assert t.size() == 2 and t.depth() == 2
 
+    def test_shared_nodes_are_walked_once(self):
+        # 60 levels, each applying p to the level below twice: a tree of
+        # 2^61 - 1 nodes over 61 node objects, which a walk of the tree
+        # would never finish.
+        p = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
+        node = Proj(1)
+        for _ in range(60):
+            node = App("p", (node, node))
+        t = Term(node, {"p": AtomBinding(p, CI_ATOM)}, idx(1))
+        assert t.size() == 2 ** 61 - 1 and t.depth() == 61
+        assert compile_term(t)([tup((0, 0)), tup((1, 0))]) == [pt(0, 0), None]
+
 
 class TestMTuple:
     def test_union_disjoint(self):

@@ -41,7 +41,7 @@ from clonecover.decompose import (
     verify_decomposition,
 )
 from clonecover.synth import (
-    build_h,
+    build_h_family,
     factor_keys,
     fiber_k_tables,
     normalize_f,
@@ -384,13 +384,16 @@ class TestExtensionLaws:
         lambda arity: partial_fns(arity, None)))
     def test_helpers_are_total_with_origin_off_the_bound(self, q):
         tables = fiber_k_tables(q, 3)
-        for s in all_subsets(sorted(q.arity)):
-            for j in sorted(q.arity - s):
-                h = build_h(q, s, j, tables)
-                assert h.domain() == q.domain()
-                for u, v in q.graph.items():
-                    big_k = tables[s, u.restrict(s)][v.y]
-                    assert (h.graph[u] == ORIGIN) == (u[j].y >= big_k)
+        pairs = tuple((s, j) for s in all_subsets(sorted(q.arity))
+                      for j in sorted(q.arity - s))
+        family = build_h_family(q, tuple(sorted(q.arity)) + pairs, tables)
+        assert list(family) == list(pairs)
+        for s, j in pairs:
+            h = family[s, j]
+            assert h.domain() == q.domain()
+            for u, v in q.graph.items():
+                big_k = tables[s, u.restrict(s)][v.y]
+                assert (h.graph[u] == ORIGIN) == (u[j].y >= big_k)
 
 
 class TestPointLevelLaws:

@@ -15,7 +15,7 @@ from clonecover.decompose import AdmissibilityError
 from clonecover.instances import PROFILES, generate_instance
 from clonecover.synth import (
     StageError,
-    build_h,
+    build_h_family,
     end_to_end_synthesize,
     factor_keys,
     fiber_k_tables,
@@ -188,8 +188,8 @@ class TestBuildH:
         # returns (0 | 3 (+) 2) = (0|11).
         q = unary({(0, 2): (4, 7)})
         tables = fiber_k_tables(q, theta=4)
-        h = build_h(q, frozenset(), 1, tables)
-        assert h.graph == {tup((0, 2)): pt(0, 11)}
+        family = build_h_family(q, factor_keys(1), tables)
+        assert family[frozenset(), 1].graph == {tup((0, 2)): pt(0, 11)}
 
     def test_undefined_above_the_bound(self):
         # K at line 7 for S = {} is 1: z_2^y = 0 lies below it, giving
@@ -198,8 +198,9 @@ class TestBuildH:
         u = tup((0, 5), (0, 0))
         q = PartialFn(idx(1, 2), {u: pt(4, 7)})
         tables = fiber_k_tables(q, theta=6)
-        assert build_h(q, frozenset(), 2, tables).graph == {u: pt(0, 1)}
-        assert build_h(q, frozenset(), 1, tables).graph == {u: ORIGIN}
+        family = build_h_family(q, factor_keys(2), tables)
+        assert family[frozenset(), 2].graph == {u: pt(0, 1)}
+        assert family[frozenset(), 1].graph == {u: ORIGIN}
 
     def test_range_is_x0_and_width1(self):
         inst = generate_instance(m=2, horizon=8, theta=4, seed=3)
@@ -210,11 +211,34 @@ class TestBuildH:
             assert all(p.x == 0 for p in ran)
             assert width(ran) <= 1
 
-    def test_j_inside_s_rejected(self):
-        q = unary({(0, 2): (4, 7)})
-        tables = fiber_k_tables(q, theta=4)
-        with pytest.raises(ValueError):
-            build_h(q, idx(1), 1, tables)
+    def test_family_has_one_helper_per_pair_in_key_order(self):
+        # the (S, j) pairs past the inputs, j outside S; none at S = arity
+        q = PartialFn(idx(1, 2), {tup((0, 1), (0, 2)): pt(4, 7)})
+        keys = factor_keys(2)
+        family = build_h_family(q, keys, fiber_k_tables(q, theta=4))
+        assert list(family) == list(keys[2:])
+        assert all(h.domain() == q.domain() for h in family.values())
+
+    def test_missing_k_entry_is_the_first_in_sweep_order(self):
+        # S = {1} comes before S = {2} in the sweep, and w before u in
+        # q's graph: with the tables at both S gone, w's fiber at S = {1}
+        # is named; with only u's table there gone, u's.
+        u, w = tup((0, 3), (0, 1)), tup((0, 2), (0, 4))
+        q = PartialFn(idx(1, 2), {w: pt(1, 5), u: pt(4, 7)})
+        tables = fiber_k_tables(q, theta=6)
+        cases = [
+            ([key for key in tables if key[0] in (idx(1), idx(2))],
+             r"\(\[1\], <1:\(0\|2\)>\) at line 5"),
+            ([(idx(1), MTuple.of({1: pt(0, 3)}))],
+             r"\(\[1\], <1:\(0\|3\)>\) at line 7"),
+        ]
+        for gone, fiber in cases:
+            kept = {key: t for key, t in tables.items() if key not in gone}
+            with pytest.raises(
+                    AdmissibilityError,
+                    match=rf"^missing K entry for fiber {fiber}; q was not "
+                          r"certified hereditarily thrifty$"):
+                build_h_family(q, factor_keys(2), kept)
 
 
 class TestBuildQ:
