@@ -18,6 +18,8 @@ from .core import (
 from .analysis import (
     fiber_bounds,
     fiber_columns,
+    line_bounds,
+    tuple_bounds,
     tuple_set_width,
     width,
 )

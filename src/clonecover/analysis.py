@@ -5,11 +5,14 @@ witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
 them against their own bounds.  `fiber_columns` restricts all of dom(g)
 to one S in a single pass over g's positional columns: the fiber key of
-every tuple, in graph order, and the columns outside S.  `fiber_bounds`
-reads the least bound of every value in every fiber at S off those
-columns, and `line_bounds` turns one fiber's bounds into its K-table; the
-decomposition, its verifier, the K-tables and the helpers read them and
-compare the bounds with theta themselves.
+every tuple, in graph order, and the columns outside S.  `tuple_bounds`
+reads one bound per tuple off those columns, 1 + its least y outside S.
+Whether a fiber or a value in it is thrifty, and a fiber's K-table, are
+maxima of these bounds, so the decomposition, its verifier and the
+K-tables read this one column per sweep and compare it with theta
+themselves.  `fiber_bounds` folds it per value, and `line_bounds` turns
+one fiber's per-value bounds into its K-table, naming the least wasteful
+value when there is one.
 """
 from __future__ import annotations
 
@@ -95,21 +98,31 @@ def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
     return list(map(MTuple, zip(*inside))), outside
 
 
-def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
-    """Least preimage bound of every value in every fiber of g at S.
+def tuple_bounds(g: PartialFn, s: IndexSet) -> tuple:
+    """The fiber key and the bound of every tuple of dom(g) at S, in graph
+    order: ``(keys, bounds)`` with ``keys`` as in `fiber_columns`.
 
-    One pass over `fiber_columns` gives ``{c: {value: k}}``: the keys c
-    are the S-projections occurring in dom(g), in canonical order, and
-    each fiber's values in order of first occurrence.  A value's k is the
-    least bound of its preimage in the fiber, the least k such that each
-    of its tuples has a component below line k: the largest 1 + least y
-    over the non-S components of a tuple mapped to it, and 0 when S is the
-    whole arity, whose fibers are 0-ary.  No fiber function is built.
+    A tuple's bound is the least k such that it has a component below line
+    k outside S: 1 + its least y over the non-S components, and 0 when S is
+    the whole arity, whose fibers are 0-ary.  A value's least preimage
+    bound in a fiber is the largest bound of its tuples there.
     """
     keys, outside = fiber_columns(g, s)
     lows = [[p.y + 1 for _, p in column] for column in outside.values()]
-    bound_of = (map(min, *lows) if len(lows) > 1
-                else lows[0] if lows else [0] * len(keys))
+    if len(lows) > 1:
+        return keys, list(map(min, *lows))
+    return keys, lows[0] if lows else [0] * len(keys)
+
+
+def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
+    """Least preimage bound of every value in every fiber of g at S.
+
+    ``{c: {value: k}}``: the keys c are the S-projections occurring in
+    dom(g), in canonical order, and each fiber's values in order of first
+    occurrence.  A value's k is the largest `tuple_bounds` entry of a tuple
+    mapped to it in the fiber.  No fiber function is built.
+    """
+    keys, bound_of = tuple_bounds(g, s)
     bounds: dict = {}
     for c, v, k in zip(keys, g.graph.values(), bound_of):
         per_value = bounds.setdefault(c, {})

@@ -136,7 +136,9 @@ class PartialFn:
     an invalid entry.  ``synth.normal_witness`` wraps f* the same way: it
     is built from the horizon alone, so it is valid by construction; so
     does ``synth.build_h_family`` for each helper, whose keys are dom(q)'s
-    and whose values are points it makes itself.
+    and whose values are points it makes itself, and ``synth.build_Q`` for
+    the selector, whose keys extend dom(q)'s by the slots in ascending
+    order and whose slot values are f*'s own points.
     Parsers, generators and other builders from outside data go through
     the checked constructor.
     """
@@ -302,29 +304,27 @@ class Term:
     def size(self) -> int:
         """Node count of the term as a tree, shared subterms counted at
         every occurrence."""
-        return _fold_nodes(self.root, sum)
+        return _fold_nodes(self.root, sum, {})
 
     def depth(self) -> int:
-        return _fold_nodes(self.root, lambda found: max(found, default=0))
+        return _fold_nodes(self.root, lambda found: max(found, default=0), {})
 
     def witness_atoms(self) -> list:
         return sorted(n for n, b in self.env.items() if b.kind == WITNESS_ATOM)
 
 
-def _fold_nodes(root: TermNode, combine: Callable[[list], int]) -> int:
+def _fold_nodes(node: TermNode, combine: Callable[[list], int],
+                done: dict) -> int:
     """1 at a projection, 1 + ``combine`` of the children's values at an
     application: one visit per distinct node object, however often the
-    tree shares it."""
-    done: dict = {}  # id(node) -> its value; root keeps every node alive
-
-    def visit(node: TermNode) -> int:
-        found = done.get(id(node))
-        if found is None:
-            found = done[id(node)] = 1 if isinstance(node, Proj) else (
-                1 + combine([visit(ch) for ch in node.children]))
-        return found
-
-    return visit(root)
+    tree shares it.  ``done`` maps the id of each node visited to its
+    value; the caller's root keeps every node alive."""
+    found = done.get(id(node))
+    if found is None:
+        found = done[id(node)] = 1 if isinstance(node, Proj) else (
+            1 + combine([_fold_nodes(ch, combine, done)
+                         for ch in node.children]))
+    return found
 
 
 def compile_term(t: Term) -> Callable[[list], list]:
@@ -402,7 +402,12 @@ def compile_term(t: Term) -> Callable[[list], list]:
             entry = (_ROWS, arity, children)
         return slot(key, (_LOOKUP, fn.graph, slot((arity, children), entry)))
 
-    root = lower(t.root)
+    try:
+        root = lower(t.root)
+    finally:
+        # lower and lower_new reach each other through their cells; the
+        # cycle would keep the term alive until the cyclic collector ran
+        del lower, lower_new
 
     def evaluate(tuples: list) -> list:
         for u in tuples:

@@ -18,8 +18,7 @@ from typing import Mapping
 from .analysis import (
     Checklist,
     all_subsets,
-    fiber_bounds,
-    fiber_columns,
+    tuple_bounds,
     tuple_set_width,
     width,
 )
@@ -109,14 +108,15 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     """One sweep: make every fiber of g at S thrifty at theta.
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
-    of g' at S is all-thrifty.  The value bounds come from `fiber_bounds`,
-    and one pass over g and its fiber keys (`fiber_columns`) classifies
-    each entry u -> v of fiber c against them: a thrifty entry keeps u in
-    g' and h fixes it; a wasteful one adds its non-S part to the
-    `countable_selection` input and, once the pick for (c, v) is known,
-    moves to c∪pick, only the pick keeping its g' entry.  g' lists g's
-    thrifty entries in g's order, then the picks in g's order; it is
-    wrapped unchecked, as its entries come from g.
+    of g' at S is all-thrifty.  A value is wasteful in its fiber c exactly
+    when one of its tuples there has a `tuple_bounds` entry above theta,
+    so one read of that column finds the wasteful (c, value) pairs.  One
+    pass over g and the fiber keys then classifies each entry u -> v of
+    fiber c: a thrifty entry keeps u in g' and h fixes it; a wasteful one
+    adds its non-S part to the `countable_selection` input and, once the
+    pick for (c, v) is known, moves to c∪pick, only the pick keeping its
+    g' entry.  g' lists g's thrifty entries in g's order, then the picks
+    in g's order; it is wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
     if not s <= g.arity:
@@ -125,16 +125,19 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
         raise IndexMismatchError("decomposition applies to point-valued functions")
     if theta < 1:
         raise ValueError("theta must be at least 1")
-    bounds = fiber_bounds(g, s)
+    keys, bounds = tuple_bounds(g, s)
+    values = g.graph.values()
+    wasted = {(c, v) for c, v, k in zip(keys, values, bounds) if k > theta}
+    wasted_values = {v for _, v in wasted}  # tested first: builds no pair
     g_graph: dict = {}
     wasteful: dict = {}
     rerouted: list = []
-    for u, v, c in zip(g.graph, g.graph.values(), fiber_columns(g, s)[0]):
-        if bounds[c][v] <= theta:
-            g_graph[u] = v
-        else:
+    for u, v, c in zip(g.graph, values, keys):
+        if v in wasted_values and (c, v) in wasted:
             wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
             rerouted.append((u, v, c))
+        else:
+            g_graph[u] = v
     selection = countable_selection(wasteful, theta)
     moved: dict = {}
     for u, v, c in rerouted:
@@ -226,11 +229,10 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
             for u, v in current.graph.items())
         checks.add(f"{label}: exact recomposition", exact,
                    "" if exact else "graphs differ")
-        wasteful = [c for c, bounds in
-                    fiber_bounds(stage.g_prime, stage.s).items()
-                    if max(bounds.values()) > trace.theta]
+        keys, bounds = tuple_bounds(stage.g_prime, stage.s)
+        wasteful = [c for c, k in zip(keys, bounds) if k > trace.theta]
         checks.add(f"{label}: fibers thrifty", not wasteful,
-                   f"fiber {wasteful[0]!r}" if wasteful else "")
+                   f"fiber {min(wasteful)!r}" if wasteful else "")
         checks.add(f"{label}: selection width",
                    tuple_set_width(stage.selection.a_set) <= 1)
         failure = _inner_map_failure(stage)

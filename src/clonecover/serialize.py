@@ -225,17 +225,29 @@ def _node_json(node) -> dict:
     }
 
 
-def _node_parse(obj):
-    """The term node obj describes.  Its lookup, type and value errors are
-    left to the one guard `term_loads` puts around the root, which reports
-    them as a ParseError about a term node."""
+def _node_parse(obj, interned: dict):
+    """The term node obj describes, one object per distinct node of the
+    document: ``interned`` maps a projection's index, or an application's
+    name and the ids of its already interned children, to the node, so a
+    loaded term shares its subterms as a synthesized one does.  Its lookup,
+    type and value errors are left to the one guard `term_loads` puts
+    around the root, which reports them as a ParseError about a term
+    node."""
     if not isinstance(obj, dict) or "t" not in obj:
         raise ParseError(f"bad term node {obj!r}")
     if obj["t"] == "proj":
-        return Proj(_int(obj["k"], "term node: projection"))
+        k = _int(obj["k"], "term node: projection")
+        node = interned.get(k)
+        if node is None:
+            node = interned[k] = Proj(k)
+        return node
     if obj["t"] == "app":
-        return App(obj["name"],
-                   tuple(_node_parse(ch) for ch in obj["children"]))
+        children = tuple(_node_parse(ch, interned) for ch in obj["children"])
+        key = (obj["name"], *map(id, children))
+        node = interned.get(key)
+        if node is None:
+            node = interned[key] = App(obj["name"], children)
+        return node
     raise ParseError(f"unknown term node tag {obj['t']!r}")
 
 
@@ -268,7 +280,7 @@ def term_loads(data: bytes) -> Term:
                     f"term: atom {name!r} has unknown kind {b.kind!r}")
         node = doc["root"]
         with _parsing("term node"):
-            root = _node_parse(node)
+            root = _node_parse(node, {})
         term = Term(
             root=root,
             env=env,

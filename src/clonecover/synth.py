@@ -14,10 +14,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .analysis import (all_subsets, fiber_bounds, fiber_columns, line_bounds,
-                       width)
+                       tuple_bounds, width)
 from .core import (
     App,
     AtomBinding,
@@ -209,13 +210,38 @@ def factor_keys(m: int) -> tuple:
 
 def fiber_k_tables(q: PartialFn, theta: int) -> dict:
     """K-tables for every fiber of q, keyed by (S, fiber key) in sweep and
-    key order: the line maxima (`line_bounds`) of each fiber's
-    `fiber_bounds`."""
+    key order, each in line order: a line's K is the largest `tuple_bounds`
+    entry among the fiber's tuples whose value lies on that line, the least
+    bound of the line's preimage.
+
+    One pass per S over q's bounds, taking the tuples in line order, so
+    each table fills in line order.  theta < 1 on a non-empty q raises
+    ValueError; a bound above theta raises the `NotThriftyError` of
+    `line_bounds` on that S's `fiber_bounds`, the least wasteful value of
+    the first wasteful fiber in sweep and key order.  An empty q gives {}.
+    """
     if not q.is_point_valued():
         raise IndexMismatchError("k-tables apply to point-valued functions")
-    return {(s, c): line_bounds(bounds, theta)
-            for s in all_subsets(sorted(q.arity))
-            for c, bounds in fiber_bounds(q, s).items()}
+    if q.graph and theta < 1:
+        raise ValueError("theta must be at least 1")
+    lines = [v.y for v in q.graph.values()]
+    order = sorted(range(len(lines)), key=lines.__getitem__)
+    lines = [lines[t] for t in order]
+    tables = {}
+    for s in all_subsets(sorted(q.arity)):
+        keys, bounds = tuple_bounds(q, s)
+        if max(bounds, default=0) > theta:
+            for value_bounds in fiber_bounds(q, s).values():
+                line_bounds(value_bounds, theta)
+        per_key: dict = {}
+        for c, n, k in zip(map(keys.__getitem__, order), lines,
+                           map(bounds.__getitem__, order)):
+            table = per_key.setdefault(c, {})
+            if table.get(n, -1) < k:
+                table[n] = k
+        for c in sorted(per_key):
+            tables[s, c] = per_key[c]
+    return tables
 
 
 def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
@@ -229,7 +255,8 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     K (+) z is at least 1, so (0|0) is alone on line 0.
 
     One S at a time: its fiber keys (`fiber_columns`), one K per entry,
-    then one pass over the y-column of each j outside S.  A missing K
+    then one pass over the y-column of each j outside S, so every helper
+    lists dom(q) in q's graph order, which `build_Q` reads.  A missing K
     entry raises AdmissibilityError, the first in sweep and graph order.
     """
     family = {}
@@ -256,27 +283,33 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
 def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
             keys: tuple) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
-    the witness's output on the corresponding helper at u; value q(u).  The
-    helpers are total over dom(q) (`build_h_family`), so every slot is
-    read."""
+    the witness's output on the corresponding helper at u; value q(u).
+
+    Column-wise in q's graph order: every helper lists dom(q) in that
+    order (`build_h_family`), so a slot's column is its helper's values,
+    and f* is looked up once per distinct value.  A value outside dom(f*)
+    raises AdmissibilityError, the first in q's graph order, then slot
+    order.  The table is wrapped unchecked: its keys extend q's checked
+    tuples by the slots in ascending order, and its slot values are f*'s
+    own points.
+    """
     m = len(q.arity)
-    witness = {d: v for ((_, d),), v in nw.f_star.graph.items()}
-    slots = [(slot, h_family[pair].graph)
-             for slot, pair in enumerate(keys[m:], m + 1)]
-    graph = {}
-    for u, val in q.graph.items():
-        entries = list(u)  # indices 1..m, then the slots in ascending order
-        for slot, helper in slots:
-            hv = helper[u]
-            out = witness.get(hv)
-            if out is None:
-                raise AdmissibilityError(
-                    f"witness not defined at helper output {hv!r}; "
-                    "horizon too small"
-                )
-            entries.append((slot, out))
-        graph[MTuple(entries)] = val
-    return PartialFn(full_index(len(keys)), graph)
+    f_star = nw.f_star.graph
+    helpers = [list(h_family[pair].graph.values()) for pair in keys[m:]]
+    columns, undefined = [], False
+    for slot, outputs in enumerate(helpers, m + 1):
+        entry_of = {hv: (slot, f_star.get(((1, hv),)))
+                    for hv in set(outputs)}
+        undefined |= any(out is None for _, out in entry_of.values())
+        columns.append(list(map(entry_of.get, outputs)))
+    if undefined:
+        hv = next(hv for row in zip(*helpers) for hv in row
+                  if ((1, hv),) not in f_star)
+        raise AdmissibilityError(
+            f"witness not defined at helper output {hv!r}; horizon too small")
+    rows = list(zip(*columns)) or [()] * len(q.graph)
+    graph = dict(zip(map(MTuple, map(add, q.graph, rows)), q.graph.values()))
+    return PartialFn._trusted(full_index(len(keys)), graph, None)
 
 
 # -- term assembly ----------------------------------------------------

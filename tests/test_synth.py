@@ -219,6 +219,31 @@ class TestBuildH:
         assert list(family) == list(keys[2:])
         assert all(h.domain() == q.domain() for h in family.values())
 
+    def test_k_tables_in_key_and_line_order(self):
+        # graph order meets lines 7, 3, 7, 5 and, at S = {1}, keys
+        # <1:(0|4)> before <1:(0|1)>; the largest bound per line is kept
+        q = unary({(0, 4): (1, 7), (0, 1): (2, 3), (0, 2): (3, 7),
+                   (1, 4): (4, 5)})
+        tables = fiber_k_tables(q, theta=6)
+        empty = MTuple.empty()
+        assert list(tables) == [(frozenset(), empty)] + [
+            (idx(1), tup(p)) for p in ((0, 1), (0, 2), (0, 4), (1, 4))]
+        assert list(tables[frozenset(), empty].items()) == [
+            (3, 2), (5, 5), (7, 5)]
+        assert [t for (s, _), t in tables.items() if s] == [
+            {3: 0}, {7: 0}, {7: 0}, {5: 0}]
+
+    def test_every_helper_lists_dom_q_in_graph_order(self):
+        # build_Q reads each helper's values as a column over q's graph
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        res = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                    unary_candidates=inst.candidates)
+        order = list(res.trace.g_prime.graph)
+        assert order != sorted(order)
+        assert len(res.h_family) == 12
+        for h in res.h_family.values():
+            assert list(h.graph) == order
+
     def test_missing_k_entry_is_the_first_in_sweep_order(self):
         # S = {1} comes before S = {2} in the sweep, and w before u in
         # q's graph: with the tables at both S gone, w's fiber at S = {1}
@@ -257,6 +282,12 @@ class TestBuildQ:
         for uv, val in res.q_table.graph.items():
             u = uv.restrict(full_index(m))
             assert q.graph[u] == val
+
+    def test_table_passes_the_checked_constructor(self):
+        inst, res = self.setup_result()
+        checked = PartialFn(res.q_table.arity, res.q_table.graph)
+        assert checked == res.q_table
+        assert list(checked.graph) == list(res.q_table.graph)
 
     def test_slots_hold_witness_outputs(self):
         inst, res = self.setup_result()
@@ -509,6 +540,20 @@ class TestEndToEnd:
         assert exc.value.stage == "selector"
         assert str(exc.value) == ("[selector] witness not defined at helper "
                                   "output (0|131); horizon too small")
+
+    def test_first_undefined_helper_output_is_named(self):
+        # Both tuples give helper codes beyond f*'s below horizon 8.  u is
+        # first in q's graph order, w first in canonical order; u's slots
+        # give 109 at (∅, 1) and ({1}, 2), 155 at ({2}, 1), and w's first
+        # failing slot gives 181.  So the message names u's first slot.
+        f = generate_instance(1, 8, 4, 0).f
+        u, w = tup((0, 11), (0, 9)), tup((0, 0), (0, 12))
+        g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(2, 2)})
+        with pytest.raises(StageError) as exc:
+            end_to_end_synthesize(g, f, theta=20, horizon=8)
+        assert exc.value.stage == "selector"
+        assert str(exc.value) == ("[selector] witness not defined at helper "
+                                  "output (0|109); horizon too small")
 
     def test_result_carries_all_artifacts(self):
         inst = generate_instance(m=1, horizon=6, theta=3, seed=1)

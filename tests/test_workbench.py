@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import json
 import random
@@ -164,6 +165,18 @@ class TestInstanceGeneration:
     def test_default_theta(self):
         assert default_theta(16) == 8
         assert default_theta(7) == 4
+
+
+def _distinct_nodes(root) -> int:
+    """The number of distinct node objects under root, which keeps them
+    alive, so their ids stay distinct."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, "children", ()))
+    return len(seen)
 
 
 class TestSerialization:
@@ -445,6 +458,18 @@ class TestSerialization:
             with pytest.raises(serialize.ParseError, match="negative"):
                 serialize.term_loads(serialize.dumps(doc))
 
+    def test_loaded_term_shares_its_subterms(self):
+        # one object per distinct node, as in the synthesized term: 31
+        # node objects for a 181-node tree
+        inst = generate_instance(3, 8, 4, 0, "mixed")
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
+        data = serialize.term_dumps(term)
+        back = serialize.term_loads(data)
+        assert back.size() == term.size() == 181
+        assert _distinct_nodes(back.root) == _distinct_nodes(term.root) == 31
+        assert back == term and serialize.term_dumps(back) == data
+
     def test_canonical_bytes(self):
         inst = generate_instance(1, 6, 3, seed=0)
         data = serialize.instance_dumps(inst)
@@ -485,16 +510,43 @@ class TestPipeline:
     def test_fiber_bounds_are_read_in_one_pass_per_sweep(self,
                                                          monkeypatch):
         # The decomposition, the K-tables and the verifier each read every
-        # fiber's bounds at one S from one fiber_bounds pass over the graph.
+        # tuple's bound at one S from one tuple_bounds pass over the graph;
+        # the per-value fold and the per-fiber K-table run only to name a
+        # wasteful value, so never on a thrifty q.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("fiber_bounds",))
+        calls = _count_calls(monkeypatch, ("tuple_bounds", "fiber_bounds",
+                                           "line_bounds"))
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
-        assert sweeps == 8 and calls == {"fiber_bounds": sweeps}
+        assert sweeps == 8 and calls == {
+            "tuple_bounds": sweeps, "fiber_bounds": 0, "line_bounds": 0}
         assert synth.fiber_k_tables(trace.g_prime, trace.theta)
-        assert calls == {"fiber_bounds": 2 * sweeps}
+        assert calls == {
+            "tuple_bounds": 2 * sweeps, "fiber_bounds": 0, "line_bounds": 0}
         assert verify_decomposition(inst.g, trace)["passed"]
-        assert calls == {"fiber_bounds": 3 * sweeps}
+        assert calls == {
+            "tuple_bounds": 3 * sweeps, "fiber_bounds": 0, "line_bounds": 0}
+
+    def test_a_passing_run_leaves_no_cyclic_garbage(self):
+        # Reference counting frees everything a run makes, so a recursive
+        # closure or another cycle shows up here rather than as collector
+        # time in the benchmark.
+        gc.collect()
+        gc.disable()
+        try:
+            inst = generate_instance(3, 8, 4, 5, "mary-witness")
+            loaded = serialize.instance_loads(serialize.instance_dumps(inst))
+            res = end_to_end_synthesize(loaded.g, loaded.f, loaded.theta,
+                                        loaded.horizon,
+                                        unary_candidates=loaded.candidates)
+            term = serialize.term_loads(serialize.term_dumps(res.term))
+            assert verify_pair(loaded, term)["passed"]
+            report, _ = run_pipeline(loaded)
+            assert report["passed"]
+            del inst, loaded, res, term, report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_factor_families_per_instance(self, monkeypatch):
         # One certification pass per run, on the width-1 family the exact
