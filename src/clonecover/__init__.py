@@ -16,9 +16,7 @@ from .core import (
     full_index,
 )
 from .analysis import (
-    fiber_bounds,
     fiber_columns,
-    line_bounds,
     tuple_bounds,
     tuple_set_width,
     width,

@@ -1,4 +1,4 @@
-"""Widths, fiber bounds and K-tables of finite fragments.
+"""Widths and per-tuple fiber bounds of finite fragments.
 
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
@@ -10,14 +10,12 @@ reads one bound per tuple off those columns, 1 + its least y outside S.
 Whether a fiber or a value in it is thrifty, and a fiber's K-table, are
 maxima of these bounds, so the decomposition, its verifier and the
 K-tables read this one column per sweep and compare it with theta
-themselves.  `fiber_bounds` folds it per value, and `line_bounds` turns
-one fiber's per-value bounds into its K-table, naming the least wasteful
-value when there is one.
+themselves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     IndexMismatchError,
@@ -114,23 +112,6 @@ def tuple_bounds(g: PartialFn, s: IndexSet) -> tuple:
     return keys, lows[0] if lows else [0] * len(keys)
 
 
-def fiber_bounds(g: PartialFn, s: IndexSet) -> dict:
-    """Least preimage bound of every value in every fiber of g at S.
-
-    ``{c: {value: k}}``: the keys c are the S-projections occurring in
-    dom(g), in canonical order, and each fiber's values in order of first
-    occurrence.  A value's k is the largest `tuple_bounds` entry of a tuple
-    mapped to it in the fiber.  No fiber function is built.
-    """
-    keys, bound_of = tuple_bounds(g, s)
-    bounds: dict = {}
-    for c, v, k in zip(keys, g.graph.values(), bound_of):
-        per_value = bounds.setdefault(c, {})
-        if per_value.get(v, -1) < k:
-            per_value[v] = k
-    return {c: bounds[c] for c in sorted(bounds)}
-
-
 class NotThriftyError(ValueError):
     """Raised when an operation requires a thrifty function but got none."""
 
@@ -142,28 +123,6 @@ class NotThriftyError(ValueError):
             f"function is not thrifty at theta={theta}: value {value!r} has "
             f"preimage bound {bound}"
         )
-
-
-def line_bounds(value_bounds: Mapping, theta: int) -> dict:
-    """The K-table of one fiber from its per-value bounds (one entry of
-    `fiber_bounds`): for each line met by the values, in line order, the
-    largest bound of a value on it, which is the least bound of the line's
-    preimage.
-
-    Requires every value thrifty at theta; otherwise NotThriftyError names
-    the least wasteful value.
-    """
-    if theta < 1:
-        raise ValueError("theta must be at least 1")
-    wasteful = [v for v, k in value_bounds.items() if k > theta]
-    if wasteful:
-        v = min(wasteful)
-        raise NotThriftyError(v, value_bounds[v], theta)
-    by_line: dict = {}
-    for v, k in value_bounds.items():
-        if by_line.get(v.y, -1) < k:
-            by_line[v.y] = k
-    return dict(sorted(by_line.items()))
 
 
 def all_subsets(members: Sequence[int]) -> list:

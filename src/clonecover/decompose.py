@@ -119,8 +119,6 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     in g's order; it is wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
-    if not s <= g.arity:
-        raise ValueError(f"S={sorted(s)} not inside arity {sorted(g.arity)}")
     if not g.is_point_valued():
         raise IndexMismatchError("decomposition applies to point-valued functions")
     if theta < 1:

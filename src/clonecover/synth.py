@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import (all_subsets, fiber_bounds, fiber_columns, line_bounds,
+from .analysis import (NotThriftyError, all_subsets, fiber_columns,
                        tuple_bounds, width)
 from .core import (
     App,
@@ -209,30 +209,37 @@ def factor_keys(m: int) -> tuple:
 
 
 def fiber_k_tables(q: PartialFn, theta: int) -> dict:
-    """K-tables for every fiber of q, keyed by (S, fiber key) in sweep and
-    key order, each in line order: a line's K is the largest `tuple_bounds`
-    entry among the fiber's tuples whose value lies on that line, the least
-    bound of the line's preimage.
+    """K-tables for every fiber of q at every S short of the arity, keyed
+    by (S, fiber key) in sweep and key order, each in line order: a line's
+    K is the largest `tuple_bounds` entry among the fiber's tuples whose
+    value lies on that line, the least bound of the line's preimage.  At
+    S = the arity every K is 0, and no reader asks for it.
 
     One pass per S over q's bounds, taking the tuples in line order, so
     each table fills in line order.  theta < 1 on a non-empty q raises
-    ValueError; a bound above theta raises the `NotThriftyError` of
-    `line_bounds` on that S's `fiber_bounds`, the least wasteful value of
-    the first wasteful fiber in sweep and key order.  An empty q gives {}.
+    ValueError.  A bound above theta raises NotThriftyError at the first
+    such S: the least wasteful fiber key there, the least value in that
+    fiber with a bound above theta, and that value's largest bound in the
+    fiber.  An empty q gives {}.
     """
     if not q.is_point_valued():
         raise IndexMismatchError("k-tables apply to point-valued functions")
-    if q.graph and theta < 1:
+    if not q.graph:
+        return {}
+    if theta < 1:
         raise ValueError("theta must be at least 1")
     lines = [v.y for v in q.graph.values()]
     order = sorted(range(len(lines)), key=lines.__getitem__)
     lines = [lines[t] for t in order]
     tables = {}
-    for s in all_subsets(sorted(q.arity)):
+    for s in all_subsets(sorted(q.arity))[:-1]:
         keys, bounds = tuple_bounds(q, s)
-        if max(bounds, default=0) > theta:
-            for value_bounds in fiber_bounds(q, s).values():
-                line_bounds(value_bounds, theta)
+        if max(bounds) > theta:
+            c = min(c for c, k in zip(keys, bounds) if k > theta)
+            fiber = [(v, k) for d, v, k in zip(keys, q.graph.values(), bounds)
+                     if d == c]
+            v = min(v for v, k in fiber if k > theta)
+            raise NotThriftyError(v, max(k for w, k in fiber if w == v), theta)
         per_key: dict = {}
         for c, n, k in zip(map(keys.__getitem__, order), lines,
                            map(bounds.__getitem__, order)):
@@ -254,24 +261,18 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     to read.  The range sits in the x = 0 row, hence has width 1: a code
     K (+) z is at least 1, so (0|0) is alone on line 0.
 
-    One S at a time: its fiber keys (`fiber_columns`), one K per entry,
-    then one pass over the y-column of each j outside S, so every helper
-    lists dom(q) in q's graph order, which `build_Q` reads.  A missing K
-    entry raises AdmissibilityError, the first in sweep and graph order.
+    One S at a time: its fiber keys (`fiber_columns`), one K per entry read
+    from ``k_tables`` (`fiber_k_tables` of the same q, which has a table
+    for every fiber at every S short of the arity), then one pass over the
+    y-column of each j outside S, so every helper lists dom(q) in q's graph
+    order, which `build_Q` reads.
     """
     family = {}
     for s, pairs in itertools.groupby(keys[len(q.arity):],
                                       key=lambda pair: pair[0]):
         fiber_keys, outside = fiber_columns(q, s)
-        bounds = []
-        for c, v in zip(fiber_keys, q.graph.values()):
-            table = k_tables.get((s, c))
-            if table is None or v.y not in table:
-                raise AdmissibilityError(
-                    f"missing K entry for fiber ({sorted(s)}, {c!r}) at line "
-                    f"{v.y}; q was not certified hereditarily thrifty"
-                )
-            bounds.append(table[v.y])
+        bounds = [k_tables[s, c][v.y]
+                  for c, v in zip(fiber_keys, q.graph.values())]
         for _, j in pairs:
             family[s, j] = PartialFn._trusted(q.arity, {
                 u: Point(0, oplus(big_k, p.y)) if p.y < big_k else ORIGIN

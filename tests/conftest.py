@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clonecover.analysis import fiber_bounds, line_bounds
+from clonecover.analysis import tuple_bounds
 from clonecover.core import (
     ORIGIN,
     MTuple,
@@ -17,6 +17,7 @@ from clonecover.decompose import (
     strong_decompose_stage,
     verify_decomposition,
 )
+from clonecover.synth import fiber_k_tables
 
 
 def idx(*members):
@@ -25,20 +26,19 @@ def idx(*members):
 
 
 def bound_of(tuples):
-    """The program's least bound of a tuple set: the `fiber_bounds` entry
-    at S = {} of a function sending every tuple to one value, 0 when the
-    set is empty."""
+    """The program's least bound of a tuple set: the largest `tuple_bounds`
+    entry at S = {} of a function sending every tuple to one value, 0 when
+    the set is empty."""
     graph = dict.fromkeys(tuples, ORIGIN)
     arity = next(iter(graph)).indices if graph else frozenset()
-    bounds = fiber_bounds(PartialFn(arity, graph), frozenset())
-    return bounds.get(MTuple.empty(), {}).get(ORIGIN, 0)
+    return max(tuple_bounds(PartialFn(arity, graph), frozenset())[1],
+               default=0)
 
 
 def k_table_of(t, theta):
-    """The program's K-table of a point-valued t: the `line_bounds` of its
-    `fiber_bounds` at S = {}."""
-    return line_bounds(
-        fiber_bounds(t, frozenset()).get(MTuple.empty(), {}), theta)
+    """The program's K-table of a unary point-valued t: its `fiber_k_tables`
+    entry at S = {}, the one S short of t's arity."""
+    return fiber_k_tables(t, theta).get((frozenset(), MTuple.empty()), {})
 
 
 def pt(x, y):

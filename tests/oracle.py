@@ -1,5 +1,5 @@
-"""A naive reference reading of least bound and thriftiness, of the
-witness's unary reduction and normalization, and the paper's prefix
+"""A naive reference reading of least bound, thriftiness and K-tables, of
+the witness's unary reduction and normalization, and the paper's prefix
 operators.
 
 Tests check the program's verdicts against this module, so it shares no
@@ -56,16 +56,32 @@ def split(p, theta):
     return thrifty, frozenset(p.graph) - thrifty
 
 
+def k_table(p):
+    """{line: least bound of the line's preimage} of a point-valued p, in
+    line order."""
+    return {n: least_bound(u for u, v in p.graph.items() if v.y == n)
+            for n in sorted({v.y for v in p.graph.values()})}
+
+
+def _part(u, s, inside):
+    """The S-part of the tuple u, or (inside false) the rest of it."""
+    return MTuple(tuple(e for e in u if (e[0] in s) == inside))
+
+
+def tuple_bounds(g, s):
+    """(keys, bounds) over dom(g) in graph order: each tuple's S-part, and
+    the least bound of the rest of the tuple alone."""
+    return ([_part(u, s, True) for u in g.graph],
+            [least_bound([_part(u, s, False)]) for u in g.graph])
+
+
 def fibers(g, s):
     """{c: the fiber of g at c}, over the S-parts c occurring in dom(g) in
     sorted order; each fiber maps the rest of a tuple to g's value."""
-    def part(u, inside):
-        return MTuple(tuple(e for e in u if (e[0] in s) == inside))
-
-    return {c: PartialFn(g.arity - s, {part(u, False): v
+    return {c: PartialFn(g.arity - s, {_part(u, s, False): v
                                        for u, v in g.graph.items()
-                                       if part(u, True) == c}, g.codomain)
-            for c in sorted({part(u, True) for u in g.graph})}
+                                       if _part(u, s, True) == c}, g.codomain)
+            for c in sorted({_part(u, s, True) for u in g.graph})}
 
 
 def fiber_bounds(g, s):

@@ -276,7 +276,7 @@ def test_criterion_5_algebra_laws(capsys):
         a = {random_tuple(rng, t) for _ in range(rng.randint(0, 8))}
         b = {random_tuple(rng, t) for _ in range(rng.randint(0, 8))} - a
         # bound of a disjoint union is the max of the bounds, read off
-        # fiber_bounds at S = {}
+        # tuple_bounds at S = {}
         law(bound_of(a | b) == max(bound_of(a), bound_of(b)))
 
     passed = failures == 0 and cases >= 1000

@@ -3,8 +3,8 @@ import pytest
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
-    fiber_bounds,
     fiber_columns,
+    tuple_bounds,
     tuple_set_width,
     width,
 )
@@ -45,7 +45,7 @@ class TestWidth:
 
 
 class TestLeastBound:
-    """The least bound of a tuple set, read through `fiber_bounds`."""
+    """The least bound of a tuple set: the largest `tuple_bounds` entry."""
 
     def test_empty_set(self):
         assert bound_of([]) == 0
@@ -74,26 +74,25 @@ class TestLeastBound:
 
 
 class TestClassifyPreimages:
-    """Per-value bounds at S = {} from `fiber_bounds`, and the oracle's
-    thrifty/wasteful split at theta."""
+    """Per-tuple bounds at S = {} from `tuple_bounds`, the K-tables' verdict
+    on them, and the oracle's thrifty/wasteful split at theta."""
 
     def test_frozen_wasteful_example(self):
         # The sole preimage tuple has min y = 5, bound 6 > theta = 3.
         p = unary({(0, 5): (1, 1)})
-        assert fiber_bounds(p, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 6}}
+        assert tuple_bounds(p, frozenset()) == ([MTuple.empty()], [6])
         assert oracle.split(p, 3) == (frozenset(), frozenset({tup((0, 5))}))
 
     def test_thrifty_at_exact_threshold(self):
         p = unary({(0, 2): (1, 1)})
-        assert fiber_bounds(p, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 3}}
+        assert tuple_bounds(p, frozenset()) == ([MTuple.empty()], [3])
+        assert k_table_of(p, 3) == {1: 3}
         assert oracle.split(p, 3) == (p.domain(), frozenset())
 
     def test_domains_partition(self):
         p = unary({(0, 5): (1, 1), (0, 0): (2, 2), (4, 9): (1, 1)})
-        assert fiber_bounds(p, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 10, pt(2, 2): 1}}
+        assert tuple_bounds(p, frozenset())[1] == [6, 1, 10]
+        assert k_table_of(p, 10) == {1: 10, 2: 1}
         thrifty, wasteful = oracle.split(p, 3)
         assert thrifty == frozenset({tup((0, 0))})
         assert thrifty | wasteful == p.domain()
@@ -102,14 +101,18 @@ class TestClassifyPreimages:
     def test_bound_taken_over_whole_preimage(self):
         # One low tuple does not rescue the value: the bound is a max.
         p = unary({(0, 0): (1, 1), (0, 9): (1, 1)})
-        assert fiber_bounds(p, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 10}}
+        assert tuple_bounds(p, frozenset())[1] == [1, 10]
+        with pytest.raises(NotThriftyError) as raised:
+            k_table_of(p, 3)
+        assert (raised.value.value, raised.value.bound) == (pt(1, 1), 10)
         assert oracle.split(p, 3) == (frozenset(), p.domain())
 
     def test_invalid_theta(self):
-        # theta is checked before any bound is read, even with no values
+        # theta is checked before any bound is read; an empty function has
+        # no fiber to check it on, so it gives {} at any theta
         with pytest.raises(ValueError):
-            k_table_of(unary({}), 0)
+            k_table_of(unary({(0, 0): (1, 1)}), 0)
+        assert k_table_of(unary({}), 0) == {}
 
 
 class TestKTable:
@@ -135,7 +138,7 @@ class TestKTable:
 
 
 class TestHereditarilyThrifty:
-    """Bounds from `fiber_bounds` at the failing S, and the oracle's first
+    """Bounds from `tuple_bounds` at the failing S, and the oracle's first
     wasteful (S, c, value) over every S and c."""
 
     def test_frozen_counterexample(self):
@@ -143,9 +146,8 @@ class TestHereditarilyThrifty:
         # over S = {1} is the map (x|5) -> value, bound 6 > theta = 2.
         q = PartialFn(idx(1, 2), {tup((3, 0), (3, 5)): pt(1, 1)})
         c = MTuple.of({1: pt(3, 0)})
-        assert fiber_bounds(q, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 1}}
-        assert fiber_bounds(q, idx(1)) == {c: {pt(1, 1): 6}}
+        assert tuple_bounds(q, frozenset()) == ([MTuple.empty()], [1])
+        assert tuple_bounds(q, idx(1)) == ([c], [6])
         assert oracle.first_wasteful(q, 2) == (idx(1), c, pt(1, 1))
 
     def test_all_low_is_hereditarily_thrifty(self):
@@ -153,14 +155,12 @@ class TestHereditarilyThrifty:
             tup((i, 0), (i, 1)): pt(i, 0) for i in range(4)
         })
         assert all(k <= 2 for s in all_subsets([1, 2])
-                   for bounds in fiber_bounds(q, s).values()
-                   for k in bounds.values())
+                   for k in tuple_bounds(q, s)[1])
         assert oracle.first_wasteful(q, 2) is None
 
     def test_empty_subset_clause_is_plain_thriftiness(self):
         q = unary({(0, 5): (1, 1)})
-        assert fiber_bounds(q, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 6}}
+        assert tuple_bounds(q, frozenset()) == ([MTuple.empty()], [6])
         assert oracle.first_wasteful(q, 3) == (
             frozenset(), MTuple.empty(), pt(1, 1))
         assert oracle.split(q, 3)[1] == q.domain()
@@ -171,14 +171,13 @@ class TestHereditarilyThrifty:
         q = PartialFn(idx(1, 2), {tup((0, 5), (0, 0)): pt(9, 9)})
         c = MTuple.of({2: pt(0, 0)})
         assert oracle.split(q, 3)[1] == frozenset()
-        assert fiber_bounds(q, idx(1)) == {
-            MTuple.of({1: pt(0, 5)}): {pt(9, 9): 1}}
-        assert fiber_bounds(q, idx(2)) == {c: {pt(9, 9): 6}}
+        assert tuple_bounds(q, idx(1)) == ([MTuple.of({1: pt(0, 5)})], [1])
+        assert tuple_bounds(q, idx(2)) == ([c], [6])
         assert oracle.first_wasteful(q, 3) == (idx(2), c, pt(9, 9))
 
 
 class TestFiberColumns:
-    """`fiber_columns` and the `fiber_bounds` read off them, at the edges:
+    """`fiber_columns` and the `tuple_bounds` read off them, at the edges:
     an empty g, S = {}, S = the arity, and indices whose positional order
     (2 before 10) is not their JSON key order ("10" before "2")."""
 
@@ -187,7 +186,7 @@ class TestFiberColumns:
         for s in all_subsets([1, 2, 3]):
             assert fiber_columns(g, s) == (
                 [], {j: () for j in sorted(idx(1, 2, 3) - s)})
-            assert fiber_bounds(g, s) == {}
+            assert tuple_bounds(g, s) == ([], [])
 
     def test_empty_subset_gives_the_empty_key(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
@@ -196,45 +195,41 @@ class TestFiberColumns:
         assert keys == [MTuple.empty(), MTuple.empty()]
         assert outside == {1: ((1, pt(0, 4)), (1, pt(3, 0))),
                            2: ((2, pt(1, 2)), (2, pt(5, 6)))}
-        assert fiber_bounds(g, frozenset()) == {
-            MTuple.empty(): {pt(1, 1): 3, pt(2, 2): 1}}
+        assert tuple_bounds(g, frozenset()) == (keys, [3, 1])
 
     def test_whole_arity_gives_the_tuples_and_bound_zero(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
         g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(1, 1)})
         assert fiber_columns(g, idx(1, 2)) == ([u, w], {})
-        assert fiber_bounds(g, idx(1, 2)) == {u: {pt(1, 1): 0},
-                                              w: {pt(1, 1): 0}}
-        assert fiber_bounds(unary({(0, 9): (1, 1)}), idx(1)) == {
-            MTuple.of({1: pt(0, 9)}): {pt(1, 1): 0}}
+        assert tuple_bounds(g, idx(1, 2)) == ([u, w], [0, 0])
+        assert tuple_bounds(unary({(0, 9): (1, 1)}), idx(1)) == (
+            [MTuple.of({1: pt(0, 9)})], [0])
 
     def test_positional_order_is_index_order(self):
-        # graph order w, u; fiber keys in canonical order, values in order
-        # of first occurrence
+        # graph order w, u: keys and bounds follow it
         u = MTuple.of({2: pt(0, 7), 10: pt(1, 3)})
         w = MTuple.of({10: pt(4, 5), 2: pt(0, 1)})
         g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8)})
         keys, outside = fiber_columns(g, idx(10))
         assert keys == [MTuple.of({10: pt(4, 5)}), MTuple.of({10: pt(1, 3)})]
         assert outside == {2: ((2, pt(0, 1)), (2, pt(0, 7)))}
-        assert fiber_bounds(g, idx(10)) == {
-            MTuple.of({10: pt(1, 3)}): {pt(8, 8): 8},
-            MTuple.of({10: pt(4, 5)}): {pt(9, 9): 2}}
-        assert fiber_bounds(g, idx(2)) == {
-            MTuple.of({2: pt(0, 1)}): {pt(9, 9): 6},
-            MTuple.of({2: pt(0, 7)}): {pt(8, 8): 4}}
+        assert tuple_bounds(g, idx(10)) == (keys, [2, 8])
+        assert tuple_bounds(g, idx(2)) == (
+            [MTuple.of({2: pt(0, 1)}), MTuple.of({2: pt(0, 7)})], [6, 4])
         g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8),
                                    MTuple.of({2: pt(5, 0), 10: pt(4, 5)}):
                                    pt(9, 9)})
-        assert fiber_bounds(g, frozenset()) == {
-            MTuple.empty(): {pt(9, 9): 2, pt(8, 8): 4}}
+        assert tuple_bounds(g, frozenset())[1] == [2, 4, 1]
         for s in all_subsets([2, 10]):
-            assert fiber_bounds(g, s) == oracle.fiber_bounds(g, s)
+            assert tuple_bounds(g, s) == oracle.tuple_bounds(g, s)
 
     def test_subset_outside_the_arity_rejected(self):
-        g = PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)})
-        with pytest.raises(IndexMismatchError, match=r"S=\[3\]"):
-            fiber_columns(g, idx(3))
+        cases = [(PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)}),
+                  idx(3), r"S=\[3\]"),
+                 (unary({(1, 1): (2, 2)}), idx(7), r"S=\[7\]")]
+        for g, s, named in cases:
+            with pytest.raises(IndexMismatchError, match=named):
+                fiber_columns(g, s)
 
 
 class TestAllSubsets:

@@ -1,6 +1,5 @@
 import pytest
 
-from clonecover.analysis import fiber_bounds
 from clonecover.core import (
     App,
     AtomBinding,
@@ -193,12 +192,6 @@ class TestFiber:
             for c in {u.restrict(idx(1)) for u in g.domain()}
         ]
         assert disjoint_union(parts) == g
-
-    def test_subset_check(self):
-        # the program reads fibers only through fiber_bounds
-        g = unary({(1, 1): (2, 2)})
-        with pytest.raises(IndexMismatchError):
-            fiber_bounds(g, idx(7))
 
 
 class TestTerms:

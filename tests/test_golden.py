@@ -64,12 +64,13 @@ GOLDEN_M5 = {
 GOLDEN_M6 = ((6, 24, 16, 0, "mixed"),
              "a71e49ce2d059349d6b9341c79f7b529d2ccf2b41e14212999a183758a23326c")
 
-# sha256 of the instance bytes and of the report bytes for one m = 7
-# instance, whose selector has 448 (S, j) slots.  The term is not pinned:
-# the report's term-equality check reads it, and a dumps/loads round trip
-# of it costs more than the whole run.
+# sha256 of the instance, term and report bytes for one m = 7 instance,
+# whose selector has 448 (S, j) slots.  The term is written once and not
+# read back: `term_dumps` costs less than the run, a `term_loads` of its
+# 3.4 MB more.
 GOLDEN_M7 = ((7, 32, 20, 0, "mixed"),
              "bc6b88f09fad648163d20b2bc602335d38c0c5bf54d070896e624d93e6e15153",
+             "2ff485cbac8ce87029a0f7c736aff04aa59393e5884bcd3a3ef2823a9f5b07a7",
              "21c59fffe3b50159abbee2106c4d6f7b212c69147e354dfd1b83daa584462a4c")
 
 
@@ -108,12 +109,14 @@ def test_golden_bytes_arity_six():
 
 
 def test_golden_bytes_arity_seven():
-    args, instance_digest, report_digest = GOLDEN_M7
+    args, instance_digest, term_digest, report_digest = GOLDEN_M7
     inst = generate_instance(*args)
-    report, _ = run_pipeline(inst)
+    report, result = run_pipeline(inst)
     assert report["passed"]
     assert hashlib.sha256(
         serialize.instance_dumps(inst)).hexdigest() == instance_digest
+    assert hashlib.sha256(
+        serialize.term_dumps(result.term)).hexdigest() == term_digest
     assert hashlib.sha256(
         serialize.report_dumps(report)).hexdigest() == report_digest
 

@@ -16,8 +16,7 @@ from clonecover import serialize
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
-    fiber_bounds,
-    line_bounds,
+    tuple_bounds,
     width,
 )
 from clonecover.core import (
@@ -56,6 +55,7 @@ from conftest import (
     inner_map,
     maximal_products,
     product_image,
+    pt,
     random_point,
     random_point_fn,
     random_tuple,
@@ -149,29 +149,35 @@ any_fns = index_sets.flatmap(lambda arity: codomains.flatmap(
 point_fns = index_sets.flatmap(lambda arity: partial_fns(arity, None))
 
 
-class TestFiberBounds:
+class TestTupleBounds:
     @settings(max_examples=300, derandomize=True)
     @given(g=any_fns)
     def test_matches_least_bound_per_fiber(self, g):
-        # the oracle reads every fiber by hand and counts each bound up
+        # the oracle reads every tuple and every fiber by hand and counts
+        # each bound up; a value's least bound in its fiber is the largest
+        # bound of its tuples there
         for s in all_subsets(sorted(g.arity)):
-            got, want = fiber_bounds(g, s), oracle.fiber_bounds(g, s)
-            assert got == want
-            assert list(got) == list(want)
-            for c in want:
-                assert list(got[c]) == list(want[c])
+            keys, bounds = tuple_bounds(g, s)
+            assert (keys, bounds) == oracle.tuple_bounds(g, s)
+            largest: dict = {}
+            for c, v, k in zip(keys, g.graph.values(), bounds):
+                largest[c, v] = max(largest.get((c, v), 0), k)
+            assert largest == {(c, v): k for c, by_value
+                               in oracle.fiber_bounds(g, s).items()
+                               for v, k in by_value.items()}
 
     @settings(max_examples=300, derandomize=True)
     @given(q=point_fns, theta=st.integers(1, 3))
     def test_verdicts_match_the_oracle(self, q, theta):
         # the wasteful values of every fiber, and the first wasteful fiber
-        # in sweep order, read off fiber_bounds as the program reads them
+        # in sweep order, read off tuple_bounds as the program reads them
         first = None
         for s in all_subsets(sorted(q.arity)):
-            by_hand = oracle.fibers(q, s)
-            for c, bounds in fiber_bounds(q, s).items():
-                wasteful = {v for v, k in bounds.items() if k > theta}
-                p = by_hand[c]
+            keys, bounds = tuple_bounds(q, s)
+            for c, p in oracle.fibers(q, s).items():
+                wasteful = {v for d, v, k in zip(keys, q.graph.values(),
+                                                 bounds)
+                            if d == c and k > theta}
                 assert wasteful == {p.graph[z]
                                     for z in oracle.split(p, theta)[1]}
                 if wasteful and first is None:
@@ -190,31 +196,52 @@ class TestFiberBounds:
     @example(q=PartialFn(idx(1, 2), {}), theta=0)
     @example(q=PartialFn(idx(1, 2), {}), theta=-1)
     def test_k_tables_match_per_fiber_k_table(self, q, theta):
-        subsets = all_subsets(sorted(q.arity))
-        try:
-            want = {(s, c): line_bounds(bounds, theta) for s in subsets
-                    for c, bounds in oracle.fiber_bounds(q, s).items()}
-        except NotThriftyError as exc:
-            with pytest.raises(NotThriftyError) as raised:
-                fiber_k_tables(q, theta)
-            assert (raised.value.value, raised.value.bound) == (exc.value,
-                                                                exc.bound)
-            # the least wasteful value of the first wasteful fiber
-            s, c, v = oracle.first_wasteful(q, theta)
-            assert (exc.value, exc.bound) == (
-                v, oracle.fiber_bounds(q, s)[c][v])
-            return
-        except ValueError:
-            assert theta < 1
+        # the oracle's K-table of every fiber at every S short of the arity
+        if q.graph and theta < 1:
             with pytest.raises(ValueError) as raised:
                 fiber_k_tables(q, theta)
             assert not isinstance(raised.value, NotThriftyError)
             return
+        first = oracle.first_wasteful(q, theta)
+        if first is not None:
+            # the least wasteful value of the first wasteful fiber
+            s, c, v = first
+            with pytest.raises(NotThriftyError) as raised:
+                fiber_k_tables(q, theta)
+            assert (raised.value.value, raised.value.bound) == (
+                v, oracle.fiber_bounds(q, s)[c][v])
+            return
+        want = {(s, c): oracle.k_table(p)
+                for s in oracle.subsets(q.arity) if s != q.arity
+                for c, p in oracle.fibers(q, s).items()}
         got = fiber_k_tables(q, theta)
         assert got == want
         assert list(got) == list(want)
         for key in want:
             assert list(got[key]) == list(want[key])
+
+    def test_not_thrifty_names_the_least_wasteful_value(self):
+        # Thrifty at S = {}; at S = {1} both fibers are wasteful.  The error
+        # names the least key's fiber, though the other comes first in the
+        # graph, and the least wasteful value there: not (0|1), which is
+        # thrifty, nor (2|2), which comes first.  (1|1) has a thrifty tuple
+        # (bound 1) beside wasteful ones (bounds 6 and 4), and its bound is
+        # the largest of them.
+        q = PartialFn(idx(1, 2), {
+            tup((1, 0), (0, 9)): pt(0, 0),
+            tup((0, 0), (4, 1)): pt(0, 1),
+            tup((0, 0), (2, 7)): pt(2, 2),
+            tup((0, 0), (1, 0)): pt(1, 1),
+            tup((0, 0), (0, 5)): pt(1, 1),
+            tup((0, 0), (3, 3)): pt(1, 1),
+        })
+        assert oracle.first_wasteful(q, 2) == (
+            idx(1), MTuple.of({1: pt(0, 0)}), pt(1, 1))
+        with pytest.raises(NotThriftyError) as raised:
+            fiber_k_tables(q, 2)
+        assert str(raised.value) == ("function is not thrifty at theta=2: "
+                                     "value (1|1) has preimage bound 6")
+        assert (raised.value.value, raised.value.bound) == (pt(1, 1), 6)
 
 
 def algebra_stage(g, s, theta):
@@ -329,9 +356,9 @@ class TestUnionAndSubLaws:
 
 
 def thrifty(p, theta):
-    """Whether every value of p has a preimage bound at most theta."""
-    return all(k <= theta for bounds in fiber_bounds(p, frozenset()).values()
-               for k in bounds.values())
+    """Whether every value of p has a preimage bound at most theta: every
+    tuple's bound at S = {} is."""
+    return max(tuple_bounds(p, frozenset())[1], default=0) <= theta
 
 
 class TestBoundLaws:
@@ -364,16 +391,21 @@ class TestBoundLaws:
                 assert union_verdict == both
 
     def test_restriction_never_raises_bounds(self, rng):
-        # at every S: the lemma behind verify_decomposition's coverage check
+        # at every S: the lemma behind verify_decomposition's coverage check.
+        # A restriction keeps each tuple's key and bound, so no largest
+        # bound over a value's or a line's tuples in a fiber rises.
         for _ in range(200):
             q = random_point_fn(rng, T, size=rng.randint(1, 10))
             keep = [u for u in sorted(q.domain()) if rng.random() < 0.5]
             sub = q.restrict(keep)
             for s in all_subsets(sorted(T)):
-                full = fiber_bounds(q, s)
-                for c, bounds in fiber_bounds(sub, s).items():
-                    for v, k in bounds.items():
-                        assert k <= full[c][v]
+                full = dict(zip(q.graph, zip(*tuple_bounds(q, s))))
+                assert [full[u] for u in sub.graph] == list(
+                    zip(*tuple_bounds(sub, s)))
+            # every y is below 20, so every bound is at most theta = 20
+            tables = fiber_k_tables(q, 20)
+            for key, table in fiber_k_tables(sub, 20).items():
+                assert all(k <= tables[key][n] for n, k in table.items())
 
 
 class TestExtensionLaws:

@@ -221,17 +221,24 @@ class TestBuildH:
 
     def test_k_tables_in_key_and_line_order(self):
         # graph order meets lines 7, 3, 7, 5 and, at S = {1}, keys
-        # <1:(0|4)> before <1:(0|1)>; the largest bound per line is kept
-        q = unary({(0, 4): (1, 7), (0, 1): (2, 3), (0, 2): (3, 7),
-                   (1, 4): (4, 5)})
+        # <1:(0|4)> before <1:(0|1)>; the largest bound per line is kept.
+        # No table is made at S = the arity, where every K is 0.
+        q = PartialFn(idx(1, 2), {tup((0, 4), (0, 5)): pt(1, 7),
+                                  tup((0, 1), (0, 1)): pt(2, 3),
+                                  tup((0, 2), (0, 3)): pt(3, 7),
+                                  tup((1, 4), (0, 4)): pt(4, 5)})
         tables = fiber_k_tables(q, theta=6)
         empty = MTuple.empty()
         assert list(tables) == [(frozenset(), empty)] + [
-            (idx(1), tup(p)) for p in ((0, 1), (0, 2), (0, 4), (1, 4))]
+            (idx(1), MTuple.of({1: pt(*p)}))
+            for p in ((0, 1), (0, 2), (0, 4), (1, 4))] + [
+            (idx(2), MTuple.of({2: pt(0, y)})) for y in (1, 3, 4, 5)]
         assert list(tables[frozenset(), empty].items()) == [
             (3, 2), (5, 5), (7, 5)]
         assert [t for (s, _), t in tables.items() if s] == [
-            {3: 0}, {7: 0}, {7: 0}, {5: 0}]
+            {3: 2}, {7: 4}, {7: 6}, {5: 5}, {3: 2}, {7: 3}, {5: 5}, {7: 5}]
+        assert fiber_k_tables(unary({(0, 4): (1, 7)}), theta=6) == {
+            (frozenset(), empty): {7: 5}}
 
     def test_every_helper_lists_dom_q_in_graph_order(self):
         # build_Q reads each helper's values as a column over q's graph
@@ -243,27 +250,6 @@ class TestBuildH:
         assert len(res.h_family) == 12
         for h in res.h_family.values():
             assert list(h.graph) == order
-
-    def test_missing_k_entry_is_the_first_in_sweep_order(self):
-        # S = {1} comes before S = {2} in the sweep, and w before u in
-        # q's graph: with the tables at both S gone, w's fiber at S = {1}
-        # is named; with only u's table there gone, u's.
-        u, w = tup((0, 3), (0, 1)), tup((0, 2), (0, 4))
-        q = PartialFn(idx(1, 2), {w: pt(1, 5), u: pt(4, 7)})
-        tables = fiber_k_tables(q, theta=6)
-        cases = [
-            ([key for key in tables if key[0] in (idx(1), idx(2))],
-             r"\(\[1\], <1:\(0\|2\)>\) at line 5"),
-            ([(idx(1), MTuple.of({1: pt(0, 3)}))],
-             r"\(\[1\], <1:\(0\|3\)>\) at line 7"),
-        ]
-        for gone, fiber in cases:
-            kept = {key: t for key, t in tables.items() if key not in gone}
-            with pytest.raises(
-                    AdmissibilityError,
-                    match=rf"^missing K entry for fiber {fiber}; q was not "
-                          r"certified hereditarily thrifty$"):
-                build_h_family(q, factor_keys(2), kept)
 
 
 class TestBuildQ:

@@ -507,25 +507,19 @@ class TestPipeline:
         assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
                          "hereditary_decompose": 1}
 
-    def test_fiber_bounds_are_read_in_one_pass_per_sweep(self,
-                                                         monkeypatch):
+    def test_tuple_bounds_are_read_in_one_pass_per_sweep(self, monkeypatch):
         # The decomposition, the K-tables and the verifier each read every
-        # tuple's bound at one S from one tuple_bounds pass over the graph;
-        # the per-value fold and the per-fiber K-table run only to name a
-        # wasteful value, so never on a thrifty q.
+        # tuple's bound at one S from one tuple_bounds pass over the graph.
+        # The K-tables skip S = the arity, where every K is 0.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("tuple_bounds", "fiber_bounds",
-                                           "line_bounds"))
+        calls = _count_calls(monkeypatch, ("tuple_bounds",))
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
-        assert sweeps == 8 and calls == {
-            "tuple_bounds": sweeps, "fiber_bounds": 0, "line_bounds": 0}
+        assert sweeps == 8 and calls == {"tuple_bounds": sweeps}
         assert synth.fiber_k_tables(trace.g_prime, trace.theta)
-        assert calls == {
-            "tuple_bounds": 2 * sweeps, "fiber_bounds": 0, "line_bounds": 0}
+        assert calls == {"tuple_bounds": 2 * sweeps - 1}
         assert verify_decomposition(inst.g, trace)["passed"]
-        assert calls == {
-            "tuple_bounds": 3 * sweeps, "fiber_bounds": 0, "line_bounds": 0}
+        assert calls == {"tuple_bounds": 3 * sweeps - 1}
 
     def test_a_passing_run_leaves_no_cyclic_garbage(self):
         # Reference counting frees everything a run makes, so a recursive
