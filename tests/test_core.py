@@ -1,5 +1,6 @@
 import pytest
 
+from clonecover.analysis import tuple_bounds
 from clonecover.core import (
     App,
     AtomBinding,
@@ -192,6 +193,12 @@ class TestFiber:
             for c in {u.restrict(idx(1)) for u in g.domain()}
         ]
         assert disjoint_union(parts) == g
+
+    def test_subset_check(self):
+        # the decomposition and the K-tables read fibers through tuple_bounds
+        g = unary({(1, 1): (2, 2)})
+        with pytest.raises(IndexMismatchError, match=r"S=\[7\]"):
+            tuple_bounds(g, idx(7))
 
 
 class TestTerms:
