@@ -1,15 +1,19 @@
 """Command-line workbench: generate instances, check admissibility, run the
 decomposition or the full synthesis, and verify serialized artifacts.
 
+Each command reads its instance from `--instance` or generates it from
+`--seed`, `--m`, `--horizon`, `--theta` and `--profile`, never both; only
+`gen`, `synth` and `demo` write an artifact, to `--out` or stdout.
+
 Exit status is 0 exactly when the requested check or report passes, 1 when
 it fails, and 2 on a usage error: a malformed input document, an input file
 that cannot be read, generation parameters no profile supports, or a
-non-integer $CLONECOVER_SEED.  A usage error prints one line on stderr.
+generation flag given with `--instance`.  A usage error prints one line on
+stderr.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .instances import (
+    PROFILES,
     ProfileError,
     check_admissibility,
     default_theta,
@@ -28,45 +33,41 @@ from .instances import (
 from .pipeline import run_pipeline, verify_pair
 from .synth import StageError, end_to_end_synthesize
 
-ENV_SEED = "CLONECOVER_SEED"
+# generate_instance's parameters and defaults (theta: ceil(N/2)); as flags
+# they default to absent, so a command can tell which ones were given
+_GENERATION = {"m": 2, "horizon": 16, "theta": None, "seed": 0,
+               "profile": "mixed"}
 
 
 class UsageError(Exception):
-    """A command-line or environment value the program cannot use."""
+    """A combination of command-line values the program cannot use."""
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"instance seed (default: ${ENV_SEED} or 0)")
-    p.add_argument("--m", type=int, default=2, help="arity of g (at least 1)")
-    p.add_argument("--horizon", type=int, default=16,
-                   help="normalization horizon N")
-    p.add_argument("--theta", type=int, default=None,
+    p.add_argument("--seed", type=int, help="instance seed (default: 0)")
+    p.add_argument("--m", type=int, help="arity of g, at least 1 (default: 2)")
+    p.add_argument("--horizon", type=int,
+                   help="normalization horizon N (default: 16)")
+    p.add_argument("--theta", type=int,
                    help="thrifty/wasteful threshold (default: ceil(N/2))")
-    p.add_argument("--profile", default="mixed",
-                   choices=("mixed", "all-thrifty", "mary-witness"))
+    p.add_argument("--profile", choices=PROFILES,
+                   help="instance profile (default: mixed)")
     p.add_argument("--instance", type=Path, default=None,
-                   help="read the instance from this file instead of generating")
-    p.add_argument("--out", type=Path, default=None,
-                   help="write the main artifact to this file")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"${ENV_SEED} is not an integer: {raw!r}") from None
+                   help="read the instance from this file instead of "
+                        "generating; takes no generation flag")
 
 
 def _load_or_generate(args):
+    given = [f"--{name}" for name in _GENERATION if hasattr(args, name)]
     if args.instance is not None:
+        if given:
+            raise UsageError("--instance cannot be combined with "
+                             + ", ".join(given))
         return serialize.instance_loads(args.instance.read_bytes())
-    theta = args.theta if args.theta is not None else default_theta(args.horizon)
-    return generate_instance(args.m, args.horizon, theta,
-                             _resolve_seed(args), args.profile)
+    params = {k: getattr(args, k, v) for k, v in _GENERATION.items()}
+    if params["theta"] is None:
+        params["theta"] = default_theta(params["horizon"])
+    return generate_instance(**params)
 
 
 def _emit(data: bytes, out: Path | None) -> None:
@@ -125,21 +126,15 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_or_generate(args)
-    if args.term is not None:
-        term = serialize.term_loads(args.term.read_bytes())
-        if term.arity != inst.g.arity:
-            raise serialize.ParseError(
-                f"term: arity {sorted(term.arity)} does not match the "
-                f"instance's arity {sorted(inst.g.arity)}")
-        pair = verify_pair(inst, term)
-        print(f"equality on dom(g): {'PASS' if pair['passed'] else 'FAIL'} "
-              f"({pair['checked']} tuples)")
-        return 0 if pair["passed"] else 1
-    report, _ = run_pipeline(inst)
-    _print_report(report)
-    if args.out is not None:
-        args.out.write_bytes(serialize.report_dumps(report))
-    return 0 if report["passed"] else 1
+    term = serialize.term_loads(args.term.read_bytes())
+    if term.arity != inst.g.arity:
+        raise serialize.ParseError(
+            f"term: arity {sorted(term.arity)} does not match the "
+            f"instance's arity {sorted(inst.g.arity)}")
+    pair = verify_pair(inst, term)
+    print(f"equality on dom(g): {'PASS' if pair['passed'] else 'FAIL'} "
+          f"({pair['checked']} tuples)")
+    return 0 if pair["passed"] else 1
 
 
 def cmd_demo(args) -> int:
@@ -173,17 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, extra in (
-        ("gen", cmd_gen, None),
+        ("gen", cmd_gen, "--out"),
         ("check", cmd_check, None),
         ("decompose", cmd_decompose, None),
-        ("synth", cmd_synth, None),
-        ("verify", cmd_verify, "term"),
-        ("demo", cmd_demo, None),
+        ("synth", cmd_synth, "--out"),
+        ("verify", cmd_verify, "--term"),
+        ("demo", cmd_demo, "--out"),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         _add_common(p)
-        if extra == "term":
-            p.add_argument("--term", type=Path, default=None,
+        if extra == "--out":
+            p.add_argument("--out", type=Path, default=None,
+                           help="write the main artifact to this file")
+        elif extra == "--term":
+            p.add_argument("--term", type=Path, required=True,
                            help="verify this serialized term against the instance")
         p.set_defaults(fn=fn)
     return parser

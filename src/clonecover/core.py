@@ -280,19 +280,19 @@ TermNode = Union[Proj, App]
 
 @dataclass(frozen=True)
 class AtomBinding:
-    """An atom of the term environment: a partial function plus its class."""
+    """An atom of a term's `env`: a partial function plus its class."""
 
     fn: PartialFn
     kind: str  # WITNESS_ATOM or CI_ATOM
 
 
 class UnresolvedAtomError(ValueError):
-    """A term references an atom name missing from its environment."""
+    """A term references an atom name missing from its `env`."""
 
 
 @dataclass
 class Term:
-    """A term over named atoms and projections, with its atom environment."""
+    """A term over named atoms and projections, with its atom table `env`."""
 
     root: TermNode
     env: dict  # name -> AtomBinding

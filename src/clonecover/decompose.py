@@ -36,22 +36,9 @@ class AdmissibilityError(RuntimeError):
     """A choice step of the construction ran out of suitable tuples."""
 
 
-@dataclass
-class SelectionResult:
-    """Outcome of the representative-tuple selection over a wasteful family.
-
-    Chosen tuples are pairwise y-disjoint, so their union A has width <= 1.
-    A stage keeps only the chosen tuple of each wasteful value in g' and
-    re-routes the value's whole preimage onto it.
-    """
-
-    a_set: frozenset  # the width-1 set A
-    chosen: dict  # (fiber key c, value d) -> chosen tuple
-
-
 def countable_selection(wasteful: Mapping[MTuple, Mapping[Point, list]],
-                        theta: int) -> SelectionResult:
-    """Pick one representative tuple per (fiber key, value) pair.
+                        theta: int) -> dict:
+    """Pick one representative tuple per (fiber key c, value d) pair.
 
     `wasteful` maps each fiber key c to its wasteful values, and each value
     to the non-S parts of its preimage in that fiber: {c: {v: [z, ...]}}.
@@ -59,11 +46,13 @@ def countable_selection(wasteful: Mapping[MTuple, Mapping[Point, list]],
     column); within a preimage only tuples whose every component y-coordinate
     is below theta and unused so far are eligible, and among those the one
     with the largest minimal component y (ties broken canonically) is taken.
-    The theta cap keeps each chosen singleton preimage thrifty at theta.
+    Returns ``{(c, d): pick}``.  The picks are pairwise y-disjoint, so their
+    set A has width <= 1; the theta cap keeps each pick's singleton preimage
+    thrifty at theta.  A stage keeps only the pick of each wasteful value in
+    g' and re-routes the value's whole preimage onto it.
     """
     used_ys: set = set()
     chosen: dict = {}
-    a_set: set = set()
     for c in sorted(wasteful):
         preimages = wasteful[c]
         for d in sorted(preimages, key=lambda p: (p.y, p.x)):
@@ -79,8 +68,7 @@ def countable_selection(wasteful: Mapping[MTuple, Mapping[Point, list]],
             pick = max(candidates, key=lambda u: (u.min_y(), u))
             used_ys.update(p.y for p in pick.points())
             chosen[(c, d)] = pick
-            a_set.add(pick)
-    return SelectionResult(a_set=frozenset(a_set), chosen=chosen)
+    return chosen
 
 
 @dataclass
@@ -91,7 +79,7 @@ class StageRecord:
     s: IndexSet
     g_prime: PartialFn
     moved: dict  # each re-routed u = c ∪ z, picks included -> c ∪ pick
-    selection: SelectionResult
+    selection: dict  # (fiber key c, value d) -> pick
 
 
 @dataclass
@@ -139,7 +127,7 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     selection = countable_selection(wasteful, theta)
     moved: dict = {}
     for u, v, c in rerouted:
-        target = moved[u] = c.union(selection.chosen[(c, v)])
+        target = moved[u] = c.union(selection[(c, v)])
         if u == target:
             g_graph[u] = v
 
@@ -232,7 +220,7 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
         checks.add(f"{label}: fibers thrifty", not wasteful,
                    f"fiber {min(wasteful)!r}" if wasteful else "")
         checks.add(f"{label}: selection width",
-                   tuple_set_width(stage.selection.a_set) <= 1)
+                   tuple_set_width(stage.selection.values()) <= 1)
         failure = _inner_map_failure(stage)
         checks.add(f"{label}: inner-map certificates", not failure, failure)
         current = stage.g_prime

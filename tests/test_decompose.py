@@ -10,7 +10,6 @@ from clonecover.core import (
 )
 from clonecover.decompose import (
     AdmissibilityError,
-    SelectionResult,
     StageRecord,
     countable_selection,
     hereditary_decompose,
@@ -39,20 +38,20 @@ class TestCountableSelection:
             (0, 0): (9, 9), (0, 1): (9, 9), (0, 2): (9, 9),
         })
         sel = countable_selection(fam, theta=3)
-        assert len(sel.a_set) == 1
-        assert len(sel.chosen) == 1
+        assert len(set(sel.values())) == 1
+        assert len(sel) == 1
 
     def test_prefers_largest_minimal_y(self):
         fam = wasteful_unary({(0, 0): (9, 9), (0, 2): (9, 9)})
         sel = countable_selection(fam, theta=3)
-        (pick,) = sel.a_set
+        (pick,) = sel.values()
         assert pick == tup((0, 2))
 
     def test_eligibility_respects_theta(self):
         # The y = 5 tuple has the larger minimal y but sits above theta.
         fam = wasteful_unary({(0, 1): (9, 9), (0, 5): (9, 9)})
         sel = countable_selection(fam, theta=3)
-        (pick,) = sel.a_set
+        (pick,) = sel.values()
         assert pick == tup((0, 1))
 
     def test_y_coordinates_stay_disjoint(self):
@@ -61,7 +60,7 @@ class TestCountableSelection:
             (1, 0): (9, 9), (1, 1): (9, 9),
         })
         sel = countable_selection(fam, theta=3)
-        ys = [p.y for u in sel.a_set for p in u.points()]
+        ys = [p.y for u in sel.values() for p in u.points()]
         assert len(ys) == len(set(ys))
 
     def test_width_of_a_is_at_most_one(self):
@@ -71,7 +70,7 @@ class TestCountableSelection:
             },
         }
         sel = countable_selection(fam, theta=4)
-        assert tuple_set_width(sel.a_set) <= 1
+        assert tuple_set_width(sel.values()) <= 1
 
     def test_exhaustion_is_an_error(self):
         fam = wasteful_unary({(0, 5): (9, 9)})
@@ -91,7 +90,7 @@ class TestCountableSelection:
         }
         assert wasteful == set(g.domain()) == stage.moved.keys()
         assert set(stage.moved.values()) <= {
-            c.union(a) for a in stage.selection.a_set}
+            c.union(a) for a in stage.selection.values()}
 
 
 class TestStrongDecompose:
@@ -241,9 +240,7 @@ class TestHereditaryDecompose:
         # (9|9)'s preimage has bound 1 + 4 = 5 > theta = 3; a stage that
         # keeps it whole is exact but leaves the fiber at S = [] wasteful.
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
-        stage = StageRecord(
-            s=frozenset(), g_prime=g, moved={},
-            selection=SelectionResult(a_set=frozenset(), chosen={}))
+        stage = StageRecord(s=frozenset(), g_prime=g, moved={}, selection={})
         check = stage_check(g, stage, 3, "fibers thrifty")
         assert (check["passed"], check["detail"]) == (False, "fiber <>")
         assert stage_check(g, stage, 5, "fibers thrifty")["passed"]

@@ -268,7 +268,7 @@ def algebra_stage(g, s, theta):
         fiber_h = [PartialFn(t, {z: z for z in t_c.graph}, t)]
         if c in wasteful_family:
             w_c = wasteful_family[c]
-            pick = {d: selection.chosen[(c, d)] for d in w_c.graph.values()}
+            pick = {d: selection[(c, d)] for d in w_c.graph.values()}
             fiber_g.append(w_c.restrict(pick.values()))
             fiber_h.append(PartialFn(
                 t, {z: pick[v] for z, v in w_c.graph.items()}, t))
@@ -309,7 +309,7 @@ class TestStageMatchesAlgebra:
         stage = strong_decompose_stage(g, s, theta)
         assert stage.g_prime == g_prime
         # g' lists g's thrifty entries, then the picks, each in g's order
-        picks = {c.union(a) for (c, _), a in selection.chosen.items()}
+        picks = {c.union(a) for (c, _), a in selection.items()}
         assert list(stage.g_prime.graph) == (
             [u for u in g.graph if u in identity]
             + [u for u in g.graph if u in picks])

@@ -953,7 +953,7 @@ class TestCli:
         path = tmp_path / "inst.json"
         data = serialize.instance_dumps(generate_instance(1, 6, 3, seed=4))
         path.write_bytes(data[:len(data) // 2])
-        assert main(["verify", "--instance", str(path)]) == 2
+        assert main(["demo", "--instance", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("clonecover: instance: ")
         assert err.count("\n") == 1
@@ -1009,7 +1009,7 @@ class TestCli:
         doc = json.loads(serialize.instance_dumps(inst))
         inst_path.write_bytes(
             serialize.dumps(TestSerialization.off_arity_g(doc)))
-        assert main(["verify", "--instance", str(inst_path)]) == 2
+        assert main(["demo", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: partial function: value ")
         assert "does not match codomain [1, 2]" in err[0]
@@ -1028,20 +1028,14 @@ class TestCli:
             "clonecover: term: arity [1] does not match the instance's "
             "arity [1, 2]\n")
 
-    @pytest.mark.parametrize("argv, seed, message", [
-        (["gen", "--m", "0"], None, "arity must be at least 1, got 0"),
-        (["gen", "--horizon", "2"], None, "horizon must be at least 3"),
-        (["check", "--instance", "MISSING"], None, "No such file"),
-        (["verify", "--term", "MISSING"], None, "No such file"),
-        (["gen"], "abc", "$CLONECOVER_SEED is not an integer: 'abc'"),
-    ], ids=["gen-m", "gen-horizon", "check-instance", "verify-term",
-            "gen-env-seed"])
-    def test_usage_errors_exit_2_with_one_line(self, argv, seed, message,
-                                               tmp_path, monkeypatch, capsys):
-        if seed is None:
-            monkeypatch.delenv("CLONECOVER_SEED", raising=False)
-        else:
-            monkeypatch.setenv("CLONECOVER_SEED", seed)
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--m", "0"], "arity must be at least 1, got 0"),
+        (["gen", "--horizon", "2"], "horizon must be at least 3"),
+        (["check", "--instance", "MISSING"], "No such file"),
+        (["verify", "--term", "MISSING"], "No such file"),
+    ], ids=["gen-m", "gen-horizon", "check-instance", "verify-term"])
+    def test_usage_errors_exit_2_with_one_line(self, argv, message,
+                                               tmp_path, capsys):
         missing = str(tmp_path / "nonexistent.json")
         assert main([missing if a == "MISSING" else a for a in argv]) == 2
         out = capsys.readouterr()
@@ -1049,12 +1043,35 @@ class TestCli:
         assert out.err.startswith("clonecover: ") and message in out.err
         assert out.err.count("\n") == 1
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        monkeypatch.setenv("CLONECOVER_SEED", "17")
-        main(["gen", "--m", "1", "--horizon", "6", "--theta", "3",
-              "--out", str(out_a)])
-        main(["gen", "--m", "1", "--horizon", "6", "--theta", "3",
-              "--seed", "17", "--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["check", "--out", "OUT"],
+        ["decompose", "--out", "OUT"],
+        ["verify"],
+        *(["demo", "--instance", "INST", flag, value] for flag, value in (
+            ("--seed", "0"), ("--m", "2"), ("--horizon", "16"),
+            ("--theta", "8"), ("--profile", "mixed"))),
+    ], ids=["check-out", "decompose-out", "verify-no-term", "instance-seed",
+            "instance-m", "instance-horizon", "instance-theta",
+            "instance-profile"])
+    def test_options_a_command_would_ignore_exit_2(self, argv, tmp_path,
+                                                   capsys):
+        # An option a command would not read is refused, never dropped.
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(serialize.instance_dumps(generate_instance(2, 8, 4, 0)))
+        paths = {"OUT": str(tmp_path / "out.json"), "INST": str(inst)}
+        argv = [paths.get(a, a) for a in argv]
+        if "--instance" in argv:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"clonecover: --instance cannot be combined with {argv[-2]}\n")
+        else:
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        assert not (tmp_path / "out.json").exists()
+
+    def test_demo_writes_the_pipeline_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["demo", "--m", "2", "--seed", "7", "--out", str(out)]) == 0
+        report, _ = run_pipeline(generate_instance(2, 16, 8, 7))
+        assert out.read_bytes() == serialize.report_dumps(report)
