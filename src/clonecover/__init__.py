@@ -18,7 +18,6 @@ from .core import (
 from .analysis import (
     fiber_columns,
     tuple_bounds,
-    tuple_set_width,
     width,
 )
 from .decompose import (

@@ -56,18 +56,6 @@ def width(points: Iterable[Point]) -> int:
     return max(counts.values(), default=0)
 
 
-def tuple_set_width(tuples: Iterable[MTuple]) -> int:
-    """Max width over the component projections of a set of M-tuples."""
-    tuples = list(tuples)
-    if not tuples:
-        return 0
-    arity = tuples[0].indices
-    for u in tuples:
-        if u.indices != arity:
-            raise IndexMismatchError("mixed index sets in tuple set")
-    return max(width({u[i] for u in tuples}) for i in sorted(arity))
-
-
 def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
     """dom(g) restricted to S in one pass, in graph order: ``(keys,
     outside)``, where ``keys`` lists the S-part of every tuple (its fiber

@@ -59,8 +59,7 @@ class MTuple(tuple):
 
     @staticmethod
     def of(mapping: Mapping[int, Point]) -> "MTuple":
-        return MTuple(sorted((i, p if isinstance(p, Point) else Point(*p))
-                             for i, p in mapping.items()))
+        return MTuple(sorted(mapping.items()))
 
     @staticmethod
     def empty() -> "MTuple":
@@ -100,12 +99,6 @@ class MTuple(tuple):
                 f"index sets overlap: {sorted(self.indices & other.indices)}"
             )
         return MTuple(sorted(self + other))
-
-    def min_y(self) -> Optional[int]:
-        """Least y-coordinate among components; None for the empty tuple."""
-        if not self:
-            return None
-        return min(p.y for _, p in self)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}:{p!r}" for i, p in self)
@@ -194,10 +187,6 @@ class PartialFn:
 
     def __len__(self) -> int:
         return len(self.graph)
-
-    def sorted_items(self):
-        """Graph entries in canonical (domain-tuple) order."""
-        return sorted(self.graph.items())
 
     def component(self, i: int) -> "PartialFn":
         """The i-th point-valued component of a tuple-valued function."""
@@ -308,9 +297,6 @@ class Term:
 
     def depth(self) -> int:
         return _fold_nodes(self.root, lambda found: max(found, default=0), {})
-
-    def witness_atoms(self) -> list:
-        return sorted(n for n, b in self.env.items() if b.kind == WITNESS_ATOM)
 
 
 def _fold_nodes(node: TermNode, combine: Callable[[list], int],

@@ -168,7 +168,6 @@ def _feature_plan(m: int, theta: int, profile: str) -> list:
 
 def _build_target(m, horizon, theta, ceiling, profile, rng):
     arity = full_index(m)
-    used_tuples: set = set()
     used_values: set = set()
     graph: dict = {}
 
@@ -181,9 +180,8 @@ def _build_target(m, horizon, theta, ceiling, profile, rng):
         raise _RetryGeneration("value space exhausted")
 
     def add_entry(u: MTuple, v: Point):
-        if u in used_tuples:
+        if u in graph:
             raise _RetryGeneration("duplicate domain tuple")
-        used_tuples.add(u)
         graph[u] = v
 
     plan = _feature_plan(m, theta, profile)
@@ -232,7 +230,7 @@ def _build_target(m, horizon, theta, ceiling, profile, rng):
                 i: Point(rng.randrange(ceiling), rng.randrange(theta))
                 for i in sorted(arity)
             })
-            if u not in used_tuples:
+            if u not in graph:
                 break
         else:
             raise _RetryGeneration("bulk tuple space exhausted")
@@ -260,7 +258,8 @@ def check_admissibility(inst: Instance) -> dict:
     the hereditary decomposition (the two stages with choice steps), each
     run independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
     hands back their products, ``normalized`` and ``trace`` (None where the
-    stage raised), from which `complete_synthesis` finishes the term.
+    stage raised): `complete_synthesis` finishes the term from the trace
+    and the normalized witness's f*.
     """
     checks = Checklist()
     fns = (inst.g, inst.f, *inst.candidates)

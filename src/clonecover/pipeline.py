@@ -17,7 +17,7 @@ from operator import ne
 from typing import Optional
 
 from .analysis import Checklist, width
-from .core import compile_term
+from .core import WITNESS_ATOM, compile_term
 from .decompose import verify_decomposition
 from .instances import Instance, check_admissibility
 from .synth import (
@@ -46,7 +46,7 @@ def run_pipeline(inst: Instance) -> tuple:
     stage_error = None
     if adm["passed"]:
         try:
-            result = complete_synthesis(inst.g, adm["normalized"],
+            result = complete_synthesis(inst.g, adm["normalized"].f_star,
                                         adm["trace"])
         except StageError as exc:
             stage_error = exc
@@ -71,7 +71,8 @@ def run_pipeline(inst: Instance) -> tuple:
             "size": result.term.size(),
             "depth": result.term.depth(),
             "atoms": len(result.term.env),
-            "witness_atoms": len(result.term.witness_atoms()),
+            "witness_atoms": sum(b.kind == WITNESS_ATOM
+                                 for b in result.term.env.values()),
             "q_domain": len(result.trace.g_prime),
         }
     if stage_error is not None:

@@ -151,7 +151,7 @@ class _Writer:
     def graph(self, p: PartialFn) -> str:
         value = self.value
         return "[" + ",".join(f"[{value(u)},{value(v)}]"
-                              for u, v in p.sorted_items()) + "]"
+                              for u, v in sorted(p.graph.items())) + "]"
 
 
 class _Reader:

@@ -113,7 +113,6 @@ class NormalizedWitness:
     """
 
     f_star: PartialFn
-    horizon: int
     relabel_domain: dict  # Point (0 | n(+)k) -> original domain Point
     line_map: dict  # original line index -> normalized line index
     row_map: dict  # original row index -> normalized row index
@@ -188,7 +187,6 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
 
     return NormalizedWitness(
         f_star=f_star,
-        horizon=horizon,
         relabel_domain=relabel_domain,
         line_map=line_map,
         row_map=row_map,
@@ -281,7 +279,7 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     return family
 
 
-def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
+def build_Q(q: PartialFn, h_family: Mapping, f_star: PartialFn,
             keys: tuple) -> PartialFn:
     """The selector table: defined at (u, v) exactly when every v-slot equals
     the witness's output on the corresponding helper at u; value q(u).
@@ -295,17 +293,17 @@ def build_Q(q: PartialFn, h_family: Mapping, nw: NormalizedWitness,
     own points.
     """
     m = len(q.arity)
-    f_star = nw.f_star.graph
+    witness = f_star.graph
     helpers = [list(h_family[pair].graph.values()) for pair in keys[m:]]
     columns, undefined = [], False
     for slot, outputs in enumerate(helpers, m + 1):
-        entry_of = {hv: (slot, f_star.get(((1, hv),)))
+        entry_of = {hv: (slot, witness.get(((1, hv),)))
                     for hv in set(outputs)}
         undefined |= any(out is None for _, out in entry_of.values())
         columns.append(list(map(entry_of.get, outputs)))
     if undefined:
         hv = next(hv for row in zip(*helpers) for hv in row
-                  if ((1, hv),) not in f_star)
+                  if ((1, hv),) not in witness)
         raise AdmissibilityError(
             f"witness not defined at helper output {hv!r}; horizon too small")
     rows = list(zip(*columns)) or [()] * len(q.graph)
@@ -323,7 +321,7 @@ def helper_name(s: IndexSet, j: int) -> str:
     return "h[{{{}}},{}]".format(",".join(map(str, sorted(s))), j)
 
 
-def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
+def assemble_term(q: PartialFn, f_star: PartialFn, h_family: Mapping,
                   q_table: PartialFn, keys: tuple,
                   inner: PartialFn) -> Term:
     """The synthesized term for g = q o inner: the selector applied to the
@@ -332,7 +330,7 @@ def assemble_term(q: PartialFn, nw: NormalizedWitness, h_family: Mapping,
     gives them the (0|0) value off their bound, over all of dom(q)."""
     env = {
         SELECTOR_ATOM: AtomBinding(q_table, CI_ATOM),
-        WITNESS_NAME: AtomBinding(nw.f_star, WITNESS_ATOM),
+        WITNESS_NAME: AtomBinding(f_star, WITNESS_ATOM),
     }
     projections = tuple(Proj(i) for i in sorted(q.arity))
     for i in sorted(q.arity):
@@ -539,7 +537,6 @@ class StageError(RuntimeError):
 class SynthesisResult:
     """Everything produced on the way to the final term."""
 
-    normalized: NormalizedWitness
     trace: DecompositionTrace
     k_tables: dict
     h_family: dict
@@ -565,21 +562,20 @@ def end_to_end_synthesize(g: PartialFn, f: PartialFn, theta: int, horizon: int,
     f = _run_stage("reduce-to-unary", reduce_to_unary, f, unary_candidates)
     nw = _run_stage("normalize", normalize_f, f, horizon)
     trace = _run_stage("decompose", hereditary_decompose, g, theta)
-    return complete_synthesis(g, nw, trace)
+    return complete_synthesis(g, nw.f_star, trace)
 
 
-def complete_synthesis(g: PartialFn, nw: NormalizedWitness,
+def complete_synthesis(g: PartialFn, f_star: PartialFn,
                        trace: DecompositionTrace) -> SynthesisResult:
     """Helper/selector construction and term assembly from the products of
-    the choice stages: the normalized witness and g's decomposition trace."""
+    the choice stages: the normalized witness f*, all this reads of the
+    witness's normalization, and g's decomposition trace."""
     q = trace.g_prime
     keys = factor_keys(len(g.arity))
     tables = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
     h_family = _run_stage("helpers", build_h_family, q, keys, tables)
-    q_table = _run_stage("selector", build_Q, q, h_family, nw, keys)
+    q_table = _run_stage("selector", build_Q, q, h_family, f_star, keys)
     term = _run_stage("assemble", assemble_term,
-                      q, nw, h_family, q_table, keys, trace.h_composed)
-    return SynthesisResult(
-        normalized=nw, trace=trace, k_tables=tables,
-        h_family=h_family, q_table=q_table, term=term,
-    )
+                      q, f_star, h_family, q_table, keys, trace.h_composed)
+    return SynthesisResult(trace=trace, k_tables=tables, h_family=h_family,
+                           q_table=q_table, term=term)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -18,6 +19,39 @@ from clonecover.decompose import (
     verify_decomposition,
 )
 from clonecover.synth import fiber_k_tables
+
+
+BULK_SALT = 0xB0_1C  # decorrelates the bulk tuples from the generator's rng
+BULK_REUSE = 0.3  # share of bulk tuples that reuse a value
+
+
+def grown(inst, size):
+    """inst with dom(g) grown to ``size`` as the benchmark's bulk step
+    (``perfbench.harness.enlarge``) grows it, which GOLDEN_BULK in
+    test_golden pins: bulk tuples lie below theta, a value is reused with
+    probability BULK_REUSE (never a planted one), and fresh values avoid
+    every value in use."""
+    rng = random.Random(inst.seed ^ BULK_SALT)
+    graph = dict(inst.g.graph)
+    planted = {Point(*f["value"]) for f in inst.metadata["features"]}
+    used_values = set(graph.values())
+    bulk_values = sorted(used_values - planted)
+    arity = sorted(inst.g.arity)
+    while len(graph) < size:
+        u = MTuple.of({i: Point(rng.randrange(inst.ceiling),
+                                rng.randrange(inst.theta)) for i in arity})
+        if u in graph:
+            continue
+        if bulk_values and rng.random() < BULK_REUSE:
+            v = rng.choice(bulk_values)
+        else:
+            v = Point(rng.randrange(inst.ceiling), rng.randrange(inst.ceiling))
+            if v in used_values:
+                continue
+            used_values.add(v)
+            bulk_values.append(v)
+        graph[u] = v
+    return dataclasses.replace(inst, g=PartialFn(inst.g.arity, graph))
 
 
 def idx(*members):

@@ -5,7 +5,6 @@ from clonecover.analysis import (
     all_subsets,
     fiber_columns,
     tuple_bounds,
-    tuple_set_width,
     width,
 )
 from clonecover.core import IndexMismatchError, MTuple, PartialFn
@@ -35,14 +34,6 @@ class TestWidth:
         assert width(mixed) == 2
         assert width(p for p in mixed) == 2
 
-    def test_tuple_set_width_frozen_example(self):
-        # Component 1 has width 2 on line 0; component 2 has width 1.
-        a = {tup((0, 0), (0, 5)), tup((1, 0), (0, 6))}
-        assert tuple_set_width(a) == 2
-
-    def test_tuple_set_width_empty(self):
-        assert tuple_set_width([]) == 0
-
 
 class TestLeastBound:
     """The least bound of a tuple set: the largest `tuple_bounds` entry."""
@@ -69,8 +60,8 @@ class TestLeastBound:
         k = bound_of(a)
         # Every tuple has a component below k, and some tuple has none below
         # k - 1; that is exactly what "least bound" means.
-        assert all(u.min_y() < k for u in a)
-        assert any(u.min_y() >= k - 1 for u in a)
+        assert all(min(p.y for _, p in u) < k for u in a)
+        assert any(min(p.y for _, p in u) >= k - 1 for u in a)
 
 
 class TestClassifyPreimages:

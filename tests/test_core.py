@@ -9,7 +9,6 @@ from clonecover.core import (
     MTuple,
     OverlapError,
     PartialFn,
-    Point,
     Proj,
     Term,
     UnresolvedAtomError,
@@ -359,10 +358,6 @@ class TestMTuple:
         for i in (0, 1, 3):
             with pytest.raises(KeyError):
                 u[i]
-
-    def test_of_wraps_plain_pairs_as_points(self):
-        p = MTuple.of({1: [2, 3]})[1]
-        assert p.__class__ is Point and p == pt(2, 3)
 
     def test_empty_tuple(self):
         assert len(MTuple.empty()) == 0 and not MTuple.empty()

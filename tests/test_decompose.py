@@ -1,6 +1,6 @@
 import pytest
 
-from clonecover.analysis import all_subsets, tuple_set_width
+from clonecover.analysis import all_subsets, width
 from clonecover.core import (
     IndexMismatchError,
     MTuple,
@@ -70,7 +70,7 @@ class TestCountableSelection:
             },
         }
         sel = countable_selection(fam, theta=4)
-        assert tuple_set_width(sel.values()) <= 1
+        assert width({u[2] for u in sel.values()}) <= 1
 
     def test_exhaustion_is_an_error(self):
         fam = wasteful_unary({(0, 5): (9, 9)})
@@ -89,8 +89,12 @@ class TestCountableSelection:
             c.union(z) for z in oracle.split(oracle.fiber(g, idx(1), c), 3)[1]
         }
         assert wasteful == set(g.domain()) == stage.moved.keys()
-        assert set(stage.moved.values()) <= {
-            c.union(a) for a in stage.selection.values()}
+        # each target is c ∪ pick, a pick moves onto itself, and the
+        # picks' set A has width <= 1
+        targets = set(stage.moved.values())
+        assert {t.restrict(idx(1)) for t in targets} == {c}
+        assert targets <= stage.moved.keys()
+        assert width({t[2] for t in targets}) <= 1
 
 
 class TestStrongDecompose:
@@ -240,7 +244,7 @@ class TestHereditaryDecompose:
         # (9|9)'s preimage has bound 1 + 4 = 5 > theta = 3; a stage that
         # keeps it whole is exact but leaves the fiber at S = [] wasteful.
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
-        stage = StageRecord(s=frozenset(), g_prime=g, moved={}, selection={})
+        stage = StageRecord(s=frozenset(), g_prime=g, moved={})
         check = stage_check(g, stage, 3, "fibers thrifty")
         assert (check["passed"], check["detail"]) == (False, "fiber <>")
         assert stage_check(g, stage, 5, "fibers thrifty")["passed"]

@@ -8,7 +8,6 @@ constants and says why.
 """
 import dataclasses
 import hashlib
-import random
 
 import pytest
 
@@ -18,6 +17,8 @@ from clonecover.core import MTuple, PartialFn, Point
 from clonecover.instances import check_admissibility, generate_instance
 from clonecover.pipeline import run_pipeline
 from clonecover.synth import end_to_end_synthesize
+
+from conftest import grown
 
 # (m, seed, profile) -> sha256 over instance, term and report bytes, in order
 GOLDEN = {
@@ -75,14 +76,12 @@ GOLDEN_M7 = ((7, 32, 20, 0, "mixed"),
 
 
 # sha256 of the instance, term and report bytes of one m = 3 mary-witness
-# instance grown to 300 tuples by `_grown`: the bulk-m3 benchmark's round-0
+# instance grown to 300 tuples by `grown`: the bulk-m3 benchmark's round-0
 # instance for run seed 3, at the size its numbers are measured on
 GOLDEN_BULK = ((3, 8, 4, 300, "mary-witness"), 300, (
     "fca082bc9091aa29213655fbf6d727fdaf42ad73a408281cd7e1ee3eeef66241",
     "e1bb7d5e1bb3cd95f05b6af7830b39ea0d3519878abc3d2ffbc758523e099610",
     "bef139adc26c7293a550d3964d26f0df7f8516fc2a88ff02a12370c52876b2e2"))
-BULK_SALT = 0xB0_1C  # decorrelates the bulk tuples from the generator's rng
-BULK_REUSE = 0.3  # share of bulk tuples that reuse a value
 
 
 @pytest.mark.parametrize("m, seed, profile", sorted(GOLDEN))
@@ -121,37 +120,9 @@ def test_golden_bytes_arity_seven():
         serialize.report_dumps(report)).hexdigest() == report_digest
 
 
-def _grown(inst, size):
-    """inst with dom(g) grown to ``size`` as the benchmark's bulk step
-    grows it: bulk tuples lie below theta, a value is reused with
-    probability BULK_REUSE (never a planted one), and fresh values avoid
-    every value in use."""
-    rng = random.Random(inst.seed ^ BULK_SALT)
-    graph = dict(inst.g.graph)
-    planted = {Point(*f["value"]) for f in inst.metadata["features"]}
-    used_values = set(graph.values())
-    bulk_values = sorted(used_values - planted)
-    arity = sorted(inst.g.arity)
-    while len(graph) < size:
-        u = MTuple.of({i: Point(rng.randrange(inst.ceiling),
-                                rng.randrange(inst.theta)) for i in arity})
-        if u in graph:
-            continue
-        if bulk_values and rng.random() < BULK_REUSE:
-            v = rng.choice(bulk_values)
-        else:
-            v = Point(rng.randrange(inst.ceiling), rng.randrange(inst.ceiling))
-            if v in used_values:
-                continue
-            used_values.add(v)
-            bulk_values.append(v)
-        graph[u] = v
-    return dataclasses.replace(inst, g=PartialFn(inst.g.arity, graph))
-
-
 def test_golden_bytes_at_bulk_scale():
     args, size, digests = GOLDEN_BULK
-    inst = _grown(generate_instance(*args), size)
+    inst = grown(generate_instance(*args), size)
     assert len(inst.g) == size and check_admissibility(inst)["passed"]
     term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
                                  unary_candidates=inst.candidates).term

@@ -317,7 +317,8 @@ class TestStageMatchesAlgebra:
         assert g.domain() - stage.moved.keys() == identity
         assert stage_check(g, stage, theta, "inner-map certificates")[
             "passed"]
-        assert stage.selection == selection
+        assert {(u.restrict(s), g.graph[u]): t.without(s)
+                for u, t in stage.moved.items()} == selection
 
 
 class TestUnionAndSubLaws:
@@ -449,8 +450,8 @@ class TestPointLevelLaws:
     def test_least_bound_is_least(self, ps):
         a = [MTuple.of({1: p}) for p in ps]
         k = bound_of(a)
-        assert all(u.min_y() < k for u in a)
-        assert not all(u.min_y() < k - 1 for u in a)
+        assert all(u[1].y < k for u in a)
+        assert not all(u[1].y < k - 1 for u in a)
 
 
 @st.composite

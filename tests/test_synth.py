@@ -278,7 +278,7 @@ class TestBuildQ:
     def test_slots_hold_witness_outputs(self):
         inst, res = self.setup_result()
         keys = factor_keys(inst.m)
-        f_star = res.normalized.f_star.graph
+        f_star = res.term.env["f*"].fn.graph
         for uv in res.q_table.graph:
             u = uv.restrict(inst.g.arity)
             for slot, pair in enumerate(keys[inst.m:], inst.m + 1):
@@ -289,7 +289,7 @@ class TestBuildQ:
         # Off its bound a helper reads (0|0), where f* is (0|0) too.
         inst, res = self.setup_result()
         keys = factor_keys(inst.m)
-        anchor = res.normalized.f_star.graph[tup((0, 0))]
+        anchor = res.term.env["f*"].fn.graph[tup((0, 0))]
         hit = False
         for uv in res.q_table.graph:
             u = uv.restrict(inst.g.arity)

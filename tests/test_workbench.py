@@ -14,6 +14,7 @@ from clonecover.cli import main
 from clonecover.core import (
     App,
     AtomBinding,
+    CI_ATOM,
     MTuple,
     PartialFn,
     Point,
@@ -34,7 +35,7 @@ from clonecover import pipeline, synth
 from clonecover.pipeline import run_pipeline, verify_pair
 from clonecover.synth import end_to_end_synthesize
 
-from conftest import idx, pt, tup, unary
+from conftest import grown, idx, pt, tup, unary
 from test_properties import walk
 
 
@@ -54,30 +55,6 @@ def _count_calls(monkeypatch, names) -> dict:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def _grown(inst, size):
-    """inst with dom(g) grown to ``size`` by tuples below theta, each sent
-    to a fresh value or, three times in ten, to one an added tuple uses."""
-    rng = random.Random(inst.seed)
-    graph = dict(inst.g.graph)
-    used, added = set(graph.values()), []
-    while len(graph) < size:
-        u = MTuple.of({i: Point(rng.randrange(inst.ceiling),
-                                rng.randrange(inst.theta))
-                       for i in sorted(inst.g.arity)})
-        if u in graph:
-            continue
-        if added and rng.random() < 0.3:
-            v = rng.choice(added)
-        else:
-            v = Point(rng.randrange(inst.ceiling), rng.randrange(inst.ceiling))
-            if v in used:
-                continue
-            used.add(v)
-            added.append(v)
-        graph[u] = v
-    return dataclasses.replace(inst, g=PartialFn(inst.g.arity, graph))
 
 
 def _artifact_bytes(inst):
@@ -606,8 +583,8 @@ class TestPipeline:
         # f* is defined on x = 0 only.
         complete = pipeline.complete_synthesis
 
-        def shifted_helper(*args):
-            result = complete(*args)
+        def shifted_helper(g, f_star, trace):
+            result = complete(g, f_star, trace)
             family = dict(result.h_family)
             h = family[(idx(1), 2)]
             u, v = next(iter(h.graph.items()))
@@ -635,7 +612,7 @@ class TestPipeline:
         # graph, so no byte may follow the insertion order of g.
         inst = generate_instance(m, 8, 4, 0, profile)
         if size:
-            inst = _grown(inst, size)
+            inst = grown(inst, size)
             assert check_admissibility(inst)["passed"]
         want = _artifact_bytes(inst)
         rng = random.Random(size + m)
@@ -681,7 +658,7 @@ class TestPipeline:
 
         def tamper(term):
             q = term.env[synth.SELECTOR_ATOM].fn
-            u = inst.g.sorted_items()[0][0]
+            u = min(inst.g.graph)
             key = MTuple(zip(sorted(q.arity),
                              (walk(ch, u, term.env)
                               for ch in term.root.children)))
@@ -700,8 +677,8 @@ class TestPipeline:
 
         complete = pipeline.complete_synthesis
 
-        def tampered_synthesis(*args):
-            result = complete(*args)
+        def tampered_synthesis(g, f_star, trace):
+            result = complete(g, f_star, trace)
             return dataclasses.replace(result, term=tamper(result.term))
 
         monkeypatch.setattr(pipeline, "complete_synthesis", tampered_synthesis)
@@ -831,6 +808,19 @@ class TestCli:
                      "--out", str(term_path)]) == 0
         assert main(["verify", "--instance", str(inst_path),
                      "--term", str(term_path)]) == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_verify_rejects_g_bound_as_a_ci_atom(self, tmp_path):
+        # The term g(x1, x2), with g itself bound as a width-harmless atom,
+        # agrees with g on dom(g) but is no term over the witness.
+        inst = generate_instance(2, 8, 4, 5)
+        term = Term(App("g", (Proj(1), Proj(2))),
+                    {"g": AtomBinding(inst.g, CI_ATOM)}, inst.g.arity)
+        inst_path, term_path = tmp_path / "inst.json", tmp_path / "term.json"
+        inst_path.write_bytes(serialize.instance_dumps(inst))
+        term_path.write_bytes(serialize.term_dumps(term))
+        assert main(["verify", "--instance", str(inst_path),
+                     "--term", str(term_path)]) == 1
 
     def test_decompose_exit_zero(self, tmp_path):
         assert main(["decompose", "--m", "2", "--horizon", "8",
