@@ -359,6 +359,13 @@ class TestMTuple:
             with pytest.raises(KeyError):
                 u[i]
 
+    def test_of_orders_entries_by_index(self):
+        # The mapping's own order does not matter: entries sort by index.
+        u = MTuple.of({5: pt(2, 3), 2: pt(0, 1)})
+        assert u == MTuple.of({2: pt(0, 1), 5: pt(2, 3)})
+        assert tuple(u) == ((2, pt(0, 1)), (5, pt(2, 3)))
+        assert u.indices == frozenset({2, 5})
+
     def test_empty_tuple(self):
         assert len(MTuple.empty()) == 0 and not MTuple.empty()
         assert MTuple.empty().indices == frozenset()

@@ -96,6 +96,26 @@ class TestCountableSelection:
         assert targets <= stage.moved.keys()
         assert width({t[2] for t in targets}) <= 1
 
+    def test_picks_on_one_line_fail_the_inner_map_check(self):
+        # Two wasteful fibers get y-disjoint picks, (0|1) and (0|0).
+        # Rerouting the second fiber onto (1|1) puts two picks on line 1:
+        # the inner-map check is the width check on A, and names it.
+        c1, c2 = MTuple.of({1: pt(5, 5)}), MTuple.of({1: pt(6, 6)})
+        g = PartialFn(idx(1, 2), {
+            c.union(MTuple.of({2: pt(0, y)})): pt(9, 9)
+            for c in (c1, c2) for y in (0, 1, 5)
+        })
+        stage = strong_decompose_stage(g, idx(1), theta=3)
+        picks = {u.restrict(idx(1)): t[2] for u, t in stage.moved.items()}
+        assert picks == {c1: pt(0, 1), c2: pt(0, 0)}
+        assert stage_check(g, stage, 3, "inner-map certificates")["passed"]
+        stage.moved = {u: (c2.union(MTuple.of({2: pt(1, 1)}))
+                           if u.restrict(idx(1)) == c2 else t)
+                       for u, t in stage.moved.items()}
+        check = stage_check(g, stage, 3, "inner-map certificates")
+        assert not check["passed"]
+        assert check["detail"] == "component 2 has range width 2"
+
 
 class TestStrongDecompose:
     def test_thrifty_input_is_untouched(self):

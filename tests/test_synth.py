@@ -8,6 +8,7 @@ from clonecover.core import (
     MTuple,
     ORIGIN,
     PartialFn,
+    WITNESS_ATOM,
     compile_term,
     full_index,
 )
@@ -304,6 +305,15 @@ class TestBuildQ:
         inst, res = self.setup_result()
         for s, j in factor_keys(inst.m)[inst.m:]:
             assert res.term.env[helper_name(s, j)].fn is res.h_family[s, j]
+
+    def test_term_binds_the_normalized_witness_once(self):
+        # f* reaches the term as its one witness atom, and it is the
+        # normalized witness up to the horizon.
+        inst, res = self.setup_result()
+        witnesses = [n for n, b in res.term.env.items()
+                     if b.kind == WITNESS_ATOM]
+        assert witnesses == ["f*"]
+        assert res.term.env["f*"].fn == normal_witness(inst.horizon)
 
 
 def certificate_rows(certs):
