@@ -84,20 +84,25 @@ def dumps(doc: dict) -> bytes:
     return "".join(part + text for part, text in zip(parts, texts)).encode()
 
 
-def loads(data: bytes, what: str = "document") -> dict:
+def loads(data: bytes, kind: str) -> dict:
+    """The document of data, if it is tagged with the JSON integer version
+    and with ``kind``, the kind its reader reads."""
     try:
         doc = json.loads(data.decode())
     except (ValueError, RecursionError) as exc:
         # ValueError covers undecodable bytes, bad JSON and integer
         # literals over the interpreter's digit limit
-        raise ParseError(f"{what}: {exc}") from exc
+        raise ParseError(f"{kind}: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
-        raise ParseError(f"{what}: missing version tag")
-    if doc["version"] != FORMAT_VERSION:
+        raise ParseError(f"{kind}: missing version tag")
+    version = doc["version"]
+    # True == 1 == 1.0, so the type is checked too
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(
-            f"{what}: unknown version {doc['version']!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
+            f"{kind}: unknown version {version!r} (expected {FORMAT_VERSION})")
+    if doc.get("kind") != kind:
+        raise ParseError(f"{kind}: document kind {doc.get('kind')!r} is "
+                         f"not {kind!r}")
     return doc
 
 
@@ -112,7 +117,11 @@ def _int(v, what: str) -> int:
 
 
 def _index_set(members, what: str) -> frozenset:
-    return frozenset(_int(i, f"{what} member") for i in members)
+    """The set of members, if they are distinct JSON integers."""
+    index = frozenset(_int(i, f"{what} member") for i in members)
+    if len(index) != len(members):
+        raise ParseError(f"{what} {members!r} repeats a member")
+    return index
 
 
 def _index(key, obj) -> int:

@@ -1,12 +1,13 @@
-"""Every import in the package's modules and in the test modules is used
-(``__init__`` re-exports, so it is exempt), no package module imports
-an underscore-prefixed name from a sibling: what modules share is public
-and documented, every underscore-prefixed name a package module binds at
-its top level is read in that module, every public one is read by some
-package module other than ``__init__``, so no helper outlives its last
-caller, and only the instance generator imports ``random``: every verdict
-is a deterministic function of its inputs.  Standard library only: the
-AST names each import and each name the module reads."""
+"""Every import in the package's modules and in the test modules is used,
+so ``__init__`` re-exports nothing and each name has one import path, its
+module's; no package module imports an underscore-prefixed name from a
+sibling: what modules share is public and documented, every
+underscore-prefixed name a package module binds at its top level is read
+in that module, every public one is read by some other package module, so
+no helper outlives its last caller, and only the instance generator
+imports ``random``: every verdict is a deterministic function of its
+inputs.  Standard library only: the AST names each import and each name
+the module reads."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "clonecover"
 PACKAGE = SRC.name
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
@@ -69,8 +70,7 @@ def test_detector_flags_a_private_sibling_import():
         "_EMPTY_TUPLE", "_inner_map_failure", "_hidden"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
 
@@ -121,8 +121,7 @@ def test_detector_flags_an_unread_private_name():
     assert unread_private_names(source) == ["_B", "_stale", "_Gone"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_read_in_its_module(path):
     assert unread_private_names(path.read_text()) == []
 
@@ -182,7 +181,6 @@ def test_detector_flags_a_random_import():
                               "import randomness\n")
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_generator_imports_random(path):
     assert imports_random(path.read_text()) == (path.name == "instances.py")

@@ -45,7 +45,7 @@ def _count_calls(monkeypatch, names) -> dict:
     calls = dict.fromkeys(names, 0)
     modules = [m for m in vars(clonecover).values() if inspect.ismodule(m)]
     for name in names:
-        original = getattr(clonecover, name)
+        original = next(vars(m)[name] for m in modules if name in vars(m))
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -182,19 +182,32 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         inst = generate_instance(1, 6, 3, seed=0)
         doc = json.loads(serialize.instance_dumps(inst))
-        doc["version"] = 99
-        with pytest.raises(serialize.ParseError, match="version"):
-            serialize.instance_loads(serialize.dumps(doc))
+        # true and 1.0 equal 1 in Python, and used to load as version 1
+        for version in (99, True, 1.0):
+            with pytest.raises(serialize.ParseError, match="version"):
+                serialize.instance_loads(
+                    serialize.dumps({**doc, "version": version}))
         with pytest.raises(serialize.ParseError):
-            serialize.loads(b'{"no": "tag"}\n')
+            serialize.loads(b'{"no": "tag"}\n', "instance")
+        # each reader used to ignore the kind tag
+        kindless = {k: v for k, v in doc.items() if k != "kind"}
+        for kind in ("term", "report", None):
+            tagged = kindless if kind is None else {**doc, "kind": kind}
+            with pytest.raises(serialize.ParseError,
+                               match=f"kind {kind!r} is not 'instance'"):
+                serialize.instance_loads(serialize.dumps(tagged))
+        with pytest.raises(serialize.ParseError,
+                           match="kind 'instance' is not 'term'"):
+            serialize.term_loads(serialize.dumps(
+                {**self.small_term_doc(), "kind": "instance"}))
 
     def test_malformed_bytes_rejected(self):
         with pytest.raises(serialize.ParseError):
-            serialize.loads(b"not json")
+            serialize.loads(b"not json", "instance")
 
     def test_deeply_nested_document_rejected(self):
         with pytest.raises(serialize.ParseError):
-            serialize.loads(b"[" * 100000)
+            serialize.loads(b"[" * 100000, "instance")
 
     @staticmethod
     def with_first_tuple(doc, tuple_doc):
@@ -316,6 +329,10 @@ class TestSerialization:
             ({"theta": 0}, "theta 0 outside"),
             ({"theta": 8}, "theta 8 outside"),
             ({"profile": "bogus"}, "unknown profile"),
+            # a repeated arity member used to load as the set, and dumped
+            # back to other bytes
+            ({"g": {**doc["g"], "arity": [1, 2, 2]}},
+             r"arity \[1, 2, 2\] repeats a member"),
         ]
         for fields, message in faults:
             with pytest.raises(serialize.ParseError, match=message):
