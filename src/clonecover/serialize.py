@@ -8,13 +8,19 @@ serialize identically.
 
 Graphs are most of a document's bytes, and the functions of one document
 share most of their points and tuples.  So each distinct point and tuple
-is written once per document as a text fragment the graphs join, and
-read back once as one shared object.
+is read back once per document as one shared object.  A unary
+point-valued graph (the witness, f* and the candidates, with about
+horizon²/2 entries each) is formatted and checked in one batched pass;
+other graphs are written as text joined from per-value fragments, each
+built once per document, and read entry by entry.  Both ways give the
+same bytes and the same objects, and an irregular unary graph is left to
+the per-entry reader, so it fails with the same ParseError.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain, repeat
 
 from .core import (
     App,
@@ -106,6 +112,16 @@ def loads(data: bytes, kind: str) -> dict:
     return doc
 
 
+def _fields(doc: dict, fields: tuple, kind: str) -> None:
+    """Reject a document whose top-level keys are not exactly ``fields``,
+    the keys its writer writes, naming each missing and unknown key."""
+    unknown = sorted(doc.keys() - {*fields})
+    faults = ([f"missing field {k!r}" for k in fields if k not in doc]
+              + [f"unknown field {k!r}" for k in unknown])
+    if faults:
+        raise ParseError(f"{kind}: " + "; ".join(faults))
+
+
 # -- value forms ------------------------------------------------------
 
 
@@ -139,7 +155,8 @@ def _index(key, obj) -> int:
 
 class _Writer:
     """Writes graphs as JSON text, building the text of each distinct point
-    and tuple once."""
+    and tuple once; a unary point-valued graph is formatted in one pass
+    instead."""
 
     def __init__(self):
         self.texts: dict = {}
@@ -158,6 +175,15 @@ class _Writer:
         return text
 
     def graph(self, p: PartialFn) -> str:
+        if len(p.arity) == 1 and p.codomain is None:
+            # A unary point-valued graph, formatted in one pass: over one
+            # index its entries sort as the ints (x, y, a, b) of their
+            # input and output points do.
+            [i] = p.arity
+            entry = '[{"%d":[%%d,%%d]},[%%d,%%d]]' % i
+            return "[" + ",".join(map(entry.__mod__, sorted(
+                [(x, y, a, b)
+                 for ((_, (x, y)),), (a, b) in p.graph.items()]))) + "]"
         value = self.value
         return "[" + ",".join(f"[{value(u)},{value(v)}]"
                               for u, v in sorted(p.graph.items())) + "]"
@@ -202,14 +228,49 @@ class _Reader:
         t = MTuple(sorted(zip(indices, map(self.point, obj.values()))))
         return self.tuples.setdefault(t, t)
 
+    def unary_graph(self, arity, entries):
+        """The graph of a point-valued function's entries, read in one pass
+        when its declared arity is [i] for one index i and every entry is
+        regular: a pair of a key object holding exactly i's index key and
+        a point, each point a 2-list of JSON integers >= 0.  Anything else
+        gives None, which leaves the entries (an empty graph too), and
+        whatever ParseError they give, to the per-entry reader."""
+        if not (type(arity) is list and len(arity) == 1
+                and type(arity[0]) is int and arity[0] >= 1
+                and type(entries) is list):
+            return None
+        if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
+            return None
+        [i] = arity
+        keys, outs = zip(*entries)
+        if ({*map(type, keys)} != {dict}
+                or {*map(tuple, keys)} != {(str(i),)}):
+            return None
+        # the n input points, then the n output points
+        lists = [*chain.from_iterable(map(dict.values, keys)), *outs]
+        if ({*map(type, lists)} != {list} or {*map(len, lists)} != {2}
+                or {*map(type, chain.from_iterable(lists))} != {int}
+                or min(chain.from_iterable(lists)) < 0):
+            return None
+        intern_point = self.points.setdefault
+        points = [intern_point(p, p)
+                  for p in map(tuple.__new__, repeat(Point), lists)]
+        n = len(entries)
+        intern_tuple = self.tuples.setdefault
+        return {intern_tuple(u, u): v for u, v in zip(
+            map(MTuple, zip(zip(repeat(i), points[:n]))), points[n:])}
+
     def pfn(self, obj) -> PartialFn:
         if not isinstance(obj, dict) or "graph" not in obj:
             raise ParseError(f"bad partial function {obj!r}")
         with _parsing("partial function"):
             codomain = obj.get("codomain")
-            value = self.point if codomain is None else self.mtuple
             entries = obj["graph"]
-            graph = {self.mtuple(u): value(v) for u, v in entries}
+            graph = (None if codomain is not None
+                     else self.unary_graph(obj.get("arity"), entries))
+            if graph is None:
+                value = self.point if codomain is None else self.mtuple
+                graph = {self.mtuple(u): value(v) for u, v in entries}
             if len(graph) != len(entries):
                 raise ParseError("partial function: two graph entries have "
                                  "equal domain tuples")
@@ -277,6 +338,7 @@ def term_loads(data: bytes) -> Term:
     outside the arity, an unbound atom, or an atom applied to a child
     count other than its arity."""
     doc = loads(data, "term")
+    _fields(doc, ("version", "kind", "arity", "root", "env"), "term")
     reader = _Reader()
     with _parsing("term"):
         env = {
@@ -320,7 +382,12 @@ def instance_dumps(inst: Instance) -> bytes:
 
 
 def instance_loads(data: bytes) -> Instance:
+    """The instance of data.  Beyond its form, a ceiling other than
+    horizon² + horizon, the only one the generator writes, is rejected."""
     doc = loads(data, "instance")
+    _fields(doc, ("version", "kind", "m", "horizon", "theta", "seed",
+                  "ceiling", "profile", "g", "f", "candidates", "metadata"),
+            "instance")
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
@@ -351,6 +418,10 @@ def instance_loads(data: bytes) -> Instance:
     if not 1 <= inst.theta <= inst.horizon - 1:
         raise ParseError(f"instance: theta {inst.theta} outside "
                          f"[1, {inst.horizon - 1}]")
+    ceiling = inst.horizon * inst.horizon + inst.horizon
+    if inst.ceiling != ceiling:
+        raise ParseError(f"instance: ceiling {inst.ceiling} is not "
+                         f"horizon * horizon + horizon = {ceiling}")
     if inst.profile not in PROFILES:
         raise ParseError(f"instance: unknown profile {inst.profile!r}")
     return inst

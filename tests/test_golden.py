@@ -84,6 +84,26 @@ GOLDEN_BULK = ((3, 8, 4, 300, "mary-witness"), 300, (
     "bef139adc26c7293a550d3964d26f0df7f8516fc2a88ff02a12370c52876b2e2"))
 
 
+# (seed, profile) -> sha256 of the instance, term and report bytes of the
+# m = 3 instance at horizon 64, theta 32: coordinates of up to four digits,
+# and a witness, candidates and f* of about 2000 entries each.  These are the
+# horizon-m3 benchmark's round-0 instances for run seed 3.
+GOLDEN_HORIZON = {
+    (900, "mixed"): (
+        "b0c77961790f1f44d804f67c26856ea5b7cf278bd0847d18ef09fe1dbafe011a",
+        "194bc7c9c08dac569842cd9979770fa6dd3eee78f57422a9ac3a1d8157c52a1f",
+        "2529659ad719226a168bba0d4d604d3cfb17e292a4cd693911a664110809445c"),
+    (901, "all-thrifty"): (
+        "7ebf0c45811317d4ef5337d9612c7320d16d88e6e4a09d745ff66980133843bf",
+        "a52c9b86b232c788c1c5028425c3293cc76925729c96a71915f070c7c2f89bfc",
+        "c795435c9094e994e7f3ba24cd09315bb4ec9abcd6d5e367205aa4ceb7186c7b"),
+    (902, "mary-witness"): (
+        "de83bb41d0bfd529db58f9680b17be287fb250738d26ac9083ab2b711517457e",
+        "748493c5d718481063c255fe5efe9a3062257c2b3156c88a83eb1f8e8598449f",
+        "7cc0f91235dcd1a4c4bd8bf8d717dc10b82db8d260dea189be9251542873a674"),
+}
+
+
 @pytest.mark.parametrize("m, seed, profile", sorted(GOLDEN))
 def test_golden_bytes(m, seed, profile):
     assert _digest(generate_instance(m, 8, 4, seed, profile)) == GOLDEN[
@@ -133,6 +153,20 @@ def test_golden_bytes_at_bulk_scale():
     assert tuple(hashlib.sha256(data).hexdigest() for data in (
         serialize.instance_dumps(inst), term_bytes,
         serialize.report_dumps(report))) == digests
+
+
+@pytest.mark.parametrize("seed, profile", sorted(GOLDEN_HORIZON))
+def test_golden_bytes_at_horizon_64(seed, profile):
+    inst = generate_instance(3, 64, 32, seed, profile)
+    report, result = run_pipeline(inst)
+    assert report["passed"]
+    data = (serialize.instance_dumps(inst), serialize.term_dumps(result.term),
+            serialize.report_dumps(report))
+    assert tuple(hashlib.sha256(d).hexdigest() for d in data) == (
+        GOLDEN_HORIZON[seed, profile])
+    # the bytes read back to the same instance and term
+    assert serialize.instance_loads(data[0]) == inst
+    assert serialize.term_dumps(serialize.term_loads(data[1])) == data[1]
 
 
 def _digest(inst):
@@ -205,7 +239,8 @@ def _failing_instance(kind):
     if kind in ("decomposition", "both"):
         inst = _lift_candidates(inst)
     if kind in ("witness", "both"):
-        inst = dataclasses.replace(inst, horizon=12)
+        # the ceiling moves with the horizon: 12 * 12 + 12
+        inst = dataclasses.replace(inst, horizon=12, ceiling=156)
     return inst
 
 

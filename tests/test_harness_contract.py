@@ -1,0 +1,41 @@
+"""What the benchmark harness reads of the program, checked in tier-1.
+
+``perfbench/harness.py`` grows the bulk-m3 instances with its own
+``enlarge`` and checks them with ``planted_intact``; both read the program's
+types and the instance's fields (``ceiling``, ``theta``, ``metadata``).  A
+program change that breaks them fails here rather than in a benchmark run.
+The harness is imported read-only.  It is handed the modules this session
+already imported, not its ``fresh_import``, which would drop and re-import
+them under the other tests.
+"""
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+from clonecover import core, instances, serialize
+from clonecover.instances import check_admissibility, generate_instance
+
+from conftest import grown
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import harness  # noqa: E402  (needs perfbench/ on the path)
+
+PROGRAM = SimpleNamespace(core=core, instances=instances)
+
+
+def test_bulk_builder_is_deterministic_and_keeps_the_plant():
+    inst = generate_instance(3, 8, 4, 5, "mary-witness")
+    first = harness.enlarge(PROGRAM, inst, 60)
+    second = harness.enlarge(PROGRAM, inst, 60)
+    assert len(first.g) == 60 and first.g == second.g
+    assert first.metadata == inst.metadata
+    assert harness.planted_intact(PROGRAM, first)
+    assert check_admissibility(first)["passed"]
+    low = all(p.y < inst.theta for u in set(first.g.graph) - set(inst.g.graph)
+              for p in u.points())
+    assert low
+    # the tests' copy of the growth rule grows the same tuples, and the
+    # grown instance survives the harness's dumps/loads round trip
+    assert first.g == grown(inst, 60).g
+    data = serialize.instance_dumps(first)
+    assert serialize.instance_loads(data) == first

@@ -39,6 +39,7 @@ from clonecover.decompose import (
     strong_decompose_stage,
     verify_decomposition,
 )
+from clonecover.instances import Instance, generate_instance
 from clonecover.synth import (
     build_h_family,
     factor_keys,
@@ -809,7 +810,51 @@ def documents(draw):
     return Term(App(p, tuple(Proj(k) for k in sorted(arity))), env, arity)
 
 
+@st.composite
+def unary_fns(draw):
+    """A unary point-valued function over {i}, i past 9 included, and the
+    empty one.  Coordinates have one to four digits; small ones make points
+    and tuples repeat."""
+    i = draw(st.sampled_from([1, 2, 9, 10, 12, 123]))
+    coordinate = st.one_of(st.integers(0, 3), st.integers(0, 9999))
+    point = st.builds(Point, coordinate, coordinate)
+    entries = draw(st.lists(st.tuples(point, point), max_size=30))
+    return PartialFn(frozenset({i}),
+                     {MTuple(((i, u),)): v for u, v in entries})
+
+
 class TestCanonicalBytes:
+    @settings(max_examples=200, derandomize=True)
+    @given(fn=unary_fns())
+    def test_batched_unary_graphs_match_the_json_reference(self, fn):
+        # Unary point-valued graphs are written and read in one batched
+        # pass; the text must be json.dumps's of the sorted entries, and
+        # the graph read back the same, in the same order, with one object
+        # per distinct point and tuple.
+        [i] = fn.arity
+        t = Term(App("a", (Proj(i),)), {"a": AtomBinding(fn, CI_ATOM)},
+                 fn.arity)
+        data = serialize.term_dumps(t)
+        entries = [[{str(i): [*u[i]]}, [*v]]
+                   for u, v in sorted(fn.graph.items())]
+        reference = {
+            "version": 1, "kind": "term", "arity": [i],
+            "root": {"t": "app", "name": "a",
+                     "children": [{"t": "proj", "k": i}]},
+            "env": {"a": {"kind": CI_ATOM, "fn": {
+                "arity": [i], "codomain": None, "graph": entries}}}}
+        assert data == (json.dumps(reference, sort_keys=True,
+                                   separators=(",", ":")) + "\n").encode()
+        back = serialize.term_loads(data).env["a"].fn
+        assert back.arity == fn.arity and back.codomain is None
+        assert list(back.graph.items()) == sorted(fn.graph.items())
+        seen: dict = {}
+        for u, v in back.graph.items():
+            assert type(u) is MTuple and type(v) is Point
+            for value in (u, v, *u.points()):
+                assert type(value) in (MTuple, Point)
+                assert seen.setdefault(value, value) is value
+
     @settings(max_examples=100, derandomize=True)
     @given(t=documents())
     def test_spliced_graphs_are_the_json_canonical_form(self, t):
@@ -826,11 +871,22 @@ class TestCanonicalBytes:
 
     @settings(max_examples=100, derandomize=True)
     @given(t=documents())
+    # instance documents too: under mary-witness the unary candidates
+    # ident and const share their domain tuples
+    @example(t=generate_instance(3, 8, 4, 5, "mary-witness"))
+    @example(t=generate_instance(2, 16, 8, 1, "mary-witness"))
     def test_equal_values_of_one_document_are_one_object(self, t):
-        back = serialize.term_loads(serialize.term_dumps(t))
+        if isinstance(t, Instance):
+            back = serialize.instance_loads(serialize.instance_dumps(t))
+            fns = [back.g, back.f, *back.candidates]
+            ident, const = back.candidates
+            assert ident.graph.keys() & const.graph.keys()
+        else:
+            back = serialize.term_loads(serialize.term_dumps(t))
+            fns = [b.fn for b in back.env.values()]
         seen: dict = {}
-        for b in back.env.values():
-            for u, v in b.fn.graph.items():
+        for fn in fns:
+            for u, v in fn.graph.items():
                 values = [u, v, *u.points()]
                 values += v.points() if isinstance(v, MTuple) else ()
                 for value in values:

@@ -247,12 +247,41 @@ class TestSerialization:
         with pytest.raises(serialize.ParseError, match="env"):
             serialize.term_loads(serialize.dumps(doc))
 
+    def test_top_level_fields_are_exact(self):
+        # an unknown field used to load and be dropped by the next dump, so
+        # two byte-different documents read as one
+        inst_doc = json.loads(serialize.instance_dumps(
+            generate_instance(1, 6, 3, seed=0)))
+        for doc, load, kind in (
+                (inst_doc, serialize.instance_loads, "instance"),
+                (self.small_term_doc(), serialize.term_loads, "term")):
+            with pytest.raises(serialize.ParseError) as exc:
+                load(serialize.dumps({**doc, "extra": 5}))
+            assert str(exc.value) == f"{kind}: unknown field 'extra'"
+            for key in set(doc) - {"version", "kind"}:
+                less = {k: v for k, v in doc.items() if k != key}
+                with pytest.raises(serialize.ParseError) as exc:
+                    load(serialize.dumps({**less, "zz": 1}))
+                assert str(exc.value) == (f"{kind}: missing field {key!r}; "
+                                          "unknown field 'zz'")
+
     def test_graph_entry_not_a_pair_rejected(self):
         doc = self.small_term_doc()
         entry = doc["env"]["a"]["fn"]["graph"][0]
         doc["env"]["a"]["fn"]["graph"][0] = entry[:1]
         with pytest.raises(serialize.ParseError, match="partial function"):
             serialize.term_loads(serialize.dumps(doc))
+        # the same holds for a point of three coordinates, and an entry of
+        # three members, on the unary atom's graph
+        for bad, message in (
+                ([{"1": [0, 1, 2]}, [2, 3]], "bad point [0, 1, 2]"),
+                ([{"1": [0, 1]}, [2, 3, 4]], "bad point [2, 3, 4]"),
+                ([{"1": [0, 1]}, [2, 3], [4, 5]],
+                 "partial function: too many values to unpack (expected 2)")):
+            doc["env"]["a"]["fn"]["graph"][0] = bad
+            with pytest.raises(serialize.ParseError) as exc:
+                serialize.term_loads(serialize.dumps(doc))
+            assert str(exc.value) == message
 
     def test_app_without_children_rejected(self):
         doc = self.small_term_doc()
@@ -333,6 +362,12 @@ class TestSerialization:
             # back to other bytes
             ({"g": {**doc["g"], "arity": [1, 2, 2]}},
              r"arity \[1, 2, 2\] repeats a member"),
+            # the ceiling is horizon**2 + horizon = 72; another one used to
+            # load and be kept
+            ({"ceiling": 12345},
+             r"ceiling 12345 is not horizon \* horizon \+ horizon = 72"),
+            ({"ceiling": 10**6}, "ceiling 1000000 is not"),
+            ({"ceiling": 73}, "ceiling 73 is not"),
         ]
         for fields, message in faults:
             with pytest.raises(serialize.ParseError, match=message):
@@ -360,6 +395,14 @@ class TestSerialization:
                            match="partial function: domain tuple .* does not "
                                  r"match arity \[1, 2\]"):
             serialize.instance_loads(serialize.dumps(self.off_arity_g(doc)))
+        # an extra index key on the unary atom's tuple
+        doc = self.small_term_doc()
+        doc["env"]["a"]["fn"]["graph"][0][0]["2"] = [0, 0]
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == ("partial function: domain tuple "
+                                  "<1:(0|1), 2:(0|0)> does not match arity "
+                                  "[1]")
 
     def test_value_off_codomain_rejected(self):
         doc = self.small_term_doc()
@@ -384,9 +427,16 @@ class TestSerialization:
             assert bad != data
             with pytest.raises(serialize.ParseError, match="JSON integers"):
                 load(bad)
+        value = json.loads(coordinate)
+        # the output point of the unary atom follows it too
+        doc = self.small_term_doc()
+        doc["env"]["a"]["fn"]["graph"][0][1] = [2, value]
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == (f"bad point {[2, value]!r}: coordinates "
+                                  "must be JSON integers")
         # the scalars follow the coordinate rule: "m": 1.9, "theta": "4"
         # and "arity": [true] used to load as 1, 4 and {True}
-        value = json.loads(coordinate)
         inst_doc = json.loads(serialize.instance_dumps(inst))
         for key in ("m", "horizon", "theta", "seed", "ceiling"):
             with pytest.raises(serialize.ParseError,
@@ -420,9 +470,10 @@ class TestSerialization:
         doc = self.small_term_doc()
         doc["env"]["a"]["fn"]["graph"] = [[{"1": [0, 1]}, [2, 3]],
                                           [{"1": [0, 1]}, [5, 5]]]
-        with pytest.raises(serialize.ParseError,
-                           match="partial function: two graph entries"):
+        with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == ("partial function: two graph entries have "
+                                  "equal domain tuples")
         inst_doc = json.loads(serialize.instance_dumps(
             generate_instance(2, 8, 4, seed=3)))
         g = inst_doc["g"]
@@ -451,6 +502,13 @@ class TestSerialization:
             doc["env"]["a"]["fn"]["graph"][0][1] = bad
             with pytest.raises(serialize.ParseError, match="negative"):
                 serialize.term_loads(serialize.dumps(doc))
+        # in the domain tuple too
+        for bad in ([-1, 1], [0, -1]):
+            doc = self.small_term_doc()
+            doc["env"]["a"]["fn"]["graph"][0][0] = {"1": bad}
+            with pytest.raises(serialize.ParseError) as exc:
+                serialize.term_loads(serialize.dumps(doc))
+            assert str(exc.value) == f"bad point {bad!r}: negative coordinate"
 
     def test_loaded_term_shares_its_subterms(self):
         # one object per distinct node, as in the synthesized term: 31
@@ -920,13 +978,15 @@ class TestCli:
 
     def test_coordinates_are_checked_against_the_true_ceiling(
             self, tmp_path, capsys):
-        # The document's own ceiling field claims 10**6; the true ceiling
-        # at horizon 8 is 72, so (0|5000) is out of range.
+        # The ceiling at horizon 8 is 72, so (0|5000) is out of range.  A
+        # document that claims another ceiling no longer loads (see
+        # test_inconsistent_instance_rejected).
         inst = generate_instance(2, 8, 4, 5)
+        assert inst.ceiling == 72
         far = MTuple.of({1: Point(0, 1), 2: Point(1, 0)})
         assert far not in inst.g.graph
         g = PartialFn(inst.g.arity, {**inst.g.graph, far: Point(0, 5000)})
-        inst = dataclasses.replace(inst, g=g, ceiling=10**6)
+        inst = dataclasses.replace(inst, g=g)
         path = tmp_path / "inst.json"
         path.write_bytes(serialize.instance_dumps(inst))
         report = check_admissibility(serialize.instance_loads(path.read_bytes()))
