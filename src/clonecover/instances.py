@@ -27,12 +27,16 @@ class Instance:
     horizon: int
     theta: int
     seed: int
-    ceiling: int
     profile: str
     g: PartialFn
     f: PartialFn
     candidates: tuple  # unary helpers for the arity reduction; may be empty
     metadata: dict
+
+    @property
+    def ceiling(self) -> int:
+        """horizon² + horizon: every coordinate lies below it."""
+        return self.horizon * self.horizon + self.horizon
 
 
 class ProfileError(ValueError):
@@ -47,9 +51,9 @@ def generate_instance(m: int, horizon: int, theta: int, seed: int,
                       profile: str = "mixed") -> Instance:
     """Build a deterministic instance that is admissible by construction.
 
-    Each clause of `check_admissibility` holds by one construction step:
+    Each clause of `check_admissibility` holds by one construction step
+    (theta, validated up front, needs no clause):
     - coordinates below ceiling: every draw is from ``range(ceiling)``;
-    - theta below horizon: the parameters are validated up front;
     - witness recoverable: `_build_witness` plants a scrambled normalized
       witness, with sorted rows and its preimages on x = 0;
     - decomposition admissible: each wasteful value gets CANDIDATE_SURPLUS
@@ -93,8 +97,8 @@ def _build(m, horizon, theta, seed, ceiling, profile, rng) -> Instance:
         "candidate_surplus": CANDIDATE_SURPLUS,
     }
     return Instance(
-        m=m, horizon=horizon, theta=theta, seed=seed, ceiling=ceiling,
-        profile=profile, g=g, f=f, candidates=candidates, metadata=metadata,
+        m=m, horizon=horizon, theta=theta, seed=seed, profile=profile,
+        g=g, f=f, candidates=candidates, metadata=metadata,
     )
 
 
@@ -252,23 +256,21 @@ def _tuple_json(u: MTuple) -> list:
 def check_admissibility(inst: Instance) -> dict:
     """Run the pipeline's choice steps once and report whether each succeeds.
 
-    Structural checks on coordinates, over every distinct point of g, f
-    and the candidates, against the true ceiling horizon² + horizon, not
-    the document's own ``ceiling`` field; then the witness recovery and
-    the hereditary decomposition (the two stages with choice steps), each
-    run independently.  Besides ``passed``, ``checks`` and ``detail``, the dict
-    hands back their products, ``normalized`` and ``trace`` (None where the
-    stage raised): `complete_synthesis` finishes the term from the trace
-    and the normalized witness's f*.
+    A structural check on coordinates, over every distinct point of g, f
+    and the candidates, against the derived ``inst.ceiling``; then the
+    witness recovery and the hereditary decomposition (the two stages with
+    choice steps), each run independently.  Besides ``passed``, ``checks``
+    and ``detail``, the dict hands back their products, ``normalized`` and
+    ``trace`` (None where the stage raised): `complete_synthesis` finishes
+    the term from the trace and the normalized witness's f*.
     """
     checks = Checklist()
     fns = (inst.g, inst.f, *inst.candidates)
     points = {p for fn in fns for u in fn.graph for _, p in u}
     points.update(v for fn in fns for v in fn.graph.values())
-    ceiling = inst.horizon * inst.horizon + inst.horizon
+    ceiling = inst.ceiling
     coords_ok = all(0 <= x < ceiling and 0 <= y < ceiling for x, y in points)
     checks.add("coordinates below ceiling", coords_ok)
-    checks.add("theta below horizon", 1 <= inst.theta <= inst.horizon - 1)
 
     normalized = trace = None
     try:

@@ -1,20 +1,20 @@
 """Canonical, human-diffable JSON forms for instances, terms, and reports.
 
 Points serialize as two-element arrays, tuples as index-keyed objects,
-partial functions as entry lists sorted by domain tuple, terms as nested
-tagged objects.  Every top-level document carries a version tag, and the
-byte form is canonical (sorted keys, fixed separators), so equal values
-serialize identically.
+point-valued partial functions as entry lists sorted by domain tuple,
+terms as nested tagged objects; the byte form is canonical (sorted keys,
+fixed separators), so equal values serialize identically.  A document
+loads only if the writer could have written it: its version and kind
+tags, exactly the writer's keys on every object, a null codomain on every
+graph, strictly increasing arities and the ceiling horizon² + horizon.
 
-Graphs are most of a document's bytes, and the functions of one document
-share most of their points and tuples.  So each distinct point and tuple
-is read back once per document as one shared object.  A unary
-point-valued graph (the witness, f* and the candidates, with about
+Each distinct point and tuple of a document is read back as one shared
+object.  A unary graph (the witness, f* and the candidates, about
 horizon²/2 entries each) is formatted and checked in one batched pass;
-other graphs are written as text joined from per-value fragments, each
-built once per document, and read entry by entry.  Both ways give the
-same bytes and the same objects, and an irregular unary graph is left to
-the per-entry reader, so it fails with the same ParseError.
+other graphs are joined from per-value text fragments, each built once
+per document, and read entry by entry.  Both ways give the same bytes and
+the same objects, and an irregular unary graph is left to the per-entry
+reader, so it fails with the same ParseError.
 """
 from __future__ import annotations
 
@@ -52,16 +52,15 @@ def _parsing(what: str):
         yield
     except ParseError:
         raise
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ParseError(f"{what}: {detail}") from exc
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def dumps(doc: dict) -> bytes:
     """Canonical bytes of doc: sorted keys, no spaces, a final newline.
 
-    A ``PartialFn`` in doc is written as its arity, codomain and graph.
+    A point-valued ``PartialFn`` in doc is written as its arity, a null
+    codomain and its graph; a tuple-valued one is not serializable.
     ``json.dumps`` writes each graph as a hole string, and one ``_Writer``
     per call splices the graph texts in at the holes.  A string of doc
     could equal the hole and give an extra cut; the hole then grows until
@@ -72,13 +71,12 @@ def dumps(doc: dict) -> bytes:
         fns = []
 
         def skeleton(obj):
-            if not isinstance(obj, PartialFn):
-                raise TypeError(f"Object of type {type(obj).__name__} "
-                                "is not JSON serializable")
+            if not isinstance(obj, PartialFn) or obj.codomain is not None:
+                raise TypeError(f"{type(obj).__name__} is not JSON "
+                                "serializable (a point-valued PartialFn is)")
             fns.append(obj)
-            return {"arity": sorted(obj.arity), "graph": hole,
-                    "codomain": (None if obj.codomain is None
-                                 else sorted(obj.codomain))}
+            return {"arity": sorted(obj.arity), "codomain": None,
+                    "graph": hole}
 
         parts = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                            default=skeleton).split(json.dumps(hole))
@@ -112,14 +110,19 @@ def loads(data: bytes, kind: str) -> dict:
     return doc
 
 
-def _fields(doc: dict, fields: tuple, kind: str) -> None:
-    """Reject a document whose top-level keys are not exactly ``fields``,
-    the keys its writer writes, naming each missing and unknown key."""
-    unknown = sorted(doc.keys() - {*fields})
-    faults = ([f"missing field {k!r}" for k in fields if k not in doc]
-              + [f"unknown field {k!r}" for k in unknown])
-    if faults:
-        raise ParseError(f"{kind}: " + "; ".join(faults))
+def _fields(doc, fields: tuple, kind: str) -> list:
+    """The values of ``fields`` in doc, if doc is an object whose keys are
+    exactly ``fields``, the keys its writer writes; else a ParseError about
+    ``kind`` that names each missing and unknown key."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind}: {doc!r} is not an object")
+    missing = [k for k in fields if k not in doc]
+    if missing or len(doc) != len(fields):
+        unknown = sorted(doc.keys() - {*fields})
+        raise ParseError(f"{kind}: " + "; ".join(
+            [f"missing field {k!r}" for k in missing]
+            + [f"unknown field {k!r}" for k in unknown]))
+    return [doc[k] for k in fields]
 
 
 # -- value forms ------------------------------------------------------
@@ -133,11 +136,12 @@ def _int(v, what: str) -> int:
 
 
 def _index_set(members, what: str) -> frozenset:
-    """The set of members, if they are distinct JSON integers."""
-    index = frozenset(_int(i, f"{what} member") for i in members)
-    if len(index) != len(members):
-        raise ParseError(f"{what} {members!r} repeats a member")
-    return index
+    """The set of members, if they are JSON integers listed strictly
+    increasing, as the writer lists them."""
+    index = [_int(i, f"{what} member") for i in members]
+    if sorted({*index}) != index:
+        raise ParseError(f"{what} {members!r} is not strictly increasing")
+    return frozenset(index)
 
 
 def _index(key, obj) -> int:
@@ -155,8 +159,7 @@ def _index(key, obj) -> int:
 
 class _Writer:
     """Writes graphs as JSON text, building the text of each distinct point
-    and tuple once; a unary point-valued graph is formatted in one pass
-    instead."""
+    and tuple once; a unary graph is formatted in one pass instead."""
 
     def __init__(self):
         self.texts: dict = {}
@@ -175,10 +178,9 @@ class _Writer:
         return text
 
     def graph(self, p: PartialFn) -> str:
-        if len(p.arity) == 1 and p.codomain is None:
-            # A unary point-valued graph, formatted in one pass: over one
-            # index its entries sort as the ints (x, y, a, b) of their
-            # input and output points do.
+        if len(p.arity) == 1:
+            # A unary graph, formatted in one pass: over one index its
+            # entries sort as the ints (x, y, a, b) of their points do.
             [i] = p.arity
             entry = '[{"%d":[%%d,%%d]},[%%d,%%d]]' % i
             return "[" + ",".join(map(entry.__mod__, sorted(
@@ -229,12 +231,12 @@ class _Reader:
         return self.tuples.setdefault(t, t)
 
     def unary_graph(self, arity, entries):
-        """The graph of a point-valued function's entries, read in one pass
-        when its declared arity is [i] for one index i and every entry is
-        regular: a pair of a key object holding exactly i's index key and
-        a point, each point a 2-list of JSON integers >= 0.  Anything else
-        gives None, which leaves the entries (an empty graph too), and
-        whatever ParseError they give, to the per-entry reader."""
+        """The graph of a function's entries, read in one pass when its
+        declared arity is [i] for one index i and every entry is regular: a
+        pair of a key object holding exactly i's index key and a point,
+        each point a 2-list of JSON integers >= 0.  Anything else gives
+        None, which leaves the entries (an empty graph too), and whatever
+        ParseError they give, to the per-entry reader."""
         if not (type(arity) is list and len(arity) == 1
                 and type(arity[0]) is int and arity[0] >= 1
                 and type(entries) is list):
@@ -261,25 +263,20 @@ class _Reader:
             map(MTuple, zip(zip(repeat(i), points[:n]))), points[n:])}
 
     def pfn(self, obj) -> PartialFn:
-        if not isinstance(obj, dict) or "graph" not in obj:
-            raise ParseError(f"bad partial function {obj!r}")
+        arity, codomain, entries = _fields(
+            obj, ("arity", "codomain", "graph"), "partial function")
+        if codomain is not None:
+            raise ParseError(f"partial function: codomain {codomain!r} is "
+                             "not null")
         with _parsing("partial function"):
-            codomain = obj.get("codomain")
-            entries = obj["graph"]
-            graph = (None if codomain is not None
-                     else self.unary_graph(obj.get("arity"), entries))
+            graph = self.unary_graph(arity, entries)
             if graph is None:
-                value = self.point if codomain is None else self.mtuple
-                graph = {self.mtuple(u): value(v) for u, v in entries}
+                graph = {self.mtuple(u): self.point(v) for u, v in entries}
             if len(graph) != len(entries):
                 raise ParseError("partial function: two graph entries have "
                                  "equal domain tuples")
             return PartialFn(
-                _index_set(obj["arity"], "partial function: arity"),
-                graph,
-                None if codomain is None
-                else _index_set(codomain, "partial function: codomain"),
-            )
+                _index_set(arity, "partial function: arity"), graph)
 
 
 # -- terms ------------------------------------------------------------
@@ -299,26 +296,30 @@ def _node_parse(obj, interned: dict):
     """The term node obj describes, one object per distinct node of the
     document: ``interned`` maps a projection's index, or an application's
     name and the ids of its already interned children, to the node, so a
-    loaded term shares its subterms as a synthesized one does.  Its lookup,
-    type and value errors are left to the one guard `term_loads` puts
-    around the root, which reports them as a ParseError about a term
-    node."""
-    if not isinstance(obj, dict) or "t" not in obj:
-        raise ParseError(f"bad term node {obj!r}")
-    if obj["t"] == "proj":
-        k = _int(obj["k"], "term node: projection")
+    loaded term shares its subterms as a synthesized one does.  Its type
+    and value errors are left to the one guard `term_loads` puts around the
+    root, which reports them as a ParseError about a term node."""
+    tag = obj.get("t") if isinstance(obj, dict) else None
+    if tag == "proj":
+        _, k = _fields(obj, ("t", "k"), "term node")
+        k = _int(k, "term node: projection")
         node = interned.get(k)
         if node is None:
             node = interned[k] = Proj(k)
         return node
-    if obj["t"] == "app":
-        children = tuple(_node_parse(ch, interned) for ch in obj["children"])
-        key = (obj["name"], *map(id, children))
+    if tag == "app":
+        _, name, children = _fields(obj, ("t", "name", "children"),
+                                    "term node")
+        children = tuple(_node_parse(ch, interned) for ch in children)
+        key = (name, *map(id, children))
         node = interned.get(key)
         if node is None:
-            node = interned[key] = App(obj["name"], children)
+            node = interned[key] = App(name, children)
         return node
-    raise ParseError(f"unknown term node tag {obj['t']!r}")
+    if tag is None:
+        # not an object, or one without a tag
+        _fields(obj, ("t",), "term node")
+    raise ParseError(f"unknown term node tag {tag!r}")
 
 
 def term_dumps(t: Term) -> bytes:
@@ -338,25 +339,21 @@ def term_loads(data: bytes) -> Term:
     outside the arity, an unbound atom, or an atom applied to a child
     count other than its arity."""
     doc = loads(data, "term")
-    _fields(doc, ("version", "kind", "arity", "root", "env"), "term")
+    _, _, arity, root, bindings = _fields(
+        doc, ("version", "kind", "arity", "root", "env"), "term")
     reader = _Reader()
     with _parsing("term"):
-        env = {
-            name: AtomBinding(reader.pfn(b["fn"]), b["kind"])
-            for name, b in doc["env"].items()
-        }
-        for name, b in env.items():
-            if b.kind not in (CI_ATOM, WITNESS_ATOM):
+        env = {}
+        for name, b in bindings.items():
+            kind, fn = _fields(b, ("kind", "fn"), f"term: atom {name!r}")
+            if kind not in (CI_ATOM, WITNESS_ATOM):
                 raise ParseError(
-                    f"term: atom {name!r} has unknown kind {b.kind!r}")
-        node = doc["root"]
+                    f"term: atom {name!r} has unknown kind {kind!r}")
+            env[name] = AtomBinding(reader.pfn(fn), kind)
         with _parsing("term node"):
-            root = _node_parse(node, {})
-        term = Term(
-            root=root,
-            env=env,
-            arity=_index_set(doc["arity"], "term: arity"),
-        )
+            root = _node_parse(root, {})
+        term = Term(root=root, env=env,
+                    arity=_index_set(arity, "term: arity"))
         compile_term(term)
     return term
 
@@ -383,7 +380,9 @@ def instance_dumps(inst: Instance) -> bytes:
 
 def instance_loads(data: bytes) -> Instance:
     """The instance of data.  Beyond its form, a ceiling other than
-    horizon² + horizon, the only one the generator writes, is rejected."""
+    horizon² + horizon, the only one the writer writes, is rejected, and so
+    is a metadata that is not an object; what the object holds is not
+    checked, since the program never reads it."""
     doc = loads(data, "instance")
     _fields(doc, ("version", "kind", "m", "horizon", "theta", "seed",
                   "ceiling", "profile", "g", "f", "candidates", "metadata"),
@@ -392,36 +391,33 @@ def instance_loads(data: bytes) -> Instance:
     with _parsing("instance"):
         inst = Instance(
             **{k: _int(doc[k], f"instance: {k}")
-               for k in ("m", "horizon", "theta", "seed", "ceiling")},
+               for k in ("m", "horizon", "theta", "seed")},
             profile=doc["profile"],
             g=reader.pfn(doc["g"]),
             f=reader.pfn(doc["f"]),
             candidates=tuple(reader.pfn(c) for c in doc["candidates"]),
             metadata=doc["metadata"],
         )
-    for name in ("g", "f"):
-        codomain = getattr(inst, name).codomain
-        if codomain is not None:
-            raise ParseError(f"instance: {name} must be point-valued, got "
-                             f"codomain {sorted(codomain)}")
+    ceiling = _int(doc["ceiling"], "instance: ceiling")
+    if not isinstance(inst.metadata, dict):
+        raise ParseError(f"instance: metadata {inst.metadata!r} is not an "
+                         "object")
     for i, c in enumerate(inst.candidates):
-        if sorted(c.arity) != [1] or c.codomain is not None:
-            raise ParseError(
-                f"instance: candidate {i} must be unary point-valued, got "
-                f"arity {sorted(c.arity)} and codomain "
-                f"{None if c.codomain is None else sorted(c.codomain)}")
+        if sorted(c.arity) != [1]:
+            raise ParseError(f"instance: candidate {i} must be unary, got "
+                             f"arity {sorted(c.arity)}")
     if inst.m < 1:
         raise ParseError(f"instance: m = {inst.m} is below 1")
-    if inst.g.arity != full_index(inst.m):
+    # the length first, so a huge m builds no index set
+    if len(inst.g.arity) != inst.m or inst.g.arity != full_index(inst.m):
         raise ParseError(f"instance: m = {inst.m} but g has arity "
                          f"{sorted(inst.g.arity)}")
     if not 1 <= inst.theta <= inst.horizon - 1:
         raise ParseError(f"instance: theta {inst.theta} outside "
                          f"[1, {inst.horizon - 1}]")
-    ceiling = inst.horizon * inst.horizon + inst.horizon
-    if inst.ceiling != ceiling:
-        raise ParseError(f"instance: ceiling {inst.ceiling} is not "
-                         f"horizon * horizon + horizon = {ceiling}")
+    if ceiling != inst.ceiling:
+        raise ParseError(f"instance: ceiling {ceiling} is not "
+                         f"horizon * horizon + horizon = {inst.ceiling}")
     if inst.profile not in PROFILES:
         raise ParseError(f"instance: unknown profile {inst.profile!r}")
     return inst

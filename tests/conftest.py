@@ -30,10 +30,11 @@ def grown(inst, size):
     (``perfbench.harness.enlarge``) grows it, which GOLDEN_BULK in
     test_golden pins: bulk tuples lie below theta, a value is reused with
     probability BULK_REUSE (never a planted one), and fresh values avoid
-    every value in use."""
+    every value in use.  A metadata without ``features`` plants none."""
     rng = random.Random(inst.seed ^ BULK_SALT)
     graph = dict(inst.g.graph)
-    planted = {Point(*f["value"]) for f in inst.metadata["features"]}
+    planted = {Point(*f["value"])
+               for f in inst.metadata.get("features", ())}
     used_values = set(graph.values())
     bulk_values = sorted(used_values - planted)
     arity = sorted(inst.g.arity)

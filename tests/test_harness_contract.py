@@ -2,12 +2,15 @@
 
 ``perfbench/harness.py`` grows the bulk-m3 instances with its own
 ``enlarge`` and checks them with ``planted_intact``; both read the program's
-types and the instance's fields (``ceiling``, ``theta``, ``metadata``).  A
-program change that breaks them fails here rather than in a benchmark run.
+types and the instance's attributes (``ceiling``, ``theta``, ``metadata``),
+and ``enlarge`` builds its result with ``dataclasses.replace``.  A program
+change that breaks them fails here rather than in a benchmark run.
 The harness is imported read-only.  It is handed the modules this session
 already imported, not its ``fresh_import``, which would drop and re-import
 them under the other tests.
 """
+import dataclasses
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,3 +42,26 @@ def test_bulk_builder_is_deterministic_and_keeps_the_plant():
     assert first.g == grown(inst, 60).g
     data = serialize.instance_dumps(first)
     assert serialize.instance_loads(data) == first
+
+
+def test_ceiling_is_derived_from_the_horizon():
+    # the ceiling is no stored field, so it follows a replaced horizon, and
+    # enlarge, which reads it and replaces g, still runs
+    inst = generate_instance(2, 6, 3, 0)
+    assert "ceiling" not in {f.name for f in dataclasses.fields(inst)}
+    for horizon in (6, 8, 12):
+        assert dataclasses.replace(inst, horizon=horizon).ceiling == (
+            horizon * horizon + horizon)
+    big = harness.enlarge(PROGRAM, inst, 40)
+    assert len(big.g) == 40 and big.ceiling == inst.ceiling == 42
+    assert all(p.x < 42 and p.y < 42 for u in big.g.graph for p in u.points())
+
+
+def test_grown_reads_an_instance_whose_metadata_is_empty():
+    # metadata must be an object, but what it holds is not checked: the
+    # tests' growth rule treats a missing "features" key as no features
+    inst = generate_instance(2, 6, 3, 0)
+    doc = json.loads(serialize.instance_dumps(inst))
+    bare = serialize.instance_loads(serialize.dumps({**doc, "metadata": {}}))
+    assert bare.metadata == {}
+    assert len(grown(bare, 40).g) == 40

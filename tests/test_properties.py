@@ -4,6 +4,8 @@ Every law here is an exact graph identity or inclusion; the generators are
 deterministic (seeded rng or hypothesis with derandomized profiles), so a
 failure is always reproducible.
 """
+import copy
+import functools
 import itertools
 import json
 import math
@@ -42,6 +44,7 @@ from clonecover.decompose import (
 from clonecover.instances import Instance, generate_instance
 from clonecover.synth import (
     build_h_family,
+    end_to_end_synthesize,
     factor_keys,
     fiber_k_tables,
     normalize_f,
@@ -796,17 +799,18 @@ class TestCompiledEvaluation:
 
 @st.composite
 def documents(draw):
-    """A term holding a point-valued and a tuple-valued atom over index sets
-    that reach past 9, where JSON's key order ("10" before "2") is not the
-    numeric one.  Small coordinates make points and tuples repeat.  Atom
-    names may be NULs, the string ``serialize.dumps`` first splices at."""
+    """A term holding two atoms, one applied and one unused, over index
+    sets that reach past 9, where JSON's key order ("10" before "2") is not
+    the numeric one.  Small coordinates make points and tuples repeat.
+    Atom names may be NULs, the string ``serialize.dumps`` first splices
+    at."""
     wide = st.sets(st.sampled_from([1, 2, 3, 9, 10, 11, 12]),
                    max_size=4).map(frozenset)
     arity = draw(wide)
     p, t = draw(st.lists(st.text("p\0", min_size=1, max_size=2),
                          min_size=2, max_size=2, unique=True))
     env = {p: AtomBinding(draw(partial_fns(arity, None)), CI_ATOM),
-           t: AtomBinding(draw(partial_fns(arity, draw(wide))), CI_ATOM)}
+           t: AtomBinding(draw(partial_fns(draw(wide), None)), CI_ATOM)}
     return Term(App(p, tuple(Proj(k) for k in sorted(arity))), env, arity)
 
 
@@ -823,7 +827,94 @@ def unary_fns(draw):
                      {MTuple(((i, u),)): v for u, v in entries})
 
 
+@functools.cache
+def _generated_documents() -> tuple:
+    """(kind, bytes) of two small generated instances and their terms."""
+    docs = []
+    for inst in (generate_instance(1, 6, 3, 0),
+                 generate_instance(2, 8, 4, 5, "mary-witness")):
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
+        docs += [("instance", serialize.instance_dumps(inst)),
+                 ("term", serialize.term_dumps(term))]
+    return tuple(docs)
+
+
+def _containers(doc) -> list:
+    """Every object and array of a JSON document, doc first."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            found.append(node)
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return found
+
+
+EDIT_VALUES = [0, 1, 2, -1, 10**6, 1.0, True, None, "x", "proj", "app", "ci",
+               [], {}, [0, 0], [2, 1]]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated instance or term document after one to three edits, each
+    at an object or array of it: a key or element set (to a small JSON
+    value or a copy of another part of the document), dropped or added, or
+    an array reversed."""
+    kind, data = draw(st.sampled_from(_generated_documents()))
+    doc = json.loads(data)
+    for _ in range(draw(st.integers(1, 3))):
+        sites = _containers(doc)
+        site = draw(st.sampled_from(sites))
+        value = draw(st.one_of(st.sampled_from(EDIT_VALUES),
+                               st.sampled_from(sites).map(copy.deepcopy)))
+        action = draw(st.sampled_from(["set", "drop", "reverse"]))
+        if isinstance(site, dict):
+            key = draw(st.sampled_from([*site, "zz"]))
+            if action == "drop" and key in site:
+                del site[key]
+            else:
+                site[key] = value
+        elif action == "reverse" or not site:
+            site.reverse()
+        elif action == "drop":
+            del site[draw(st.integers(0, len(site) - 1))]
+        else:
+            site.insert(draw(st.integers(0, len(site))), value)
+    return kind, serialize.dumps(doc)
+
+
+def _graphs_sorted(doc):
+    """doc with each graph's entries in one order: the writer sorts them,
+    so a document that lists them in another order reads as the same."""
+    if isinstance(doc, list):
+        return [_graphs_sorted(v) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {k: _graphs_sorted(v) for k, v in doc.items()}
+    if doc.keys() == {"arity", "codomain", "graph"}:
+        out["graph"] = sorted(out["graph"],
+                              key=lambda e: json.dumps(e, sort_keys=True))
+    return out
+
+
 class TestCanonicalBytes:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=mutated_documents())
+    def test_a_document_that_loads_is_one_the_writer_writes(self, case):
+        # Whatever loads redumps to itself, up to the order of graph
+        # entries; everything else is a ParseError, never another error.
+        kind, data = case
+        load, dump = {
+            "instance": (serialize.instance_loads, serialize.instance_dumps),
+            "term": (serialize.term_loads, serialize.term_dumps)}[kind]
+        try:
+            value = load(data)
+        except serialize.ParseError:
+            return
+        assert (_graphs_sorted(json.loads(dump(value)))
+                == _graphs_sorted(json.loads(data)))
+
     @settings(max_examples=200, derandomize=True)
     @given(fn=unary_fns())
     def test_batched_unary_graphs_match_the_json_reference(self, fn):
@@ -887,7 +978,5 @@ class TestCanonicalBytes:
         seen: dict = {}
         for fn in fns:
             for u, v in fn.graph.items():
-                values = [u, v, *u.points()]
-                values += v.points() if isinstance(v, MTuple) else ()
-                for value in values:
+                for value in (u, v, *u.points()):
                     assert seen.setdefault(value, value) is value

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import inspect
 import json
@@ -22,6 +23,7 @@ from clonecover.core import (
     Term,
     compile_term,
     compose,
+    full_index,
 )
 from clonecover.decompose import hereditary_decompose, verify_decomposition
 from clonecover.instances import (
@@ -156,6 +158,49 @@ def _distinct_nodes(root) -> int:
     return len(seen)
 
 
+PROBE_ARGV = ["--m", "2", "--horizon", "6", "--theta", "3", "--seed", "0"]
+
+# every object kind a document holds, and the keys its writer writes
+OBJECT_KEYS = {
+    "instance": ("version", "kind", "m", "horizon", "theta", "seed",
+                 "ceiling", "profile", "g", "f", "candidates", "metadata"),
+    "term": ("version", "kind", "arity", "root", "env"),
+    "graph": ("arity", "codomain", "graph"),
+    "atom binding": ("kind", "fn"),
+    "projection node": ("t", "k"),
+    "application node": ("t", "name", "children"),
+}
+
+
+@functools.cache
+def _probe_documents() -> dict:
+    """The instance and term bytes of the instance PROBE_ARGV generates."""
+    inst = generate_instance(2, 6, 3, 0)
+    term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                 unary_candidates=inst.candidates).term
+    return {"instance": serialize.instance_dumps(inst),
+            "term": serialize.term_dumps(term)}
+
+
+def _first_projection(node: dict) -> dict:
+    while node["t"] != "proj":
+        node = node["children"][0]
+    return node
+
+
+# each object kind: the document holding it, and where it is found in that
+# document together with the name its ParseError gives it
+OBJECT_SITES = {
+    "instance": ("instance", lambda d: (d, "instance")),
+    "term": ("term", lambda d: (d, "term")),
+    "graph": ("instance", lambda d: (d["g"], "partial function")),
+    "atom binding": ("term", lambda d: (d["env"]["Q"], "term: atom 'Q'")),
+    "projection node": ("term",
+                        lambda d: (_first_projection(d["root"]), "term node")),
+    "application node": ("term", lambda d: (d["root"], "term node")),
+}
+
+
 class TestSerialization:
     def test_instance_round_trip(self):
         inst = generate_instance(2, 8, 4, seed=3)
@@ -172,12 +217,14 @@ class TestSerialization:
         assert compile_term(back)(us) == [inst.g.graph[u] for u in us]
         assert serialize.term_dumps(back) == data
 
-    def test_tuple_valued_pfn_round_trip(self):
+    def test_tuple_valued_pfn_is_not_written(self):
+        # every graph a document holds is point-valued, so the writer
+        # refuses a tuple-valued one rather than write what no reader reads
         p = PartialFn(idx(1), {tup((0, 0)): tup((1, 2))}, idx(1))
         term = Term(root=App("a", (Proj(1),)),
                     env={"a": AtomBinding(p, "ci")}, arity=idx(1))
-        assert serialize.term_loads(
-            serialize.term_dumps(term)).env["a"].fn == p
+        with pytest.raises(TypeError, match="point-valued PartialFn"):
+            serialize.term_dumps(term)
 
     def test_unknown_version_rejected(self):
         inst = generate_instance(1, 6, 3, seed=0)
@@ -247,23 +294,62 @@ class TestSerialization:
         with pytest.raises(serialize.ParseError, match="env"):
             serialize.term_loads(serialize.dumps(doc))
 
-    def test_top_level_fields_are_exact(self):
-        # an unknown field used to load and be dropped by the next dump, so
-        # two byte-different documents read as one
-        inst_doc = json.loads(serialize.instance_dumps(
-            generate_instance(1, 6, 3, seed=0)))
-        for doc, load, kind in (
-                (inst_doc, serialize.instance_loads, "instance"),
-                (self.small_term_doc(), serialize.term_loads, "term")):
-            with pytest.raises(serialize.ParseError) as exc:
-                load(serialize.dumps({**doc, "extra": 5}))
-            assert str(exc.value) == f"{kind}: unknown field 'extra'"
-            for key in set(doc) - {"version", "kind"}:
-                less = {k: v for k, v in doc.items() if k != key}
-                with pytest.raises(serialize.ParseError) as exc:
-                    load(serialize.dumps({**less, "zz": 1}))
-                assert str(exc.value) == (f"{kind}: missing field {key!r}; "
-                                          "unknown field 'zz'")
+    @pytest.mark.parametrize("kind, change", [
+        *[(kind, ("add", "zz", 1)) for kind in OBJECT_KEYS],
+        *[(kind, ("drop", key)) for kind, keys in OBJECT_KEYS.items()
+          for key in keys],
+        # probes that loaded before every object was read by one rule
+        ("graph", ("set", "arity", [2, 1])),
+        ("term", ("set", "arity", [2, 1])),
+        ("instance", ("set", "metadata", 5)),
+        ("term", ("set", "env", "unused tuple-valued atom")),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v[:2]))
+    def test_object_fields_are_exact(self, kind, change, tmp_path, capsys):
+        # Each object holds exactly the keys its writer writes: an unknown
+        # key used to load and be dropped by the next dump, so two
+        # byte-different documents read as one.
+        docs = {name: json.loads(data)
+                for name, data in _probe_documents().items()}
+        doc_kind, find = OBJECT_SITES[kind]
+        obj, name = find(docs[doc_kind])
+        assert list(obj) == sorted(OBJECT_KEYS[kind])
+        action, key, *value = change
+        if action == "add":
+            obj[key] = 1
+            expected = f"{name}: unknown field 'zz'"
+        elif action == "drop":
+            # with an unknown key too: the error names both
+            del obj[key]
+            obj["zz"] = 1
+            expected = f"{name}: missing field {key!r}; unknown field "
+            if kind == doc_kind and key == "version":
+                expected = f"{name}: missing version tag"
+            elif kind == doc_kind and key == "kind":
+                expected = f"{name}: document kind None is not {name!r}"
+        elif key == "env":
+            obj["env"]["unused"] = {"kind": "ci", "fn": {
+                "arity": [1], "codomain": [1],
+                "graph": [[{"1": [0, 0]}, {"1": [1, 1]}]]}}
+            expected = "partial function: codomain [1] is not null"
+        else:
+            [obj[key]] = value
+            expected = {
+                "arity": f"{name}: arity {value[0]!r} is not strictly "
+                         "increasing",
+                "metadata": f"{name}: metadata 5 is not an object"}[key]
+        data = serialize.dumps(docs[doc_kind])
+        load = {"instance": serialize.instance_loads,
+                "term": serialize.term_loads}[doc_kind]
+        with pytest.raises(serialize.ParseError) as exc:
+            load(data)
+        assert str(exc.value).startswith(expected)
+        # the command line reports it as one line and exits 2
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        argv = (["check", "--instance", str(path)] if doc_kind == "instance"
+                else ["verify", *PROBE_ARGV, "--term", str(path)])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"clonecover: {exc.value}\n"
 
     def test_graph_entry_not_a_pair_rejected(self):
         doc = self.small_term_doc()
@@ -361,7 +447,7 @@ class TestSerialization:
             # a repeated arity member used to load as the set, and dumped
             # back to other bytes
             ({"g": {**doc["g"], "arity": [1, 2, 2]}},
-             r"arity \[1, 2, 2\] repeats a member"),
+             r"arity \[1, 2, 2\] is not strictly increasing"),
             # the ceiling is horizon**2 + horizon = 72; another one used to
             # load and be kept
             ({"ceiling": 12345},
@@ -372,6 +458,22 @@ class TestSerialization:
         for fields, message in faults:
             with pytest.raises(serialize.ParseError, match=message):
                 serialize.instance_loads(serialize.dumps({**doc, **fields}))
+
+    def test_huge_m_builds_no_index_set(self, monkeypatch):
+        # {1..m} used to be built for any m before it was compared with g's
+        # arity, so "m": 10**12 asked for a set of 10**12 members; the
+        # guard fails the test instead of building it
+        def bounded(m):
+            assert m <= 1000, f"an index set of {m} members was built"
+            return full_index(m)
+
+        monkeypatch.setattr(serialize, "full_index", bounded)
+        doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.instance_loads(serialize.dumps({**doc, "m": 10**12}))
+        assert str(exc.value) == ("instance: m = 1000000000000 but g has "
+                                  "arity [1, 2]")
 
     @staticmethod
     def off_arity_g(doc):
@@ -405,13 +507,15 @@ class TestSerialization:
                                   "[1]")
 
     def test_value_off_codomain_rejected(self):
+        # a graph's codomain is null, so the codomain is rejected before
+        # any value is read against it
         doc = self.small_term_doc()
         fn = doc["env"]["a"]["fn"]
         doc["env"]["a"]["fn"] = self.tuple_valued_off_codomain(fn)
-        with pytest.raises(serialize.ParseError,
-                           match=r"partial function: value .* does not match "
-                                 r"codomain \[1, 2\]"):
+        with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == ("partial function: codomain [1, 2] is not "
+                                  "null")
 
     @pytest.mark.parametrize("coordinate",
                              ["1e400", "Infinity", "2.7", '"3"', "true"])
@@ -446,7 +550,6 @@ class TestSerialization:
                     serialize.dumps({**inst_doc, key: value}))
         doc = self.small_term_doc()
         fn = doc["env"]["a"]["fn"]
-        tuple_valued = self.tuple_valued_off_codomain(fn)
         faults = [
             ({**doc, "root": {**doc["root"],
                               "children": [{"t": "proj", "k": value}]}},
@@ -455,14 +558,19 @@ class TestSerialization:
             ({**doc, "env": {"a": {**doc["env"]["a"],
                                    "fn": {**fn, "arity": [value]}}}},
              "partial function: arity member"),
-            ({**doc, "env": {"a": {**doc["env"]["a"], "fn": {
-                **tuple_valued, "codomain": [1, value]}}}},
-             "partial function: codomain member"),
         ]
         for bad, where in faults:
             with pytest.raises(serialize.ParseError,
                                match=f"{where} .* is not a JSON integer"):
                 serialize.term_loads(serialize.dumps(bad))
+        # a codomain is null, whatever its members
+        tuple_valued = self.tuple_valued_off_codomain(fn)
+        bad = {**doc, "env": {"a": {**doc["env"]["a"], "fn": {
+            **tuple_valued, "codomain": [1, value]}}}}
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(bad))
+        assert str(exc.value) == (f"partial function: codomain {[1, value]!r} "
+                                  "is not null")
 
     def test_duplicate_domain_tuple_rejected(self):
         # the second entry used to overwrite the first: the atom loaded as
@@ -972,7 +1080,6 @@ class TestCli:
         assert main(["check", "--instance", str(path)]) == 1
         assert capsys.readouterr().out == (
             "FAIL  coordinates below ceiling\n"
-            "PASS  theta below horizon\n"
             "PASS  witness recoverable\n"
             "PASS  decomposition admissible\n")
 
@@ -1006,7 +1113,6 @@ class TestCli:
         assert main(["check", "--instance", str(path)]) == 1
         assert capsys.readouterr().out == (
             "PASS  coordinates below ceiling\n"
-            "PASS  theta below horizon\n"
             "FAIL  witness recoverable  (witness must be unary and "
             "point-valued)\n"
             "PASS  decomposition admissible\n")
@@ -1051,14 +1157,19 @@ class TestCli:
         inst_path.write_bytes(serialize.dumps(
             {**mary, "candidates": [tuple_valued, *rest]}))
         assert main(["check", "--instance", str(inst_path)]) == 2
+        inst_path.write_bytes(serialize.dumps(
+            {**mary, "candidates": [mary["g"], *rest]}))
+        assert main(["check", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: term: projection 5")
         assert err[1].startswith("clonecover: instance: theta 99")
-        assert err[2] == ("clonecover: instance: g must be point-valued, "
-                          "got codomain [1]")
-        assert err[3] == ("clonecover: instance: candidate 0 must be unary "
-                          "point-valued, got arity [1] and codomain [1]")
-        assert len(err) == 4
+        # a tuple-valued g or candidate is refused by the graph reader
+        assert err[2] == ("clonecover: partial function: codomain [1] is not "
+                          "null")
+        assert err[3] == err[2]
+        assert err[4] == ("clonecover: instance: candidate 0 must be unary, "
+                          "got arity [1, 2]")
+        assert len(err) == 5
 
     def test_index_faults_are_one_line_errors(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -1078,8 +1189,8 @@ class TestCli:
             serialize.dumps(TestSerialization.off_arity_g(doc)))
         assert main(["demo", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("clonecover: partial function: value ")
-        assert "does not match codomain [1, 2]" in err[0]
+        assert err[0] == ("clonecover: partial function: codomain [1, 2] is "
+                          "not null")
         assert err[1].startswith("clonecover: partial function: domain tuple ")
         assert "does not match arity [1]" in err[1]
         assert len(err) == 2
