@@ -299,7 +299,9 @@ def _node_parse(obj, interned: dict):
     loaded term shares its subterms as a synthesized one does.  Its type
     and value errors are left to the one guard `term_loads` puts around the
     root, which reports them as a ParseError about a term node."""
-    tag = obj.get("t") if isinstance(obj, dict) else None
+    if not isinstance(obj, dict) or "t" not in obj:
+        raise ParseError("term node: missing field 't'")
+    tag = obj["t"]
     if tag == "proj":
         _, k = _fields(obj, ("t", "k"), "term node")
         k = _int(k, "term node: projection")
@@ -316,9 +318,6 @@ def _node_parse(obj, interned: dict):
         if node is None:
             node = interned[key] = App(name, children)
         return node
-    if tag is None:
-        # not an object, or one without a tag
-        _fields(obj, ("t",), "term node")
     raise ParseError(f"unknown term node tag {tag!r}")
 
 
@@ -384,24 +383,23 @@ def instance_loads(data: bytes) -> Instance:
     is a metadata that is not an object; what the object holds is not
     checked, since the program never reads it."""
     doc = loads(data, "instance")
-    _fields(doc, ("version", "kind", "m", "horizon", "theta", "seed",
-                  "ceiling", "profile", "g", "f", "candidates", "metadata"),
-            "instance")
+    (_, _, m, horizon, theta, seed, ceiling, profile, g, f, candidates,
+     metadata) = _fields(doc, ("version", "kind", "m", "horizon", "theta",
+                               "seed", "ceiling", "profile", "g", "f",
+                               "candidates", "metadata"), "instance")
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
-            **{k: _int(doc[k], f"instance: {k}")
-               for k in ("m", "horizon", "theta", "seed")},
-            profile=doc["profile"],
-            g=reader.pfn(doc["g"]),
-            f=reader.pfn(doc["f"]),
-            candidates=tuple(reader.pfn(c) for c in doc["candidates"]),
-            metadata=doc["metadata"],
+            m=_int(m, "instance: m"), seed=_int(seed, "instance: seed"),
+            horizon=_int(horizon, "instance: horizon"),
+            theta=_int(theta, "instance: theta"),
+            profile=profile, g=reader.pfn(g), f=reader.pfn(f),
+            candidates=tuple(reader.pfn(c) for c in candidates),
+            metadata=metadata,
         )
-    ceiling = _int(doc["ceiling"], "instance: ceiling")
-    if not isinstance(inst.metadata, dict):
-        raise ParseError(f"instance: metadata {inst.metadata!r} is not an "
-                         "object")
+    ceiling = _int(ceiling, "instance: ceiling")
+    if not isinstance(metadata, dict):
+        raise ParseError(f"instance: metadata {metadata!r} is not an object")
     for i, c in enumerate(inst.candidates):
         if sorted(c.arity) != [1]:
             raise ParseError(f"instance: candidate {i} must be unary, got "

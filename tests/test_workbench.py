@@ -318,14 +318,17 @@ class TestSerialization:
             obj[key] = 1
             expected = f"{name}: unknown field 'zz'"
         elif action == "drop":
-            # with an unknown key too: the error names both
+            # with an unknown key too: the error names both, but a node
+            # without its tag has no key list to judge the others by
             del obj[key]
             obj["zz"] = 1
-            expected = f"{name}: missing field {key!r}; unknown field "
+            expected = f"{name}: missing field {key!r}; unknown field 'zz'"
             if kind == doc_kind and key == "version":
                 expected = f"{name}: missing version tag"
             elif kind == doc_kind and key == "kind":
                 expected = f"{name}: document kind None is not {name!r}"
+            elif key == "t":
+                expected = f"{name}: missing field 't'"
         elif key == "env":
             obj["env"]["unused"] = {"kind": "ci", "fn": {
                 "arity": [1], "codomain": [1],
@@ -342,7 +345,7 @@ class TestSerialization:
                 "term": serialize.term_loads}[doc_kind]
         with pytest.raises(serialize.ParseError) as exc:
             load(data)
-        assert str(exc.value).startswith(expected)
+        assert str(exc.value) == expected
         # the command line reports it as one line and exits 2
         path = tmp_path / "doc.json"
         path.write_bytes(data)
