@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
-                    Union)
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 
 class Point(NamedTuple):
@@ -110,57 +109,44 @@ _index_of = itemgetter(0)
 # One frozenset per distinct index set, shared by every tuple over it.
 _INDEX_SETS: dict = {}
 
-Value = Union[Point, MTuple]
-
 
 class PartialFn:
-    """A finitely supported partial function from M-tuples to points or tuples.
+    """A finitely supported partial function from M-tuples to points.
 
-    ``codomain`` is ``None`` for point-valued functions, or the index set of
-    the output tuples for tuple-valued ones.  The graph is a plain dict; by
-    convention it is never mutated after construction.
+    The graph is a plain dict; by convention it is never mutated after
+    construction.
 
     ``PartialFn(...)`` copies the graph and checks every entry against the
-    arity and codomain, its tuples holding points only.  ``compose``,
-    ``restrict``, ``component`` and ``decompose.strong_decompose_stage``
-    build their results with ``_trusted`` instead, which does neither: each
-    takes its entries from already checked functions, keeps or relabels
-    them only in ways that preserve the index sets, and so cannot produce
-    an invalid entry.  ``synth.normal_witness`` wraps f* the same way: it
-    is built from the horizon alone, so it is valid by construction; so
-    does ``synth.build_h_family`` for each helper, whose keys are dom(q)'s
-    and whose values are points it makes itself, and ``synth.build_Q`` for
-    the selector, whose keys extend dom(q)'s by the slots in ascending
-    order and whose slot values are f*'s own points.
-    Parsers, generators and other builders from outside data go through
-    the checked constructor.
+    arity, its key a tuple of points and its value a point.  Graphs valid
+    by construction are wrapped with ``_trusted`` instead, which does
+    neither: ``restrict`` and ``decompose.strong_decompose_stage`` keep
+    entries of checked functions; ``compose`` pairs its inner map's keys,
+    tuples over outer's arity, with outer's values; ``synth.normal_witness``
+    builds f* from the horizon alone; ``synth.build_h_family`` keys each
+    helper by dom(q) and makes its points itself; ``synth.build_Q`` extends
+    dom(q)'s keys by the slots in ascending order, with f*'s own points;
+    and ``synth.assemble_term`` keys each inner-map component by dom(g),
+    with points of the decomposition's own tuples.  Parsers, generators
+    and other builders from outside data go through the checked
+    constructor.
     """
 
-    __slots__ = ("arity", "codomain", "graph")
+    __slots__ = ("arity", "graph")
 
-    def __init__(self, arity: IndexSet, graph: Mapping[MTuple, Value],
-                 codomain: Optional[IndexSet] = None):
+    def __init__(self, arity: IndexSet, graph: Mapping[MTuple, Point]):
         self.arity = frozenset(arity)
-        self.codomain = None if codomain is None else frozenset(codomain)
         # A canonical tuple lists its indices in sorted order, so comparing
         # that list builds no index set per entry.
         order = sorted(self.arity)
-        values = None if self.codomain is None else sorted(self.codomain)
         g = dict(graph)
         for u, v in g.items():
             if list(map(_index_of, u)) != order:
                 raise IndexMismatchError(
                     f"domain tuple {u!r} does not match arity {order}"
                 )
-            if values is None:
-                if not isinstance(v, Point):
-                    raise IndexMismatchError(f"expected point value, got {v!r}")
-            elif (not isinstance(v, MTuple)
-                  or list(map(_index_of, v)) != values):
-                raise IndexMismatchError(
-                    f"value {v!r} does not match codomain {values}"
-                )
-            for _, p in u if values is None else u + v:
+            if not isinstance(v, Point):
+                raise IndexMismatchError(f"expected point value, got {v!r}")
+            for _, p in u:
                 if not isinstance(p, Point):
                     raise IndexMismatchError(
                         f"entry at {u!r} holds a non-point {p!r}")
@@ -169,12 +155,11 @@ class PartialFn:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, arity: IndexSet, graph: dict,
-                 codomain: Optional[IndexSet]) -> "PartialFn":
+    def _trusted(cls, arity: IndexSet, graph: dict) -> "PartialFn":
         """Wrap a graph that is valid by construction, without a copy or a
-        check; ``arity`` and ``codomain`` must already be frozensets."""
+        check; ``arity`` must already be a frozenset."""
         fn = object.__new__(cls)
-        fn.arity, fn.codomain, fn.graph = arity, codomain, graph
+        fn.arity, fn.graph = arity, graph
         return fn
 
     # -- basic queries ------------------------------------------------
@@ -182,65 +167,37 @@ class PartialFn:
     def domain(self) -> frozenset:
         return frozenset(self.graph)
 
-    def is_point_valued(self) -> bool:
-        return self.codomain is None
-
     def __len__(self) -> int:
         return len(self.graph)
-
-    def component(self, i: int) -> "PartialFn":
-        """The i-th point-valued component of a tuple-valued function."""
-        if self.codomain is None or i not in self.codomain:
-            raise IndexMismatchError(f"no component {i}")
-        return PartialFn._trusted(
-            self.arity, {u: v[i] for u, v in self.graph.items()}, None)
 
     def restrict(self, keys: Iterable[MTuple]) -> "PartialFn":
         ks = set(keys)
         return PartialFn._trusted(
-            self.arity,
-            {u: v for u, v in self.graph.items() if u in ks},
-            self.codomain,
-        )
+            self.arity, {u: v for u, v in self.graph.items() if u in ks})
 
     def is_subfunction_of(self, other: "PartialFn") -> bool:
-        return (
-            self.arity == other.arity
-            and self.codomain == other.codomain
-            and all(other.graph.get(u) == v for u, v in self.graph.items())
-        )
+        return self.arity == other.arity and all(
+            other.graph.get(u) == v for u, v in self.graph.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialFn):
             return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.codomain == other.codomain
-            and self.graph == other.graph
-        )
+        return self.arity == other.arity and self.graph == other.graph
 
     def __repr__(self) -> str:
-        kind = "pt" if self.codomain is None else f"tup{sorted(self.codomain)}"
-        return (
-            f"PartialFn(arity={sorted(self.arity)}, {kind}, "
-            f"|graph|={len(self.graph)})"
-        )
+        return (f"PartialFn(arity={sorted(self.arity)}, "
+                f"|graph|={len(self.graph)})")
 
 
 # -- composition ------------------------------------------------------
 
 
-def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
-    """outer after inner; defined where inner lands inside dom(outer)."""
-    if inner.codomain is None or inner.codomain != outer.arity:
-        raise IndexMismatchError(
-            "inner function must be tuple-valued onto the outer arity"
-        )
-    graph = {}
-    for u, mid in inner.graph.items():
-        if mid in outer.graph:
-            graph[u] = outer.graph[mid]
-    return PartialFn._trusted(inner.arity, graph, outer.codomain)
+def compose(outer: PartialFn, inner: Mapping[MTuple, MTuple]) -> PartialFn:
+    """outer after inner, a plain map from tuples over outer's arity to
+    tuples over it; defined where inner lands inside dom(outer)."""
+    graph = outer.graph
+    return PartialFn._trusted(outer.arity, {
+        u: graph[mid] for u, mid in inner.items() if mid in graph})
 
 
 # -- terms ------------------------------------------------------------

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .analysis import Checklist, all_subsets, tuple_bounds, width
-from .core import (
-    IndexMismatchError,
-    IndexSet,
-    MTuple,
-    PartialFn,
-    Point,
-    compose,
-)
+from .core import IndexSet, MTuple, PartialFn, Point, compose
 
 
 class AdmissibilityError(RuntimeError):
@@ -84,7 +77,7 @@ class DecompositionTrace:
     theta: int
     stages: list  # StageRecord, in sweep order
     g_prime: PartialFn
-    h_composed: PartialFn
+    h_composed: dict  # each u of dom(g) -> its image, a tuple of dom(g')
 
 
 def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord:
@@ -102,8 +95,6 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     in g's order; it is wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
-    if not g.is_point_valued():
-        raise IndexMismatchError("decomposition applies to point-valued functions")
     if theta < 1:
         raise ValueError("theta must be at least 1")
     keys, bounds = tuple_bounds(g, s)
@@ -126,7 +117,7 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
         if u == target:
             g_graph[u] = v
 
-    g_prime = PartialFn._trusted(g.arity, g_graph, g.codomain)
+    g_prime = PartialFn._trusted(g.arity, g_graph)
     return StageRecord(s=s, g_prime=g_prime, moved=moved)
 
 
@@ -148,9 +139,10 @@ def _inner_map_failure(stage: StageRecord) -> str:
     return ""
 
 
-def _compose_moves(g: PartialFn, stages: list) -> PartialFn:
-    """The stages' inner maps composed in sweep order over dom(g): each
-    tuple followed through every stage's ``moved``.
+def _compose_moves(g: PartialFn, stages: list) -> dict:
+    """The stages' inner maps composed in sweep order over dom(g), as the
+    plain map from each tuple to its image: each tuple followed through
+    every stage's ``moved``.
 
     Only moved tuples are followed.  A stage moves tuples of the g it
     sweeps: each is a tuple of dom(g) that no stage moved before, or an
@@ -166,8 +158,7 @@ def _compose_moves(g: PartialFn, stages: list) -> PartialFn:
                 image[u] = moved[v]
         for u, target in moved.items():
             image.setdefault(u, target)
-    graph = {u: image.get(u, u) for u in g.graph}
-    return PartialFn._trusted(g.arity, graph, g.arity)
+    return {u: image.get(u, u) for u in g.graph}
 
 
 def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:

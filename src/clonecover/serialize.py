@@ -44,6 +44,17 @@ class ParseError(ValueError):
     """Malformed or wrongly versioned serialized input."""
 
 
+def _cut(text: str, limit: int = 60) -> str:
+    """text cut to ``limit`` characters with an ellipsis, so a ParseError
+    stays one short line however large the document."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _shown(v) -> str:
+    """The repr of a document value, as a ParseError shows it."""
+    return _cut(repr(v))
+
+
 @contextmanager
 def _parsing(what: str):
     """Report the lookup, type and value errors of a malformed document as
@@ -53,27 +64,26 @@ def _parsing(what: str):
     except ParseError:
         raise
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        raise ParseError(f"{what}: {_cut(str(exc), 120)}") from exc
 
 
 def dumps(doc: dict) -> bytes:
     """Canonical bytes of doc: sorted keys, no spaces, a final newline.
 
-    A point-valued ``PartialFn`` in doc is written as its arity, a null
-    codomain and its graph; a tuple-valued one is not serializable.
-    ``json.dumps`` writes each graph as a hole string, and one ``_Writer``
-    per call splices the graph texts in at the holes.  A string of doc
-    could equal the hole and give an extra cut; the hole then grows until
-    none does.
+    A ``PartialFn`` in doc is written as its arity, a null codomain and its
+    graph.  ``json.dumps`` writes each graph as a hole string, and one
+    ``_Writer`` per call splices the graph texts in at the holes.  A string
+    of doc could equal the hole and give an extra cut; the hole then grows
+    until none does.
     """
     hole = "\0"
     while True:
         fns = []
 
         def skeleton(obj):
-            if not isinstance(obj, PartialFn) or obj.codomain is not None:
+            if not isinstance(obj, PartialFn):
                 raise TypeError(f"{type(obj).__name__} is not JSON "
-                                "serializable (a point-valued PartialFn is)")
+                                "serializable (a PartialFn is)")
             fns.append(obj)
             return {"arity": sorted(obj.arity), "codomain": None,
                     "graph": hole}
@@ -96,17 +106,18 @@ def loads(data: bytes, kind: str) -> dict:
     except (ValueError, RecursionError) as exc:
         # ValueError covers undecodable bytes, bad JSON and integer
         # literals over the interpreter's digit limit
-        raise ParseError(f"{kind}: {exc}") from exc
+        raise ParseError(f"{kind}: {_cut(str(exc), 120)}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise ParseError(f"{kind}: missing version tag")
     version = doc["version"]
     # True == 1 == 1.0, so the type is checked too
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(
-            f"{kind}: unknown version {version!r} (expected {FORMAT_VERSION})")
+            f"{kind}: unknown version {_shown(version)} "
+            f"(expected {FORMAT_VERSION})")
     if doc.get("kind") != kind:
-        raise ParseError(f"{kind}: document kind {doc.get('kind')!r} is "
-                         f"not {kind!r}")
+        raise ParseError(f"{kind}: document kind {_shown(doc.get('kind'))} "
+                         f"is not {kind!r}")
     return doc
 
 
@@ -115,13 +126,13 @@ def _fields(doc, fields: tuple, kind: str) -> list:
     exactly ``fields``, the keys its writer writes; else a ParseError about
     ``kind`` that names each missing and unknown key."""
     if not isinstance(doc, dict):
-        raise ParseError(f"{kind}: {doc!r} is not an object")
+        raise ParseError(f"{kind}: {_shown(doc)} is not an object")
     missing = [k for k in fields if k not in doc]
     if missing or len(doc) != len(fields):
         unknown = sorted(doc.keys() - {*fields})
-        raise ParseError(f"{kind}: " + "; ".join(
+        raise ParseError(f"{kind}: " + _cut("; ".join(
             [f"missing field {k!r}" for k in missing]
-            + [f"unknown field {k!r}" for k in unknown]))
+            + [f"unknown field {_shown(k)}" for k in unknown]), 120))
     return [doc[k] for k in fields]
 
 
@@ -131,7 +142,7 @@ def _fields(doc, fields: tuple, kind: str) -> list:
 def _int(v, what: str) -> int:
     """v if it is a JSON integer: no bool, float, infinity or string."""
     if type(v) is not int:
-        raise ParseError(f"{what} {v!r} is not a JSON integer")
+        raise ParseError(f"{what} {_shown(v)} is not a JSON integer")
     return v
 
 
@@ -140,7 +151,8 @@ def _index_set(members, what: str) -> frozenset:
     increasing, as the writer lists them."""
     index = [_int(i, f"{what} member") for i in members]
     if sorted({*index}) != index:
-        raise ParseError(f"{what} {members!r} is not strictly increasing")
+        raise ParseError(f"{what} {_shown(members)} is not strictly "
+                         "increasing")
     return frozenset(index)
 
 
@@ -152,8 +164,8 @@ def _index(key, obj) -> int:
     except (TypeError, ValueError):
         i = 0
     if i < 1 or str(i) != key:
-        raise ParseError(f"bad tuple {obj!r}: index key {key!r} is not "
-                         f"a positive decimal")
+        raise ParseError(f"bad tuple {_shown(obj)}: index key {_shown(key)} "
+                         "is not a positive decimal")
     return i
 
 
@@ -207,22 +219,23 @@ class _Reader:
 
     def point(self, obj) -> Point:
         if not (isinstance(obj, list) and len(obj) == 2):
-            raise ParseError(f"bad point {obj!r}")
+            raise ParseError(f"bad point {_shown(obj)}")
         x, y = obj
         # JSON integers only: no bool, float, infinity or string
         if type(x) is not int or type(y) is not int:
-            raise ParseError(f"bad point {obj!r}: coordinates must be "
-                             f"JSON integers")
+            raise ParseError(f"bad point {_shown(obj)}: coordinates must be "
+                             "JSON integers")
         p = self.points.get((x, y))
         if p is None:
             if x < 0 or y < 0:
-                raise ParseError(f"bad point {obj!r}: negative coordinate")
+                raise ParseError(f"bad point {_shown(obj)}: negative "
+                                 "coordinate")
             p = self.points[x, y] = Point(x, y)
         return p
 
     def mtuple(self, obj) -> MTuple:
         if not isinstance(obj, dict):
-            raise ParseError(f"bad tuple {obj!r}")
+            raise ParseError(f"bad tuple {_shown(obj)}")
         keys = tuple(obj)
         indices = self.indices.get(keys)
         if indices is None:
@@ -266,11 +279,16 @@ class _Reader:
         arity, codomain, entries = _fields(
             obj, ("arity", "codomain", "graph"), "partial function")
         if codomain is not None:
-            raise ParseError(f"partial function: codomain {codomain!r} is "
-                             "not null")
+            raise ParseError(f"partial function: codomain {_shown(codomain)} "
+                             "is not null")
         with _parsing("partial function"):
             graph = self.unary_graph(arity, entries)
             if graph is None:
+                for n, entry in enumerate(entries):
+                    if not (isinstance(entry, list) and len(entry) == 2):
+                        raise ParseError(
+                            f"partial function: graph entry {n} "
+                            f"{_shown(entry)} is not a [tuple, point] pair")
                 graph = {self.mtuple(u): self.point(v) for u, v in entries}
             if len(graph) != len(entries):
                 raise ParseError("partial function: two graph entries have "
@@ -318,7 +336,7 @@ def _node_parse(obj, interned: dict):
         if node is None:
             node = interned[key] = App(name, children)
         return node
-    raise ParseError(f"unknown term node tag {tag!r}")
+    raise ParseError(f"unknown term node tag {_shown(tag)}")
 
 
 def term_dumps(t: Term) -> bytes:
@@ -344,10 +362,10 @@ def term_loads(data: bytes) -> Term:
     with _parsing("term"):
         env = {}
         for name, b in bindings.items():
-            kind, fn = _fields(b, ("kind", "fn"), f"term: atom {name!r}")
+            what = f"term: atom {_shown(name)}"
+            kind, fn = _fields(b, ("kind", "fn"), what)
             if kind not in (CI_ATOM, WITNESS_ATOM):
-                raise ParseError(
-                    f"term: atom {name!r} has unknown kind {kind!r}")
+                raise ParseError(f"{what} has unknown kind {_shown(kind)}")
             env[name] = AtomBinding(reader.pfn(fn), kind)
         with _parsing("term node"):
             root = _node_parse(root, {})
@@ -399,25 +417,27 @@ def instance_loads(data: bytes) -> Instance:
         )
     ceiling = _int(ceiling, "instance: ceiling")
     if not isinstance(metadata, dict):
-        raise ParseError(f"instance: metadata {metadata!r} is not an object")
+        raise ParseError(f"instance: metadata {_shown(metadata)} is not an "
+                         "object")
     for i, c in enumerate(inst.candidates):
         if sorted(c.arity) != [1]:
             raise ParseError(f"instance: candidate {i} must be unary, got "
-                             f"arity {sorted(c.arity)}")
+                             f"arity {_shown(sorted(c.arity))}")
     if inst.m < 1:
-        raise ParseError(f"instance: m = {inst.m} is below 1")
+        raise ParseError(f"instance: m = {_shown(inst.m)} is below 1")
     # the length first, so a huge m builds no index set
     if len(inst.g.arity) != inst.m or inst.g.arity != full_index(inst.m):
-        raise ParseError(f"instance: m = {inst.m} but g has arity "
-                         f"{sorted(inst.g.arity)}")
+        raise ParseError(f"instance: m = {_shown(inst.m)} but g has arity "
+                         f"{_shown(sorted(inst.g.arity))}")
     if not 1 <= inst.theta <= inst.horizon - 1:
-        raise ParseError(f"instance: theta {inst.theta} outside "
-                         f"[1, {inst.horizon - 1}]")
+        raise ParseError(f"instance: theta {_shown(inst.theta)} outside "
+                         f"[1, {_shown(inst.horizon - 1)}]")
     if ceiling != inst.ceiling:
-        raise ParseError(f"instance: ceiling {ceiling} is not "
-                         f"horizon * horizon + horizon = {inst.ceiling}")
+        raise ParseError(f"instance: ceiling {_shown(ceiling)} is not "
+                         f"horizon * horizon + horizon = "
+                         f"{_shown(inst.ceiling)}")
     if inst.profile not in PROFILES:
-        raise ParseError(f"instance: unknown profile {inst.profile!r}")
+        raise ParseError(f"instance: unknown profile {_shown(inst.profile)}")
     return inst
 
 

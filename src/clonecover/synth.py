@@ -73,7 +73,7 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
         return f
     arity = sorted(f.arity)
     for c in candidates:
-        if sorted(c.arity) != [1] or not c.is_point_valued():
+        if sorted(c.arity) != [1]:
             raise IndexMismatchError("candidates must be unary point-valued")
     # Each candidate's domain is sorted once; a combo walks its first
     # candidate's, keeping the points every other candidate also maps.
@@ -125,7 +125,7 @@ def normal_witness(horizon: int) -> PartialFn:
     for n in range(1, horizon):
         for k in range(n):
             graph[MTuple(((1, Point(0, oplus(n, k))),))] = Point(k, n)
-    return PartialFn._trusted(full_index(1), graph, None)
+    return PartialFn._trusted(full_index(1), graph)
 
 
 def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
@@ -138,7 +138,7 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     smallest-label unused image line with enough points; points within a
     line are ordered by x, and each point's preimage is its least-y one.
     """
-    if sorted(f_unary.arity) != [1] or not f_unary.is_point_valued():
+    if sorted(f_unary.arity) != [1]:
         raise IndexMismatchError("witness must be unary and point-valued")
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -220,8 +220,6 @@ def fiber_k_tables(q: PartialFn, theta: int) -> dict:
     fiber with a bound above theta, and that value's largest bound in the
     fiber.  An empty q gives {}.
     """
-    if not q.is_point_valued():
-        raise IndexMismatchError("k-tables apply to point-valued functions")
     if not q.graph:
         return {}
     if theta < 1:
@@ -275,7 +273,7 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
             family[s, j] = PartialFn._trusted(q.arity, {
                 u: Point(0, oplus(big_k, p.y)) if p.y < big_k else ORIGIN
                 for u, big_k, (_, p) in zip(q.graph, bounds, outside[j])
-            }, None)
+            })
     return family
 
 
@@ -308,7 +306,7 @@ def build_Q(q: PartialFn, h_family: Mapping, f_star: PartialFn,
             f"witness not defined at helper output {hv!r}; horizon too small")
     rows = list(zip(*columns)) or [()] * len(q.graph)
     graph = dict(zip(map(MTuple, map(add, q.graph, rows)), q.graph.values()))
-    return PartialFn._trusted(full_index(len(keys)), graph, None)
+    return PartialFn._trusted(full_index(len(keys)), graph)
 
 
 # -- term assembly ----------------------------------------------------
@@ -322,19 +320,21 @@ def helper_name(s: IndexSet, j: int) -> str:
 
 
 def assemble_term(q: PartialFn, f_star: PartialFn, h_family: Mapping,
-                  q_table: PartialFn, keys: tuple,
-                  inner: PartialFn) -> Term:
+                  q_table: PartialFn, keys: tuple, inner: dict) -> Term:
     """The synthesized term for g = q o inner: the selector applied to the
     inner-map components and the witness's outputs on the helpers at those
-    components.  The helpers are bound as built: `build_h_family` already
-    gives them the (0|0) value off their bound, over all of dom(q)."""
+    components.  ``inner`` is the composed inner map, each u of dom(g) to
+    its image; component i sends u to the image's point at i.  The helpers
+    are bound as built: `build_h_family` already gives them the (0|0)
+    value off their bound, over all of dom(q)."""
     env = {
         SELECTOR_ATOM: AtomBinding(q_table, CI_ATOM),
         WITNESS_NAME: AtomBinding(f_star, WITNESS_ATOM),
     }
     projections = tuple(Proj(i) for i in sorted(q.arity))
     for i in sorted(q.arity):
-        env[f"inner[{i}]"] = AtomBinding(inner.component(i), CI_ATOM)
+        env[f"inner[{i}]"] = AtomBinding(PartialFn._trusted(
+            q.arity, {u: v[i] for u, v in inner.items()}), CI_ATOM)
     args = tuple(App(f"inner[{i}]", projections) for i in sorted(q.arity))
     children = list(args)
     for s, j in keys[len(q.arity):]:

@@ -5,14 +5,7 @@ import random
 import pytest
 
 from clonecover.analysis import tuple_bounds
-from clonecover.core import (
-    ORIGIN,
-    MTuple,
-    PartialFn,
-    Point,
-    compose,
-    full_index,
-)
+from clonecover.core import ORIGIN, MTuple, PartialFn, Point, full_index
 from clonecover.decompose import (
     DecompositionTrace,
     strong_decompose_stage,
@@ -93,10 +86,9 @@ def unary(mapping):
 
 
 def inner_map(g, stage):
-    """A stage's inner map over the g it swept, as a full map: each tuple
-    to its ``moved`` target, every other tuple to itself."""
-    return PartialFn(g.arity, {u: stage.moved.get(u, u) for u in g.graph},
-                     g.arity)
+    """A stage's inner map over the g it swept, as a full plain map: each
+    tuple to its ``moved`` target, every other tuple to itself."""
+    return {u: stage.moved.get(u, u) for u in g.graph}
 
 
 def stage_check(g, stage, theta, what):
@@ -113,14 +105,16 @@ def trace_over(g, subsets, theta, stage_thetas=None):
     """A decomposition trace of g at theta whose strong stages sweep
     ``subsets`` in the given order, each at its own threshold (default
     theta).  Its composed inner map is the reference reading: the left fold
-    of `compose` over the stages' inner maps, each expanded to a full map."""
+    of the stages' inner maps, each expanded to a full map, starting from
+    the identity on dom(g)."""
     current = g
-    h_total = PartialFn(g.arity, {u: u for u in g.graph}, g.arity)
+    h_total = {u: u for u in g.graph}
     stages = []
     for s, stage_theta in zip(subsets, stage_thetas or [theta] * len(subsets)):
         stage = strong_decompose_stage(current, s, stage_theta)
         stages.append(stage)
-        h_total = compose(inner_map(current, stage), h_total)
+        h = inner_map(current, stage)
+        h_total = {u: h[mid] for u, mid in h_total.items() if mid in h}
         current = stage.g_prime
     return DecompositionTrace(theta, stages, current, h_total)
 
@@ -166,12 +160,13 @@ def random_point_fn(rng, arity, size=None, span=20):
     return PartialFn(arity, graph)
 
 
-def random_tuple_fn(rng, arity, codomain, size=None, span=20):
+def random_tuple_map(rng, arity, size=None, span=20):
+    """A plain map from tuples over ``arity`` to tuples over it."""
     size = rng.randint(1, 8) if size is None else size
     graph = {}
     for _ in range(size):
-        graph[random_tuple(rng, arity, span)] = random_tuple(rng, codomain, span)
-    return PartialFn(arity, graph, codomain)
+        graph[random_tuple(rng, arity, span)] = random_tuple(rng, arity, span)
+    return graph
 
 
 @pytest.fixture

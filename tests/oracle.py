@@ -8,9 +8,12 @@ splits fibers by hand, finds a least bound by counting up from 0 and
 orders the subsets S itself.  Everything here is deliberately slow.
 
 The operators (star, hash, fiber, disjoint union, shrinking an inner map)
-build every result with the checked `PartialFn` constructor.  The
-program's decomposition stage builds its maps directly; the algebra-law
-criterion and `TestStageMatchesAlgebra` rebuild them through these.
+build every function they return with the checked `PartialFn`
+constructor.  A function is point-valued; where the paper means a
+tuple-valued one (an inner map, and c#g), the operators take and return a
+plain {tuple: tuple} map.  The program's decomposition stage builds its
+maps directly; the algebra-law criterion and `TestStageMatchesAlgebra`
+rebuild them through these.
 
 `reduce_to_unary` and `normalize` read the witness the slow way, rebuilding
 every tuple and the whole normalized graph from the witness, where
@@ -80,7 +83,7 @@ def fibers(g, s):
     sorted order; each fiber maps the rest of a tuple to g's value."""
     return {c: PartialFn(g.arity - s, {_part(u, s, False): v
                                        for u, v in g.graph.items()
-                                       if _part(u, s, True) == c}, g.codomain)
+                                       if _part(u, s, True) == c})
             for c in sorted({_part(u, s, True) for u in g.graph})}
 
 
@@ -112,7 +115,7 @@ def first_wasteful(q, theta):
 def fiber(g, s, c):
     """The fiber of g at the S-part c: the function of the rest of a tuple
     whose S-part is c; empty when no tuple of dom(g) has S-part c."""
-    return fibers(g, s).get(c, PartialFn(g.arity - s, {}, g.codomain))
+    return fibers(g, s).get(c, PartialFn(g.arity - s, {}))
 
 
 def star_set(c, tuples):
@@ -123,36 +126,36 @@ def star_set(c, tuples):
 def star_fn(c, g):
     """c*g: g with the fixed block c glued onto each domain tuple."""
     return PartialFn(c.indices | g.arity,
-                     {c.union(z): v for z, v in g.graph.items()}, g.codomain)
+                     {c.union(z): v for z, v in g.graph.items()})
 
 
 def hash_fn(c, g):
-    """c#g, for g from T-tuples to T-tuples: the block c glued onto both
-    sides of every entry."""
-    arity = c.indices | g.arity
-    return PartialFn(arity, {c.union(z): c.union(w)
-                             for z, w in g.graph.items()}, arity)
+    """c#g, for a plain map g from T-tuples to T-tuples: the block c glued
+    onto both sides of every entry."""
+    return {c.union(z): c.union(w) for z, w in g.items()}
 
 
 def disjoint_union(parts):
-    """The union of functions with pairwise disjoint domains, over the
-    first part's arity and codomain."""
+    """The union of functions, or of plain maps, with pairwise disjoint
+    domains: a function over the first part's arity, or a plain map."""
     graph = {}
     for p in parts:
-        for u, v in p.graph.items():
+        for u, v in getattr(p, "graph", p).items():
             if u in graph:
                 raise OverlapError(f"domains overlap at {u!r}")
             graph[u] = v
-    return PartialFn(parts[0].arity, graph, parts[0].codomain)
+    if isinstance(parts[0], PartialFn):
+        return PartialFn(parts[0].arity, graph)
+    return graph
 
 
 def shrink_inner(g, g_prime, h_prime):
-    """h' restricted to dom(g), so that g = g' o h exactly; g must be a
-    subfunction of g' o h'."""
+    """The plain map h' restricted to dom(g), so that g = g' o h exactly;
+    g must be a subfunction of g' o h'."""
     for u, v in g.graph.items():
-        if g_prime.graph.get(h_prime.graph.get(u)) != v:
+        if g_prime.graph.get(h_prime.get(u)) != v:
             raise ValueError(f"g is not contained in g' o h' at {u!r}")
-    return h_prime.restrict(g.graph)
+    return {u: w for u, w in h_prime.items() if u in g.graph}
 
 
 # -- witness reduction and normalization ------------------------------
@@ -195,7 +198,7 @@ def reduce_to_unary(f, candidates):
         return f
     arity = sorted(f.arity)
     for c in candidates:
-        if sorted(c.arity) != [1] or not c.is_point_valued():
+        if sorted(c.arity) != [1]:
             raise IndexMismatchError("candidates must be unary point-valued")
     for combo in itertools.product(candidates, repeat=len(arity)):
         graph = {}
@@ -217,7 +220,7 @@ def normalize(f_unary, horizon):
     lines n = horizon-1 .. 1 each take the smallest-label unused image line
     with at least n points, its points by x and each point's least-y
     preimage, and f* sends (0 | n^2+k) to (k | n)."""
-    if sorted(f_unary.arity) != [1] or not f_unary.is_point_valued():
+    if sorted(f_unary.arity) != [1]:
         raise IndexMismatchError("witness must be unary and point-valued")
     if horizon < 2:
         raise ValueError("horizon must be at least 2")

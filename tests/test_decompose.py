@@ -156,14 +156,11 @@ class TestStrongDecompose:
 
     def test_tuple_valued_g_rejected_up_front(self):
         # a wasteful tuple value used to reach countable_selection, which
-        # orders values by (y, x) and died with an AttributeError
+        # orders values by (y, x) and died with an AttributeError; a
+        # partial function is point-valued, so no such g is built
         value = MTuple.of({1: pt(9, 9)})
-        g = PartialFn(idx(1), {tup((0, 0)): value, tup((0, 5)): value},
-                      idx(1))
-        with pytest.raises(IndexMismatchError):
-            hereditary_decompose(g, 3)
-        with pytest.raises(IndexMismatchError):
-            strong_decompose_stage(g, frozenset(), theta=3)
+        with pytest.raises(IndexMismatchError, match="expected point value"):
+            PartialFn(idx(1), {tup((0, 0)): value, tup((0, 5)): value})
 
     def test_only_wasteful_tuples_move(self):
         # (9|9)'s preimage is wasteful at theta 2 and moves whole onto its
@@ -221,7 +218,7 @@ class TestHereditaryDecompose:
     def merge_onto_origin(g):
         """The inner map sending both tuples of g's one preimage to (0|0):
         g' o h stays exact, but (1|0) no longer maps to itself."""
-        return PartialFn(g.arity, {u: tup((0, 0)) for u in g.graph}, g.arity)
+        return {u: tup((0, 0)) for u in g.graph}
 
     @pytest.mark.parametrize("stage_index, moved, failure", [
         # at S = [1], (1|0)(0|0) moved onto (0|0)(0|0): the same value, but
@@ -307,8 +304,7 @@ class TestHereditaryDecompose:
             0, 4, 0, 0, 0, 0, 0, 0]
         reference = trace_over(inst.g, all_subsets([1, 2, 3]), inst.theta)
         assert trace.h_composed == reference.h_composed
-        assert trace.h_composed != PartialFn(
-            inst.g.arity, {u: u for u in inst.g.graph}, inst.g.arity)
+        assert trace.h_composed != {u: u for u in inst.g.graph}
 
     def test_generated_instances_decompose(self):
         for seed in range(5):

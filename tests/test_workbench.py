@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import gc
 import inspect
+import itertools
 import json
 import random
 import re
@@ -219,11 +221,12 @@ class TestSerialization:
 
     def test_tuple_valued_pfn_is_not_written(self):
         # every graph a document holds is point-valued, so the writer
-        # refuses a tuple-valued one rather than write what no reader reads
-        p = PartialFn(idx(1), {tup((0, 0)): tup((1, 2))}, idx(1))
+        # refuses the composed inner map, the one tuple-valued map the
+        # program builds, rather than write what no reader reads
+        h = {tup((0, 0)): tup((1, 2))}
         term = Term(root=App("a", (Proj(1),)),
-                    env={"a": AtomBinding(p, "ci")}, arity=idx(1))
-        with pytest.raises(TypeError, match="point-valued PartialFn"):
+                    env={"a": AtomBinding(h, "ci")}, arity=idx(1))
+        with pytest.raises(TypeError, match="not MTuple"):
             serialize.term_dumps(term)
 
     def test_unknown_version_rejected(self):
@@ -358,19 +361,60 @@ class TestSerialization:
         doc = self.small_term_doc()
         entry = doc["env"]["a"]["fn"]["graph"][0]
         doc["env"]["a"]["fn"]["graph"][0] = entry[:1]
-        with pytest.raises(serialize.ParseError, match="partial function"):
+        with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == ("partial function: graph entry 0 "
+                                  "[{'1': [0, 1]}] is not a [tuple, point] "
+                                  "pair")
         # the same holds for a point of three coordinates, and an entry of
-        # three members, on the unary atom's graph
+        # three members or none, on the unary atom's graph
         for bad, message in (
                 ([{"1": [0, 1, 2]}, [2, 3]], "bad point [0, 1, 2]"),
                 ([{"1": [0, 1]}, [2, 3, 4]], "bad point [2, 3, 4]"),
                 ([{"1": [0, 1]}, [2, 3], [4, 5]],
-                 "partial function: too many values to unpack (expected 2)")):
+                 "partial function: graph entry 0 [{'1': [0, 1]}, [2, 3], "
+                 "[4, 5]] is not a [tuple, point] pair"),
+                (5, "partial function: graph entry 0 5 is not a "
+                    "[tuple, point] pair")):
             doc["env"]["a"]["fn"]["graph"][0] = bad
             with pytest.raises(serialize.ParseError) as exc:
                 serialize.term_loads(serialize.dumps(doc))
             assert str(exc.value) == message
+        # an instance's g and f name the entry too; both used to print
+        # Python's own unpacking message
+        inst_doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
+        for key, bad in itertools.product(("g", "f"), ("three", 5)):
+            doc = copy.deepcopy(inst_doc)
+            graph = doc[key]["graph"]
+            if bad == "three":
+                bad = graph[1] = [*graph[1], [4, 5]]
+            else:
+                graph[1] = bad
+            with pytest.raises(serialize.ParseError) as exc:
+                serialize.instance_loads(serialize.dumps(doc))
+            assert str(exc.value) == (
+                f"partial function: graph entry 1 {bad!r} is not a "
+                "[tuple, point] pair")
+
+    def test_shown_values_are_cut(self):
+        # A value copied from elsewhere in the document used to be shown
+        # whole: f's graph as g's first value gave a 786-character line.
+        doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
+        doc["g"]["graph"][0][1] = doc["f"]["graph"]
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.instance_loads(serialize.dumps(doc))
+        assert str(exc.value) == ("bad point [[{'1': [0, 1]}, [33, 16]], "
+                                  "[{'1': [0, 5]}, [33, 47]], [{...")
+        # the text of an error the reader wraps is cut too
+        doc = self.small_term_doc()
+        doc["root"]["name"] = "b" * 500
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(doc))
+        message = str(exc.value)
+        assert message.startswith("term: unbound atom 'bbb")
+        assert message.endswith("b...") and len(message) == len("term: ") + 120
 
     def test_app_without_children_rejected(self):
         doc = self.small_term_doc()
@@ -899,7 +943,7 @@ class TestPipeline:
 
         env = {}
         for name, binding in term.env.items():
-            fn = PartialFn(binding.fn.arity, {}, binding.fn.codomain)
+            fn = PartialFn(binding.fn.arity, {})
             fn.graph = CountingGraph(binding.fn.graph)
             env[name] = dataclasses.replace(binding, fn=fn)
         assert verify_pair(inst, Term(term.root, env, term.arity))["passed"]
@@ -938,15 +982,14 @@ class TestValidatedConstructions:
         g = PartialFn(two, {tup((0, 0), (1, 1)): pt(2, 0),
                             tup((0, 0), (2, 1)): pt(3, 0),
                             tup((1, 0), (1, 1)): pt(2, 0)})
-        h = PartialFn(two, {u: u for u in g.graph}, two)
+        h = {u: u for u in g.graph}
 
         def work():
-            return [compose(g, h), g.restrict(list(g.graph)[:2]),
-                    h.component(1)]
+            return [compose(g, h), g.restrict(list(g.graph)[:2])]
 
         count, results = self.count_inits(monkeypatch, work)
         assert count == 0
-        assert [len(r) for r in results] == [3, 2, 3]
+        assert [len(r) for r in results] == [3, 2]
 
     def test_pipeline_run_stays_under_budget(self, monkeypatch):
         # 2025 validated constructions when every algebra result was checked
@@ -957,13 +1000,13 @@ class TestValidatedConstructions:
         assert count <= 500
 
     def test_decomposition_builds_its_stages_unchecked(self, monkeypatch):
-        # The one call is the identity start of the composed inner map;
-        # building each sweep through the operator algebra made 196.
+        # Building each sweep through the operator algebra made 196 checked
+        # constructions.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
         count, trace = self.count_inits(
             monkeypatch, lambda: hereditary_decompose(inst.g, inst.theta))
         assert len(trace.stages) == 8
-        assert count <= 1
+        assert count == 0
 
 
 class TestCli:
