@@ -29,23 +29,28 @@ from .core import (
 @dataclass
 class Checklist:
     """Named pass/fail checks in the order they were made: the one verdict
-    list that admissibility, decomposition and pipeline reports carry."""
+    type of the program.  A check's detail says why it fails, so a passing
+    check keeps none."""
 
     checks: list = field(default_factory=list)  # {"name", "passed", "detail"}
 
     def add(self, name: str, ok, detail: str = "") -> None:
-        self.checks.append(
-            {"name": name, "passed": bool(ok), "detail": str(detail)})
+        self.checks.append({"name": name, "passed": bool(ok),
+                            "detail": "" if ok else str(detail)})
+
+    @property
+    def failing(self) -> list:
+        """The failing checks, in the order they were made."""
+        return [c for c in self.checks if not c["passed"]]
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return not self.failing
 
     @property
     def detail(self) -> str:
         """The failing checks as ``name: detail``, joined by "; "."""
-        return "; ".join(c["name"] + ": " + c["detail"]
-                         for c in self.checks if not c["passed"])
+        return "; ".join(c["name"] + ": " + c["detail"] for c in self.failing)
 
 
 def width(points: Iterable[Point]) -> int:

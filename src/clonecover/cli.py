@@ -5,11 +5,12 @@ Each command reads its instance from `--instance` or generates it from
 `--seed`, `--m`, `--horizon`, `--theta` and `--profile`, never both; only
 `gen`, `synth` and `demo` write an artifact, to `--out` or stdout.
 
-Exit status is 0 exactly when the requested check or report passes, 1 when
-it fails, and 2 on a usage error: a malformed input document, an input file
-that cannot be read, generation parameters no profile supports, or a
-generation flag given with `--instance`.  A usage error prints one line on
-stderr.
+Every verdict is one ``PASS|FAIL  <check name>  (<detail>)`` line, on
+stdout, or on stderr for `synth` and `demo`, whose stdout is the artifact.
+Exit status is 0 exactly when every check passes, 1 when one fails, and 2
+on a usage error: a malformed input document, an input file that cannot
+be read, generation parameters no profile supports, or a generation flag
+given with `--instance`.  A usage error prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -18,11 +19,8 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .decompose import (
-    AdmissibilityError,
-    hereditary_decompose,
-    verify_decomposition,
-)
+from .analysis import Checklist
+from .decompose import check_admissible, check_contracts
 from .instances import (
     PROFILES,
     ProfileError,
@@ -30,7 +28,7 @@ from .instances import (
     default_theta,
     generate_instance,
 )
-from .pipeline import run_pipeline, verify_pair
+from .pipeline import check_term, run_pipeline
 from .synth import StageError, end_to_end_synthesize
 
 # generate_instance's parameters and defaults (theta: ceil(N/2)); as flags
@@ -84,44 +82,35 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst = _load_or_generate(args)
-    report = check_admissibility(inst)
-    _print_checks(report["checks"], sys.stdout)
-    return 0 if report["passed"] else 1
+    adm = check_admissibility(_load_or_generate(args))
+    return _print_checks(Checklist(adm["checks"]), sys.stdout)
 
 
 def cmd_decompose(args) -> int:
     inst = _load_or_generate(args)
-    try:
-        trace = hereditary_decompose(inst.g, inst.theta)
-    except AdmissibilityError as exc:
-        print(f"decomposition FAIL: {exc}")
-        return 1
-    report = verify_decomposition(inst.g, trace)
-    for stage in trace.stages:
-        print(f"S={sorted(stage.s)}: |g'|={len(stage.g_prime)} "
-              f"rerouted={len(stage.moved)}")
-    print(f"decomposition {'PASS' if report['passed'] else 'FAIL'}")
-    return 0 if report["passed"] else 1
+    checks = Checklist()
+    trace = check_admissible(inst.g, inst.theta, checks)
+    if trace is not None:
+        for stage in trace.stages:
+            print(f"S={sorted(stage.s)}: |g'|={len(stage.g_prime)} "
+                  f"rerouted={len(stage.moved)}")
+        check_contracts(inst.g, trace, checks)
+    return _print_checks(checks, sys.stdout)
 
 
 def cmd_synth(args) -> int:
     inst = _load_or_generate(args)
+    checks = Checklist()
     try:
-        result = end_to_end_synthesize(
-            inst.g, inst.f, inst.theta, inst.horizon,
-            unary_candidates=inst.candidates,
-        )
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
     except StageError as exc:
-        print(f"synthesis FAIL: {exc}")
-        return 1
-    _emit(serialize.term_dumps(result.term), args.out)
-    pair = verify_pair(inst, result.term)
-    print(f"term size={result.term.size()} depth={result.term.depth()} "
-          f"atoms={len(result.term.env)}", file=sys.stderr)
-    print(f"equality on dom(g): {'PASS' if pair['passed'] else 'FAIL'}",
-          file=sys.stderr)
-    return 0 if pair["passed"] else 1
+        exc.check(checks)
+    else:
+        _emit(serialize.term_dumps(term), args.out)
+        _print_term(term)
+        check_term(inst, term, checks)
+    return _print_checks(checks, sys.stderr)
 
 
 def cmd_verify(args) -> int:
@@ -129,36 +118,35 @@ def cmd_verify(args) -> int:
     term = serialize.term_loads(args.term.read_bytes())
     if term.arity != inst.g.arity:
         raise serialize.ParseError(
-            f"term: arity {sorted(term.arity)} does not match the "
-            f"instance's arity {sorted(inst.g.arity)}")
-    pair = verify_pair(inst, term)
-    print(f"equality on dom(g): {'PASS' if pair['passed'] else 'FAIL'} "
-          f"({pair['checked']} tuples)")
-    return 0 if pair["passed"] else 1
+            f"term: arity {serialize._shown(sorted(term.arity))} does not "
+            "match the instance's arity "
+            f"{serialize._shown(sorted(inst.g.arity))}")
+    checks = Checklist()
+    check_term(inst, term, checks)
+    return _print_checks(checks, sys.stdout)
 
 
 def cmd_demo(args) -> int:
     inst = _load_or_generate(args)
-    report, _ = run_pipeline(inst)
-    _print_report(report)
+    report, result = run_pipeline(inst)
     _emit(serialize.report_dumps(report), args.out)
-    return 0 if report["passed"] else 1
+    if result is not None:
+        _print_term(result.term)
+    return _print_checks(Checklist(report["checks"]), sys.stderr)
 
 
-def _print_checks(checks: list, stream) -> None:
-    for c in checks:
+def _print_term(term) -> None:
+    print(f"term: size={term.size()} depth={term.depth()} "
+          f"atoms={len(term.env)}", file=sys.stderr)
+
+
+def _print_checks(checks: Checklist, stream) -> int:
+    """Print each check as ``PASS|FAIL  <name>  (<detail>)``, the detail
+    only when there is one; the exit status, 0 exactly when all pass."""
+    for c in checks.checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
               + (f"  ({c['detail']})" if c["detail"] else ""), file=stream)
-
-
-def _print_report(report: dict) -> None:
-    _print_checks(report["checks"], sys.stderr)
-    stats = report.get("term_stats")
-    if stats:
-        print(f"term: size={stats['size']} depth={stats['depth']} "
-              f"atoms={stats['atoms']}", file=sys.stderr)
-    print(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
-          f"({report['timing']}s)", file=sys.stderr)
+    return 0 if checks.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ width-harmlessness of every inner map included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .analysis import Checklist, all_subsets, tuple_bounds, width
 from .core import IndexSet, MTuple, PartialFn, Point, compose
@@ -179,7 +179,7 @@ def hereditary_decompose(g: PartialFn, theta: int) -> DecompositionTrace:
     )
 
 
-def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
+def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> Checklist:
     """Independently re-check every invariant of a decomposition trace,
     including that each stage's inner map is width-harmless and that the
     composed inner map is the composition of the stages' maps.
@@ -193,21 +193,20 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
     checks = Checklist()
     current = g
     for stage in trace.stages:
-        label = f"S={sorted(stage.s)}"
-        checks.add(f"{label}: g' contained in g",
+        label = f"S={sorted(stage.s)}: "
+        checks.add(label + "g' contained in g",
                    stage.g_prime.is_subfunction_of(current))
         moved, g_prime = stage.moved, stage.g_prime.graph
         exact = moved.keys() <= current.graph.keys() and all(
             g_prime.get(moved.get(u, u)) == v
             for u, v in current.graph.items())
-        checks.add(f"{label}: exact recomposition", exact,
-                   "" if exact else "graphs differ")
+        checks.add(label + "exact recomposition", exact, "graphs differ")
         keys, bounds = tuple_bounds(stage.g_prime, stage.s)
         wasteful = [c for c, k in zip(keys, bounds) if k > trace.theta]
-        checks.add(f"{label}: fibers thrifty", not wasteful,
+        checks.add(label + "fibers thrifty", not wasteful,
                    f"fiber {min(wasteful)!r}" if wasteful else "")
         failure = _inner_map_failure(stage)
-        checks.add(f"{label}: inner-map certificates", not failure, failure)
+        checks.add(label + "inner-map certificates", not failure, failure)
         current = stage.g_prime
 
     checks.add("final g' is the last stage's", current == trace.g_prime)
@@ -218,4 +217,27 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> dict:
     checks.add("final g' hereditarily thrifty",
                [stage.s for stage in trace.stages]
                == all_subsets(sorted(g.arity)))
-    return {"passed": checks.passed, "checks": checks.checks}
+    return checks
+
+
+def check_admissible(g: PartialFn, theta: int,
+                     checks: Checklist) -> Optional[DecompositionTrace]:
+    """`hereditary_decompose` g, its outcome added to checks as the
+    "decomposition admissible" check: the trace, or None when a choice
+    step ran out of tuples."""
+    trace, detail = None, ""
+    try:
+        trace = hereditary_decompose(g, theta)
+    except AdmissibilityError as exc:
+        detail = str(exc)
+    checks.add("decomposition admissible", trace is not None, detail)
+    return trace
+
+
+def check_contracts(g: PartialFn, trace: DecompositionTrace,
+                    checks: Checklist) -> None:
+    """Add the "decomposition contracts" check: every check of
+    `verify_decomposition` passes; the detail names the failing ones."""
+    contracts = verify_decomposition(g, trace)
+    checks.add("decomposition contracts", contracts.passed,
+               ", ".join(c["name"] for c in contracts.failing))

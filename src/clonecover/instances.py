@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .analysis import Checklist
 from .core import MTuple, PartialFn, Point, full_index
-from .decompose import AdmissibilityError, hereditary_decompose
+from .decompose import AdmissibilityError, check_admissible
 from .synth import normalize_f, oplus, reduce_to_unary
 
 PROFILES = ("mixed", "all-thrifty", "mary-witness")
@@ -259,11 +259,10 @@ def check_admissibility(inst: Instance) -> dict:
     A structural check on coordinates, over every distinct point of g, f
     and the candidates, against the derived ``inst.ceiling``; then the
     witness recovery and the hereditary decomposition (the two stages with
-    choice steps), each run independently.  Besides ``passed``, ``checks``
-    and ``detail``, the dict hands back their products, ``normalized`` and
-    ``trace`` (None where the stage raised): `complete_synthesis` finishes
-    the term from the trace and the normalized witness's f*.
-    """
+    choice steps), each run independently.  Besides the verdict,
+    ``passed``, ``checks`` and ``detail``, the dict holds their products
+    ``normalized`` and ``trace`` (None where the stage failed), from which
+    `complete_synthesis` finishes the term."""
     checks = Checklist()
     fns = (inst.g, inst.f, *inst.candidates)
     points = {p for fn in fns for u in fn.graph for _, p in u}
@@ -272,19 +271,14 @@ def check_admissibility(inst: Instance) -> dict:
     coords_ok = all(0 <= x < ceiling and 0 <= y < ceiling for x, y in points)
     checks.add("coordinates below ceiling", coords_ok)
 
-    normalized = trace = None
+    normalized, detail = None, ""
     try:
         normalized = normalize_f(reduce_to_unary(inst.f, inst.candidates),
                                  inst.horizon)
-        checks.add("witness recoverable", True)
     except (AdmissibilityError, ValueError) as exc:
-        checks.add("witness recoverable", False, str(exc))
-
-    try:
-        trace = hereditary_decompose(inst.g, inst.theta)
-        checks.add("decomposition admissible", True)  # g = g' o h by design
-    except AdmissibilityError as exc:
-        checks.add("decomposition admissible", False, str(exc))
+        detail = str(exc)
+    checks.add("witness recoverable", normalized is not None, detail)
+    trace = check_admissible(inst.g, inst.theta, checks)
 
     return {"passed": checks.passed, "checks": checks.checks,
             "detail": checks.detail, "normalized": normalized,

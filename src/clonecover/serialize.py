@@ -244,15 +244,14 @@ class _Reader:
         return self.tuples.setdefault(t, t)
 
     def unary_graph(self, arity, entries):
-        """The graph of a function's entries, read in one pass when its
+        """The graph of a function's entry list, read in one pass when its
         declared arity is [i] for one index i and every entry is regular: a
         pair of a key object holding exactly i's index key and a point,
         each point a 2-list of JSON integers >= 0.  Anything else gives
         None, which leaves the entries (an empty graph too), and whatever
         ParseError they give, to the per-entry reader."""
         if not (type(arity) is list and len(arity) == 1
-                and type(arity[0]) is int and arity[0] >= 1
-                and type(entries) is list):
+                and type(arity[0]) is int and arity[0] >= 1):
             return None
         if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
             return None
@@ -281,6 +280,9 @@ class _Reader:
         if codomain is not None:
             raise ParseError(f"partial function: codomain {_shown(codomain)} "
                              "is not null")
+        if type(entries) is not list:
+            raise ParseError(f"partial function: graph {_shown(entries)} is "
+                             "not an array")
         with _parsing("partial function"):
             graph = self.unary_graph(arity, entries)
             if graph is None:
@@ -405,6 +407,9 @@ def instance_loads(data: bytes) -> Instance:
      metadata) = _fields(doc, ("version", "kind", "m", "horizon", "theta",
                                "seed", "ceiling", "profile", "g", "f",
                                "candidates", "metadata"), "instance")
+    if type(candidates) is not list:
+        raise ParseError(f"instance: candidates {_shown(candidates)} is not "
+                         "an array")
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import (NotThriftyError, all_subsets, fiber_columns,
-                       tuple_bounds, width)
+from .analysis import (Checklist, NotThriftyError, all_subsets,
+                       fiber_columns, tuple_bounds, width)
 from .core import (
     App,
     AtomBinding,
@@ -369,7 +369,6 @@ class SelectorWidthVerdict:
     observed: int
     line: Optional[int]  # None for an empty table
     entries: tuple
-    passed: bool
 
 
 def verify_Q_in_CI(q_table: PartialFn, m: int) -> SelectorWidthVerdict:
@@ -404,7 +403,7 @@ def verify_Q_in_CI(q_table: PartialFn, m: int) -> SelectorWidthVerdict:
         if found:
             line, best = n, found
     return SelectorWidthVerdict(bound=bound, observed=len(best), line=line,
-                                entries=best, passed=len(best) <= bound)
+                                entries=best)
 
 
 def _widest_fit(candidates: list, used: dict, taken: tuple,
@@ -459,8 +458,7 @@ class UniquenessReport:
     perm: tuple
     candidate: dict  # index -> Point (may be partial when a K is missing)
     qualifying: tuple  # the (u, v) tuples found by brute force, never empty
-    passed: bool
-    detail: str = ""
+    detail: str  # why the check fails; "" when it passes
 
 
 def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
@@ -517,7 +515,7 @@ def _certify_line(k_tables: Mapping, factors: Mapping, n: int, perm: tuple,
             detail = "qualifying entry differs from candidate"
     return UniquenessReport(
         line=n, perm=perm, candidate=candidate,
-        qualifying=tuple(qualifying), passed=not detail, detail=detail,
+        qualifying=tuple(qualifying), detail=detail,
     )
 
 
@@ -531,6 +529,10 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"[{stage}] {cause}")
+
+    def check(self, checks: Checklist) -> None:
+        """Add this failure as the "stage:<stage>" check."""
+        checks.add(f"stage:{self.stage}", False, str(self.cause))
 
 
 @dataclass

@@ -96,7 +96,7 @@ def stage_check(g, stage, theta, what):
     trace = DecompositionTrace(theta, [stage], stage.g_prime,
                                inner_map(g, stage))
     name = f"S={sorted(stage.s)}: {what}"
-    (check,) = [c for c in verify_decomposition(g, trace)["checks"]
+    (check,) = [c for c in verify_decomposition(g, trace).checks
                 if c["name"] == name]
     return check
 

@@ -166,7 +166,7 @@ def test_criterion_2_selector_width_bound(corpus, capsys):
                 above_exact += 1
             for cert in main_lemma_certify(
                     result.q_table, result.k_tables, factors, m):
-                if not cert.passed:
+                if cert.detail:
                     uniq_failures += 1
                 if cert.qualifying:
                     qualified[m] += 1
@@ -212,8 +212,8 @@ def test_criterion_4_decomposition_contract(corpus, capsys):
     for m in (1, 2, 3):
         for inst, result in corpus[m]:
             verdict = verify_decomposition(inst.g, result.trace)
-            if not verdict["passed"]:
-                bad = [c["name"] for c in verdict["checks"] if not c["passed"]]
+            if not verdict.passed:
+                bad = [c["name"] for c in verdict.checks if not c["passed"]]
                 failures.append((m, inst.seed, bad))
     _report(capsys, 4, not failures,
             f"{3 * INSTANCES_PER_M} traces verified, failures: {failures}")

@@ -198,8 +198,8 @@ class TestHereditaryDecompose:
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
         trace = hereditary_decompose(g, theta=3)
         verdict = verify_decomposition(g, trace)
-        assert verdict["passed"]
-        assert all(c["passed"] for c in verdict["checks"])
+        assert verdict.passed
+        assert all(c["passed"] for c in verdict.checks)
 
     def test_verifier_rejects_tampered_trace(self):
         g = unary({(0, 0): (9, 9), (0, 4): (9, 9)})
@@ -207,11 +207,11 @@ class TestHereditaryDecompose:
         tampered = PartialFn(g.arity, dict(trace.g_prime.graph))
         tampered.graph[tup((7, 7))] = pt(0, 0)
         trace.g_prime = tampered
-        assert not verify_decomposition(g, trace)["passed"]
+        assert not verify_decomposition(g, trace).passed
 
     @staticmethod
     def failing_checks(g, trace):
-        return [c["name"] for c in verify_decomposition(g, trace)["checks"]
+        return [c["name"] for c in verify_decomposition(g, trace).checks
                 if not c["passed"]]
 
     @staticmethod
@@ -310,7 +310,7 @@ class TestHereditaryDecompose:
         for seed in range(5):
             inst = generate_instance(m=2, horizon=8, theta=4, seed=seed)
             trace = hereditary_decompose(inst.g, inst.theta)
-            assert verify_decomposition(inst.g, trace)["passed"]
+            assert verify_decomposition(inst.g, trace).passed
 
 
 class TestLinearFiberScans:

@@ -3,8 +3,11 @@
 ``perfbench/harness.py`` grows the bulk-m3 instances with its own
 ``enlarge`` and checks them with ``planted_intact``; both read the program's
 types and the instance's attributes (``ceiling``, ``theta``, ``metadata``),
-and ``enlarge`` builds its result with ``dataclasses.replace``.  A program
-change that breaks them fails here rather than in a benchmark run.
+and ``enlarge`` builds its result with ``dataclasses.replace``.  Its
+``run_instance`` reads the verdicts ``check_admissibility(...)["passed"]``,
+``verify_pair(...)["passed"]`` and the report's ``passed`` and ``checks``.
+A program change that breaks them fails here rather than in a benchmark
+run.
 The harness is imported read-only.  It is handed the modules this session
 already imported, not its ``fresh_import``, which would drop and re-import
 them under the other tests.
@@ -15,7 +18,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from clonecover import core, instances, serialize
+from clonecover import core, instances, pipeline, serialize, synth
 from clonecover.instances import check_admissibility, generate_instance
 
 from conftest import grown
@@ -23,7 +26,8 @@ from conftest import grown
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import harness  # noqa: E402  (needs perfbench/ on the path)
 
-PROGRAM = SimpleNamespace(core=core, instances=instances)
+PROGRAM = SimpleNamespace(core=core, instances=instances, pipeline=pipeline,
+                          serialize=serialize, synth=synth)
 
 
 def test_bulk_builder_is_deterministic_and_keeps_the_plant():
@@ -65,3 +69,22 @@ def test_grown_reads_an_instance_whose_metadata_is_empty():
     bare = serialize.instance_loads(serialize.dumps({**doc, "metadata": {}}))
     assert bare.metadata == {}
     assert len(grown(bare, 40).g) == 40
+
+
+def test_one_small_instance_of_each_workload_shape_passes_the_chain():
+    # The workloads' own round builders, at their smallest: one m = 2
+    # corpus instance, a bulk instance grown to 60 tuples, and one
+    # instance at horizon 16.  The chain checks every verdict it reads.
+    specs = [
+        next(spec for spec in harness.corpus_round(3, 0, per_m=1)
+             if spec.m == 2),
+        *harness.bulk_round(3, 0, size=60),
+        harness.horizon_round(3, 0, horizon=16)[0],
+    ]
+    assert [(spec.m, spec.horizon, spec.bulk_size) for spec in specs] == [
+        (2, 8, 0), (3, 8, 60), (3, 16, 0)]
+    for spec in specs:
+        out = harness.run_instance(PROGRAM, spec)
+        assert out.problems == []
+        report = serialize.loads(out.blobs[2], "report")
+        assert report["passed"] and report["checks"]

@@ -665,15 +665,15 @@ class TestDecompositionCoverage:
         if trace is None:
             return
         verdict = verify_decomposition(g, trace)
-        passed = {c["name"]: c["passed"] for c in verdict["checks"]}
+        passed = {c["name"]: c["passed"] for c in verdict.checks}
         covered = [stage.s for stage in trace.stages] == all_subsets(
             sorted(g.arity))
         assert passed["final g' hereditarily thrifty"] == covered
         # the program's composition of the stages' moves is the reference
         # fold that trace_over stored
         assert passed["composed inner map is the stages' composition"]
-        target(float(verdict["passed"]))
-        if verdict["passed"]:
+        target(float(verdict.passed))
+        if verdict.passed:
             assert oracle.first_wasteful(trace.g_prime, trace.theta) is None
 
     @settings(max_examples=200, derandomize=True)
@@ -684,7 +684,7 @@ class TestDecompositionCoverage:
         g, trace = case
         if trace is None:
             return
-        checks = [c for c in verify_decomposition(g, trace)["checks"]
+        checks = [c for c in verify_decomposition(g, trace).checks
                   if c["name"].endswith(": fibers thrifty")]
         want = [all(not oracle.split(p, trace.theta)[1]
                     for p in oracle.fibers(stage.g_prime, stage.s).values())

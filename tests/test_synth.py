@@ -318,8 +318,8 @@ class TestBuildQ:
 
 def certificate_rows(certs):
     """The certificates as `oracle.certify_every_pair` lists its own."""
-    return [(c.line, c.perm, c.candidate, c.qualifying, c.passed, c.detail)
-            for c in certs]
+    return [(c.line, c.perm, c.candidate, c.qualifying, not c.detail,
+             c.detail) for c in certs]
 
 
 class TestSelectorCertificates:
@@ -346,7 +346,7 @@ class TestSelectorCertificates:
             factors[key] = {p.y: p.x for p in sl}
         verdict = verify_Q_in_CI(res.q_table, m)
         assert verdict.bound == math.factorial(m)
-        assert verdict.passed
+        assert verdict.observed <= verdict.bound
         image = {val for uv, val in res.q_table.graph.items()
                  if all(uv[slot].x == factors[key].get(uv[slot].y, 0)
                         for slot, key in enumerate(keys, 1))}
@@ -399,7 +399,7 @@ class TestSelectorCertificates:
         narrow = verify_Q_in_CI(q_table, 1)
         assert (narrow.observed, narrow.line, narrow.entries) == (
             1, 5, (first,))
-        assert narrow.passed
+        assert narrow.observed <= narrow.bound
 
     def test_spanned_family_rejects_entries_that_disagree(self):
         # the family the certificates read spans agreeing entries only
@@ -428,7 +428,7 @@ class TestSelectorCertificates:
         factors = {1: factor, (frozenset(), 1): factor}
         [cert] = main_lemma_certify(q_table, {}, factors, 1)
         assert cert.qualifying == (first, second)
-        assert not cert.passed
+        assert cert.detail == "qualifying entry despite missing K chain"
 
     def test_verify_Q_in_CI_bound_formula(self):
         for m in (1, 2, 3):
@@ -438,7 +438,7 @@ class TestSelectorCertificates:
                 unary_candidates=inst.candidates)
             verdict = verify_Q_in_CI(res.q_table, m)
             assert verdict.bound == math.factorial(m)
-            assert verdict.passed
+            assert verdict.observed <= verdict.bound
             # At the table's own widest (slot, line), the whole table lies
             # in one width-w product, the union of w^K width-1 products.
             columns: dict = {}
@@ -467,7 +467,6 @@ class TestExactSelectorWidth:
     def test_one_family_above_the_bound_fails_the_check(self):
         q_table = crafted_selector(decoys=5)
         verdict = verify_Q_in_CI(q_table, 1)
-        assert not verdict.passed
         assert (verdict.observed, verdict.bound, verdict.line) == (2, 1, 9)
         assert verdict.entries == (tup((0, 1), (0, 3)), tup((0, 2), (0, 4)))
         reaching = [product for product in maximal_products(q_table, 1)
@@ -495,8 +494,8 @@ class TestExactSelectorWidth:
         family = spanned_family((worst,), 1)
         assert family == {1: {5: 3}, (frozenset(), 1): {2: 7}}
         certs = main_lemma_certify(q_table, k_tables, family, 1)
-        assert [(c.line, c.candidate, c.passed) for c in certs] == [
-            (9, {1: pt(0, 7)}, False)]
+        assert [(c.line, c.candidate, c.detail) for c in certs] == [
+            (9, {1: pt(0, 7)}, "qualifying entry differs from candidate")]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("profile", PROFILES)
@@ -512,7 +511,7 @@ class TestExactSelectorWidth:
         assert product_image_width(res.q_table, family, m) == (
             verdict.observed)
         certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
-        assert certs and all(cert.passed for cert in certs)
+        assert certs and not any(cert.detail for cert in certs)
         # every worst-case entry is checked by some certificate
         qualifying = {uv for cert in certs for uv in cert.qualifying}
         assert set(verdict.entries) <= qualifying

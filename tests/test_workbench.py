@@ -397,6 +397,34 @@ class TestSerialization:
                 f"partial function: graph entry 1 {bad!r} is not a "
                 "[tuple, point] pair")
 
+    @pytest.mark.parametrize("bad", [5, "xy", {"a": 1}],
+                             ids=["int", "string", "object"])
+    def test_graph_that_is_not_an_array_rejected(self, bad):
+        # A graph or a candidate list used to be iterated whatever it was:
+        # an int gave Python's "'int' object is not iterable", a string or
+        # an object was read as its characters or keys.
+        inst_doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, 0, "mary-witness")))
+        cases = [
+            (serialize.instance_loads, inst_doc, ("g", "graph")),
+            (serialize.instance_loads, inst_doc, ("candidates", 0, "graph")),
+            (serialize.term_loads, self.small_term_doc(),
+             ("env", "a", "fn", "graph")),
+        ]
+        for load, original, path in cases:
+            doc = obj = copy.deepcopy(original)
+            for key in path[:-1]:
+                obj = obj[key]
+            obj[path[-1]] = bad
+            with pytest.raises(serialize.ParseError) as exc:
+                load(serialize.dumps(doc))
+            assert str(exc.value) == (
+                f"partial function: graph {bad!r} is not an array")
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.instance_loads(serialize.dumps(
+                {**inst_doc, "candidates": bad}))
+        assert str(exc.value) == f"instance: candidates {bad!r} is not an array"
+
     def test_shown_values_are_cut(self):
         # A value copied from elsewhere in the document used to be shown
         # whole: f's graph as g's first value gave a 786-character line.
@@ -725,7 +753,7 @@ class TestPipeline:
         assert sweeps == 8 and calls == {"tuple_bounds": sweeps}
         assert synth.fiber_k_tables(trace.g_prime, trace.theta)
         assert calls == {"tuple_bounds": 2 * sweeps - 1}
-        assert verify_decomposition(inst.g, trace)["passed"]
+        assert verify_decomposition(inst.g, trace).passed
         assert calls == {"tuple_bounds": 3 * sweeps - 1}
 
     def test_a_passing_run_leaves_no_cyclic_garbage(self):
@@ -788,8 +816,7 @@ class TestPipeline:
 
         def failing_narrow(q_table, m):
             verdict = original(q_table, m)
-            return dataclasses.replace(
-                verdict, observed=verdict.bound + 1, passed=False)
+            return dataclasses.replace(verdict, observed=verdict.bound + 1)
 
         monkeypatch.setattr(pipeline, "verify_Q_in_CI", failing_narrow)
         report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
@@ -902,8 +929,7 @@ class TestPipeline:
         want = sum(walk(bad.root, u, bad.env) != v
                    for u, v in inst.g.graph.items())
         assert want >= 1
-        assert verify_pair(inst, bad) == {
-            "passed": False, "checked": len(inst.g), "mismatched": want}
+        assert verify_pair(inst, bad) == {"passed": False, "mismatched": want}
 
         complete = pipeline.complete_synthesis
 
@@ -925,7 +951,7 @@ class TestPipeline:
         assert main(["verify", "--instance", str(inst_path),
                      "--term", str(term_path)]) == 1
         assert capsys.readouterr().out == (
-            f"equality on dom(g): FAIL ({len(inst.g)} tuples)\n")
+            f"FAIL  term equality on dom(g)  ({want} mismatching tuples)\n")
 
     def test_verify_pair_looks_up_each_distinct_subterm_once(self):
         # A tree walk makes one atom-graph lookup per App node and tuple;
@@ -1028,17 +1054,32 @@ class TestCli:
             (tmp_path / "report.json").read_bytes(), "report")
         assert report["passed"]
 
-    def test_synth_then_verify_round_trip(self, tmp_path):
+    def test_synth_then_verify_round_trip(self, tmp_path, capsys):
+        # synth and demo print the term's stats in one format, and every
+        # verdict as a check line: on stderr when stdout is the artifact's
         inst_path = tmp_path / "inst.json"
         term_path = tmp_path / "term.json"
         main(["gen", "--m", "2", "--horizon", "8", "--theta", "4",
               "--seed", "6", "--out", str(inst_path)])
         assert main(["synth", "--instance", str(inst_path),
                      "--out", str(term_path)]) == 0
+        term = serialize.term_loads(term_path.read_bytes())
+        stats = (f"term: size={term.size()} depth={term.depth()} "
+                 f"atoms={len(term.env)}\n")
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", stats + "PASS  term equality on dom(g)\n")
         assert main(["verify", "--instance", str(inst_path),
                      "--term", str(term_path)]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("PASS  term equality on dom(g)\n", "")
+        assert main(["demo", "--instance", str(inst_path)]) == 0
+        out = capsys.readouterr()
+        report = serialize.loads(out.out.encode(), "report")
+        assert out.err == stats + "".join(
+            f"PASS  {c['name']}\n" for c in report["checks"])
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_verify_rejects_g_bound_as_a_ci_atom(self, tmp_path):
         # The term g(x1, x2), with g itself bound as a width-harmless atom,
         # agrees with g on dom(g) but is no term over the witness.
@@ -1061,7 +1102,8 @@ class TestCli:
          "S=[1]: |g'|=20 rerouted=0\n"
          "S=[2]: |g'|=20 rerouted=0\n"
          "S=[1, 2]: |g'|=20 rerouted=0\n"
-         "decomposition PASS\n"),
+         "PASS  decomposition admissible\n"
+         "PASS  decomposition contracts\n"),
         (["--m", "3", "--seed", "5", "--profile", "mary-witness"],
          "S=[]: |g'|=31 rerouted=0\n"
          "S=[1]: |g'|=28 rerouted=4\n"
@@ -1071,8 +1113,9 @@ class TestCli:
          "S=[1, 3]: |g'|=28 rerouted=0\n"
          "S=[2, 3]: |g'|=28 rerouted=0\n"
          "S=[1, 2, 3]: |g'|=28 rerouted=0\n"
-         "decomposition PASS\n"),
-    ])
+         "PASS  decomposition admissible\n"
+         "PASS  decomposition contracts\n"),
+    ], ids=["m2-mixed", "m3-mary-witness"])
     def test_decompose_prints_each_stage(self, argv, want, capsys):
         # rerouted counts every tuple a stage moves, each pick's own
         # entry included: at S = [1] four tuples move onto one pick, so
@@ -1091,8 +1134,8 @@ class TestCli:
         path.write_bytes(serialize.instance_dumps(inst))
         assert main(["decompose", "--instance", str(path)]) == 1
         out = capsys.readouterr()
-        assert out.out == ("decomposition FAIL: no fresh low tuple left for "
-                           "fiber key <>, value (1|1)\n")
+        assert out.out == ("FAIL  decomposition admissible  (no fresh low "
+                           "tuple left for fiber key <>, value (1|1))\n")
         assert out.err == ""
 
     def test_synth_failure_is_one_fail_line(self, tmp_path, capsys):
@@ -1106,9 +1149,9 @@ class TestCli:
         capsys.readouterr()
         assert main(["synth", "--instance", str(path)]) == 1
         out = capsys.readouterr()
-        assert out.out == ("synthesis FAIL: [normalize] no unused image line "
-                           "with at least 7 points\n")
-        assert out.err == ""
+        assert out.err == ("FAIL  stage:normalize  (no unused image line "
+                           "with at least 7 points)\n")
+        assert out.out == ""
 
     def test_candidate_above_ceiling_fails_the_coordinate_check(
             self, tmp_path, capsys):
@@ -1164,9 +1207,9 @@ class TestCli:
             "PASS  decomposition admissible\n")
         assert main(["synth", "--instance", str(path)]) == 1
         out = capsys.readouterr()
-        assert out.out == ("synthesis FAIL: [normalize] witness must be unary "
-                           "and point-valued\n")
-        assert out.err == ""
+        assert out.err == ("FAIL  stage:normalize  (witness must be unary "
+                           "and point-valued)\n")
+        assert out.out == ""
 
     def test_truncated_instance_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -1251,6 +1294,15 @@ class TestCli:
         assert capsys.readouterr().err == (
             "clonecover: term: arity [1] does not match the instance's "
             "arity [1, 2]\n")
+        # a long arity is cut, so the error stays one short line
+        wide = Term(Proj(1), {}, full_index(40))
+        term_path.write_bytes(serialize.term_dumps(wide))
+        assert main(["verify", "--m", "2", "--seed", "3",
+                     "--term", str(term_path)]) == 2
+        assert capsys.readouterr().err == (
+            "clonecover: term: arity [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+            "13, 14, 15, 16, 1... does not match the instance's arity "
+            "[1, 2]\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "--m", "0"], "arity must be at least 1, got 0"),
