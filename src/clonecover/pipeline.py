@@ -55,8 +55,6 @@ def run_pipeline(inst: Instance) -> tuple:
                                         adm["trace"])
         except StageError as exc:
             exc.check(checks)
-            report["stage_error"] = {"stage": exc.stage,
-                                     "error": str(exc.cause)}
         else:
             _verify_synthesis(inst, result, checks)
             report["term_stats"] = {

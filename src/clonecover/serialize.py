@@ -8,19 +8,20 @@ loads only if the writer could have written it: its version and kind
 tags, exactly the writer's keys on every object, a null codomain on every
 graph, strictly increasing arities and the ceiling horizon² + horizon.
 
-Each distinct point and tuple of a document is read back as one shared
-object.  A unary graph (the witness, f* and the candidates, about
-horizon²/2 entries each) is formatted and checked in one batched pass;
-other graphs are joined from per-value text fragments, each built once
-per document, and read entry by entry.  Both ways give the same bytes and
-the same objects, and an irregular unary graph is left to the per-entry
-reader, so it fails with the same ParseError.
+Every graph is written by one function, whatever its arity: its entries
+as sorted int rows, formatted by one template per graph.  Each distinct
+point and tuple of a document is read back as one shared object.  A unary
+graph (the witness, f* and the candidates, about horizon²/2 entries each)
+is checked and read in one batched pass, other graphs entry by entry; both
+give the same objects, and an irregular unary graph is left to the
+per-entry reader, so it fails with the same ParseError.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .core import (
     App,
@@ -71,10 +72,10 @@ def dumps(doc: dict) -> bytes:
     """Canonical bytes of doc: sorted keys, no spaces, a final newline.
 
     A ``PartialFn`` in doc is written as its arity, a null codomain and its
-    graph.  ``json.dumps`` writes each graph as a hole string, and one
-    ``_Writer`` per call splices the graph texts in at the holes.  A string
-    of doc could equal the hole and give an extra cut; the hole then grows
-    until none does.
+    graph.  ``json.dumps`` writes each graph as a hole string, and the
+    texts of `_graph_text` are spliced in at the holes.  A string of doc
+    could equal the hole and give an extra cut; the hole then grows until
+    none does.
     """
     hole = "\0"
     while True:
@@ -93,8 +94,7 @@ def dumps(doc: dict) -> bytes:
         if len(parts) == len(fns) + 1:
             break
         hole += "\0"
-    graph = _Writer().graph
-    texts = [graph(fn) for fn in fns] + ["\n"]
+    texts = [*map(_graph_text, fns), "\n"]
     return "".join(part + text for part, text in zip(parts, texts)).encode()
 
 
@@ -125,8 +125,7 @@ def _fields(doc, fields: tuple, kind: str) -> list:
     """The values of ``fields`` in doc, if doc is an object whose keys are
     exactly ``fields``, the keys its writer writes; else a ParseError about
     ``kind`` that names each missing and unknown key."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{kind}: {_shown(doc)} is not an object")
+    _typed(doc, dict, f"{kind}:")
     missing = [k for k in fields if k not in doc]
     if missing or len(doc) != len(fields):
         unknown = sorted(doc.keys() - {*fields})
@@ -139,17 +138,23 @@ def _fields(doc, fields: tuple, kind: str) -> list:
 # -- value forms ------------------------------------------------------
 
 
-def _int(v, what: str) -> int:
-    """v if it is a JSON integer: no bool, float, infinity or string."""
-    if type(v) is not int:
-        raise ParseError(f"{what} {_shown(v)} is not a JSON integer")
+_TYPE_NAMES = {int: "a JSON integer", str: "a string", list: "an array",
+               dict: "an object"}
+
+
+def _typed(v, kind: type, what: str):
+    """v if it is a JSON value of ``kind`` (an int is no bool, float,
+    infinity or string); else a ParseError about ``what`` that shows v."""
+    if type(v) is not kind:
+        raise ParseError(f"{what} {_shown(v)} is not {_TYPE_NAMES[kind]}")
     return v
 
 
 def _index_set(members, what: str) -> frozenset:
     """The set of members, if they are JSON integers listed strictly
     increasing, as the writer lists them."""
-    index = [_int(i, f"{what} member") for i in members]
+    index = [_typed(i, int, f"{what} member")
+             for i in _typed(members, list, what)]
     if sorted({*index}) != index:
         raise ParseError(f"{what} {_shown(members)} is not strictly "
                          "increasing")
@@ -169,38 +174,34 @@ def _index(key, obj) -> int:
     return i
 
 
-class _Writer:
-    """Writes graphs as JSON text, building the text of each distinct point
-    and tuple once; a unary graph is formatted in one pass instead."""
+def _graph_text(p: PartialFn) -> str:
+    """The JSON text of p's graph, written the same way whatever its arity.
 
-    def __init__(self):
-        self.texts: dict = {}
-
-    def value(self, v) -> str:
-        text = self.texts.get(v)
-        if text is None:
-            if isinstance(v, Point):
-                text = f"[{v.x},{v.y}]"
-            else:
-                # JSON's key order: "10" sorts before "2"
-                text = "{" + ",".join(
-                    f'"{i}":{self.value(p)}'
-                    for i, p in sorted(v, key=lambda e: str(e[0]))) + "}"
-            self.texts[v] = text
-        return text
-
-    def graph(self, p: PartialFn) -> str:
-        if len(p.arity) == 1:
-            # A unary graph, formatted in one pass: over one index its
-            # entries sort as the ints (x, y, a, b) of their points do.
-            [i] = p.arity
-            entry = '[{"%d":[%%d,%%d]},[%%d,%%d]]' % i
-            return "[" + ",".join(map(entry.__mod__, sorted(
-                [(x, y, a, b)
-                 for ((_, (x, y)),), (a, b) in p.graph.items()]))) + "]"
-        value = self.value
-        return "[" + ",".join(f"[{value(u)},{value(v)}]"
-                              for u, v in sorted(p.graph.items())) + "]"
+    It relies on `PartialFn`'s contract, as `analysis.fiber_columns` does:
+    every tuple lists exactly the arity, sorted.  So the tuples transpose
+    into one point column per index, and each entry is the flat int row
+    (x1, y1, ..., xk, yk, a, b), which sorts as ``sorted(p.graph.items())``
+    does.  One %-template per graph writes every row, its holes in JSON's
+    key order ("10" before "2"); where that is not the index order, one
+    itemgetter reorders each row to match.
+    """
+    order = sorted(p.arity)
+    keys = sorted(order, key=str)
+    entry = ("[{" + ",".join('"%d":[%%d,%%d]' % i for i in keys)
+             + "},[%d,%d]]")
+    first, second = itemgetter(0), itemgetter(1)
+    columns = []
+    for column in zip(*p.graph):
+        points = [*map(second, column)]
+        columns += map(first, points), map(second, points)
+    values = p.graph.values()
+    rows = sorted(zip(*columns, map(first, values), map(second, values)))
+    if keys != order:
+        slots = [order.index(i) for i in keys]
+        rows = map(itemgetter(*[c for j in slots for c in (2 * j, 2 * j + 1)],
+                              -2, -1), rows)
+    return ("[" + ",".join([entry] * len(p.graph)) + "]") % tuple(
+        chain.from_iterable(rows))
 
 
 class _Reader:
@@ -280,9 +281,7 @@ class _Reader:
         if codomain is not None:
             raise ParseError(f"partial function: codomain {_shown(codomain)} "
                              "is not null")
-        if type(entries) is not list:
-            raise ParseError(f"partial function: graph {_shown(entries)} is "
-                             "not an array")
+        _typed(entries, list, "partial function: graph")
         with _parsing("partial function"):
             graph = self.unary_graph(arity, entries)
             if graph is None:
@@ -316,15 +315,16 @@ def _node_parse(obj, interned: dict):
     """The term node obj describes, one object per distinct node of the
     document: ``interned`` maps a projection's index, or an application's
     name and the ids of its already interned children, to the node, so a
-    loaded term shares its subterms as a synthesized one does.  Its type
-    and value errors are left to the one guard `term_loads` puts around the
-    root, which reports them as a ParseError about a term node."""
+    loaded term shares its subterms as a synthesized one does.  A value of
+    the wrong JSON type is named; other type and value errors are left to
+    the one guard `term_loads` puts around the root, which reports them as
+    a ParseError about a term node."""
     if not isinstance(obj, dict) or "t" not in obj:
         raise ParseError("term node: missing field 't'")
     tag = obj["t"]
     if tag == "proj":
         _, k = _fields(obj, ("t", "k"), "term node")
-        k = _int(k, "term node: projection")
+        k = _typed(k, int, "term node: projection")
         node = interned.get(k)
         if node is None:
             node = interned[k] = Proj(k)
@@ -332,6 +332,8 @@ def _node_parse(obj, interned: dict):
     if tag == "app":
         _, name, children = _fields(obj, ("t", "name", "children"),
                                     "term node")
+        _typed(name, str, "term node: name")
+        _typed(children, list, "term node: children")
         children = tuple(_node_parse(ch, interned) for ch in children)
         key = (name, *map(id, children))
         node = interned.get(key)
@@ -360,6 +362,7 @@ def term_loads(data: bytes) -> Term:
     doc = loads(data, "term")
     _, _, arity, root, bindings = _fields(
         doc, ("version", "kind", "arity", "root", "env"), "term")
+    _typed(bindings, dict, "term: env")
     reader = _Reader()
     with _parsing("term"):
         env = {}
@@ -407,23 +410,20 @@ def instance_loads(data: bytes) -> Instance:
      metadata) = _fields(doc, ("version", "kind", "m", "horizon", "theta",
                                "seed", "ceiling", "profile", "g", "f",
                                "candidates", "metadata"), "instance")
-    if type(candidates) is not list:
-        raise ParseError(f"instance: candidates {_shown(candidates)} is not "
-                         "an array")
+    _typed(candidates, list, "instance: candidates")
     reader = _Reader()
     with _parsing("instance"):
         inst = Instance(
-            m=_int(m, "instance: m"), seed=_int(seed, "instance: seed"),
-            horizon=_int(horizon, "instance: horizon"),
-            theta=_int(theta, "instance: theta"),
+            m=_typed(m, int, "instance: m"),
+            seed=_typed(seed, int, "instance: seed"),
+            horizon=_typed(horizon, int, "instance: horizon"),
+            theta=_typed(theta, int, "instance: theta"),
             profile=profile, g=reader.pfn(g), f=reader.pfn(f),
             candidates=tuple(reader.pfn(c) for c in candidates),
             metadata=metadata,
         )
-    ceiling = _int(ceiling, "instance: ceiling")
-    if not isinstance(metadata, dict):
-        raise ParseError(f"instance: metadata {_shown(metadata)} is not an "
-                         "object")
+    ceiling = _typed(ceiling, int, "instance: ceiling")
+    _typed(metadata, dict, "instance: metadata")
     for i, c in enumerate(inst.candidates):
         if sorted(c.arity) != [1]:
             raise ParseError(f"instance: candidate {i} must be unary, got "

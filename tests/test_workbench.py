@@ -27,7 +27,11 @@ from clonecover.core import (
     compose,
     full_index,
 )
-from clonecover.decompose import hereditary_decompose, verify_decomposition
+from clonecover.decompose import (
+    AdmissibilityError,
+    hereditary_decompose,
+    verify_decomposition,
+)
 from clonecover.instances import (
     PROFILES,
     ProfileError,
@@ -452,7 +456,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("children, message", [
         (None, "term node: missing field 'children'"),
-        (5, "term node: 'int' object is not iterable"),
+        (5, "term node: children 5 is not an array"),
+        # used to be read as its characters, each a node without a tag
+        ("ab", "term node: children 'ab' is not an array"),
     ])
     def test_faults_below_the_root_are_term_node_errors(self, children,
                                                         message):
@@ -463,6 +469,26 @@ class TestSerialization:
         if children is None:
             del inner["children"]
         doc["root"]["children"][0] = inner
+        with pytest.raises(serialize.ParseError) as exc:
+            serialize.term_loads(serialize.dumps(doc))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path, bad, message", [
+        (("env",), 5, "term: env 5 is not an object"),
+        (("arity",), 5, "term: arity 5 is not an array"),
+        (("env", "a", "fn", "arity"), 5,
+         "partial function: arity 5 is not an array"),
+        (("root", "name"), [1], "term node: name [1] is not a string"),
+    ], ids=["env", "term-arity", "graph-arity", "node-name"])
+    def test_values_of_the_wrong_json_type_are_named(self, path, bad,
+                                                     message):
+        # Each used to print Python's own message: "'int' object has no
+        # attribute 'items'", "'int' object is not iterable" or
+        # "unhashable type: 'list'".
+        doc = obj = self.small_term_doc()
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = bad
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
         assert str(exc.value) == message
@@ -832,6 +858,20 @@ class TestPipeline:
         assert checks["selector width bound (width-2 products)"] == {
             "name": "selector width bound (width-2 products)",
             "passed": False, "detail": "not derived: width-1 bound failed"}
+
+    def test_stage_failure_is_one_check(self, monkeypatch):
+        # A failing stage used to be written twice: as its check and again
+        # as a "stage_error" object holding the same stage and cause.
+        def failing_selector(*args):
+            raise AdmissibilityError("no selector here")
+
+        monkeypatch.setattr(synth, "build_Q", failing_selector)
+        report, result = run_pipeline(generate_instance(2, 8, 4, seed=9))
+        assert result is None and not report["passed"]
+        assert [c for c in report["checks"] if not c["passed"]] == [
+            {"name": "stage:selector", "passed": False,
+             "detail": "no selector here"}]
+        assert "stage_error" not in report
 
     def test_helper_off_the_x0_row_fails_its_range_check(self, monkeypatch):
         # One entry of the ({1}, 2) helper leaves the x = 0 row after
