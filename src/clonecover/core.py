@@ -125,10 +125,11 @@ class PartialFn:
     builds f* from the horizon alone; ``synth.build_h_family`` keys each
     helper by dom(q) and makes its points itself; ``synth.build_Q`` extends
     dom(q)'s keys by the slots in ascending order, with f*'s own points;
-    and ``synth.assemble_term`` keys each inner-map component by dom(g),
-    with points of the decomposition's own tuples.  Parsers, generators
-    and other builders from outside data go through the checked
-    constructor.
+    ``synth.assemble_term`` keys each inner-map component by dom(g),
+    with points of the decomposition's own tuples; and
+    ``instances._build_witness`` pairs its own points over a fixed arity.
+    Parsers, the generator's target g (``instances._build_target``) and
+    other builders from outside data go through the checked constructor.
     """
 
     __slots__ = ("arity", "graph")

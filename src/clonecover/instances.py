@@ -103,45 +103,40 @@ def _build(m, horizon, theta, seed, ceiling, profile, rng) -> Instance:
 
 
 def _build_witness(m, horizon, ceiling, profile, rng):
+    """The witness f, its candidates and metadata, each graph built whole:
+    entry t maps (0 | labels[t]) to (rows[k] | lines[n - 1]) for the t-th
+    pair (n, k), k < n < horizon, in (n, k) order, which is the ascending
+    order of the codes oplus(n, k) = n² + k < (n + 1)²."""
     n_lines = horizon - 1
     lines = rng.sample(range(ceiling), n_lines)
     rows = sorted(rng.sample(range(ceiling), n_lines))
-    codes = sorted(oplus(n, k) for n in range(1, horizon) for k in range(n))
+    codes = [oplus(n, k) for n in range(1, horizon) for k in range(n)]
     labels = rng.sample(range(ceiling), len(codes))
-    domain_label = dict(zip(codes, labels))
-
-    graph = {}
-    for n in range(1, horizon):
-        for k in range(n):
-            u = MTuple(((1, Point(0, domain_label[oplus(n, k)])),))
-            graph[u] = Point(rows[k], lines[n - 1])
-    unary = PartialFn(full_index(1), graph)
-
+    domain = [Point(0, label) for label in labels]
+    values = [Point(row, line)
+              for n, line in enumerate(lines, 1) for row in rows[:n]]
     meta = {
-        "lines": [[n, lines[n - 1]] for n in range(1, horizon)],
+        "lines": [[n, line] for n, line in enumerate(lines, 1)],
         "rows": rows,
-        "domain_labels": [[c, l] for c, l in sorted(domain_label.items())],
+        "domain_labels": [[c, label] for c, label in zip(codes, labels)],
         "arity": 1,
     }
     if profile != "mary-witness":
-        return unary, (), meta
+        return _witness_graph(1, [((1, d),) for d in domain], values), (), meta
 
     # Plant a binary witness recoverable through (identity, constant-anchor).
-    anchor = sorted(unary.domain())[0]
-    anchor_pt = anchor.points()[0]
-    two = full_index(2)
-    binary = PartialFn(two, {
-        MTuple(((1, d), (2, anchor_pt))): v
-        for ((_, d),), v in unary.graph.items()
-    })
-    support = sorted({d for ((_, d),) in unary.graph} | {anchor_pt})
-    ident = PartialFn(full_index(1), {MTuple(((1, p),)): p for p in support})
-    const = PartialFn(full_index(1), {
-        MTuple(((1, p),)): anchor_pt for p in support
-    })
-    meta["arity"] = 2
-    meta["anchor"] = [anchor_pt.x, anchor_pt.y]
-    return binary, (ident, const), meta
+    support = sorted(domain)
+    anchor, keys = support[0], [((1, p),) for p in support]
+    meta.update(arity=2, anchor=[anchor.x, anchor.y])
+    binary = _witness_graph(2, [((1, d), (2, anchor)) for d in domain], values)
+    return binary, (_witness_graph(1, keys, support),
+                    _witness_graph(1, keys, [anchor] * len(support))), meta
+
+
+def _witness_graph(m: int, entries: list, values: list) -> PartialFn:
+    """Trusted: the builder makes every entry and point over {1..m} itself."""
+    return PartialFn._trusted(full_index(m),
+                              dict(zip(map(MTuple, entries), values)))
 
 
 def _feature_plan(m: int, theta: int, profile: str) -> list:

@@ -6,7 +6,9 @@ terms as nested tagged objects; the byte form is canonical (sorted keys,
 fixed separators), so equal values serialize identically.  A document
 loads only if the writer could have written it: its version and kind
 tags, exactly the writer's keys on every object, a null codomain on every
-graph, strictly increasing arities and the ceiling horizon² + horizon.
+graph, strictly increasing arities of positive indices and the ceiling
+horizon² + horizon.  A graph's errors start with its place in the
+document, such as ``instance.candidates[1]``.
 
 Every graph is written by one function, whatever its arity: its entries
 as sorted int rows, formatted by one template per graph.  Each distinct
@@ -151,13 +153,16 @@ def _typed(v, kind: type, what: str):
 
 
 def _index_set(members, what: str) -> frozenset:
-    """The set of members, if they are JSON integers listed strictly
-    increasing, as the writer lists them."""
+    """The set of members, if they are positive JSON integers listed
+    strictly increasing, as the writer lists them."""
     index = [_typed(i, int, f"{what} member")
              for i in _typed(members, list, what)]
     if sorted({*index}) != index:
         raise ParseError(f"{what} {_shown(members)} is not strictly "
                          "increasing")
+    # an index set holds positive naturals only, as a tuple key does
+    if index and index[0] < 1:
+        raise ParseError(f"{what} member {_shown(index[0])} is below 1")
     return frozenset(index)
 
 
@@ -244,15 +249,14 @@ class _Reader:
         t = MTuple(sorted(zip(indices, map(self.point, obj.values()))))
         return self.tuples.setdefault(t, t)
 
-    def unary_graph(self, arity, entries):
+    def unary_graph(self, arity: frozenset, entries):
         """The graph of a function's entry list, read in one pass when its
-        declared arity is [i] for one index i and every entry is regular: a
-        pair of a key object holding exactly i's index key and a point,
-        each point a 2-list of JSON integers >= 0.  Anything else gives
-        None, which leaves the entries (an empty graph too), and whatever
-        ParseError they give, to the per-entry reader."""
-        if not (type(arity) is list and len(arity) == 1
-                and type(arity[0]) is int and arity[0] >= 1):
+        arity, already read, is {i} for one index i and every entry is
+        regular: a pair of a key object holding exactly i's index key and
+        a point, each point a 2-list of JSON integers >= 0.  Anything else
+        gives None, which leaves the entries (an empty graph too), and
+        whatever ParseError they give, to the per-entry reader."""
+        if len(arity) != 1:
             return None
         if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
             return None
@@ -275,27 +279,34 @@ class _Reader:
         return {intern_tuple(u, u): v for u, v in zip(
             map(MTuple, zip(zip(repeat(i), points[:n]))), points[n:])}
 
-    def pfn(self, obj) -> PartialFn:
+    def pfn(self, obj, where: str) -> PartialFn:
+        """The function of the graph object obj, found at ``where`` in the
+        document (``instance.g``, ``term.env["Q"].fn``); every ParseError
+        it raises starts with that place."""
         arity, codomain, entries = _fields(
-            obj, ("arity", "codomain", "graph"), "partial function")
+            obj, ("arity", "codomain", "graph"), where)
         if codomain is not None:
-            raise ParseError(f"partial function: codomain {_shown(codomain)} "
+            raise ParseError(f"{where}: codomain {_shown(codomain)} "
                              "is not null")
-        _typed(entries, list, "partial function: graph")
-        with _parsing("partial function"):
+        arity = _index_set(arity, f"{where}: arity")
+        _typed(entries, list, f"{where}: graph")
+        with _parsing(where):
             graph = self.unary_graph(arity, entries)
             if graph is None:
-                for n, entry in enumerate(entries):
-                    if not (isinstance(entry, list) and len(entry) == 2):
-                        raise ParseError(
-                            f"partial function: graph entry {n} "
-                            f"{_shown(entry)} is not a [tuple, point] pair")
-                graph = {self.mtuple(u): self.point(v) for u, v in entries}
+                try:
+                    for n, entry in enumerate(entries):
+                        if not (isinstance(entry, list) and len(entry) == 2):
+                            raise ParseError(
+                                f"graph entry {n} {_shown(entry)} is not a "
+                                "[tuple, point] pair")
+                    graph = {self.mtuple(u): self.point(v)
+                             for u, v in entries}
+                except ParseError as exc:
+                    raise ParseError(f"{where}: {exc}") from exc
             if len(graph) != len(entries):
-                raise ParseError("partial function: two graph entries have "
-                                 "equal domain tuples")
-            return PartialFn(
-                _index_set(arity, "partial function: arity"), graph)
+                raise ParseError(f"{where}: two graph entries have equal "
+                                 "domain tuples")
+            return PartialFn(arity, graph)
 
 
 # -- terms ------------------------------------------------------------
@@ -371,7 +382,8 @@ def term_loads(data: bytes) -> Term:
             kind, fn = _fields(b, ("kind", "fn"), what)
             if kind not in (CI_ATOM, WITNESS_ATOM):
                 raise ParseError(f"{what} has unknown kind {_shown(kind)}")
-            env[name] = AtomBinding(reader.pfn(fn), kind)
+            env[name] = AtomBinding(
+                reader.pfn(fn, f"term.env[{_cut(json.dumps(name))}].fn"), kind)
         with _parsing("term node"):
             root = _node_parse(root, {})
         term = Term(root=root, env=env,
@@ -418,8 +430,10 @@ def instance_loads(data: bytes) -> Instance:
             seed=_typed(seed, int, "instance: seed"),
             horizon=_typed(horizon, int, "instance: horizon"),
             theta=_typed(theta, int, "instance: theta"),
-            profile=profile, g=reader.pfn(g), f=reader.pfn(f),
-            candidates=tuple(reader.pfn(c) for c in candidates),
+            profile=profile, g=reader.pfn(g, "instance.g"),
+            f=reader.pfn(f, "instance.f"),
+            candidates=tuple(reader.pfn(c, f"instance.candidates[{i}]")
+                             for i, c in enumerate(candidates)),
             metadata=metadata,
         )
     ceiling = _typed(ceiling, int, "instance: ceiling")

@@ -73,16 +73,20 @@ def test_grown_reads_an_instance_whose_metadata_is_empty():
 
 def test_one_small_instance_of_each_workload_shape_passes_the_chain():
     # The workloads' own round builders, at their smallest: one m = 2
-    # corpus instance, a bulk instance grown to 60 tuples, and one
-    # instance at horizon 16.  The chain checks every verdict it reads.
+    # corpus instance, a bulk instance grown to 60 tuples, and the mixed
+    # and mary-witness instances at horizon 16, the latter with a binary
+    # witness and its candidates.  The chain checks every verdict it reads.
+    horizon = harness.horizon_round(3, 0, horizon=16)
     specs = [
         next(spec for spec in harness.corpus_round(3, 0, per_m=1)
              if spec.m == 2),
         *harness.bulk_round(3, 0, size=60),
-        harness.horizon_round(3, 0, horizon=16)[0],
+        horizon[0],
+        horizon[2],
     ]
     assert [(spec.m, spec.horizon, spec.bulk_size) for spec in specs] == [
-        (2, 8, 0), (3, 8, 60), (3, 16, 0)]
+        (2, 8, 0), (3, 8, 60), (3, 16, 0), (3, 16, 0)]
+    assert specs[-1].profile == "mary-witness"
     for spec in specs:
         out = harness.run_instance(PROGRAM, spec)
         assert out.problems == []

@@ -114,6 +114,43 @@ class TestInstanceGeneration:
         assert not thrifty.metadata["features"]
         assert len(mary.f.arity) == 2 and mary.candidates
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_witness_layout_matches_the_metadata(self, profile):
+        # The builder fills each witness graph from whole columns, relying
+        # on the codes oplus(n, k) ascending in (n, k) order; here every
+        # entry is rebuilt from the metadata one at a time.
+        codes = [synth.oplus(n, k) for n in range(1, 200) for k in range(n)]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        for horizon, seed in itertools.product([*range(3, 17), 64],
+                                               (0, 1, 7)):
+            inst = generate_instance(1, horizon, horizon - 1, seed, profile)
+            meta = inst.metadata["witness"]
+            lines, rows = dict(meta["lines"]), meta["rows"]
+            label = dict(meta["domain_labels"])
+            entries = []
+            for n in range(1, horizon):
+                for k in range(n):
+                    entries.append((pt(0, label[synth.oplus(n, k)]),
+                                    pt(rows[k], lines[n])))
+            assert inst.f.arity == full_index(meta["arity"])
+            if profile != "mary-witness":
+                assert meta["arity"] == 1 and inst.candidates == ()
+                assert list(inst.f.graph.items()) == [
+                    (MTuple(((1, d),)), v) for d, v in entries]
+                continue
+            anchor = pt(*meta["anchor"])
+            assert meta["arity"] == 2
+            assert list(inst.f.graph.items()) == [
+                (MTuple(((1, d), (2, anchor))), v) for d, v in entries]
+            support = sorted(d for d, _ in entries)
+            assert anchor == support[0]
+            ident, const = inst.candidates
+            assert ident.arity == const.arity == full_index(1)
+            assert list(ident.graph.items()) == [
+                (MTuple(((1, p),)), p) for p in support]
+            assert list(const.graph.items()) == [
+                (MTuple(((1, p),)), anchor) for p in support]
+
     def test_same_seed_same_instance(self):
         a = generate_instance(2, 8, 4, seed=42)
         b = generate_instance(2, 8, 4, seed=42)
@@ -199,7 +236,7 @@ def _first_projection(node: dict) -> dict:
 OBJECT_SITES = {
     "instance": ("instance", lambda d: (d, "instance")),
     "term": ("term", lambda d: (d, "term")),
-    "graph": ("instance", lambda d: (d["g"], "partial function")),
+    "graph": ("instance", lambda d: (d["g"], "instance.g")),
     "atom binding": ("term", lambda d: (d["env"]["Q"], "term: atom 'Q'")),
     "projection node": ("term",
                         lambda d: (_first_projection(d["root"]), "term node")),
@@ -340,7 +377,7 @@ class TestSerialization:
             obj["env"]["unused"] = {"kind": "ci", "fn": {
                 "arity": [1], "codomain": [1],
                 "graph": [[{"1": [0, 0]}, {"1": [1, 1]}]]}}
-            expected = "partial function: codomain [1] is not null"
+            expected = 'term.env["unused"].fn: codomain [1] is not null'
         else:
             [obj[key]] = value
             expected = {
@@ -367,7 +404,7 @@ class TestSerialization:
         doc["env"]["a"]["fn"]["graph"][0] = entry[:1]
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
-        assert str(exc.value) == ("partial function: graph entry 0 "
+        assert str(exc.value) == ('term.env["a"].fn: graph entry 0 '
                                   "[{'1': [0, 1]}] is not a [tuple, point] "
                                   "pair")
         # the same holds for a point of three coordinates, and an entry of
@@ -376,14 +413,13 @@ class TestSerialization:
                 ([{"1": [0, 1, 2]}, [2, 3]], "bad point [0, 1, 2]"),
                 ([{"1": [0, 1]}, [2, 3, 4]], "bad point [2, 3, 4]"),
                 ([{"1": [0, 1]}, [2, 3], [4, 5]],
-                 "partial function: graph entry 0 [{'1': [0, 1]}, [2, 3], "
-                 "[4, 5]] is not a [tuple, point] pair"),
-                (5, "partial function: graph entry 0 5 is not a "
-                    "[tuple, point] pair")):
+                 "graph entry 0 [{'1': [0, 1]}, [2, 3], [4, 5]] is not a "
+                 "[tuple, point] pair"),
+                (5, "graph entry 0 5 is not a [tuple, point] pair")):
             doc["env"]["a"]["fn"]["graph"][0] = bad
             with pytest.raises(serialize.ParseError) as exc:
                 serialize.term_loads(serialize.dumps(doc))
-            assert str(exc.value) == message
+            assert str(exc.value) == f'term.env["a"].fn: {message}'
         # an instance's g and f name the entry too; both used to print
         # Python's own unpacking message
         inst_doc = json.loads(serialize.instance_dumps(
@@ -398,7 +434,7 @@ class TestSerialization:
             with pytest.raises(serialize.ParseError) as exc:
                 serialize.instance_loads(serialize.dumps(doc))
             assert str(exc.value) == (
-                f"partial function: graph entry 1 {bad!r} is not a "
+                f"instance.{key}: graph entry 1 {bad!r} is not a "
                 "[tuple, point] pair")
 
     @pytest.mark.parametrize("bad", [5, "xy", {"a": 1}],
@@ -410,20 +446,23 @@ class TestSerialization:
         inst_doc = json.loads(serialize.instance_dumps(
             generate_instance(2, 8, 4, 0, "mary-witness")))
         cases = [
-            (serialize.instance_loads, inst_doc, ("g", "graph")),
-            (serialize.instance_loads, inst_doc, ("candidates", 0, "graph")),
+            (serialize.instance_loads, inst_doc, ("g", "graph"),
+             "instance.g"),
+            (serialize.instance_loads, inst_doc, ("candidates", 0, "graph"),
+             "instance.candidates[0]"),
+            (serialize.instance_loads, inst_doc, ("candidates", 1, "graph"),
+             "instance.candidates[1]"),
             (serialize.term_loads, self.small_term_doc(),
-             ("env", "a", "fn", "graph")),
+             ("env", "a", "fn", "graph"), 'term.env["a"].fn'),
         ]
-        for load, original, path in cases:
+        for load, original, path, where in cases:
             doc = obj = copy.deepcopy(original)
             for key in path[:-1]:
                 obj = obj[key]
             obj[path[-1]] = bad
             with pytest.raises(serialize.ParseError) as exc:
                 load(serialize.dumps(doc))
-            assert str(exc.value) == (
-                f"partial function: graph {bad!r} is not an array")
+            assert str(exc.value) == f"{where}: graph {bad!r} is not an array"
         with pytest.raises(serialize.ParseError) as exc:
             serialize.instance_loads(serialize.dumps(
                 {**inst_doc, "candidates": bad}))
@@ -437,8 +476,9 @@ class TestSerialization:
         doc["g"]["graph"][0][1] = doc["f"]["graph"]
         with pytest.raises(serialize.ParseError) as exc:
             serialize.instance_loads(serialize.dumps(doc))
-        assert str(exc.value) == ("bad point [[{'1': [0, 1]}, [33, 16]], "
-                                  "[{'1': [0, 5]}, [33, 47]], [{...")
+        assert str(exc.value) == ("instance.g: bad point [[{'1': [0, 1]}, "
+                                  "[33, 16]], [{'1': [0, 5]}, [33, 47]], "
+                                  "[{...")
         # the text of an error the reader wraps is cut too
         doc = self.small_term_doc()
         doc["root"]["name"] = "b" * 500
@@ -477,7 +517,7 @@ class TestSerialization:
         (("env",), 5, "term: env 5 is not an object"),
         (("arity",), 5, "term: arity 5 is not an array"),
         (("env", "a", "fn", "arity"), 5,
-         "partial function: arity 5 is not an array"),
+         'term.env["a"].fn: arity 5 is not an array'),
         (("root", "name"), [1], "term node: name [1] is not a string"),
     ], ids=["env", "term-arity", "graph-arity", "node-name"])
     def test_values_of_the_wrong_json_type_are_named(self, path, bad,
@@ -595,7 +635,7 @@ class TestSerialization:
         doc = json.loads(serialize.instance_dumps(
             generate_instance(2, 8, 4, seed=3)))
         with pytest.raises(serialize.ParseError,
-                           match="partial function: domain tuple .* does not "
+                           match="instance.g: domain tuple .* does not "
                                  r"match arity \[1, 2\]"):
             serialize.instance_loads(serialize.dumps(self.off_arity_g(doc)))
         # an extra index key on the unary atom's tuple
@@ -603,7 +643,7 @@ class TestSerialization:
         doc["env"]["a"]["fn"]["graph"][0][0]["2"] = [0, 0]
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
-        assert str(exc.value) == ("partial function: domain tuple "
+        assert str(exc.value) == ('term.env["a"].fn: domain tuple '
                                   "<1:(0|1), 2:(0|0)> does not match arity "
                                   "[1]")
 
@@ -615,7 +655,7 @@ class TestSerialization:
         doc["env"]["a"]["fn"] = self.tuple_valued_off_codomain(fn)
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
-        assert str(exc.value) == ("partial function: codomain [1, 2] is not "
+        assert str(exc.value) == ('term.env["a"].fn: codomain [1, 2] is not '
                                   "null")
 
     @pytest.mark.parametrize("coordinate",
@@ -638,8 +678,9 @@ class TestSerialization:
         doc["env"]["a"]["fn"]["graph"][0][1] = [2, value]
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
-        assert str(exc.value) == (f"bad point {[2, value]!r}: coordinates "
-                                  "must be JSON integers")
+        assert str(exc.value) == ('term.env["a"].fn: bad point '
+                                  f"{[2, value]!r}: coordinates must be JSON "
+                                  "integers")
         # the scalars follow the coordinate rule: "m": 1.9, "theta": "4"
         # and "arity": [true] used to load as 1, 4 and {True}
         inst_doc = json.loads(serialize.instance_dumps(inst))
@@ -658,7 +699,7 @@ class TestSerialization:
             ({**doc, "arity": [value]}, "term: arity member"),
             ({**doc, "env": {"a": {**doc["env"]["a"],
                                    "fn": {**fn, "arity": [value]}}}},
-             "partial function: arity member"),
+             r'term.env\["a"\].fn: arity member'),
         ]
         for bad, where in faults:
             with pytest.raises(serialize.ParseError,
@@ -670,8 +711,39 @@ class TestSerialization:
             **tuple_valued, "codomain": [1, value]}}}}
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(bad))
-        assert str(exc.value) == (f"partial function: codomain {[1, value]!r} "
+        assert str(exc.value) == (f'term.env["a"].fn: codomain {[1, value]!r} '
                                   "is not null")
+
+    def test_arity_member_below_one_rejected(self):
+        # An index set holds positive naturals, as a tuple key does; each
+        # of these used to load and dump back to the same bytes, and the
+        # non-empty f over [0] failed only in PartialFn, as "domain tuple
+        # <1:(0|0)> does not match arity [0]".
+        inst_doc = json.loads(serialize.instance_dumps(
+            generate_instance(2, 8, 4, seed=3)))
+        f = inst_doc["f"]
+        faults = [
+            (serialize.instance_loads,
+             {**inst_doc, "f": {**f, "arity": arity, "graph": []}},
+             f"instance.f: arity member {arity[0]} is below 1")
+            for arity in ([0], [-3], [-1, 2])
+        ]
+        faults.append((serialize.instance_loads,
+                       {**inst_doc, "f": {**f, "arity": [0]}},
+                       "instance.f: arity member 0 is below 1"))
+        doc = self.small_term_doc()
+        faults.append((serialize.term_loads,
+                       {**doc, "arity": [0], "root": {"t": "proj", "k": 0}},
+                       "term: arity member 0 is below 1"))
+        fn = doc["env"]["a"]["fn"]
+        faults.append((serialize.term_loads,
+                       {**doc, "env": {"a": {**doc["env"]["a"],
+                                             "fn": {**fn, "arity": [-7]}}}},
+                       'term.env["a"].fn: arity member -7 is below 1'))
+        for load, bad, message in faults:
+            with pytest.raises(serialize.ParseError) as exc:
+                load(serialize.dumps(bad))
+            assert str(exc.value) == message
 
     def test_duplicate_domain_tuple_rejected(self):
         # the second entry used to overwrite the first: the atom loaded as
@@ -681,14 +753,14 @@ class TestSerialization:
                                           [{"1": [0, 1]}, [5, 5]]]
         with pytest.raises(serialize.ParseError) as exc:
             serialize.term_loads(serialize.dumps(doc))
-        assert str(exc.value) == ("partial function: two graph entries have "
+        assert str(exc.value) == ('term.env["a"].fn: two graph entries have '
                                   "equal domain tuples")
         inst_doc = json.loads(serialize.instance_dumps(
             generate_instance(2, 8, 4, seed=3)))
         g = inst_doc["g"]
         doubled = {**g, "graph": g["graph"] + g["graph"][:1]}
         with pytest.raises(serialize.ParseError,
-                           match="partial function: two graph entries"):
+                           match="instance.g: two graph entries"):
             serialize.instance_loads(
                 serialize.dumps({**inst_doc, "g": doubled}))
 
@@ -717,7 +789,8 @@ class TestSerialization:
             doc["env"]["a"]["fn"]["graph"][0][0] = {"1": bad}
             with pytest.raises(serialize.ParseError) as exc:
                 serialize.term_loads(serialize.dumps(doc))
-            assert str(exc.value) == f"bad point {bad!r}: negative coordinate"
+            assert str(exc.value) == (f'term.env["a"].fn: bad point {bad!r}: '
+                                      "negative coordinate")
 
     def test_loaded_term_shares_its_subterms(self):
         # one object per distinct node, as in the synthesized term: 31
@@ -1065,6 +1138,18 @@ class TestValidatedConstructions:
         assert report["passed"]
         assert count <= 500
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_generation_checks_only_the_target(self, monkeypatch, profile):
+        # The witness graphs are made from the builder's own points over a
+        # fixed arity, so only g is checked; checking them too made 2, 2
+        # and 5 constructions (mixed, all-thrifty, mary-witness).
+        for seed in (0, 1, 2):
+            count, inst = self.count_inits(
+                monkeypatch, lambda: generate_instance(3, 64, 32, seed,
+                                                       profile))
+            assert count == 1
+            assert len(inst.f) == 64 * 63 // 2
+
     def test_decomposition_builds_its_stages_unchecked(self, monkeypatch):
         # Building each sweep through the operator algebra made 196 checked
         # constructions.
@@ -1292,10 +1377,11 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("clonecover: term: projection 5")
         assert err[1].startswith("clonecover: instance: theta 99")
-        # a tuple-valued g or candidate is refused by the graph reader
-        assert err[2] == ("clonecover: partial function: codomain [1] is not "
-                          "null")
-        assert err[3] == err[2]
+        # a tuple-valued g or candidate is refused by the graph reader, and
+        # the message names which graph it is
+        assert err[2] == "clonecover: instance.g: codomain [1] is not null"
+        assert err[3] == ("clonecover: instance.candidates[0]: codomain [1] "
+                          "is not null")
         assert err[4] == ("clonecover: instance: candidate 0 must be unary, "
                           "got arity [1, 2]")
         assert len(err) == 5
@@ -1318,9 +1404,9 @@ class TestCli:
             serialize.dumps(TestSerialization.off_arity_g(doc)))
         assert main(["demo", "--instance", str(inst_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[0] == ("clonecover: partial function: codomain [1, 2] is "
-                          "not null")
-        assert err[1].startswith("clonecover: partial function: domain tuple ")
+        assert err[0] == (f"clonecover: term.env[{json.dumps(name)}].fn: "
+                          "codomain [1, 2] is not null")
+        assert err[1].startswith("clonecover: instance.g: domain tuple ")
         assert "does not match arity [1]" in err[1]
         assert len(err) == 2
 
