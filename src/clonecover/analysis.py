@@ -8,9 +8,9 @@ to one S in a single pass over g's positional columns: the fiber key of
 every tuple, in graph order, and the columns outside S.  `tuple_bounds`
 reads one bound per tuple off those columns, 1 + its least y outside S.
 Whether a fiber or a value in it is thrifty, and a fiber's K-table, are
-maxima of these bounds, so the decomposition, its verifier and the
-K-tables read this one column per sweep and compare it with theta
-themselves.
+maxima of these bounds, so the decomposition and its verifier read this
+one column per sweep and compare it with theta themselves; the K-tables
+fold the same bounds for every S from one `fiber_columns` at S = {}.
 """
 from __future__ import annotations
 

@@ -123,10 +123,10 @@ class PartialFn:
     entries of checked functions; ``compose`` pairs its inner map's keys,
     tuples over outer's arity, with outer's values; ``synth.normal_witness``
     builds f* from the horizon alone; ``synth.build_h_family`` keys each
-    helper by dom(q) and makes its points itself; ``synth.build_Q`` extends
-    dom(q)'s keys by the slots in ascending order, with f*'s own points;
-    ``synth.assemble_term`` keys each inner-map component by dom(g),
-    with points of the decomposition's own tuples; and
+    helper by dom(q) and codes its points once per call; ``synth.build_Q``
+    extends dom(q)'s keys by the slots in ascending order, with f*'s own
+    points; ``synth.assemble_term`` keys each inner-map component by
+    dom(g), with points of the decomposition's own tuples; and
     ``instances._build_witness`` pairs its own points over a fixed arity.
     Parsers, the generator's target g (``instances._build_target``) and
     other builders from outside data go through the checked constructor.

@@ -440,7 +440,7 @@ def instance_loads(data: bytes) -> Instance:
     _typed(metadata, dict, "instance: metadata")
     for i, c in enumerate(inst.candidates):
         if sorted(c.arity) != [1]:
-            raise ParseError(f"instance: candidate {i} must be unary, got "
+            raise ParseError(f"instance.candidates[{i}]: must be unary, got "
                              f"arity {_shown(sorted(c.arity))}")
     if inst.m < 1:
         raise ParseError(f"instance: m = {_shown(inst.m)} is below 1")

@@ -18,7 +18,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .analysis import (Checklist, NotThriftyError, all_subsets,
-                       fiber_columns, tuple_bounds, width)
+                       fiber_columns, width)
 from .core import (
     App,
     AtomBinding,
@@ -206,48 +206,87 @@ def factor_keys(m: int) -> tuple:
         (s, j) for s in all_subsets(indices) for j in indices if j not in s)
 
 
-def fiber_k_tables(q: PartialFn, theta: int) -> dict:
+class KTables(dict):
+    """{(S, fiber key): {line: K}}, and in q's graph order every tuple's K
+    at each S (``entry_k[S]``) and every z_i^y (``ys[i]``)."""
+
+    __slots__ = ("entry_k", "ys")
+
+
+def fiber_k_tables(q: PartialFn, theta: int) -> KTables:
     """K-tables for every fiber of q at every S short of the arity, keyed
     by (S, fiber key) in sweep and key order, each in line order: a line's
     K is the largest `tuple_bounds` entry among the fiber's tuples whose
     value lies on that line, the least bound of the line's preimage.  At
     S = the arity every K is 0, and no reader asks for it.
 
-    One pass per S over q's bounds, taking the tuples in line order, so
-    each table fills in line order.  theta < 1 on a non-empty q raises
-    ValueError.  A bound above theta raises NotThriftyError at the first
-    such S: the least wasteful fiber key there, the least value in that
-    fiber with a bound above theta, and that value's largest bound in the
-    fiber.  An empty q gives {}.
+    One transpose of dom(q) (`fiber_columns` at S = {}), points coded as
+    ints in point order, then one pass per S: a tuple's fiber id ranks the
+    code of (its id at S less S's largest index j, its j-point), so ids
+    sort as keys do, and its bound, 1 + its least y outside S, folds in
+    line order into its fiber's table, which gives its K.
+
+    theta < 1 on a non-empty q raises ValueError.  A bound above theta
+    raises NotThriftyError at the first such S: the least wasteful fiber
+    key there, the least value in that fiber with a bound above theta, and
+    that value's largest bound in the fiber.  An empty q gives {}.
     """
-    if not q.graph:
-        return {}
-    if theta < 1:
+    if theta < 1 and q.graph:
         raise ValueError("theta must be at least 1")
-    lines = [v.y for v in q.graph.values()]
+    tables, coded = KTables(), {}
+    columns = fiber_columns(q, frozenset())[1]
+    tables.ys = {i: [p.y for _, p in c] for i, c in columns.items()}
+    tops = {i: [y + 1 for y in ys] for i, ys in tables.ys.items()}
+    width = max(itertools.chain.from_iterable(tops.values()), default=0)
+    for i, column in columns.items():
+        codes = [p.x * width + p.y for _, p in column]
+        coded[i] = codes, dict(zip(codes, column)), 1 + max(codes, default=0)
+    values = q.graph.values()
+    lines = [v.y for v in values]
     order = sorted(range(len(lines)), key=lines.__getitem__)
-    lines = [lines[t] for t in order]
-    tables = {}
+    tables.entry_k, fibers = {}, {frozenset(): (
+        [MTuple.empty()] if lines else [], [0] * len(lines))}
     for s in all_subsets(sorted(q.arity))[:-1]:
-        keys, bounds = tuple_bounds(q, s)
-        if max(bounds) > theta:
-            c = min(c for c, k in zip(keys, bounds) if k > theta)
-            fiber = [(v, k) for d, v, k in zip(keys, q.graph.values(), bounds)
-                     if d == c]
+        if s:  # S's fiber keys and ids, from those at S less j
+            j = max(s)
+            keys, ids = fibers[s - {j}]
+            codes, entry_of, span = coded[j]
+            pairs = [f * span + c for f, c in zip(ids, codes)]
+            distinct = sorted(set(pairs))
+            id_of = {pair: f for f, pair in enumerate(distinct)}
+            fibers[s] = ([MTuple(keys[pair // span] + (entry_of[pair % span],))
+                          for pair in distinct],
+                         list(map(id_of.__getitem__, pairs)))
+        keys, ids = fibers[s]
+        outside = [low for i, low in tops.items() if i not in s]
+        bounds = list(map(min, *outside)) if len(outside) > 1 else outside[0]
+        if max(bounds, default=theta) > theta:
+            worst = min(f for f, k in zip(ids, bounds) if k > theta)
+            fiber = [(v, k) for f, v, k in zip(ids, values, bounds)
+                     if f == worst]
             v = min(v for v, k in fiber if k > theta)
             raise NotThriftyError(v, max(k for w, k in fiber if w == v), theta)
-        per_key: dict = {}
-        for c, n, k in zip(map(keys.__getitem__, order), lines,
-                           map(bounds.__getitem__, order)):
-            table = per_key.setdefault(c, {})
-            if table.get(n, -1) < k:
-                table[n] = k
-        for c in sorted(per_key):
-            tables[s, c] = per_key[c]
+        per_fiber = [{} for _ in keys]
+        for t in order:
+            table, n = per_fiber[ids[t]], lines[t]
+            if table.get(n, 0) < bounds[t]:
+                table[n] = bounds[t]
+        tables.entry_k[s] = list(map(dict.__getitem__,
+                                     map(per_fiber.__getitem__, ids), lines))
+        tables.update(zip(zip(itertools.repeat(s), keys), per_fiber))
     return tables
 
 
-def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
+class _HelperPoints(dict):
+    """(K, z_j^y) -> a helper's value there, coded on its first read."""
+
+    def __missing__(self, pair):
+        big_k, y = pair
+        point = self[pair] = Point(0, oplus(big_k, y)) if y < big_k else ORIGIN
+        return point
+
+
+def build_h_family(q: PartialFn, keys: tuple, k_tables: KTables) -> dict:
     """The helper maps h^{S,j}, one per (S, j) pair of ``keys`` past the
     inputs, in key order, each total over dom(q).
 
@@ -257,23 +296,14 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: Mapping) -> dict:
     to read.  The range sits in the x = 0 row, hence has width 1: a code
     K (+) z is at least 1, so (0|0) is alone on line 0.
 
-    One S at a time: its fiber keys (`fiber_columns`), one K per entry read
-    from ``k_tables`` (`fiber_k_tables` of the same q, which has a table
-    for every fiber at every S short of the arity), then one pass over the
-    y-column of each j outside S, so every helper lists dom(q) in q's graph
-    order, which `build_Q` reads.
+    Each helper zips its S's K column and its j's y-column from
+    ``k_tables`` (`fiber_k_tables` of q), so it lists dom(q) in q's graph
+    order, which `build_Q` reads; each distinct (K, z_j^y) is coded once.
     """
-    family = {}
-    for s, pairs in itertools.groupby(keys[len(q.arity):],
-                                      key=lambda pair: pair[0]):
-        fiber_keys, outside = fiber_columns(q, s)
-        bounds = [k_tables[s, c][v.y]
-                  for c, v in zip(fiber_keys, q.graph.values())]
-        for _, j in pairs:
-            family[s, j] = PartialFn._trusted(q.arity, {
-                u: Point(0, oplus(big_k, p.y)) if p.y < big_k else ORIGIN
-                for u, big_k, (_, p) in zip(q.graph, bounds, outside[j])
-            })
+    family, point_of = {}, _HelperPoints()
+    for s, j in keys[len(q.arity):]:
+        family[s, j] = PartialFn._trusted(q.arity, dict(zip(q.graph, map(
+            point_of.__getitem__, zip(k_tables.entry_k[s], k_tables.ys[j])))))
     return family
 
 

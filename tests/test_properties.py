@@ -49,6 +49,7 @@ from clonecover.synth import (
     factor_keys,
     fiber_k_tables,
     normalize_f,
+    oplus,
     reduce_to_unary,
     verify_Q_in_CI,
 )
@@ -415,17 +416,22 @@ class TestExtensionLaws:
     @given(q=st.sets(st.integers(1, 3), min_size=1).map(frozenset).flatmap(
         partial_fns))
     def test_helpers_are_total_with_origin_off_the_bound(self, q):
-        tables = fiber_k_tables(q, 3)
+        # every helper value exactly, K read off the oracle's K-table of
+        # the fiber, and dom(q) listed in q's graph order
         pairs = tuple((s, j) for s in all_subsets(sorted(q.arity))
                       for j in sorted(q.arity - s))
-        family = build_h_family(q, tuple(sorted(q.arity)) + pairs, tables)
+        family = build_h_family(q, tuple(sorted(q.arity)) + pairs,
+                                fiber_k_tables(q, 3))
         assert list(family) == list(pairs)
         for s, j in pairs:
+            k_of = {c: oracle.k_table(p)
+                    for c, p in oracle.fibers(q, s).items()}
             h = family[s, j]
-            assert h.domain() == q.domain()
+            assert list(h.graph) == list(q.graph)
             for u, v in q.graph.items():
-                big_k = tables[s, u.restrict(s)][v.y]
-                assert (h.graph[u] == ORIGIN) == (u[j].y >= big_k)
+                big_k, y = k_of[u.restrict(s)][v.y], u[j].y
+                assert h.graph[u] == (
+                    Point(0, oplus(big_k, y)) if y < big_k else ORIGIN)
 
 
 class TestPointLevelLaws:

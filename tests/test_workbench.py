@@ -842,18 +842,55 @@ class TestPipeline:
                          "hereditary_decompose": 1}
 
     def test_tuple_bounds_are_read_in_one_pass_per_sweep(self, monkeypatch):
-        # The decomposition, the K-tables and the verifier each read every
-        # tuple's bound at one S from one tuple_bounds pass over the graph.
-        # The K-tables skip S = the arity, where every K is 0.
+        # The decomposition and its verifier each read every tuple's bound
+        # at one S from one tuple_bounds pass, which transposes the graph
+        # once (fiber_columns).  The K-tables and the helpers read no
+        # tuple_bounds: one complete_synthesis transposes dom(q) once and
+        # folds every S's bounds itself.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("tuple_bounds",))
+        calls = _count_calls(monkeypatch, ("tuple_bounds", "fiber_columns"))
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
-        assert sweeps == 8 and calls == {"tuple_bounds": sweeps}
-        assert synth.fiber_k_tables(trace.g_prime, trace.theta)
-        assert calls == {"tuple_bounds": 2 * sweeps - 1}
+        assert sweeps == 8
+        assert calls == {"tuple_bounds": sweeps, "fiber_columns": sweeps}
+        result = synth.complete_synthesis(
+            inst.g, synth.normal_witness(inst.horizon), trace)
+        assert result.k_tables and result.h_family
+        assert calls == {"tuple_bounds": sweeps, "fiber_columns": sweeps + 1}
         assert verify_decomposition(inst.g, trace).passed
-        assert calls == {"tuple_bounds": 3 * sweeps - 1}
+        assert calls == {"tuple_bounds": 2 * sweeps,
+                         "fiber_columns": 2 * sweeps + 1}
+
+    def test_a_q_that_is_not_thrifty_fails_only_the_k_tables(self,
+                                                              monkeypatch):
+        # A trace claiming a theta its g' does not meet stops synthesis at
+        # the K-tables, with the message the per-S bound path has always
+        # given; the helpers never run.
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        message = ("function is not thrifty at theta=2: value (1|57) has "
+                   "preimage bound 4")
+        f_star = synth.normal_witness(inst.horizon)
+        low = dataclasses.replace(hereditary_decompose(inst.g, inst.theta),
+                                  theta=2)
+        with pytest.raises(synth.StageError) as raised:
+            synth.complete_synthesis(inst.g, f_star, low)
+        assert raised.value.stage == "k-tables"
+        assert str(raised.value.cause) == message
+        assert (raised.value.cause.value, raised.value.cause.bound) == (
+            Point(1, 57), 4)
+
+        admissibility = pipeline.check_admissibility
+
+        def lowered(instance):
+            return {**admissibility(instance), "trace": low}
+
+        monkeypatch.setattr(pipeline, "check_admissibility", lowered)
+        report, result = run_pipeline(inst)
+        assert result is None and not report["passed"]
+        names = [c["name"] for c in report["checks"]]
+        assert "stage:helpers" not in names
+        assert [(c["name"], c["detail"]) for c in report["checks"]
+                if not c["passed"]] == [("stage:k-tables", message)]
 
     def test_a_passing_run_leaves_no_cyclic_garbage(self):
         # Reference counting frees everything a run makes, so a recursive
@@ -1382,7 +1419,7 @@ class TestCli:
         assert err[2] == "clonecover: instance.g: codomain [1] is not null"
         assert err[3] == ("clonecover: instance.candidates[0]: codomain [1] "
                           "is not null")
-        assert err[4] == ("clonecover: instance: candidate 0 must be unary, "
+        assert err[4] == ("clonecover: instance.candidates[0]: must be unary, "
                           "got arity [1, 2]")
         assert len(err) == 5
 
