@@ -3,19 +3,17 @@
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
-them against their own bounds.  `fiber_columns` restricts all of dom(g)
-to one S in a single pass over g's positional columns: the fiber key of
-every tuple, in graph order, and the columns outside S.  `tuple_bounds`
-reads one bound per tuple off those columns, 1 + its least y outside S.
-Whether a fiber or a value in it is thrifty, and a fiber's K-table, are
-maxima of these bounds, so the decomposition and its verifier read this
-one column per sweep and compare it with theta themselves; the K-tables
-fold the same bounds for every S from one `fiber_columns` at S = {}.
+them against their own bounds.  `tuple_bounds` reads the bound of every
+tuple at one S, 1 + its least y outside S, off g's positional columns in
+one pass and builds no fiber key; `fiber_columns` adds the keys, for the
+few readers that name a fiber.  Whether a fiber or a value in it is
+thrifty, and a fiber's K on a value line (`fiber_k`), are maxima of these
+bounds, so each reader compares them with theta itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     IndexMismatchError,
@@ -61,17 +59,11 @@ def width(points: Iterable[Point]) -> int:
     return max(counts.values(), default=0)
 
 
-def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
-    """dom(g) restricted to S in one pass, in graph order: ``(keys,
-    outside)``, where ``keys`` lists the S-part of every tuple (its fiber
-    key) and ``outside`` maps each index outside S to the column of the
-    tuples' ``(index, point)`` entries there.
-
-    The columns are positional, ``zip(*g.graph)``: this relies on
-    `PartialFn`'s contract that every tuple lists exactly the function's
-    arity, sorted by index.  An empty g gives empty columns, and S = {}
-    the empty key for every tuple.
-    """
+def _columns(g: PartialFn, s: IndexSet) -> tuple:
+    """dom(g)'s positional columns, ``zip(*g.graph)``, split by S: those
+    of S's indices in index order, and a map from each other index to its
+    column of ``(index, point)`` entries.  This relies on `PartialFn`'s
+    contract that every tuple lists exactly the arity, sorted by index."""
     s = frozenset(s)
     if not s <= g.arity:
         raise IndexMismatchError(
@@ -84,25 +76,50 @@ def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
             inside.append(column)
         else:
             outside[i] = column
+    return inside, outside
+
+
+def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
+    """dom(g) restricted to S in one pass, in graph order: ``(keys,
+    outside)``, where ``keys`` lists the S-part of every tuple (its fiber
+    key) and ``outside`` maps each index outside S to the column of the
+    tuples' ``(index, point)`` entries there.  S = {} gives the empty key
+    for every tuple.
+    """
+    inside, outside = _columns(g, s)
     if not inside:
         return [MTuple.empty()] * len(g.graph), outside
     return list(map(MTuple, zip(*inside))), outside
 
 
-def tuple_bounds(g: PartialFn, s: IndexSet) -> tuple:
-    """The fiber key and the bound of every tuple of dom(g) at S, in graph
-    order: ``(keys, bounds)`` with ``keys`` as in `fiber_columns`.
+def tuple_bounds(g: PartialFn, s: IndexSet) -> list:
+    """The bound of every tuple of dom(g) at S, in graph order, read off
+    the columns outside S; no fiber key is built.
 
     A tuple's bound is the least k such that it has a component below line
     k outside S: 1 + its least y over the non-S components, and 0 when S is
     the whole arity, whose fibers are 0-ary.  A value's least preimage
     bound in a fiber is the largest bound of its tuples there.
     """
-    keys, outside = fiber_columns(g, s)
-    lows = [[p.y + 1 for _, p in column] for column in outside.values()]
+    lows = [[p.y + 1 for _, p in column]
+            for column in _columns(g, s)[1].values()]
     if len(lows) > 1:
-        return keys, list(map(min, *lows))
-    return keys, lows[0] if lows else [0] * len(keys)
+        return list(map(min, *lows))
+    return lows[0] if lows else [0] * len(g.graph)
+
+
+def fiber_k(tuples: Iterable[MTuple], s: IndexSet,
+            key: MTuple) -> Optional[int]:
+    """The K of the fiber at the S-part ``key`` on one value line: the
+    largest bound at S, as `tuple_bounds` reads it, among those of
+    ``tuples``, the tuples of dom(g) whose value lies on that line, in the
+    fiber; None when none is.  One scan of the line's tuples, so a caller
+    that groups dom(g) by value line once pays for that line alone."""
+    if key:  # at S = {} every tuple is in the one fiber
+        part = set(key)
+        tuples = [u for u in tuples if part.issubset(u)]
+    lows = [min([p.y for i, p in u if i not in s], default=-1) for u in tuples]
+    return max(lows) + 1 if lows else None
 
 
 class NotThriftyError(ValueError):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .analysis import Checklist, all_subsets, tuple_bounds, width
+from .analysis import (Checklist, all_subsets, fiber_columns, tuple_bounds,
+                       width)
 from .core import IndexSet, MTuple, PartialFn, Point, compose
 
 
@@ -86,39 +87,33 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     The record's g' is contained in g, g = g' o h exactly, and every fiber
     of g' at S is all-thrifty.  A value is wasteful in its fiber c exactly
     when one of its tuples there has a `tuple_bounds` entry above theta,
-    so one read of that column finds the wasteful (c, value) pairs.  One
-    pass over g and the fiber keys then classifies each entry u -> v of
-    fiber c: a thrifty entry keeps u in g' and h fixes it; a wasteful one
-    adds its non-S part to the `countable_selection` input and, once the
-    pick for (c, v) is known, moves to c∪pick, only the pick keeping its
-    g' entry.  g' lists g's thrifty entries in g's order, then the picks
-    in g's order; it is wrapped unchecked, as its entries come from g.
+    so one read of that column finds the values wasteful somewhere, and
+    only their entries get a fiber key c.  An entry u -> v whose (c, v) is
+    wasteful adds its non-S part to the `countable_selection` input and,
+    once the pick for (c, v) is known, moves to c∪pick, only the pick
+    keeping its g' entry; every other entry keeps u in g' and h fixes it.
+    g' lists g's thrifty entries in g's order, then the picks in g's
+    order; it is wrapped unchecked, as its entries come from g.
     """
     s = frozenset(s)
     if theta < 1:
         raise ValueError("theta must be at least 1")
-    keys, bounds = tuple_bounds(g, s)
-    values = g.graph.values()
-    wasted = {(c, v) for c, v, k in zip(keys, values, bounds) if k > theta}
-    wasted_values = {v for _, v in wasted}  # tested first: builds no pair
-    g_graph: dict = {}
-    wasteful: dict = {}
-    rerouted: list = []
-    for u, v, c in zip(g.graph, values, keys):
-        if v in wasted_values and (c, v) in wasted:
-            wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
-            rerouted.append((u, v, c))
-        else:
-            g_graph[u] = v
-    selection = countable_selection(wasteful, theta)
-    moved: dict = {}
+    bounds = tuple_bounds(g, s)
+    suspects = {v for v, k in zip(g.graph.values(), bounds) if k > theta}
+    keyed = [(u, v, u.restrict(s), k)
+             for (u, v), k in zip(g.graph.items(), bounds) if v in suspects]
+    wasted = {(c, v) for _, v, c, k in keyed if k > theta}
+    rerouted = [(u, v, c) for u, v, c, _ in keyed if (c, v) in wasted]
+    wasteful, g_graph = {}, dict(g.graph)
     for u, v, c in rerouted:
-        target = moved[u] = c.union(selection[(c, v)])
-        if u == target:
-            g_graph[u] = v
-
-    g_prime = PartialFn._trusted(g.arity, g_graph)
-    return StageRecord(s=s, g_prime=g_prime, moved=moved)
+        wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
+        del g_graph[u]
+    selection = countable_selection(wasteful, theta)
+    moved = {u: c.union(selection[c, v]) for u, v, c in rerouted}
+    # the picks' entries go back in after every thrifty one, in g's order
+    g_graph.update((u, v) for u, v, _ in rerouted if moved[u] == u)
+    return StageRecord(s=s, g_prime=PartialFn._trusted(g.arity, g_graph),
+                       moved=moved)
 
 
 def _inner_map_failure(stage: StageRecord) -> str:
@@ -201,10 +196,13 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> Checklist:
             g_prime.get(moved.get(u, u)) == v
             for u, v in current.graph.items())
         checks.add(label + "exact recomposition", exact, "graphs differ")
-        keys, bounds = tuple_bounds(stage.g_prime, stage.s)
-        wasteful = [c for c, k in zip(keys, bounds) if k > trace.theta]
-        checks.add(label + "fibers thrifty", not wasteful,
-                   f"fiber {min(wasteful)!r}" if wasteful else "")
+        bounds, theta = tuple_bounds(stage.g_prime, stage.s), trace.theta
+        thrifty, detail = max(bounds, default=theta) <= theta, ""
+        if not thrifty:  # only a failure names a fiber, so builds the keys
+            keys = fiber_columns(stage.g_prime, stage.s)[0]
+            worst = min(c for c, k in zip(keys, bounds) if k > theta)
+            detail = f"fiber {worst!r}"
+        checks.add(label + "fibers thrifty", thrifty, detail)
         failure = _inner_map_failure(stage)
         checks.add(label + "inner-map certificates", not failure, failure)
         current = stage.g_prime

@@ -75,9 +75,10 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     check_contracts(inst.g, result.trace, checks)
     check_term(inst, result.term, checks)
 
-    bad_helpers = [(sorted(s), j) for (s, j), h in result.h_family.items()
-                   if any(p.x for p in h.graph.values())
-                   or width(h.graph.values()) > 1]
+    ranges = {pair: set(h.graph.values())
+              for pair, h in result.h_family.items()}
+    bad_helpers = [(sorted(s), j) for (s, j), points in ranges.items()
+                   if any(p.x for p in points) or width(points) > 1]
     checks.add("helper range certificates", not bad_helpers, bad_helpers)
 
     # One exact worst case over every width-1 product, whose bound implies
@@ -88,8 +89,7 @@ def _verify_synthesis(inst: Instance, result: SynthesisResult,
     checks.add("selector width bound (m!)", narrow_ok, f"line {narrow.line}: "
                f"width {narrow.observed} > {narrow.bound}")
     factors = spanned_family(narrow.entries, inst.m)
-    certs = main_lemma_certify(result.q_table, result.k_tables, factors,
-                               inst.m)
+    certs = main_lemma_certify(result.q_table, factors, inst.m)
     uniq_details = [f"line {cert.line} perm {cert.perm}: {cert.detail}"
                     for cert in certs if cert.detail]
     # The worst-case entries lie in the family they span, so each must

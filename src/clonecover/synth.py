@@ -18,7 +18,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .analysis import (Checklist, NotThriftyError, all_subsets,
-                       fiber_columns, width)
+                       fiber_columns, fiber_k, width)
 from .core import (
     App,
     AtomBinding,
@@ -206,75 +206,53 @@ def factor_keys(m: int) -> tuple:
         (s, j) for s in all_subsets(indices) for j in indices if j not in s)
 
 
-class KTables(dict):
-    """{(S, fiber key): {line: K}}, and in q's graph order every tuple's K
-    at each S (``entry_k[S]``) and every z_i^y (``ys[i]``)."""
+def fiber_k_tables(q: PartialFn, theta: int) -> tuple:
+    """Every tuple's K at every S short of the arity, and every z_i^y:
+    ``(entry_k, ys)``, ``entry_k[S]`` and ``ys[i]`` columns in q's graph
+    order, which `build_h_family` zips.  A tuple's K at S is the largest
+    `tuple_bounds` entry among the tuples of its fiber whose value lies on
+    its value's line.  At S = the arity every K is 0; no reader asks.
 
-    __slots__ = ("entry_k", "ys")
-
-
-def fiber_k_tables(q: PartialFn, theta: int) -> KTables:
-    """K-tables for every fiber of q at every S short of the arity, keyed
-    by (S, fiber key) in sweep and key order, each in line order: a line's
-    K is the largest `tuple_bounds` entry among the fiber's tuples whose
-    value lies on that line, the least bound of the line's preimage.  At
-    S = the arity every K is 0, and no reader asks for it.
-
-    One transpose of dom(q) (`fiber_columns` at S = {}), points coded as
-    ints in point order, then one pass per S: a tuple's fiber id ranks the
-    code of (its id at S less S's largest index j, its j-point), so ids
-    sort as keys do, and its bound, 1 + its least y outside S, folds in
-    line order into its fiber's table, which gives its K.
+    One transpose of dom(q) (`fiber_columns` at S = {}), then one pass per
+    S that builds no fiber key: each tuple's (fiber, value line) pair has
+    an int id, the first position holding the pair of its id at S less
+    S's largest index j and its j-entry (at S = {}, of its value line);
+    an id's largest bound is the K of its tuples.
 
     theta < 1 on a non-empty q raises ValueError.  A bound above theta
-    raises NotThriftyError at the first such S: the least wasteful fiber
-    key there, the least value in that fiber with a bound above theta, and
-    that value's largest bound in the fiber.  An empty q gives {}.
+    raises NotThriftyError at the first such S, the one S whose fiber keys
+    are built: the least value with a bound above theta in the least
+    wasteful fiber there, and that value's largest bound in the fiber.
     """
     if theta < 1 and q.graph:
         raise ValueError("theta must be at least 1")
-    tables, coded = KTables(), {}
     columns = fiber_columns(q, frozenset())[1]
-    tables.ys = {i: [p.y for _, p in c] for i, c in columns.items()}
-    tops = {i: [y + 1 for y in ys] for i, ys in tables.ys.items()}
-    width = max(itertools.chain.from_iterable(tops.values()), default=0)
-    for i, column in columns.items():
-        codes = [p.x * width + p.y for _, p in column]
-        coded[i] = codes, dict(zip(codes, column)), 1 + max(codes, default=0)
-    values = q.graph.values()
-    lines = [v.y for v in values]
-    order = sorted(range(len(lines)), key=lines.__getitem__)
-    tables.entry_k, fibers = {}, {frozenset(): (
-        [MTuple.empty()] if lines else [], [0] * len(lines))}
+    ys = {i: [p.y for _, p in c] for i, c in columns.items()}
+    tops = {i: [y + 1 for y in c] for i, c in ys.items()}
+    n, values = len(q.graph), q.graph.values()
+    line_ids = list(map({}.setdefault, (v.y for v in values), range(n)))
+    ids_at, entry_k = {frozenset(): line_ids}, {}
     for s in all_subsets(sorted(q.arity))[:-1]:
-        if s:  # S's fiber keys and ids, from those at S less j
+        if s:  # ids at S from those at S less j
             j = max(s)
-            keys, ids = fibers[s - {j}]
-            codes, entry_of, span = coded[j]
-            pairs = [f * span + c for f, c in zip(ids, codes)]
-            distinct = sorted(set(pairs))
-            id_of = {pair: f for f, pair in enumerate(distinct)}
-            fibers[s] = ([MTuple(keys[pair // span] + (entry_of[pair % span],))
-                          for pair in distinct],
-                         list(map(id_of.__getitem__, pairs)))
-        keys, ids = fibers[s]
+            ids_at[s] = list(map({}.setdefault,
+                                 zip(ids_at[s - {j}], columns[j]), range(n)))
+        ids = ids_at[s]
         outside = [low for i, low in tops.items() if i not in s]
         bounds = list(map(min, *outside)) if len(outside) > 1 else outside[0]
         if max(bounds, default=theta) > theta:
-            worst = min(f for f, k in zip(ids, bounds) if k > theta)
-            fiber = [(v, k) for f, v, k in zip(ids, values, bounds)
-                     if f == worst]
+            keys = fiber_columns(q, s)[0]
+            worst = min(c for c, k in zip(keys, bounds) if k > theta)
+            fiber = [(v, k) for c, v, k in zip(keys, values, bounds)
+                     if c == worst]
             v = min(v for v, k in fiber if k > theta)
             raise NotThriftyError(v, max(k for w, k in fiber if w == v), theta)
-        per_fiber = [{} for _ in keys]
-        for t in order:
-            table, n = per_fiber[ids[t]], lines[t]
-            if table.get(n, 0) < bounds[t]:
-                table[n] = bounds[t]
-        tables.entry_k[s] = list(map(dict.__getitem__,
-                                     map(per_fiber.__getitem__, ids), lines))
-        tables.update(zip(zip(itertools.repeat(s), keys), per_fiber))
-    return tables
+        top = [0] * n
+        for f, k in zip(ids, bounds):
+            if top[f] < k:
+                top[f] = k
+        entry_k[s] = list(map(top.__getitem__, ids))
+    return entry_k, ys
 
 
 class _HelperPoints(dict):
@@ -286,7 +264,7 @@ class _HelperPoints(dict):
         return point
 
 
-def build_h_family(q: PartialFn, keys: tuple, k_tables: KTables) -> dict:
+def build_h_family(q: PartialFn, keys: tuple, k_columns: tuple) -> dict:
     """The helper maps h^{S,j}, one per (S, j) pair of ``keys`` past the
     inputs, in key order, each total over dom(q).
 
@@ -297,13 +275,13 @@ def build_h_family(q: PartialFn, keys: tuple, k_tables: KTables) -> dict:
     K (+) z is at least 1, so (0|0) is alone on line 0.
 
     Each helper zips its S's K column and its j's y-column from
-    ``k_tables`` (`fiber_k_tables` of q), so it lists dom(q) in q's graph
+    ``k_columns`` (`fiber_k_tables` of q), so it lists dom(q) in q's graph
     order, which `build_Q` reads; each distinct (K, z_j^y) is coded once.
     """
-    family, point_of = {}, _HelperPoints()
+    (entry_k, ys), family, point_of = k_columns, {}, _HelperPoints()
     for s, j in keys[len(q.arity):]:
         family[s, j] = PartialFn._trusted(q.arity, dict(zip(q.graph, map(
-            point_of.__getitem__, zip(k_tables.entry_k[s], k_tables.ys[j])))))
+            point_of.__getitem__, zip(entry_k[s], ys[j])))))
     return family
 
 
@@ -491,8 +469,7 @@ class UniquenessReport:
     detail: str  # why the check fails; "" when it passes
 
 
-def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
-                       m: int) -> list:
+def main_lemma_certify(q_table: PartialFn, factors: Mapping, m: int) -> list:
     """Uniqueness certificates over one product of width-1 factors, one
     per (value line n, reindexing perm of 1..m) pair, ascending, that some
     table entry in the product qualifies under: its lines rise along perm.
@@ -502,7 +479,9 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
     of every perm it qualifies under on its value line.  Those perms sort
     its input lines: the concatenations, in line order, of a permutation
     of each group of indices on one line, so they are generated, not
-    searched for among all m!.
+    searched for among all m!.  A second scan collects the input parts of
+    the lines certified: they list dom(q) one for one with q's values, so
+    each K the certificates read comes from the table alone.
     """
     keys = factor_keys(m)
     groups: dict = {}  # (value line, perm) -> qualifying entries
@@ -515,28 +494,34 @@ def main_lemma_certify(q_table: PartialFn, k_tables: Mapping, factors: Mapping,
                     *map(itertools.permutations, tied)):
                 perm = tuple(itertools.chain.from_iterable(parts))
                 groups.setdefault((val.y, perm), []).append(uv)
-    return [_certify_line(k_tables, factors, n, perm, sorted(qualifying))
+    inputs: dict = {n: [] for n, _ in groups}  # line -> its input parts
+    for uv, val in q_table.graph.items():
+        if val.y in inputs:
+            inputs[val.y].append(tuple(itertools.islice(uv, m)))
+    return [_certify_line(inputs[n], factors, n, perm, sorted(qualifying))
             for (n, perm), qualifying in sorted(groups.items())]
 
 
-def _certify_line(k_tables: Mapping, factors: Mapping, n: int, perm: tuple,
+def _certify_line(inputs: list, factors: Mapping, n: int, perm: tuple,
                   qualifying: list) -> UniquenessReport:
     """Compute the unique candidate input for line n under perm and check
-    that the qualifying entries, sorted and at least one, are just it.
+    that the qualifying entries, sorted and at least one, are just it;
+    ``inputs`` are the input parts of the table's entries on line n.
 
     The recursion, under the reindexing perm: at step j the fiber fixed so
-    far gives a bound k_j at line n; the (S,j)-factor selects the line b_j
-    at k_j, and the j-th input factor selects the column a_j at b_j.
+    far gives a bound k_j at line n (`fiber_k` over ``inputs``); the
+    (S,j)-factor selects the line b_j at k_j, and the j-th input factor
+    selects the column a_j at b_j.
     """
     candidate: dict = {}  # also the fiber's key, the S-part fixed so far
     detail = ""
     for step, j in enumerate(perm):
         s = frozenset(perm[:step])
-        table = k_tables.get((s, MTuple.of(candidate)))
-        if table is None or n not in table:
+        big_k = fiber_k(inputs, s, MTuple.of(candidate))
+        if big_k is None:
             detail = "qualifying entry despite missing K chain"
             break
-        bj = factors[(s, j)].get(table[n], 0)
+        bj = factors[(s, j)].get(big_k, 0)
         candidate[j] = Point(factors[j].get(bj, 0), bj)
     else:
         if len(qualifying) > 1:
@@ -570,7 +555,6 @@ class SynthesisResult:
     """Everything produced on the way to the final term."""
 
     trace: DecompositionTrace
-    k_tables: dict
     h_family: dict
     q_table: PartialFn
     term: Term
@@ -604,10 +588,10 @@ def complete_synthesis(g: PartialFn, f_star: PartialFn,
     witness's normalization, and g's decomposition trace."""
     q = trace.g_prime
     keys = factor_keys(len(g.arity))
-    tables = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
-    h_family = _run_stage("helpers", build_h_family, q, keys, tables)
+    k_columns = _run_stage("k-tables", fiber_k_tables, q, trace.theta)
+    h_family = _run_stage("helpers", build_h_family, q, keys, k_columns)
     q_table = _run_stage("selector", build_Q, q, h_family, f_star, keys)
     term = _run_stage("assemble", assemble_term,
                       q, f_star, h_family, q_table, keys, trace.h_composed)
-    return SynthesisResult(trace=trace, k_tables=tables, h_family=h_family,
-                           q_table=q_table, term=term)
+    return SynthesisResult(trace=trace, h_family=h_family, q_table=q_table,
+                           term=term)

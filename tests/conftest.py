@@ -59,14 +59,16 @@ def bound_of(tuples):
     the set is empty."""
     graph = dict.fromkeys(tuples, ORIGIN)
     arity = next(iter(graph)).indices if graph else frozenset()
-    return max(tuple_bounds(PartialFn(arity, graph), frozenset())[1],
+    return max(tuple_bounds(PartialFn(arity, graph), frozenset()),
                default=0)
 
 
 def k_table_of(t, theta):
-    """The program's K-table of a unary point-valued t: its `fiber_k_tables`
-    entry at S = {}, the one S short of t's arity."""
-    return fiber_k_tables(t, theta).get((frozenset(), MTuple.empty()), {})
+    """The program's K-table of a unary point-valued t, in line order: each
+    line's K as its tuples' `fiber_k_tables` column at S = {}, the one S
+    short of t's arity, reads it."""
+    column = fiber_k_tables(t, theta)[0].get(frozenset(), [])
+    return dict(sorted(zip((v.y for v in t.graph.values()), column)))
 
 
 def pt(x, y):

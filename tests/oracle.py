@@ -22,6 +22,8 @@ every tuple and the whole normalized graph from the witness, where
 `certify_every_pair` is the main lemma's certification the slow way: a
 certificate for every value line and every permutation, where
 `clonecover.synth` certifies only the pairs some entry qualifies under.
+It reads every K off q as the table's input parts list it, through
+`fiber` and `k_table`, and none from the program.
 """
 import itertools
 
@@ -115,7 +117,9 @@ def first_wasteful(q, theta):
 def fiber(g, s, c):
     """The fiber of g at the S-part c: the function of the rest of a tuple
     whose S-part is c; empty when no tuple of dom(g) has S-part c."""
-    return fibers(g, s).get(c, PartialFn(g.arity - s, {}))
+    return PartialFn(g.arity - s, {_part(u, s, False): v
+                                   for u, v in g.graph.items()
+                                   if _part(u, s, True) == c})
 
 
 def star_set(c, tuples):
@@ -271,7 +275,7 @@ def normalize(f_unary, horizon):
 # -- the main lemma's certificates, every pair ------------------------
 
 
-def certify_every_pair(q_table, k_tables, factors, m):
+def certify_every_pair(q_table, factors, m):
     """A uniqueness certificate for every (value line of the table, perm of
     1..m) pair, lines ascending and perms in lexicographic order, as
     (line, perm, candidate, qualifying, passed, detail) tuples.
@@ -280,12 +284,18 @@ def certify_every_pair(q_table, k_tables, factors, m):
     (a line a factor does not list holds column 0) and its lines rise
     along perm.  The candidate follows the K chain: the fiber fixed so far
     gives a bound at the line, the (S, j) factor a line there and the j-th
-    input factor a column on it.  A pair no entry qualifies under passes:
-    "vacuous" when its chain is complete, with no detail when it is not.
+    input factor a column on it.  Each bound is the `k_table` of that
+    fiber of q, which the table's input parts list with q's values.  A pair
+    no entry qualifies under passes: "vacuous" when its chain is complete,
+    with no detail when it is not.
     """
     indices = list(range(1, m + 1))
     keys = indices + [(s, j) for s in subsets(indices) for j in indices
                       if j not in s]
+    q = PartialFn(frozenset(indices), {
+        _part(uv, frozenset(indices), True): v
+        for uv, v in q_table.graph.items()})
+    k_tables = {}  # (S, c) -> k_table of q's fiber at c, on first read
     in_product = [uv for uv in sorted(q_table.graph)
                   if all(factors[key].get(uv[slot].y, 0) == uv[slot].x
                          for slot, key in enumerate(keys, 1))]
@@ -298,7 +308,10 @@ def certify_every_pair(q_table, k_tables, factors, m):
             candidate = {}
             for step, j in enumerate(perm):
                 s = frozenset(perm[:step])
-                table = k_tables.get((s, MTuple.of(candidate)), {})
+                c = MTuple.of(candidate)
+                if (s, c) not in k_tables:
+                    k_tables[s, c] = k_table(fiber(q, s, c))
+                table = k_tables[s, c]
                 if n not in table:
                     break
                 line = factors[(s, j)].get(table[n], 0)

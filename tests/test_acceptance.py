@@ -164,8 +164,7 @@ def test_criterion_2_selector_width_bound(corpus, capsys):
                 violations += 1
             if observed > exact:
                 above_exact += 1
-            for cert in main_lemma_certify(
-                    result.q_table, result.k_tables, factors, m):
+            for cert in main_lemma_certify(result.q_table, factors, m):
                 if cert.detail:
                     uniq_failures += 1
                 if cert.qualifying:

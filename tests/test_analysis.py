@@ -4,6 +4,7 @@ from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
     fiber_columns,
+    fiber_k,
     tuple_bounds,
     width,
 )
@@ -71,18 +72,18 @@ class TestClassifyPreimages:
     def test_frozen_wasteful_example(self):
         # The sole preimage tuple has min y = 5, bound 6 > theta = 3.
         p = unary({(0, 5): (1, 1)})
-        assert tuple_bounds(p, frozenset()) == ([MTuple.empty()], [6])
+        assert tuple_bounds(p, frozenset()) == [6]
         assert oracle.split(p, 3) == (frozenset(), frozenset({tup((0, 5))}))
 
     def test_thrifty_at_exact_threshold(self):
         p = unary({(0, 2): (1, 1)})
-        assert tuple_bounds(p, frozenset()) == ([MTuple.empty()], [3])
+        assert tuple_bounds(p, frozenset()) == [3]
         assert k_table_of(p, 3) == {1: 3}
         assert oracle.split(p, 3) == (p.domain(), frozenset())
 
     def test_domains_partition(self):
         p = unary({(0, 5): (1, 1), (0, 0): (2, 2), (4, 9): (1, 1)})
-        assert tuple_bounds(p, frozenset())[1] == [6, 1, 10]
+        assert tuple_bounds(p, frozenset()) == [6, 1, 10]
         assert k_table_of(p, 10) == {1: 10, 2: 1}
         thrifty, wasteful = oracle.split(p, 3)
         assert thrifty == frozenset({tup((0, 0))})
@@ -92,7 +93,7 @@ class TestClassifyPreimages:
     def test_bound_taken_over_whole_preimage(self):
         # One low tuple does not rescue the value: the bound is a max.
         p = unary({(0, 0): (1, 1), (0, 9): (1, 1)})
-        assert tuple_bounds(p, frozenset())[1] == [1, 10]
+        assert tuple_bounds(p, frozenset()) == [1, 10]
         with pytest.raises(NotThriftyError) as raised:
             k_table_of(p, 3)
         assert (raised.value.value, raised.value.bound) == (pt(1, 1), 10)
@@ -128,6 +129,28 @@ class TestKTable:
         assert k_table_of(t, theta=4) == {7: 4}
 
 
+class TestFiberK:
+    """`fiber_k` over the tuples of one value line, at the edges."""
+
+    def test_largest_bound_in_the_fiber(self):
+        # At S = {1} the fiber <1:(0|0)> holds the first two tuples, with
+        # bounds 4 and 2; the third lies in another fiber.
+        line = [tup((0, 0), (1, 3)), tup((0, 0), (2, 1)),
+                tup((5, 5), (0, 8))]
+        assert fiber_k(line, idx(1), MTuple.of({1: pt(0, 0)})) == 4
+        assert fiber_k(line, idx(1), MTuple.of({1: pt(5, 5)})) == 9
+        assert fiber_k(line, frozenset(), MTuple.empty()) == 6
+
+    def test_none_off_the_fiber(self):
+        line = [tup((0, 0), (1, 3))]
+        assert fiber_k(line, idx(1), MTuple.of({1: pt(0, 1)})) is None
+        assert fiber_k([], frozenset(), MTuple.empty()) is None
+
+    def test_whole_arity_gives_zero(self):
+        u = tup((0, 4), (1, 2))
+        assert fiber_k([u], idx(1, 2), u) == 0
+
+
 class TestHereditarilyThrifty:
     """Bounds from `tuple_bounds` at the failing S, and the oracle's first
     wasteful (S, c, value) over every S and c."""
@@ -137,8 +160,9 @@ class TestHereditarilyThrifty:
         # over S = {1} is the map (x|5) -> value, bound 6 > theta = 2.
         q = PartialFn(idx(1, 2), {tup((3, 0), (3, 5)): pt(1, 1)})
         c = MTuple.of({1: pt(3, 0)})
-        assert tuple_bounds(q, frozenset()) == ([MTuple.empty()], [1])
-        assert tuple_bounds(q, idx(1)) == ([c], [6])
+        assert tuple_bounds(q, frozenset()) == [1]
+        assert tuple_bounds(q, idx(1)) == [6]
+        assert fiber_columns(q, idx(1))[0] == [c]
         assert oracle.first_wasteful(q, 2) == (idx(1), c, pt(1, 1))
 
     def test_all_low_is_hereditarily_thrifty(self):
@@ -146,12 +170,12 @@ class TestHereditarilyThrifty:
             tup((i, 0), (i, 1)): pt(i, 0) for i in range(4)
         })
         assert all(k <= 2 for s in all_subsets([1, 2])
-                   for k in tuple_bounds(q, s)[1])
+                   for k in tuple_bounds(q, s))
         assert oracle.first_wasteful(q, 2) is None
 
     def test_empty_subset_clause_is_plain_thriftiness(self):
         q = unary({(0, 5): (1, 1)})
-        assert tuple_bounds(q, frozenset()) == ([MTuple.empty()], [6])
+        assert tuple_bounds(q, frozenset()) == [6]
         assert oracle.first_wasteful(q, 3) == (
             frozenset(), MTuple.empty(), pt(1, 1))
         assert oracle.split(q, 3)[1] == q.domain()
@@ -162,22 +186,24 @@ class TestHereditarilyThrifty:
         q = PartialFn(idx(1, 2), {tup((0, 5), (0, 0)): pt(9, 9)})
         c = MTuple.of({2: pt(0, 0)})
         assert oracle.split(q, 3)[1] == frozenset()
-        assert tuple_bounds(q, idx(1)) == ([MTuple.of({1: pt(0, 5)})], [1])
-        assert tuple_bounds(q, idx(2)) == ([c], [6])
+        assert tuple_bounds(q, idx(1)) == [1]
+        assert tuple_bounds(q, idx(2)) == [6]
+        assert fiber_columns(q, idx(2))[0] == [c]
         assert oracle.first_wasteful(q, 3) == (idx(2), c, pt(9, 9))
 
 
 class TestFiberColumns:
-    """`fiber_columns` and the `tuple_bounds` read off them, at the edges:
-    an empty g, S = {}, S = the arity, and indices whose positional order
-    (2 before 10) is not their JSON key order ("10" before "2")."""
+    """`fiber_columns` and `tuple_bounds`, which read the same positional
+    columns, at the edges: an empty g, S = {}, S = the arity, and indices
+    whose positional order (2 before 10) is not their JSON key order ("10"
+    before "2")."""
 
     def test_empty_graph_at_every_subset(self):
         g = PartialFn(idx(1, 2, 3), {})
         for s in all_subsets([1, 2, 3]):
             assert fiber_columns(g, s) == (
                 [], {j: () for j in sorted(idx(1, 2, 3) - s)})
-            assert tuple_bounds(g, s) == ([], [])
+            assert tuple_bounds(g, s) == []
 
     def test_empty_subset_gives_the_empty_key(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
@@ -186,15 +212,14 @@ class TestFiberColumns:
         assert keys == [MTuple.empty(), MTuple.empty()]
         assert outside == {1: ((1, pt(0, 4)), (1, pt(3, 0))),
                            2: ((2, pt(1, 2)), (2, pt(5, 6)))}
-        assert tuple_bounds(g, frozenset()) == (keys, [3, 1])
+        assert tuple_bounds(g, frozenset()) == [3, 1]
 
     def test_whole_arity_gives_the_tuples_and_bound_zero(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
         g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(1, 1)})
         assert fiber_columns(g, idx(1, 2)) == ([u, w], {})
-        assert tuple_bounds(g, idx(1, 2)) == ([u, w], [0, 0])
-        assert tuple_bounds(unary({(0, 9): (1, 1)}), idx(1)) == (
-            [MTuple.of({1: pt(0, 9)})], [0])
+        assert tuple_bounds(g, idx(1, 2)) == [0, 0]
+        assert tuple_bounds(unary({(0, 9): (1, 1)}), idx(1)) == [0]
 
     def test_positional_order_is_index_order(self):
         # graph order w, u: keys and bounds follow it
@@ -204,15 +229,17 @@ class TestFiberColumns:
         keys, outside = fiber_columns(g, idx(10))
         assert keys == [MTuple.of({10: pt(4, 5)}), MTuple.of({10: pt(1, 3)})]
         assert outside == {2: ((2, pt(0, 1)), (2, pt(0, 7)))}
-        assert tuple_bounds(g, idx(10)) == (keys, [2, 8])
-        assert tuple_bounds(g, idx(2)) == (
-            [MTuple.of({2: pt(0, 1)}), MTuple.of({2: pt(0, 7)})], [6, 4])
+        assert tuple_bounds(g, idx(10)) == [2, 8]
+        assert fiber_columns(g, idx(2))[0] == [
+            MTuple.of({2: pt(0, 1)}), MTuple.of({2: pt(0, 7)})]
+        assert tuple_bounds(g, idx(2)) == [6, 4]
         g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8),
                                    MTuple.of({2: pt(5, 0), 10: pt(4, 5)}):
                                    pt(9, 9)})
-        assert tuple_bounds(g, frozenset())[1] == [2, 4, 1]
+        assert tuple_bounds(g, frozenset()) == [2, 4, 1]
         for s in all_subsets([2, 10]):
-            assert tuple_bounds(g, s) == oracle.tuple_bounds(g, s)
+            assert (fiber_columns(g, s)[0], tuple_bounds(g, s)) == (
+                oracle.tuple_bounds(g, s))
 
     def test_subset_outside_the_arity_rejected(self):
         cases = [(PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)}),

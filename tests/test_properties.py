@@ -18,6 +18,8 @@ from clonecover import serialize
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
+    fiber_columns,
+    fiber_k,
     tuple_bounds,
     width,
 )
@@ -158,7 +160,7 @@ class TestTupleBounds:
         # each bound up; a value's least bound in its fiber is the largest
         # bound of its tuples there
         for s in all_subsets(sorted(g.arity)):
-            keys, bounds = tuple_bounds(g, s)
+            keys, bounds = fiber_columns(g, s)[0], tuple_bounds(g, s)
             assert (keys, bounds) == oracle.tuple_bounds(g, s)
             largest: dict = {}
             for c, v, k in zip(keys, g.graph.values(), bounds):
@@ -174,7 +176,7 @@ class TestTupleBounds:
         # in sweep order, read off tuple_bounds as the program reads them
         first = None
         for s in all_subsets(sorted(q.arity)):
-            keys, bounds = tuple_bounds(q, s)
+            keys, bounds = fiber_columns(q, s)[0], tuple_bounds(q, s)
             for c, p in oracle.fibers(q, s).items():
                 wasteful = {v for d, v, k in zip(keys, q.graph.values(),
                                                  bounds)
@@ -196,8 +198,10 @@ class TestTupleBounds:
     # An empty q has no fiber to check theta on: {} at any theta.
     @example(q=PartialFn(idx(1, 2), {}), theta=0)
     @example(q=PartialFn(idx(1, 2), {}), theta=-1)
-    def test_k_tables_match_per_fiber_k_table(self, q, theta):
-        # the oracle's K-table of every fiber at every S short of the arity
+    def test_k_matches_per_fiber_k_table(self, q, theta):
+        # the oracle's K-table of every fiber at every S: each tuple's K
+        # in the K columns, short of the arity, and the lookup at every
+        # (S, fiber key, line), None off the fiber's lines
         if q.graph and theta < 1:
             with pytest.raises(ValueError) as raised:
                 fiber_k_tables(q, theta)
@@ -212,14 +216,21 @@ class TestTupleBounds:
             assert (raised.value.value, raised.value.bound) == (
                 v, oracle.fiber_bounds(q, s)[c][v])
             return
-        want = {(s, c): oracle.k_table(p)
-                for s in oracle.subsets(q.arity) if s != q.arity
-                for c, p in oracle.fibers(q, s).items()}
-        got = fiber_k_tables(q, theta)
-        assert got == want
-        assert list(got) == list(want)
-        for key in want:
-            assert list(got[key]) == list(want[key])
+        entry_k = fiber_k_tables(q, theta)[0]
+        assert list(entry_k) == [s for s in oracle.subsets(q.arity)
+                                 if s != q.arity]
+        lines = sorted({v.y for v in q.graph.values()})
+        on_line = {n: [u for u, v in q.graph.items() if v.y == n]
+                   for n in lines}
+        for s in oracle.subsets(q.arity):
+            tables = {c: oracle.k_table(p)
+                      for c, p in oracle.fibers(q, s).items()}
+            if s != q.arity:
+                assert entry_k[s] == [tables[u.restrict(s)][v.y]
+                                      for u, v in q.graph.items()]
+            for c, table in tables.items():
+                for n in lines:
+                    assert fiber_k(on_line[n], s, c) == table.get(n)
 
     def test_not_thrifty_names_the_least_wasteful_value(self):
         # Thrifty at S = {}; at S = {1} both fibers are wasteful.  The error
@@ -359,7 +370,7 @@ class TestUnionAndSubLaws:
 def thrifty(p, theta):
     """Whether every value of p has a preimage bound at most theta: every
     tuple's bound at S = {} is."""
-    return max(tuple_bounds(p, frozenset())[1], default=0) <= theta
+    return max(tuple_bounds(p, frozenset()), default=0) <= theta
 
 
 class TestBoundLaws:
@@ -400,13 +411,16 @@ class TestBoundLaws:
             keep = [u for u in sorted(q.domain()) if rng.random() < 0.5]
             sub = q.restrict(keep)
             for s in all_subsets(sorted(T)):
-                full = dict(zip(q.graph, zip(*tuple_bounds(q, s))))
+                full = dict(zip(q.graph, zip(fiber_columns(q, s)[0],
+                                             tuple_bounds(q, s))))
                 assert [full[u] for u in sub.graph] == list(
-                    zip(*tuple_bounds(sub, s)))
-            # every y is below 20, so every bound is at most theta = 20
-            tables = fiber_k_tables(q, 20)
-            for key, table in fiber_k_tables(sub, 20).items():
-                assert all(k <= tables[key][n] for n, k in table.items())
+                    zip(fiber_columns(sub, s)[0], tuple_bounds(sub, s)))
+            # every y is below 20, so every bound is at most theta = 20;
+            # no tuple's K, the largest bound on its fiber's line, rises
+            k_full = fiber_k_tables(q, 20)[0]
+            for s, column in fiber_k_tables(sub, 20)[0].items():
+                k_of = dict(zip(q.graph, k_full[s]))
+                assert all(k <= k_of[u] for u, k in zip(sub.graph, column))
 
 
 class TestExtensionLaws:

@@ -14,6 +14,7 @@ from clonecover.core import (
 )
 from clonecover.decompose import AdmissibilityError
 from clonecover.instances import PROFILES, generate_instance
+from clonecover.serialize import term_dumps, term_loads
 from clonecover.synth import (
     StageError,
     build_h_family,
@@ -188,8 +189,7 @@ class TestBuildH:
         # K at line 7 for the sole fiber is 3; z_1^y = 2 < 3, so the helper
         # returns (0 | 3 (+) 2) = (0|11).
         q = unary({(0, 2): (4, 7)})
-        tables = fiber_k_tables(q, theta=4)
-        family = build_h_family(q, factor_keys(1), tables)
+        family = build_h_family(q, factor_keys(1), fiber_k_tables(q, theta=4))
         assert family[frozenset(), 1].graph == {tup((0, 2)): pt(0, 11)}
 
     def test_undefined_above_the_bound(self):
@@ -198,8 +198,7 @@ class TestBuildH:
         # (0|0) there.
         u = tup((0, 5), (0, 0))
         q = PartialFn(idx(1, 2), {u: pt(4, 7)})
-        tables = fiber_k_tables(q, theta=6)
-        family = build_h_family(q, factor_keys(2), tables)
+        family = build_h_family(q, factor_keys(2), fiber_k_tables(q, theta=6))
         assert family[frozenset(), 2].graph == {u: pt(0, 1)}
         assert family[frozenset(), 1].graph == {u: ORIGIN}
 
@@ -220,26 +219,23 @@ class TestBuildH:
         assert list(family) == list(keys[2:])
         assert all(h.domain() == q.domain() for h in family.values())
 
-    def test_k_tables_in_key_and_line_order(self):
-        # graph order meets lines 7, 3, 7, 5 and, at S = {1}, keys
-        # <1:(0|4)> before <1:(0|1)>; the largest bound per line is kept.
-        # No table is made at S = the arity, where every K is 0.
+    def test_k_columns_in_graph_order(self):
+        # graph order meets lines 7, 3, 7, 5.  A tuple's K is the largest
+        # bound on its value's line in its fiber: at S = {} the two tuples
+        # on line 7 share K = 5, at S = {1} their fibers <1:(0|4)> and
+        # <1:(0|2)> part them.  No column is made at S = the arity, where
+        # every K is 0.
         q = PartialFn(idx(1, 2), {tup((0, 4), (0, 5)): pt(1, 7),
                                   tup((0, 1), (0, 1)): pt(2, 3),
                                   tup((0, 2), (0, 3)): pt(3, 7),
                                   tup((1, 4), (0, 4)): pt(4, 5)})
-        tables = fiber_k_tables(q, theta=6)
-        empty = MTuple.empty()
-        assert list(tables) == [(frozenset(), empty)] + [
-            (idx(1), MTuple.of({1: pt(*p)}))
-            for p in ((0, 1), (0, 2), (0, 4), (1, 4))] + [
-            (idx(2), MTuple.of({2: pt(0, y)})) for y in (1, 3, 4, 5)]
-        assert list(tables[frozenset(), empty].items()) == [
-            (3, 2), (5, 5), (7, 5)]
-        assert [t for (s, _), t in tables.items() if s] == [
-            {3: 2}, {7: 4}, {7: 6}, {5: 5}, {3: 2}, {7: 3}, {5: 5}, {7: 5}]
-        assert fiber_k_tables(unary({(0, 4): (1, 7)}), theta=6) == {
-            (frozenset(), empty): {7: 5}}
+        entry_k, ys = fiber_k_tables(q, theta=6)
+        assert list(entry_k.items()) == [(frozenset(), [5, 2, 5, 5]),
+                                         (idx(1), [6, 2, 4, 5]),
+                                         (idx(2), [5, 2, 3, 5])]
+        assert ys == {1: [4, 1, 2, 4], 2: [5, 1, 3, 4]}
+        assert fiber_k_tables(unary({(0, 4): (1, 7)}), theta=6) == (
+            {frozenset(): [5]}, {1: [4]})
 
     def test_every_helper_lists_dom_q_in_graph_order(self):
         # build_Q reads each helper's values as a column over q's graph
@@ -351,9 +347,8 @@ class TestSelectorCertificates:
                  if all(uv[slot].x == factors[key].get(uv[slot].y, 0)
                         for slot, key in enumerate(keys, 1))}
         assert width(image) <= verdict.observed
-        certs = main_lemma_certify(res.q_table, res.k_tables, factors, m)
-        reference = oracle.certify_every_pair(
-            res.q_table, res.k_tables, factors, m)
+        certs = main_lemma_certify(res.q_table, factors, m)
+        reference = oracle.certify_every_pair(res.q_table, factors, m)
         assert certificate_rows(certs) == [
             row for row in reference if row[3]]
         assert all(row[4] for row in reference)
@@ -379,9 +374,8 @@ class TestSelectorCertificates:
             for _ in range(5)]
         with_entries = 0
         for family in families:
-            certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
-            reference = oracle.certify_every_pair(
-                res.q_table, res.k_tables, family, m)
+            certs = main_lemma_certify(res.q_table, family, m)
+            reference = oracle.certify_every_pair(res.q_table, family, m)
             assert certificate_rows(certs) == [
                 row for row in reference if row[3]]
             assert all(row[4] for row in reference if not row[3])
@@ -409,14 +403,14 @@ class TestSelectorCertificates:
     def test_unlisted_lines_read_column_0(self):
         # The input factor lists line 1 only; the entries on lines 0 and 2
         # lie in the product at column 0, and so does the K-chain's read.
+        # Line 5's K is 3, the bound of the inputs on line 2.
         on_0, on_1, on_2 = (tup((0, 0), (0, 0)), tup((4, 1), (0, 0)),
                             tup((0, 2), (0, 0)))
         off = tup((3, 2), (0, 0))
         q_table = PartialFn(idx(1, 2), {
             on_0: pt(0, 5), on_1: pt(1, 5), on_2: pt(2, 5), off: pt(3, 5)})
-        k_tables = {(frozenset(), MTuple.empty()): {5: 3}}
         factors = {1: {1: 4}, (frozenset(), 1): {}}
-        [cert] = main_lemma_certify(q_table, k_tables, factors, 1)
+        [cert] = main_lemma_certify(q_table, factors, 1)
         assert cert.qualifying == (on_0, on_2, on_1)
         assert cert.candidate == {1: pt(0, 0)}
         assert product_image_width(q_table, factors, 1) == 3
@@ -426,9 +420,42 @@ class TestSelectorCertificates:
         q_table = PartialFn(idx(1, 2), {second: pt(1, 0), first: pt(0, 0)})
         factor = {0: 0, 1: 0}
         factors = {1: factor, (frozenset(), 1): factor}
-        [cert] = main_lemma_certify(q_table, {}, factors, 1)
+        [cert] = main_lemma_certify(q_table, factors, 1)
         assert cert.qualifying == (first, second)
-        assert cert.detail == "qualifying entry despite missing K chain"
+        assert cert.detail == "more than one qualifying entry"
+
+    def test_a_candidate_off_every_entry_breaks_the_k_chain(self):
+        # The lone entry's inputs lie on lines 3 and 1, so it qualifies
+        # under perm (2, 1).  Step 2 reads K = 2 at S = {}, where the
+        # ({}, 2) factor lists no line: column 0, line 0 of input 2, so
+        # the candidate's <2:(0|0)> fiber holds no entry on line 5.
+        uv = MTuple.of({1: pt(0, 3), 2: pt(0, 1), 3: pt(0, 7),
+                        4: pt(0, 7), 5: pt(0, 7), 6: pt(0, 7)})
+        q_table = PartialFn(full_index(6), {uv: pt(0, 5)})
+        family = spanned_family((uv,), 2)
+        [cert] = main_lemma_certify(q_table, family, 2)
+        assert (cert.perm, cert.candidate, cert.detail) == (
+            (2, 1), {2: pt(0, 0)}, "qualifying entry despite missing K chain")
+        assert certificate_rows([cert]) == [
+            row for row in oracle.certify_every_pair(q_table, family, 2)
+            if row[3]]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_certificates_read_the_shipped_table_alone(self, m):
+        # The loaded term's Q gives the certificates the synthesized one
+        # does: every K they read comes from the table.
+        inst = generate_instance(m, 8, 4, 5, "mary-witness")
+        res = end_to_end_synthesize(
+            inst.g, inst.f, inst.theta, inst.horizon,
+            unary_candidates=inst.candidates)
+        shipped = term_loads(term_dumps(res.term)).env["Q"].fn
+        assert shipped == res.q_table
+        families = [spanned_family((uv,), m)
+                    for uv in sorted(res.q_table.graph)]
+        for family in families + [spanned_family(
+                verify_Q_in_CI(res.q_table, m).entries, m)]:
+            assert main_lemma_certify(shipped, family, m) == (
+                main_lemma_certify(res.q_table, family, m))
 
     def test_verify_Q_in_CI_bound_formula(self):
         for m in (1, 2, 3):
@@ -480,20 +507,19 @@ class TestExactSelectorWidth:
                 assert product_image_width(q_table, family, 1) <= 1
 
     def test_spanned_family_meets_every_line_the_certificates_read(self):
-        # Line 9's K-chain reads the (S, j) factor at K = 2, where the entry
-        # puts column 7, then the input factor at line 7, which it does not
-        # list (column 0).
+        # Line 9's K-chain reads the (S, j) factor at K = 2, the bound of
+        # the entry's input line 1, where the entry puts column 7, then the
+        # input factor at line 7, which it does not list (column 0).
         # A selector built by build_Q puts the input's line there, not 7, so
         # this table fails line 9's certificate; it must not raise.  Line
         # 4's entry lies off the product, so line 4 gets no certificate.
-        worst, other = tup((3, 5), (7, 2)), tup((1, 1), (0, 0))
+        worst, other = tup((3, 1), (7, 2)), tup((1, 1), (0, 0))
         q_table = PartialFn(idx(1, 2), {worst: pt(0, 9), other: pt(0, 4)})
-        k_tables = {(frozenset(), MTuple.empty()): {4: 3, 9: 2}}
         verdict = verify_Q_in_CI(q_table, 1)
         assert verdict.entries in ((worst,), (other,))
         family = spanned_family((worst,), 1)
-        assert family == {1: {5: 3}, (frozenset(), 1): {2: 7}}
-        certs = main_lemma_certify(q_table, k_tables, family, 1)
+        assert family == {1: {1: 3}, (frozenset(), 1): {2: 7}}
+        certs = main_lemma_certify(q_table, family, 1)
         assert [(c.line, c.candidate, c.detail) for c in certs] == [
             (9, {1: pt(0, 7)}, "qualifying entry differs from candidate")]
 
@@ -510,7 +536,7 @@ class TestExactSelectorWidth:
         # worst case
         assert product_image_width(res.q_table, family, m) == (
             verdict.observed)
-        certs = main_lemma_certify(res.q_table, res.k_tables, family, m)
+        certs = main_lemma_certify(res.q_table, family, m)
         assert certs and not any(cert.detail for cert in certs)
         # every worst-case entry is checked by some certificate
         qualifying = {uv for cert in certs for uv in cert.qualifying}

@@ -39,7 +39,7 @@ from clonecover.instances import (
     default_theta,
     generate_instance,
 )
-from clonecover import pipeline, synth
+from clonecover import analysis, decompose, pipeline, synth
 from clonecover.pipeline import run_pipeline, verify_pair
 from clonecover.synth import end_to_end_synthesize
 
@@ -843,23 +843,32 @@ class TestPipeline:
 
     def test_tuple_bounds_are_read_in_one_pass_per_sweep(self, monkeypatch):
         # The decomposition and its verifier each read every tuple's bound
-        # at one S from one tuple_bounds pass, which transposes the graph
-        # once (fiber_columns).  The K-tables and the helpers read no
-        # tuple_bounds: one complete_synthesis transposes dom(q) once and
-        # folds every S's bounds itself.
+        # at one S from one tuple_bounds pass, and on an instance they pass
+        # they build no fiber key (fiber_columns).  The K columns and the
+        # helpers read no tuple_bounds: one complete_synthesis transposes
+        # dom(q) once, fiber_columns at S = {}, and folds every S's bounds
+        # itself.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("tuple_bounds", "fiber_columns"))
+        calls = _count_calls(monkeypatch, ("tuple_bounds",))
+        keyed_at = []  # the S of every fiber_columns call
+        original = analysis.fiber_columns
+
+        def recording(g, s):
+            keyed_at.append(frozenset(s))
+            return original(g, s)
+
+        for module in (analysis, decompose, synth):
+            monkeypatch.setattr(module, "fiber_columns", recording)
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
         assert sweeps == 8
-        assert calls == {"tuple_bounds": sweeps, "fiber_columns": sweeps}
+        assert calls == {"tuple_bounds": sweeps} and keyed_at == []
         result = synth.complete_synthesis(
             inst.g, synth.normal_witness(inst.horizon), trace)
-        assert result.k_tables and result.h_family
-        assert calls == {"tuple_bounds": sweeps, "fiber_columns": sweeps + 1}
+        assert result.h_family and keyed_at == [frozenset()]
         assert verify_decomposition(inst.g, trace).passed
-        assert calls == {"tuple_bounds": 2 * sweeps,
-                         "fiber_columns": 2 * sweeps + 1}
+        assert calls == {"tuple_bounds": 2 * sweeps}
+        assert keyed_at == [frozenset()]
 
     def test_a_q_that_is_not_thrifty_fails_only_the_k_tables(self,
                                                               monkeypatch):
