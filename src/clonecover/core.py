@@ -117,19 +117,21 @@ class PartialFn:
     construction.
 
     ``PartialFn(...)`` copies the graph and checks every entry against the
-    arity, its key a tuple of points and its value a point.  Graphs valid
-    by construction are wrapped with ``_trusted`` instead, which does
-    neither: ``restrict`` and ``decompose.strong_decompose_stage`` keep
-    entries of checked functions; ``compose`` pairs its inner map's keys,
-    tuples over outer's arity, with outer's values; ``synth.normal_witness``
-    builds f* from the horizon alone; ``synth.build_h_family`` keys each
-    helper by dom(q) and codes its points once per call; ``synth.build_Q``
-    extends dom(q)'s keys by the slots in ascending order, with f*'s own
-    points; ``synth.assemble_term`` keys each inner-map component by
-    dom(g), with points of the decomposition's own tuples; and
-    ``instances._build_witness`` pairs its own points over a fixed arity.
-    Parsers, the generator's target g (``instances._build_target``) and
-    other builders from outside data go through the checked constructor.
+    arity, its key a tuple of points and its value a point, as builders
+    from outside data such as ``instances._build_target`` need.  Graphs
+    valid by construction are wrapped with ``_trusted`` instead, which
+    does neither.  The callers of ``_trusted``, all of them, as a lint test
+    checks: ``PartialFn.restrict`` and ``decompose.strong_decompose_stage``
+    keep entries of checked functions; ``compose`` pairs its inner map's
+    keys, tuples over outer's arity, with outer's values;
+    ``synth.normal_witness`` builds f* from the horizon alone;
+    ``synth.build_h_family`` keys each helper by dom(q) and codes its
+    points once per call; ``synth.build_Q`` extends dom(q)'s keys by the
+    slots in ascending order, with f*'s own points; ``synth.assemble_term``
+    keys each inner-map component by dom(g), with points of the
+    decomposition's own tuples; ``instances._witness_graph`` pairs its own
+    points over a fixed arity; and ``serialize._Reader.pfn`` builds each
+    tuple over the sorted arity from points it checked.
     """
 
     __slots__ = ("arity", "graph")

@@ -10,13 +10,10 @@ graph, strictly increasing arities of positive indices and the ceiling
 horizon² + horizon.  A graph's errors start with its place in the
 document, such as ``instance.candidates[1]``.
 
-Every graph is written by one function, whatever its arity: its entries
-as sorted int rows, formatted by one template per graph.  Each distinct
-point and tuple of a document is read back as one shared object.  A unary
-graph (the witness, f* and the candidates, about horizon²/2 entries each)
-is checked and read in one batched pass, other graphs entry by entry; both
-give the same objects, and an irregular unary graph is left to the
-per-entry reader, so it fails with the same ParseError.
+Every graph is written by one function and read by one pass over whole
+columns, whatever its arity, each distinct point and tuple of a document
+read back as one shared object; a graph the pass rejects is walked entry
+by entry only to name its fault.
 """
 from __future__ import annotations
 
@@ -24,6 +21,7 @@ import json
 from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import NoReturn
 
 from .core import (
     App,
@@ -60,14 +58,16 @@ def _shown(v) -> str:
 
 @contextmanager
 def _parsing(what: str):
-    """Report the lookup, type and value errors of a malformed document as
-    a ParseError about ``what``."""
+    """Report a malformed document's lookup, type and value errors, and
+    nesting too deep to recurse through, as a ParseError about ``what``."""
     try:
         yield
     except ParseError:
         raise
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {_cut(str(exc), 120)}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: nested too deeply") from exc
 
 
 def dumps(doc: dict) -> bytes:
@@ -209,75 +209,85 @@ def _graph_text(p: PartialFn) -> str:
         chain.from_iterable(rows))
 
 
-class _Reader:
-    """Reads the values of one document: each distinct point and tuple is
-    one object, and each distinct list of tuple index keys is checked once.
+def _point(obj) -> Point:
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise ParseError(f"bad point {_shown(obj)}")
+    x, y = obj
+    # JSON integers only: no bool, float, infinity or string
+    if type(x) is not int or type(y) is not int:
+        raise ParseError(f"bad point {_shown(obj)}: coordinates must be "
+                         "JSON integers")
+    if x < 0 or y < 0:
+        raise ParseError(f"bad point {_shown(obj)}: negative coordinate")
+    return Point(x, y)
 
-    A point is looked up only once both coordinates are known to be plain
-    ints, so a hit returns exactly what the full parse would; a malformed
-    value raises before anything is stored.
-    """
+
+def _mtuple(obj) -> MTuple:
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad tuple {_shown(obj)}")
+    indices = [_index(k, obj) for k in obj]
+    return MTuple(sorted(zip(indices, map(_point, obj.values()))))
+
+
+def _graph_fault(arity: frozenset, entries: list, where: str) -> NoReturn:
+    """Raise the ParseError naming, entry by entry, the first fault of a
+    graph `_Reader.graph` rejected; the pass accepts what this walk does."""
+    with _parsing(where):
+        try:
+            for n, entry in enumerate(entries):
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise ParseError(f"graph entry {n} {_shown(entry)} is "
+                                     "not a [tuple, point] pair")
+            graph = {_mtuple(u): _point(v) for u, v in entries}
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        if len(graph) != len(entries):
+            raise ParseError(f"{where}: two graph entries have equal domain "
+                             "tuples")
+        PartialFn(arity, graph)
+    raise AssertionError(f"{where}: the column pass rejected a valid graph")
+
+
+class _Reader:
+    """Reads the graphs of one document, one object per distinct value."""
 
     def __init__(self):
-        self.points: dict = {}   # (x, y) -> Point
-        self.indices: dict = {}  # index keys, in document order -> ints
-        self.tuples: dict = {}   # MTuple -> itself
+        # each Point and MTuple -> itself; no point equals a tuple
+        self.interned: dict = {}
 
-    def point(self, obj) -> Point:
-        if not (isinstance(obj, list) and len(obj) == 2):
-            raise ParseError(f"bad point {_shown(obj)}")
-        x, y = obj
-        # JSON integers only: no bool, float, infinity or string
-        if type(x) is not int or type(y) is not int:
-            raise ParseError(f"bad point {_shown(obj)}: coordinates must be "
-                             "JSON integers")
-        p = self.points.get((x, y))
-        if p is None:
-            if x < 0 or y < 0:
-                raise ParseError(f"bad point {_shown(obj)}: negative "
-                                 "coordinate")
-            p = self.points[x, y] = Point(x, y)
-        return p
-
-    def mtuple(self, obj) -> MTuple:
-        if not isinstance(obj, dict):
-            raise ParseError(f"bad tuple {_shown(obj)}")
-        keys = tuple(obj)
-        indices = self.indices.get(keys)
-        if indices is None:
-            indices = self.indices[keys] = tuple(_index(k, obj) for k in keys)
-        t = MTuple(sorted(zip(indices, map(self.point, obj.values()))))
-        return self.tuples.setdefault(t, t)
-
-    def unary_graph(self, arity: frozenset, entries):
-        """The graph of a function's entry list, read in one pass when its
-        arity, already read, is {i} for one index i and every entry is
-        regular: a pair of a key object holding exactly i's index key and
-        a point, each point a 2-list of JSON integers >= 0.  Anything else
-        gives None, which leaves the entries (an empty graph too), and
-        whatever ParseError they give, to the per-entry reader."""
-        if len(arity) != 1:
+    def graph(self, order: list, entries: list):
+        """The graph of an entry list over the sorted arity ``order``, read
+        by columns as `_graph_text` writes it; None unless each entry pairs
+        a key object of exactly the arity's index keys, in any order, with a
+        point, all points are 2-lists of ints >= 0 and all tuples differ."""
+        if not ({*map(type, entries)} <= {list}
+                and {*map(len, entries)} <= {2}):
             return None
-        if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
+        keys = [*map(itemgetter(0), entries)]
+        if not ({*map(type, keys)} <= {dict}
+                and {*map(len, keys)} <= {len(order)}):
             return None
-        [i] = arity
-        keys, outs = zip(*entries)
-        if ({*map(type, keys)} != {dict}
-                or {*map(tuple, keys)} != {(str(i),)}):
+        try:
+            # one column of point lists per index, then the values
+            lists = [*chain(*[map(itemgetter(str(i)), keys) for i in order],
+                            map(itemgetter(1), entries))]
+        except KeyError:
             return None
-        # the n input points, then the n output points
-        lists = [*chain.from_iterable(map(dict.values, keys)), *outs]
-        if ({*map(type, lists)} != {list} or {*map(len, lists)} != {2}
-                or {*map(type, chain.from_iterable(lists))} != {int}
-                or min(chain.from_iterable(lists)) < 0):
+        if not ({*map(type, lists)} <= {list} and {*map(len, lists)} <= {2}
+                and {*map(type, chain.from_iterable(lists))} <= {int}
+                and min(chain.from_iterable(lists), default=0) >= 0):
             return None
-        intern_point = self.points.setdefault
-        points = [intern_point(p, p)
+        intern = self.interned.setdefault
+        points = [intern(p, p)
                   for p in map(tuple.__new__, repeat(Point), lists)]
         n = len(entries)
-        intern_tuple = self.tuples.setdefault
-        return {intern_tuple(u, u): v for u, v in zip(
-            map(MTuple, zip(zip(repeat(i), points[:n]))), points[n:])}
+        values = points[len(order) * n:]
+        # the values column keeps n rows when the arity is empty
+        rows = zip(*[zip(repeat(i), points[j * n:(j + 1) * n])
+                     for j, i in enumerate(order)], values)
+        tuples = [*map(MTuple, map(itemgetter(slice(-1)), rows))]
+        graph = dict(zip(map(intern, tuples, tuples), values))
+        return graph if len(graph) == n else None
 
     def pfn(self, obj, where: str) -> PartialFn:
         """The function of the graph object obj, found at ``where`` in the
@@ -290,23 +300,10 @@ class _Reader:
                              "is not null")
         arity = _index_set(arity, f"{where}: arity")
         _typed(entries, list, f"{where}: graph")
-        with _parsing(where):
-            graph = self.unary_graph(arity, entries)
-            if graph is None:
-                try:
-                    for n, entry in enumerate(entries):
-                        if not (isinstance(entry, list) and len(entry) == 2):
-                            raise ParseError(
-                                f"graph entry {n} {_shown(entry)} is not a "
-                                "[tuple, point] pair")
-                    graph = {self.mtuple(u): self.point(v)
-                             for u, v in entries}
-                except ParseError as exc:
-                    raise ParseError(f"{where}: {exc}") from exc
-            if len(graph) != len(entries):
-                raise ParseError(f"{where}: two graph entries have equal "
-                                 "domain tuples")
-            return PartialFn(arity, graph)
+        graph = self.graph(sorted(arity), entries)
+        if graph is None:
+            _graph_fault(arity, entries, where)
+        return PartialFn._trusted(arity, graph)
 
 
 # -- terms ------------------------------------------------------------

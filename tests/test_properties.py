@@ -888,8 +888,10 @@ EDIT_VALUES = [0, 1, 2, -1, 10**6, 1.0, True, None, "x", "proj", "app", "ci",
 def mutated_documents(draw):
     """A generated instance or term document after one to three edits, each
     at an object or array of it: a key or element set (to a small JSON
-    value or a copy of another part of the document), dropped or added, or
-    an array reversed."""
+    value or a copy of another part of the document), dropped or added, an
+    array reversed, or an object's keys put in reverse order.  The document
+    is written in its own key order, so that last edit reaches the
+    reader."""
     kind, data = draw(st.sampled_from(_generated_documents()))
     doc = json.loads(data)
     for _ in range(draw(st.integers(1, 3))):
@@ -897,20 +899,24 @@ def mutated_documents(draw):
         site = draw(st.sampled_from(sites))
         value = draw(st.one_of(st.sampled_from(EDIT_VALUES),
                                st.sampled_from(sites).map(copy.deepcopy)))
-        action = draw(st.sampled_from(["set", "drop", "reverse"]))
+        action = draw(st.sampled_from(["set", "drop", "reverse", "reorder"]))
         if isinstance(site, dict):
             key = draw(st.sampled_from([*site, "zz"]))
-            if action == "drop" and key in site:
+            if action == "reorder":
+                items = [*site.items()]
+                site.clear()
+                site.update(reversed(items))
+            elif action == "drop" and key in site:
                 del site[key]
             else:
                 site[key] = value
-        elif action == "reverse" or not site:
+        elif action in ("reverse", "reorder") or not site:
             site.reverse()
         elif action == "drop":
             del site[draw(st.integers(0, len(site) - 1))]
         else:
             site.insert(draw(st.integers(0, len(site))), value)
-    return kind, serialize.dumps(doc)
+    return kind, json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
 
 PYTHON_MESSAGES = ("object is not iterable", "has no attribute",
@@ -955,11 +961,10 @@ class TestCanonicalBytes:
     @settings(max_examples=200, derandomize=True)
     @given(fn=any_arity_fns())
     def test_graphs_of_every_arity_match_the_json_reference(self, fn):
-        # Every graph is written by one path whatever its arity, and a
-        # unary one is read in one batched pass; the text must be
-        # json.dumps's of the sorted entries, and the graph read back the
-        # same, in the same order, with one object per distinct point and
-        # tuple.
+        # Every graph is written by one path and read by one column pass,
+        # whatever its arity; the text must be json.dumps's of the sorted
+        # entries, and the graph read back the same, in the same order,
+        # with one object per distinct point and tuple.
         order = sorted(fn.arity)
         t = Term(App("a", tuple(map(Proj, order))),
                  {"a": AtomBinding(fn, CI_ATOM)}, fn.arity)

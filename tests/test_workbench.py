@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import re
+import traceback
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -242,6 +243,82 @@ OBJECT_SITES = {
                         lambda d: (_first_projection(d["root"]), "term node")),
     "application node": ("term", lambda d: (d["root"], "term node")),
 }
+
+
+def _cut(text: str, limit: int) -> str:
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _canonical(value):
+    """value as the reader sees it in a written document: keys sorted."""
+    return json.loads(json.dumps(value, sort_keys=True))
+
+
+def _tuple_repr(points: dict) -> str:
+    """The repr of the tuple of ``{index: (x, y)}``."""
+    return "<" + ", ".join(f"{i}:({x}|{y})"
+                           for i, (x, y) in sorted(points.items())) + ">"
+
+
+# one bad point value for each point fault, and its message
+POINT_FAULTS = {
+    "bool": ([True, 1], ": coordinates must be JSON integers"),
+    "float": ([1.5, 1], ": coordinates must be JSON integers"),
+    "negative": ([1, -1], ": negative coordinate"),
+    "three-coordinates": ([1, 1, 0], ""),
+}
+GRAPH_FAULTS = [
+    "not-a-pair", "tuple-not-an-object", "key-01", "missing-key",
+    "extra-key", "wrong-indices", "duplicate-tuples",
+    *(f"{place}-{fault}" for place in ("key", "value")
+      for fault in POINT_FAULTS),
+]
+
+
+def _faulty_graph(order: list, fault: str) -> tuple:
+    """A graph object over ``order`` whose entry 1 carries ``fault``, and
+    the message its reader gives after the graph's place.  Entry n maps
+    the tuple of the points (n|i) to (n|n+1)."""
+    entries = [[{str(i): [n, i] for i in order}, [n, n + 1]]
+               for n in range(3)]
+    u = entries[1][0]
+    last = str(order[-1])
+    tuple_off_arity = None
+    if fault == "not-a-pair":
+        entries[1] = [u]
+        message = (f"graph entry 1 {_cut(repr(_canonical([u])), 60)} is not "
+                   "a [tuple, point] pair")
+    elif fault == "tuple-not-an-object":
+        entries[1][0] = [1, 1]
+        message = "bad tuple [1, 1]"
+    elif fault == "key-01":
+        u["01"] = u.pop("1")
+        message = (f"bad tuple {_cut(repr(_canonical(u)), 60)}: index key "
+                   "'01' is not a positive decimal")
+    elif fault == "missing-key":
+        del u[last]
+        tuple_off_arity = u
+    elif fault == "extra-key":
+        u[str(order[-1] + 1)] = [5, 5]
+        tuple_off_arity = u
+    elif fault == "wrong-indices":
+        entries[1][0] = tuple_off_arity = {str(i + 1): [1, i] for i in order}
+    elif fault == "duplicate-tuples":
+        entries[1][0] = copy.deepcopy(entries[0][0])
+        message = "two graph entries have equal domain tuples"
+    else:
+        place, kind = fault.split("-", 1)
+        bad, reason = POINT_FAULTS[kind]
+        if place == "key":
+            u[last] = bad
+        else:
+            entries[1][1] = bad
+        message = f"bad point {bad!r}{reason}"
+    if tuple_off_arity is not None:
+        points = {int(k): p for k, p in tuple_off_arity.items()}
+        message = _cut(f"domain tuple {_tuple_repr(points)} does not match "
+                       f"arity {order}", 120)
+    return {"arity": order, "codomain": None, "graph": entries}, message
 
 
 class TestSerialization:
@@ -811,6 +888,91 @@ class TestSerialization:
         assert data == serialize.dumps(json.loads(data.decode()))
         assert data.endswith(b"\n") and b": " not in data
 
+    @pytest.mark.parametrize("site", ["instance.g", 'term.env["a"].fn'])
+    @pytest.mark.parametrize("order", [[1], [1, 2], [1, 2, 3],
+                                       [*range(1, 11)]],
+                             ids=lambda order: f"arity{len(order)}")
+    @pytest.mark.parametrize("fault", GRAPH_FAULTS)
+    def test_one_fault_in_a_graph_of_any_arity(self, fault, order, site):
+        # One rule reads every graph, whatever its arity; each fault is
+        # named by the same message on an instance's g and on a term atom.
+        # Arity 10 writes its keys in JSON's order, "10" before "2".
+        graph, message = _faulty_graph(order, fault)
+        if site == "instance.g":
+            doc, load = json.loads(serialize.instance_dumps(
+                generate_instance(1, 6, 3, seed=0))), serialize.instance_loads
+            doc["g"] = graph
+        else:
+            doc, load = self.small_term_doc(), serialize.term_loads
+            doc["env"]["a"]["fn"] = graph
+        with pytest.raises(serialize.ParseError) as exc:
+            load(serialize.dumps(doc))
+        assert str(exc.value) == f"{site}: {message}"
+
+    def test_tuple_keys_in_any_order_load(self):
+        # The writer lists a tuple's keys in JSON's order; keys listed in
+        # another order name the same tuple, and write back canonically.
+        order = [1, 2, 10]
+        fn = PartialFn(frozenset(order), {
+            MTuple(tuple((i, Point(n, i)) for i in order)): Point(n, 0)
+            for n in range(4)})
+        term = Term(App("a", tuple(map(Proj, order))),
+                    {"a": AtomBinding(fn, CI_ATOM)}, fn.arity)
+        inst = generate_instance(2, 8, 4, seed=3)
+        for data, load, dump, graph in (
+                (serialize.term_dumps(term), serialize.term_loads,
+                 serialize.term_dumps, lambda d: d["env"]["a"]["fn"]),
+                (serialize.instance_dumps(inst), serialize.instance_loads,
+                 serialize.instance_dumps, lambda d: d["g"])):
+            doc = json.loads(data)
+            entries = graph(doc)["graph"]
+            for n, entry in enumerate(entries):
+                keys = [*entry[0]]
+                keys = keys[n % len(keys):] + keys[:n % len(keys)]
+                entry[0] = {k: entry[0][k] for k in reversed(keys)}
+            reordered = json.dumps(doc, separators=(",", ":")).encode()
+            assert reordered != data
+            assert dump(load(reordered)) == data
+
+    @staticmethod
+    def deep_term(depth: int) -> bytes:
+        """A term document whose root applies the unary atom a ``depth``
+        times to x1, written without a recursive writer."""
+        root = ('{"children":[' * depth + '{"k":1,"t":"proj"}'
+                + '],"name":"a","t":"app"}' * depth)
+        return ('{"arity":[1],"env":{"a":{"fn":{"arity":[1],"codomain":null,'
+                '"graph":[[{"1":[0,1]},[0,1]]]},"kind":"ci"}},"kind":"term",'
+                f'"root":{root},"version":1}}\n').encode()
+
+    def test_a_deep_term_is_one_parse_error(self, monkeypatch, tmp_path,
+                                           capsys):
+        # 400 nested applications parse as JSON and as term nodes, and used
+        # to escape compile_term as a RecursionError.  Deeper ones overflow
+        # the node reader itself where JSON's nesting limit lies past the
+        # interpreter's recursion limit, as on Python 3.12; here the reader
+        # is handed such a document already parsed.
+        assert serialize.term_loads(self.deep_term(3)).depth() == 4
+        path = tmp_path / "deep.json"
+        path.write_bytes(self.deep_term(400))
+        doc = json.loads(self.deep_term(0))
+        for _ in range(5000):
+            doc["root"] = {"t": "app", "name": "a", "children": [doc["root"]]}
+        for reader, message in (("compile_term", "term: nested too deeply"),
+                                ("_node_parse",
+                                 "term node: nested too deeply")):
+            if reader == "_node_parse":
+                monkeypatch.setattr(serialize, "loads", lambda data, kind: doc)
+            with pytest.raises(serialize.ParseError) as exc:
+                serialize.term_loads(path.read_bytes())
+            assert str(exc.value) == message
+            frames = [f.name for f in traceback.extract_tb(
+                exc.value.__cause__.__traceback__)]
+            assert reader in frames
+            assert ("compile_term" in frames) == (reader == "compile_term")
+            # the command line prints it as one line and exits 2
+            assert main(["verify", "--m", "1", "--term", str(path)]) == 2
+            assert capsys.readouterr().err == f"clonecover: {message}\n"
+
 
 class TestPipeline:
     def test_report_passes_on_generated_instance(self):
@@ -996,27 +1158,34 @@ class TestPipeline:
         # One entry of the ({1}, 2) helper leaves the x = 0 row after
         # synthesis; the check must fail and name that pair alone.  A
         # helper built off the row stops the selector stage instead, as
-        # f* is defined on x = 0 only.
+        # f* is defined on x = 0 only.  The first entry's value (0|1) is
+        # shared, so its line then holds two points; (0|19) is the value
+        # of one entry alone, and only the x test sees (1|19).
         complete = pipeline.complete_synthesis
+        for value in (None, Point(0, 19)):
 
-        def shifted_helper(g, f_star, trace):
-            result = complete(g, f_star, trace)
-            family = dict(result.h_family)
-            h = family[(idx(1), 2)]
-            u, v = next(iter(h.graph.items()))
-            family[(idx(1), 2)] = PartialFn(h.arity,
-                                            {**h.graph, u: Point(1, v.y)})
-            return dataclasses.replace(result, h_family=family)
+            def shifted_helper(g, f_star, trace, value=value):
+                result = complete(g, f_star, trace)
+                family = dict(result.h_family)
+                h = family[(idx(1), 2)]
+                u, v = next((u, v) for u, v in h.graph.items()
+                            if value in (None, v))
+                shared = [*h.graph.values()].count(v) > 1
+                assert shared == (value is None)
+                family[(idx(1), 2)] = PartialFn(h.arity,
+                                                {**h.graph, u: Point(1, v.y)})
+                return dataclasses.replace(result, h_family=family)
 
-        monkeypatch.setattr(pipeline, "complete_synthesis", shifted_helper)
-        report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert not report["passed"]
-        assert checks["helper range certificates"] == {
-            "name": "helper range certificates", "passed": False,
-            "detail": "[([1], 2)]"}
-        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
-            "helper range certificates"]
+            monkeypatch.setattr(pipeline, "complete_synthesis",
+                                shifted_helper)
+            report, _ = run_pipeline(generate_instance(2, 8, 4, seed=9))
+            checks = {c["name"]: c for c in report["checks"]}
+            assert not report["passed"]
+            assert checks["helper range certificates"] == {
+                "name": "helper range certificates", "passed": False,
+                "detail": "[([1], 2)]"}
+            assert [c["name"] for c in report["checks"]
+                    if not c["passed"]] == ["helper range certificates"]
 
     @pytest.mark.parametrize("m, profile, size", [
         *((m, profile, 0) for m in (1, 2, 3) for profile in PROFILES),
@@ -1204,6 +1373,23 @@ class TestValidatedConstructions:
             monkeypatch, lambda: hereditary_decompose(inst.g, inst.theta))
         assert len(trace.stages) == 8
         assert count == 0
+
+    @pytest.mark.parametrize("m, profile", [(1, "mixed"), (2, "mixed"),
+                                            (3, "mary-witness")])
+    def test_reading_documents_checks_no_graph(self, monkeypatch, m,
+                                               profile):
+        # The reader checks each graph in its own pass and builds every
+        # tuple over the sorted arity itself; running the checked
+        # constructor over the result too made one construction per graph.
+        inst = generate_instance(m, 8, 4, 5, profile)
+        term = end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                                     unary_candidates=inst.candidates).term
+        docs = serialize.instance_dumps(inst), serialize.term_dumps(term)
+        count, (inst_back, term_back) = self.count_inits(
+            monkeypatch, lambda: (serialize.instance_loads(docs[0]),
+                                  serialize.term_loads(docs[1])))
+        assert count == 0
+        assert inst_back == inst and term_back == term
 
 
 class TestCli:
