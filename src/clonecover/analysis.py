@@ -108,17 +108,11 @@ def tuple_bounds(g: PartialFn, s: IndexSet) -> list:
     return lows[0] if lows else [0] * len(g.graph)
 
 
-def fiber_k(tuples: Iterable[MTuple], s: IndexSet,
-            key: MTuple) -> Optional[int]:
-    """The K of the fiber at the S-part ``key`` on one value line: the
-    largest bound at S, as `tuple_bounds` reads it, among those of
-    ``tuples``, the tuples of dom(g) whose value lies on that line, in the
-    fiber; None when none is.  One scan of the line's tuples, so a caller
-    that groups dom(g) by value line once pays for that line alone."""
-    if key:  # at S = {} every tuple is in the one fiber
-        part = set(key)
-        tuples = [u for u in tuples if part.issubset(u)]
-    lows = [min([p.y for i, p in u if i not in s], default=-1) for u in tuples]
+def fiber_k(fiber: Iterable[MTuple], s: IndexSet) -> Optional[int]:
+    """The K of one fiber at S on one value line: the largest bound at S,
+    as `tuple_bounds` reads it, among ``fiber``, the fiber's tuples whose
+    value lies on that line; None when there are none."""
+    lows = [min([p.y for i, p in u if i not in s], default=-1) for u in fiber]
     return max(lows) + 1 if lows else None
 
 

@@ -50,8 +50,9 @@ class MTuple(tuple):
     methods, so an M-tuple equals and hashes like the plain tuple of its
     entries; the ordering is only used for deterministic iteration.
     Iteration, ``len`` and truth are the entries'; ``u[i]`` and ``i in u``
-    read index i.  The index set is computed on read and shared: tuples
-    over the same indices give the same frozenset.
+    scan the entries, fine for an m-tuple but quadratic over a wide row
+    read index by index, so such rows are read in slot order.  Tuples over
+    the same indices share one frozenset index set, computed on read.
     """
 
     __slots__ = ()

@@ -356,13 +356,12 @@ def assemble_term(q: PartialFn, f_star: PartialFn, h_family: Mapping,
 # -- width certificates for the selector ------------------------------
 
 
-def _in_product(uv: MTuple, factors: Mapping, keys: Sequence) -> bool:
+def _in_product(uv: MTuple, factors: Sequence) -> bool:
     """Whether each slot of uv lies in its width-1 factor, a line -> column
-    map read as column 0 on a line it does not list; ``keys`` in slot
-    order."""
-    for slot, key in enumerate(keys, 1):
-        x, y = uv[slot]
-        if factors[key].get(y, 0) != x:
+    map read as column 0 on a line it does not list; ``factors`` in slot
+    order, one per slot of uv."""
+    for factor, (_, (x, y)) in zip(factors, uv, strict=True):
+        if factor.get(y, 0) != x:
             return False
     return True
 
@@ -446,11 +445,11 @@ def spanned_family(entries: Sequence[MTuple], m: int) -> dict:
     each factor key, the line -> column map of the entries' points in its
     slot.  Lines it does not list read as column 0, the (0|0) convention
     that `build_h_family` applies to the helpers."""
-    family = {}
-    for slot, key in enumerate(factor_keys(m), 1):
+    keys, family = factor_keys(m), {}
+    columns = list(zip(*entries)) if entries else [()] * len(keys)
+    for key, column in zip(keys, columns, strict=True):
         factor = family[key] = {}
-        for uv in entries:
-            x, y = uv[slot]
+        for _, (x, y) in column:
             if factor.setdefault(y, x) != x:
                 raise ValueError(
                     f"factor {key!r} has width above 1 on line {y}")
@@ -483,11 +482,11 @@ def main_lemma_certify(q_table: PartialFn, factors: Mapping, m: int) -> list:
     the lines certified: they list dom(q) one for one with q's values, so
     each K the certificates read comes from the table alone.
     """
-    keys = factor_keys(m)
+    in_slot_order = [factors[key] for key in factor_keys(m)]
     groups: dict = {}  # (value line, perm) -> qualifying entries
     for uv, val in q_table.graph.items():
-        if _in_product(uv, factors, keys):
-            line_of = {i: p.y for i, p in uv if i <= m}
+        if _in_product(uv, in_slot_order):
+            line_of = {i: p.y for i, p in itertools.islice(uv, m)}
             tied = [tuple(group) for _, group in itertools.groupby(
                 sorted(line_of, key=line_of.get), key=line_of.get)]
             for parts in itertools.product(
@@ -506,27 +505,29 @@ def _certify_line(inputs: list, factors: Mapping, n: int, perm: tuple,
                   qualifying: list) -> UniquenessReport:
     """Compute the unique candidate input for line n under perm and check
     that the qualifying entries, sorted and at least one, are just it;
-    ``inputs`` are the input parts of the table's entries on line n.
+    ``inputs`` are the input parts of the table's entries on line n, index
+    j at position j - 1 as Q's arity 1..len(keys) lays them out.
 
     The recursion, under the reindexing perm: at step j the fiber fixed so
-    far gives a bound k_j at line n (`fiber_k` over ``inputs``); the
-    (S,j)-factor selects the line b_j at k_j, and the j-th input factor
-    selects the column a_j at b_j.
+    far, the inputs that agree with the candidate, gives a bound k_j at
+    line n (`fiber_k`); the (S,j)-factor selects the line b_j at k_j, and
+    the j-th input factor the column a_j at b_j, which narrows the fiber.
     """
-    candidate: dict = {}  # also the fiber's key, the S-part fixed so far
-    detail = ""
+    candidate: dict = {}
+    fiber, detail = inputs, ""
     for step, j in enumerate(perm):
         s = frozenset(perm[:step])
-        big_k = fiber_k(inputs, s, MTuple.of(candidate))
+        big_k = fiber_k(fiber, s)
         if big_k is None:
             detail = "qualifying entry despite missing K chain"
             break
         bj = factors[(s, j)].get(big_k, 0)
-        candidate[j] = Point(factors[j].get(bj, 0), bj)
-    else:
+        candidate[j] = point = Point(factors[j].get(bj, 0), bj)
+        fiber = [u for u in fiber if u[j - 1] == (j, point)]
+    else:  # the last fiber holds the inputs equal to the candidate
         if len(qualifying) > 1:
             detail = "more than one qualifying entry"
-        elif any(qualifying[0][j] != candidate[j] for j in candidate):
+        elif tuple(itertools.islice(qualifying[0], len(perm))) not in fiber:
             detail = "qualifying entry differs from candidate"
     return UniquenessReport(
         line=n, perm=perm, candidate=candidate,

@@ -130,25 +130,31 @@ class TestKTable:
 
 
 class TestFiberK:
-    """`fiber_k` over the tuples of one value line, at the edges."""
+    """`fiber_k` over the tuples of one fiber on one value line, at the
+    edges; the test cuts each fiber from its line by the S-part."""
 
     def test_largest_bound_in_the_fiber(self):
         # At S = {1} the fiber <1:(0|0)> holds the first two tuples, with
         # bounds 4 and 2; the third lies in another fiber.
         line = [tup((0, 0), (1, 3)), tup((0, 0), (2, 1)),
                 tup((5, 5), (0, 8))]
-        assert fiber_k(line, idx(1), MTuple.of({1: pt(0, 0)})) == 4
-        assert fiber_k(line, idx(1), MTuple.of({1: pt(5, 5)})) == 9
-        assert fiber_k(line, frozenset(), MTuple.empty()) == 6
+        assert fiber_k(fiber_of(line, {1: pt(0, 0)}), idx(1)) == 4
+        assert fiber_k(fiber_of(line, {1: pt(5, 5)}), idx(1)) == 9
+        assert fiber_k(line, frozenset()) == 6
 
     def test_none_off_the_fiber(self):
         line = [tup((0, 0), (1, 3))]
-        assert fiber_k(line, idx(1), MTuple.of({1: pt(0, 1)})) is None
-        assert fiber_k([], frozenset(), MTuple.empty()) is None
+        assert fiber_k(fiber_of(line, {1: pt(0, 1)}), idx(1)) is None
+        assert fiber_k([], frozenset()) is None
 
     def test_whole_arity_gives_zero(self):
         u = tup((0, 4), (1, 2))
-        assert fiber_k([u], idx(1, 2), u) == 0
+        assert fiber_k([u], idx(1, 2)) == 0
+
+
+def fiber_of(line, key):
+    """The tuples of ``line`` whose S-part is the {index: point} ``key``."""
+    return [u for u in line if u.restrict(frozenset(key)) == MTuple.of(key)]
 
 
 class TestHereditarilyThrifty:

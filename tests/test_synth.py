@@ -440,6 +440,83 @@ class TestSelectorCertificates:
             row for row in oracle.certify_every_pair(q_table, family, 2)
             if row[3]]
 
+    def test_a_fiber_that_empties_at_the_third_step(self):
+        # m = 3 over 15 slots, all on value line 5; both entries hold
+        # <1:(0|1)>.  The qualifying entry's inputs lie on lines 1, 2, 3
+        # (perm (1, 2, 3)), and it puts the helper columns that send the
+        # chain to line 1 of input 1, then to line 7 of input 2.  The
+        # other entry lies off the product (slot 3 holds column 5), but
+        # its inputs keep the fiber at S = {1} two tuples wide; neither
+        # has <2:(0|7)>, so the fiber at S = {1, 2} is empty.
+        def row(inputs, helpers):
+            points = dict(enumerate(inputs + [(0, 0)] * 12, 1))
+            points.update(helpers)
+            return MTuple.of({i: pt(*p) for i, p in points.items()})
+
+        keys = factor_keys(3)
+        slot = {key: at for at, key in enumerate(keys, 1)}
+        qualifying = row([(0, 1), (0, 2), (0, 3)], {
+            slot[frozenset(), 1]: (1, 2), slot[idx(1), 2]: (7, 3)})
+        other = row([(0, 1), (0, 4), (5, 0)], {})
+        q_table = PartialFn(full_index(len(keys)), {
+            qualifying: pt(0, 5), other: pt(1, 5)})
+        family = spanned_family((qualifying,), 3)
+        [cert] = main_lemma_certify(q_table, family, 3)
+        assert (cert.perm, cert.candidate, cert.qualifying, cert.detail) == (
+            (1, 2, 3), {1: pt(0, 1), 2: pt(0, 7)}, (qualifying,),
+            "qualifying entry despite missing K chain")
+        assert certificate_rows([cert]) == [
+            row for row in oracle.certify_every_pair(q_table, family, 3)
+            if row[3]]
+
+    def test_a_short_row_raises(self):
+        # Q's second slot is missing: the row lies in the product as far
+        # as it goes, and neither reader may take it as complete.
+        short = tup((0, 0))
+        q_table = PartialFn(idx(1), {short: pt(0, 5)})
+        family = {1: {}, (frozenset(), 1): {}}
+        with pytest.raises((KeyError, ValueError)):
+            main_lemma_certify(q_table, family, 1)
+        with pytest.raises((KeyError, ValueError)):
+            spanned_family((short,), 1)
+        with pytest.raises((KeyError, ValueError)):
+            spanned_family((tup((0, 0), (0, 0)), short), 1)
+
+    def test_spanned_family_names_the_first_slot_that_conflicts(self):
+        # The second entry conflicts with the first on slot 2 only, the
+        # third on slot 1 only: slot 1's key is named.
+        entries = [tup((0, 0), (0, 3)), tup((0, 0), (2, 3)),
+                   tup((1, 0), (0, 3))]
+        with pytest.raises(ValueError) as raised:
+            spanned_family(entries, 1)
+        assert str(raised.value) == "factor 1 has width above 1 on line 0"
+
+    @pytest.mark.parametrize("m, horizon, theta", [(3, 8, 4), (5, 16, 10)])
+    def test_certificates_read_rows_in_slot_order(self, monkeypatch, m,
+                                                  horizon, theta):
+        # u[i] scans u's entries, so reading a selector row slot by slot
+        # is quadratic in its m + m 2^(m-1) slots.  Spanning the family
+        # and certifying read rows in slot order: at most m index reads
+        # per certificate.
+        inst = generate_instance(m, horizon, theta, 0, "mixed")
+        res = end_to_end_synthesize(
+            inst.g, inst.f, inst.theta, inst.horizon,
+            unary_candidates=inst.candidates)
+        entries = verify_Q_in_CI(res.q_table, m).entries
+        reads = [0]
+        original = MTuple.__getitem__
+
+        def counting(self, i):
+            reads[0] += 1
+            return original(self, i)
+
+        monkeypatch.setattr(MTuple, "__getitem__", counting)
+        family = spanned_family(entries, m)
+        certs = main_lemma_certify(res.q_table, family, m)
+        monkeypatch.undo()
+        assert certs and not any(cert.detail for cert in certs)
+        assert reads[0] <= m * len(certs)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_certificates_read_the_shipped_table_alone(self, m):
         # The loaded term's Q gives the certificates the synthesized one
