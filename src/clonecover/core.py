@@ -125,14 +125,15 @@ class PartialFn:
     checks: ``PartialFn.restrict`` and ``decompose.strong_decompose_stage``
     keep entries of checked functions; ``compose`` pairs its inner map's
     keys, tuples over outer's arity, with outer's values;
-    ``synth.normal_witness`` builds f* from the horizon alone;
-    ``synth.build_h_family`` keys each helper by dom(q) and codes its
-    points once per call; ``synth.build_Q`` extends dom(q)'s keys by the
-    slots in ascending order, with f*'s own points; ``synth.assemble_term``
-    keys each inner-map component by dom(g), with points of the
-    decomposition's own tuples; ``instances._witness_graph`` pairs its own
-    points over a fixed arity; and ``serialize._Reader.pfn`` builds each
-    tuple over the sorted arity from points it checked.
+    ``synth.reduce_to_unary`` keys each composite by a candidate's own
+    tuples, with f's own points; ``synth.normal_witness`` builds f* from
+    the horizon alone; ``synth.build_h_family`` keys each helper by dom(q)
+    and codes its points once per call; ``synth.build_Q`` extends dom(q)'s
+    keys by the slots in ascending order, with f*'s own points;
+    ``synth.assemble_term`` keys each inner-map component by dom(g), with
+    points of the decomposition's own tuples; ``instances._witness_graph``
+    pairs its own points over a fixed arity; and ``serialize._Reader.pfn``
+    builds each tuple over the sorted arity from points it checked.
     """
 
     __slots__ = ("arity", "graph")

@@ -49,14 +49,12 @@ def oplus(n: int, k: int) -> int:
 
 def width1_slices(points: Iterable[Point]) -> list:
     """Split a point set into width-1 slices (t-th point per line, by x)."""
-    by_line: dict = {}
+    slices: dict = {}  # t -> the points t-th on their line
+    placed: dict = {}  # line -> the t of its last point so far
     for p in sorted(points):
-        by_line.setdefault(p.y, []).append(p)
-    depth = max((len(ps) for ps in by_line.values()), default=0)
-    return [
-        frozenset(ps[t] for ps in by_line.values() if len(ps) > t)
-        for t in range(depth)
-    ]
+        t = placed[p.y] = placed.get(p.y, -1) + 1
+        slices.setdefault(t, []).append(p)
+    return list(map(frozenset, slices.values()))
 
 
 def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
@@ -67,7 +65,9 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
     Otherwise candidate tuples are tried in lexicographic order; the first
     composite mapping some width-1 slice of its domain to an image of width
     above 1 is returned.  Exhaustion is an error (the candidate set simply
-    contained no witness), not a refutation.
+    contained no witness), not a refutation.  f is looked up over whole
+    columns, at plain (index, point) rows that hash like `MTuple`s, where
+    (index, None) is never a key; composites are wrapped unchecked.
     """
     if len(f.arity) < 2:
         return f
@@ -75,18 +75,15 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
     for c in candidates:
         if sorted(c.arity) != [1]:
             raise IndexMismatchError("candidates must be unary point-valued")
-    # Each candidate's domain is sorted once; a combo walks its first
-    # candidate's, keeping the points every other candidate also maps.
     sorted_graphs = [(sorted(c.graph), c.graph) for c in candidates]
+    unary = full_index(1)
     for combo in itertools.product(sorted_graphs, repeat=len(arity)):
-        graph = {}
-        for d in combo[0][0]:
-            args = [cg.get(d) for _, cg in combo]
-            if None not in args:
-                v = f.graph.get(MTuple(zip(arity, args)))
-                if v is not None:
-                    graph[d] = v
-        composite = PartialFn(full_index(1), graph)
+        domain = combo[0][0]
+        rows = zip(*[zip(itertools.repeat(i), map(cg.get, domain))
+                     for i, (_, cg) in zip(arity, combo)])
+        composite = PartialFn._trusted(unary, {
+            d: v for d, v in zip(domain, map(f.graph.get, rows))
+            if v is not None})
         if _has_width_blowup(composite):
             return composite
     raise AdmissibilityError("no unary witness in candidate set")
@@ -95,7 +92,7 @@ def reduce_to_unary(f: PartialFn, candidates: Sequence[PartialFn]) -> PartialFn:
 def _has_width_blowup(p: PartialFn) -> bool:
     """Some width-1 slice of dom(p) maps to an image of width above 1."""
     value_at = {d: v for ((_, d),), v in p.graph.items()}
-    return any(width(value_at[d] for d in sl) > 1
+    return any(width(map(value_at.__getitem__, sl)) > 1
                for sl in width1_slices(value_at))
 
 
@@ -118,13 +115,20 @@ class NormalizedWitness:
     row_map: dict  # original row index -> normalized row index
 
 
+# Point from an (x, y) pair, without the namedtuple's Python-level __new__
+_point = functools.partial(tuple.__new__, Point)
+
+
 def normal_witness(horizon: int) -> PartialFn:
     """The normalized witness f*: (0 | n (+) k) |-> (k | n) for k < n <
-    horizon, after the harmless (0|0) |-> (0|0) entry."""
+    horizon, in (n, k) order after the harmless (0|0) |-> (0|0) entry."""
+    ns = [n for n in range(1, horizon) for _ in range(n)]
+    ks = [k for n in range(1, horizon) for k in range(n)]
+    codes = map(_point, zip(itertools.repeat(0),
+                            [n * n + k for n, k in zip(ns, ks)]))  # n (+) k
     graph = {MTuple(((1, ORIGIN),)): ORIGIN}
-    for n in range(1, horizon):
-        for k in range(n):
-            graph[MTuple(((1, Point(0, oplus(n, k))),))] = Point(k, n)
+    graph.update(zip(map(MTuple, zip(zip(itertools.repeat(1), codes))),
+                     map(_point, zip(ks, ns))))
     return PartialFn._trusted(full_index(1), graph)
 
 
@@ -137,6 +141,8 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     target lines are filled from the largest demand down, each taking the
     smallest-label unused image line with enough points; points within a
     line are ordered by x, and each point's preimage is its least-y one.
+    The chosen lines' first n points are checked in (n, k) order, and
+    their preimages are zipped with f*'s own key points.
     """
     if sorted(f_unary.arity) != [1]:
         raise IndexMismatchError("witness must be unary and point-valued")
@@ -169,21 +175,22 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     f_star = normal_witness(horizon)
     line_map = {chosen_line[n]: n for n in range(1, horizon)}
     row_map: dict = {}
-    relabel_domain: dict = {}
-    # f*'s entries after (0|0) |-> (0|0) are (0 | n (+) k) |-> (k | n), in
-    # the order the checks run: n ascending, then k.
-    entries = itertools.islice(f_star.graph.items(), 1, None)
-    for ((_, code),), (k, n) in entries:
-        v, d = by_line[chosen_line[n]][k]
-        if d.x != 0:
-            raise AdmissibilityError(
-                f"witness preimage {d!r} is off the x=0 column"
-            )
-        if row_map.setdefault(v.x, k) != k:
-            raise AdmissibilityError(
-                f"row {v.x} cannot be relabeled consistently"
-            )
-        relabel_domain[code] = d
+    preimages = []
+    # the checks run in f*'s entry order: n ascending, then k
+    for n in range(1, horizon):
+        for k, (v, d) in enumerate(by_line[chosen_line[n]][:n]):
+            if d.x != 0:
+                raise AdmissibilityError(
+                    f"witness preimage {d!r} is off the x=0 column"
+                )
+            if row_map.setdefault(v.x, k) != k:
+                raise AdmissibilityError(
+                    f"row {v.x} cannot be relabeled consistently"
+                )
+            preimages.append(d)
+    # f*'s entries after (0|0) |-> (0|0) are (0 | n (+) k) |-> (k | n)
+    keys = itertools.islice(f_star.graph, 1, None)
+    relabel_domain = dict(zip([code for ((_, code),) in keys], preimages))
 
     return NormalizedWitness(
         f_star=f_star,
@@ -359,8 +366,8 @@ def assemble_term(q: PartialFn, f_star: PartialFn, h_family: Mapping,
 def _in_product(uv: MTuple, factors: Sequence) -> bool:
     """Whether each slot of uv lies in its width-1 factor, a line -> column
     map read as column 0 on a line it does not list; ``factors`` in slot
-    order, one per slot of uv."""
-    for factor, (_, (x, y)) in zip(factors, uv, strict=True):
+    order, one per slot of uv, as `main_lemma_certify` checks once."""
+    for factor, (_, (x, y)) in zip(factors, uv):
         if factor.get(y, 0) != x:
             return False
     return True
@@ -480,9 +487,12 @@ def main_lemma_certify(q_table: PartialFn, factors: Mapping, m: int) -> list:
     of each group of indices on one line, so they are generated, not
     searched for among all m!.  A second scan collects the input parts of
     the lines certified: they list dom(q) one for one with q's values, so
-    each K the certificates read comes from the table alone.
+    each K the certificates read comes from the table alone.  A table
+    whose arity is not one slot per factor key raises ValueError.
     """
     in_slot_order = [factors[key] for key in factor_keys(m)]
+    if len(q_table.arity) != len(in_slot_order):
+        raise ValueError("the selector's arity is not one slot per key")
     groups: dict = {}  # (value line, perm) -> qualifying entries
     for uv, val in q_table.graph.items():
         if _in_product(uv, in_slot_order):

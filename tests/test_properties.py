@@ -43,7 +43,7 @@ from clonecover.decompose import (
     strong_decompose_stage,
     verify_decomposition,
 )
-from clonecover.instances import Instance, generate_instance
+from clonecover.instances import PROFILES, Instance, generate_instance
 from clonecover.synth import (
     assemble_term,
     build_h_family,
@@ -550,29 +550,46 @@ class TestWitnessMatchesOracle:
     @settings(max_examples=20, derandomize=True)
     @given(case=scrambled_witnesses(), rng=st.randoms(use_true_random=False))
     def test_reduce_to_unary(self, case, rng):
-        # f(u, anchor) = witness(u), recovered through (ident, const); a
-        # decoy sends half the support into it or off it.  The candidates
-        # come in a drawn order, and without ident the search may exhaust
-        # them.
-        _, f = case
-        support = sorted(u.points()[0] for u in f.graph)
-        anchor = rng.choice(support)
-        binary = PartialFn(idx(1, 2), {tup(u.points()[0], anchor): v
-                                       for u, v in f.graph.items()})
-        ident = unary({p: p for p in support})
-        const = unary({p: anchor for p in support})
-        decoy = unary({p: rng.choice((rng.choice(support), (p.x + 1, p.y)))
-                       for p in rng.sample(support, len(support) // 2)})
-        candidates = [const, decoy]
-        if rng.random() < 0.75:
-            candidates.append(ident)
-        rng.shuffle(candidates)
+        binary, candidates = binary_witness(case[1], rng)
 
         def run(reduce):
             return items(reduce(binary, candidates).graph)
 
         assert (outcome(run, reduce_to_unary)
                 == outcome(run, oracle.reduce_to_unary))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_at_the_benchmark_horizon(self, seed, profile):
+        # The drawn witnesses stop at horizon 8; horizon-m3 runs 64.
+        inst = generate_instance(3, 64, 32, seed, profile)
+        f = reduce_to_unary(inst.f, inst.candidates)
+        assert items(f.graph) == items(
+            oracle.reduce_to_unary(inst.f, inst.candidates).graph)
+        nw = normalize_f(f, 64)
+        f_star, *maps = oracle.normalize(f, 64)
+        assert (items(nw.f_star.graph, nw.relabel_domain, nw.line_map,
+                      nw.row_map) == items(f_star.graph, *maps))
+
+
+def binary_witness(f, rng):
+    """(binary, candidates) for a unary witness f: f(u, anchor) = f(u),
+    recovered through (ident, const); a decoy sends half the support into
+    it or off it.  The candidates come in a drawn order, and without ident
+    the search may exhaust them."""
+    support = sorted(u.points()[0] for u in f.graph)
+    anchor = rng.choice(support)
+    binary = PartialFn(idx(1, 2), {tup(u.points()[0], anchor): v
+                                   for u, v in f.graph.items()})
+    ident = unary({p: p for p in support})
+    const = unary({p: anchor for p in support})
+    decoy = unary({p: rng.choice((rng.choice(support), (p.x + 1, p.y)))
+                   for p in rng.sample(support, len(support) // 2)})
+    candidates = [const, decoy]
+    if rng.random() < 0.75:
+        candidates.append(ident)
+    rng.shuffle(candidates)
+    return binary, candidates
 
 
 def assert_valid(out):
@@ -611,6 +628,16 @@ class TestTrustedResults:
         assert {u: MTuple.of({i: part.graph[u]
                               for i, part in zip(sorted(arity), parts)})
                 for u in g.graph} == inner
+
+    @settings(max_examples=20, derandomize=True)
+    @given(case=scrambled_witnesses(), rng=st.randoms(use_true_random=False))
+    def test_reduce_to_unary(self, case, rng):
+        binary, candidates = binary_witness(case[1], rng)
+        try:
+            composite = reduce_to_unary(binary, candidates)
+        except AdmissibilityError:
+            return
+        assert_valid(composite)
 
     @settings(max_examples=100, derandomize=True)
     @given(data=st.data(), case=fns_and_subsets())

@@ -101,6 +101,21 @@ class TestReduceToUnary:
         with pytest.raises(AdmissibilityError):
             reduce_to_unary(f, [ident])
 
+    def test_no_checked_construction(self, monkeypatch):
+        # Every composite keys a candidate's own checked tuples to f's own
+        # points, so none goes through the checked constructor.
+        inst = generate_instance(3, 64, 32, 0, "mary-witness")
+        built = []
+        checked = PartialFn.__init__
+
+        def counting(fn, *args):
+            built.append(fn)
+            checked(fn, *args)
+
+        monkeypatch.setattr(PartialFn, "__init__", counting)
+        assert len(reduce_to_unary(inst.f, inst.candidates)) == 2016
+        assert built == []
+
 
 class TestNormalizeF:
     def make_planted(self, horizon):
@@ -156,6 +171,26 @@ class TestNormalizeF:
         with pytest.raises(AdmissibilityError,
                            match="^row 7 cannot be relabeled consistently$"):
             normalize_f(f, 3)
+
+    @pytest.mark.parametrize("graph, horizon, message", [
+        # (1, 0) has its preimage off x = 0; (2, 1) puts row 7 at k = 1
+        # after (1, 0) put it at k = 0.
+        ({(1, 2): (7, 20), (0, 0): (5, 10), (0, 1): (7, 10)}, 3,
+         "witness preimage (1|2) is off the x=0 column"),
+        # (2, 1) puts row 7 at k = 1 after (1, 0) put it at k = 0; (3, 1)
+        # has its preimage off x = 0.
+        ({(0, 0): (7, 10), (0, 1): (5, 20), (0, 2): (7, 20),
+          (0, 3): (1, 30), (1, 4): (2, 30), (0, 5): (3, 30)}, 4,
+         "row 7 cannot be relabeled consistently"),
+    ])
+    def test_the_first_fault_in_n_k_order_is_named(self, graph, horizon,
+                                                   message):
+        f = unary(graph)
+        for normalize, error in ((normalize_f, AdmissibilityError),
+                                 (oracle.normalize, oracle.AdmissibilityError)):
+            with pytest.raises(error) as raised:
+                normalize(f, horizon)
+            assert str(raised.value) == message
 
     def test_line_tie_goes_to_the_smaller_label(self):
         f = unary({(0, 0): (0, 4), (0, 1): (1, 4),
