@@ -5,10 +5,10 @@ witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
 them against their own bounds.  `tuple_bounds` reads the bound of every
 tuple at one S, 1 + its least y outside S, off g's positional columns in
-one pass and builds no fiber key; `fiber_columns` adds the keys, for the
-few readers that name a fiber.  Whether a fiber or a value in it is
-thrifty, and a fiber's K on a value line (`fiber_k`), are maxima of these
-bounds, so each reader compares them with theta itself.
+one pass and builds no fiber key (`fiber_columns` adds the keys; a
+reader naming a fiber keys only its tuples above theta).  A fiber's or
+a value's thrift, and a fiber's K on a value line (`fiber_k`), are
+maxima of these bounds, which each reader compares with theta itself.
 """
 from __future__ import annotations
 

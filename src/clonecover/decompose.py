@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .analysis import (Checklist, all_subsets, fiber_columns, tuple_bounds,
-                       width)
+from .analysis import Checklist, all_subsets, tuple_bounds, width
 from .core import IndexSet, MTuple, PartialFn, Point, compose
 
 
@@ -198,9 +197,9 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> Checklist:
         checks.add(label + "exact recomposition", exact, "graphs differ")
         bounds, theta = tuple_bounds(stage.g_prime, stage.s), trace.theta
         thrifty, detail = max(bounds, default=theta) <= theta, ""
-        if not thrifty:  # only a failure names a fiber, so builds the keys
-            keys = fiber_columns(stage.g_prime, stage.s)[0]
-            worst = min(c for c, k in zip(keys, bounds) if k > theta)
+        if not thrifty:  # only a failure names a fiber: keys above theta
+            worst = min(u.restrict(stage.s)
+                        for u, k in zip(g_prime, bounds) if k > theta)
             detail = f"fiber {worst!r}"
         checks.add(label + "fibers thrifty", thrifty, detail)
         failure = _inner_map_failure(stage)

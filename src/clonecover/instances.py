@@ -255,9 +255,10 @@ def check_admissibility(inst: Instance) -> dict:
     and the candidates, against the derived ``inst.ceiling``; then the
     witness recovery and the hereditary decomposition (the two stages with
     choice steps), each run independently.  Besides the verdict,
-    ``passed``, ``checks`` and ``detail``, the dict holds their products
-    ``normalized`` and ``trace`` (None where the stage failed), from which
-    `complete_synthesis` finishes the term."""
+    ``passed``, ``checks`` and ``detail``, the dict holds the ``trace``
+    (None where the decomposition failed), from which and the horizon
+    `complete_synthesis` finishes the term; the witness recovery only
+    judges the witness, so nothing of it is kept."""
     checks = Checklist()
     fns = (inst.g, inst.f, *inst.candidates)
     points = {p for fn in fns for u in fn.graph for _, p in u}
@@ -266,15 +267,13 @@ def check_admissibility(inst: Instance) -> dict:
     coords_ok = all(0 <= x < ceiling and 0 <= y < ceiling for x, y in points)
     checks.add("coordinates below ceiling", coords_ok)
 
-    normalized, detail = None, ""
+    recovered, detail = True, ""
     try:
-        normalized = normalize_f(reduce_to_unary(inst.f, inst.candidates),
-                                 inst.horizon)
+        normalize_f(reduce_to_unary(inst.f, inst.candidates), inst.horizon)
     except (AdmissibilityError, ValueError) as exc:
-        detail = str(exc)
-    checks.add("witness recoverable", normalized is not None, detail)
+        recovered, detail = False, str(exc)
+    checks.add("witness recoverable", recovered, detail)
     trace = check_admissible(inst.g, inst.theta, checks)
 
     return {"passed": checks.passed, "checks": checks.checks,
-            "detail": checks.detail, "normalized": normalized,
-            "trace": trace}
+            "detail": checks.detail, "trace": trace}

@@ -101,16 +101,16 @@ def _has_width_blowup(p: PartialFn) -> bool:
 
 @dataclass
 class NormalizedWitness:
-    """A unary witness brought into the (0 | n (+) k) |-> (k | n) shape.
+    """The relabelings that bring a unary witness into the
+    (0 | n (+) k) |-> (k | n) shape of f* (`normal_witness`).
 
-    ``relabel_domain`` sends each normalized input to the original preimage,
-    ``line_map`` and ``row_map`` are the (injective) output relabelings; the
-    normalized graph is their composition with the original witness, plus
-    the harmless (0|0) |-> (0|0) entry used for undefined helper slots.
+    ``relabel_domain`` sends each code n (+) k to the original preimage of
+    the normalized input (0 | n (+) k), ``line_map`` and ``row_map`` are
+    the (injective) output relabelings: mapped by them, the witness at
+    ``relabel_domain[n (+) k]`` is (k | n), f*'s entry there.
     """
 
-    f_star: PartialFn
-    relabel_domain: dict  # Point (0 | n(+)k) -> original domain Point
+    relabel_domain: dict  # int code n(+)k -> original domain Point
     line_map: dict  # original line index -> normalized line index
     row_map: dict  # original row index -> normalized row index
 
@@ -136,13 +136,14 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
     """Permute lines, rows, and domain labels so the witness satisfies the
     normalized shape for all k < n < horizon.
 
-    f* itself depends on the horizon only (`normal_witness`); the witness
-    decides the relabelings and whether they exist.  Deterministic choices:
-    target lines are filled from the largest demand down, each taking the
-    smallest-label unused image line with enough points; points within a
-    line are ordered by x, and each point's preimage is its least-y one.
-    The chosen lines' first n points are checked in (n, k) order, and
-    their preimages are zipped with f*'s own key points.
+    f* depends on the horizon only (`normal_witness`) and is not built
+    here; the witness decides the relabelings and whether they exist.
+    Deterministic choices: target lines are filled from the largest demand
+    down, each taking the smallest-label unused image line with enough
+    points; points within a line are ordered by x, and each point's
+    preimage is its least-y one.  The chosen lines' first n points are
+    checked in (n, k) order, f*'s entry order, each preimage keyed by its
+    code n (+) k.
     """
     if sorted(f_unary.arity) != [1]:
         raise IndexMismatchError("witness must be unary and point-valued")
@@ -172,11 +173,9 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
         free_lines.remove(line)
         chosen_line[n] = line
 
-    f_star = normal_witness(horizon)
     line_map = {chosen_line[n]: n for n in range(1, horizon)}
     row_map: dict = {}
-    preimages = []
-    # the checks run in f*'s entry order: n ascending, then k
+    relabel_domain: dict = {}
     for n in range(1, horizon):
         for k, (v, d) in enumerate(by_line[chosen_line[n]][:n]):
             if d.x != 0:
@@ -187,13 +186,9 @@ def normalize_f(f_unary: PartialFn, horizon: int) -> NormalizedWitness:
                 raise AdmissibilityError(
                     f"row {v.x} cannot be relabeled consistently"
                 )
-            preimages.append(d)
-    # f*'s entries after (0|0) |-> (0|0) are (0 | n (+) k) |-> (k | n)
-    keys = itertools.islice(f_star.graph, 1, None)
-    relabel_domain = dict(zip([code for ((_, code),) in keys], preimages))
+            relabel_domain[n * n + k] = d  # n (+) k
 
     return NormalizedWitness(
-        f_star=f_star,
         relabel_domain=relabel_domain,
         line_map=line_map,
         row_map=row_map,
@@ -227,9 +222,10 @@ def fiber_k_tables(q: PartialFn, theta: int) -> tuple:
     an id's largest bound is the K of its tuples.
 
     theta < 1 on a non-empty q raises ValueError.  A bound above theta
-    raises NotThriftyError at the first such S, the one S whose fiber keys
-    are built: the least value with a bound above theta in the least
-    wasteful fiber there, and that value's largest bound in the fiber.
+    raises NotThriftyError at the first such S, where only the tuples with
+    a bound above theta get fiber keys: the least of their values in the
+    least of their fibers, and that value's largest bound in the fiber,
+    which is above theta, so one of theirs.
     """
     if theta < 1 and q.graph:
         raise ValueError("theta must be at least 1")
@@ -248,12 +244,11 @@ def fiber_k_tables(q: PartialFn, theta: int) -> tuple:
         outside = [low for i, low in tops.items() if i not in s]
         bounds = list(map(min, *outside)) if len(outside) > 1 else outside[0]
         if max(bounds, default=theta) > theta:
-            keys = fiber_columns(q, s)[0]
-            worst = min(c for c, k in zip(keys, bounds) if k > theta)
-            fiber = [(v, k) for c, v, k in zip(keys, values, bounds)
-                     if c == worst]
-            v = min(v for v, k in fiber if k > theta)
-            raise NotThriftyError(v, max(k for w, k in fiber if w == v), theta)
+            above = [(u.restrict(s), v, k)
+                     for u, v, k in zip(q.graph, values, bounds) if k > theta]
+            worst = min((c, v) for c, v, _ in above)  # (fiber key, value)
+            raise NotThriftyError(worst[1], max(
+                k for c, v, k in above if (c, v) == worst), theta)
         top = [0] * n
         for f, k in zip(ids, bounds):
             if top[f] < k:
@@ -587,16 +582,17 @@ def end_to_end_synthesize(g: PartialFn, f: PartialFn, theta: int, horizon: int,
     The returned term evaluates to g on every tuple of dom(g).
     """
     f = _run_stage("reduce-to-unary", reduce_to_unary, f, unary_candidates)
-    nw = _run_stage("normalize", normalize_f, f, horizon)
+    _run_stage("normalize", normalize_f, f, horizon)
     trace = _run_stage("decompose", hereditary_decompose, g, theta)
-    return complete_synthesis(g, nw.f_star, trace)
+    return complete_synthesis(g, horizon, trace)
 
 
-def complete_synthesis(g: PartialFn, f_star: PartialFn,
+def complete_synthesis(g: PartialFn, horizon: int,
                        trace: DecompositionTrace) -> SynthesisResult:
-    """Helper/selector construction and term assembly from the products of
-    the choice stages: the normalized witness f*, all this reads of the
-    witness's normalization, and g's decomposition trace."""
+    """Helper/selector construction and term assembly from g's
+    decomposition trace and the horizon, from which f* is built here, once
+    per synthesis (`normal_witness`); nothing of normalization is read."""
+    f_star = normal_witness(horizon)
     q = trace.g_prime
     keys = factor_keys(len(g.arity))
     k_columns = _run_stage("k-tables", fiber_k_tables, q, trace.theta)

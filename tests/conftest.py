@@ -87,6 +87,15 @@ def unary(mapping):
     })
 
 
+def relabeled(f, nw, code):
+    """The unary witness f read through the relabelings ``nw``: f at the
+    preimage of (0 | code), its row and line relabeled; (k | n) at code
+    n (+) k wherever the normalization holds, None off its domain."""
+    d = nw.relabel_domain.get(code)
+    v = None if d is None else f.graph.get(MTuple.of({1: d}))
+    return v and Point(nw.row_map.get(v.x), nw.line_map.get(v.y))
+
+
 def inner_map(g, stage):
     """A stage's inner map over the g it swept, as a full plain map: each
     tuple to its ``moved`` target, every other tuple to itself."""

@@ -44,6 +44,7 @@ from conftest import (
     random_point_fn,
     random_tuple,
     random_tuple_map,
+    relabeled,
 )
 
 INSTANCES_PER_M = 100
@@ -185,11 +186,8 @@ def test_criterion_3_normalization(capsys):
     for seed in range(50):
         inst = generate_instance(1, horizon, horizon // 2, seed)
         nw = normalize_f(inst.f, horizon)
-        ok = all(
-            nw.f_star.graph.get(MTuple.of({1: Point(0, oplus(n, k))}))
-            == Point(k, n)
-            for n in range(1, horizon) for k in range(n)
-        )
+        ok = all(relabeled(inst.f, nw, oplus(n, k)) == Point(k, n)
+                 for n in range(1, horizon) for k in range(n))
         if not ok:
             bad_seeds.append(seed)
     codes = {}

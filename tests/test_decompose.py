@@ -266,6 +266,20 @@ class TestHereditaryDecompose:
         assert (check["passed"], check["detail"]) == (False, "fiber <>")
         assert stage_check(g, stage, 5, "fibers thrifty")["passed"]
 
+    def test_verifier_names_the_least_wasteful_fiber(self):
+        # At S = {1} and theta = 2 the (2|0) and (1|0) fibers are wasteful,
+        # in that graph order; the (0|0) fiber has the least key but only
+        # a thrifty tuple (bound 2), so the detail names (1|0)'s.
+        g = PartialFn(idx(1, 2), {
+            tup((2, 0), (0, 9)): pt(0, 0),
+            tup((0, 0), (4, 1)): pt(0, 1),
+            tup((1, 0), (0, 5)): pt(1, 1),
+        })
+        stage = StageRecord(s=idx(1), g_prime=g, moved={})
+        check = stage_check(g, stage, 2, "fibers thrifty")
+        assert (check["passed"], check["detail"]) == (False,
+                                                      "fiber <1:(1|0)>")
+
     def test_verifier_rechecks_the_composed_inner_map(self):
         g = unary({(0, 0): (9, 9), (1, 0): (9, 9)})
         trace = hereditary_decompose(g, theta=3)

@@ -50,6 +50,7 @@ from clonecover.synth import (
     end_to_end_synthesize,
     factor_keys,
     fiber_k_tables,
+    normal_witness,
     normalize_f,
     oplus,
     reduce_to_unary,
@@ -527,6 +528,15 @@ def items(*maps):
     return [list(m.items()) for m in maps]
 
 
+def reference_normalize(f, horizon):
+    """The oracle's f* and relabelings, its (0 | c) domain keys read as
+    the codes c that the program keys by."""
+    f_star, relabel_domain, *maps = oracle.normalize(f, horizon)
+    assert all(p.x == 0 for p in relabel_domain)
+    by_code = {p.y: d for p, d in relabel_domain.items()}
+    return items(f_star.graph, by_code, *maps)
+
+
 class TestWitnessMatchesOracle:
     """The witness path against its slow reference reading in `oracle`:
     the same f*, relabelings and composite, or the same refusal."""
@@ -538,14 +548,10 @@ class TestWitnessMatchesOracle:
 
         def program():
             nw = normalize_f(f, horizon)
-            return items(nw.f_star.graph, nw.relabel_domain, nw.line_map,
-                         nw.row_map)
+            return items(normal_witness(horizon).graph, nw.relabel_domain,
+                         nw.line_map, nw.row_map)
 
-        def reference():
-            f_star, *maps = oracle.normalize(f, horizon)
-            return items(f_star.graph, *maps)
-
-        assert outcome(program) == outcome(reference)
+        assert outcome(program) == outcome(reference_normalize, f, horizon)
 
     @settings(max_examples=20, derandomize=True)
     @given(case=scrambled_witnesses(), rng=st.randoms(use_true_random=False))
@@ -567,9 +573,8 @@ class TestWitnessMatchesOracle:
         assert items(f.graph) == items(
             oracle.reduce_to_unary(inst.f, inst.candidates).graph)
         nw = normalize_f(f, 64)
-        f_star, *maps = oracle.normalize(f, 64)
-        assert (items(nw.f_star.graph, nw.relabel_domain, nw.line_map,
-                      nw.row_map) == items(f_star.graph, *maps))
+        assert (items(normal_witness(64).graph, nw.relabel_domain,
+                      nw.line_map, nw.row_map) == reference_normalize(f, 64))
 
 
 def binary_witness(f, rng):
@@ -728,17 +733,23 @@ class TestDecompositionCoverage:
     @given(case=swept_traces())
     def test_fibers_thrifty_check_matches_the_oracle(self, case):
         # stages at thresholds other than the trace's leave some fibers
-        # wasteful at it; the check must flag exactly those stages
+        # wasteful at it; the check must flag exactly those stages, each
+        # naming its least wasteful fiber
         g, trace = case
         if trace is None:
             return
-        checks = [c for c in verify_decomposition(g, trace).checks
+        checks = [(c["passed"], c["detail"])
+                  for c in verify_decomposition(g, trace).checks
                   if c["name"].endswith(": fibers thrifty")]
-        want = [all(not oracle.split(p, trace.theta)[1]
-                    for p in oracle.fibers(stage.g_prime, stage.s).values())
-                for stage in trace.stages]
-        target(float(want.count(False)))
-        assert [c["passed"] for c in checks] == want
+        want = []
+        for stage in trace.stages:
+            wasteful = [c for c, p in oracle.fibers(stage.g_prime,
+                                                    stage.s).items()
+                        if oracle.split(p, trace.theta)[1]]
+            want.append((not wasteful,
+                         f"fiber {min(wasteful)!r}" if wasteful else ""))
+        target(float(sum(not passed for passed, _ in want)))
+        assert checks == want
 
 
 @st.composite

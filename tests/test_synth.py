@@ -33,7 +33,8 @@ from clonecover.synth import (
 )
 
 import oracle
-from conftest import idx, maximal_products, product_image, pt, tup, unary
+from conftest import (idx, maximal_products, product_image, pt, relabeled,
+                      tup, unary)
 from test_acceptance import product_image_width, sampled_width1_family
 
 
@@ -132,15 +133,16 @@ class TestNormalizeF:
         return PartialFn(full_index(1), graph)
 
     def test_star_shape_holds(self):
+        # read through the relabelings, f is (k | n) at every n (+) k
         for horizon in (3, 5, 8):
-            nw = normalize_f(self.make_planted(horizon), horizon)
+            f = self.make_planted(horizon)
+            nw = normalize_f(f, horizon)
             for n in range(1, horizon):
                 for k in range(n):
-                    assert nw.f_star.graph[tup((0, oplus(n, k)))] == pt(k, n)
+                    assert relabeled(f, nw, oplus(n, k)) == pt(k, n)
 
     def test_origin_convention(self):
-        nw = normalize_f(self.make_planted(4), 4)
-        assert nw.f_star.graph[tup((0, 0))] == ORIGIN
+        assert normal_witness(4).graph[tup((0, 0))] == ORIGIN
 
     def test_relabel_maps_are_injective(self):
         nw = normalize_f(self.make_planted(6), 6)
@@ -148,12 +150,16 @@ class TestNormalizeF:
         assert len(set(nw.row_map.values())) == len(nw.row_map)
 
     def test_relabel_domain_tracks_original(self):
+        # keyed by the codes n (+) k in (n, k) order, f*'s entry order,
+        # each sent to the original preimage that f* relabels there
         f = self.make_planted(4)
         nw = normalize_f(f, 4)
-        for code, original in nw.relabel_domain.items():
-            v = f.graph[MTuple.of({1: original})]
-            got = nw.f_star.graph[MTuple.of({1: code})]
-            assert got == pt(nw.row_map[v.x], nw.line_map[v.y])
+        pairs = [(n, k) for n in range(1, 4) for k in range(n)]
+        assert list(nw.relabel_domain) == [oplus(n, k) for n, k in pairs]
+        for n, k in pairs:
+            label = n * (n - 1) // 2 + k  # make_planted's (n, k)-th label
+            assert nw.relabel_domain[oplus(n, k)] == pt(0, 100 + label)
+            assert relabeled(f, nw, oplus(n, k)) == pt(k, n)
 
     def test_too_few_lines_is_an_error(self):
         f = unary({(0, 0): (5, 7)})
@@ -203,8 +209,12 @@ class TestNormalizeF:
         for horizon, profile in zip((8, 12, 16), PROFILES):
             inst = generate_instance(1, horizon, 4, horizon, profile)
             f = reduce_to_unary(inst.f, inst.candidates)
-            assert normalize_f(f, horizon).f_star == normal_witness(horizon)
-            assert oracle.normalize(f, horizon)[0] == normal_witness(horizon)
+            nw, f_star = normalize_f(f, horizon), normal_witness(horizon)
+            for code in (oplus(n, k) for n in range(1, horizon)
+                         for k in range(n)):
+                assert (relabeled(f, nw, code)
+                        == f_star.graph[tup((0, code))])
+            assert oracle.normalize(f, horizon)[0] == f_star
 
 
 class TestPStar:

@@ -40,7 +40,7 @@ from clonecover.instances import (
     default_theta,
     generate_instance,
 )
-from clonecover import analysis, decompose, pipeline, synth
+from clonecover import analysis, pipeline, synth
 from clonecover.pipeline import run_pipeline, verify_pair
 from clonecover.synth import end_to_end_synthesize
 
@@ -64,6 +64,21 @@ def _count_calls(monkeypatch, names) -> dict:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _record_fiber_columns(monkeypatch) -> list:
+    """The S of every `analysis.fiber_columns` call, in every `clonecover`
+    module that binds it (`analysis` and `synth`)."""
+    keyed_at, original = [], analysis.fiber_columns
+
+    def recording(g, s):
+        keyed_at.append(frozenset(s))
+        return original(g, s)
+
+    for module in vars(clonecover).values():
+        if getattr(module, "fiber_columns", None) is original:
+            monkeypatch.setattr(module, "fiber_columns", recording)
+    return keyed_at
 
 
 def _artifact_bytes(inst):
@@ -1003,6 +1018,25 @@ class TestPipeline:
         assert calls == {"reduce_to_unary": 1, "normalize_f": 1,
                          "hereditary_decompose": 1}
 
+    def test_f_star_is_built_once_per_synthesis(self, monkeypatch):
+        # f* depends on the horizon alone: the witness's judges build none,
+        # and each synthesis builds it once, for the selector and the term.
+        inst = generate_instance(2, 8, 4, seed=9, profile="mary-witness")
+        calls = _count_calls(monkeypatch, ("normal_witness",))
+        f = synth.reduce_to_unary(inst.f, inst.candidates)
+        nw = synth.normalize_f(f, inst.horizon)
+        adm = check_admissibility(inst)
+        assert calls == {"normal_witness": 0}
+        assert [field.name for field in dataclasses.fields(nw)] == [
+            "relabel_domain", "line_map", "row_map"]
+        assert adm["passed"] and list(adm) == [
+            "passed", "checks", "detail", "trace"]
+        end_to_end_synthesize(inst.g, inst.f, inst.theta, inst.horizon,
+                              unary_candidates=inst.candidates)
+        assert calls == {"normal_witness": 1}
+        report, _ = run_pipeline(inst)
+        assert report["passed"] and calls == {"normal_witness": 2}
+
     def test_tuple_bounds_are_read_in_one_pass_per_sweep(self, monkeypatch):
         # The decomposition and its verifier each read every tuple's bound
         # at one S from one tuple_bounds pass, and on an instance they pass
@@ -1012,21 +1046,12 @@ class TestPipeline:
         # itself.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
         calls = _count_calls(monkeypatch, ("tuple_bounds",))
-        keyed_at = []  # the S of every fiber_columns call
-        original = analysis.fiber_columns
-
-        def recording(g, s):
-            keyed_at.append(frozenset(s))
-            return original(g, s)
-
-        for module in (analysis, decompose, synth):
-            monkeypatch.setattr(module, "fiber_columns", recording)
+        keyed_at = _record_fiber_columns(monkeypatch)
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
         assert sweeps == 8
         assert calls == {"tuple_bounds": sweeps} and keyed_at == []
-        result = synth.complete_synthesis(
-            inst.g, synth.normal_witness(inst.horizon), trace)
+        result = synth.complete_synthesis(inst.g, inst.horizon, trace)
         assert result.h_family and keyed_at == [frozenset()]
         assert verify_decomposition(inst.g, trace).passed
         assert calls == {"tuple_bounds": 2 * sweeps}
@@ -1040,11 +1065,10 @@ class TestPipeline:
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
         message = ("function is not thrifty at theta=2: value (1|57) has "
                    "preimage bound 4")
-        f_star = synth.normal_witness(inst.horizon)
         low = dataclasses.replace(hereditary_decompose(inst.g, inst.theta),
                                   theta=2)
         with pytest.raises(synth.StageError) as raised:
-            synth.complete_synthesis(inst.g, f_star, low)
+            synth.complete_synthesis(inst.g, inst.horizon, low)
         assert raised.value.stage == "k-tables"
         assert str(raised.value.cause) == message
         assert (raised.value.cause.value, raised.value.cause.bound) == (
@@ -1062,6 +1086,42 @@ class TestPipeline:
         assert "stage:helpers" not in names
         assert [(c["name"], c["detail"]) for c in report["checks"]
                 if not c["passed"]] == [("stage:k-tables", message)]
+
+    def test_a_thrift_failure_keys_only_its_wasteful_tuples(self,
+                                                             monkeypatch):
+        # Both thrift failures name the least wasteful fiber from the
+        # tuples with a bound above theta alone: the K-tables' error calls
+        # fiber_columns only for their one transpose at S = {}, and the
+        # verifier's "fibers thrifty" details call it never.  The second
+        # q is first wasteful at S = {1}, in both of its fibers.
+        inst = generate_instance(3, 8, 4, 5, "mary-witness")
+        low = dataclasses.replace(hereditary_decompose(inst.g, inst.theta),
+                                  theta=2)
+        q = PartialFn(idx(1, 2), {
+            tup((1, 0), (0, 9)): pt(0, 0), tup((0, 0), (4, 1)): pt(0, 1),
+            tup((0, 0), (2, 7)): pt(2, 2), tup((0, 0), (1, 0)): pt(1, 1),
+            tup((0, 0), (0, 5)): pt(1, 1), tup((0, 0), (3, 3)): pt(1, 1)})
+        keyed_at = _record_fiber_columns(monkeypatch)
+        for fn, value, bound in ((low.g_prime, "(1|57)", 4),
+                                 (q, "(1|1)", 6)):
+            keyed_at.clear()
+            with pytest.raises(analysis.NotThriftyError) as raised:
+                synth.fiber_k_tables(fn, 2)
+            assert str(raised.value) == (
+                f"function is not thrifty at theta=2: value {value} has "
+                f"preimage bound {bound}")
+            assert keyed_at == [frozenset()]
+        keyed_at.clear()
+        assert [(c["name"], c["detail"]) for c in
+                verify_decomposition(inst.g, low).failing] == [
+            ("S=[]: fibers thrifty", "fiber <>"),
+            ("S=[1]: fibers thrifty", "fiber <1:(2|2)>"),
+            ("S=[2]: fibers thrifty", "fiber <2:(0|2)>"),
+            ("S=[3]: fibers thrifty", "fiber <3:(4|2)>"),
+            ("S=[1, 2]: fibers thrifty", "fiber <1:(2|2), 2:(45|2)>"),
+            ("S=[1, 3]: fibers thrifty", "fiber <1:(2|2), 3:(39|3)>"),
+            ("S=[2, 3]: fibers thrifty", "fiber <2:(0|2), 3:(51|2)>")]
+        assert keyed_at == []
 
     def test_a_passing_run_leaves_no_cyclic_garbage(self):
         # Reference counting frees everything a run makes, so a recursive
@@ -1261,8 +1321,8 @@ class TestPipeline:
 
         complete = pipeline.complete_synthesis
 
-        def tampered_synthesis(g, f_star, trace):
-            result = complete(g, f_star, trace)
+        def tampered_synthesis(g, horizon, trace):
+            result = complete(g, horizon, trace)
             return dataclasses.replace(result, term=tamper(result.term))
 
         monkeypatch.setattr(pipeline, "complete_synthesis", tampered_synthesis)
