@@ -3,12 +3,14 @@
 The paper-facing notions "unbounded" and "ideal membership" have no finite
 witnesses; everything here is parameterized by a threshold theta for the
 thrifty/wasteful cut.  Widths and bounds are plain ints; callers compare
-them against their own bounds.  `tuple_bounds` reads the bound of every
-tuple at one S, 1 + its least y outside S, off g's positional columns in
-one pass and builds no fiber key (`fiber_columns` adds the keys; a
-reader naming a fiber keys only its tuples above theta).  A fiber's or
-a value's thrift, and a fiber's K on a value line (`fiber_k`), are
-maxima of these bounds, which each reader compares with theta itself.
+them against their own bounds.  `index_columns` transposes dom(g) into
+one column per index; `tuple_bounds` reads the bound of every tuple at
+one S, 1 + its least y outside S, off those columns in one pass and
+builds no fiber key.  A value is wasteful in its fiber when its largest
+bound there is above theta: `wasteful_pairs` makes that cut, the one
+the decomposition, its verifier and the K-tables read, and keys only
+the tuples above theta.  A fiber's K on a value line (`fiber_k`) is
+also a maximum of these bounds.
 """
 from __future__ import annotations
 
@@ -59,37 +61,13 @@ def width(points: Iterable[Point]) -> int:
     return max(counts.values(), default=0)
 
 
-def _columns(g: PartialFn, s: IndexSet) -> tuple:
-    """dom(g)'s positional columns, ``zip(*g.graph)``, split by S: those
-    of S's indices in index order, and a map from each other index to its
-    column of ``(index, point)`` entries.  This relies on `PartialFn`'s
-    contract that every tuple lists exactly the arity, sorted by index."""
-    s = frozenset(s)
-    if not s <= g.arity:
-        raise IndexMismatchError(
-            f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
-        )
-    inside, outside = [], {}
-    columns = list(zip(*g.graph)) or [()] * len(g.arity)
-    for i, column in zip(sorted(g.arity), columns):
-        if i in s:
-            inside.append(column)
-        else:
-            outside[i] = column
-    return inside, outside
-
-
-def fiber_columns(g: PartialFn, s: IndexSet) -> tuple:
-    """dom(g) restricted to S in one pass, in graph order: ``(keys,
-    outside)``, where ``keys`` lists the S-part of every tuple (its fiber
-    key) and ``outside`` maps each index outside S to the column of the
-    tuples' ``(index, point)`` entries there.  S = {} gives the empty key
-    for every tuple.
-    """
-    inside, outside = _columns(g, s)
-    if not inside:
-        return [MTuple.empty()] * len(g.graph), outside
-    return list(map(MTuple, zip(*inside))), outside
+def index_columns(g: PartialFn) -> dict:
+    """dom(g)'s positional columns, ``zip(*g.graph)``, as a map from each
+    index to its column of ``(index, point)`` entries in graph order; an
+    empty g gives ``()`` columns.  This relies on `PartialFn`'s contract
+    that every tuple lists exactly the arity, sorted by index."""
+    return dict(zip(sorted(g.arity),
+                    zip(*g.graph) if g.graph else [()] * len(g.arity)))
 
 
 def tuple_bounds(g: PartialFn, s: IndexSet) -> list:
@@ -101,11 +79,31 @@ def tuple_bounds(g: PartialFn, s: IndexSet) -> list:
     the whole arity, whose fibers are 0-ary.  A value's least preimage
     bound in a fiber is the largest bound of its tuples there.
     """
+    s = frozenset(s)
+    if not s <= g.arity:
+        raise IndexMismatchError(
+            f"S={sorted(s)} is not a subset of the arity {sorted(g.arity)}"
+        )
     lows = [[p.y + 1 for _, p in column]
-            for column in _columns(g, s)[1].values()]
+            for i, column in index_columns(g).items() if i not in s]
     if len(lows) > 1:
         return list(map(min, *lows))
     return lows[0] if lows else [0] * len(g.graph)
+
+
+def wasteful_pairs(g: PartialFn, s: IndexSet, theta: int) -> dict:
+    """The wasteful cut of g at S: ``{(fiber key, value): largest bound}``
+    for each pair whose value is wasteful in its fiber, its least preimage
+    bound there above theta.  One `tuple_bounds` read; only the tuples
+    with a bound above theta get a fiber key, their S-part, since a
+    value's largest bound in its fiber is above theta exactly when one of
+    its tuples' bounds is."""
+    s, wasted = frozenset(s), {}
+    for (u, v), k in zip(g.graph.items(), tuple_bounds(g, s)):
+        if k > theta:
+            pair = u.restrict(s), v
+            wasted[pair] = max(wasted.get(pair, 0), k)
+    return wasted
 
 
 def fiber_k(fiber: Iterable[MTuple], s: IndexSet) -> Optional[int]:

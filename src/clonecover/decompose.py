@@ -2,11 +2,11 @@
 width-harmless inner map.
 
 The driver is `hereditary_decompose`, which sweeps all subsets S of the
-index set; each sweep is a `strong_decompose_stage` step: split every fiber
-into its thrifty and wasteful parts, re-route the wasteful parts through
-freshly selected representative tuples of a width-1 set A, and write g' and
-the moved tuples of the inner map h in one pass over g.  h fixes every
-other tuple, so a stage records only what it moves.
+index set; each sweep is a `strong_decompose_stage` step: re-route the
+wasteful part of every fiber (`analysis.wasteful_pairs`) through freshly
+selected representative tuples of a width-1 set A, and write g' and the
+moved tuples of the inner map h in one pass over g.  h fixes every other
+tuple, so a stage records only what it moves.
 `verify_decomposition` re-checks a trace from its graphs alone, the
 width-harmlessness of every inner map included.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .analysis import Checklist, all_subsets, tuple_bounds, width
+from .analysis import Checklist, all_subsets, wasteful_pairs, width
 from .core import IndexSet, MTuple, PartialFn, Point, compose
 
 
@@ -84,10 +84,9 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     """One sweep: make every fiber of g at S thrifty at theta.
 
     The record's g' is contained in g, g = g' o h exactly, and every fiber
-    of g' at S is all-thrifty.  A value is wasteful in its fiber c exactly
-    when one of its tuples there has a `tuple_bounds` entry above theta,
-    so one read of that column finds the values wasteful somewhere, and
-    only their entries get a fiber key c.  An entry u -> v whose (c, v) is
+    of g' at S is all-thrifty.  The (c, v) pairs to reroute are the keys
+    of `wasteful_pairs`, so only the entries whose value is wasteful
+    somewhere get a fiber key c here.  An entry u -> v whose (c, v) is
     wasteful adds its non-S part to the `countable_selection` input and,
     once the pick for (c, v) is known, moves to c∪pick, only the pick
     keeping its g' entry; every other entry keeps u in g' and h fixes it.
@@ -97,12 +96,10 @@ def strong_decompose_stage(g: PartialFn, s: IndexSet, theta: int) -> StageRecord
     s = frozenset(s)
     if theta < 1:
         raise ValueError("theta must be at least 1")
-    bounds = tuple_bounds(g, s)
-    suspects = {v for v, k in zip(g.graph.values(), bounds) if k > theta}
-    keyed = [(u, v, u.restrict(s), k)
-             for (u, v), k in zip(g.graph.items(), bounds) if v in suspects]
-    wasted = {(c, v) for _, v, c, k in keyed if k > theta}
-    rerouted = [(u, v, c) for u, v, c, _ in keyed if (c, v) in wasted]
+    wasted = wasteful_pairs(g, s, theta)
+    suspects = {v for _, v in wasted}
+    rerouted = [(u, v, c) for u, v in g.graph.items() if v in suspects
+                for c in [u.restrict(s)] if (c, v) in wasted]
     wasteful, g_graph = {}, dict(g.graph)
     for u, v, c in rerouted:
         wasteful.setdefault(c, {}).setdefault(v, []).append(u.without(s))
@@ -181,8 +178,9 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> Checklist:
     Lemma: if the stages' S are exactly `all_subsets` of the arity, in
     order, and every stage passes, the final g' is hereditarily thrifty.
     Each fiber of it at a stage's S lies in that stage's fiber (the "g'
-    contained in g" chain), which "fibers thrifty" checked, and restriction
-    never raises a least bound.  So that coverage check replaces a sweep.
+    contained in g" chain), where "fibers thrifty" found no `wasteful_pairs`,
+    and restriction never raises a least bound.  So that coverage check
+    replaces a sweep.
     """
     checks = Checklist()
     current = g
@@ -195,13 +193,9 @@ def verify_decomposition(g: PartialFn, trace: DecompositionTrace) -> Checklist:
             g_prime.get(moved.get(u, u)) == v
             for u, v in current.graph.items())
         checks.add(label + "exact recomposition", exact, "graphs differ")
-        bounds, theta = tuple_bounds(stage.g_prime, stage.s), trace.theta
-        thrifty, detail = max(bounds, default=theta) <= theta, ""
-        if not thrifty:  # only a failure names a fiber: keys above theta
-            worst = min(u.restrict(stage.s)
-                        for u, k in zip(g_prime, bounds) if k > theta)
-            detail = f"fiber {worst!r}"
-        checks.add(label + "fibers thrifty", thrifty, detail)
+        wasted = wasteful_pairs(stage.g_prime, stage.s, trace.theta)
+        checks.add(label + "fibers thrifty", not wasted,
+                   f"fiber {min(wasted)[0]!r}" if wasted else "")
         failure = _inner_map_failure(stage)
         checks.add(label + "inner-map certificates", not failure, failure)
         current = stage.g_prime

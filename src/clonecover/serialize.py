@@ -182,7 +182,7 @@ def _index(key, obj) -> int:
 def _graph_text(p: PartialFn) -> str:
     """The JSON text of p's graph, written the same way whatever its arity.
 
-    It relies on `PartialFn`'s contract, as `analysis.fiber_columns` does:
+    It relies on `PartialFn`'s contract, as `analysis.index_columns` does:
     every tuple lists exactly the arity, sorted.  So the tuples transpose
     into one point column per index, and each entry is the flat int row
     (x1, y1, ..., xk, yk, a, b), which sorts as ``sorted(p.graph.items())``

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .analysis import (Checklist, NotThriftyError, all_subsets,
-                       fiber_columns, fiber_k, width)
+from .analysis import (Checklist, NotThriftyError, all_subsets, fiber_k,
+                       index_columns, wasteful_pairs, width)
 from .core import (
     App,
     AtomBinding,
@@ -215,21 +215,20 @@ def fiber_k_tables(q: PartialFn, theta: int) -> tuple:
     `tuple_bounds` entry among the tuples of its fiber whose value lies on
     its value's line.  At S = the arity every K is 0; no reader asks.
 
-    One transpose of dom(q) (`fiber_columns` at S = {}), then one pass per
-    S that builds no fiber key: each tuple's (fiber, value line) pair has
-    an int id, the first position holding the pair of its id at S less
-    S's largest index j and its j-entry (at S = {}, of its value line);
-    an id's largest bound is the K of its tuples.
+    One transpose of dom(q) (`index_columns`), then one pass per S that
+    builds no fiber key: each tuple's (fiber, value line) pair has an int
+    id, the first position holding the pair of its id at S less S's
+    largest index j and its j-entry (at S = {}, of its value line); an
+    id's largest bound is the K of its tuples.
 
     theta < 1 on a non-empty q raises ValueError.  A bound above theta
-    raises NotThriftyError at the first such S, where only the tuples with
-    a bound above theta get fiber keys: the least of their values in the
-    least of their fibers, and that value's largest bound in the fiber,
-    which is above theta, so one of theirs.
+    raises NotThriftyError at the first such S, naming the least pair of
+    `wasteful_pairs` there: the least wasteful value in the least wasteful
+    fiber, and that value's largest bound in the fiber.
     """
     if theta < 1 and q.graph:
         raise ValueError("theta must be at least 1")
-    columns = fiber_columns(q, frozenset())[1]
+    columns = index_columns(q)
     ys = {i: [p.y for _, p in c] for i, c in columns.items()}
     tops = {i: [y + 1 for y in c] for i, c in ys.items()}
     n, values = len(q.graph), q.graph.values()
@@ -244,11 +243,8 @@ def fiber_k_tables(q: PartialFn, theta: int) -> tuple:
         outside = [low for i, low in tops.items() if i not in s]
         bounds = list(map(min, *outside)) if len(outside) > 1 else outside[0]
         if max(bounds, default=theta) > theta:
-            above = [(u.restrict(s), v, k)
-                     for u, v, k in zip(q.graph, values, bounds) if k > theta]
-            worst = min((c, v) for c, v, _ in above)  # (fiber key, value)
-            raise NotThriftyError(worst[1], max(
-                k for c, v, k in above if (c, v) == worst), theta)
+            wasted = wasteful_pairs(q, s, theta)  # {(fiber key, value): k}
+            raise NotThriftyError(min(wasted)[1], wasted[min(wasted)], theta)
         top = [0] * n
         for f, k in zip(ids, bounds):
             if top[f] < k:

@@ -3,9 +3,10 @@ import pytest
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
-    fiber_columns,
     fiber_k,
+    index_columns,
     tuple_bounds,
+    wasteful_pairs,
     width,
 )
 from clonecover.core import IndexMismatchError, MTuple, PartialFn
@@ -168,7 +169,8 @@ class TestHereditarilyThrifty:
         c = MTuple.of({1: pt(3, 0)})
         assert tuple_bounds(q, frozenset()) == [1]
         assert tuple_bounds(q, idx(1)) == [6]
-        assert fiber_columns(q, idx(1))[0] == [c]
+        assert wasteful_pairs(q, frozenset(), 2) == {}
+        assert wasteful_pairs(q, idx(1), 2) == {(c, pt(1, 1)): 6}
         assert oracle.first_wasteful(q, 2) == (idx(1), c, pt(1, 1))
 
     def test_all_low_is_hereditarily_thrifty(self):
@@ -194,58 +196,68 @@ class TestHereditarilyThrifty:
         assert oracle.split(q, 3)[1] == frozenset()
         assert tuple_bounds(q, idx(1)) == [1]
         assert tuple_bounds(q, idx(2)) == [6]
-        assert fiber_columns(q, idx(2))[0] == [c]
+        assert wasteful_pairs(q, idx(1), 3) == {}
+        assert wasteful_pairs(q, idx(2), 3) == {(c, pt(9, 9)): 6}
         assert oracle.first_wasteful(q, 3) == (idx(2), c, pt(9, 9))
 
 
-class TestFiberColumns:
-    """`fiber_columns` and `tuple_bounds`, which read the same positional
-    columns, at the edges: an empty g, S = {}, S = the arity, and indices
-    whose positional order (2 before 10) is not their JSON key order ("10"
+def keys_and_bounds(g, s):
+    """Every tuple's fiber key at S and its bound, as the oracle lists
+    them."""
+    return [u.restrict(s) for u in g.graph], tuple_bounds(g, s)
+
+
+class TestIndexColumns:
+    """`index_columns` and `tuple_bounds`, which reads the columns outside
+    S, at the edges: an empty g, S = {}, S = the arity, and indices whose
+    positional order (2 before 10) is not their JSON key order ("10"
     before "2")."""
 
     def test_empty_graph_at_every_subset(self):
         g = PartialFn(idx(1, 2, 3), {})
+        assert index_columns(g) == {1: (), 2: (), 3: ()}
         for s in all_subsets([1, 2, 3]):
-            assert fiber_columns(g, s) == (
-                [], {j: () for j in sorted(idx(1, 2, 3) - s)})
             assert tuple_bounds(g, s) == []
+            assert wasteful_pairs(g, s, 1) == {}
 
     def test_empty_subset_gives_the_empty_key(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
         g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(2, 2)})
-        keys, outside = fiber_columns(g, frozenset())
-        assert keys == [MTuple.empty(), MTuple.empty()]
-        assert outside == {1: ((1, pt(0, 4)), (1, pt(3, 0))),
-                           2: ((2, pt(1, 2)), (2, pt(5, 6)))}
-        assert tuple_bounds(g, frozenset()) == [3, 1]
+        assert index_columns(g) == {1: ((1, pt(0, 4)), (1, pt(3, 0))),
+                                    2: ((2, pt(1, 2)), (2, pt(5, 6)))}
+        assert keys_and_bounds(g, frozenset()) == (
+            [MTuple.empty(), MTuple.empty()], [3, 1])
+        assert wasteful_pairs(g, frozenset(), 2) == {
+            (MTuple.empty(), pt(1, 1)): 3}
 
     def test_whole_arity_gives_the_tuples_and_bound_zero(self):
         u, w = tup((0, 4), (1, 2)), tup((3, 0), (5, 6))
         g = PartialFn(idx(1, 2), {u: pt(1, 1), w: pt(1, 1)})
-        assert fiber_columns(g, idx(1, 2)) == ([u, w], {})
-        assert tuple_bounds(g, idx(1, 2)) == [0, 0]
+        assert keys_and_bounds(g, idx(1, 2)) == ([u, w], [0, 0])
+        assert wasteful_pairs(g, idx(1, 2), 1) == {}
         assert tuple_bounds(unary({(0, 9): (1, 1)}), idx(1)) == [0]
 
     def test_positional_order_is_index_order(self):
-        # graph order w, u: keys and bounds follow it
+        # graph order w, u: columns, keys and bounds follow it
         u = MTuple.of({2: pt(0, 7), 10: pt(1, 3)})
         w = MTuple.of({10: pt(4, 5), 2: pt(0, 1)})
         g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8)})
-        keys, outside = fiber_columns(g, idx(10))
-        assert keys == [MTuple.of({10: pt(4, 5)}), MTuple.of({10: pt(1, 3)})]
-        assert outside == {2: ((2, pt(0, 1)), (2, pt(0, 7)))}
-        assert tuple_bounds(g, idx(10)) == [2, 8]
-        assert fiber_columns(g, idx(2))[0] == [
-            MTuple.of({2: pt(0, 1)}), MTuple.of({2: pt(0, 7)})]
-        assert tuple_bounds(g, idx(2)) == [6, 4]
+        assert list(index_columns(g)) == [2, 10]
+        assert index_columns(g)[2] == ((2, pt(0, 1)), (2, pt(0, 7)))
+        assert keys_and_bounds(g, idx(10)) == (
+            [MTuple.of({10: pt(4, 5)}), MTuple.of({10: pt(1, 3)})], [2, 8])
+        assert keys_and_bounds(g, idx(2)) == (
+            [MTuple.of({2: pt(0, 1)}), MTuple.of({2: pt(0, 7)})], [6, 4])
         g = PartialFn(idx(2, 10), {w: pt(9, 9), u: pt(8, 8),
                                    MTuple.of({2: pt(5, 0), 10: pt(4, 5)}):
                                    pt(9, 9)})
         assert tuple_bounds(g, frozenset()) == [2, 4, 1]
         for s in all_subsets([2, 10]):
-            assert (fiber_columns(g, s)[0], tuple_bounds(g, s)) == (
-                oracle.tuple_bounds(g, s))
+            assert keys_and_bounds(g, s) == oracle.tuple_bounds(g, s)
+        assert wasteful_pairs(g, idx(2), 3) == {
+            (MTuple.of({2: pt(0, 1)}), pt(9, 9)): 6,
+            (MTuple.of({2: pt(0, 7)}), pt(8, 8)): 4,
+            (MTuple.of({2: pt(5, 0)}), pt(9, 9)): 6}
 
     def test_subset_outside_the_arity_rejected(self):
         cases = [(PartialFn(idx(1, 2), {tup((0, 0), (0, 0)): pt(0, 0)}),
@@ -253,7 +265,9 @@ class TestFiberColumns:
                  (unary({(1, 1): (2, 2)}), idx(7), r"S=\[7\]")]
         for g, s, named in cases:
             with pytest.raises(IndexMismatchError, match=named):
-                fiber_columns(g, s)
+                tuple_bounds(g, s)
+            with pytest.raises(IndexMismatchError, match=named):
+                wasteful_pairs(g, s, 1)
 
 
 class TestAllSubsets:

@@ -18,9 +18,9 @@ from clonecover import serialize
 from clonecover.analysis import (
     NotThriftyError,
     all_subsets,
-    fiber_columns,
     fiber_k,
     tuple_bounds,
+    wasteful_pairs,
     width,
 )
 from clonecover.core import (
@@ -161,7 +161,7 @@ class TestTupleBounds:
         # each bound up; a value's least bound in its fiber is the largest
         # bound of its tuples there
         for s in all_subsets(sorted(g.arity)):
-            keys, bounds = fiber_columns(g, s)[0], tuple_bounds(g, s)
+            keys, bounds = [u.restrict(s) for u in g.graph], tuple_bounds(g, s)
             assert (keys, bounds) == oracle.tuple_bounds(g, s)
             largest: dict = {}
             for c, v, k in zip(keys, g.graph.values(), bounds):
@@ -174,10 +174,14 @@ class TestTupleBounds:
     @given(q=point_fns, theta=st.integers(1, 3))
     def test_verdicts_match_the_oracle(self, q, theta):
         # the wasteful values of every fiber, and the first wasteful fiber
-        # in sweep order, read off tuple_bounds as the program reads them
+        # in sweep order, read off tuple_bounds as the program reads them;
+        # wasteful_pairs makes the same cut, each pair with its bound
         first = None
         for s in all_subsets(sorted(q.arity)):
-            keys, bounds = fiber_columns(q, s)[0], tuple_bounds(q, s)
+            keys, bounds = [u.restrict(s) for u in q.graph], tuple_bounds(q, s)
+            assert wasteful_pairs(q, s, theta) == {
+                (c, v): k for c, by_value in oracle.fiber_bounds(q, s).items()
+                for v, k in by_value.items() if k > theta}
             for c, p in oracle.fibers(q, s).items():
                 wasteful = {v for d, v, k in zip(keys, q.graph.values(),
                                                  bounds)
@@ -413,10 +417,11 @@ class TestBoundLaws:
             keep = [u for u in sorted(q.domain()) if rng.random() < 0.5]
             sub = q.restrict(keep)
             for s in all_subsets(sorted(T)):
-                full = dict(zip(q.graph, zip(fiber_columns(q, s)[0],
+                full = dict(zip(q.graph, zip([u.restrict(s) for u in q.graph],
                                              tuple_bounds(q, s))))
                 assert [full[u] for u in sub.graph] == list(
-                    zip(fiber_columns(sub, s)[0], tuple_bounds(sub, s)))
+                    zip([u.restrict(s) for u in sub.graph],
+                        tuple_bounds(sub, s)))
             # every y is below 20, so every bound is at most theta = 20;
             # no tuple's K, the largest bound on its fiber's line, rises
             k_full = fiber_k_tables(q, 20)[0]

@@ -66,19 +66,35 @@ def _count_calls(monkeypatch, names) -> dict:
     return calls
 
 
-def _record_fiber_columns(monkeypatch) -> list:
-    """The S of every `analysis.fiber_columns` call, in every `clonecover`
-    module that binds it (`analysis` and `synth`)."""
-    keyed_at, original = [], analysis.fiber_columns
+def _record_keying(monkeypatch) -> list:
+    """For every `analysis.wasteful_pairs` call, in every `clonecover`
+    module that binds it (`decompose` and `synth`), its S and the number
+    of `MTuple.restrict` calls made inside it."""
+    keyed, inside = [], []
+    original, restrict = analysis.wasteful_pairs, MTuple.restrict
 
-    def recording(g, s):
-        keyed_at.append(frozenset(s))
-        return original(g, s)
+    def counting(u, s):
+        if inside:
+            inside[-1] += 1
+        return restrict(u, s)
 
+    def recording(g, s, theta):
+        inside.append(0)
+        try:
+            return original(g, s, theta)
+        finally:
+            keyed.append((frozenset(s), inside.pop()))
+
+    monkeypatch.setattr(MTuple, "restrict", counting)
     for module in vars(clonecover).values():
-        if getattr(module, "fiber_columns", None) is original:
-            monkeypatch.setattr(module, "fiber_columns", recording)
-    return keyed_at
+        if getattr(module, "wasteful_pairs", None) is original:
+            monkeypatch.setattr(module, "wasteful_pairs", recording)
+    return keyed
+
+
+def _above(g, s, theta) -> int:
+    """The number of tuples of dom(g) whose bound at S is above theta."""
+    return sum(k > theta for k in analysis.tuple_bounds(g, s))
 
 
 def _artifact_bytes(inst):
@@ -1039,23 +1055,25 @@ class TestPipeline:
 
     def test_tuple_bounds_are_read_in_one_pass_per_sweep(self, monkeypatch):
         # The decomposition and its verifier each read every tuple's bound
-        # at one S from one tuple_bounds pass, and on an instance they pass
-        # they build no fiber key (fiber_columns).  The K columns and the
-        # helpers read no tuple_bounds: one complete_synthesis transposes
-        # dom(q) once, fiber_columns at S = {}, and folds every S's bounds
-        # itself.
+        # at one S from one tuple_bounds pass, through wasteful_pairs.
+        # The K columns and the helpers read neither: one passing
+        # complete_synthesis transposes dom(q) once (index_columns) and
+        # folds every S's bounds itself.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
-        calls = _count_calls(monkeypatch, ("tuple_bounds",))
-        keyed_at = _record_fiber_columns(monkeypatch)
+        calls = _count_calls(monkeypatch, ("tuple_bounds", "index_columns",
+                                           "wasteful_pairs"))
         trace = hereditary_decompose(inst.g, inst.theta)
         sweeps = len(trace.stages)
         assert sweeps == 8
-        assert calls == {"tuple_bounds": sweeps} and keyed_at == []
+        assert calls == dict.fromkeys(calls, sweeps)
         result = synth.complete_synthesis(inst.g, inst.horizon, trace)
-        assert result.h_family and keyed_at == [frozenset()]
+        assert result.h_family and calls == {
+            "tuple_bounds": sweeps, "index_columns": sweeps + 1,
+            "wasteful_pairs": sweeps}
         assert verify_decomposition(inst.g, trace).passed
-        assert calls == {"tuple_bounds": 2 * sweeps}
-        assert keyed_at == [frozenset()]
+        assert calls == {"tuple_bounds": 2 * sweeps,
+                         "index_columns": 2 * sweeps + 1,
+                         "wasteful_pairs": 2 * sweeps}
 
     def test_a_q_that_is_not_thrifty_fails_only_the_k_tables(self,
                                                               monkeypatch):
@@ -1089,11 +1107,11 @@ class TestPipeline:
 
     def test_a_thrift_failure_keys_only_its_wasteful_tuples(self,
                                                              monkeypatch):
-        # Both thrift failures name the least wasteful fiber from the
-        # tuples with a bound above theta alone: the K-tables' error calls
-        # fiber_columns only for their one transpose at S = {}, and the
-        # verifier's "fibers thrifty" details call it never.  The second
-        # q is first wasteful at S = {1}, in both of its fibers.
+        # Both thrift failures name the least wasteful fiber through
+        # wasteful_pairs, which keys the tuples with a bound above theta
+        # alone: the K-tables' error reads it once, at the failing S, and
+        # the verifier once per stage.  The second q is first wasteful at
+        # S = {1}, in both of its fibers.
         inst = generate_instance(3, 8, 4, 5, "mary-witness")
         low = dataclasses.replace(hereditary_decompose(inst.g, inst.theta),
                                   theta=2)
@@ -1101,17 +1119,20 @@ class TestPipeline:
             tup((1, 0), (0, 9)): pt(0, 0), tup((0, 0), (4, 1)): pt(0, 1),
             tup((0, 0), (2, 7)): pt(2, 2), tup((0, 0), (1, 0)): pt(1, 1),
             tup((0, 0), (0, 5)): pt(1, 1), tup((0, 0), (3, 3)): pt(1, 1)})
-        keyed_at = _record_fiber_columns(monkeypatch)
+        keyed = _record_keying(monkeypatch)
         for fn, value, bound in ((low.g_prime, "(1|57)", 4),
                                  (q, "(1|1)", 6)):
-            keyed_at.clear()
+            keyed.clear()
             with pytest.raises(analysis.NotThriftyError) as raised:
                 synth.fiber_k_tables(fn, 2)
             assert str(raised.value) == (
                 f"function is not thrifty at theta=2: value {value} has "
                 f"preimage bound {bound}")
-            assert keyed_at == [frozenset()]
-        keyed_at.clear()
+            failing = next(s for s in analysis.all_subsets(sorted(fn.arity))
+                           if _above(fn, s, 2))
+            assert keyed == [(failing, _above(fn, failing, 2))]
+        assert keyed == [(idx(1), 4)]
+        keyed.clear()
         assert [(c["name"], c["detail"]) for c in
                 verify_decomposition(inst.g, low).failing] == [
             ("S=[]: fibers thrifty", "fiber <>"),
@@ -1121,7 +1142,8 @@ class TestPipeline:
             ("S=[1, 2]: fibers thrifty", "fiber <1:(2|2), 2:(45|2)>"),
             ("S=[1, 3]: fibers thrifty", "fiber <1:(2|2), 3:(39|3)>"),
             ("S=[2, 3]: fibers thrifty", "fiber <2:(0|2), 3:(51|2)>")]
-        assert keyed_at == []
+        assert keyed == [(stage.s, _above(stage.g_prime, stage.s, 2))
+                         for stage in low.stages]
 
     def test_a_passing_run_leaves_no_cyclic_garbage(self):
         # Reference counting frees everything a run makes, so a recursive
